@@ -49,10 +49,6 @@ class Module:
     def parameters(self) -> list[Parameter]:
         return [p for _, p in self.named_parameters()]
 
-    def zero_grad(self) -> None:
-        for p in self.parameters():
-            p.grad[...] = 0.0
-
 
 class Linear(Module):
     def __init__(self, rng, d_in: int, d_out: int, bias: bool = True):
@@ -87,6 +83,21 @@ def causal_mask(n: int) -> np.ndarray:
     return np.triu(np.full((n, n), NEG_INF), k=1)
 
 
+class AttentionCache:
+    """Keys and values an attention layer reuses across incremental decoding steps.
+
+    For self-attention they are (B, h, t, d_head), one row per hypothesis and
+    one position per decoded step. For cross-attention they are the memory's
+    (h, t_k, d_head) projections, computed once and shared by every hypothesis.
+    """
+
+    __slots__ = ("k", "v")
+
+    def __init__(self, k: Tensor, v: Tensor):
+        self.k = k
+        self.v = v
+
+
 class MultiHeadAttention(Module):
     """Scaled dot-product attention; full/bidirectional unless a mask says otherwise."""
 
@@ -100,21 +111,48 @@ class MultiHeadAttention(Module):
         self.wv = Linear(rng, d_model, d_model)
         self.wo = Linear(rng, d_model, d_model)
 
-    def __call__(self, x: Tensor, memory: Tensor, mask: np.ndarray | None = None) -> Tensor:
-        t_q, d = x.shape
+    def keys_values(self, memory: Tensor) -> AttentionCache:
+        """Keys and values of `memory` (t_k, d), split into heads: (h, t_k, d_head) each."""
         t_k = memory.shape[0]
         if t_k == 0:
             raise ShapeError("attention over an empty key set")
         h, dh = self.n_heads, self.d_head
-        q = self.wq(x).reshape(t_q, h, dh).transpose(1, 0, 2)
         k = self.wk(memory).reshape(t_k, h, dh).transpose(1, 0, 2)
         v = self.wv(memory).reshape(t_k, h, dh).transpose(1, 0, 2)
-        scores = (q @ k.swap_last()) / np.sqrt(dh)
+        return AttentionCache(k, v)
+
+    def _attend(self, q: Tensor, kv: AttentionCache, mask: np.ndarray | None) -> Tensor:
+        scores = (q @ kv.k.swap_last()) / np.sqrt(self.d_head)
         if mask is not None:
             scores = scores + Tensor(mask[None, :, :])
-        attn = ag.softmax(scores, axis=-1)
-        ctx = (attn @ v).transpose(1, 0, 2).reshape(t_q, d)
-        return self.wo(ctx)
+        return ag.softmax(scores, axis=-1) @ kv.v
+
+    def __call__(
+        self,
+        x: Tensor,
+        memory: Tensor,
+        mask: np.ndarray | None = None,
+        cache: AttentionCache | None = None,
+    ) -> Tensor:
+        """Attend from the rows of x (t_q, d) over the rows of memory (t_k, d).
+
+        Step mode, with a cache: x is (B, d), the newest position of each of B
+        hypotheses. Self-attention (memory is x) appends those positions' keys
+        and values to the cache and attends over every cached position of the
+        same hypothesis; cross-attention attends over the cached memory
+        projections. No mask is needed: a cache holds no future position.
+        """
+        t_q, d = x.shape
+        h, dh = self.n_heads, self.d_head
+        if cache is None:
+            q = self.wq(x).reshape(t_q, h, dh).transpose(1, 0, 2)
+            ctx = self._attend(q, self.keys_values(memory), mask)
+            return self.wo(ctx.transpose(1, 0, 2).reshape(t_q, d))
+        q = self.wq(x).reshape(t_q, h, 1, dh)
+        if memory is x:
+            cache.k = ag.concat([cache.k, self.wk(x).reshape(t_q, h, 1, dh)], axis=2)
+            cache.v = ag.concat([cache.v, self.wv(x).reshape(t_q, h, 1, dh)], axis=2)
+        return self.wo(self._attend(q, cache, None).reshape(t_q, d))
 
 
 class FeedForward(Module):
@@ -149,9 +187,16 @@ class DecoderLayer(Module):
         self.ln2 = LayerNorm(d_model)
         self.ln3 = LayerNorm(d_model)
 
-    def __call__(self, x: Tensor, memory: Tensor, self_mask: np.ndarray | None = None) -> Tensor:
-        x = self.ln1(x + self.self_attn(x, x, self_mask))
-        x = self.ln2(x + self.cross_attn(x, memory))
+    def __call__(
+        self,
+        x: Tensor,
+        memory: Tensor,
+        self_mask: np.ndarray | None = None,
+        cache: tuple[AttentionCache, AttentionCache] | None = None,
+    ) -> Tensor:
+        self_kv, memory_kv = cache if cache is not None else (None, None)
+        x = self.ln1(x + self.self_attn(x, x, self_mask, self_kv))
+        x = self.ln2(x + self.cross_attn(x, memory, None, memory_kv))
         return self.ln3(x + self.ff(x))
 
 
@@ -165,11 +210,48 @@ class TransformerEncoder(Module):
         return x
 
 
+class DecoderCache:
+    """Incremental-decoding state of a TransformerDecoder for B live hypotheses.
+
+    Per layer: the self-attention keys and values of every decoded position,
+    (B, h, t, d_head), and the cross-attention projections of the memory.
+    `length` is t, the number of positions decoded so far.
+    """
+
+    def __init__(self, decoder: TransformerDecoder, memory: Tensor):
+        self.layers: list[tuple[AttentionCache, AttentionCache]] = []
+        for layer in decoder.layers:
+            attn = layer.self_attn
+            empty = Tensor(np.zeros((1, attn.n_heads, 0, attn.d_head)))
+            memory_kv = layer.cross_attn.keys_values(memory)
+            self.layers.append((AttentionCache(empty, empty), memory_kv))
+        self.length = 0
+
+    def reorder(self, parents) -> None:
+        """Keep row parents[i] of each self-attention cache as hypothesis i."""
+        parents = np.asarray(parents, dtype=np.int64)
+        for self_kv, _ in self.layers:
+            self_kv.k = self_kv.k[parents]
+            self_kv.v = self_kv.v[parents]
+
+
 class TransformerDecoder(Module):
     def __init__(self, rng, d_model: int, d_hidden: int, n_heads: int, n_layers: int):
         self.layers = [DecoderLayer(rng, d_model, d_hidden, n_heads) for _ in range(n_layers)]
 
-    def __call__(self, x: Tensor, memory: Tensor, causal: bool) -> Tensor:
+    def __call__(
+        self, x: Tensor, memory: Tensor, causal: bool, cache: DecoderCache | None = None
+    ) -> Tensor:
+        """Decode the rows of x (T, d) against memory.
+
+        With a cache, x is (B, d): position cache.length of each hypothesis,
+        decoded causally against the cached earlier positions.
+        """
+        if cache is not None:
+            for layer, layer_cache in zip(self.layers, cache.layers):
+                x = layer(x, memory, None, layer_cache)
+            cache.length += 1
+            return x
         mask = causal_mask(x.shape[0]) if causal else None
         for layer in self.layers:
             x = layer(x, memory, mask)
@@ -222,10 +304,6 @@ class Adam:
             p.data -= lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
             p.grad[...] = 0.0
         return lr
-
-    def zero_grad(self) -> None:
-        for p in self._params:
-            p.grad[...] = 0.0
 
 
 def finite_difference_check(
@@ -333,16 +411,26 @@ def load_checkpoint(directory: str, model: Module, optimizer: Adam | None = None
                 f"does not match model shape {list(p.shape)}"
             )
     arrays = _read_f32(os.path.join(directory, PARAMS_FILE), manifest)
+    moments = step = None
+    if optimizer is not None:
+        # Read the whole optimizer state before mutating anything, so a
+        # damaged checkpoint leaves the model and optimizer as they were.
+        opt_path = os.path.join(directory, OPTIMIZER_FILE)
+        meta_path = os.path.join(directory, OPTIMIZER_META_FILE)
+        has_moments, has_step = os.path.exists(opt_path), os.path.exists(meta_path)
+        if has_moments != has_step:
+            missing = OPTIMIZER_META_FILE if has_moments else OPTIMIZER_FILE
+            raise ValueError(f"checkpoint {directory}: optimizer state has no {missing}")
+        if has_moments:
+            moments = _read_f32(opt_path, manifest + manifest)
+            with open(meta_path, encoding="utf-8") as fh:
+                step = json.load(fh)["step"]
     for (_, p), arr in zip(named, arrays):
         p.data[...] = arr
-    opt_path = os.path.join(directory, OPTIMIZER_FILE)
-    if optimizer is not None and os.path.exists(opt_path):
-        moment_manifest = manifest + manifest
-        arrays = _read_f32(opt_path, moment_manifest)
+    if moments is not None:
         half = len(manifest)
-        for m, arr in zip(optimizer.m, arrays[:half]):
+        for m, arr in zip(optimizer.m, moments[:half]):
             m[...] = arr
-        for v, arr in zip(optimizer.v, arrays[half:]):
+        for v, arr in zip(optimizer.v, moments[half:]):
             v[...] = arr
-        with open(os.path.join(directory, OPTIMIZER_META_FILE), encoding="utf-8") as fh:
-            optimizer.step_count = json.load(fh)["step"]
+        optimizer.step_count = step

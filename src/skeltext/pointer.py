@@ -10,7 +10,7 @@ from . import autograd as ag
 from .autograd import Tensor
 from .data import BOS_TOKEN, EOS_TOKEN, Example, Table, Vocabulary, linearize_table
 from .encoder import EncoderOutput, TableEncoder
-from .nn import Embedding, Linear, Module, TransformerDecoder
+from .nn import DecoderCache, Embedding, Linear, Module, TransformerDecoder
 
 
 class DataIntegrityError(ValueError):
@@ -31,32 +31,24 @@ def copy_pool(cell_tokens: list[str]) -> tuple[list[str], np.ndarray]:
     return distinct, pool
 
 
-def copy_distribution(alpha: np.ndarray, cell_tokens: list[str]) -> dict[str, float]:
-    """Pool per-cell attention into per-token copy probability.
-
-    Identical tokens at several cells sum their attention mass, so the
-    support is exactly the set of distinct table tokens (EOS included).
-    """
-    if len(alpha) != len(cell_tokens):
-        raise ValueError(f"{len(alpha)} attention weights for {len(cell_tokens)} cells")
-    dist: dict[str, float] = {}
-    for weight, tok in zip(alpha, cell_tokens):
-        dist[tok] = dist.get(tok, 0.0) + float(weight)
-    return dist
-
-
-@dataclass
-class BeamHypothesis:
-    tokens: tuple[str, ...]
-    score: float
-    finished: bool
-
-
 @dataclass
 class SkeletonPrediction:
+    """A skeleton hypothesis; beam search returns the best one."""
+
     tokens: list[str]
     score: float
     finished: bool  # False means truncation at max_len was reported
+
+
+@dataclass
+class _TableSearch:
+    """What one beam search computes once per table, before its step loop."""
+
+    enc: EncoderOutput
+    distinct: list[str]
+    pool: np.ndarray  # cell -> distinct-token pooling matrix
+    keys: Tensor  # W_k h, the pointer keys of the cells
+    cache: DecoderCache
 
 
 class SkeletonPointer(Module):
@@ -96,23 +88,37 @@ class SkeletonPointer(Module):
     def encode(self, table: Table) -> EncoderOutput:
         return self.encoder(linearize_table(table))
 
-    def decoder_states(self, prefix: list[str], enc: EncoderOutput) -> Tensor:
-        """Causal decoder hidden states r_0..r_{T-1} for the selected-token prefix."""
-        if len(prefix) > self.max_prefix_len:
-            raise ValueError(f"prefix of {len(prefix)} exceeds max length {self.max_prefix_len}")
-        ids = np.array([self.vocab.id_of(t) for t in prefix], dtype=np.int64)
-        x = self.in_proj(self.encoder.tok_emb(ids)) + self.pos_emb(np.arange(len(prefix)))
-        return self.decoder(x, enc.hidden, causal=True)
+    def decoder_states(
+        self, tokens: list[str], enc: EncoderOutput, cache: DecoderCache | None = None
+    ) -> Tensor:
+        """Causal decoder hidden states.
 
-    def pointer_attention(self, r: Tensor, enc: EncoderOutput) -> Tensor:
-        """Attention over cells: softmax of (W_q r) . (W_k h_i) / sqrt(d_r)."""
-        logits = (self.wq(r) @ self.wk(enc.hidden).transpose()) / np.sqrt(self.d_model)
+        Without a cache, `tokens` is the whole selected-token prefix and the
+        result is r_0..r_{T-1}, (T, d). With a cache, `tokens` holds the newest
+        token of each of B live hypotheses, all at position cache.length; the
+        result is their states, (B, d), and the cache grows by one position.
+        """
+        if cache is None:
+            if len(tokens) > self.max_prefix_len:
+                raise ValueError(
+                    f"prefix of {len(tokens)} exceeds max length {self.max_prefix_len}"
+                )
+            positions = np.arange(len(tokens))
+        else:
+            positions = np.full(len(tokens), cache.length)
+        ids = np.array([self.vocab.id_of(t) for t in tokens], dtype=np.int64)
+        x = self.in_proj(self.encoder.tok_emb(ids)) + self.pos_emb(positions)
+        return self.decoder(x, enc.hidden, causal=True, cache=cache)
+
+    def pointer_attention(self, r: Tensor, keys: Tensor) -> Tensor:
+        """Attention over cells: softmax of (W_q r) . k_i / sqrt(d_r), with keys k_i = W_k h_i."""
+        logits = (self.wq(r) @ keys.transpose()) / np.sqrt(self.d_model)
         return ag.softmax(logits, axis=-1)
 
     def copy_log_probs(self, prefix: list[str], enc: EncoderOutput) -> tuple[Tensor, list[str]]:
         """Per-step log P_copy over distinct table tokens (mass pooled across cells)."""
         r = self.decoder_states(prefix, enc)
-        attn = self.pointer_attention(r, enc)
+        attn = self.pointer_attention(r, self.wk(enc.hidden))
         distinct, pool = copy_pool(enc.cell_tokens)
         return (attn @ Tensor(pool)).log(), distinct
 
@@ -132,14 +138,28 @@ class SkeletonPointer(Module):
         target_ids = np.array([idx[t] for t in targets], dtype=np.int64)
         return -logp[np.arange(len(targets)), target_ids].sum()
 
-    def _step_log_probs(self, prefix: list[str], enc: EncoderOutput) -> tuple[np.ndarray, list[str]]:
-        # Plain-array path for decoding: tokens whose copy mass underflowed to
-        # zero score -inf and are simply never selected.
-        r = self.decoder_states(prefix, enc)
-        attn = self.pointer_attention(r, enc)
+    def _start_search(self, table: Table) -> _TableSearch:
+        enc = self.encode(table)
         distinct, pool = copy_pool(enc.cell_tokens)
+        cache = DecoderCache(self.decoder, enc.hidden)
+        return _TableSearch(enc, distinct, pool, self.wk(enc.hidden), cache)
+
+    def _step_log_probs(
+        self, search: _TableSearch, live: list[SkeletonPrediction], parents: list[int]
+    ) -> tuple[np.ndarray, list[str]]:
+        """Next-token log P_copy, (B, n_distinct), for the B live hypotheses.
+
+        live[i] extends the hypothesis in cache row parents[i] by its last
+        token; one decoder pass decodes that token for every hypothesis.
+        """
+        search.cache.reorder(parents)
+        tokens = [h.tokens[-1] if h.tokens else BOS_TOKEN for h in live]
+        r = self.decoder_states(tokens, search.enc, search.cache)
+        attn = self.pointer_attention(r, search.keys)
+        # Plain-array scores: tokens whose copy mass underflowed to zero score
+        # -inf and are simply never selected.
         with np.errstate(divide="ignore"):
-            return np.log(attn.data[-1] @ pool), distinct
+            return np.log(attn.data @ search.pool), search.distinct
 
     def beam_search(
         self,
@@ -151,15 +171,23 @@ class SkeletonPointer(Module):
         """Length-unnormalized beam search over copy distributions.
 
         Hypotheses end when they select EOS. If nothing finishes within
-        max_len the best open prefix is returned with finished=False.
+        max_len the best open prefix is returned with finished=False. The
+        decoder runs incrementally: each step is one pass over the newest
+        token of every live hypothesis, against cached earlier positions.
         """
         if beam_width < 1:
             raise ValueError("beam width must be >= 1")
+        if max_len > self.max_prefix_len - 1:
+            raise ValueError(
+                f"max_len {max_len} exceeds {self.max_prefix_len - 1}: BOS plus max_len "
+                f"tokens must fit the decoder's max_prefix_len of {self.max_prefix_len}"
+            )
         with ag.no_grad():
-            enc = self.encode(table)
-            live: list[BeamHypothesis] = [BeamHypothesis((), 0.0, False)]
-            done: list[BeamHypothesis] = []
-            exhausted: list[BeamHypothesis] = []
+            search = self._start_search(table)
+            live = [SkeletonPrediction([], 0.0, False)]
+            parents = [0]
+            done: list[SkeletonPrediction] = []
+            exhausted: list[SkeletonPrediction] = []
             for _ in range(max_len + 1):  # +1: the final EOS step
                 if not live:
                     break
@@ -168,30 +196,24 @@ class SkeletonPointer(Module):
                 if done and not length_normalize:
                     if max(h.score for h in done) >= max(h.score for h in live):
                         break
-                expansions: list[BeamHypothesis] = []
-                for hyp in live:
-                    logp, distinct = self._step_log_probs([BOS_TOKEN, *hyp.tokens], enc)
-                    order = np.argsort(-logp)[:beam_width]
-                    for j in order:
+                logp, distinct = self._step_log_probs(search, live, parents)
+                expansions: list[tuple[SkeletonPrediction, int]] = []
+                for row, hyp in enumerate(live):
+                    for j in np.argsort(-logp[row])[:beam_width]:
                         tok = distinct[j]
-                        score = hyp.score + float(logp[j])
+                        score = hyp.score + float(logp[row, j])
                         if tok == EOS_TOKEN:
-                            done.append(BeamHypothesis(hyp.tokens, score, True))
+                            done.append(SkeletonPrediction(hyp.tokens, score, True))
                         elif len(hyp.tokens) < max_len:
-                            expansions.append(BeamHypothesis(hyp.tokens + (tok,), score, False))
+                            extended = SkeletonPrediction([*hyp.tokens, tok], score, False)
+                            expansions.append((extended, row))
                     if len(hyp.tokens) >= max_len:
                         exhausted.append(hyp)
-                expansions.sort(key=lambda h: -h.score)
-                live = expansions[:beam_width]
+                expansions.sort(key=lambda e: -e[0].score)
+                live = [h for h, _ in expansions[:beam_width]]
+                parents = [row for _, row in expansions[:beam_width]]
 
-        def rank(h: BeamHypothesis) -> float:
+        def rank(h: SkeletonPrediction) -> float:
             return h.score / (len(h.tokens) + 1) if length_normalize else h.score
 
-        if done:
-            best = max(done, key=rank)
-            return SkeletonPrediction(list(best.tokens), best.score, True)
-        best = max(live + exhausted, key=rank)
-        return SkeletonPrediction(list(best.tokens), best.score, False)
-
-    def greedy(self, table: Table, max_len: int = 64) -> SkeletonPrediction:
-        return self.beam_search(table, beam_width=1, max_len=max_len)
+        return max(done or live + exhausted, key=rank)

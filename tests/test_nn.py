@@ -196,6 +196,26 @@ def test_checkpoint_name_mismatch_rejected(tmp_path):
         load_checkpoint(str(tmp_path / "ck"), other)
 
 
+@pytest.mark.parametrize("missing", ["optimizer.json", "optimizer.bin"])
+def test_checkpoint_half_optimizer_state_rejected_before_loading(tmp_path, missing):
+    rng = np.random.default_rng(14)
+    model = Holder(a=Linear(rng, 6, 5))
+    opt = Adam(model.parameters(), peak_lr=1e-3, warmup=5)
+    model.a(Tensor(rng.normal(size=(2, 6)))).sum().backward()
+    opt.step()
+    save_checkpoint(str(tmp_path / "ck"), model, opt)
+    (tmp_path / "ck" / missing).unlink()
+
+    other = Holder(a=Linear(rng, 6, 5))
+    other_opt = Adam(other.parameters(), peak_lr=1e-3, warmup=5)
+    before = [p.data.copy() for p in other.parameters()]
+    with pytest.raises(ValueError, match=missing):
+        load_checkpoint(str(tmp_path / "ck"), other, other_opt)
+    assert other_opt.step_count == 0
+    assert all(not m.any() for m in other_opt.m + other_opt.v)
+    assert all(np.array_equal(a, p.data) for a, p in zip(before, other.parameters()))
+
+
 def _train_steps(seed: int, steps: int) -> bytes:
     rng = np.random.default_rng(seed)
     model = Holder(l1=Linear(rng, 8, 8), ln=LayerNorm(8), l2=Linear(rng, 8, 2))

@@ -7,14 +7,11 @@ import math
 import numpy as np
 import pytest
 
-from skeltext.autograd import Tensor
-from skeltext.data import Attribute, EOS_TOKEN, Example, Table
+from skeltext.autograd import NonFiniteError, Tensor
+from skeltext.data import Attribute, BOS_TOKEN, EOS_TOKEN, Example, Table
 from skeltext.encoder import EncoderOutput
-from skeltext.pointer import (
-    DataIntegrityError,
-    SkeletonPointer,
-    copy_distribution,
-)
+from skeltext.nn import DecoderCache
+from skeltext.pointer import DataIntegrityError, SkeletonPointer, copy_pool
 from skeltext.skeleton import annotate_skeleton
 from skeltext.stopwords import default_stop_words
 from skeltext.synth import TemplateSpec, generate
@@ -32,7 +29,7 @@ def test_pointer_attention_uniform_when_keys_identical():
     rows = np.tile(np.linspace(0.1, 1.0, 16), (4, 1))
     enc = _enc(rows, ["a", "b", "c", EOS_TOKEN])
     r = Tensor(np.random.default_rng(0).normal(size=(2, 16)))
-    alpha = model.pointer_attention(r, enc).data
+    alpha = model.pointer_attention(r, model.wk(enc.hidden)).data
     assert np.allclose(alpha, 0.25, atol=1e-12)
 
 
@@ -46,7 +43,7 @@ def test_pointer_attention_softmax_arithmetic():
     h[0, 0] = 1.0
     r = np.zeros((1, d))
     r[0, 0] = math.sqrt(d) * math.log(3.0)
-    alpha = model.pointer_attention(Tensor(r), _enc(h, ["x", EOS_TOKEN])).data
+    alpha = model.pointer_attention(Tensor(r), model.wk(Tensor(h))).data
     assert np.allclose(alpha, [[0.75, 0.25]], atol=1e-12)
 
 
@@ -70,22 +67,29 @@ def test_pointer_attention_scale_identity():
     assert np.allclose(scaled, c * c * base, atol=1e-9)
 
 
+def _copy_distribution(alpha: np.ndarray, tokens: list[str]) -> dict[str, float]:
+    distinct, pool = copy_pool(tokens)
+    return dict(zip(distinct, alpha @ pool))
+
+
 def test_copy_distribution_pools_identical_tokens():
     alpha = np.array([0.1, 0.1, 0.3, 0.2, 0.1, 0.2])
     tokens = ["a", "b", "London", "c", "d", "London"]
-    dist = copy_distribution(alpha, tokens)
+    distinct, pool = copy_pool(tokens)
+    assert distinct == ["a", "b", "London", "c", "d"]  # first-occurrence order
+    dist = _copy_distribution(alpha, tokens)
     assert dist["London"] == pytest.approx(0.5)
     assert sum(dist.values()) == pytest.approx(1.0)
 
 
 def test_copy_distribution_single_support():
-    dist = copy_distribution(np.array([1.0]), [EOS_TOKEN])
+    dist = _copy_distribution(np.array([1.0]), [EOS_TOKEN])
     assert dist == {EOS_TOKEN: 1.0}
 
 
 def test_copy_distribution_no_pooling_when_distinct():
     alpha = np.array([0.2, 0.3, 0.5])
-    dist = copy_distribution(alpha, ["a", "b", "c"])
+    dist = _copy_distribution(alpha, ["a", "b", "c"])
     assert dist == pytest.approx({"a": 0.2, "b": 0.3, "c": 0.5})
 
 
@@ -145,17 +149,6 @@ def test_loss_requires_annotation_and_table_membership():
         model.loss(Example(table, ("tok",), ("ghost",)))
 
 
-def test_beam_one_equals_greedy():
-    rng = np.random.default_rng(7)
-    model, _ = tiny_pointer(seed=6)
-    for _ in range(5):
-        table = random_table(rng)
-        beam = model.beam_search(table, beam_width=1, max_len=8)
-        greedy = model.greedy(table, max_len=8)
-        assert beam.tokens == greedy.tokens
-        assert beam.score == pytest.approx(greedy.score)
-
-
 class _ForcedPointer(SkeletonPointer):
     """Deterministic one-hot copy distribution following a forced script."""
 
@@ -163,16 +156,17 @@ class _ForcedPointer(SkeletonPointer):
         # deliberately skip parent init; only decoding hooks are used
         self.script = list(script)
         self.forced_vocab = sorted(set(self.script) | {EOS_TOKEN})
+        self.max_prefix_len = 128
 
-    def encode(self, table):
-        return _enc(np.zeros((1, 1)), [EOS_TOKEN])
+    def _start_search(self, table):
+        return None
 
-    def _step_log_probs(self, prefix, enc):
-        t = len(prefix) - 1
+    def _step_log_probs(self, search, live, parents):
+        t = len(live[0].tokens)
         target = self.script[t] if t < len(self.script) else EOS_TOKEN
         probs = np.full(len(self.forced_vocab), 1e-12)
         probs[self.forced_vocab.index(target)] = 1.0
-        return np.log(probs / probs.sum()), self.forced_vocab
+        return np.tile(np.log(probs / probs.sum()), (len(live), 1)), self.forced_vocab
 
 
 @pytest.mark.parametrize("width", [1, 2, 5])
@@ -190,7 +184,7 @@ def test_beam_score_at_least_greedy_score():
     for seed in range(4):
         model, _ = tiny_pointer(seed=10 + seed)
         table = random_table(rng)
-        greedy = model.greedy(table, max_len=8)
+        greedy = model.beam_search(table, beam_width=1, max_len=8)
         beam = model.beam_search(table, beam_width=5, max_len=8)
         assert beam.score >= greedy.score - 1e-12
 
@@ -209,10 +203,81 @@ def test_argmax_invariant_under_logit_shift():
 
     def argmax_token(lg):
         e = np.exp(lg - lg.max())
-        dist = copy_distribution(e / e.sum(), tokens)
+        dist = _copy_distribution(e / e.sum(), tokens)
         return max(dist, key=dist.get)
 
     assert argmax_token(logits) == argmax_token(logits + 5.0) == argmax_token(logits - 3.0)
+
+
+def test_cached_decoder_states_match_full_decoder_rows():
+    # Three hypotheses decoded one position per pass; between passes the cache
+    # rows are gathered by parent, reordering and duplicating hypotheses.
+    rng = np.random.default_rng(21)
+    model, _ = tiny_pointer(seed=21)
+    enc = model.encode(random_table(rng))
+    cache = DecoderCache(model.decoder, enc.hidden)
+    prefixes = [[BOS_TOKEN]]
+    states = model.decoder_states([BOS_TOKEN], enc, cache)
+    for parents in ([0, 0, 0], [2, 0, 0], [1, 2, 2], [0, 1, 2]):
+        for i, prefix in enumerate(prefixes):
+            full = model.decoder_states(prefix, enc).data[-1]
+            assert np.abs(states.data[i] - full).max() < 1e-12
+        cache.reorder(parents)
+        new = [str(rng.choice(enc.cell_tokens)) for _ in parents]
+        prefixes = [[*prefixes[p], tok] for p, tok in zip(parents, new)]
+        states = model.decoder_states(new, enc, cache)
+        assert cache.length == len(prefixes[0])
+    for i, prefix in enumerate(prefixes):
+        full = model.decoder_states(prefix, enc).data
+        assert np.abs(states.data[i] - full[-1]).max() < 1e-12
+
+
+@pytest.mark.parametrize("width", [1, 2, 5])
+def test_beam_score_is_teacher_forced_log_prob(width, monkeypatch):
+    # Every live hypothesis's next-token distribution, at every step, must be
+    # the last row of the teacher-forced pass over its own prefix.
+    rng = np.random.default_rng(30 + width)
+    finished = 0
+    for seed in range(6):
+        model, _ = tiny_pointer(seed=40 + seed)
+        table = random_table(rng)
+        enc = model.encode(table)
+        step = model._step_log_probs
+
+        def checked(search, live, parents):
+            logp, distinct = step(search, live, parents)
+            for row, hyp in enumerate(live):
+                forced, forced_distinct = model.copy_log_probs([BOS_TOKEN, *hyp.tokens], enc)
+                assert forced_distinct == distinct
+                assert np.abs(logp[row] - forced.data[-1]).max() < 1e-9
+            return logp, distinct
+
+        monkeypatch.setattr(model, "_step_log_probs", checked)
+        pred = model.beam_search(table, beam_width=width, max_len=24)
+        if not pred.finished:
+            continue
+        finished += 1
+        logp, distinct = model.copy_log_probs([BOS_TOKEN, *pred.tokens], enc)
+        targets = [distinct.index(t) for t in [*pred.tokens, EOS_TOKEN]]
+        forced = logp.data[np.arange(len(targets)), targets].sum()
+        assert abs(pred.score - forced) < 1e-9
+    assert finished >= 3
+
+
+def test_non_finite_weight_surfaces_in_beam_search():
+    model, _ = tiny_pointer(seed=9)
+    model.decoder.layers[0].ff.lin1.weight.data[0, 0] = np.nan
+    with pytest.raises(NonFiniteError):
+        model.beam_search(random_table(np.random.default_rng(9)), beam_width=3, max_len=8)
+
+
+def test_beam_search_rejects_max_len_beyond_decoder_positions():
+    model, _ = tiny_pointer(seed=12)
+    table = random_table(np.random.default_rng(12))
+    limit = model.max_prefix_len - 1
+    with pytest.raises(ValueError, match=f"max_len {limit + 1} exceeds {limit}.*{limit + 1}"):
+        model.beam_search(table, beam_width=2, max_len=limit + 1)
+    assert len(model.beam_search(table, beam_width=2, max_len=limit).tokens) <= limit
 
 
 def test_teacher_forced_loss_decreases_monotonically_50_steps():
