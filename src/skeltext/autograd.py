@@ -13,9 +13,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-# Toggled off only by benchmarks; the invariant is that it stays on.
-CHECK_FINITE = True
-
 _grad_enabled = True
 
 
@@ -47,13 +44,8 @@ def _as_array(value) -> np.ndarray:
     arr = value if type(value) is np.ndarray and value.dtype == np.float64 else np.asarray(
         value, dtype=np.float64
     )
-    if CHECK_FINITE:
-        # Fast probe: a finite sum proves all entries finite. A non-finite
-        # sum can also be magnitude overflow, so confirm before raising.
-        with np.errstate(over="ignore", invalid="ignore"):
-            total = arr.sum()
-        if not np.isfinite(total) and not np.isfinite(arr).all():
-            raise NonFiniteError("non-finite value entering the graph")
+    if not np.isfinite(arr).all():
+        raise NonFiniteError("non-finite value entering the graph")
     return arr
 
 
@@ -77,6 +69,11 @@ class Tensor:
     @property
     def ndim(self) -> int:
         return self.data.ndim
+
+    @property
+    def tracked(self) -> bool:
+        """Whether ops on this tensor are recorded for backward()."""
+        return self._track
 
     def item(self) -> float:
         return float(self.data)

@@ -7,6 +7,7 @@ import json
 import sys
 
 from . import decoding, metrics
+from .autograd import NonFiniteError
 from .config import RunConfig, resolve_config
 from .data import (
     Corpus,
@@ -114,6 +115,9 @@ def _cmd_generate(args) -> int:
         pointer_model, pointer_cfg = load_pointer_dir(args.pointer)
         predictions = _predict_skeletons(pointer_model, pointer_cfg, corpus, args.beam_width)
         skeletons = [pred.tokens for pred in predictions]
+    terminations = dict.fromkeys(
+        (decoding.FIXED_POINT, decoding.MAX_ITERATIONS, decoding.OVERFLOW, decoding.NON_FINITE), 0
+    )
     with open(args.out, "w", encoding="utf-8") as fh:
         for i, (ex, skeleton) in enumerate(zip(corpus, skeletons)):
             try:
@@ -123,8 +127,14 @@ def _cmd_generate(args) -> int:
                     hard_constraints=not args.no_hard_constraints,
                     max_state_len=cfg.max_state_len,
                 )
-            except decoding.StateOverflowError as err:
-                raise decoding.StateOverflowError(f"example {i}: {err}") from err
+            except (decoding.StateOverflowError, NonFiniteError) as err:
+                # One runaway example must not end the run: keep its last
+                # state within the cap, which still holds the skeleton.
+                trace = err.trace
+                tokens = list(trace.snapshots[-1].body())
+                _log({"event": "warning", "example": i, "termination": trace.termination,
+                      "message": f"{type(err).__name__}: {err}"})
+            terminations[trace.termination] += 1
             fh.write(
                 json.dumps(
                     {
@@ -136,7 +146,7 @@ def _cmd_generate(args) -> int:
                 )
                 + "\n"
             )
-    _log({"event": "generate", "n": len(corpus), "out": args.out})
+    _log({"event": "generate", "n": len(corpus), "out": args.out, "terminations": terminations})
     return 0
 
 

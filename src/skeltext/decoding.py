@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autograd as ag
+from .autograd import Tensor
 from .data import BOS_TOKEN, EOS_TOKEN, PLH_TOKEN, Table
 from .editor import EditRealizer, EditState
 from .encoder import EncoderOutput
@@ -14,10 +15,18 @@ from .oracle import DELETE
 
 FIXED_POINT = "fixed_point"
 MAX_ITERATIONS = "max_iterations"
+OVERFLOW = "overflow"
+NON_FINITE = "non_finite"
 
 
 class StateOverflowError(RuntimeError):
-    """The edit state outgrew the hard length cap; decoding is aborted."""
+    """The edit state outgrew the hard length cap; decoding is aborted.
+
+    Raised from `iterate`, it carries the partial `trace`: the states of the
+    iterations completed before the abort, with termination OVERFLOW.
+    """
+
+    trace: DecodeTrace | None = None
 
 
 @dataclass
@@ -58,15 +67,21 @@ def masked_delete(state: EditState, deletion_probs: np.ndarray) -> EditState:
 
 
 def insert_and_fill(
-    state: EditState, model: EditRealizer, enc: EncoderOutput, max_state_len: int = 512
+    state: EditState,
+    model: EditRealizer,
+    enc: EncoderOutput,
+    max_state_len: int = 512,
+    hidden: Tensor | None = None,
 ) -> EditState:
     """Argmax placeholder insertion followed by argmax token filling.
 
-    Inserted tokens enter unprotected. Growth beyond max_state_len aborts
-    with StateOverflowError rather than decode forever.
+    `hidden` is model.decode_hidden(state.tokens, enc) when the caller has it
+    already; otherwise it is decoded here. Inserted tokens enter unprotected.
+    Growth beyond max_state_len aborts with StateOverflowError rather than
+    decode forever.
     """
     with ag.no_grad():
-        z = model.decode_hidden(state.tokens, enc)
+        z = model.decode_hidden(state.tokens, enc) if hidden is None else hidden
         counts = np.argmax(model.placeholder_scores(z).data, axis=-1)
         if counts.sum() + len(state) > max_state_len:
             raise StateOverflowError(
@@ -97,24 +112,43 @@ def iterate(
 ) -> tuple[list[str], DecodeTrace]:
     """Alternate masked deletion and insertion until the text stops changing.
 
-    Returns the final tokens (sentinels stripped) and the full trace. Each
-    iteration re-decodes the state from scratch; termination is either a
-    fixed point or the iteration cap.
+    Returns the final tokens (sentinels stripped) and the full trace;
+    termination is either a fixed point or the iteration cap. A state is
+    decoded once while it stays unchanged: if deletion removes nothing, the
+    placeholder head reads the deletion head's hidden states, and if nothing
+    is inserted, those states serve the next deletion. The table memory is
+    encoded and projected for cross-attention once per call.
+
+    A StateOverflowError or NonFiniteError propagates with a `trace`
+    attribute holding the iterations completed before it, terminated
+    OVERFLOW or NON_FINITE; its last snapshot is within the length cap and,
+    under hard constraints, holds every skeleton token.
     """
     state = init_state(skeleton, protect_skeleton=hard_constraints)
     snapshots = [state]
     termination = MAX_ITERATIONS
-    with ag.no_grad():
-        enc = model.encode(table)
-        for step in range(1, max_iter + 1):
-            previous = state.tokens
-            z = model.decode_hidden(state.tokens, enc)
-            state = masked_delete(state, model.deletion_scores(z).data)
-            state = insert_and_fill(state, model, enc, max_state_len)
-            state = state.advanced(iteration=step)
-            snapshots.append(state)
-            if state.tokens == previous:
-                termination = FIXED_POINT
-                break
+    try:
+        with ag.no_grad():
+            enc = model.encode(table)
+            z = None  # hidden states of `state`, when already decoded
+            for step in range(1, max_iter + 1):
+                previous = state.tokens
+                if z is None:
+                    z = model.decode_hidden(state.tokens, enc)
+                kept = masked_delete(state, model.deletion_scores(z).data)
+                if kept.tokens != state.tokens:
+                    z = model.decode_hidden(kept.tokens, enc)
+                state = insert_and_fill(kept, model, enc, max_state_len, hidden=z)
+                if state.tokens != kept.tokens:
+                    z = None
+                state = state.advanced(iteration=step)
+                snapshots.append(state)
+                if state.tokens == previous:
+                    termination = FIXED_POINT
+                    break
+    except (StateOverflowError, ag.NonFiniteError) as err:
+        reason = OVERFLOW if isinstance(err, StateOverflowError) else NON_FINITE
+        err.trace = DecodeTrace(snapshots, reason, len(snapshots) - 1)
+        raise
     trace = DecodeTrace(snapshots, termination, len(snapshots) - 1)
     return list(state.body()), trace

@@ -104,16 +104,18 @@ class EditRealizer(Module):
     def encode(self, table: Table) -> EncoderOutput:
         return self.encoder(linearize_table(table))
 
-    def decode_hidden(
-        self, tokens: Sequence[str], enc: EncoderOutput, causal: bool = False
-    ) -> Tensor:
-        """Decoder outputs z_0..z_n; `causal` exists only for ablation tests."""
+    def decode_hidden(self, tokens: Sequence[str], enc: EncoderOutput) -> Tensor:
+        """Decoder outputs z_0..z_n.
+
+        Under no_grad, the table memory's cross-attention projections are
+        computed once per `enc` and reused by every later pass over it.
+        """
         n = len(tokens)
         if n > self.max_state_len:
             raise ValueError(f"state of {n} tokens exceeds the {self.max_state_len} cap")
         ids = np.array([self.vocab.id_of(t) for t in tokens], dtype=np.int64)
         x = self.in_proj(self.encoder.tok_emb(ids)) + self.pos_emb(np.arange(n))
-        return self.decoder(x, enc.hidden, causal=causal)
+        return self.decoder(x, enc.hidden, causal=False, cache=enc.memory_cache(self.decoder))
 
     # -- classifier heads ---------------------------------------------------
     def deletion_logits(self, z: Tensor) -> Tensor:

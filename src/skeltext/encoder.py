@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
-from .data import LinearizedCell, LinearizedTable, Vocabulary
-from .nn import Embedding, Linear, Module, TransformerEncoder
+from .data import LinearizedTable, Vocabulary
+from .nn import DecoderCache, Embedding, Linear, Module, TransformerDecoder, TransformerEncoder
 
 
 @dataclass
@@ -18,6 +18,9 @@ class EncoderOutput:
 
     hidden: Tensor
     cell_tokens: list[str]
+    _memory: tuple[TransformerDecoder, DecoderCache] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if self.hidden.shape[0] != len(self.cell_tokens):
@@ -27,6 +30,19 @@ class EncoderOutput:
 
     def __len__(self) -> int:
         return len(self.cell_tokens)
+
+    def memory_cache(self, decoder: TransformerDecoder) -> DecoderCache | None:
+        """`decoder`'s cross-attention projections of `hidden`, computed on first use.
+
+        Only for inference: while a tape is recorded, or `hidden` is on one,
+        this returns None and every pass projects the memory afresh, so
+        gradients reach the projections exactly as they would without it.
+        """
+        if ag.grad_enabled() or self.hidden.tracked:
+            return None
+        if self._memory is None or self._memory[0] is not decoder:
+            self._memory = (decoder, DecoderCache(decoder, self.hidden, incremental=False))
+        return self._memory[1]
 
 
 class TableEncoder(Module):
@@ -75,9 +91,6 @@ class TableEncoder(Module):
             axis=1,
         )
         return self.fuse(fused).relu()
-
-    def embed_cell(self, cell: LinearizedCell) -> Tensor:
-        return self.embed_cells([cell])[0]
 
     def __call__(self, cells: LinearizedTable) -> EncoderOutput:
         if not cells:

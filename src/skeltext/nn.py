@@ -136,23 +136,25 @@ class MultiHeadAttention(Module):
     ) -> Tensor:
         """Attend from the rows of x (t_q, d) over the rows of memory (t_k, d).
 
-        Step mode, with a cache: x is (B, d), the newest position of each of B
-        hypotheses. Self-attention (memory is x) appends those positions' keys
-        and values to the cache and attends over every cached position of the
-        same hypothesis; cross-attention attends over the cached memory
-        projections. No mask is needed: a cache holds no future position.
+        With a cache for cross-attention (memory is not x), the cached
+        projections of memory stand in for keys_values(memory); the result is
+        the same. With a cache for self-attention (memory is x), this is a
+        step: x is (B, d), the newest position of each of B hypotheses, whose
+        keys and values are appended to the cache before each attends over
+        every cached position of its own hypothesis. No mask is needed: a
+        cache holds no future position.
         """
         t_q, d = x.shape
         h, dh = self.n_heads, self.d_head
-        if cache is None:
-            q = self.wq(x).reshape(t_q, h, dh).transpose(1, 0, 2)
-            ctx = self._attend(q, self.keys_values(memory), mask)
-            return self.wo(ctx.transpose(1, 0, 2).reshape(t_q, d))
-        q = self.wq(x).reshape(t_q, h, 1, dh)
-        if memory is x:
+        if cache is not None and memory is x:
+            q = self.wq(x).reshape(t_q, h, 1, dh)
             cache.k = ag.concat([cache.k, self.wk(x).reshape(t_q, h, 1, dh)], axis=2)
             cache.v = ag.concat([cache.v, self.wv(x).reshape(t_q, h, 1, dh)], axis=2)
-        return self.wo(self._attend(q, cache, None).reshape(t_q, d))
+            return self.wo(self._attend(q, cache, None).reshape(t_q, d))
+        q = self.wq(x).reshape(t_q, h, dh).transpose(1, 0, 2)
+        kv = cache if cache is not None else self.keys_values(memory)
+        ctx = self._attend(q, kv, mask)
+        return self.wo(ctx.transpose(1, 0, 2).reshape(t_q, d))
 
 
 class FeedForward(Module):
@@ -192,7 +194,7 @@ class DecoderLayer(Module):
         x: Tensor,
         memory: Tensor,
         self_mask: np.ndarray | None = None,
-        cache: tuple[AttentionCache, AttentionCache] | None = None,
+        cache: tuple[AttentionCache | None, AttentionCache] | None = None,
     ) -> Tensor:
         self_kv, memory_kv = cache if cache is not None else (None, None)
         x = self.ln1(x + self.self_attn(x, x, self_mask, self_kv))
@@ -211,20 +213,25 @@ class TransformerEncoder(Module):
 
 
 class DecoderCache:
-    """Incremental-decoding state of a TransformerDecoder for B live hypotheses.
+    """What a TransformerDecoder reuses across passes over one memory.
 
-    Per layer: the self-attention keys and values of every decoded position,
-    (B, h, t, d_head), and the cross-attention projections of the memory.
-    `length` is t, the number of positions decoded so far.
+    Per layer: the cross-attention projections of the memory, computed once,
+    and, when `incremental`, the self-attention keys and values of every
+    position decoded so far for B live hypotheses, (B, h, t, d_head), with
+    `length` = t. A cache that is not incremental serves full passes: each
+    decodes a whole sequence and only the memory projections are reused.
     """
 
-    def __init__(self, decoder: TransformerDecoder, memory: Tensor):
-        self.layers: list[tuple[AttentionCache, AttentionCache]] = []
+    def __init__(self, decoder: TransformerDecoder, memory: Tensor, incremental: bool = True):
+        self.incremental = incremental
+        self.layers: list[tuple[AttentionCache | None, AttentionCache]] = []
         for layer in decoder.layers:
             attn = layer.self_attn
-            empty = Tensor(np.zeros((1, attn.n_heads, 0, attn.d_head)))
-            memory_kv = layer.cross_attn.keys_values(memory)
-            self.layers.append((AttentionCache(empty, empty), memory_kv))
+            self_kv = None
+            if incremental:
+                empty = Tensor(np.zeros((1, attn.n_heads, 0, attn.d_head)))
+                self_kv = AttentionCache(empty, empty)
+            self.layers.append((self_kv, layer.cross_attn.keys_values(memory)))
         self.length = 0
 
     def reorder(self, parents) -> None:
@@ -244,17 +251,19 @@ class TransformerDecoder(Module):
     ) -> Tensor:
         """Decode the rows of x (T, d) against memory.
 
-        With a cache, x is (B, d): position cache.length of each hypothesis,
-        decoded causally against the cached earlier positions.
+        With an incremental cache, x is (B, d): position cache.length of each
+        hypothesis, decoded causally against the cached earlier positions.
+        Any other cache only supplies the memory projections.
         """
-        if cache is not None:
+        if cache is not None and cache.incremental:
             for layer, layer_cache in zip(self.layers, cache.layers):
                 x = layer(x, memory, None, layer_cache)
             cache.length += 1
             return x
         mask = causal_mask(x.shape[0]) if causal else None
-        for layer in self.layers:
-            x = layer(x, memory, mask)
+        layer_caches = cache.layers if cache is not None else [None] * len(self.layers)
+        for layer, layer_cache in zip(self.layers, layer_caches):
+            x = layer(x, memory, mask, layer_cache)
         return x
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -188,6 +189,22 @@ def test_non_finite_is_an_error_state():
         Tensor([np.nan])
     with pytest.raises(NonFiniteError):
         ag.log(Tensor([0.0]))
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+def test_finiteness_probe_rejects_each_non_finite_value(bad):
+    arr = np.ones((3, 4))
+    arr[2, 1] = bad
+    with pytest.raises(NonFiniteError):
+        Tensor(arr)
+
+
+def test_finiteness_probe_accepts_values_whose_sum_overflows():
+    arr = np.full((4, 8), 1e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.all(Tensor(arr).data == 1e308)
+        assert np.all(Tensor(-arr).data == -1e308)
 
 
 def test_no_grad_disables_tape():

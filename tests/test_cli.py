@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import os
 
+import numpy as np
 import pytest
 
 from skeltext.cli import main
@@ -277,3 +278,77 @@ def test_published_preset_dimensions():
     assert cfg.beam_width == 5
     assert cfg.vocab_cap == 50_000
     cfg.validate()
+
+
+def _runaway_editor(tmp_path, corpus_path, max_state_len=8, k_max=4):
+    """Tiny editor checkpoint rigged to insert k_max tokens into every slot."""
+    from skeltext.training import build_editor, build_vocabularies, save_model_dir
+
+    from helpers import tiny_config
+
+    cfg = tiny_config(seed=0, k_max=k_max, max_state_len=max_state_len)
+    model = build_editor(cfg, *build_vocabularies(load_corpus(corpus_path), cfg))
+    last = model.decoder.layers[-1].ln3
+    last.gain.data[...] = 0.0  # every hidden state is the constant bias row
+    last.bias.data[...] = 1.0
+    model.w_plh.weight.data[...] = 0.0
+    model.w_plh.weight.data[:, k_max] = 1.0
+    ckpt = str(tmp_path / "runaway")
+    save_model_dir(ckpt, model, cfg)
+    return ckpt
+
+
+def _two_example_corpus(tmp_path):
+    from skeltext.data import Example, save_corpus
+
+    corpus = str(tmp_path / "c.jsonl")
+    assert main(["synth-corpus", "--n", "2", "--seed", "0", "--out", corpus]) == 0
+    data = load_corpus(corpus)
+    skeletons = [(), data[1].table.all_value_tokens()[:1]]
+    annotated = [Example(ex.table, ex.reference, tuple(sk)) for ex, sk in zip(data, skeletons)]
+    path = str(tmp_path / "a.jsonl")
+    save_corpus(annotated, path)
+    return path, skeletons
+
+
+def _closing_event(stderr: str) -> dict:
+    events = [json.loads(line) for line in stderr.splitlines() if line.startswith("{")]
+    return [e for e in events if e["event"] == "generate"][-1]
+
+
+def test_generate_overflow_is_a_per_example_outcome(tmp_path, capsys):
+    # With a cap of 8 and 4 insertions per slot, the empty skeleton grows to
+    # 6 tokens and stops at the iteration cap, while the one-token skeleton
+    # (3 tokens, 2 slots -> 11) overflows in its first iteration.
+    corpus, skeletons = _two_example_corpus(tmp_path)
+    ckpt = _runaway_editor(tmp_path, corpus)
+    out = str(tmp_path / "gen.jsonl")
+    assert main(["generate", "--editor", ckpt, "--corpus", corpus, "--out", out,
+                 "--oracle-skeleton", "--max-iter", "1"]) == 0
+    rows = [json.loads(line) for line in _read(out).splitlines()]
+    assert [r["termination"] for r in rows] == ["max_iterations", "overflow"]
+    assert len(rows[0]["text"].split()) == 4
+    assert rows[1] == {"text": " ".join(skeletons[1]), "iterations": 0, "termination": "overflow"}
+    closing = _closing_event(capsys.readouterr().err)
+    assert closing["terminations"] == {
+        "fixed_point": 0, "max_iterations": 1, "overflow": 1, "non_finite": 0
+    }
+
+
+def test_generate_non_finite_is_a_per_example_outcome(tmp_path, capsys):
+    from skeltext.nn import save_checkpoint
+    from skeltext.training import load_editor_dir
+
+    corpus, skeletons = _two_example_corpus(tmp_path)
+    ckpt = _runaway_editor(tmp_path, corpus, max_state_len=64)
+    model, _ = load_editor_dir(ckpt)
+    model.decoder.layers[0].cross_attn.wk.weight.data[0, 0] = np.nan
+    save_checkpoint(ckpt, model)
+    out = str(tmp_path / "gen.jsonl")
+    assert main(["generate", "--editor", ckpt, "--corpus", corpus, "--out", out,
+                 "--oracle-skeleton"]) == 0
+    rows = [json.loads(line) for line in _read(out).splitlines()]
+    assert rows == [
+        {"text": " ".join(sk), "iterations": 0, "termination": "non_finite"} for sk in skeletons
+    ]
+    assert _closing_event(capsys.readouterr().err)["terminations"]["non_finite"] == 2

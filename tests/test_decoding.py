@@ -4,12 +4,17 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from skeltext.autograd import Tensor
+from skeltext import autograd as ag
+from skeltext.autograd import NonFiniteError, Tensor
 from skeltext.data import BOS_TOKEN, EOS_TOKEN, PLH_TOKEN, Attribute, Table
 from skeltext.decoding import (
     FIXED_POINT,
     MAX_ITERATIONS,
+    NON_FINITE,
+    OVERFLOW,
     DecodeTrace,
     StateOverflowError,
     init_state,
@@ -220,3 +225,163 @@ def test_iterate_trained_stub_fixed_point_detection():
     assert trace.termination == MAX_ITERATIONS
     assert trace.iterations == 4
     assert is_subsequence(["a"], tokens)
+
+
+# -- decoder-state reuse against a loop that decodes every pass ------------------
+
+def _decode_every_pass(model, tokens, enc):
+    """decode_hidden without reuse: embed, then a full pass that projects the memory."""
+    ids = np.array([model.vocab.id_of(t) for t in tokens], dtype=np.int64)
+    x = model.in_proj(model.encoder.tok_emb(ids)) + model.pos_emb(np.arange(len(tokens)))
+    return model.decoder(x, enc.hidden, causal=False)
+
+
+def _reference_iterate(model, table, skeleton, max_iter, hard_constraints, max_state_len):
+    """The refinement loop spelled out, each of its passes decoding its state afresh.
+
+    Returns the snapshots and the termination; an overflow ends them with OVERFLOW.
+    """
+    state = init_state(skeleton, protect_skeleton=hard_constraints)
+    snapshots = [state]
+    with ag.no_grad():
+        enc = model.encode(table)
+        for step in range(1, max_iter + 1):
+            previous = state.tokens
+            z = _decode_every_pass(model, state.tokens, enc)
+            state = masked_delete(state, model.deletion_scores(z).data)
+            z = _decode_every_pass(model, state.tokens, enc)
+            counts = np.argmax(model.placeholder_scores(z).data, axis=-1)
+            if counts.sum() + len(state) > max_state_len:
+                return snapshots, OVERFLOW
+            tokens, protected = [BOS_TOKEN], [True]
+            for slot, count in enumerate(counts):
+                tokens += [PLH_TOKEN] * int(count)
+                protected += [False] * int(count)
+                tokens.append(state.tokens[slot + 1])
+                protected.append(state.protected[slot + 1])
+            plh = [i for i, t in enumerate(tokens) if t == PLH_TOKEN]
+            if plh:
+                fills = model.argmax_fill(_decode_every_pass(model, tokens, enc), plh)
+                for pos, tok in zip(plh, fills):
+                    tokens[pos] = tok
+            state = EditState(tokens, protected, step)
+            snapshots.append(state)
+            if state.tokens == previous:
+                return snapshots, FIXED_POINT
+    return snapshots, MAX_ITERATIONS
+
+
+@st.composite
+def _decoding_cases(draw):
+    """Tiny random model and table; skeletons repeat tokens and hold unknown ones."""
+    seed = draw(st.integers(0, 2**16))
+    table = random_table(np.random.default_rng(seed))
+    pool = [*table.all_value_tokens(), "oov-token-1", "oov-token-2"]
+    return {
+        "seed": seed,
+        "k_max": draw(st.integers(1, 4)),
+        "table": table,
+        "skeleton": draw(st.lists(st.sampled_from(pool), max_size=6)),
+        "max_iter": draw(st.integers(0, 5)),
+        "hard_constraints": draw(st.booleans()),
+        "max_state_len": draw(st.integers(8, 64)),
+    }
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_decoding_cases())
+def test_iterate_matches_a_loop_that_decodes_every_pass(case):
+    model, _ = tiny_editor(seed=case["seed"] % 97, k_max=case["k_max"])
+    args = (case["table"], case["skeleton"], case["max_iter"], case["hard_constraints"],
+            case["max_state_len"])
+    expected, termination = _reference_iterate(model, *args)
+    tokens = None
+    try:
+        tokens, trace = iterate(model, *args)
+    except StateOverflowError as err:
+        trace = err.trace
+    assert trace.termination == termination
+    assert trace.iterations == len(expected) - 1
+    assert [(s.tokens, s.protected, s.iteration) for s in trace.snapshots] == [
+        (s.tokens, s.protected, s.iteration) for s in expected
+    ]
+    if termination == OVERFLOW:
+        assert tokens is None
+    else:
+        assert tokens == list(expected[-1].body())
+
+
+def test_iterate_never_decodes_the_same_tokens_twice_in_a_row():
+    rng = np.random.default_rng(5)
+    for seed in range(10):
+        model, _ = tiny_editor(seed=40 + seed, k_max=2)
+        calls = []
+        decode = model.decode_hidden
+
+        def counting(tokens, enc, decode=decode, calls=calls):
+            calls.append(tuple(tokens))
+            return decode(tokens, enc)
+
+        model.decode_hidden = counting
+        table = random_table(rng)
+        _, trace = iterate(model, table, table.all_value_tokens()[:3], max_iter=4,
+                           hard_constraints=bool(seed % 2))
+        assert trace.iterations >= 1
+        assert all(a != b for a, b in zip(calls, calls[1:]))
+
+
+def test_memoized_memory_projections_match_uncached_decoding():
+    model, _ = tiny_editor(seed=3, n_layers=2)
+    table = random_table(np.random.default_rng(3))
+    first = [BOS_TOKEN, *table.all_value_tokens(), EOS_TOKEN]
+    second = [BOS_TOKEN, "oov-token", *table.all_value_tokens()[:1], PLH_TOKEN, EOS_TOKEN]
+    with ag.no_grad():
+        enc = model.encode(table)
+        memo = enc.memory_cache(model.decoder)
+        assert memo is not None and enc.memory_cache(model.decoder) is memo
+        for tokens in (first, second, first):
+            cached = model.decode_hidden(tokens, enc).data
+            uncached = _decode_every_pass(model, tokens, enc).data
+            np.testing.assert_allclose(cached, uncached, rtol=0, atol=1e-12)
+
+
+def test_iterate_projects_the_table_memory_once_per_layer():
+    model, _ = tiny_editor(seed=4, n_layers=2, k_max=3)
+    projections = {}
+    for i, layer in enumerate(model.decoder.layers):
+        def counting(memory, i=i, project=layer.cross_attn.keys_values):
+            projections[i] = projections.get(i, 0) + 1
+            return project(memory)
+
+        layer.cross_attn.keys_values = counting
+    decodes = []
+    decode = model.decode_hidden
+    model.decode_hidden = lambda tokens, enc: decodes.append(tokens) or decode(tokens, enc)
+    table = random_table(np.random.default_rng(4))
+    iterate(model, table, table.all_value_tokens()[:2], max_iter=3)
+    assert len(decodes) >= 3
+    assert projections == {0: 1, 1: 1}
+
+
+def test_nan_in_a_cross_attention_weight_raises_non_finite():
+    model, _ = tiny_editor(seed=6)
+    model.decoder.layers[0].cross_attn.wk.weight.data[0, 0] = np.nan
+    table = random_table(np.random.default_rng(6))
+    with pytest.raises(NonFiniteError) as info:
+        iterate(model, table, table.all_value_tokens()[:2], max_iter=3)
+    trace = info.value.trace
+    assert trace.termination == NON_FINITE
+    assert trace.iterations == 0
+    assert trace.snapshots[0].body() == tuple(table.all_value_tokens()[:2])
+
+
+def test_overflow_carries_the_states_decoded_before_it():
+    stub = StubEditor(insert_per_slot=1, fill_token="z")
+    table = Table((Attribute("K", ("x",)),))
+    # 3 -> 5 -> 9 -> 17 tokens: the third insertion breaks a cap of 12.
+    with pytest.raises(StateOverflowError) as info:
+        iterate(stub, table, ["a"], max_iter=10, max_state_len=12)
+    trace = info.value.trace
+    assert trace.termination == OVERFLOW
+    assert [len(s) for s in trace.snapshots] == [3, 5, 9]
+    assert all(is_subsequence(["a"], s.body()) for s in trace.snapshots)

@@ -15,11 +15,16 @@ def _encoder(seed: int = 0):
     return model.encoder
 
 
+def _embed(enc, cell: LinearizedCell):
+    """The fused vector of a single cell."""
+    return enc.embed_cells([cell])[0]
+
+
 def test_embed_cell_zero_weights_zero_output():
     enc = _encoder()
     enc.fuse.weight.data[...] = 0.0
     enc.fuse.bias.data[...] = 0.0
-    out = enc.embed_cell(LinearizedCell("Alda", "Name_ID", 1, 2))
+    out = _embed(enc, LinearizedCell("Alda", "Name_ID", 1, 2))
     assert np.all(out.data == 0.0)
 
 
@@ -27,7 +32,7 @@ def test_embed_cell_negative_bias_clamped_by_relu():
     enc = _encoder()
     enc.fuse.weight.data[...] = 0.0
     enc.fuse.bias.data[...] = -1.0
-    out = enc.embed_cell(LinearizedCell("Alda", "Name_ID", 1, 2))
+    out = _embed(enc, LinearizedCell("Alda", "Name_ID", 1, 2))
     assert np.all(out.data == 0.0)
 
 
@@ -35,22 +40,22 @@ def test_embed_cell_sensitive_to_fwd_position_rows():
     enc = _encoder()
     enc.fwd_emb.weight.data[1, :] = 0.5
     enc.fwd_emb.weight.data[2, :] = -0.5
-    a = enc.embed_cell(LinearizedCell("Alda", "Name_ID", 1, 2))
-    b = enc.embed_cell(LinearizedCell("Alda", "Name_ID", 2, 1))
+    a = _embed(enc, LinearizedCell("Alda", "Name_ID", 1, 2))
+    b = _embed(enc, LinearizedCell("Alda", "Name_ID", 2, 1))
     assert not np.allclose(a.data, b.data)
 
 
 def test_embed_cell_unknown_tokens_fall_back_to_unk():
     enc = _encoder()
-    a = enc.embed_cell(LinearizedCell("definitely-oov-1", "Name_ID", 1, 1))
-    b = enc.embed_cell(LinearizedCell("definitely-oov-2", "Name_ID", 1, 1))
+    a = _embed(enc, LinearizedCell("definitely-oov-1", "Name_ID", 1, 1))
+    b = _embed(enc, LinearizedCell("definitely-oov-2", "Name_ID", 1, 1))
     assert np.allclose(a.data, b.data)
 
 
 def test_position_clamp_bounds_lookup():
     enc = _encoder()
-    big = enc.embed_cell(LinearizedCell("Alda", "Name_ID", 500, 1))
-    at_cap = enc.embed_cell(LinearizedCell("Alda", "Name_ID", enc.pos_clamp, 1))
+    big = _embed(enc, LinearizedCell("Alda", "Name_ID", 500, 1))
+    at_cap = _embed(enc, LinearizedCell("Alda", "Name_ID", enc.pos_clamp, 1))
     assert np.allclose(big.data, at_cap.data)
 
 
