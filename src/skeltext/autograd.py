@@ -78,9 +78,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def __repr__(self):
         return f"Tensor(shape={self.shape})"
 
@@ -390,26 +387,3 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Ten
         return dx, (g * xhat).sum(axis=axes), g.sum(axis=axes)
 
     return _make(out, (x, gain, bias), bw)
-
-
-def cross_entropy(logits: Tensor, target_ids) -> Tensor:
-    """Mean negative log-likelihood of target ids under softmax(logits)."""
-    ids = np.asarray(target_ids, dtype=np.int64)
-    if logits.ndim != 2 or ids.ndim != 1 or ids.shape[0] != logits.shape[0]:
-        raise ShapeError(f"cross_entropy: logits {logits.shape} vs targets {ids.shape}")
-    if ids.size == 0:
-        raise ShapeError("cross_entropy: empty target list")
-    if ids.min() < 0 or ids.max() >= logits.shape[1]:
-        raise ShapeError(f"cross_entropy: target id out of range [0, {logits.shape[1]})")
-    shifted = logits.data - logits.data.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    logp = shifted - lse
-    n = ids.shape[0]
-    loss = -logp[np.arange(n), ids].mean()
-
-    def bw(g):
-        d = np.exp(logp)
-        d[np.arange(n), ids] -= 1.0
-        return (d * (g / n),)
-
-    return _make(loss, (logits,), bw)

@@ -18,6 +18,7 @@ from .data import (
     tokenize,
 )
 from .gradcheck import TOLERANCE, run_gradcheck
+from .pointer import SkeletonPrediction
 from .skeleton import annotate_corpus
 from .stopwords import default_stop_words
 from .synth import TemplateSpec, generate
@@ -53,32 +54,28 @@ def _cmd_annotate(args) -> int:
     return 0
 
 
-def _cmd_train_pointer(args) -> int:
+def _cmd_train(args) -> int:
     cfg = resolve_config(args.config, args.set)
     corpus = load_corpus(args.corpus)
-    model, opt = train_pointer(corpus, cfg, _log)
-    save_model_dir(args.out_dir, model, cfg, opt if args.save_optimizer else None)
-    _log({"event": "checkpoint", "dir": args.out_dir, "steps": opt.step_count})
-    return 0
-
-
-def _cmd_train_editor(args) -> int:
-    cfg = resolve_config(args.config, args.set)
-    corpus = load_corpus(args.corpus)
-    model, opt = train_editor(corpus, cfg, _log)
+    model, opt = args.train(corpus, cfg, _log)
     save_model_dir(args.out_dir, model, cfg, opt if args.save_optimizer else None)
     _log({"event": "checkpoint", "dir": args.out_dir, "steps": opt.step_count})
     return 0
 
 
 def _predict_skeletons(model, cfg: RunConfig, corpus: Corpus, beam_width: int | None):
+    """Beam-search skeletons; an example whose search met a non-finite value gets the error."""
     width = beam_width if beam_width is not None else cfg.beam_width
-    predictions = []
+    predictions: list[SkeletonPrediction | NonFiniteError] = []
     truncated = 0
     for ex in corpus:
-        pred = model.beam_search(
-            ex.table, width, cfg.max_skeleton_len, cfg.beam_length_normalize
-        )
+        try:
+            pred = model.beam_search(
+                ex.table, width, cfg.max_skeleton_len, cfg.beam_length_normalize
+            )
+        except NonFiniteError as err:
+            predictions.append(err)
+            continue
         if not pred.finished:
             truncated += 1
         predictions.append(pred)
@@ -87,10 +84,17 @@ def _predict_skeletons(model, cfg: RunConfig, corpus: Corpus, beam_width: int | 
     return predictions
 
 
+def _stage1_failure(i: int, err: NonFiniteError) -> str:
+    return f"example {i}: stage 1 (skeleton beam search): {type(err).__name__}: {err}"
+
+
 def _cmd_skeleton(args) -> int:
     model, cfg = load_pointer_dir(args.checkpoint)
     corpus = load_corpus(args.corpus)
     predictions = _predict_skeletons(model, cfg, corpus, args.beam_width)
+    for i, pred in enumerate(predictions):
+        if isinstance(pred, NonFiniteError):
+            raise NonFiniteError(_stage1_failure(i, pred))
     annotated = [
         Example(ex.table, ex.reference, tuple(pred.tokens))
         for ex, pred in zip(corpus, predictions)
@@ -114,38 +118,36 @@ def _cmd_generate(args) -> int:
             raise ValueError("--pointer checkpoint required unless --oracle-skeleton is set")
         pointer_model, pointer_cfg = load_pointer_dir(args.pointer)
         predictions = _predict_skeletons(pointer_model, pointer_cfg, corpus, args.beam_width)
-        skeletons = [pred.tokens for pred in predictions]
+        skeletons = [p if isinstance(p, NonFiniteError) else p.tokens for p in predictions]
     terminations = dict.fromkeys(
         (decoding.FIXED_POINT, decoding.MAX_ITERATIONS, decoding.OVERFLOW, decoding.NON_FINITE), 0
     )
     with open(args.out, "w", encoding="utf-8") as fh:
         for i, (ex, skeleton) in enumerate(zip(corpus, skeletons)):
-            try:
-                tokens, trace = decoding.iterate(
-                    editor, ex.table, skeleton,
-                    max_iter=max_iter,
-                    hard_constraints=not args.no_hard_constraints,
-                    max_state_len=cfg.max_state_len,
-                )
-            except (decoding.StateOverflowError, NonFiniteError) as err:
-                # One runaway example must not end the run: keep its last
-                # state within the cap, which still holds the skeleton.
-                trace = err.trace
-                tokens = list(trace.snapshots[-1].body())
-                _log({"event": "warning", "example": i, "termination": trace.termination,
-                      "message": f"{type(err).__name__}: {err}"})
-            terminations[trace.termination] += 1
-            fh.write(
-                json.dumps(
-                    {
-                        "text": " ".join(tokens),
-                        "iterations": trace.iterations,
-                        "termination": trace.termination,
-                    },
-                    ensure_ascii=False,
-                )
-                + "\n"
-            )
+            if isinstance(skeleton, NonFiniteError):
+                # Stage 1 found no skeleton, so there is nothing to realize.
+                tokens, iterations, termination = [], 0, decoding.NON_FINITE
+                _log({"event": "warning", "example": i, "termination": termination,
+                      "message": _stage1_failure(i, skeleton)})
+            else:
+                try:
+                    tokens, trace = decoding.iterate(
+                        editor, ex.table, skeleton,
+                        max_iter=max_iter,
+                        hard_constraints=not args.no_hard_constraints,
+                        max_state_len=cfg.max_state_len,
+                    )
+                except (decoding.StateOverflowError, NonFiniteError) as err:
+                    # One runaway example must not end the run: keep its last
+                    # state within the cap, which still holds the skeleton.
+                    trace = err.trace
+                    tokens = list(trace.snapshots[-1].body())
+                    _log({"event": "warning", "example": i, "termination": trace.termination,
+                          "message": f"{type(err).__name__}: {err}"})
+                iterations, termination = trace.iterations, trace.termination
+            terminations[termination] += 1
+            row = {"text": " ".join(tokens), "iterations": iterations, "termination": termination}
+            fh.write(json.dumps(row, ensure_ascii=False) + "\n")
     _log({"event": "generate", "n": len(corpus), "out": args.out, "terminations": terminations})
     return 0
 
@@ -204,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stopwords", help="optional stop-word file, one token per line")
     p.set_defaults(func=_cmd_annotate)
 
-    for name, fn in (("train-pointer", _cmd_train_pointer), ("train-editor", _cmd_train_editor)):
+    for name, train in (("train-pointer", train_pointer), ("train-editor", train_editor)):
         p = sub.add_parser(name, help=f"{name.replace('-', ' ')} on an annotated corpus")
         p.add_argument("--corpus", required=True)
         p.add_argument("--out-dir", required=True)
@@ -213,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="config override; wins over the file and SANA_SEED")
         p.add_argument("--save-optimizer", action="store_true",
                        help="include optimizer state for resuming")
-        p.set_defaults(func=fn)
+        p.set_defaults(func=_cmd_train, train=train)
 
     p = sub.add_parser("skeleton", help="predict skeletons with a trained pointer")
     p.add_argument("--checkpoint", required=True)

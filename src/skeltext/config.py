@@ -40,7 +40,6 @@ class RunConfig:
     editor_warmup: int = 200
     editor_epochs: int = 40
     batch_size: int = 8
-    dropout: float = 0.0  # hook only; nonzero is rejected at this scale
     # metrics
     lambda_mix: float = 0.5
     seed: int = 0
@@ -58,16 +57,12 @@ class RunConfig:
         for name in ("pointer_peak_lr", "editor_peak_lr", "lambda_del"):
             if getattr(self, name) < 0:
                 raise ValueError(f"config field {name} must be non-negative")
-        if self.beam_width < 1:
-            raise ValueError("beam_width must be >= 1")
         if self.max_iter < 0:
             raise ValueError("max_iter must be >= 0")
         if not 0.0 <= self.lambda_mix <= 1.0:
             raise ValueError("lambda_mix must lie in [0, 1]")
         if self.d_model % self.n_heads != 0:
             raise ValueError("d_model must be divisible by n_heads")
-        if self.dropout != 0.0:
-            raise ValueError("dropout is reserved; only 0.0 is supported")
         if self.vocab_cap < 5:
             raise ValueError("vocab_cap must leave room for the reserved ids")
         return self
@@ -97,6 +92,10 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
+        data = dict(data)
+        # Configs written before dropout was removed carry "dropout": 0.0.
+        if data.pop("dropout", 0.0) != 0.0:
+            raise ValueError("config field dropout is no longer supported; only 0.0 loads")
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(data) - known
         if unknown:
@@ -113,12 +112,7 @@ class RunConfig:
             json.dump(self.to_dict(), fh, indent=1, sort_keys=True)
 
     def with_overrides(self, overrides: dict) -> "RunConfig":
-        merged = self.to_dict()
-        for key, value in overrides.items():
-            if key not in merged:
-                raise ValueError(f"unknown config field: {key}")
-            merged[key] = value
-        return RunConfig.from_dict(merged)
+        return RunConfig.from_dict({**self.to_dict(), **overrides})
 
 
 def parse_override(text: str) -> tuple[str, object]:

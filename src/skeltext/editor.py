@@ -14,12 +14,10 @@ from .data import (
     EOS_TOKEN,
     PLH_TOKEN,
     RESERVED_TOKENS,
-    Table,
     Vocabulary,
-    linearize_table,
 )
-from .encoder import EncoderOutput, TableEncoder
-from .nn import Embedding, Linear, Module, TransformerDecoder
+from .encoder import EncoderOutput, TableToText
+from .nn import Linear
 
 
 @dataclass(frozen=True)
@@ -59,7 +57,7 @@ class EditState:
         return replace(self, **changes)
 
 
-class EditRealizer(Module):
+class EditRealizer(TableToText):
     """Edit-based transformer decoder over a table encoder.
 
     Self-attention is full (no causal mask) so every edit decision can
@@ -73,36 +71,17 @@ class EditRealizer(Module):
         vocab: Vocabulary,
         key_vocab: Vocabulary,
         *,
-        token_dim: int,
-        key_dim: int,
-        pos_dim: int,
-        pos_clamp: int,
-        d_model: int,
-        d_hidden: int,
-        n_heads: int,
-        n_layers: int,
-        k_max: int = 8,
-        max_state_len: int = 512,
-        tie_token_head: bool = False,
+        k_max: int,
+        tie_token_head: bool,
+        **trunk,
     ):
-        self.vocab = vocab
+        super().__init__(rng, vocab, key_vocab, **trunk)
         self.k_max = k_max
-        self.max_state_len = max_state_len
         self.tie_token_head = tie_token_head
-        self.encoder = TableEncoder(
-            rng, vocab, key_vocab, token_dim, key_dim, pos_dim, pos_clamp,
-            d_model, d_hidden, n_heads, n_layers,
-        )
-        self.in_proj = Linear(rng, token_dim, d_model)
-        self.pos_emb = Embedding(rng, max_state_len, d_model)
-        self.decoder = TransformerDecoder(rng, d_model, d_hidden, n_heads, n_layers)
-        self.w_del = Linear(rng, d_model, 2, bias=False)
-        self.w_plh = Linear(rng, 2 * d_model, k_max + 1, bias=False)
+        self.w_del = Linear(rng, self.d_model, 2, bias=False)
+        self.w_plh = Linear(rng, 2 * self.d_model, k_max + 1, bias=False)
         if not tie_token_head:
-            self.w_tok = Linear(rng, d_model, len(vocab), bias=False)
-
-    def encode(self, table: Table) -> EncoderOutput:
-        return self.encoder(linearize_table(table))
+            self.w_tok = Linear(rng, self.d_model, len(vocab), bias=False)
 
     def decode_hidden(self, tokens: Sequence[str], enc: EncoderOutput) -> Tensor:
         """Decoder outputs z_0..z_n.
@@ -110,12 +89,7 @@ class EditRealizer(Module):
         Under no_grad, the table memory's cross-attention projections are
         computed once per `enc` and reused by every later pass over it.
         """
-        n = len(tokens)
-        if n > self.max_state_len:
-            raise ValueError(f"state of {n} tokens exceeds the {self.max_state_len} cap")
-        ids = np.array([self.vocab.id_of(t) for t in tokens], dtype=np.int64)
-        x = self.in_proj(self.encoder.tok_emb(ids)) + self.pos_emb(np.arange(n))
-        return self.decoder(x, enc.hidden, causal=False, cache=enc.memory_cache(self.decoder))
+        return self.decode_tokens(tokens, enc, causal=False, cache=enc.memory_cache(self.decoder))
 
     # -- classifier heads ---------------------------------------------------
     def deletion_logits(self, z: Tensor) -> Tensor:
@@ -141,12 +115,6 @@ class EditRealizer(Module):
             table = self.in_proj(self.encoder.tok_emb.weight)
             return rows @ table.transpose()
         return self.w_tok(rows)
-
-    def token_scores(self, z: Tensor, positions: Sequence[int]) -> Tensor | None:
-        """Vocabulary distribution at each placeholder position; None when there are none."""
-        if len(positions) == 0:
-            return None
-        return ag.softmax(self.token_logits(z, positions), axis=-1)
 
     def argmax_fill(self, z: Tensor, positions: Sequence[int]) -> list[str]:
         """Greedy token choices for the given placeholder positions.

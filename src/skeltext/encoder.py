@@ -1,14 +1,15 @@
-"""Shared table encoder: fuse each linearized cell, then contextualize."""
+"""Shared table-to-text trunk: the table encoder and the token decoder over its memory."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
-from .data import LinearizedTable, Vocabulary
+from .data import LinearizedTable, Table, Vocabulary, linearize_table
 from .nn import DecoderCache, Embedding, Linear, Module, TransformerDecoder, TransformerEncoder
 
 
@@ -97,3 +98,63 @@ class TableEncoder(Module):
             raise ValueError("encode_table needs at least the EOS cell")
         hidden = self.encoder(self.embed_cells(cells))
         return EncoderOutput(hidden, [c.token for c in cells])
+
+
+class TableToText(Module):
+    """Table encoder plus a transformer decoder over embedded output tokens.
+
+    Both stages are this trunk with their own heads on top; they differ only
+    in the decoder's mask. Subclasses call this constructor before building
+    their heads, so parameters are drawn and named in the same order.
+    """
+
+    def __init__(
+        self,
+        rng: np.random.Generator,
+        vocab: Vocabulary,
+        key_vocab: Vocabulary,
+        *,
+        token_dim: int,
+        key_dim: int,
+        pos_dim: int,
+        pos_clamp: int,
+        d_model: int,
+        d_hidden: int,
+        n_heads: int,
+        n_layers: int,
+        max_len: int,
+    ):
+        self.vocab = vocab
+        self.d_model = d_model
+        self.max_len = max_len
+        self.encoder = TableEncoder(
+            rng, vocab, key_vocab, token_dim, key_dim, pos_dim, pos_clamp,
+            d_model, d_hidden, n_heads, n_layers,
+        )
+        # Output tokens reuse the encoder-side embedding table, projected up
+        # to decoder width, plus learned absolute positions.
+        self.in_proj = Linear(rng, token_dim, d_model)
+        self.pos_emb = Embedding(rng, max_len, d_model)
+        self.decoder = TransformerDecoder(rng, d_model, d_hidden, n_heads, n_layers)
+
+    def encode(self, table: Table) -> EncoderOutput:
+        return self.encoder(linearize_table(table))
+
+    def decode_tokens(
+        self, tokens: Sequence[str], enc: EncoderOutput, causal: bool,
+        cache: DecoderCache | None = None,
+    ) -> Tensor:
+        """Embed `tokens`, add their positions and decode them against the table memory.
+
+        The tokens sit at positions 0..n-1, except with an incremental cache,
+        where each is the newest token of one hypothesis, at cache.length.
+        """
+        if cache is not None and cache.incremental:
+            positions = np.full(len(tokens), cache.length)
+        else:
+            positions = np.arange(len(tokens))
+        if len(tokens) and positions[-1] >= self.max_len:
+            raise ValueError(f"{positions[-1] + 1} positions exceed the {self.max_len}-position cap")
+        ids = np.array([self.vocab.id_of(t) for t in tokens], dtype=np.int64)
+        x = self.in_proj(self.encoder.tok_emb(ids)) + self.pos_emb(positions)
+        return self.decoder(x, enc.hidden, causal=causal, cache=cache)

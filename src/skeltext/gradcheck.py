@@ -100,16 +100,12 @@ def run_gradcheck(seed: int = 0, samples_per_param: int = 12) -> list[tuple[str,
         dec_block.parameters(),
     )
 
-    ce_head = _Wrap(layer=Linear(rng, 6, 5))
-    ce_x = Tensor(rng.normal(size=(3, 6)))
-    ce_ids = np.array([0, 4, 2])
-    check("cross_entropy", lambda: ag.cross_entropy(ce_head.layer(ce_x), ce_ids), ce_head.parameters())
-
+    sm_x = Tensor(rng.normal(size=(3, 6)))
     sm_head = _Wrap(layer=Linear(rng, 6, 6))
     sm_w = Tensor(rng.normal(size=(3, 6)))
     check(
         "softmax",
-        lambda: (ag.softmax(sm_head.layer(ce_x), axis=-1) * sm_w).sum(),
+        lambda: (ag.softmax(sm_head.layer(sm_x), axis=-1) * sm_w).sum(),
         sm_head.parameters(),
     )
 
@@ -145,6 +141,3 @@ def run_gradcheck(seed: int = 0, samples_per_param: int = 12) -> list[tuple[str,
     results.append(("zero_parameter_fragment", empty))
     return results
 
-
-def gradcheck_passed(results: list[tuple[str, float]], tol: float = TOLERANCE) -> bool:
-    return all(err < tol for _, err in results)

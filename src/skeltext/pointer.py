@@ -8,9 +8,9 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
-from .data import BOS_TOKEN, EOS_TOKEN, Example, Table, Vocabulary, linearize_table
-from .encoder import EncoderOutput, TableEncoder
-from .nn import DecoderCache, Embedding, Linear, Module, TransformerDecoder
+from .data import BOS_TOKEN, EOS_TOKEN, Example, Table, Vocabulary
+from .encoder import EncoderOutput, TableToText
+from .nn import DecoderCache, Linear
 
 
 class DataIntegrityError(ValueError):
@@ -51,42 +51,13 @@ class _TableSearch:
     cache: DecoderCache
 
 
-class SkeletonPointer(Module):
-    """Table encoder + causal transformer decoder + copy attention over cells."""
+class SkeletonPointer(TableToText):
+    """Table-to-text trunk with a causal decoder and copy attention over cells."""
 
-    def __init__(
-        self,
-        rng: np.random.Generator,
-        vocab: Vocabulary,
-        key_vocab: Vocabulary,
-        *,
-        token_dim: int,
-        key_dim: int,
-        pos_dim: int,
-        pos_clamp: int,
-        d_model: int,
-        d_hidden: int,
-        n_heads: int,
-        n_layers: int,
-        max_prefix_len: int = 128,
-    ):
-        self.vocab = vocab
-        self.d_model = d_model
-        self.max_prefix_len = max_prefix_len
-        self.encoder = TableEncoder(
-            rng, vocab, key_vocab, token_dim, key_dim, pos_dim, pos_clamp,
-            d_model, d_hidden, n_heads, n_layers,
-        )
-        # Previously selected tokens reuse the encoder-side embedding table,
-        # projected up to decoder width, plus learned absolute positions.
-        self.in_proj = Linear(rng, token_dim, d_model)
-        self.pos_emb = Embedding(rng, max_prefix_len, d_model)
-        self.decoder = TransformerDecoder(rng, d_model, d_hidden, n_heads, n_layers)
-        self.wq = Linear(rng, d_model, d_model, bias=False)
-        self.wk = Linear(rng, d_model, d_model, bias=False)
-
-    def encode(self, table: Table) -> EncoderOutput:
-        return self.encoder(linearize_table(table))
+    def __init__(self, rng: np.random.Generator, vocab: Vocabulary, key_vocab: Vocabulary, **trunk):
+        super().__init__(rng, vocab, key_vocab, **trunk)
+        self.wq = Linear(rng, self.d_model, self.d_model, bias=False)
+        self.wk = Linear(rng, self.d_model, self.d_model, bias=False)
 
     def decoder_states(
         self, tokens: list[str], enc: EncoderOutput, cache: DecoderCache | None = None
@@ -98,17 +69,7 @@ class SkeletonPointer(Module):
         token of each of B live hypotheses, all at position cache.length; the
         result is their states, (B, d), and the cache grows by one position.
         """
-        if cache is None:
-            if len(tokens) > self.max_prefix_len:
-                raise ValueError(
-                    f"prefix of {len(tokens)} exceeds max length {self.max_prefix_len}"
-                )
-            positions = np.arange(len(tokens))
-        else:
-            positions = np.full(len(tokens), cache.length)
-        ids = np.array([self.vocab.id_of(t) for t in tokens], dtype=np.int64)
-        x = self.in_proj(self.encoder.tok_emb(ids)) + self.pos_emb(positions)
-        return self.decoder(x, enc.hidden, causal=True, cache=cache)
+        return self.decode_tokens(tokens, enc, causal=True, cache=cache)
 
     def pointer_attention(self, r: Tensor, keys: Tensor) -> Tensor:
         """Attention over cells: softmax of (W_q r) . k_i / sqrt(d_r), with keys k_i = W_k h_i."""
@@ -177,10 +138,10 @@ class SkeletonPointer(Module):
         """
         if beam_width < 1:
             raise ValueError("beam width must be >= 1")
-        if max_len > self.max_prefix_len - 1:
+        if max_len > self.max_len - 1:
             raise ValueError(
-                f"max_len {max_len} exceeds {self.max_prefix_len - 1}: BOS plus max_len "
-                f"tokens must fit the decoder's max_prefix_len of {self.max_prefix_len}"
+                f"max_len {max_len} exceeds {self.max_len - 1}: BOS plus max_len "
+                f"tokens must fit the decoder's {self.max_len} positions"
             )
         with ag.no_grad():
             search = self._start_search(table)

@@ -1,9 +1,10 @@
-"""Training loops for both stages, plus checkpoint assembly."""
+"""One training loop for both stages, plus model building and checkpoint assembly."""
 
 from __future__ import annotations
 
 import json
 import os
+from collections import Counter
 from typing import Callable
 
 import numpy as np
@@ -11,6 +12,7 @@ import numpy as np
 from .config import RunConfig
 from .data import (
     Corpus,
+    Example,
     Vocabulary,
     build_key_vocabulary,
     build_vocabulary,
@@ -35,26 +37,24 @@ def _example_rng(seed: int, epoch: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, epoch, index])))
 
 
-def build_pointer(cfg: RunConfig, vocab: Vocabulary, key_vocab: Vocabulary) -> SkeletonPointer:
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([cfg.seed, 1])))
-    return SkeletonPointer(
+def _build(cls, stream: int, cfg: RunConfig, vocab: Vocabulary, key_vocab: Vocabulary, **extra):
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([cfg.seed, stream])))
+    return cls(
         rng, vocab, key_vocab,
         token_dim=cfg.token_dim, key_dim=cfg.key_dim, pos_dim=cfg.pos_dim,
         pos_clamp=cfg.pos_clamp, d_model=cfg.d_model, d_hidden=cfg.d_hidden,
-        n_heads=cfg.n_heads, n_layers=cfg.n_layers,
-        max_prefix_len=cfg.max_skeleton_len + 2,
+        n_heads=cfg.n_heads, n_layers=cfg.n_layers, **extra,
     )
 
 
+def build_pointer(cfg: RunConfig, vocab: Vocabulary, key_vocab: Vocabulary) -> SkeletonPointer:
+    return _build(SkeletonPointer, 1, cfg, vocab, key_vocab, max_len=cfg.max_skeleton_len + 2)
+
+
 def build_editor(cfg: RunConfig, vocab: Vocabulary, key_vocab: Vocabulary) -> EditRealizer:
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([cfg.seed, 2])))
-    return EditRealizer(
-        rng, vocab, key_vocab,
-        token_dim=cfg.token_dim, key_dim=cfg.key_dim, pos_dim=cfg.pos_dim,
-        pos_clamp=cfg.pos_clamp, d_model=cfg.d_model, d_hidden=cfg.d_hidden,
-        n_heads=cfg.n_heads, n_layers=cfg.n_layers,
-        k_max=cfg.k_max, max_state_len=cfg.max_state_len,
-        tie_token_head=cfg.tie_token_head,
+    return _build(
+        EditRealizer, 2, cfg, vocab, key_vocab, max_len=cfg.max_state_len,
+        k_max=cfg.k_max, tie_token_head=cfg.tie_token_head,
     )
 
 
@@ -62,38 +62,58 @@ def build_vocabularies(corpus: Corpus, cfg: RunConfig) -> tuple[Vocabulary, Voca
     return build_vocabulary(corpus, cfg.vocab_cap), build_key_vocabulary(corpus)
 
 
-def _batches(order: np.ndarray, batch_size: int):
-    for start in range(0, len(order), batch_size):
-        yield order[start : start + batch_size]
+def _training_vocabularies(corpus: Corpus, cfg: RunConfig, stage: str):
+    for ex in corpus:
+        ex.require_reference()
+        if ex.skeleton is None:
+            raise ValueError(f"{stage} training needs skeleton annotations (run annotate first)")
+    return build_vocabularies(corpus, cfg)
+
+
+def _train(stage: str, model, schedule: tuple[float, int, int], stream: int, example_loss,
+           corpus: Corpus, cfg: RunConfig, log: Logger, epoch_names: dict[str, str]) -> Adam:
+    """Mini-batch Adam over (peak lr, warmup, epochs), shuffling with RNG stream `stream`.
+
+    example_loss(example, epoch, index) returns the example's loss and its
+    float parts; a batch backpropagates each loss over the batch size. The
+    `{stage}_step` and `{stage}_epoch` events log the parts averaged over the
+    batch and over the corpus, the latter renamed by `epoch_names`.
+    """
+    peak_lr, warmup, epochs = schedule
+    opt = Adam(model.parameters(), peak_lr, warmup)
+    shuffle_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([cfg.seed, stream])))
+    for epoch in range(epochs):
+        order = shuffle_rng.permutation(len(corpus))
+        sums: Counter[str] = Counter()
+        for start in range(0, len(order), cfg.batch_size):
+            batch = order[start : start + cfg.batch_size]
+            step_sums: Counter[str] = Counter()
+            for idx in batch:
+                loss, parts = example_loss(corpus[int(idx)], epoch, int(idx))
+                (loss / len(batch)).backward()
+                step_sums.update(parts)
+            lr = opt.step()
+            sums.update(step_sums)
+            log({"event": f"{stage}_step", "step": opt.step_count, "lr": lr,
+                 **{k: v / len(batch) for k, v in step_sums.items()}})
+        log({"event": f"{stage}_epoch", "epoch": epoch + 1,
+             **{epoch_names.get(k, k): v / len(corpus) for k, v in sums.items()}})
+    return opt
 
 
 def train_pointer(
     corpus: Corpus, cfg: RunConfig, log: Logger = _noop_logger
 ) -> tuple[SkeletonPointer, Adam]:
     """Teacher-forced training of the skeleton pointer on an annotated corpus."""
-    for ex in corpus:
-        ex.require_reference()
-        if ex.skeleton is None:
-            raise ValueError("pointer training needs skeleton annotations (run annotate first)")
-    vocab, key_vocab = build_vocabularies(corpus, cfg)
-    model = build_pointer(cfg, vocab, key_vocab)
-    opt = Adam(model.parameters(), cfg.pointer_peak_lr, cfg.pointer_warmup)
-    shuffle_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([cfg.seed, 3])))
-    for epoch in range(cfg.pointer_epochs):
-        order = shuffle_rng.permutation(len(corpus))
-        epoch_loss = 0.0
-        for batch in _batches(order, cfg.batch_size):
-            batch_loss = 0.0
-            for idx in batch:
-                loss = model.loss(corpus[int(idx)]) / len(batch)
-                batch_loss += loss.item() * len(batch)
-                loss.backward()
-            lr = opt.step()
-            epoch_loss += batch_loss
-            log({"event": "pointer_step", "step": opt.step_count,
-                 "loss": batch_loss / len(batch), "lr": lr})
-        log({"event": "pointer_epoch", "epoch": epoch + 1,
-             "mean_loss": epoch_loss / len(corpus)})
+    model = build_pointer(cfg, *_training_vocabularies(corpus, cfg, "pointer"))
+
+    def example_loss(ex: Example, epoch: int, index: int):
+        loss = model.loss(ex)
+        return loss, {"loss": loss.item()}
+
+    schedule = (cfg.pointer_peak_lr, cfg.pointer_warmup, cfg.pointer_epochs)
+    opt = _train("pointer", model, schedule, 3, example_loss, corpus, cfg, log,
+                 {"loss": "mean_loss"})
     return model, opt
 
 
@@ -101,45 +121,23 @@ def train_editor(
     corpus: Corpus, cfg: RunConfig, log: Logger = _noop_logger
 ) -> tuple[EditRealizer, Adam]:
     """Imitation training of the edit realizer on an annotated corpus."""
-    for ex in corpus:
-        ex.require_reference()
-        if ex.skeleton is None:
-            raise ValueError("editor training needs skeleton annotations (run annotate first)")
-    vocab, key_vocab = build_vocabularies(corpus, cfg)
-    model = build_editor(cfg, vocab, key_vocab)
-    opt = Adam(model.parameters(), cfg.editor_peak_lr, cfg.editor_warmup)
-    shuffle_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([cfg.seed, 4])))
+    model = build_editor(cfg, *_training_vocabularies(corpus, cfg, "editor"))
     clamp_warned = False
-    for epoch in range(cfg.editor_epochs):
-        order = shuffle_rng.permutation(len(corpus))
-        sums = {
-            "loss_edit": 0.0, "loss_ins": 0.0, "loss_plh": 0.0,
-            "loss_tok": 0.0, "loss_del": 0.0,
-        }
-        for batch in _batches(order, cfg.batch_size):
-            step_sums = {k: 0.0 for k in sums}
-            for idx in batch:
-                ex = corpus[int(idx)]
-                enc = model.encode(ex.table)
-                parts = edit_loss_example(
-                    model, enc, ex.skeleton, ex.reference,
-                    _example_rng(cfg.seed, epoch, int(idx)), cfg.lambda_del,
-                )
-                if parts.clamped_slots and not clamp_warned:
-                    clamp_warned = True
-                    log({"event": "warning",
-                         "message": f"oracle placeholder counts clamped to k_max={cfg.k_max}"})
-                (parts.total / len(batch)).backward()
-                for key, value in parts.as_dict().items():
-                    step_sums[key] += value
-            lr = opt.step()
-            for key in sums:
-                sums[key] += step_sums[key]
-            log({"event": "editor_step", "step": opt.step_count, "lr": lr,
-                 **{k: v / len(batch) for k, v in step_sums.items()}})
-        log({"event": "editor_epoch", "epoch": epoch + 1,
-             **{k: v / len(corpus) for k, v in sums.items()}})
-    return model, opt
+
+    def example_loss(ex: Example, epoch: int, index: int):
+        nonlocal clamp_warned
+        parts = edit_loss_example(
+            model, model.encode(ex.table), ex.skeleton, ex.reference,
+            _example_rng(cfg.seed, epoch, index), cfg.lambda_del,
+        )
+        if parts.clamped_slots and not clamp_warned:
+            clamp_warned = True
+            log({"event": "warning",
+                 "message": f"oracle placeholder counts clamped to k_max={cfg.k_max}"})
+        return parts.total, parts.as_dict()
+
+    schedule = (cfg.editor_peak_lr, cfg.editor_warmup, cfg.editor_epochs)
+    return model, _train("editor", model, schedule, 4, example_loss, corpus, cfg, log, {})
 
 
 def save_model_dir(
@@ -152,31 +150,26 @@ def save_model_dir(
     os.makedirs(directory, exist_ok=True)
     save_checkpoint(directory, model, optimizer)
     cfg.save(os.path.join(directory, CONFIG_FILE))
-    with open(os.path.join(directory, VOCAB_FILE), "w", encoding="utf-8") as fh:
-        json.dump(model.vocab.to_json(), fh)
-    with open(os.path.join(directory, KEY_VOCAB_FILE), "w", encoding="utf-8") as fh:
-        json.dump(model.encoder.key_vocab.to_json(), fh)
+    for name, vocab in ((VOCAB_FILE, model.vocab), (KEY_VOCAB_FILE, model.encoder.key_vocab)):
+        with open(os.path.join(directory, name), "w", encoding="utf-8") as fh:
+            json.dump(vocab.to_json(), fh)
 
 
-def _load_vocabs(directory: str) -> tuple[Vocabulary, Vocabulary]:
-    with open(os.path.join(directory, VOCAB_FILE), encoding="utf-8") as fh:
-        vocab = Vocabulary.from_json(json.load(fh))
-    with open(os.path.join(directory, KEY_VOCAB_FILE), encoding="utf-8") as fh:
-        key_vocab = Vocabulary.from_json(json.load(fh))
-    return vocab, key_vocab
+def _load_dir(directory: str, build):
+    """The model build(cfg, vocab, key_vocab) makes from a checkpoint directory, weights loaded."""
+    cfg = RunConfig.from_file(os.path.join(directory, CONFIG_FILE))
+    vocabs = []
+    for name in (VOCAB_FILE, KEY_VOCAB_FILE):
+        with open(os.path.join(directory, name), encoding="utf-8") as fh:
+            vocabs.append(Vocabulary.from_json(json.load(fh)))
+    model = build(cfg, *vocabs)
+    load_checkpoint(directory, model)
+    return model, cfg
 
 
 def load_pointer_dir(directory: str) -> tuple[SkeletonPointer, RunConfig]:
-    cfg = RunConfig.from_file(os.path.join(directory, CONFIG_FILE))
-    vocab, key_vocab = _load_vocabs(directory)
-    model = build_pointer(cfg, vocab, key_vocab)
-    load_checkpoint(directory, model)
-    return model, cfg
+    return _load_dir(directory, build_pointer)
 
 
 def load_editor_dir(directory: str) -> tuple[EditRealizer, RunConfig]:
-    cfg = RunConfig.from_file(os.path.join(directory, CONFIG_FILE))
-    vocab, key_vocab = _load_vocabs(directory)
-    model = build_editor(cfg, vocab, key_vocab)
-    load_checkpoint(directory, model)
-    return model, cfg
+    return _load_dir(directory, build_editor)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 import warnings
 
 import numpy as np
@@ -88,34 +87,6 @@ def test_layer_norm_statistics_before_affine():
     y = ag.layer_norm(x, gain, bias).data
     assert np.all(np.abs(y.mean(axis=-1)) < 1e-9)
     assert np.all(np.abs(y.var(axis=-1) - 1.0) < 1e-6)
-
-
-def test_cross_entropy_uniform_logits():
-    logits = Tensor(np.zeros((2, 4)))
-    loss = ag.cross_entropy(logits, np.array([1, 3]))
-    assert abs(loss.item() - math.log(4)) < 1e-12
-
-
-def test_cross_entropy_confident_limit():
-    logits = np.full((1, 5), -50.0)
-    logits[0, 2] = 50.0
-    loss = ag.cross_entropy(Tensor(logits), np.array([2]))
-    assert loss.item() < 1e-9
-
-
-def test_cross_entropy_out_of_range_id():
-    with pytest.raises(ShapeError):
-        ag.cross_entropy(Tensor(np.zeros((2, 3))), np.array([0, 3]))
-
-
-def test_cross_entropy_gradient_matches_finite_differences():
-    rng = np.random.default_rng(4)
-    targets = np.array([1, 4, 0])
-    x = Tensor(rng.normal(size=(3, 5)))
-    got = analytic_grad(lambda t: ag.cross_entropy(t, targets), x)
-    want = numeric_grad(lambda: ag.cross_entropy(Tensor(x.data), targets).item(), x.data)
-    denom = np.maximum(np.abs(want), 1e-4)
-    assert np.max(np.abs(got - want) / denom) < 1e-4
 
 
 @pytest.mark.parametrize(

@@ -264,9 +264,23 @@ def test_config_validation():
     with pytest.raises(ValueError):
         RunConfig(d_model=30, n_heads=4).validate()
     with pytest.raises(ValueError):
-        RunConfig(dropout=0.5).validate()
+        RunConfig.from_dict({"dropout": 0.5})
     with pytest.raises(ValueError):
         RunConfig(lambda_mix=1.5).validate()
+
+
+def test_legacy_zero_dropout_loads(tmp_path):
+    # Every config.json written before the field was removed has "dropout": 0.0.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**RunConfig(seed=4).to_dict(), "dropout": 0.0}))
+    assert RunConfig.from_file(str(path)) == RunConfig(seed=4)
+    assert "dropout" not in RunConfig().to_dict()
+
+
+@pytest.mark.parametrize("value", [0.1, 1.0, "0.5"])
+def test_nonzero_dropout_rejected_naming_the_field(value):
+    with pytest.raises(ValueError, match="dropout"):
+        RunConfig.from_dict({**RunConfig().to_dict(), "dropout": value})
 
 
 def test_published_preset_dimensions():
@@ -352,3 +366,50 @@ def test_generate_non_finite_is_a_per_example_outcome(tmp_path, capsys):
         {"text": " ".join(sk), "iterations": 0, "termination": "non_finite"} for sk in skeletons
     ]
     assert _closing_event(capsys.readouterr().err)["terminations"]["non_finite"] == 2
+
+
+def _pointer_with_a_nan_token(tmp_path, corpus_path):
+    """Untrained tiny pointer whose embedding of one token of example 1 only is NaN."""
+    from skeltext.training import build_pointer, build_vocabularies, save_model_dir
+
+    from helpers import tiny_config
+
+    data = load_corpus(corpus_path)
+    token = sorted(set(data[1].table.all_value_tokens()) - set(data[0].table.all_value_tokens()))[0]
+    cfg = tiny_config(seed=0)
+    model = build_pointer(cfg, *build_vocabularies(data, cfg))
+    model.encoder.tok_emb.weight.data[model.vocab.id_of(token), 0] = np.nan
+    ckpt = str(tmp_path / "nan-pointer")
+    save_model_dir(ckpt, model, cfg)
+    return ckpt
+
+
+def test_generate_stage1_non_finite_is_a_per_example_outcome(tmp_path, capsys):
+    corpus, _ = _two_example_corpus(tmp_path)
+    pointer = _pointer_with_a_nan_token(tmp_path, corpus)
+    editor = _runaway_editor(tmp_path, corpus, max_state_len=64)
+    out = str(tmp_path / "gen.jsonl")
+    assert main(["generate", "--editor", editor, "--pointer", pointer, "--corpus", corpus,
+                 "--out", out, "--max-iter", "1"]) == 0
+    rows = [json.loads(line) for line in _read(out).splitlines()]
+    assert rows[0]["termination"] == "max_iterations"
+    assert rows[1] == {"text": "", "iterations": 0, "termination": "non_finite"}
+    err = capsys.readouterr().err
+    warnings = [json.loads(line) for line in err.splitlines() if '"warning"' in line]
+    assert [(w["example"], w["termination"]) for w in warnings] == [(1, "non_finite")]
+    assert "example 1: stage 1" in warnings[0]["message"]
+    assert _closing_event(err)["terminations"] == {
+        "fixed_point": 0, "max_iterations": 1, "overflow": 0, "non_finite": 1
+    }
+
+
+def test_skeleton_stage1_non_finite_names_the_example(tmp_path, capsys):
+    corpus, _ = _two_example_corpus(tmp_path)
+    pointer = _pointer_with_a_nan_token(tmp_path, corpus)
+    out = tmp_path / "skeletons.jsonl"
+    assert main(["skeleton", "--checkpoint", pointer, "--corpus", corpus, "--out", str(out)]) == 1
+    events = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+    assert events[-1]["event"] == "error"
+    assert events[-1]["error"] == "NonFiniteError"
+    assert events[-1]["message"].startswith("example 1: stage 1")
+    assert not out.exists()

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from skeltext import autograd as ag
 from skeltext.autograd import Tensor
 from skeltext.data import BOS_TOKEN, EOS_TOKEN, PLH_TOKEN, Attribute, Table
 from skeltext.editor import EditState
@@ -48,7 +49,7 @@ def test_head_arities():
     assert model.deletion_scores(z).shape == (6, 2)
     assert model.placeholder_scores(z).shape == (5, cfg.k_max + 1)
     plh = [i for i, t in enumerate(state) if t == PLH_TOKEN]
-    assert model.token_scores(z, plh).shape == (2, len(model.vocab))
+    assert ag.softmax(model.token_logits(z, plh)).shape == (2, len(model.vocab))
 
 
 def test_deletion_zero_weights_give_half_half():
@@ -97,7 +98,7 @@ def test_placeholder_zero_weights_uniform():
 def test_token_scores_empty_without_placeholders():
     model, enc, _ = _setup(seed=5)
     z = model.decode_hidden([BOS_TOKEN, "Alda", EOS_TOKEN], enc)
-    assert model.token_scores(z, []) is None
+    assert ag.softmax(model.token_logits(z, [])).shape == (0, len(model.vocab))
     assert model.argmax_fill(z, []) == []
 
 
@@ -105,7 +106,7 @@ def test_token_scores_rows_are_distributions():
     model, enc, _ = _setup(seed=6)
     state = [BOS_TOKEN, PLH_TOKEN, "Alda", PLH_TOKEN, EOS_TOKEN]
     z = model.decode_hidden(state, enc)
-    scores = model.token_scores(z, [1, 3]).data
+    scores = ag.softmax(model.token_logits(z, [1, 3])).data
     assert scores.shape == (2, len(model.vocab))
     assert np.allclose(scores.sum(axis=1), 1.0, atol=1e-9)
 
@@ -158,14 +159,15 @@ def test_tied_token_head_uses_embedding_table():
     enc = model.encode(table)
     assert not hasattr(model, "w_tok")
     z = model.decode_hidden([BOS_TOKEN, PLH_TOKEN, EOS_TOKEN], enc)
-    scores = model.token_scores(z, [1])
+    scores = ag.softmax(model.token_logits(z, [1]))
     assert scores.shape == (1, len(model.vocab))
     assert np.allclose(scores.data.sum(axis=1), 1.0)
 
 
 def test_state_cap_enforced():
-    model, enc, _ = _setup(seed=11)
-    model.max_state_len = 4
+    model, _ = tiny_editor(seed=11, max_state_len=4)
+    enc = model.encode(Table((Attribute("Name_ID", ("Alda",)),)))
+    model.decode_hidden([BOS_TOKEN, "a", "b", EOS_TOKEN], enc)
     with pytest.raises(ValueError, match="cap"):
         model.decode_hidden([BOS_TOKEN, "a", "b", "c", EOS_TOKEN], enc)
 

@@ -1,11 +1,13 @@
-"""Table encoder: cell fusion and permutation-equivariant contextualization."""
+"""Table-to-text trunk: cell fusion, permutation-equivariant encoding, decoder positions."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from skeltext.data import Attribute, LinearizedCell, Table, linearize_table
+from skeltext import autograd as ag
+from skeltext.data import BOS_TOKEN, EOS_TOKEN, Attribute, LinearizedCell, Table, linearize_table
+from skeltext.nn import DecoderCache
 
 from helpers import random_table, tiny_editor, tiny_pointer
 
@@ -120,3 +122,31 @@ def test_encode_requires_cells():
     enc = _encoder()
     with pytest.raises(ValueError):
         enc([])
+
+
+@pytest.mark.parametrize(
+    "build,decode",
+    [
+        (tiny_pointer, lambda model, tokens, enc: model.decoder_states(tokens, enc)),
+        (tiny_editor, lambda model, tokens, enc: model.decode_hidden(tokens, enc)),
+    ],
+    ids=["pointer", "editor"],
+)
+def test_trunk_rejects_inputs_beyond_its_positions(build, decode):
+    model, _ = build(seed=5, max_skeleton_len=6, max_state_len=8)
+    enc = model.encode(random_table(np.random.default_rng(5)))
+    tokens = [BOS_TOKEN, *["Alda"] * (model.max_len - 2), EOS_TOKEN]
+    assert decode(model, tokens, enc).shape == (model.max_len, model.d_model)
+    with pytest.raises(ValueError, match=f"{model.max_len + 1} positions exceed the {model.max_len}"):
+        decode(model, [BOS_TOKEN, *tokens], enc)
+
+
+def test_cached_pointer_step_rejects_a_position_beyond_the_cap():
+    model, _ = tiny_pointer(seed=6, max_skeleton_len=3)
+    with ag.no_grad():
+        enc = model.encode(random_table(np.random.default_rng(6)))
+        cache = DecoderCache(model.decoder, enc.hidden)
+        for _ in range(model.max_len):
+            model.decoder_states([BOS_TOKEN], enc, cache)
+        with pytest.raises(ValueError, match="positions exceed"):
+            model.decoder_states([BOS_TOKEN], enc, cache)

@@ -156,7 +156,7 @@ class _ForcedPointer(SkeletonPointer):
         # deliberately skip parent init; only decoding hooks are used
         self.script = list(script)
         self.forced_vocab = sorted(set(self.script) | {EOS_TOKEN})
-        self.max_prefix_len = 128
+        self.max_len = 128
 
     def _start_search(self, table):
         return None
@@ -274,7 +274,7 @@ def test_non_finite_weight_surfaces_in_beam_search():
 def test_beam_search_rejects_max_len_beyond_decoder_positions():
     model, _ = tiny_pointer(seed=12)
     table = random_table(np.random.default_rng(12))
-    limit = model.max_prefix_len - 1
+    limit = model.max_len - 1
     with pytest.raises(ValueError, match=f"max_len {limit + 1} exceeds {limit}.*{limit + 1}"):
         model.beam_search(table, beam_width=2, max_len=limit + 1)
     assert len(model.beam_search(table, beam_width=2, max_len=limit).tokens) <= limit
