@@ -82,42 +82,59 @@ class Tensor:
         return f"Tensor(shape={self.shape})"
 
     def backward(self) -> None:
-        """Backpropagate from a scalar; accumulates into retained .grad arrays."""
+        """Backpropagate from a scalar; accumulates into retained .grad arrays.
+
+        Only tracked tensors receive gradients: constants are neither walked
+        nor given one. An op may hand one array to several parents, so an
+        intermediate node stores its first contribution as it comes and adds
+        later ones into a new array. A retained gradient owns its array and
+        accumulates in place. Every stored gradient is C-contiguous, so each
+        op's backward reads the memory layout (and takes the BLAS path) it
+        always has, and gives the same bits.
+        """
         if self.data.size != 1:
             raise ShapeError(f"backward() needs a scalar, got shape {self.shape}")
+        # Post-order DFS over the nodes with a backward; leaves need no visit.
         topo: list[Tensor] = []
-        seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        seen: set[Tensor] = set()
+        done: set[Tensor] = set()
+        stack: list[Tensor] = [self] if self._bw is not None else []
         while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                topo.append(node)
+            node = stack.pop()
+            if node in seen:
+                # A node is pushed again, above its parents, when first
+                # visited; by the time that entry pops its parents are done.
+                if node not in done:
+                    done.add(node)
+                    topo.append(node)
                 continue
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            stack.append((node, True))
+            seen.add(node)
+            stack.append(node)
             for p in node._parents:
-                if id(p) not in seen:
-                    stack.append((p, False))
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += np.ones_like(self.data)
+                if p._bw is not None and p not in seen:
+                    stack.append(p)
+        seed = np.ones_like(self.data)
+        self.grad = seed if self.grad is None else self.grad + seed
         for node in reversed(topo):
-            if node._bw is None or node.grad is None:
+            if node.grad is None:
                 continue
             for parent, g in zip(node._parents, node._bw(node.grad)):
-                if g is None:
+                if g is None or not parent._track:
                     continue
-                if parent.grad is None:
-                    parent.grad = np.zeros_like(parent.data)
-                parent.grad += g
+                if parent.retain_grad:
+                    if parent.grad is None:
+                        parent.grad = np.array(g, order="C")
+                    else:
+                        parent.grad += g
+                elif parent.grad is None:
+                    parent.grad = np.ascontiguousarray(g)
+                else:  # C-contiguous, as the stored operand is
+                    parent.grad = parent.grad + g
         # Free tape memory; only retain_grad leaves keep their gradients.
         # Freed non-leaf nodes are marked so a later op cannot silently build
         # on a value whose upstream graph is gone (stale forward results).
         for node in topo:
-            if node._bw is not None:
-                node._consumed = True
+            node._consumed = True
             node._parents = ()
             node._bw = None
             if not node.retain_grad:
@@ -177,27 +194,29 @@ class Tensor:
     def transpose(self, *axes):
         return transpose(self, axes or None)
 
-    def swap_last(self):
-        """Transpose the last two axes (batched matrix transpose)."""
-        order = list(range(self.ndim))
-        order[-1], order[-2] = order[-2], order[-1]
-        return transpose(self, tuple(order))
-
 
 def _wrap(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
 
 
-def _make(data: np.ndarray, parents: tuple[Tensor, ...], bw) -> Tensor:
-    if _grad_enabled and any(p._track for p in parents):
-        for p in parents:
-            if p._consumed:
-                raise RuntimeError(
-                    "tensor reused after backward() consumed its graph; "
-                    "recompute the forward pass instead of caching it"
-                )
-        return Tensor(data, parents, bw)
-    return Tensor(data)
+def _make(data: np.ndarray, parents: tuple[Tensor, ...], bw, op: str) -> Tensor:
+    """The result of op `op`, on the tape when gradients are on and a parent is tracked."""
+    try:
+        if _grad_enabled and any(p._track for p in parents):
+            for p in parents:
+                if p._consumed:
+                    raise RuntimeError(
+                        "tensor reused after backward() consumed its graph; "
+                        "recompute the forward pass instead of caching it"
+                    )
+            return Tensor(data, parents, bw)
+        return Tensor(data)
+    except NonFiniteError:
+        raise _non_finite(op) from None
+
+
+def _non_finite(op: str) -> NonFiniteError:
+    return NonFiniteError(f"non-finite value entering the graph from {op}")
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -217,7 +236,9 @@ def add(a, b) -> Tensor:
         out = a.data + b.data
     except ValueError as err:
         raise ShapeError(f"add: incompatible shapes {a.shape} and {b.shape}") from err
-    return _make(out, (a, b), lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
+    return _make(
+        out, (a, b), lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)), "add"
+    )
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -230,11 +251,12 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         out,
         (a, b),
         lambda g: (_unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)),
+        "mul",
     )
 
 
 def mul_scalar(a: Tensor, c: float) -> Tensor:
-    return _make(a.data * c, (a,), lambda g: (g * c,))
+    return _make(a.data * c, (a,), lambda g: (g * c,), "mul_scalar")
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -250,24 +272,77 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
         return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
 
-    return _make(out, (a, b), bw)
+    return _make(out, (a, b), bw, "matmul")
+
+
+def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
+    """x @ weight + bias in one tape node, for a 2-D x (flatten leading axes first).
+
+    Values and gradients are those of the same expression built from matmul
+    and add, to the bit.
+    """
+    if x.ndim != 2:
+        raise ShapeError(f"linear needs a 2-D input, got shape {x.shape}")
+    if x.shape[1] != weight.shape[0]:
+        raise ShapeError(f"linear: input {x.shape} does not fit weight {weight.shape}")
+    out = np.matmul(x.data, weight.data)
+    if bias is not None:
+        out += bias.data
+
+    def bw(g):
+        gx = np.matmul(g, weight.data.T)
+        gw = np.matmul(x.data.T, g)
+        return (gx, gw) if bias is None else (gx, gw, g.sum(axis=0))
+
+    return _make(out, (x, weight) if bias is None else (x, weight, bias), bw, "linear")
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, scale: float, mask: np.ndarray | None) -> Tensor:
+    """softmax(q k^T * scale + mask) v over the last two axes, as one node.
+
+    It replays the composed ops (matmul, scale, mask, max-shifted softmax,
+    matmul) and their operand layouts, so outputs and gradients are the
+    composed ones to the bit. The scores are probed like any tensor: a
+    non-finite score raises even where the softmax would hide it.
+    """
+    s = np.matmul(q.data, np.swapaxes(k.data, -1, -2))
+    s *= scale
+    if mask is not None:
+        s += mask
+    if not np.isfinite(s).all():
+        raise _non_finite("attention")
+    s -= s.max(axis=-1, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=-1, keepdims=True)
+    out = np.matmul(s, v.data)
+
+    def bw(g):
+        gs = np.matmul(g, np.swapaxes(v.data, -1, -2))
+        gv = np.matmul(np.swapaxes(s, -1, -2), g)
+        gs = (gs - (gs * s).sum(axis=-1, keepdims=True)) * s
+        gs *= scale
+        gq = np.matmul(gs, k.data)
+        gk = np.swapaxes(np.matmul(np.swapaxes(q.data, -1, -2), gs), -1, -2)
+        return _unbroadcast(gq, q.shape), _unbroadcast(gk, k.shape), _unbroadcast(gv, v.shape)
+
+    return _make(out, (q, k, v), bw, "attention")
 
 
 def relu(x: Tensor) -> Tensor:
     mask = x.data > 0
-    return _make(np.where(mask, x.data, 0.0), (x,), lambda g: (g * mask,))
+    return _make(np.where(mask, x.data, 0.0), (x,), lambda g: (g * mask,), "relu")
 
 
 def exp(x: Tensor) -> Tensor:
     with np.errstate(over="ignore"):  # overflow surfaces as NonFiniteError
         out = np.exp(x.data)
-    return _make(out, (x,), lambda g: (g * out,))
+    return _make(out, (x,), lambda g: (g * out,), "exp")
 
 
 def log(x: Tensor) -> Tensor:
     with np.errstate(divide="ignore", invalid="ignore"):  # -> NonFiniteError
         out = np.log(x.data)
-    return _make(out, (x,), lambda g: (g / x.data,))
+    return _make(out, (x,), lambda g: (g / x.data,), "log")
 
 
 def reduce_sum(x: Tensor, axis=None, keepdims=False) -> Tensor:
@@ -279,7 +354,7 @@ def reduce_sum(x: Tensor, axis=None, keepdims=False) -> Tensor:
         g2 = g if keepdims else np.expand_dims(g, axis)
         return (np.broadcast_to(g2, x.shape).copy(),)
 
-    return _make(out, (x,), bw)
+    return _make(out, (x,), bw, "reduce_sum")
 
 
 def reduce_mean(x: Tensor, axis=None, keepdims=False) -> Tensor:
@@ -292,17 +367,17 @@ def reduce_mean(x: Tensor, axis=None, keepdims=False) -> Tensor:
         g2 = g if keepdims else np.expand_dims(g, axis)
         return (np.broadcast_to(g2 / count, x.shape).copy(),)
 
-    return _make(out, (x,), bw)
+    return _make(out, (x,), bw, "reduce_mean")
 
 
 def reshape(x: Tensor, shape) -> Tensor:
-    return _make(x.data.reshape(shape), (x,), lambda g: (g.reshape(x.shape),))
+    return _make(x.data.reshape(shape), (x,), lambda g: (g.reshape(x.shape),), "reshape")
 
 
 def transpose(x: Tensor, axes=None) -> Tensor:
     axes_ = tuple(reversed(range(x.ndim))) if axes is None else tuple(axes)
     inv = np.argsort(axes_)
-    return _make(x.data.transpose(axes_), (x,), lambda g: (g.transpose(inv),))
+    return _make(x.data.transpose(axes_), (x,), lambda g: (g.transpose(inv),), "transpose")
 
 
 def take(x: Tensor, index) -> Tensor:
@@ -314,7 +389,7 @@ def take(x: Tensor, index) -> Tensor:
         np.add.at(gx, index, g)
         return (gx,)
 
-    return _make(out, (x,), bw)
+    return _make(out, (x,), bw, "take")
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -331,7 +406,7 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
             for i in range(len(tensors))
         )
 
-    return _make(out, tuple(tensors), bw)
+    return _make(out, tuple(tensors), bw, "concat")
 
 
 def embedding_lookup(table: Tensor, ids) -> Tensor:
@@ -351,7 +426,7 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
         dot = (g * y).sum(axis=axis, keepdims=True)
         return ((g - dot) * y,)
 
-    return _make(y, (x,), bw)
+    return _make(y, (x,), bw, "softmax")
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -362,7 +437,7 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     def bw(g):
         return (g - np.exp(out) * g.sum(axis=axis, keepdims=True),)
 
-    return _make(out, (x,), bw)
+    return _make(out, (x,), bw, "log_softmax")
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Tensor:
@@ -386,4 +461,4 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Ten
         axes = tuple(range(g.ndim - 1))
         return dx, (g * xhat).sum(axis=axes), g.sum(axis=axes)
 
-    return _make(out, (x, gain, bias), bw)
+    return _make(out, (x, gain, bias), bw, "layer_norm")

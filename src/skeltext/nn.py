@@ -56,8 +56,7 @@ class Linear(Module):
         self.bias = Parameter(np.zeros(d_out)) if bias else None
 
     def __call__(self, x: Tensor) -> Tensor:
-        out = x @ self.weight
-        return out + self.bias if self.bias is not None else out
+        return ag.linear(x, self.weight, self.bias)
 
 
 class Embedding(Module):
@@ -122,10 +121,7 @@ class MultiHeadAttention(Module):
         return AttentionCache(k, v)
 
     def _attend(self, q: Tensor, kv: AttentionCache, mask: np.ndarray | None) -> Tensor:
-        scores = (q @ kv.k.swap_last()) / np.sqrt(self.d_head)
-        if mask is not None:
-            scores = scores + Tensor(mask[None, :, :])
-        return ag.softmax(scores, axis=-1) @ kv.v
+        return ag.attention(q, kv.k, kv.v, 1.0 / float(np.sqrt(self.d_head)), mask)
 
     def __call__(
         self,
@@ -376,14 +372,17 @@ def _write_f32(path: str, arrays: list[np.ndarray]) -> None:
 
 
 def _read_f32(path: str, manifest: list[dict]) -> list[np.ndarray]:
+    sizes = [int(np.prod(e["shape"], dtype=np.int64)) if e["shape"] else 1 for e in manifest]
+    expected, actual = 4 * sum(sizes), os.path.getsize(path)
+    if actual != expected:
+        raise ValueError(
+            f"{path}: expected {expected} bytes of float32 for the manifest, file has {actual}"
+        )
     raw = np.fromfile(path, dtype="<f4")
     arrays, offset = [], 0
-    for entry in manifest:
-        size = int(np.prod(entry["shape"], dtype=np.int64)) if entry["shape"] else 1
+    for entry, size in zip(manifest, sizes):
         arrays.append(raw[offset : offset + size].astype(np.float64).reshape(entry["shape"]))
         offset += size
-    if offset != raw.size:
-        raise ValueError(f"{path}: expected {offset} floats, file has {raw.size}")
     return arrays
 
 

@@ -224,6 +224,22 @@ def build_edit_supervision(
     placeholders with the model's current argmax choices (evaluated without
     gradients) so the deletion head sees its own mistakes.
     """
+    with ag.no_grad():
+        return _supervise(model, enc, skeleton, y_star, rng)[0]
+
+
+def _supervise(
+    model: EditRealizer,
+    enc: EncoderOutput,
+    skeleton: Tokens,
+    y_star: Tokens,
+    rng: np.random.Generator,
+) -> tuple[EditSupervision, Tensor | None]:
+    """build_edit_supervision, plus the decoder states of state2 it filled from.
+
+    The states are None when state2 has no placeholder. They are on the tape
+    when gradients are on, so that the token loss can reuse them.
+    """
     y_prime = make_intermediate(y_star, skeleton, rng)
     counts, fills = oracle_insertion(y_prime, y_star)
     slot_labels = np.array([min(c, model.k_max) for c in counts], dtype=np.int64)
@@ -234,16 +250,18 @@ def build_edit_supervision(
     gold_fill = [tok for gap in fills for tok in gap]
     gold_ids = np.array([model.vocab.id_of(t) for t in gold_fill], dtype=np.int64)
 
+    z2 = None
     model_fill: list[str] = []
     if positions:
+        z2 = model.decode_hidden(state2, enc)
         with ag.no_grad():
-            model_fill = model.argmax_fill(model.decode_hidden(state2, enc), positions)
+            model_fill = model.argmax_fill(z2, positions)
     y_tprime = list(y_dprime)
     for pos, tok in zip(positions, model_fill):
         y_tprime[pos - 1] = tok  # positions are sentinel-offset by one
 
     del_labels = np.array([KEEP, *oracle_deletion(y_tprime, y_star), KEEP], dtype=np.int64)
-    return EditSupervision(
+    sup = EditSupervision(
         state1=[BOS_TOKEN, *y_prime, EOS_TOKEN],
         slot_labels=slot_labels,
         state2=state2,
@@ -253,19 +271,28 @@ def build_edit_supervision(
         del_labels=del_labels,
         clamped_slots=sum(1 for c in counts if c > model.k_max),
     )
+    return sup, z2
 
 
 def edit_loss_from_supervision(
-    model: EditRealizer, enc: EncoderOutput, sup: EditSupervision, lam: float = 1.0
+    model: EditRealizer,
+    enc: EncoderOutput,
+    sup: EditSupervision,
+    lam: float = 1.0,
+    hidden: Tensor | None = None,
 ) -> EditLossParts:
-    """L_ins + lam * L_del over the frozen supervision states."""
+    """L_ins + lam * L_del over the frozen supervision states.
+
+    `hidden`, when given, is what decode_hidden(sup.state2, enc) returns,
+    already on the current tape; state2 is then not decoded again.
+    """
     z1 = model.decode_hidden(sup.state1, enc)
     plh_logp = ag.log_softmax(model.placeholder_logits(z1), axis=-1)
     loss_plh = -plh_logp[np.arange(len(sup.slot_labels)), sup.slot_labels].sum()
 
     loss_tok = Tensor(0.0)
     if sup.positions:
-        z2 = model.decode_hidden(sup.state2, enc)
+        z2 = model.decode_hidden(sup.state2, enc) if hidden is None else hidden
         tok_logp = ag.log_softmax(model.token_logits(z2, sup.positions), axis=-1)
         loss_tok = -tok_logp[np.arange(len(sup.positions)), sup.gold_ids].sum()
 
@@ -287,6 +314,10 @@ def edit_loss_example(
     rng: np.random.Generator,
     lam: float = 1.0,
 ) -> EditLossParts:
-    """Imitation loss for one (table, skeleton, reference) triple."""
-    sup = build_edit_supervision(model, enc, skeleton, y_star, rng)
-    return edit_loss_from_supervision(model, enc, sup, lam)
+    """Imitation loss for one (table, skeleton, reference) triple.
+
+    State2 is decoded once, on the tape: its argmax fills make state3, and
+    its token loss reuses the same states.
+    """
+    sup, z2 = _supervise(model, enc, skeleton, y_star, rng)
+    return edit_loss_from_supervision(model, enc, sup, lam, hidden=z2)

@@ -199,3 +199,194 @@ def test_backward_requires_scalar():
     x = Tensor(np.ones((2, 2)), retain_grad=True)
     with pytest.raises(ShapeError):
         (x * 1.0).backward()
+
+
+# -- fused ops and the leaner backward ---------------------------------------
+
+def _leaf(rng, shape, transposed=False):
+    """A retained leaf; `transposed` gives it a non-C-contiguous (transposed) buffer."""
+    data = rng.normal(size=shape[::-1]).T if transposed else rng.normal(size=shape)
+    return Tensor(data, retain_grad=True)
+
+
+def _run(build, inputs, weights):
+    """Output bytes and every input gradient's bytes of sum(build(*inputs) * weights)."""
+    leaves = [Tensor(x, retain_grad=True) for x in inputs]
+    out = build(*leaves)
+    (out * Tensor(weights)).sum().backward()
+    return [out.data.tobytes()] + [leaf.grad.tobytes() for leaf in leaves]
+
+
+@pytest.mark.parametrize("bias", [True, False], ids=["bias", "no_bias"])
+def test_linear_matches_matmul_plus_bias_to_the_bit(bias):
+    rng = np.random.default_rng(20)
+    inputs = [rng.normal(size=(7, 5)), rng.normal(size=(5, 3))]
+    if bias:
+        inputs.append(rng.normal(size=(3,)))
+    weights = rng.normal(size=(7, 3))
+
+    def composed(x, w, b=None):
+        out = x @ w
+        return out + b if b is not None else out
+
+    assert _run(ag.linear, inputs, weights) == _run(composed, inputs, weights)
+
+
+@pytest.mark.parametrize("shape", [(4, 2, 6), (6,), (2, 3, 4)])
+def test_linear_rejects_inputs_that_are_not_2d(shape):
+    w = Tensor(np.zeros((shape[-1], 3)))
+    with pytest.raises(ShapeError, match="2-D"):
+        ag.linear(Tensor(np.zeros(shape)), w)
+
+
+def _composed_attention(q, k, v, scale, mask):
+    order = list(range(k.ndim))
+    order[-1], order[-2] = order[-2], order[-1]
+    scores = (q @ k.transpose(*order)) * scale
+    if mask is not None:
+        scores = scores + Tensor(mask)
+    return ag.softmax(scores, axis=-1) @ v
+
+
+def _heads(x, h):
+    """(T, h*d) -> (h, T, d): the strided view multi-head attention attends over."""
+    t = x.shape[0]
+    return x.reshape(t, h, x.shape[1] // h).transpose(1, 0, 2)
+
+
+@pytest.mark.parametrize(
+    "q_shape,k_shape,causal,split",
+    [
+        ((4, 6), (5, 6), False, False),  # 2-D
+        ((2, 5, 4), (2, 5, 4), False, False),  # (h, T, d) self-attention
+        ((2, 5, 4), (2, 5, 4), True, False),  # ... with the causal mask
+        ((3, 2, 1, 4), (3, 2, 6, 4), False, False),  # incremental step (B, h, 1, d)
+        ((2, 3, 4), (2, 7, 4), False, False),  # cross-attention (h, Tq, d) over (h, Tk, d)
+        ((5, 8), (5, 8), True, True),  # heads split from (T, h*d) rows, causal
+        ((3, 8), (6, 8), False, True),  # heads split, cross-attention
+    ],
+    ids=["2d", "self", "self_causal", "step", "cross", "split_causal", "split_cross"],
+)
+def test_attention_matches_the_composed_ops_to_the_bit(q_shape, k_shape, causal, split):
+    from skeltext.nn import causal_mask
+
+    rng = np.random.default_rng(21)
+    inputs = [rng.normal(size=q_shape), rng.normal(size=k_shape), rng.normal(size=k_shape)]
+    d = q_shape[-1] // 2 if split else q_shape[-1]
+    scale = 1.0 / float(np.sqrt(d))
+    mask = causal_mask(q_shape[-2]) if causal else None
+    out_shape = (2, q_shape[0], d) if split else q_shape
+
+    def attend(op):
+        def build(q, k, v):
+            if split:
+                q, k, v = (_heads(t, 2) for t in (q, k, v))
+            return op(q, k, v, scale, mask)
+        return build
+
+    weights = rng.normal(size=out_shape)
+    got = _run(attend(ag.attention), inputs, weights)
+    want = _run(attend(_composed_attention), inputs, weights)
+    assert got == want
+
+
+def test_attention_is_one_tape_node():
+    rng = np.random.default_rng(22)
+    q, k, v = (_leaf(rng, (2, 3, 4)) for _ in range(3))
+    out = ag.attention(q, k, v, 0.5, None)
+    assert out._parents == (q, k, v)
+
+
+def test_backward_gives_untracked_constants_no_gradient():
+    rng = np.random.default_rng(23)
+    x = _leaf(rng, (3, 4))
+    const = Tensor(rng.normal(size=(3, 4)))
+    bias = Tensor(rng.normal(size=(4,)))
+    ((x * const) + bias).sum().backward()
+    assert x.grad is not None
+    assert const.grad is None and bias.grad is None
+    assert not const.tracked
+
+
+def test_every_retained_gradient_is_c_contiguous():
+    # Transposed buffers, transposes and head splits all hand back strided views.
+    rng = np.random.default_rng(24)
+    x = _leaf(rng, (5, 8), transposed=True)
+    w = _leaf(rng, (8, 8), transposed=True)
+    b = _leaf(rng, (8,))
+    m = _leaf(rng, (6, 8), transposed=True)
+    u = _leaf(rng, (8, 5))  # its one gradient arrives as a transposed view
+    h = ag.linear(x, w, b)
+    ctx = ag.attention(_heads(h, 2), _heads(m, 2), _heads(m, 2), 0.5, None)
+    loss = ((ctx.transpose(1, 0, 2).reshape(5, 8) + u.transpose()) @ w.transpose()).sum()
+    loss.backward()
+    for leaf in (x, w, b, m, u):
+        assert leaf.grad.flags["C_CONTIGUOUS"]
+
+
+def test_every_gradient_an_op_backward_reads_is_c_contiguous():
+    # transpose() hands its parent a strided view; the parent's backward must
+    # still read a C-contiguous gradient, or BLAS may take another path.
+    rng = np.random.default_rng(26)
+    layouts = []
+
+    def probe(t):
+        def bw(g):
+            layouts.append(g.flags["C_CONTIGUOUS"])
+            return (g,)
+
+        return ag._make(t.data, (t,), bw, "probe")
+
+    x = _leaf(rng, (3, 4))
+    (probe(x).transpose() @ Tensor(rng.normal(size=(3, 2)))).sum().backward()
+    assert layouts == [True]
+
+
+def test_two_backward_calls_accumulate_to_the_sum():
+    from skeltext.nn import Parameter
+
+    rng = np.random.default_rng(25)
+    p = Parameter(rng.normal(size=(4, 3)))
+    x1, x2 = Tensor(rng.normal(size=(2, 4))), Tensor(rng.normal(size=(5, 4)))
+    grads = []
+    for x in (x1, x2):
+        p.grad[...] = 0.0
+        ag.linear(x, p).exp().sum().backward()
+        grads.append(p.grad.copy())
+    p.grad[...] = 0.0
+    for x in (x1, x2):
+        ag.linear(x, p).exp().sum().backward()
+    assert np.array_equal(p.grad, grads[0] + grads[1])
+
+
+def test_gradients_handed_to_two_parents_are_not_shared():
+    # add() hands one array to both operands; zeroing one must not touch the other.
+    a = Tensor(np.ones(3), retain_grad=True)
+    b = Tensor(np.ones(3), retain_grad=True)
+    (a + b).sum().backward()
+    assert a.grad is not b.grad
+    a.grad[...] = 0.0
+    assert np.array_equal(b.grad, np.ones(3))
+    (a + b).sum().backward()
+    assert np.array_equal(a.grad, np.ones(3)) and np.array_equal(b.grad, 2 * np.ones(3))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_non_finite_error_names_the_op():
+    with pytest.raises(NonFiniteError, match="from log$"):
+        ag.log(Tensor([0.0]))
+    with pytest.raises(NonFiniteError, match="from linear$"):
+        ag.linear(Tensor([[1e200, 1e200]]), Tensor([[1e200], [1e200]]))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_attention_raises_on_overflowing_scores_the_softmax_would_hide():
+    # Scores [-inf, 1e200]: the softmax is a finite one-hot, but the score overflowed.
+    q = Tensor([[1e200]])
+    k = Tensor([[-1e200], [1.0]])
+    v = Tensor([[1.0], [2.0]])
+    with pytest.raises(NonFiniteError, match="from attention$"):
+        ag.attention(q, k, v, 1.0, None)
+    with ag.no_grad():
+        with pytest.raises(NonFiniteError, match="from attention$"):
+            ag.attention(q, k, v, 1.0, None)

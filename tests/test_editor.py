@@ -218,3 +218,40 @@ def test_decoding_with_gradients_ignores_a_memo_made_under_no_grad():
     for layer in model.decoder.layers:
         assert np.abs(layer.cross_attn.wk.weight.grad).max() > 1e-6
         assert np.abs(layer.cross_attn.wv.weight.grad).max() > 1e-6
+
+
+def test_one_graded_state2_pass_matches_the_two_pass_loss():
+    # Training decodes state2 once, on the tape, for both the argmax fills and
+    # the token loss; the frozen-supervision path decodes it twice.
+    from skeltext.oracle import (
+        build_edit_supervision,
+        edit_loss_example,
+        edit_loss_from_supervision,
+    )
+
+    table = Table(
+        (Attribute("Name_ID", ("Alda", "Fenwick")), Attribute("Occupation", ("sculptor",)))
+    )
+    skeleton, reference = ["Alda", "sculptor"], ["Alda", "Fenwick", "was", "a", "sculptor", "."]
+
+    def run(one_pass: bool):
+        model, _ = tiny_editor(seed=13)
+        decoded = []
+        decode = model.decode_hidden
+        model.decode_hidden = lambda tokens, enc: decoded.append(tokens) or decode(tokens, enc)
+        enc = model.encode(table)
+        rng = np.random.default_rng(3)
+        if one_pass:
+            parts = edit_loss_example(model, enc, skeleton, reference, rng)
+        else:
+            sup = build_edit_supervision(model, enc, skeleton, reference, rng)
+            assert sup.positions
+            parts = edit_loss_from_supervision(model, enc, sup)
+        parts.total.backward()
+        grads = {name: p.grad.tobytes() for name, p in model.named_parameters()}
+        return parts.as_dict(), parts.clamped_slots, grads, len(decoded)
+
+    *got, one_pass_decodes = run(True)
+    *want, two_pass_decodes = run(False)
+    assert got == want
+    assert (one_pass_decodes, two_pass_decodes) == (3, 4)

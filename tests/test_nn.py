@@ -234,3 +234,61 @@ def _train_steps(seed: int, steps: int) -> bytes:
 def test_training_steps_bitwise_deterministic():
     assert _train_steps(42, 5) == _train_steps(42, 5)
     assert _train_steps(42, 5) != _train_steps(43, 5)
+
+
+@pytest.mark.parametrize("cut", [8, 3])
+@pytest.mark.parametrize("name", ["params.bin", "optimizer.bin"])
+def test_truncated_checkpoint_file_named_with_its_sizes(tmp_path, name, cut):
+    rng = np.random.default_rng(15)
+    model = Holder(a=Linear(rng, 6, 5))
+    opt = Adam(model.parameters(), peak_lr=1e-3, warmup=5)
+    model.a(Tensor(rng.normal(size=(2, 6)))).sum().backward()
+    opt.step()
+    save_checkpoint(str(tmp_path / "ck"), model, opt)
+    path = tmp_path / "ck" / name
+    full = path.read_bytes()
+    path.write_bytes(full[:-cut])
+
+    other = Holder(a=Linear(rng, 6, 5))
+    other_opt = Adam(other.parameters(), peak_lr=1e-3, warmup=5)
+    before = [p.data.copy() for p in other.parameters()]
+    with pytest.raises(ValueError) as info:
+        load_checkpoint(str(tmp_path / "ck"), other, other_opt)
+    message = str(info.value)
+    assert str(path) in message
+    assert f"expected {len(full)} bytes" in message
+    assert f"file has {len(full) - cut}" in message
+    assert other_opt.step_count == 0
+    assert all(np.array_equal(a, p.data) for a, p in zip(before, other.parameters()))
+
+
+def test_linear_refuses_to_broadcast_over_leading_axes():
+    layer = Linear(np.random.default_rng(16), 4, 3)
+    with pytest.raises(ShapeError, match="2-D"):
+        layer(Tensor(np.zeros((2, 5, 4))))
+
+
+def test_nan_in_a_cross_attention_key_weight_names_linear():
+    from skeltext.autograd import NonFiniteError
+    from skeltext.nn import DecoderLayer
+
+    rng = np.random.default_rng(17)
+    layer = DecoderLayer(rng, 8, 12, 2)
+    layer.cross_attn.wk.weight.data[0, 0] = np.nan
+    x, memory = Tensor(rng.normal(size=(3, 8))), Tensor(rng.normal(size=(4, 8)))
+    with pytest.raises(NonFiniteError, match="non-finite value entering the graph from linear$"):
+        layer(x, memory)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_overflowing_attention_scores_name_attention():
+    # Finite but huge query and key rows: their scores overflow inside the fused op.
+    from skeltext.autograd import NonFiniteError
+
+    rng = np.random.default_rng(18)
+    attn = MultiHeadAttention(rng, 4, 1)
+    for lin in (attn.wq, attn.wk, attn.wv, attn.wo):
+        lin.weight.data[...] = np.eye(4)
+    x = Tensor(np.array([[1e160, 0.0, 0.0, 0.0], [-1e160, 0.0, 0.0, 0.0]]))
+    with pytest.raises(NonFiniteError, match="from attention$"):
+        attn(x, x)
