@@ -176,20 +176,11 @@ class Tensor:
     def relu(self):
         return relu(self)
 
-    def exp(self):
-        return exp(self)
-
     def log(self):
         return log(self)
 
     def sum(self, axis=None, keepdims=False):
         return reduce_sum(self, axis, keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return reduce_mean(self, axis, keepdims)
-
-    def reshape(self, *shape):
-        return reshape(self, shape if len(shape) != 1 or isinstance(shape[0], int) else shape[0])
 
     def transpose(self, *axes):
         return transpose(self, axes or None)
@@ -275,6 +266,17 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(out, (a, b), bw, "matmul")
 
 
+def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    out = np.matmul(x, w)
+    out += b
+    return out
+
+
+def _affine_grads(g: np.ndarray, x: np.ndarray, w: np.ndarray):
+    """Gradients of x @ w + b for the input, the weight and the bias."""
+    return np.matmul(g, w.T), np.matmul(x.T, g), g.sum(axis=0)
+
+
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     """x @ weight + bias in one tape node, for a 2-D x (flatten leading axes first).
 
@@ -297,46 +299,128 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     return _make(out, (x, weight) if bias is None else (x, weight, bias), bw, "linear")
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, scale: float, mask: np.ndarray | None) -> Tensor:
-    """softmax(q k^T * scale + mask) v over the last two axes, as one node.
+# -- whole transformer blocks ------------------------------------------------
+# Each op below is one tape node that replays the composed ops it replaces
+# (linear, the head split and merge by reshape/transpose, the residual add,
+# relu) with their operand layouts, so values and gradients are the composed
+# ones to the bit. A node returns its gradients in the order the composed
+# graph accumulated them: an input that graph read twice (the keys and the
+# values of one memory) is listed twice, and gets two gradients.
 
-    It replays the composed ops (matmul, scale, mask, max-shifted softmax,
-    matmul) and their operand layouts, so outputs and gradients are the
-    composed ones to the bit. The scores are probed like any tensor: a
-    non-finite score raises even where the softmax would hide it.
+def _heads(a: np.ndarray, n_heads: int) -> np.ndarray:
+    """(T, h*d) rows -> the strided (h, T, d) view of their heads."""
+    return a.reshape(a.shape[0], n_heads, a.shape[1] // n_heads).transpose(1, 0, 2)
+
+
+def _merge_heads(c: np.ndarray) -> np.ndarray:
+    """(h, T, d) heads -> (T, h*d) rows, as a new C-contiguous array."""
+    return c.transpose(1, 0, 2).reshape(c.shape[1], -1)
+
+
+def keys_values(
+    memory: Tensor, wk: Tensor, bk: Tensor, wv: Tensor, bv: Tensor, past: Tensor | None = None
+) -> Tensor:
+    """Key and value projections of the rows of memory (t, d) as one node: (2, t, d).
+
+    With `past`, a (2, B, h, t, d_head) cache of B hypotheses' keys and
+    values, memory holds the newest position of each hypothesis, (B, d), and
+    the result is that cache with the position appended: (2, B, h, t+1, d_head).
     """
-    s = np.matmul(q.data, np.swapaxes(k.data, -1, -2))
-    s *= scale
-    if mask is not None:
-        s += mask
-    if not np.isfinite(s).all():
-        raise _non_finite("attention")
-    s -= s.max(axis=-1, keepdims=True)
-    np.exp(s, out=s)
-    s /= s.sum(axis=-1, keepdims=True)
-    out = np.matmul(s, v.data)
+    x = memory.data
+    kv = np.stack((_affine(x, wk.data, bk.data), _affine(x, wv.data, bv.data)))
+    if past is not None:
+        b, (_, _, h, _, dh) = x.shape[0], past.shape
+        kv = np.concatenate((past.data, kv.reshape(2, b, h, 1, dh)), axis=3)
 
     def bw(g):
-        gs = np.matmul(g, np.swapaxes(v.data, -1, -2))
-        gv = np.matmul(np.swapaxes(s, -1, -2), g)
-        gs = (gs - (gs * s).sum(axis=-1, keepdims=True)) * s
-        gs *= scale
-        gq = np.matmul(gs, k.data)
-        gk = np.swapaxes(np.matmul(np.swapaxes(q.data, -1, -2), gs), -1, -2)
-        return _unbroadcast(gq, q.shape), _unbroadcast(gk, k.shape), _unbroadcast(gv, v.shape)
+        if past is not None:
+            g_past, g = g[:, :, :, :-1], g[:, :, :, -1].reshape(2, b, -1)
+        gx_k, gwk, gbk = _affine_grads(g[0], x, wk.data)
+        gx_v, gwv, gbv = _affine_grads(g[1], x, wv.data)
+        grads = (gx_k, gx_v, gwk, gbk, gwv, gbv)
+        return grads if past is None else grads + (g_past,)
 
-    return _make(out, (q, k, v), bw, "attention")
+    parents = (memory, memory, wk, bk, wv, bv) + (() if past is None else (past,))
+    return _make(kv, parents, bw, "keys_values")
+
+
+def attention(
+    x: Tensor, kv: Tensor, wq: Tensor, bq: Tensor, wo: Tensor, bo: Tensor,
+    n_heads: int, mask: np.ndarray | None = None,
+) -> Tensor:
+    """Multi-head attention from the rows of x (T, d) over keys_values() output, as one node.
+
+    The node covers the query projection, the head split, the scaled masked
+    softmax, the head merge and the output projection. With kv (2, t_k, d),
+    every row of x attends over the same t_k positions, under the additive
+    (T, t_k) mask if one is given. With kv a (2, B, h, t, d_head) cache, row
+    b of x (B, d) attends over the t positions of hypothesis b. The scores
+    are probed like any tensor: a non-finite score raises even where the
+    softmax would hide it.
+    """
+    n, d = x.shape
+    dh = d // n_heads
+    scale = 1.0 / float(np.sqrt(dh))
+    cached = kv.ndim == 5
+    q = _affine(x.data, wq.data, bq.data)
+    if cached:
+        qh, (kh, vh) = q.reshape(n, n_heads, 1, dh), kv.data
+    else:
+        qh, kh, vh = _heads(q, n_heads), _heads(kv.data[0], n_heads), _heads(kv.data[1], n_heads)
+    p = np.matmul(qh, np.swapaxes(kh, -1, -2))
+    p *= scale
+    if mask is not None:
+        p += mask
+    if not np.isfinite(p).all():
+        raise _non_finite("attention")
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    c = np.matmul(p, vh)
+    c = c.reshape(n, d) if cached else _merge_heads(c)
+
+    def bw(g):
+        gc, gwo, gbo = _affine_grads(g, c, wo.data)
+        gc = gc.reshape(qh.shape) if cached else np.ascontiguousarray(_heads(gc, n_heads))
+        gp = np.matmul(gc, np.swapaxes(vh, -1, -2))
+        gv = np.matmul(np.swapaxes(p, -1, -2), gc)
+        gp = (gp - (gp * p).sum(axis=-1, keepdims=True)) * p
+        gp *= scale
+        gq = np.matmul(gp, kh)
+        gk = np.swapaxes(np.matmul(np.swapaxes(qh, -1, -2), gp), -1, -2)
+        gkv = np.empty_like(kv.data)
+        if cached:
+            gkv[0], gkv[1] = gk, gv
+            gq = gq.reshape(n, d)
+        else:
+            _heads(gkv[0], n_heads)[...] = gk
+            _heads(gkv[1], n_heads)[...] = gv
+            gq = _merge_heads(gq)
+        gx, gwq, gbq = _affine_grads(gq, x.data, wq.data)
+        return gx, gkv, gwq, gbq, gwo, gbo
+
+    return _make(_affine(c, wo.data, bo.data), (x, kv, wq, bq, wo, bo), bw, "attention")
+
+
+def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """relu(x @ w1 + b1) @ w2 + b2 as one node; the hidden layer is probed too."""
+    h = _affine(x.data, w1.data, b1.data)
+    if not np.isfinite(h).all():
+        raise _non_finite("feed_forward")
+    mask = h > 0
+    r = np.where(mask, h, 0.0)
+
+    def bw(g):
+        gr, gw2, gb2 = _affine_grads(g, r, w2.data)
+        gx, gw1, gb1 = _affine_grads(gr * mask, x.data, w1.data)
+        return gx, gw1, gb1, gw2, gb2
+
+    return _make(_affine(r, w2.data, b2.data), (x, w1, b1, w2, b2), bw, "feed_forward")
 
 
 def relu(x: Tensor) -> Tensor:
     mask = x.data > 0
     return _make(np.where(mask, x.data, 0.0), (x,), lambda g: (g * mask,), "relu")
-
-
-def exp(x: Tensor) -> Tensor:
-    with np.errstate(over="ignore"):  # overflow surfaces as NonFiniteError
-        out = np.exp(x.data)
-    return _make(out, (x,), lambda g: (g * out,), "exp")
 
 
 def log(x: Tensor) -> Tensor:
@@ -355,23 +439,6 @@ def reduce_sum(x: Tensor, axis=None, keepdims=False) -> Tensor:
         return (np.broadcast_to(g2, x.shape).copy(),)
 
     return _make(out, (x,), bw, "reduce_sum")
-
-
-def reduce_mean(x: Tensor, axis=None, keepdims=False) -> Tensor:
-    count = x.data.size if axis is None else x.shape[axis]
-    out = x.data.mean(axis=axis, keepdims=keepdims)
-
-    def bw(g):
-        if axis is None:
-            return (np.broadcast_to(g / count, x.shape).copy(),)
-        g2 = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(g2 / count, x.shape).copy(),)
-
-    return _make(out, (x,), bw, "reduce_mean")
-
-
-def reshape(x: Tensor, shape) -> Tensor:
-    return _make(x.data.reshape(shape), (x,), lambda g: (g.reshape(x.shape),), "reshape")
 
 
 def transpose(x: Tensor, axes=None) -> Tensor:
@@ -410,11 +477,30 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 
 
 def embedding_lookup(table: Tensor, ids) -> Tensor:
-    """Rows of an embedding table; gradients scatter-add back into it."""
+    """Rows of an embedding table; gradients scatter-add back into it.
+
+    Into a retained table (a parameter) the backward adds only the rows the
+    ids touch, each summed as a dense scatter sums it: row r gets
+    grad[r] + ((0 + g_1) + g_2), the dense path's bits. An untouched row
+    keeps its value, as adding the dense path's +0.0 does, because a
+    gradient that starts at +0.0 never holds -0.0.
+    """
     ids = np.asarray(ids, dtype=np.int64)
     if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
         raise ShapeError(f"embedding ids out of range for table of {table.shape[0]} rows")
-    return take(table, ids)
+    if not table.retain_grad:
+        return take(table, ids)
+
+    def bw(g):
+        rows, inverse = np.unique(ids, return_inverse=True)
+        summed = np.zeros((len(rows),) + table.shape[1:])
+        np.add.at(summed, inverse, g)
+        if table.grad is None:
+            table.grad = np.zeros_like(table.data)
+        table.grad[rows] += summed
+        return (None,)  # accumulated above
+
+    return _make(table.data[ids], (table,), bw, "embedding_lookup")
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -440,25 +526,40 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     return _make(out, (x,), bw, "log_softmax")
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then apply affine."""
+def layer_norm(
+    x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12, residual: Tensor | None = None
+) -> Tensor:
+    """Normalize the last axis to zero mean / unit variance, then apply affine.
+
+    With a residual this normalizes x + residual in the same node, and hands
+    both inputs one gradient array, as add() does. A variance that overflows
+    raises: it would otherwise normalize every row to the bias.
+    """
     if gain.shape != (x.shape[-1],) or bias.shape != (x.shape[-1],):
         raise ShapeError(
             f"layer_norm affine shapes {gain.shape}/{bias.shape} do not match width {x.shape[-1]}"
         )
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    if residual is not None and residual.shape != x.shape:
+        raise ShapeError(f"layer_norm: residual {residual.shape} does not match input {x.shape}")
+    h = x.data if residual is None else x.data + residual.data
+    n = h.shape[-1]  # means as sum / n: np.mean's arithmetic, without its Python wrapper
+    mu = h.sum(axis=-1, keepdims=True) / n
+    xc = h - mu
+    var = (xc * xc).sum(axis=-1, keepdims=True) / n
+    if not np.isfinite(var).all():
+        raise _non_finite("layer_norm")
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
     out = xhat * gain.data + bias.data
 
     def bw(g):
         dxhat = g * gain.data
-        m1 = dxhat.mean(axis=-1, keepdims=True)
-        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+        m1 = dxhat.sum(axis=-1, keepdims=True) / n
+        m2 = (dxhat * xhat).sum(axis=-1, keepdims=True) / n
         dx = inv * (dxhat - m1 - xhat * m2)
         axes = tuple(range(g.ndim - 1))
-        return dx, (g * xhat).sum(axis=axes), g.sum(axis=axes)
+        dgain, dbias = (g * xhat).sum(axis=axes), g.sum(axis=axes)
+        return (dx, dgain, dbias) if residual is None else (dx, dx, dgain, dbias)
 
-    return _make(out, (x, gain, bias), bw, "layer_norm")
+    parents = (x, gain, bias) if residual is None else (x, residual, gain, bias)
+    return _make(out, parents, bw, "layer_norm")

@@ -6,6 +6,8 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from . import decoding, metrics
 from .autograd import NonFiniteError
 from .config import RunConfig, resolve_config
@@ -253,7 +255,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # An overflow or invalid value ends in a NonFiniteError, which the
+        # commands report per example; numpy's warning would only print
+        # between the JSON-lines records.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except Exception as err:  # surface a clean diagnostic, nonzero exit
         _log({"event": "error", "error": type(err).__name__, "message": str(err)})
         return 1

@@ -73,28 +73,14 @@ class LayerNorm(Module):
         self.bias = Parameter(np.zeros(dim))
         self.eps = eps
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return ag.layer_norm(x, self.gain, self.bias, self.eps)
+    def __call__(self, x: Tensor, residual: Tensor | None = None) -> Tensor:
+        """LayerNorm of x, or of x + residual when one is given."""
+        return ag.layer_norm(x, self.gain, self.bias, self.eps, residual)
 
 
 def causal_mask(n: int) -> np.ndarray:
     """Additive mask letting position t attend only to positions <= t."""
     return np.triu(np.full((n, n), NEG_INF), k=1)
-
-
-class AttentionCache:
-    """Keys and values an attention layer reuses across incremental decoding steps.
-
-    For self-attention they are (B, h, t, d_head), one row per hypothesis and
-    one position per decoded step. For cross-attention they are the memory's
-    (h, t_k, d_head) projections, computed once and shared by every hypothesis.
-    """
-
-    __slots__ = ("k", "v")
-
-    def __init__(self, k: Tensor, v: Tensor):
-        self.k = k
-        self.v = v
 
 
 class MultiHeadAttention(Module):
@@ -110,47 +96,40 @@ class MultiHeadAttention(Module):
         self.wv = Linear(rng, d_model, d_model)
         self.wo = Linear(rng, d_model, d_model)
 
-    def keys_values(self, memory: Tensor) -> AttentionCache:
-        """Keys and values of `memory` (t_k, d), split into heads: (h, t_k, d_head) each."""
-        t_k = memory.shape[0]
-        if t_k == 0:
-            raise ShapeError("attention over an empty key set")
-        h, dh = self.n_heads, self.d_head
-        k = self.wk(memory).reshape(t_k, h, dh).transpose(1, 0, 2)
-        v = self.wv(memory).reshape(t_k, h, dh).transpose(1, 0, 2)
-        return AttentionCache(k, v)
+    def keys_values(self, memory: Tensor, past: Tensor | None = None) -> Tensor:
+        """Keys and values of the rows of memory (t_k, d), stacked: (2, t_k, d).
 
-    def _attend(self, q: Tensor, kv: AttentionCache, mask: np.ndarray | None) -> Tensor:
-        return ag.attention(q, kv.k, kv.v, 1.0 / float(np.sqrt(self.d_head)), mask)
+        With `past`, a (2, B, h, t, d_head) self-attention cache, memory is the
+        newest position of each of B hypotheses, (B, d), and the result is the
+        cache with it appended.
+        """
+        if past is None and memory.shape[0] == 0:
+            raise ShapeError("attention over an empty key set")
+        return ag.keys_values(
+            memory, self.wk.weight, self.wk.bias, self.wv.weight, self.wv.bias, past
+        )
 
     def __call__(
         self,
         x: Tensor,
         memory: Tensor,
         mask: np.ndarray | None = None,
-        cache: AttentionCache | None = None,
+        kv: Tensor | None = None,
     ) -> Tensor:
         """Attend from the rows of x (t_q, d) over the rows of memory (t_k, d).
 
-        With a cache for cross-attention (memory is not x), the cached
-        projections of memory stand in for keys_values(memory); the result is
-        the same. With a cache for self-attention (memory is x), this is a
-        step: x is (B, d), the newest position of each of B hypotheses, whose
-        keys and values are appended to the cache before each attends over
-        every cached position of its own hypothesis. No mask is needed: a
-        cache holds no future position.
+        `kv` stands in for keys_values(memory). It is either the memory's
+        memoized projections, with the same result, or a self-attention
+        cache (2, B, h, t, d_head) that already holds x's newest positions:
+        each row of x (B, d) then attends over its own hypothesis. A cache
+        holds no future position, so it needs no mask.
         """
-        t_q, d = x.shape
-        h, dh = self.n_heads, self.d_head
-        if cache is not None and memory is x:
-            q = self.wq(x).reshape(t_q, h, 1, dh)
-            cache.k = ag.concat([cache.k, self.wk(x).reshape(t_q, h, 1, dh)], axis=2)
-            cache.v = ag.concat([cache.v, self.wv(x).reshape(t_q, h, 1, dh)], axis=2)
-            return self.wo(self._attend(q, cache, None).reshape(t_q, d))
-        q = self.wq(x).reshape(t_q, h, dh).transpose(1, 0, 2)
-        kv = cache if cache is not None else self.keys_values(memory)
-        ctx = self._attend(q, kv, mask)
-        return self.wo(ctx.transpose(1, 0, 2).reshape(t_q, d))
+        if kv is None:
+            kv = self.keys_values(memory)
+        return ag.attention(
+            x, kv, self.wq.weight, self.wq.bias, self.wo.weight, self.wo.bias,
+            self.n_heads, mask,
+        )
 
 
 class FeedForward(Module):
@@ -159,7 +138,8 @@ class FeedForward(Module):
         self.lin2 = Linear(rng, d_hidden, d_model)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return self.lin2(self.lin1(x).relu())
+        lin1, lin2 = self.lin1, self.lin2
+        return ag.feed_forward(x, lin1.weight, lin1.bias, lin2.weight, lin2.bias)
 
 
 class EncoderLayer(Module):
@@ -170,8 +150,23 @@ class EncoderLayer(Module):
         self.ln2 = LayerNorm(d_model)
 
     def __call__(self, x: Tensor) -> Tensor:
-        x = self.ln1(x + self.attn(x, x))
-        return self.ln2(x + self.ff(x))
+        x = self.ln1(x, self.attn(x, x))
+        return self.ln2(x, self.ff(x))
+
+
+class LayerCache:
+    """One decoder layer's share of a DecoderCache.
+
+    `memory_kv` is the cross-attention keys_values() of the memory. `self_kv`
+    is None for full passes, or the (2, B, h, t, d_head) self-attention keys
+    and values of every position decoded so far, one row per hypothesis.
+    """
+
+    __slots__ = ("self_kv", "memory_kv")
+
+    def __init__(self, self_kv: Tensor | None, memory_kv: Tensor):
+        self.self_kv = self_kv
+        self.memory_kv = memory_kv
 
 
 class DecoderLayer(Module):
@@ -190,12 +185,18 @@ class DecoderLayer(Module):
         x: Tensor,
         memory: Tensor,
         self_mask: np.ndarray | None = None,
-        cache: tuple[AttentionCache | None, AttentionCache] | None = None,
+        cache: LayerCache | None = None,
     ) -> Tensor:
-        self_kv, memory_kv = cache if cache is not None else (None, None)
-        x = self.ln1(x + self.self_attn(x, x, self_mask, self_kv))
-        x = self.ln2(x + self.cross_attn(x, memory, None, memory_kv))
-        return self.ln3(x + self.ff(x))
+        """With a cache whose self_kv is set, x (B, d) is one incremental step:
+        its keys and values are appended to self_kv before it attends."""
+        self_kv = memory_kv = None
+        if cache is not None:
+            memory_kv = cache.memory_kv
+            if cache.self_kv is not None:
+                self_kv = cache.self_kv = self.self_attn.keys_values(x, cache.self_kv)
+        x = self.ln1(x, self.self_attn(x, x, self_mask, self_kv))
+        x = self.ln2(x, self.cross_attn(x, memory, None, memory_kv))
+        return self.ln3(x, self.ff(x))
 
 
 class TransformerEncoder(Module):
@@ -213,29 +214,27 @@ class DecoderCache:
 
     Per layer: the cross-attention projections of the memory, computed once,
     and, when `incremental`, the self-attention keys and values of every
-    position decoded so far for B live hypotheses, (B, h, t, d_head), with
+    position decoded so far for B live hypotheses, (2, B, h, t, d_head), with
     `length` = t. A cache that is not incremental serves full passes: each
     decodes a whole sequence and only the memory projections are reused.
     """
 
     def __init__(self, decoder: TransformerDecoder, memory: Tensor, incremental: bool = True):
         self.incremental = incremental
-        self.layers: list[tuple[AttentionCache | None, AttentionCache]] = []
+        self.layers: list[LayerCache] = []
         for layer in decoder.layers:
             attn = layer.self_attn
             self_kv = None
             if incremental:
-                empty = Tensor(np.zeros((1, attn.n_heads, 0, attn.d_head)))
-                self_kv = AttentionCache(empty, empty)
-            self.layers.append((self_kv, layer.cross_attn.keys_values(memory)))
+                self_kv = Tensor(np.zeros((2, 1, attn.n_heads, 0, attn.d_head)))
+            self.layers.append(LayerCache(self_kv, layer.cross_attn.keys_values(memory)))
         self.length = 0
 
     def reorder(self, parents) -> None:
         """Keep row parents[i] of each self-attention cache as hypothesis i."""
-        parents = np.asarray(parents, dtype=np.int64)
-        for self_kv, _ in self.layers:
-            self_kv.k = self_kv.k[parents]
-            self_kv.v = self_kv.v[parents]
+        index = (slice(None), np.asarray(parents, dtype=np.int64))
+        for layer in self.layers:
+            layer.self_kv = layer.self_kv[index]
 
 
 class TransformerDecoder(Module):

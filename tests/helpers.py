@@ -1,9 +1,11 @@
-"""Shared test utilities: random fixtures and tiny model builders."""
+"""Shared test utilities: random fixtures, tiny model builders and composed references."""
 
 from __future__ import annotations
 
 import numpy as np
 
+from skeltext import autograd as ag
+from skeltext.autograd import Tensor
 from skeltext.config import RunConfig
 from skeltext.data import Attribute, Example, Table, Vocabulary
 from skeltext.training import build_editor, build_pointer
@@ -70,3 +72,72 @@ def small_example(rng: np.random.Generator) -> Example:
         ref.append(tok)
     ref.append(".")
     return Example(table, tuple(ref))
+
+
+# -- the composed reference of the fused transformer blocks ------------------
+# The single ops that skeltext.autograd's keys_values, attention,
+# feed_forward and residual layer_norm nodes replace, composed as the model
+# composed them before those nodes existed. The byte-equality tests compare
+# the fused nodes against these.
+
+
+def reshape(x: Tensor, shape) -> Tensor:
+    return ag._make(x.data.reshape(shape), (x,), lambda g: (g.reshape(x.shape),), "reshape")
+
+
+def composed_sdpa(q: Tensor, k: Tensor, v: Tensor, scale: float, mask) -> Tensor:
+    """softmax(q k^T * scale + mask) v over the last two axes."""
+    order = list(range(k.ndim))
+    order[-1], order[-2] = order[-2], order[-1]
+    scores = (q @ k.transpose(*order)) * scale
+    if mask is not None:
+        scores = scores + Tensor(mask)
+    return ag.softmax(scores, axis=-1) @ v
+
+
+def composed_keys_values(attn, memory: Tensor, past=None) -> tuple[Tensor, Tensor]:
+    """Keys and values of memory (t_k, d), each split into heads: (h, t_k, d_head)."""
+    if past is not None:
+        raise NotImplementedError("incremental steps: use composed_step")
+    t_k = memory.shape[0]
+    h, dh = attn.n_heads, attn.d_head
+    return tuple(
+        reshape(lin(memory), (t_k, h, dh)).transpose(1, 0, 2) for lin in (attn.wk, attn.wv)
+    )
+
+
+def composed_attention(attn, x: Tensor, memory: Tensor, mask=None, kv=None) -> Tensor:
+    t_q, d = x.shape
+    h, dh = attn.n_heads, attn.d_head
+    q = reshape(attn.wq(x), (t_q, h, dh)).transpose(1, 0, 2)
+    k, v = kv if kv is not None else composed_keys_values(attn, memory)
+    ctx = composed_sdpa(q, k, v, 1.0 / float(np.sqrt(dh)), mask)
+    return attn.wo(reshape(ctx.transpose(1, 0, 2), (t_q, d)))
+
+
+def composed_step(attn, x: Tensor, past_k: Tensor, past_v: Tensor) -> Tensor:
+    """Rows x (B, d) attend over their cached (B, h, t, d_head) keys and values plus their own."""
+    b, d = x.shape
+    h, dh = attn.n_heads, attn.d_head
+    q = reshape(attn.wq(x), (b, h, 1, dh))
+    k = ag.concat([past_k, reshape(attn.wk(x), (b, h, 1, dh))], axis=2)
+    v = ag.concat([past_v, reshape(attn.wv(x), (b, h, 1, dh))], axis=2)
+    return attn.wo(reshape(composed_sdpa(q, k, v, 1.0 / float(np.sqrt(dh)), None), (b, d)))
+
+
+def composed_layer_norm(ln, x: Tensor, residual: Tensor | None = None) -> Tensor:
+    return ag.layer_norm(x if residual is None else x + residual, ln.gain, ln.bias, ln.eps)
+
+
+def composed_feed_forward(ff, x: Tensor) -> Tensor:
+    return ff.lin2(ff.lin1(x).relu())
+
+
+def use_composed_blocks(monkeypatch) -> None:
+    """Run every attention, feed-forward and LayerNorm module on the composed ops."""
+    from skeltext import nn
+
+    monkeypatch.setattr(nn.MultiHeadAttention, "keys_values", composed_keys_values)
+    monkeypatch.setattr(nn.MultiHeadAttention, "__call__", composed_attention)
+    monkeypatch.setattr(nn.LayerNorm, "__call__", composed_layer_norm)
+    monkeypatch.setattr(nn.FeedForward, "__call__", composed_feed_forward)

@@ -9,6 +9,9 @@ import pytest
 
 from skeltext import autograd as ag
 from skeltext.autograd import NonFiniteError, ShapeError, Tensor
+from skeltext.nn import MultiHeadAttention, causal_mask
+
+from helpers import composed_attention, composed_keys_values, composed_step, reshape
 
 
 def numeric_grad(loss_fn, arr: np.ndarray, eps: float = 1e-5) -> np.ndarray:
@@ -97,12 +100,13 @@ def test_layer_norm_statistics_before_affine():
         ("matmul", lambda x: (x @ Tensor(np.arange(12.0).reshape(4, 3))).sum(), (2, 4)),
         ("batched_matmul", lambda x: (x @ Tensor(np.arange(24.0).reshape(2, 4, 3))).sum(), (2, 5, 4)),
         ("relu", lambda x: x.relu().sum(), (4, 4)),
-        ("exp", lambda x: x.exp().sum(), (3, 3)),
+        # exp has no op of its own: softmax over the first axis is its remaining use
+        ("exp", lambda x: (ag.softmax(x, axis=0) * Tensor(np.arange(9.0).reshape(3, 3))).sum(), (3, 3)),
         ("log", lambda x: (x * x + 1.0).log().sum(), (3, 3)),
-        ("mean_axis", lambda x: (x.mean(axis=1) * Tensor(np.arange(3.0))).sum(), (3, 5)),
+        ("mean_axis", lambda x: (x.sum(axis=1) * 0.2 * Tensor(np.arange(3.0))).sum(), (3, 5)),
         ("sum_keepdims", lambda x: (x.sum(axis=0, keepdims=True) * 2.0).sum(), (3, 5)),
         ("transpose", lambda x: (x.transpose() @ Tensor(np.ones((3, 2)))).sum(), (3, 4)),
-        ("reshape", lambda x: (x.reshape(6, 2) @ Tensor(np.ones((2, 1)))).sum(), (3, 4)),
+        ("reshape", lambda x: (reshape(x, (6, 2)) @ Tensor(np.ones((2, 1)))).sum(), (3, 4)),
         ("getitem_slice", lambda x: x[1:, :2].sum(), (4, 4)),
         (
             "getitem_fancy",
@@ -111,7 +115,7 @@ def test_layer_norm_statistics_before_affine():
         ),
         (
             "concat",
-            lambda x: ag.concat([x[:2], x[2:]], axis=0).exp().sum(),
+            lambda x: (ag.concat([x[:2], x[2:]], axis=0) * Tensor(np.arange(12.0).reshape(4, 3))).sum(),
             (4, 3),
         ),
         ("softmax", lambda x: (ag.softmax(x) * Tensor(np.arange(12.0).reshape(3, 4))).sum(), (3, 4)),
@@ -239,62 +243,123 @@ def test_linear_rejects_inputs_that_are_not_2d(shape):
         ag.linear(Tensor(np.zeros(shape)), w)
 
 
-def _composed_attention(q, k, v, scale, mask):
-    order = list(range(k.ndim))
-    order[-1], order[-2] = order[-2], order[-1]
-    scores = (q @ k.transpose(*order)) * scale
-    if mask is not None:
-        scores = scores + Tensor(mask)
-    return ag.softmax(scores, axis=-1) @ v
+def _module_run(attn, build, inputs, weights):
+    """Like _run, with the attention module's parameters counted as inputs too."""
+    leaves = [Tensor(x, retain_grad=True) for x in inputs]
+    params = attn.parameters()
+    for p in params:
+        p.grad[...] = 0.0
+    outs = build(*leaves)
+    sum((out * Tensor(w)).sum() for out, w in zip(outs, weights)).backward()
+    grads = [leaf.grad for leaf in leaves] + [p.grad for p in params]
+    return [out.data.tobytes() for out in outs] + [g.tobytes() for g in grads]
 
 
-def _heads(x, h):
-    """(T, h*d) -> (h, T, d): the strided view multi-head attention attends over."""
-    t = x.shape[0]
-    return x.reshape(t, h, x.shape[1] // h).transpose(1, 0, 2)
-
-
+# (case, n_heads, rows of x, rows of memory or None for self-attention, causal)
 @pytest.mark.parametrize(
-    "q_shape,k_shape,causal,split",
+    "case,n_heads,t_q,t_k,causal",
     [
-        ((4, 6), (5, 6), False, False),  # 2-D
-        ((2, 5, 4), (2, 5, 4), False, False),  # (h, T, d) self-attention
-        ((2, 5, 4), (2, 5, 4), True, False),  # ... with the causal mask
-        ((3, 2, 1, 4), (3, 2, 6, 4), False, False),  # incremental step (B, h, 1, d)
-        ((2, 3, 4), (2, 7, 4), False, False),  # cross-attention (h, Tq, d) over (h, Tk, d)
-        ((5, 8), (5, 8), True, True),  # heads split from (T, h*d) rows, causal
-        ((3, 8), (6, 8), False, True),  # heads split, cross-attention
+        ("self", 1, 5, None, False),  # one head: the split leaves the rows whole
+        ("self", 2, 5, None, False),
+        ("self", 2, 5, None, True),
+        ("step", 2, 3, 4, False),  # (B, h, 1, d_head) rows over a reordered cache
+        ("cross", 2, 3, 7, False),  # full pass over a separate memory
+        ("self", 4, 6, None, True),  # four heads of width 2, causal
+        ("memoized", 2, 3, 6, False),  # one keys_values() output shared by two query sets
     ],
     ids=["2d", "self", "self_causal", "step", "cross", "split_causal", "split_cross"],
 )
-def test_attention_matches_the_composed_ops_to_the_bit(q_shape, k_shape, causal, split):
-    from skeltext.nn import causal_mask
-
+def test_attention_matches_the_composed_ops_to_the_bit(case, n_heads, t_q, t_k, causal):
     rng = np.random.default_rng(21)
-    inputs = [rng.normal(size=q_shape), rng.normal(size=k_shape), rng.normal(size=k_shape)]
-    d = q_shape[-1] // 2 if split else q_shape[-1]
-    scale = 1.0 / float(np.sqrt(d))
-    mask = causal_mask(q_shape[-2]) if causal else None
-    out_shape = (2, q_shape[0], d) if split else q_shape
+    d = 8
+    attn = MultiHeadAttention(rng, d, n_heads)
+    for p in attn.parameters():  # non-zero biases
+        p.data[...] = rng.normal(size=p.shape)
+    mask = causal_mask(t_q) if causal else None
+    x = rng.normal(size=(t_q, d))
+    weights = [rng.normal(size=(t_q, d))]
+    if case == "self":
+        inputs = [x]
 
-    def attend(op):
-        def build(q, k, v):
-            if split:
-                q, k, v = (_heads(t, 2) for t in (q, k, v))
-            return op(q, k, v, scale, mask)
-        return build
+        def fused(x):
+            return (attn(x, x, mask),)
 
-    weights = rng.normal(size=out_shape)
-    got = _run(attend(ag.attention), inputs, weights)
-    want = _run(attend(_composed_attention), inputs, weights)
-    assert got == want
+        def composed(x):
+            return (composed_attention(attn, x, x, mask),)
+    elif case == "cross":
+        inputs = [x, rng.normal(size=(t_k, d))]
+
+        def fused(x, m):
+            return (attn(x, m),)
+
+        def composed(x, m):
+            return (composed_attention(attn, x, m),)
+    elif case == "memoized":
+        inputs = [x, rng.normal(size=(5, d)), rng.normal(size=(t_k, d))]
+        weights.append(rng.normal(size=(5, d)))
+
+        def fused(x1, x2, m):
+            kv = attn.keys_values(m)
+            return attn(x1, m, None, kv), attn(x2, m, None, kv)
+
+        def composed(x1, x2, m):
+            kv = composed_keys_values(attn, m)
+            return composed_attention(attn, x1, m, None, kv), composed_attention(attn, x2, m, None, kv)
+    else:  # step: 2 cached hypotheses of t_k positions, reordered to t_q rows
+        parents = np.array([1, 0, 1])
+        cache = rng.normal(size=(2, 2, n_heads, t_k, d // n_heads))
+        inputs = [x, cache[0], cache[1]]
+
+        def fused(x, past_k, past_v):
+            past = ag.concat([reshape(t, (1,) + t.shape) for t in (past_k, past_v)], axis=0)
+            kv = attn.keys_values(x, past[:, parents])
+            return (attn(x, x, None, kv),)
+
+        def composed(x, past_k, past_v):
+            return (composed_step(attn, x, past_k[parents], past_v[parents]),)
+
+    assert _module_run(attn, fused, inputs, weights) == _module_run(attn, composed, inputs, weights)
 
 
 def test_attention_is_one_tape_node():
     rng = np.random.default_rng(22)
-    q, k, v = (_leaf(rng, (2, 3, 4)) for _ in range(3))
-    out = ag.attention(q, k, v, 0.5, None)
-    assert out._parents == (q, k, v)
+    x, m = _leaf(rng, (3, 4)), _leaf(rng, (5, 4))
+    wq, wk, wv, wo = (_leaf(rng, (4, 4)) for _ in range(4))
+    bq, bk, bv, bo = (_leaf(rng, (4,)) for _ in range(4))
+    kv = ag.keys_values(m, wk, bk, wv, bv)
+    out = ag.attention(x, kv, wq, bq, wo, bo, 2)
+    # The query side first, then the keys and values: the order the composed
+    # graph's backward reached them in. The memory gets its key gradient, then
+    # its value gradient.
+    assert out._parents == (x, kv, wq, bq, wo, bo)
+    assert kv._parents == (m, m, wk, bk, wv, bv)
+    assert kv.shape == (2, 5, 4)
+
+
+def test_residual_layer_norm_matches_the_composed_ops_to_the_bit():
+    rng = np.random.default_rng(27)
+    inputs = [rng.normal(size=(5, 6)), rng.normal(size=(5, 6)), rng.normal(size=6), rng.normal(size=6)]
+    weights = rng.normal(size=(5, 6))
+
+    def fused(x, r, gain, bias):
+        return ag.layer_norm(x, gain, bias, residual=r)
+
+    def composed(x, r, gain, bias):
+        return ag.layer_norm(x + r, gain, bias)
+
+    assert _run(fused, inputs, weights) == _run(composed, inputs, weights)
+
+
+def test_feed_forward_matches_the_composed_ops_to_the_bit():
+    rng = np.random.default_rng(28)
+    inputs = [rng.normal(size=(5, 6)), rng.normal(size=(6, 9)), rng.normal(size=9),
+              rng.normal(size=(9, 6)), rng.normal(size=6)]
+    weights = rng.normal(size=(5, 6))
+
+    def composed(x, w1, b1, w2, b2):
+        return ag.linear(ag.linear(x, w1, b1).relu(), w2, b2)
+
+    assert _run(ag.feed_forward, inputs, weights) == _run(composed, inputs, weights)
 
 
 def test_backward_gives_untracked_constants_no_gradient():
@@ -317,8 +382,8 @@ def test_every_retained_gradient_is_c_contiguous():
     m = _leaf(rng, (6, 8), transposed=True)
     u = _leaf(rng, (8, 5))  # its one gradient arrives as a transposed view
     h = ag.linear(x, w, b)
-    ctx = ag.attention(_heads(h, 2), _heads(m, 2), _heads(m, 2), 0.5, None)
-    loss = ((ctx.transpose(1, 0, 2).reshape(5, 8) + u.transpose()) @ w.transpose()).sum()
+    ctx = ag.attention(h, ag.keys_values(m, w, b, w, b), w, b, w, b, 2)
+    loss = ((ctx + u.transpose()) @ w.transpose()).sum()
     loss.backward()
     for leaf in (x, w, b, m, u):
         assert leaf.grad.flags["C_CONTIGUOUS"]
@@ -351,11 +416,11 @@ def test_two_backward_calls_accumulate_to_the_sum():
     grads = []
     for x in (x1, x2):
         p.grad[...] = 0.0
-        ag.linear(x, p).exp().sum().backward()
+        ag.log_softmax(ag.linear(x, p)).sum().backward()
         grads.append(p.grad.copy())
     p.grad[...] = 0.0
     for x in (x1, x2):
-        ag.linear(x, p).exp().sum().backward()
+        ag.log_softmax(ag.linear(x, p)).sum().backward()
     assert np.array_equal(p.grad, grads[0] + grads[1])
 
 
@@ -382,11 +447,46 @@ def test_non_finite_error_names_the_op():
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_attention_raises_on_overflowing_scores_the_softmax_would_hide():
     # Scores [-inf, 1e200]: the softmax is a finite one-hot, but the score overflowed.
-    q = Tensor([[1e200]])
-    k = Tensor([[-1e200], [1.0]])
-    v = Tensor([[1.0], [2.0]])
+    x = Tensor([[1e200]])
+    kv = Tensor([[[-1e200], [1.0]], [[1.0], [2.0]]])  # keys, then values
+    one, zero = Tensor([[1.0]]), Tensor([0.0])
     with pytest.raises(NonFiniteError, match="from attention$"):
-        ag.attention(q, k, v, 1.0, None)
+        ag.attention(x, kv, one, zero, one, zero, 1)
     with ag.no_grad():
         with pytest.raises(NonFiniteError, match="from attention$"):
-            ag.attention(q, k, v, 1.0, None)
+            ag.attention(x, kv, one, zero, one, zero, 1)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_layer_norm_raises_when_the_variance_overflows():
+    # Finite rows whose squared deviations overflow: the variance would be inf
+    # and every row would normalize to the bias.
+    gain, bias = Tensor(np.ones(2)), Tensor(np.zeros(2))
+    with pytest.raises(NonFiniteError, match="from layer_norm$"):
+        ag.layer_norm(Tensor([[1e160, -1e160]]), gain, bias)
+    with pytest.raises(NonFiniteError, match="from layer_norm$"):
+        ag.layer_norm(Tensor([[1e160, 0.0]]), gain, bias, residual=Tensor([[0.0, -1e160]]))
+
+
+def test_embedding_lookup_into_a_parameter_adds_the_dense_scatters_bits():
+    # The row-sparse backward into a parameter against the dense scatter it
+    # replaces: zeros the size of the table, np.add.at, then one += per lookup.
+    from skeltext.nn import Parameter
+
+    rng = np.random.default_rng(29)
+    table = Parameter(rng.normal(size=(7, 3)))
+    table.grad[...] = rng.normal(size=(7, 3))
+    table.grad[5] = 0.0  # an untouched row that holds +0.0
+    start = table.grad.copy()
+    lookups = [np.array([4, 1, 4, 4, 0]), np.array([1, 6, 1])]
+    weights = [rng.normal(size=(len(ids), 3)) for ids in lookups]
+    sum(
+        (ag.embedding_lookup(table, ids) * Tensor(w)).sum() for ids, w in zip(lookups, weights)
+    ).backward()
+
+    want = start
+    for ids, w in zip(lookups, weights):
+        dense = np.zeros((7, 3))
+        np.add.at(dense, ids, w)
+        want = want + dense
+    assert table.grad.tobytes() == want.tobytes()

@@ -368,6 +368,37 @@ def test_generate_non_finite_is_a_per_example_outcome(tmp_path, capsys):
     assert _closing_event(capsys.readouterr().err)["terminations"]["non_finite"] == 2
 
 
+def test_generate_overflow_ends_non_finite_without_a_warning(tmp_path, capsys):
+    # Stored weights are float32, so none can exceed 3.4e38; a chain of them
+    # (token embedding, its projection, then the values and the output of the
+    # first self-attention) gives attention outputs near 1e157, whose squares
+    # overflow the residual LayerNorm's variance in float64.
+    import warnings
+
+    from skeltext.nn import save_checkpoint
+    from skeltext.training import load_editor_dir
+
+    corpus, skeletons = _two_example_corpus(tmp_path)
+    ckpt = _runaway_editor(tmp_path, corpus, max_state_len=64)
+    model, _ = load_editor_dir(ckpt)
+    attn = model.decoder.layers[0].self_attn
+    for p in (model.encoder.tok_emb.weight, model.in_proj.weight, attn.wv.weight, attn.wo.weight):
+        p.data[...] = np.finfo(np.float32).max
+    attn.wo.weight.data[:, ::2] *= -1.0  # rows of +-1e157 deviate from their mean
+    save_checkpoint(ckpt, model)
+    out = str(tmp_path / "gen.jsonl")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["generate", "--editor", ckpt, "--corpus", corpus, "--out", out,
+                     "--oracle-skeleton"]) == 0
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    rows = [json.loads(line) for line in _read(out).splitlines()]
+    assert [r["termination"] for r in rows] == ["non_finite", "non_finite"]
+    events = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+    assert [e["example"] for e in events if e["event"] == "warning"] == [0, 1]
+    assert all("from layer_norm" in e["message"] for e in events if e["event"] == "warning")
+
+
 def _pointer_with_a_nan_token(tmp_path, corpus_path):
     """Untrained tiny pointer whose embedding of one token of example 1 only is NaN."""
     from skeltext.training import build_pointer, build_vocabularies, save_model_dir

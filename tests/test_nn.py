@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from collections import Counter
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -225,7 +228,7 @@ def _train_steps(seed: int, steps: int) -> bytes:
         x = Tensor(data_rng.normal(size=(4, 8)))
         ids = data_rng.integers(0, 2, size=4)
         logp = ag.log_softmax(model.l2(model.ln(model.l1(x)).relu()), axis=-1)
-        loss = -logp[np.arange(len(ids)), ids].mean()
+        loss = -logp[np.arange(len(ids)), ids].sum() / len(ids)
         loss.backward()
         opt.step()
     return b"".join(p.data.tobytes() for p in model.parameters())
@@ -268,7 +271,7 @@ def test_linear_refuses_to_broadcast_over_leading_axes():
         layer(Tensor(np.zeros((2, 5, 4))))
 
 
-def test_nan_in_a_cross_attention_key_weight_names_linear():
+def test_nan_in_a_cross_attention_key_weight_names_keys_values():
     from skeltext.autograd import NonFiniteError
     from skeltext.nn import DecoderLayer
 
@@ -276,7 +279,7 @@ def test_nan_in_a_cross_attention_key_weight_names_linear():
     layer = DecoderLayer(rng, 8, 12, 2)
     layer.cross_attn.wk.weight.data[0, 0] = np.nan
     x, memory = Tensor(rng.normal(size=(3, 8))), Tensor(rng.normal(size=(4, 8)))
-    with pytest.raises(NonFiniteError, match="non-finite value entering the graph from linear$"):
+    with pytest.raises(NonFiniteError, match="non-finite value entering the graph from keys_values$"):
         layer(x, memory)
 
 
@@ -292,3 +295,60 @@ def test_overflowing_attention_scores_name_attention():
     x = Tensor(np.array([[1e160, 0.0, 0.0, 0.0], [-1e160, 0.0, 0.0, 0.0]]))
     with pytest.raises(NonFiniteError, match="from attention$"):
         attn(x, x)
+
+
+def _tape_nodes(out: Tensor) -> set[Tensor]:
+    nodes, stack = set(), [out]
+    while stack:
+        node = stack.pop()
+        if node._bw is not None and node not in nodes:
+            nodes.add(node)
+            stack.extend(node._parents)
+    return nodes
+
+
+def test_a_decoder_layer_forward_pass_records_eight_tape_nodes():
+    # Per sublayer: keys_values and attention for each of the two attentions,
+    # feed_forward, and a residual LayerNorm after each of the three.
+    from skeltext.nn import DecoderLayer
+
+    rng = np.random.default_rng(19)
+    layer = DecoderLayer(rng, 8, 12, 2)
+    x = Tensor(rng.normal(size=(3, 8)), retain_grad=True)
+    memory = Tensor(rng.normal(size=(4, 8)), retain_grad=True)
+    nodes = _tape_nodes(layer(x, memory, causal_mask(3)))
+    assert sorted(Counter(n._bw.__qualname__.split(".")[0] for n in nodes).items()) == [
+        ("attention", 2), ("feed_forward", 1), ("keys_values", 2), ("layer_norm", 3),
+    ]
+
+
+@pytest.mark.parametrize("stage", ["pointer", "editor"])
+def test_fused_blocks_give_the_composed_models_gradients_to_the_bit(stage, monkeypatch):
+    # Whole models, so that the order in which backward() sums a tensor's
+    # gradients (the encoder's output gets keys and values from every decoder
+    # layer of every pass) is checked too.
+    from skeltext.oracle import edit_loss_example
+
+    from helpers import small_example, tiny_editor, tiny_pointer, use_composed_blocks
+
+    def gradients() -> list[bytes]:
+        build = tiny_pointer if stage == "pointer" else tiny_editor
+        model, _ = build(seed=31, n_layers=2)
+        grads = []
+        for i in range(3):
+            rng = np.random.default_rng(100 + i)
+            ex = small_example(rng)
+            for p in model.parameters():
+                p.grad[...] = 0.0
+            if stage == "pointer":
+                loss = model.loss(replace(ex, skeleton=ex.table.all_value_tokens()[:3]))
+            else:
+                skeleton = ex.table.all_value_tokens()[:2]
+                loss = edit_loss_example(model, model.encode(ex.table), skeleton, ex.reference, rng).total
+            loss.backward()
+            grads += [p.grad.tobytes() for p in model.parameters()]
+        return grads
+
+    fused = gradients()
+    use_composed_blocks(monkeypatch)
+    assert fused == gradients()
