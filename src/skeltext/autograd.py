@@ -40,11 +40,30 @@ def grad_enabled() -> bool:
     return _grad_enabled
 
 
+# Read-only zeros the finiteness probe multiplies against.
+_ZEROS = np.zeros(1 << 14)
+_ZEROS.flags.writeable = False
+
+
+def _all_finite(arr: np.ndarray) -> bool:
+    """Whether every value of a float64 array is finite, in one numpy call.
+
+    The dot product with zeros is NaN when any value is inf or NaN, and +-0
+    otherwise: a finite value times zero is +-0, so the sum cannot overflow.
+    np.vdot, unlike np.dot, raises no floating-point warning for inf * 0.
+    Arrays larger than the zero buffer take np.isfinite.
+    """
+    n = arr.size
+    if n > _ZEROS.size:
+        return bool(np.isfinite(arr).all())
+    return np.vdot(arr, _ZEROS[:n]) == 0.0
+
+
 def _as_array(value) -> np.ndarray:
     arr = value if type(value) is np.ndarray and value.dtype == np.float64 else np.asarray(
         value, dtype=np.float64
     )
-    if not np.isfinite(arr).all():
+    if not _all_finite(arr):
         raise NonFiniteError("non-finite value entering the graph")
     return arr
 
@@ -318,30 +337,44 @@ def _merge_heads(c: np.ndarray) -> np.ndarray:
 
 
 def keys_values(
-    memory: Tensor, wk: Tensor, bk: Tensor, wv: Tensor, bv: Tensor, past: Tensor | None = None
+    memory: Tensor, wk: Tensor, bk: Tensor, wv: Tensor, bv: Tensor,
+    past: Tensor | None = None, parents: np.ndarray | None = None,
 ) -> Tensor:
     """Key and value projections of the rows of memory (t, d) as one node: (2, t, d).
 
-    With `past`, a (2, B, h, t, d_head) cache of B hypotheses' keys and
-    values, memory holds the newest position of each hypothesis, (B, d), and
-    the result is that cache with the position appended: (2, B, h, t+1, d_head).
+    With `past`, a (2, B', h, t, d_head) cache of keys and values, and
+    `parents`, B indices into its hypotheses, memory holds the newest
+    position of B hypotheses, (B, d). Hypothesis i continues cache row
+    parents[i]: the result is those rows with the position appended,
+    (2, B, h, t+1, d_head), gathered straight into the new array. The cache
+    gradient scatters back through parents as take() does.
     """
     x = memory.data
-    kv = np.stack((_affine(x, wk.data, bk.data), _affine(x, wv.data, bv.data)))
-    if past is not None:
-        b, (_, _, h, _, dh) = x.shape[0], past.shape
-        kv = np.concatenate((past.data, kv.reshape(2, b, h, 1, dh)), axis=3)
+    new = np.empty((2,) + x.shape)
+    np.matmul(x, wk.data, out=new[0])
+    new[0] += bk.data
+    np.matmul(x, wv.data, out=new[1])
+    new[1] += bv.data
+    if past is None:
+        kv = new
+    else:
+        b, (_, _, h, t, dh) = x.shape[0], past.shape
+        kv = np.empty((2, b, h, t + 1, dh))
+        kv[:, :, :, :t] = past.data[:, parents]
+        kv[:, :, :, t] = new.reshape(2, b, h, dh)
 
     def bw(g):
         if past is not None:
-            g_past, g = g[:, :, :, :-1], g[:, :, :, -1].reshape(2, b, -1)
+            g_past = np.zeros_like(past.data)
+            np.add.at(g_past, (slice(None), parents), g[:, :, :, :-1])
+            g = g[:, :, :, -1].reshape(2, b, -1)
         gx_k, gwk, gbk = _affine_grads(g[0], x, wk.data)
         gx_v, gwv, gbv = _affine_grads(g[1], x, wv.data)
         grads = (gx_k, gx_v, gwk, gbk, gwv, gbv)
         return grads if past is None else grads + (g_past,)
 
-    parents = (memory, memory, wk, bk, wv, bv) + (() if past is None else (past,))
-    return _make(kv, parents, bw, "keys_values")
+    inputs = (memory, memory, wk, bk, wv, bv) + (() if past is None else (past,))
+    return _make(kv, inputs, bw, "keys_values")
 
 
 def attention(
@@ -367,11 +400,11 @@ def attention(
         qh, (kh, vh) = q.reshape(n, n_heads, 1, dh), kv.data
     else:
         qh, kh, vh = _heads(q, n_heads), _heads(kv.data[0], n_heads), _heads(kv.data[1], n_heads)
-    p = np.matmul(qh, np.swapaxes(kh, -1, -2))
+    p = np.matmul(qh, kh.swapaxes(-1, -2))
     p *= scale
     if mask is not None:
         p += mask
-    if not np.isfinite(p).all():
+    if not _all_finite(p):
         raise _non_finite("attention")
     p -= p.max(axis=-1, keepdims=True)
     np.exp(p, out=p)
@@ -405,7 +438,7 @@ def attention(
 def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     """relu(x @ w1 + b1) @ w2 + b2 as one node; the hidden layer is probed too."""
     h = _affine(x.data, w1.data, b1.data)
-    if not np.isfinite(h).all():
+    if not _all_finite(h):
         raise _non_finite("feed_forward")
     mask = h > 0
     r = np.where(mask, h, 0.0)
@@ -541,16 +574,26 @@ def layer_norm(
         )
     if residual is not None and residual.shape != x.shape:
         raise ShapeError(f"layer_norm: residual {residual.shape} does not match input {x.shape}")
+    # The out-of-place arithmetic, ufunc for ufunc, written into arrays this
+    # node allocated, never into an input's: xc (h, when there is a residual)
+    # becomes the output, and xhat holds the squares first. Means are sum / n,
+    # np.mean's arithmetic without its Python wrapper.
+    n = x.shape[-1]
     h = x.data if residual is None else x.data + residual.data
-    n = h.shape[-1]  # means as sum / n: np.mean's arithmetic, without its Python wrapper
-    mu = h.sum(axis=-1, keepdims=True) / n
-    xc = h - mu
-    var = (xc * xc).sum(axis=-1, keepdims=True) / n
-    if not np.isfinite(var).all():
+    mu = h.sum(axis=-1, keepdims=True)
+    mu /= n
+    xc = h - mu if residual is None else np.subtract(h, mu, out=h)
+    xhat = np.multiply(xc, xc)
+    var = xhat.sum(axis=-1, keepdims=True)
+    var /= n
+    if not _all_finite(var):
         raise _non_finite("layer_norm")
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    out = xhat * gain.data + bias.data
+    var += eps
+    inv = np.sqrt(var, out=var)
+    np.divide(1.0, inv, out=inv)
+    np.multiply(xc, inv, out=xhat)
+    out = np.multiply(xhat, gain.data, out=xc)
+    out += bias.data
 
     def bw(g):
         dxhat = g * gain.data

@@ -67,9 +67,6 @@ class Table:
     def value_token_set(self) -> frozenset[str]:
         return frozenset(t for a in self.attributes for t in a.value_tokens)
 
-    def all_value_tokens(self) -> list[str]:
-        return [t for a in self.attributes for t in a.value_tokens]
-
 
 @dataclass(frozen=True)
 class Example:

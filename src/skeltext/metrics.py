@@ -174,6 +174,8 @@ def evaluate_outputs(
     """Score system outputs against a gold corpus (one hypothesis per example)."""
     if len(hypotheses) != len(corpus):
         raise ValueError(f"{len(hypotheses)} hypotheses for {len(corpus)} gold examples")
+    if not corpus:
+        raise ValueError("evaluate_outputs needs at least one gold example, got an empty corpus")
     references = [list(ex.reference) for ex in corpus]
     per_example = []
     sums = [0.0] * 6

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -96,17 +96,19 @@ class MultiHeadAttention(Module):
         self.wv = Linear(rng, d_model, d_model)
         self.wo = Linear(rng, d_model, d_model)
 
-    def keys_values(self, memory: Tensor, past: Tensor | None = None) -> Tensor:
+    def keys_values(
+        self, memory: Tensor, past: Tensor | None = None, parents: np.ndarray | None = None
+    ) -> Tensor:
         """Keys and values of the rows of memory (t_k, d), stacked: (2, t_k, d).
 
-        With `past`, a (2, B, h, t, d_head) self-attention cache, memory is the
-        newest position of each of B hypotheses, (B, d), and the result is the
-        cache with it appended.
+        With `past`, a (2, B', h, t, d_head) self-attention cache, memory is the
+        newest position of each of B hypotheses, (B, d); hypothesis i continues
+        cache row parents[i]. The result is those rows with it appended.
         """
         if past is None and memory.shape[0] == 0:
             raise ShapeError("attention over an empty key set")
         return ag.keys_values(
-            memory, self.wk.weight, self.wk.bias, self.wv.weight, self.wv.bias, past
+            memory, self.wk.weight, self.wk.bias, self.wv.weight, self.wv.bias, past, parents
         )
 
     def __call__(
@@ -186,14 +188,16 @@ class DecoderLayer(Module):
         memory: Tensor,
         self_mask: np.ndarray | None = None,
         cache: LayerCache | None = None,
+        parents: np.ndarray | None = None,
     ) -> Tensor:
         """With a cache whose self_kv is set, x (B, d) is one incremental step:
-        its keys and values are appended to self_kv before it attends."""
+        row i's keys and values are appended to self_kv row parents[i] before
+        it attends."""
         self_kv = memory_kv = None
         if cache is not None:
             memory_kv = cache.memory_kv
             if cache.self_kv is not None:
-                self_kv = cache.self_kv = self.self_attn.keys_values(x, cache.self_kv)
+                self_kv = cache.self_kv = self.self_attn.keys_values(x, cache.self_kv, parents)
         x = self.ln1(x, self.self_attn(x, x, self_mask, self_kv))
         x = self.ln2(x, self.cross_attn(x, memory, None, memory_kv))
         return self.ln3(x, self.ff(x))
@@ -215,7 +219,8 @@ class DecoderCache:
     Per layer: the cross-attention projections of the memory, computed once,
     and, when `incremental`, the self-attention keys and values of every
     position decoded so far for B live hypotheses, (2, B, h, t, d_head), with
-    `length` = t. A cache that is not incremental serves full passes: each
+    `length` = t. The next step's hypothesis i continues cache row
+    `parents[i]`. A cache that is not incremental serves full passes: each
     decodes a whole sequence and only the memory projections are reused.
     """
 
@@ -229,12 +234,14 @@ class DecoderCache:
                 self_kv = Tensor(np.zeros((2, 1, attn.n_heads, 0, attn.d_head)))
             self.layers.append(LayerCache(self_kv, layer.cross_attn.keys_values(memory)))
         self.length = 0
+        self.parents = np.zeros(1, dtype=np.int64)
 
     def reorder(self, parents) -> None:
-        """Keep row parents[i] of each self-attention cache as hypothesis i."""
-        index = (slice(None), np.asarray(parents, dtype=np.int64))
-        for layer in self.layers:
-            layer.self_kv = layer.self_kv[index]
+        """Make row parents[i] of the cache hypothesis i of the next step.
+
+        The rows are gathered when the step appends to the cache.
+        """
+        self.parents = np.asarray(parents, dtype=np.int64)
 
 
 class TransformerDecoder(Module):
@@ -252,8 +259,9 @@ class TransformerDecoder(Module):
         """
         if cache is not None and cache.incremental:
             for layer, layer_cache in zip(self.layers, cache.layers):
-                x = layer(x, memory, None, layer_cache)
+                x = layer(x, memory, None, layer_cache, cache.parents)
             cache.length += 1
+            cache.parents = np.arange(x.shape[0])  # unless reordered, rows continue
             return x
         mask = causal_mask(x.shape[0]) if causal else None
         layer_caches = cache.layers if cache is not None else [None] * len(self.layers)
@@ -308,48 +316,6 @@ class Adam:
             p.data -= lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
             p.grad[...] = 0.0
         return lr
-
-
-def finite_difference_check(
-    loss_fn: Callable[[], Tensor],
-    params: list[Parameter],
-    rng: np.random.Generator,
-    samples_per_param: int = 16,
-    eps: float = 1e-5,
-) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    Coordinates are sampled per parameter. Relative error uses a 1e-4 floor
-    in the denominator so finite-difference rounding noise on near-zero
-    gradients does not register as failure. Zero parameters -> 0.0.
-    """
-    if not params:
-        return 0.0
-    for p in params:
-        p.grad[...] = 0.0
-    loss_fn().backward()
-    analytic = [p.grad.copy() for p in params]
-    for p in params:
-        p.grad[...] = 0.0
-
-    worst = 0.0
-    for p, ga in zip(params, analytic):
-        flat = p.data.reshape(-1)
-        n = flat.shape[0]
-        idx = np.arange(n) if n <= samples_per_param else rng.choice(n, samples_per_param, replace=False)
-        for i in idx:
-            orig = flat[i]
-            with ag.no_grad():
-                flat[i] = orig + eps
-                hi = loss_fn().item()
-                flat[i] = orig - eps
-                lo = loss_fn().item()
-            flat[i] = orig
-            numeric = (hi - lo) / (2 * eps)
-            a = ga.reshape(-1)[i]
-            rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-4)
-            worst = max(worst, rel)
-    return worst
 
 
 # -- checkpoints -----------------------------------------------------------

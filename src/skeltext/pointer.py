@@ -158,21 +158,28 @@ class SkeletonPointer(TableToText):
                     if max(h.score for h in done) >= max(h.score for h in live):
                         break
                 logp, distinct = self._step_log_probs(search, live, parents)
-                expansions: list[tuple[SkeletonPrediction, int]] = []
+                top = np.argsort(-logp, axis=1)[:, :beam_width].tolist()
+                scores = logp.tolist()
+                # (score, row, token index) in row order, then argsort order:
+                # the stable sort below breaks score ties in that order.
+                expansions: list[tuple[float, int, int]] = []
                 for row, hyp in enumerate(live):
-                    for j in np.argsort(-logp[row])[:beam_width]:
-                        tok = distinct[j]
-                        score = hyp.score + float(logp[row, j])
-                        if tok == EOS_TOKEN:
+                    extend = len(hyp.tokens) < max_len
+                    for j in top[row]:
+                        score = hyp.score + scores[row][j]
+                        if distinct[j] == EOS_TOKEN:
                             done.append(SkeletonPrediction(hyp.tokens, score, True))
-                        elif len(hyp.tokens) < max_len:
-                            extended = SkeletonPrediction([*hyp.tokens, tok], score, False)
-                            expansions.append((extended, row))
-                    if len(hyp.tokens) >= max_len:
+                        elif extend:
+                            expansions.append((score, row, j))
+                    if not extend:
                         exhausted.append(hyp)
-                expansions.sort(key=lambda e: -e[0].score)
-                live = [h for h, _ in expansions[:beam_width]]
-                parents = [row for _, row in expansions[:beam_width]]
+                expansions.sort(key=lambda e: -e[0])
+                del expansions[beam_width:]
+                live = [
+                    SkeletonPrediction([*live[row].tokens, distinct[j]], score, False)
+                    for score, row, j in expansions
+                ]
+                parents = [row for _, row, _ in expansions]
 
         def rank(h: SkeletonPrediction) -> float:
             return h.score / (len(h.tokens) + 1) if length_normalize else h.score

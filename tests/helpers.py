@@ -18,6 +18,11 @@ WORDS = (
 KEYS = ("Name_ID", "Place_of_birth", "Date_of_birth", "Occupation", "Award_received")
 
 
+def all_value_tokens(table: Table) -> list[str]:
+    """Every value token of the table, attribute by attribute."""
+    return [t for a in table.attributes for t in a.value_tokens]
+
+
 def random_table(rng: np.random.Generator, max_attrs: int = 4, max_value_len: int = 3) -> Table:
     n_attrs = int(rng.integers(1, max_attrs + 1))
     keys = list(rng.choice(len(KEYS), size=n_attrs, replace=False))
@@ -64,7 +69,7 @@ def tiny_editor(seed: int = 0, **config_overrides):
 def small_example(rng: np.random.Generator) -> Example:
     """Table plus a reference that overlaps its values (skeleton annotated later)."""
     table = random_table(rng)
-    value_tokens = table.all_value_tokens()
+    value_tokens = all_value_tokens(table)
     ref: list[str] = []
     for tok in value_tokens:
         if rng.uniform() < 0.3:

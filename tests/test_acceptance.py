@@ -40,7 +40,7 @@ from skeltext.oracle import (
 from skeltext.skeleton import annotate_skeleton
 from skeltext.training import load_editor_dir
 
-from helpers import random_table, random_tokens, tiny_editor
+from helpers import all_value_tokens, random_table, random_tokens, tiny_editor
 from metric_refs import ref_bleu, ref_parent, ref_parent_t
 
 ABC = ("a", "b", "c")
@@ -344,7 +344,7 @@ def test_acceptance_4_hard_constraint_preservation(pipeline):
         model, _ = tiny_editor(seed=1000 + model_seed, k_max=2)
         for _ in range(20):
             table = random_table(rng)
-            values = table.all_value_tokens()
+            values = all_value_tokens(table)
             take = sorted(
                 rng.choice(len(values), size=int(rng.integers(0, min(6, len(values)) + 1)),
                            replace=False)

@@ -182,6 +182,43 @@ def test_finiteness_probe_accepts_values_whose_sum_overflows():
         assert np.all(Tensor(-arr).data == -1e308)
 
 
+def _layouts():
+    """Arrays the probe must read whole: name -> (array, index of one element)."""
+    rng = np.random.default_rng(23)
+    big = ag._ZEROS.size + 7
+    return {
+        "transposed": (rng.normal(size=(6, 4)).T, (3, 5)),  # not C-contiguous
+        "strided": (rng.normal(size=(5, 8))[:, ::3], (4, 2)),
+        "beyond_zero_buffer": (rng.normal(size=big), big - 1),
+        "scalar": (np.array(2.5), ()),  # a lone value
+    }
+
+
+@pytest.mark.parametrize("layout", list(_layouts()))
+@pytest.mark.parametrize(
+    "bad", [np.inf, -np.inf, np.nan, None], ids=["inf", "-inf", "nan", "finite"]
+)
+def test_finiteness_probe_reads_every_layout(layout, bad):
+    arr, index = _layouts()[layout]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the probe itself raises no floating-point warning
+        if bad is None:
+            assert Tensor(arr).data is arr
+            return
+        arr[index] = bad
+        with pytest.raises(NonFiniteError):
+            Tensor(arr)
+
+
+def test_finiteness_probe_accepts_signed_zeros_and_empty_arrays():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.signbit(Tensor(np.array([-0.0, -0.0])).data).all()
+        Tensor(np.array([0.0, -0.0, 5e-324, -5e-324]))  # zeros and subnormals
+        assert Tensor(np.zeros((0, 3))).shape == (0, 3)
+        assert Tensor(np.zeros(0)).shape == (0,)
+
+
 def test_no_grad_disables_tape():
     x = Tensor(np.ones((2, 2)), retain_grad=True)
     with ag.no_grad():
@@ -305,14 +342,16 @@ def test_attention_matches_the_composed_ops_to_the_bit(case, n_heads, t_q, t_k, 
         def composed(x1, x2, m):
             kv = composed_keys_values(attn, m)
             return composed_attention(attn, x1, m, None, kv), composed_attention(attn, x2, m, None, kv)
-    else:  # step: 2 cached hypotheses of t_k positions, reordered to t_q rows
-        parents = np.array([1, 0, 1])
-        cache = rng.normal(size=(2, 2, n_heads, t_k, d // n_heads))
+    else:  # step: 3 cached hypotheses of t_k positions, gathered to t_q rows
+        # Row 2 continues twice and row 1 not at all, so the folded gather's
+        # backward must sum two gradients into one cache row and leave zeros.
+        parents = np.array([2, 0, 2])
+        cache = rng.normal(size=(2, 3, n_heads, t_k, d // n_heads))
         inputs = [x, cache[0], cache[1]]
 
         def fused(x, past_k, past_v):
             past = ag.concat([reshape(t, (1,) + t.shape) for t in (past_k, past_v)], axis=0)
-            kv = attn.keys_values(x, past[:, parents])
+            kv = attn.keys_values(x, past, parents)
             return (attn(x, x, None, kv),)
 
         def composed(x, past_k, past_v):
@@ -348,6 +387,25 @@ def test_residual_layer_norm_matches_the_composed_ops_to_the_bit():
         return ag.layer_norm(x + r, gain, bias)
 
     assert _run(fused, inputs, weights) == _run(composed, inputs, weights)
+
+
+@pytest.mark.parametrize("with_residual", [False, True], ids=["plain", "residual"])
+def test_layer_norm_forward_is_the_out_of_place_arithmetic_and_spares_its_inputs(with_residual):
+    # The forward writes into buffers of its own; it must give the bits of
+    # the out-of-place expressions and never write into an input's array.
+    rng = np.random.default_rng(28)
+    arrays = [rng.normal(size=(4, 6)) * 3.0 + 1.0, rng.normal(size=(4, 6))]
+    arrays += [rng.normal(size=6), rng.normal(size=6)]
+    before = [a.tobytes() for a in arrays]
+    x, r, gain, bias = (Tensor(a) for a in arrays)
+    out = ag.layer_norm(x, gain, bias, 1e-5, r if with_residual else None)
+    h = arrays[0] + arrays[1] if with_residual else arrays[0]
+    xc = h - h.sum(axis=-1, keepdims=True) / 6
+    var = (xc * xc).sum(axis=-1, keepdims=True) / 6
+    want = xc * (1.0 / np.sqrt(var + 1e-5)) * arrays[2] + arrays[3]
+    assert out.data.tobytes() == want.tobytes()
+    assert [a.tobytes() for a in arrays] == before
+    assert not any(np.shares_memory(out.data, a) for a in arrays)
 
 
 def test_feed_forward_matches_the_composed_ops_to_the_bit():

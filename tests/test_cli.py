@@ -162,6 +162,17 @@ def test_evaluate_count_mismatch_fails(pipeline, tmp_path):
     assert main(["evaluate", "--system", bad, "--gold", pipeline["corpus"]]) == 1
 
 
+def test_evaluate_on_an_empty_gold_corpus_names_the_problem(tmp_path, capsys):
+    gold, system = tmp_path / "gold.jsonl", tmp_path / "system.jsonl"
+    gold.write_text("\n")
+    system.write_text("")
+    assert main(["evaluate", "--system", str(system), "--gold", str(gold)]) == 1
+    events = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+    assert events[-1]["event"] == "error"
+    assert events[-1]["error"] == "ValueError"
+    assert "at least one gold example" in events[-1]["message"]
+
+
 def test_train_is_deterministic_given_seed(pipeline, tmp_path):
     dir1 = str(tmp_path / "p1")
     dir2 = str(tmp_path / "p2")
@@ -315,10 +326,12 @@ def _runaway_editor(tmp_path, corpus_path, max_state_len=8, k_max=4):
 def _two_example_corpus(tmp_path):
     from skeltext.data import Example, save_corpus
 
+    from helpers import all_value_tokens
+
     corpus = str(tmp_path / "c.jsonl")
     assert main(["synth-corpus", "--n", "2", "--seed", "0", "--out", corpus]) == 0
     data = load_corpus(corpus)
-    skeletons = [(), data[1].table.all_value_tokens()[:1]]
+    skeletons = [(), all_value_tokens(data[1].table)[:1]]
     annotated = [Example(ex.table, ex.reference, tuple(sk)) for ex, sk in zip(data, skeletons)]
     path = str(tmp_path / "a.jsonl")
     save_corpus(annotated, path)
@@ -403,10 +416,10 @@ def _pointer_with_a_nan_token(tmp_path, corpus_path):
     """Untrained tiny pointer whose embedding of one token of example 1 only is NaN."""
     from skeltext.training import build_pointer, build_vocabularies, save_model_dir
 
-    from helpers import tiny_config
+    from helpers import all_value_tokens, tiny_config
 
     data = load_corpus(corpus_path)
-    token = sorted(set(data[1].table.all_value_tokens()) - set(data[0].table.all_value_tokens()))[0]
+    token = sorted(set(all_value_tokens(data[1].table)) - set(all_value_tokens(data[0].table)))[0]
     cfg = tiny_config(seed=0)
     model = build_pointer(cfg, *build_vocabularies(data, cfg))
     model.encoder.tok_emb.weight.data[model.vocab.id_of(token), 0] = np.nan

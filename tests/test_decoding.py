@@ -25,7 +25,7 @@ from skeltext.decoding import (
 from skeltext.editor import EditState
 from skeltext.oracle import is_subsequence
 
-from helpers import random_table, tiny_editor
+from helpers import all_value_tokens, random_table, tiny_editor
 
 
 class StubEditor:
@@ -196,7 +196,7 @@ def test_iterate_random_model_constraint_preservation():
     for seed in range(6):
         model, cfg = tiny_editor(seed=20 + seed, k_max=2)
         table = random_table(rng)
-        value_tokens = table.all_value_tokens()
+        value_tokens = all_value_tokens(table)
         take = sorted(
             rng.choice(len(value_tokens), size=int(rng.integers(0, min(4, len(value_tokens)) + 1)), replace=False)
         )
@@ -276,7 +276,7 @@ def _decoding_cases(draw):
     """Tiny random model and table; skeletons repeat tokens and hold unknown ones."""
     seed = draw(st.integers(0, 2**16))
     table = random_table(np.random.default_rng(seed))
-    pool = [*table.all_value_tokens(), "oov-token-1", "oov-token-2"]
+    pool = [*all_value_tokens(table), "oov-token-1", "oov-token-2"]
     return {
         "seed": seed,
         "k_max": draw(st.integers(1, 4)),
@@ -324,7 +324,7 @@ def test_iterate_never_decodes_the_same_tokens_twice_in_a_row():
 
         model.decode_hidden = counting
         table = random_table(rng)
-        _, trace = iterate(model, table, table.all_value_tokens()[:3], max_iter=4,
+        _, trace = iterate(model, table, all_value_tokens(table)[:3], max_iter=4,
                            hard_constraints=bool(seed % 2))
         assert trace.iterations >= 1
         assert all(a != b for a, b in zip(calls, calls[1:]))
@@ -333,8 +333,8 @@ def test_iterate_never_decodes_the_same_tokens_twice_in_a_row():
 def test_memoized_memory_projections_match_uncached_decoding():
     model, _ = tiny_editor(seed=3, n_layers=2)
     table = random_table(np.random.default_rng(3))
-    first = [BOS_TOKEN, *table.all_value_tokens(), EOS_TOKEN]
-    second = [BOS_TOKEN, "oov-token", *table.all_value_tokens()[:1], PLH_TOKEN, EOS_TOKEN]
+    first = [BOS_TOKEN, *all_value_tokens(table), EOS_TOKEN]
+    second = [BOS_TOKEN, "oov-token", *all_value_tokens(table)[:1], PLH_TOKEN, EOS_TOKEN]
     with ag.no_grad():
         enc = model.encode(table)
         memo = enc.memory_cache(model.decoder)
@@ -358,7 +358,7 @@ def test_iterate_projects_the_table_memory_once_per_layer():
     decode = model.decode_hidden
     model.decode_hidden = lambda tokens, enc: decodes.append(tokens) or decode(tokens, enc)
     table = random_table(np.random.default_rng(4))
-    iterate(model, table, table.all_value_tokens()[:2], max_iter=3)
+    iterate(model, table, all_value_tokens(table)[:2], max_iter=3)
     assert len(decodes) >= 3
     assert projections == {0: 1, 1: 1}
 
@@ -368,11 +368,11 @@ def test_nan_in_a_cross_attention_weight_raises_non_finite():
     model.decoder.layers[0].cross_attn.wk.weight.data[0, 0] = np.nan
     table = random_table(np.random.default_rng(6))
     with pytest.raises(NonFiniteError) as info:
-        iterate(model, table, table.all_value_tokens()[:2], max_iter=3)
+        iterate(model, table, all_value_tokens(table)[:2], max_iter=3)
     trace = info.value.trace
     assert trace.termination == NON_FINITE
     assert trace.iterations == 0
-    assert trace.snapshots[0].body() == tuple(table.all_value_tokens()[:2])
+    assert trace.snapshots[0].body() == tuple(all_value_tokens(table)[:2])
 
 
 def test_overflow_carries_the_states_decoded_before_it():

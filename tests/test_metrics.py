@@ -214,6 +214,13 @@ def test_report_count_mismatch_rejected():
         evaluate_outputs([["a"]], [])
 
 
+def test_report_on_an_empty_corpus_is_a_named_error():
+    # Corpus means divide by the example count, so an empty corpus must be
+    # refused before any of them (it used to raise ZeroDivisionError).
+    with pytest.raises(ValueError, match="at least one gold example"):
+        evaluate_outputs([], [])
+
+
 def test_ngram_counts_basic():
     assert ngram_counts(["a", "b", "a"], 1) == Counter({("a",): 2, ("b",): 1})
     assert ngram_counts(["a", "b", "a"], 2) == Counter({("a", "b"): 1, ("b", "a"): 1})

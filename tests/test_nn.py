@@ -10,6 +10,7 @@ import pytest
 
 from skeltext import autograd as ag
 from skeltext.autograd import ShapeError, Tensor
+from skeltext.gradcheck import finite_difference_check
 from skeltext.nn import (
     Adam,
     Embedding,
@@ -19,7 +20,6 @@ from skeltext.nn import (
     MultiHeadAttention,
     TransformerEncoder,
     causal_mask,
-    finite_difference_check,
     inverse_sqrt_lr,
     load_checkpoint,
     save_checkpoint,
@@ -329,7 +329,9 @@ def test_fused_blocks_give_the_composed_models_gradients_to_the_bit(stage, monke
     # layer of every pass) is checked too.
     from skeltext.oracle import edit_loss_example
 
-    from helpers import small_example, tiny_editor, tiny_pointer, use_composed_blocks
+    from helpers import (
+        all_value_tokens, small_example, tiny_editor, tiny_pointer, use_composed_blocks,
+    )
 
     def gradients() -> list[bytes]:
         build = tiny_pointer if stage == "pointer" else tiny_editor
@@ -341,9 +343,9 @@ def test_fused_blocks_give_the_composed_models_gradients_to_the_bit(stage, monke
             for p in model.parameters():
                 p.grad[...] = 0.0
             if stage == "pointer":
-                loss = model.loss(replace(ex, skeleton=ex.table.all_value_tokens()[:3]))
+                loss = model.loss(replace(ex, skeleton=all_value_tokens(ex.table)[:3]))
             else:
-                skeleton = ex.table.all_value_tokens()[:2]
+                skeleton = all_value_tokens(ex.table)[:2]
                 loss = edit_loss_example(model, model.encode(ex.table), skeleton, ex.reference, rng).total
             loss.backward()
             grads += [p.grad.tobytes() for p in model.parameters()]

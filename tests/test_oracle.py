@@ -321,13 +321,13 @@ def test_deletion_oracle_composed_with_constraint_machinery():
     from skeltext.data import BOS_TOKEN, EOS_TOKEN
     from skeltext.decoding import init_state
     from skeltext.editor import EditState
-    from helpers import tiny_editor, random_table
+    from helpers import all_value_tokens, random_table, tiny_editor
 
     rng = np.random.default_rng(11)
     model, _ = tiny_editor(seed=12, k_max=8)
     for _ in range(60):
         table = random_table(rng)
-        values = table.all_value_tokens()
+        values = all_value_tokens(table)
         y_star = []
         for tok in values:
             if rng.uniform() < 0.4:

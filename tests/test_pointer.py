@@ -7,11 +7,12 @@ import math
 import numpy as np
 import pytest
 
+from skeltext import autograd as ag
 from skeltext.autograd import NonFiniteError, Tensor
 from skeltext.data import Attribute, BOS_TOKEN, EOS_TOKEN, Example, Table
 from skeltext.encoder import EncoderOutput
 from skeltext.nn import DecoderCache
-from skeltext.pointer import DataIntegrityError, SkeletonPointer, copy_pool
+from skeltext.pointer import DataIntegrityError, SkeletonPointer, SkeletonPrediction, copy_pool
 from skeltext.skeleton import annotate_skeleton
 from skeltext.stopwords import default_stop_words
 from skeltext.synth import TemplateSpec, generate
@@ -189,6 +190,90 @@ def test_beam_score_at_least_greedy_score():
         assert beam.score >= greedy.score - 1e-12
 
 
+def _reference_beam_search(model, table, beam_width, max_len, length_normalize=False):
+    """Beam search as a plain loop: a per-row argsort, every expansion built, one stable sort."""
+    search = model._start_search(table)
+    live, parents = [SkeletonPrediction([], 0.0, False)], [0]
+    done, exhausted = [], []
+    for _ in range(max_len + 1):
+        if not live:
+            break
+        if done and not length_normalize:
+            if max(h.score for h in done) >= max(h.score for h in live):
+                break
+        logp, distinct = model._step_log_probs(search, live, parents)
+        expansions = []
+        for row, hyp in enumerate(live):
+            for j in np.argsort(-logp[row])[:beam_width]:
+                score = hyp.score + float(logp[row, j])
+                if distinct[j] == EOS_TOKEN:
+                    done.append(SkeletonPrediction(hyp.tokens, score, True))
+                elif len(hyp.tokens) < max_len:
+                    extended = SkeletonPrediction([*hyp.tokens, distinct[j]], score, False)
+                    expansions.append((extended, row))
+            if len(hyp.tokens) >= max_len:
+                exhausted.append(hyp)
+        expansions.sort(key=lambda e: -e[0].score)
+        live = [h for h, _ in expansions[:beam_width]]
+        parents = [row for _, row in expansions[:beam_width]]
+
+    def rank(h):
+        return h.score / (len(h.tokens) + 1) if length_normalize else h.score
+
+    return max(done or live + exhausted, key=rank)
+
+
+class _TiedPointer(_ForcedPointer):
+    """Scores quantized to a few levels, so most candidates tie within and across rows."""
+
+    def __init__(self, seed):
+        super().__init__([])
+        self.forced_vocab = ["a", "b", "c", "d", EOS_TOKEN]
+        self.rng = np.random.default_rng(seed)
+
+    def _step_log_probs(self, search, live, parents):
+        levels = self.rng.integers(0, 3, size=(len(live), len(self.forced_vocab)))
+        levels[:, -1] = 3  # EOS is never likely, so hypotheses run to max_len
+        return -np.log(2.0) * levels, self.forced_vocab
+
+
+def _search_trace(model, search_fn, *args):
+    """The result of one search and the (live tokens, parents) of each of its steps."""
+    steps, step = [], model._step_log_probs
+
+    def recording(search, live, parents):
+        steps.append(([h.tokens for h in live], list(parents)))
+        return step(search, live, parents)
+
+    model._step_log_probs = recording
+    try:
+        pred = search_fn(*args)
+    finally:
+        del model._step_log_probs
+    return (pred.tokens, pred.score.hex(), pred.finished), steps
+
+
+@pytest.mark.parametrize("width", [1, 3, 5])
+def test_beam_search_matches_the_plain_loop_to_the_bit(width):
+    # Every step's hypotheses and parents, and the result's tokens, score
+    # bits and finished flag, tie order included.
+    rng = np.random.default_rng(50 + width)
+    for seed in range(4):
+        model, _ = tiny_pointer(seed=60 + seed)
+        table = random_table(rng)
+        with ag.no_grad():
+            got = _search_trace(model, model.beam_search, table, width, 10)
+            want = _search_trace(model, _reference_beam_search, model, table, width, 10)
+        assert got == want
+    table = Table((Attribute("K", ("x",)),))  # _TiedPointer ignores the table
+    for seed in range(6):
+        model = _TiedPointer(seed)
+        got = _search_trace(model, model.beam_search, table, width, 6)
+        model = _TiedPointer(seed)
+        want = _search_trace(model, _reference_beam_search, model, table, width, 6)
+        assert got == want
+
+
 def test_truncation_is_flagged_not_silent():
     script = ["a", "b", "c", "d", "e"]
     model = _ForcedPointer(script)
@@ -230,6 +315,30 @@ def test_cached_decoder_states_match_full_decoder_rows():
     for i, prefix in enumerate(prefixes):
         full = model.decoder_states(prefix, enc).data
         assert np.abs(states.data[i] - full[-1]).max() < 1e-12
+
+
+@pytest.mark.parametrize("width,n_layers", [(1, 1), (3, 2), (5, 3)])
+def test_a_cached_beam_step_builds_a_fixed_number_of_tensors(width, n_layers, monkeypatch):
+    # Each Tensor costs a construction and a finiteness probe, so a beam step
+    # must not build more than these, whatever the number of live hypotheses:
+    # 4 to embed the tokens (token lookup, projection, position lookup, add),
+    # 7 per decoder layer (self K/V append with the gathered cache, self- and
+    # cross-attention, feed-forward, three residual LayerNorms) and 5 for
+    # pointer attention (query, transposed keys, matmul, scale, softmax).
+    model, _ = tiny_pointer(seed=14, n_layers=n_layers)
+    with ag.no_grad():
+        search = model._start_search(random_table(np.random.default_rng(14)))
+        model._step_log_probs(search, [SkeletonPrediction([], 0.0, False)], [0])
+        live = [SkeletonPrediction([tok], 0.0, False) for tok in search.distinct[:width]]
+        live += [live[0]] * (width - len(live))
+        built = []
+        init = Tensor.__init__
+        monkeypatch.setattr(
+            Tensor, "__init__", lambda t, *a, **k: built.append(1) or init(t, *a, **k)
+        )
+        logp, _ = model._step_log_probs(search, live, [0] * width)
+    assert logp.shape[0] == width
+    assert len(built) == 4 + 7 * n_layers + 5
 
 
 @pytest.mark.parametrize("width", [1, 2, 5])
