@@ -100,19 +100,30 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.shape})"
 
-    def backward(self) -> None:
-        """Backpropagate from a scalar; accumulates into retained .grad arrays.
+    def backward(self, grad: np.ndarray | None = None) -> None:
+        """Backpropagate into retained .grad arrays, from a scalar or with a seed `grad`.
 
-        Only tracked tensors receive gradients: constants are neither walked
-        nor given one. An op may hand one array to several parents, so an
-        intermediate node stores its first contribution as it comes and adds
-        later ones into a new array. A retained gradient owns its array and
-        accumulates in place. Every stored gradient is C-contiguous, so each
-        op's backward reads the memory layout (and takes the BLAS path) it
-        always has, and gives the same bits.
+        A scalar is seeded with 1; any other tensor needs `grad`, its
+        gradient, of its own shape. Only tracked tensors receive gradients:
+        constants are neither walked nor given one. An op may hand one array
+        to several parents, so an intermediate node stores its first
+        contribution as it comes and adds later ones into a new array. A
+        retained gradient owns its array and accumulates in place. Every
+        stored gradient is C-contiguous, so each op's backward reads the
+        memory layout (and takes the BLAS path) it always has, and gives the
+        same bits.
+
+        Each node is freed as soon as it has run: its saved arrays, its links
+        to its parents and, unless retained, its gradient. It is marked so
+        that a later op cannot silently build on a value whose upstream graph
+        is gone (stale forward results).
         """
-        if self.data.size != 1:
-            raise ShapeError(f"backward() needs a scalar, got shape {self.shape}")
+        if grad is None:
+            if self.data.size != 1:
+                raise ShapeError(f"backward() needs a scalar, got shape {self.shape}")
+            grad = np.ones_like(self.data)
+        elif grad.shape != self.shape:
+            raise ShapeError(f"backward() seed of shape {grad.shape} for a tensor of {self.shape}")
         # Post-order DFS over the nodes with a backward; leaves need no visit.
         topo: list[Tensor] = []
         seen: set[Tensor] = set()
@@ -132,27 +143,23 @@ class Tensor:
             for p in node._parents:
                 if p._bw is not None and p not in seen:
                     stack.append(p)
-        seed = np.ones_like(self.data)
-        self.grad = seed if self.grad is None else self.grad + seed
-        for node in reversed(topo):
-            if node.grad is None:
-                continue
-            for parent, g in zip(node._parents, node._bw(node.grad)):
-                if g is None or not parent._track:
-                    continue
-                if parent.retain_grad:
-                    if parent.grad is None:
-                        parent.grad = np.array(g, order="C")
-                    else:
-                        parent.grad += g
-                elif parent.grad is None:
-                    parent.grad = np.ascontiguousarray(g)
-                else:  # C-contiguous, as the stored operand is
-                    parent.grad = parent.grad + g
-        # Free tape memory; only retain_grad leaves keep their gradients.
-        # Freed non-leaf nodes are marked so a later op cannot silently build
-        # on a value whose upstream graph is gone (stale forward results).
-        for node in topo:
+        del seen, done  # only topo may keep the nodes alive
+        self.grad = np.array(grad, order="C") if self.grad is None else self.grad + grad
+        while topo:
+            node = topo.pop()
+            if node.grad is not None:
+                for parent, g in zip(node._parents, node._bw(node.grad)):
+                    if g is None or not parent._track:
+                        continue
+                    if parent.retain_grad:
+                        if parent.grad is None:
+                            parent.grad = np.array(g, order="C")
+                        else:
+                            parent.grad += g
+                    elif parent.grad is None:
+                        parent.grad = np.ascontiguousarray(g)
+                    else:  # C-contiguous, as the stored operand is
+                        parent.grad = parent.grad + g
             node._consumed = True
             node._parents = ()
             node._bw = None
@@ -326,14 +333,16 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
 # graph accumulated them: an input that graph read twice (the keys and the
 # values of one memory) is listed twice, and gets two gradients.
 
-def _heads(a: np.ndarray, n_heads: int) -> np.ndarray:
-    """(T, h*d) rows -> the strided (h, T, d) view of their heads."""
-    return a.reshape(a.shape[0], n_heads, a.shape[1] // n_heads).transpose(1, 0, 2)
+def _heads(a: np.ndarray, n_heads: int, batch: int = 1) -> np.ndarray:
+    """(B·T, h*d) rows of B sequences -> the strided (B, h, T, d) view of their heads."""
+    n, width = a.shape
+    return a.reshape(batch, n // batch, n_heads, width // n_heads).transpose(0, 2, 1, 3)
 
 
 def _merge_heads(c: np.ndarray) -> np.ndarray:
-    """(h, T, d) heads -> (T, h*d) rows, as a new C-contiguous array."""
-    return c.transpose(1, 0, 2).reshape(c.shape[1], -1)
+    """(B, h, T, d) heads -> (B·T, h*d) rows, as a new C-contiguous array."""
+    b, h, t, d = c.shape
+    return c.transpose(0, 2, 1, 3).reshape(b * t, h * d)
 
 
 def keys_values(
@@ -386,20 +395,25 @@ def attention(
     The node covers the query projection, the head split, the scaled masked
     softmax, the head merge and the output projection. With kv (2, t_k, d),
     every row of x attends over the same t_k positions, under the additive
-    (T, t_k) mask if one is given. With kv a (2, B, h, t, d_head) cache, row
-    b of x (B, d) attends over the t positions of hypothesis b. The scores
-    are probed like any tensor: a non-finite score raises even where the
+    (T, t_k) mask if one is given. A 4-D mask (B, 1, T or 1, t_k) makes a
+    padded batch: x holds B sequences of T rows each, kv B memories of t_k
+    rows each, and sequence b attends over memory b under mask[b], which
+    hides its padded keys. With kv a (2, B, h, t, d_head) cache, row b of
+    x (B, d) attends over the t positions of hypothesis b. The scores are
+    probed like any tensor: a non-finite score raises even where the
     softmax would hide it.
     """
     n, d = x.shape
     dh = d // n_heads
     scale = 1.0 / float(np.sqrt(dh))
     cached = kv.ndim == 5
+    batch = mask.shape[0] if mask is not None and mask.ndim == 4 else 1
     q = _affine(x.data, wq.data, bq.data)
     if cached:
         qh, (kh, vh) = q.reshape(n, n_heads, 1, dh), kv.data
     else:
-        qh, kh, vh = _heads(q, n_heads), _heads(kv.data[0], n_heads), _heads(kv.data[1], n_heads)
+        qh = _heads(q, n_heads, batch)
+        kh, vh = _heads(kv.data[0], n_heads, batch), _heads(kv.data[1], n_heads, batch)
     p = np.matmul(qh, kh.swapaxes(-1, -2))
     p *= scale
     if mask is not None:
@@ -414,7 +428,7 @@ def attention(
 
     def bw(g):
         gc, gwo, gbo = _affine_grads(g, c, wo.data)
-        gc = gc.reshape(qh.shape) if cached else np.ascontiguousarray(_heads(gc, n_heads))
+        gc = gc.reshape(qh.shape) if cached else np.ascontiguousarray(_heads(gc, n_heads, batch))
         gp = np.matmul(gc, np.swapaxes(vh, -1, -2))
         gv = np.matmul(np.swapaxes(p, -1, -2), gc)
         gp = (gp - (gp * p).sum(axis=-1, keepdims=True)) * p
@@ -426,8 +440,8 @@ def attention(
             gkv[0], gkv[1] = gk, gv
             gq = gq.reshape(n, d)
         else:
-            _heads(gkv[0], n_heads)[...] = gk
-            _heads(gkv[1], n_heads)[...] = gv
+            _heads(gkv[0], n_heads, batch)[...] = gk
+            _heads(gkv[1], n_heads, batch)[...] = gv
             gq = _merge_heads(gq)
         gx, gwq, gbq = _affine_grads(gq, x.data, wq.data)
         return gx, gkv, gwq, gbq, gwo, gbo
@@ -516,7 +530,9 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
     ids touch, each summed as a dense scatter sums it: row r gets
     grad[r] + ((0 + g_1) + g_2), the dense path's bits. An untouched row
     keeps its value, as adding the dense path's +0.0 does, because a
-    gradient that starts at +0.0 never holds -0.0.
+    gradient that starts at +0.0 never holds -0.0. For the same reason,
+    distinct ids add g straight into their rows: grad[r] + g_1 has the bits
+    of grad[r] + (0 + g_1), which differ only where g_1 is -0.0.
     """
     ids = np.asarray(ids, dtype=np.int64)
     if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
@@ -525,11 +541,14 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
         return take(table, ids)
 
     def bw(g):
+        if table.grad is None:
+            table.grad = np.zeros_like(table.data)
+        if len(set(ids.tolist())) == ids.size:
+            table.grad[ids] += g
+            return (None,)
         rows, inverse = np.unique(ids, return_inverse=True)
         summed = np.zeros((len(rows),) + table.shape[1:])
         np.add.at(summed, inverse, g)
-        if table.grad is None:
-            table.grad = np.zeros_like(table.data)
         table.grad[rows] += summed
         return (None,)  # accumulated above
 

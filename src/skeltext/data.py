@@ -259,7 +259,14 @@ def parse_corpus(stream: IO[str] | Iterable[str]) -> Corpus:
             obj = json.loads(line)
         except json.JSONDecodeError as err:
             raise CorpusError(f"malformed JSON ({err.msg})", line_no) from err
-        corpus.append(_parse_line(obj, line_no))
+        except RecursionError as err:
+            raise CorpusError("JSON nested too deeply", line_no) from err
+        except ValueError as err:  # e.g. an integer literal beyond the digit limit
+            raise CorpusError(f"unreadable JSON ({err})", line_no) from err
+        try:
+            corpus.append(_parse_line(obj, line_no))
+        except RecursionError as err:  # str() of a deeply nested value
+            raise CorpusError("value nested too deeply", line_no) from err
     return corpus
 
 

@@ -99,10 +99,17 @@ class EditRealizer(TableToText):
         """Per-position (keep, delete) distribution; index 0 keeps, 1 deletes."""
         return ag.softmax(self.deletion_logits(z), axis=-1)
 
-    def placeholder_logits(self, z: Tensor) -> Tensor:
-        if z.shape[0] < 2:
-            raise ValueError("placeholder head needs a state of length >= 2")
-        pairs = ag.concat([z[:-1], z[1:]], axis=1)
+    def placeholder_logits(self, z: Tensor, slots: np.ndarray | None = None) -> Tensor:
+        """Logits of 0..k_max insertions between each row of z in `slots` and the next row.
+
+        By default the slots are every row but the last: the n-1 slots of one state.
+        """
+        if slots is None:
+            if z.shape[0] < 2:
+                raise ValueError("placeholder head needs a state of length >= 2")
+            pairs = ag.concat([z[:-1], z[1:]], axis=1)
+        else:
+            pairs = ag.concat([z[slots], z[slots + 1]], axis=1)
         return self.w_plh(pairs)
 
     def placeholder_scores(self, z: Tensor) -> Tensor:
@@ -124,6 +131,10 @@ class EditRealizer(TableToText):
         """
         if len(positions) == 0:
             return []
-        logits = self.token_logits(z, positions).data.copy()
+        return self.fill_tokens(self.token_logits(z, positions).data)
+
+    def fill_tokens(self, logits: np.ndarray) -> list[str]:
+        """The greedy token of each row of token-head logits, reserved symbols excluded."""
+        logits = logits.copy()
         logits[:, : len(RESERVED_TOKENS)] = -np.inf
         return [self.vocab.token_of(int(i)) for i in np.argmax(logits, axis=1)]

@@ -9,8 +9,29 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
-from .data import LinearizedTable, Table, Vocabulary, linearize_table
-from .nn import DecoderCache, Embedding, Linear, Module, TransformerDecoder, TransformerEncoder
+from .data import PAD_ID, LinearizedTable, Table, Vocabulary, linearize_table
+from .nn import (
+    DecoderCache,
+    Embedding,
+    Linear,
+    Module,
+    Padded,
+    TransformerDecoder,
+    TransformerEncoder,
+    padding_mask,
+)
+
+
+def pad_ids(seqs: Sequence[np.ndarray]) -> tuple[np.ndarray, list[int]]:
+    """Stack id arrays, padded with PAD_ID along their last axis to the longest.
+
+    Returns the (B, ..., width) array and the B unpadded lengths.
+    """
+    lengths = [s.shape[-1] for s in seqs]
+    out = np.full((len(seqs),) + seqs[0].shape[:-1] + (max(lengths),), PAD_ID, dtype=np.int64)
+    for row, s in zip(out, seqs):
+        row[..., : s.shape[-1]] = s
+    return out, lengths
 
 
 @dataclass
@@ -77,26 +98,43 @@ class TableEncoder(Module):
         self.fuse = Linear(rng, token_dim + key_dim + 2 * pos_dim, d_model)
         self.encoder = TransformerEncoder(rng, d_model, d_hidden, n_heads, n_layers)
 
-    def _cell_ids(self, cells: LinearizedTable):
-        tok = np.array([self.vocab.id_of(c.token) for c in cells], dtype=np.int64)
-        key = np.array([self.key_vocab.id_of(c.key) for c in cells], dtype=np.int64)
-        fwd = np.array([min(c.fwd_pos, self.pos_clamp) for c in cells], dtype=np.int64)
-        bwd = np.array([min(c.bwd_pos, self.pos_clamp) for c in cells], dtype=np.int64)
-        return tok, key, fwd, bwd
+    def _cell_ids(self, cells: LinearizedTable) -> np.ndarray:
+        """(4, cells) ids: token, key, forward position and backward position."""
+        clamp = self.pos_clamp
+        return np.array(
+            [
+                [self.vocab.id_of(c.token) for c in cells],
+                [self.key_vocab.id_of(c.key) for c in cells],
+                [min(c.fwd_pos, clamp) for c in cells],
+                [min(c.bwd_pos, clamp) for c in cells],
+            ],
+            dtype=np.int64,
+        )
 
-    def embed_cells(self, cells: LinearizedTable) -> Tensor:
-        """Fused per-cell vectors: relu(W_f [token; key; fwd; bwd] + b_f)."""
-        tok, key, fwd, bwd = self._cell_ids(cells)
+    def _embed(self, ids: np.ndarray) -> Tensor:
+        """Fused per-cell vectors of _cell_ids: relu(W_f [token; key; fwd; bwd] + b_f)."""
+        tok, key, fwd, bwd = ids
         fused = ag.concat(
             [self.tok_emb(tok), self.key_emb(key), self.fwd_emb(fwd), self.bwd_emb(bwd)],
             axis=1,
         )
         return self.fuse(fused).relu()
 
-    def __call__(self, cells: LinearizedTable) -> EncoderOutput:
-        if not cells:
+    def encode_padded(self, tables: Sequence[LinearizedTable]) -> Padded:
+        """Hidden vectors of the cells of several tables, encoded as one padded batch.
+
+        Padding cells take id 0 in every field: the padding token and key,
+        and position 0, which no real cell has.
+        """
+        if not all(tables):
             raise ValueError("encode_table needs at least the EOS cell")
-        hidden = self.encoder(self.embed_cells(cells))
+        ids, lengths = pad_ids([self._cell_ids(cells) for cells in tables])
+        flat = ids.transpose(1, 0, 2).reshape(4, -1)
+        mask = padding_mask(lengths, ids.shape[-1])
+        return Padded(self.encoder(self._embed(flat), mask), lengths)
+
+    def __call__(self, cells: LinearizedTable) -> EncoderOutput:
+        hidden = self.encode_padded([cells]).rows
         return EncoderOutput(hidden, [c.token for c in cells])
 
 
@@ -140,6 +178,18 @@ class TableToText(Module):
     def encode(self, table: Table) -> EncoderOutput:
         return self.encoder(linearize_table(table))
 
+    def encode_batch(self, tables: Sequence[Table]) -> Padded:
+        """The tables' cells encoded as one padded batch."""
+        return self.encoder.encode_padded([linearize_table(t) for t in tables])
+
+    def _embed_tokens(self, ids: np.ndarray, positions: np.ndarray) -> Tensor:
+        if len(positions) and positions[-1] >= self.max_len:  # the largest, last
+            raise ValueError(f"{positions[-1] + 1} positions exceed the {self.max_len}-position cap")
+        return self.in_proj(self.encoder.tok_emb(ids)) + self.pos_emb(positions)
+
+    def _token_ids(self, tokens: Sequence[str]) -> np.ndarray:
+        return np.array([self.vocab.id_of(t) for t in tokens], dtype=np.int64)
+
     def decode_tokens(
         self, tokens: Sequence[str], enc: EncoderOutput, causal: bool,
         cache: DecoderCache | None = None,
@@ -153,8 +203,17 @@ class TableToText(Module):
             positions = np.full(len(tokens), cache.length)
         else:
             positions = np.arange(len(tokens))
-        if len(tokens) and positions[-1] >= self.max_len:
-            raise ValueError(f"{positions[-1] + 1} positions exceed the {self.max_len}-position cap")
-        ids = np.array([self.vocab.id_of(t) for t in tokens], dtype=np.int64)
-        x = self.in_proj(self.encoder.tok_emb(ids)) + self.pos_emb(positions)
+        x = self._embed_tokens(self._token_ids(tokens), positions)
         return self.decoder(x, enc.hidden, causal=causal, cache=cache)
+
+    def decode_batch(self, states: Sequence[Sequence[str]], memory: Padded, causal: bool) -> Padded:
+        """Decode state b against table b of `memory`, all states as one padded batch.
+
+        Every state sits at positions 0..n-1, as in decode_tokens, which is
+        the one-sequence case without the padding bookkeeping.
+        """
+        ids, lengths = pad_ids([self._token_ids(s) for s in states])
+        batch, width = ids.shape
+        x = self._embed_tokens(ids.reshape(-1), np.tile(np.arange(width), batch))
+        mask = padding_mask(lengths, width)
+        return Padded(self.decoder(x, memory.rows, causal, None, mask, memory.mask()), lengths)

@@ -19,7 +19,7 @@ from .nn import (
     TransformerDecoder,
     TransformerEncoder,
 )
-from .oracle import build_edit_supervision, edit_loss_from_supervision
+from .oracle import backprop_edit_batch, build_edit_supervision, edit_loss_from_supervision
 from .training import RunConfig, build_editor, build_pointer
 
 TOLERANCE = 1e-4
@@ -183,5 +183,26 @@ def run_gradcheck(seed: int = 0, samples_per_param: int = 12) -> list[tuple[str,
 
     empty = finite_difference_check(lambda: Tensor(0.0), [], rng)
     results.append(("zero_parameter_fragment", empty))
+
+    # Last, so that the checks above draw what they always drew from rng.
+    short = Example(
+        Table((Attribute("Name_ID", ("Lunden",)),)), ("born", "in", "Lunden", "."), ("Lunden",)
+    )
+    batch = [example, short]
+    batch_sups = [
+        build_edit_supervision(
+            editor, editor.encode(ex.table), ex.skeleton, ex.reference,
+            np.random.Generator(np.random.PCG64(12 + i)),
+        )
+        for i, ex in enumerate(batch)
+    ]
+
+    def batch_loss() -> Tensor:
+        # backprop_edit_batch backpropagates as it goes; the sum it returns
+        # is a constant whose backward() adds nothing more.
+        parts = backprop_edit_batch(editor, batch, batch_sups)
+        return Tensor(sum(p.total.item() for p in parts))
+
+    check("editor_padded_batch_loss", batch_loss, editor.parameters())
     return results
 

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Iterator
+from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -83,6 +84,50 @@ def causal_mask(n: int) -> np.ndarray:
     return np.triu(np.full((n, n), NEG_INF), k=1)
 
 
+def padding_mask(lengths: Sequence[int], width: int) -> np.ndarray | None:
+    """Additive (B, 1, 1, width) mask hiding the keys past each sequence's length.
+
+    None for one sequence without padding, which attention takes unbatched.
+    """
+    if len(lengths) == 1 and lengths[0] == width:
+        return None
+    real = np.arange(width) < np.asarray(lengths)[:, None]
+    return np.where(real, 0.0, NEG_INF)[:, None, None, :]
+
+
+@dataclass
+class Padded:
+    """B sequences of rows stacked as one (B·width, d) tensor, each padded to `width` rows.
+
+    Sequence b holds rows b·width .. b·width + lengths[b] - 1; the rows after
+    them are padding, which attention hides as keys and the losses never read.
+    """
+
+    rows: Tensor
+    lengths: list[int]
+
+    @property
+    def width(self) -> int:
+        return self.rows.shape[0] // len(self.lengths)
+
+    def mask(self) -> np.ndarray | None:
+        return padding_mask(self.lengths, self.width)
+
+    def index(self, rows: Sequence[np.ndarray]) -> np.ndarray:
+        """Flat row numbers of rows[b], row indices within sequence b, for every b."""
+        width = self.width
+        return np.concatenate([b * width + np.asarray(r, dtype=np.int64) for b, r in enumerate(rows)])
+
+    def select(self, which: Sequence[int]) -> Padded:
+        """The sequences `which`, padded to the longest of them."""
+        if list(which) == list(range(len(self.lengths))):
+            return self
+        lengths = [self.lengths[b] for b in which]
+        width, old = max(lengths), self.width
+        rows = np.concatenate([b * old + np.arange(width) for b in which])
+        return Padded(self.rows[rows], lengths)
+
+
 class MultiHeadAttention(Module):
     """Scaled dot-product attention; full/bidirectional unless a mask says otherwise."""
 
@@ -151,8 +196,8 @@ class EncoderLayer(Module):
         self.ln1 = LayerNorm(d_model)
         self.ln2 = LayerNorm(d_model)
 
-    def __call__(self, x: Tensor) -> Tensor:
-        x = self.ln1(x, self.attn(x, x))
+    def __call__(self, x: Tensor, mask: np.ndarray | None = None) -> Tensor:
+        x = self.ln1(x, self.attn(x, x, mask))
         return self.ln2(x, self.ff(x))
 
 
@@ -189,17 +234,18 @@ class DecoderLayer(Module):
         self_mask: np.ndarray | None = None,
         cache: LayerCache | None = None,
         parents: np.ndarray | None = None,
+        memory_mask: np.ndarray | None = None,
     ) -> Tensor:
         """With a cache whose self_kv is set, x (B, d) is one incremental step:
         row i's keys and values are appended to self_kv row parents[i] before
-        it attends."""
+        it attends. `memory_mask` is the cross-attention's additive mask."""
         self_kv = memory_kv = None
         if cache is not None:
             memory_kv = cache.memory_kv
             if cache.self_kv is not None:
                 self_kv = cache.self_kv = self.self_attn.keys_values(x, cache.self_kv, parents)
         x = self.ln1(x, self.self_attn(x, x, self_mask, self_kv))
-        x = self.ln2(x, self.cross_attn(x, memory, None, memory_kv))
+        x = self.ln2(x, self.cross_attn(x, memory, memory_mask, memory_kv))
         return self.ln3(x, self.ff(x))
 
 
@@ -207,9 +253,10 @@ class TransformerEncoder(Module):
     def __init__(self, rng, d_model: int, d_hidden: int, n_heads: int, n_layers: int):
         self.layers = [EncoderLayer(rng, d_model, d_hidden, n_heads) for _ in range(n_layers)]
 
-    def __call__(self, x: Tensor) -> Tensor:
+    def __call__(self, x: Tensor, mask: np.ndarray | None = None) -> Tensor:
+        """Encode the rows of x; with a padding mask (Padded.mask), a padded batch of them."""
         for layer in self.layers:
-            x = layer(x)
+            x = layer(x, mask)
         return x
 
 
@@ -249,13 +296,16 @@ class TransformerDecoder(Module):
         self.layers = [DecoderLayer(rng, d_model, d_hidden, n_heads) for _ in range(n_layers)]
 
     def __call__(
-        self, x: Tensor, memory: Tensor, causal: bool, cache: DecoderCache | None = None
+        self, x: Tensor, memory: Tensor, causal: bool, cache: DecoderCache | None = None,
+        mask: np.ndarray | None = None, memory_mask: np.ndarray | None = None,
     ) -> Tensor:
         """Decode the rows of x (T, d) against memory.
 
         With an incremental cache, x is (B, d): position cache.length of each
         hypothesis, decoded causally against the cached earlier positions.
-        Any other cache only supplies the memory projections.
+        Any other cache only supplies the memory projections. The key-padding
+        masks of a padded batch (Padded.mask) go in `mask`, for x, and
+        `memory_mask`, for the memory.
         """
         if cache is not None and cache.incremental:
             for layer, layer_cache in zip(self.layers, cache.layers):
@@ -263,10 +313,12 @@ class TransformerDecoder(Module):
             cache.length += 1
             cache.parents = np.arange(x.shape[0])  # unless reordered, rows continue
             return x
-        mask = causal_mask(x.shape[0]) if causal else None
+        if causal:
+            causal_part = causal_mask(x.shape[0] if mask is None else mask.shape[-1])
+            mask = causal_part if mask is None else mask + causal_part
         layer_caches = cache.layers if cache is not None else [None] * len(self.layers)
         for layer, layer_cache in zip(self.layers, layer_caches):
-            x = layer(x, memory, mask, layer_cache)
+            x = layer(x, memory, mask, layer_cache, None, memory_mask)
         return x
 
 

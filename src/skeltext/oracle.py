@@ -15,9 +15,10 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
-from .data import BOS_TOKEN, EOS_TOKEN, PLH_TOKEN
+from .data import BOS_TOKEN, EOS_TOKEN, PLH_TOKEN, Example
 from .editor import EditRealizer
 from .encoder import EncoderOutput
+from .nn import Padded
 
 Tokens = Sequence[str]
 
@@ -187,8 +188,8 @@ class EditSupervision:
     state2: list[str]  # [BOS] Y'' [EOS] with placeholders, supervises the token head
     positions: list[int]  # placeholder indices inside state2
     gold_ids: np.ndarray  # vocabulary ids of the gold fills
-    state3: list[str]  # [BOS] Y''' [EOS] with model fills, supervises deletion
-    del_labels: np.ndarray  # keep/delete per state3 position, sentinels keep
+    state3: list[str] | None  # [BOS] Y''' [EOS] with model fills, supervises deletion
+    del_labels: np.ndarray | None  # keep/delete per state3 position, sentinels keep
     clamped_slots: int
 
 
@@ -228,6 +229,35 @@ def build_edit_supervision(
         return _supervise(model, enc, skeleton, y_star, rng)[0]
 
 
+def draft_supervision(
+    model: EditRealizer, skeleton: Tokens, y_star: Tokens, rng: np.random.Generator
+) -> EditSupervision:
+    """One example's supervision up to Y''; state3 and del_labels wait for the model's fills."""
+    y_prime = make_intermediate(y_star, skeleton, rng)
+    counts, fills = oracle_insertion(y_prime, y_star)
+    y_dprime = apply_insertions(y_prime, counts)
+    gold_fill = [tok for gap in fills for tok in gap]
+    return EditSupervision(
+        state1=[BOS_TOKEN, *y_prime, EOS_TOKEN],
+        slot_labels=np.array([min(c, model.k_max) for c in counts], dtype=np.int64),
+        state2=[BOS_TOKEN, *y_dprime, EOS_TOKEN],
+        positions=fill_positions(y_dprime),
+        gold_ids=np.array([model.vocab.id_of(t) for t in gold_fill], dtype=np.int64),
+        state3=None,
+        del_labels=None,
+        clamped_slots=sum(1 for c in counts if c > model.k_max),
+    )
+
+
+def _complete(sup: EditSupervision, y_star: Tokens, model_fill: Sequence[str]) -> None:
+    """Set Y''' (Y'' with the model's fills) and its deletion labels."""
+    y_tprime = sup.state2[1:-1]
+    for pos, tok in zip(sup.positions, model_fill):
+        y_tprime[pos - 1] = tok  # positions are sentinel-offset by one
+    sup.state3 = [BOS_TOKEN, *y_tprime, EOS_TOKEN]
+    sup.del_labels = np.array([KEEP, *oracle_deletion(y_tprime, y_star), KEEP], dtype=np.int64)
+
+
 def _supervise(
     model: EditRealizer,
     enc: EncoderOutput,
@@ -240,38 +270,30 @@ def _supervise(
     The states are None when state2 has no placeholder. They are on the tape
     when gradients are on, so that the token loss can reuse them.
     """
-    y_prime = make_intermediate(y_star, skeleton, rng)
-    counts, fills = oracle_insertion(y_prime, y_star)
-    slot_labels = np.array([min(c, model.k_max) for c in counts], dtype=np.int64)
-
-    y_dprime = apply_insertions(y_prime, counts)
-    state2 = [BOS_TOKEN, *y_dprime, EOS_TOKEN]
-    positions = fill_positions(y_dprime)
-    gold_fill = [tok for gap in fills for tok in gap]
-    gold_ids = np.array([model.vocab.id_of(t) for t in gold_fill], dtype=np.int64)
-
+    sup = draft_supervision(model, skeleton, y_star, rng)
     z2 = None
     model_fill: list[str] = []
-    if positions:
-        z2 = model.decode_hidden(state2, enc)
+    if sup.positions:
+        z2 = model.decode_hidden(sup.state2, enc)
         with ag.no_grad():
-            model_fill = model.argmax_fill(z2, positions)
-    y_tprime = list(y_dprime)
-    for pos, tok in zip(positions, model_fill):
-        y_tprime[pos - 1] = tok  # positions are sentinel-offset by one
-
-    del_labels = np.array([KEEP, *oracle_deletion(y_tprime, y_star), KEEP], dtype=np.int64)
-    sup = EditSupervision(
-        state1=[BOS_TOKEN, *y_prime, EOS_TOKEN],
-        slot_labels=slot_labels,
-        state2=state2,
-        positions=positions,
-        gold_ids=gold_ids,
-        state3=[BOS_TOKEN, *y_tprime, EOS_TOKEN],
-        del_labels=del_labels,
-        clamped_slots=sum(1 for c in counts if c > model.k_max),
-    )
+            model_fill = model.argmax_fill(z2, sup.positions)
+    _complete(sup, y_star, model_fill)
     return sup, z2
+
+
+def _nll(
+    logits: Tensor, rows: np.ndarray, labels: np.ndarray, counts: Sequence[int] = ()
+) -> tuple[Tensor, list[float]]:
+    """Summed negative log-likelihood of labels[i] at row rows[i] of the logits.
+
+    Also returns its parts per example: the i-th sums the next counts[i] labels.
+    """
+    picked = ag.log_softmax(logits, axis=-1)[rows, labels]
+    parts, end = [], 0
+    for count in counts:
+        parts.append(-float(picked.data[end : end + count].sum()) if count else 0.0)
+        end += count
+    return -picked.sum(), parts
 
 
 def edit_loss_from_supervision(
@@ -287,18 +309,18 @@ def edit_loss_from_supervision(
     already on the current tape; state2 is then not decoded again.
     """
     z1 = model.decode_hidden(sup.state1, enc)
-    plh_logp = ag.log_softmax(model.placeholder_logits(z1), axis=-1)
-    loss_plh = -plh_logp[np.arange(len(sup.slot_labels)), sup.slot_labels].sum()
+    slots = np.arange(len(sup.slot_labels))
+    loss_plh = _nll(model.placeholder_logits(z1), slots, sup.slot_labels)[0]
 
     loss_tok = Tensor(0.0)
     if sup.positions:
         z2 = model.decode_hidden(sup.state2, enc) if hidden is None else hidden
-        tok_logp = ag.log_softmax(model.token_logits(z2, sup.positions), axis=-1)
-        loss_tok = -tok_logp[np.arange(len(sup.positions)), sup.gold_ids].sum()
+        fills = np.arange(len(sup.positions))
+        loss_tok = _nll(model.token_logits(z2, sup.positions), fills, sup.gold_ids)[0]
 
     z3 = model.decode_hidden(sup.state3, enc)
-    del_logp = ag.log_softmax(model.deletion_logits(z3), axis=-1)
-    loss_del = -del_logp[np.arange(len(sup.del_labels)), sup.del_labels].sum()
+    rows = np.arange(len(sup.del_labels))
+    loss_del = _nll(model.deletion_logits(z3), rows, sup.del_labels)[0]
 
     total = loss_plh + loss_tok + lam * loss_del
     return EditLossParts(
@@ -317,7 +339,80 @@ def edit_loss_example(
     """Imitation loss for one (table, skeleton, reference) triple.
 
     State2 is decoded once, on the tape: its argmax fills make state3, and
-    its token loss reuses the same states.
+    its token loss reuses the same states. backprop_edit_batch computes the
+    same losses for a padded batch of examples.
     """
     sup, z2 = _supervise(model, enc, skeleton, y_star, rng)
     return edit_loss_from_supervision(model, enc, sup, lam, hidden=z2)
+
+
+def _backprop(loss: Tensor, scale: float) -> None:
+    if loss.tracked:
+        (loss * scale).backward()
+
+
+def backprop_edit_batch(
+    model: EditRealizer,
+    examples: Sequence[Example],
+    sups: Sequence[EditSupervision],
+    lam: float = 1.0,
+    scale: float = 1.0,
+) -> list[EditLossParts]:
+    """Add `scale` times the edit losses of a batch of examples into the gradients.
+
+    sups[i] supervises examples[i]. A draft (draft_supervision) is completed
+    from the model's argmax fills of its state2, as in edit_loss_example;
+    complete supervision stays as it is. The tables are encoded as one
+    padded pass, and each supervision state of every example is decoded as
+    one padded pass: state2 first, because its fills make state3, then
+    state1 and state3. Each pass is backpropagated as soon as its loss is
+    known, into a retained copy of the encoder output, whose gradient goes
+    through the encoder once, at the end; so the tape holds the encoder's
+    pass and one decoder pass at most. Under no_grad this only computes the
+    losses. Returns each example's loss parts, with constant totals.
+    """
+    encoded = model.encode_batch([ex.table for ex in examples])
+    memory = Padded(Tensor(encoded.rows.data, retain_grad=True), encoded.lengths)
+
+    token_nll = [0.0] * len(sups)
+    filled = [i for i, sup in enumerate(sups) if sup.positions]
+    if filled:
+        z2 = model.decode_batch([sups[i].state2 for i in filled], memory.select(filled), False)
+        logits = model.token_logits(z2.rows, z2.index([sups[i].positions for i in filled]))
+        counts = [len(sups[i].positions) for i in filled]
+        fills = model.fill_tokens(logits.data)
+        start = 0
+        for i, count in zip(filled, counts):
+            if sups[i].state3 is None:
+                _complete(sups[i], examples[i].reference, fills[start : start + count])
+            start += count
+        labels = np.concatenate([sups[i].gold_ids for i in filled])
+        loss, parts = _nll(logits, np.arange(len(labels)), labels, counts)
+        _backprop(loss, scale)
+        for i, part in zip(filled, parts):
+            token_nll[i] = part
+    for sup, ex in zip(sups, examples):
+        if sup.state3 is None:
+            _complete(sup, ex.reference, [])
+
+    z1 = model.decode_batch([sup.state1 for sup in sups], memory, False)
+    slots = z1.index([np.arange(len(sup.slot_labels)) for sup in sups])
+    labels = np.concatenate([sup.slot_labels for sup in sups])
+    counts = [len(sup.slot_labels) for sup in sups]
+    logits = model.placeholder_logits(z1.rows, slots)
+    loss, placeholder_nll = _nll(logits, np.arange(len(labels)), labels, counts)
+    _backprop(loss, scale)
+
+    z3 = model.decode_batch([sup.state3 for sup in sups], memory, False)
+    rows = z3.index([np.arange(len(sup.del_labels)) for sup in sups])
+    labels = np.concatenate([sup.del_labels for sup in sups])
+    counts = [len(sup.del_labels) for sup in sups]
+    loss, deletion_nll = _nll(model.deletion_logits(z3.rows), rows, labels, counts)
+    _backprop(loss, lam * scale)
+
+    if memory.rows.grad is not None:
+        encoded.rows.backward(memory.rows.grad)
+    return [
+        EditLossParts(Tensor(plh + tok + lam * dl), plh, tok, dl, sup.clamped_slots)
+        for plh, tok, dl, sup in zip(placeholder_nll, token_nll, deletion_nll, sups)
+    ]

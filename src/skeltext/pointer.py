@@ -47,7 +47,7 @@ class _TableSearch:
     enc: EncoderOutput
     distinct: list[str]
     pool: np.ndarray  # cell -> distinct-token pooling matrix
-    keys: Tensor  # W_k h, the pointer keys of the cells
+    keys_t: Tensor  # (W_k h)^T, the pointer keys of the cells as columns
     cache: DecoderCache
 
 
@@ -71,15 +71,18 @@ class SkeletonPointer(TableToText):
         """
         return self.decode_tokens(tokens, enc, causal=True, cache=cache)
 
-    def pointer_attention(self, r: Tensor, keys: Tensor) -> Tensor:
-        """Attention over cells: softmax of (W_q r) . k_i / sqrt(d_r), with keys k_i = W_k h_i."""
-        logits = (self.wq(r) @ keys.transpose()) / np.sqrt(self.d_model)
+    def pointer_attention(self, r: Tensor, keys_t: Tensor) -> Tensor:
+        """Attention over cells: softmax of (W_q r) . k_i / sqrt(d_r), with keys k_i = W_k h_i.
+
+        `keys_t` holds the keys as columns: (W_k h)^T, the transposed view.
+        """
+        logits = (self.wq(r) @ keys_t) / np.sqrt(self.d_model)
         return ag.softmax(logits, axis=-1)
 
     def copy_log_probs(self, prefix: list[str], enc: EncoderOutput) -> tuple[Tensor, list[str]]:
         """Per-step log P_copy over distinct table tokens (mass pooled across cells)."""
         r = self.decoder_states(prefix, enc)
-        attn = self.pointer_attention(r, self.wk(enc.hidden))
+        attn = self.pointer_attention(r, self.wk(enc.hidden).transpose())
         distinct, pool = copy_pool(enc.cell_tokens)
         return (attn @ Tensor(pool)).log(), distinct
 
@@ -103,7 +106,7 @@ class SkeletonPointer(TableToText):
         enc = self.encode(table)
         distinct, pool = copy_pool(enc.cell_tokens)
         cache = DecoderCache(self.decoder, enc.hidden)
-        return _TableSearch(enc, distinct, pool, self.wk(enc.hidden), cache)
+        return _TableSearch(enc, distinct, pool, self.wk(enc.hidden).transpose(), cache)
 
     def _step_log_probs(
         self, search: _TableSearch, live: list[SkeletonPrediction], parents: list[int]
@@ -116,7 +119,7 @@ class SkeletonPointer(TableToText):
         search.cache.reorder(parents)
         tokens = [h.tokens[-1] if h.tokens else BOS_TOKEN for h in live]
         r = self.decoder_states(tokens, search.enc, search.cache)
-        attn = self.pointer_attention(r, search.keys)
+        attn = self.pointer_attention(r, search.keys_t)
         # Plain-array scores: tokens whose copy mass underflowed to zero score
         # -inf and are simply never selected.
         with np.errstate(divide="ignore"):

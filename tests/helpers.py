@@ -8,6 +8,7 @@ from skeltext import autograd as ag
 from skeltext.autograd import Tensor
 from skeltext.config import RunConfig
 from skeltext.data import Attribute, Example, Table, Vocabulary
+from skeltext.oracle import edit_loss_example
 from skeltext.training import build_editor, build_pointer
 
 WORDS = (
@@ -77,6 +78,20 @@ def small_example(rng: np.random.Generator) -> Example:
         ref.append(tok)
     ref.append(".")
     return Example(table, tuple(ref))
+
+
+def per_example_edit_step(model, examples, rngs, lam: float = 1.0) -> list[dict[str, float]]:
+    """The per-example reference of the micro-batched editor step: a graph and a backward each.
+
+    Adds the gradient of the batch's mean edit loss into the parameters and
+    returns each example's loss parts.
+    """
+    parts = []
+    for ex, rng in zip(examples, rngs):
+        loss = edit_loss_example(model, model.encode(ex.table), ex.skeleton, ex.reference, rng, lam)
+        (loss.total / len(examples)).backward()
+        parts.append(loss.as_dict())
+    return parts
 
 
 # -- the composed reference of the fused transformer blocks ------------------

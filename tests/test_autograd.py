@@ -548,3 +548,130 @@ def test_embedding_lookup_into_a_parameter_adds_the_dense_scatters_bits():
         np.add.at(dense, ids, w)
         want = want + dense
     assert table.grad.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("ids", [[4, 1, 6, 0], [4, 1, 4, 4, 0]], ids=["distinct", "repeated"])
+def test_embedding_backward_adds_the_dense_scatters_bits_with_negative_zeros(ids):
+    # Distinct ids add g straight into their rows; repeated ids sum per row
+    # first. Either way the bits are those of the dense scatter, -0.0 in g
+    # included: a gradient that starts at +0.0 never holds -0.0.
+    from skeltext.nn import Parameter
+
+    rng = np.random.default_rng(31)
+    ids = np.array(ids)
+    table = Parameter(rng.normal(size=(7, 3)))
+    table.grad[...] = rng.normal(size=(7, 3))
+    table.grad[[1, 5]] = 0.0  # +0.0 rows, one touched and one not
+    start = table.grad.copy()
+    w = rng.normal(size=(len(ids), 3))
+    w[0, 0] = w[1, 1] = w[1, 2] = -0.0
+    (ag.embedding_lookup(table, ids) * Tensor(np.ones_like(w))).backward(w)  # seeds the product
+
+    dense = np.zeros((7, 3))
+    np.add.at(dense, ids, w)
+    assert table.grad.tobytes() == (start + dense).tobytes()
+    assert not np.signbit(table.grad[1, 1:]).any()  # +0.0 plus -0.0
+
+
+def test_backward_with_a_seed_gradient_matches_the_weighted_sum():
+    rng = np.random.default_rng(32)
+    w = rng.normal(size=(3, 4))
+    grads = []
+    for seeded in (True, False):
+        x = Tensor(rng.normal(size=(3, 4)) if not grads else x_data, retain_grad=True)
+        x_data = x.data
+        y = (x * x).relu()
+        if seeded:
+            y.backward(w)
+        else:
+            (y * Tensor(w)).sum().backward()
+        grads.append(x.grad.tobytes())
+    assert grads[0] == grads[1]
+    with pytest.raises(ShapeError, match="seed"):
+        (Tensor(np.ones(3), retain_grad=True) * 2.0).backward(np.ones(4))
+
+
+def test_backward_frees_each_node_as_soon_as_it_has_run():
+    # When a node's backward runs, its child has already run and given up its
+    # saved arrays, its parents and its gradient.
+    x = Tensor(np.array([1.0, -2.0, 3.0]), retain_grad=True)
+    seen = []
+
+    def probe_bw(g):
+        seen.append((child._bw, child._parents, child.grad))
+        return (g,)
+
+    node = ag._make(x.data * 1.0, (x,), probe_bw, "probe")
+    child = node.relu()
+    child.sum().backward()
+    assert seen == [(None, (), None)]
+    assert x.grad.tolist() == [1.0, 0.0, 1.0]
+    with pytest.raises(RuntimeError, match="backward"):
+        child * 2.0
+
+
+@pytest.mark.parametrize("causal", [False, True], ids=["full", "causal"])
+def test_attention_over_a_padded_batch_matches_each_sequence_alone(causal):
+    # Self-attention, then cross-attention, as in a decoder layer: sequences
+    # of 3 and 5 rows over memories of 4 and 2 rows, padded to 5 and 4 rows.
+    # Real rows and every gradient match each sequence run alone, and padded
+    # rows, filled with an arbitrary finite value, get no gradient.
+    from skeltext.nn import padding_mask
+
+    rng = np.random.default_rng(33)
+    attn = MultiHeadAttention(rng, 8, 2)
+    lengths, memory_lengths = [3, 5], [4, 2]
+    xs = [rng.normal(size=(n, 8)) for n in lengths]
+    ms = [rng.normal(size=(n, 8)) for n in memory_lengths]
+    ws = [rng.normal(size=(n, 8)) for n in lengths]
+
+    def stack(arrays, width, fill):
+        out = np.full((len(arrays), width, 8), fill)
+        for b, a in enumerate(arrays):
+            out[b, : len(a)] = a
+        return out.reshape(-1, 8)
+
+    def run(x_arr, m_arr, w_arr, self_mask, memory_mask):
+        for p in attn.parameters():
+            p.grad[...] = 0.0
+        x, m = Tensor(x_arr, retain_grad=True), Tensor(m_arr, retain_grad=True)
+        out = attn(attn(x, x, self_mask), m, memory_mask)
+        (out * Tensor(w_arr)).sum().backward()
+        return out.data, x.grad, m.grad, [p.grad.copy() for p in attn.parameters()]
+
+    alone = [
+        run(x, m, w, causal_mask(len(x)) if causal else None, None)
+        for x, m, w in zip(xs, ms, ws)
+    ]
+    self_mask = padding_mask(lengths, 5)
+    if causal:
+        self_mask = self_mask + causal_mask(5)
+    out, gx, gm, gparams = run(
+        stack(xs, 5, 7.0), stack(ms, 4, -3.0), stack(ws, 5, 0.0),
+        self_mask, padding_mask(memory_lengths, 4),
+    )
+    real = (np.arange(5) < np.array(lengths)[:, None]).reshape(-1)
+    memory_real = (np.arange(4) < np.array(memory_lengths)[:, None]).reshape(-1)
+    assert np.abs(out[real] - np.concatenate([a[0] for a in alone])).max() < 1e-12
+    assert np.abs(gx[real] - np.concatenate([a[1] for a in alone])).max() < 1e-12
+    assert np.abs(gm[memory_real] - np.concatenate([a[2] for a in alone])).max() < 1e-12
+    assert not gx[~real].any() and not gm[~memory_real].any()
+    for i, got in enumerate(gparams):
+        assert np.abs(got - (alone[0][3][i] + alone[1][3][i])).max() < 1e-12
+
+
+def test_attention_under_a_one_sequence_padding_mask_gives_the_unbatched_bits():
+    # A (1, 1, 1, t_k) mask of zeros takes the batched path with B = 1.
+    rng = np.random.default_rng(34)
+    attn = MultiHeadAttention(rng, 8, 2)
+    x_arr, m_arr, w = (rng.normal(size=s) for s in ((3, 8), (4, 8), (3, 8)))
+    results = []
+    for mask in (None, np.zeros((1, 1, 1, 4))):
+        for p in attn.parameters():
+            p.grad[...] = 0.0
+        x, m = Tensor(x_arr, retain_grad=True), Tensor(m_arr, retain_grad=True)
+        out = attn(x, m, mask)
+        (out * Tensor(w)).sum().backward()
+        results.append([out.data.tobytes(), x.grad.tobytes(), m.grad.tobytes()]
+                       + [p.grad.tobytes() for p in attn.parameters()])
+    assert results[0] == results[1]

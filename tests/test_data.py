@@ -7,6 +7,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skeltext.data import (
     EOS_TOKEN,
@@ -235,3 +237,51 @@ def test_stop_word_list_numeric_tokens_never_match():
     assert "1908" not in sw
     assert "8" not in sw
     assert "the" in sw
+
+
+# -- fuzzing (hypothesis) ------------------------------------------------------
+
+
+_VALID = json.dumps({"table": [{"key": "Name_ID", "value": "Alda Fenwick"}], "text": "Alda ."})
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=10,
+)
+# Objects shaped like corpus lines, any field of which may be missing or wrong.
+_ENTRY = st.dictionaries(st.sampled_from(["key", "value", "other"]), _JSON, max_size=3)
+_NEAR_LINES = st.fixed_dictionaries(
+    {},
+    optional={
+        "table": st.lists(_ENTRY | _JSON, max_size=3) | _JSON,
+        "text": _JSON,
+        "skeleton": st.lists(_JSON, max_size=3) | _JSON,
+    },
+)
+_LINES = st.one_of(
+    st.text(max_size=40),
+    _JSON.map(json.dumps),
+    _NEAR_LINES.map(json.dumps),
+    st.integers(0, len(_VALID)).map(lambda n: _VALID[:n]),  # truncated lines
+    st.sampled_from([10, 1_000, 100_000]).map(lambda n: "[" * n),  # deep nesting
+    st.sampled_from([10, 1_000, 100_000]).map(lambda n: '{"a":' * n),
+    st.integers(4_000, 5_000).map(lambda n: "7" * n),  # beyond the int digit limit
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_LINES)
+def test_every_malformed_line_is_a_corpus_error_naming_it(line):
+    try:
+        corpus = parse_corpus([_VALID, line, _VALID])
+    except CorpusError as err:
+        assert err.line == 2
+        assert str(err).startswith("line 2: ")
+    else:  # the line was well formed, or blank
+        assert len(corpus) == (2 if not line.strip() else 3)
+
+
+def test_a_deeply_nested_line_is_a_corpus_error():
+    with pytest.raises(CorpusError, match="^line 2: JSON nested too deeply$"):
+        parse_corpus([_VALID, "[" * 100_000])

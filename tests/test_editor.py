@@ -255,3 +255,25 @@ def test_one_graded_state2_pass_matches_the_two_pass_loss():
     *want, two_pass_decodes = run(False)
     assert got == want
     assert (one_pass_decodes, two_pass_decodes) == (3, 4)
+
+
+def test_a_padded_batch_encodes_and_decodes_each_example_as_alone():
+    from helpers import random_table, random_tokens
+
+    model, _ = tiny_editor(seed=21, n_layers=2)
+    rng = np.random.default_rng(21)
+    tables = [random_table(rng) for _ in range(3)]
+    states = [[BOS_TOKEN, *random_tokens(rng, 7), EOS_TOKEN] for _ in range(3)]
+    memory = model.encode_batch(tables)
+    z = model.decode_batch(states, memory, causal=False)
+    assert len({len(s) for s in states}) > 1 and len(set(memory.lengths)) > 1
+    for b, (table, state) in enumerate(zip(tables, states)):
+        enc = model.encode(table)
+        cells = memory.rows.data[b * memory.width : b * memory.width + len(enc)]
+        assert np.abs(cells - enc.hidden.data).max() < 1e-12
+        rows = z.rows.data[b * z.width : b * z.width + len(state)]
+        assert np.abs(rows - model.decode_hidden(state, enc).data).max() < 1e-12
+    # One example is the unbatched computation, to the bit.
+    one = model.decode_batch(states[:1], model.encode_batch(tables[:1]), causal=False)
+    alone = model.decode_hidden(states[0], model.encode(tables[0]))
+    assert one.rows.data.tobytes() == alone.data.tobytes()

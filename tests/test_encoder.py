@@ -19,7 +19,7 @@ def _encoder(seed: int = 0):
 
 def _embed(enc, cell: LinearizedCell):
     """The fused vector of a single cell."""
-    return enc.embed_cells([cell])[0]
+    return enc._embed(enc._cell_ids([cell]))[0]
 
 
 def test_embed_cell_zero_weights_zero_output():

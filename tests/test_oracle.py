@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skeltext.data import PLH_TOKEN
 from skeltext.oracle import (
@@ -480,3 +482,89 @@ def test_consumed_graph_reuse_is_loud():
     parts.total.backward()
     with pytest.raises(RuntimeError, match="backward"):
         edit_loss_example(model, enc, skeleton, y_star, np.random.default_rng(1))
+
+
+# -- properties over random alphabets (hypothesis) -------------------------------
+
+
+_ALPHABETS = st.integers(2, 6).map(lambda k: "abcdef"[:k])
+
+
+def _tokens(alphabet: str, max_size: int = 20):
+    return st.lists(st.sampled_from(alphabet), max_size=max_size)
+
+
+_PAIRS = _ALPHABETS.flatmap(lambda a: st.tuples(_tokens(a), _tokens(a)))
+
+
+def _lcs_length(a, b) -> int:
+    """Textbook dynamic program, independent of lcs_align."""
+    table = [[0] * (len(b) + 1) for _ in range(len(a) + 1)]
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            table[i + 1][j + 1] = table[i][j] + 1 if x == y else max(table[i][j + 1], table[i + 1][j])
+    return table[len(a)][len(b)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_PAIRS)
+def test_lcs_align_is_an_increasing_matching_of_lcs_length(pair):
+    a, b = pair
+    pairs = lcs_align(a, b)
+    assert all(a[i] == b[j] for i, j in pairs)
+    assert all(i < i2 and j < j2 for (i, j), (i2, j2) in zip(pairs, pairs[1:]))
+    assert len(pairs) == _lcs_length(a, b)
+
+
+@st.composite
+def _required_subsequence(draw):
+    """(a, b, required): a's required tokens, in order, form a subsequence of b."""
+    alphabet = draw(_ALPHABETS)
+    b = draw(_tokens(alphabet))
+    keep = draw(st.lists(st.booleans(), min_size=len(b), max_size=len(b)))
+    a, required = [], []
+    for tok in (t for t, k in zip(b, keep) if k):
+        filler = draw(_tokens(alphabet, 3))
+        a += filler + [tok]
+        required += [False] * len(filler) + [True]
+    tail = draw(_tokens(alphabet, 3))
+    return a + tail, b, required + [False] * len(tail)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_required_subsequence())
+def test_lcs_align_matches_every_required_position_that_b_can_hold(case):
+    a, b, required = case
+    matched = {i for i, _ in lcs_align(a, b, required)}
+    assert all(i in matched for i, req in enumerate(required) if req)
+
+
+@st.composite
+def _subsequence_of_target(draw):
+    alphabet = draw(_ALPHABETS)
+    y_star = draw(_tokens(alphabet))
+    keep = draw(st.lists(st.booleans(), min_size=len(y_star), max_size=len(y_star)))
+    return [t for t, k in zip(y_star, keep) if k], y_star
+
+
+@settings(max_examples=200, deadline=None)
+@given(_subsequence_of_target())
+def test_oracle_insertion_rebuilds_the_target_exactly(case):
+    y, y_star = case
+    counts, fills = oracle_insertion(y, y_star)
+    assert counts == [len(f) for f in fills]
+    rebuilt = list(fills[0])
+    for tok, fill in zip(y, fills[1:]):
+        rebuilt += [tok, *fill]
+    assert rebuilt == y_star
+    assert len(apply_insertions(y, counts)) == len(y_star)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_PAIRS)
+def test_oracle_deletion_keeps_a_maximal_common_subsequence(pair):
+    y, y_star = pair
+    labels = oracle_deletion(y, y_star)
+    kept = [t for t, label in zip(y, labels) if label == KEEP]
+    assert is_subsequence(kept, y_star)
+    assert len(kept) == _lcs_length(y, y_star)

@@ -30,7 +30,7 @@ def test_pointer_attention_uniform_when_keys_identical():
     rows = np.tile(np.linspace(0.1, 1.0, 16), (4, 1))
     enc = _enc(rows, ["a", "b", "c", EOS_TOKEN])
     r = Tensor(np.random.default_rng(0).normal(size=(2, 16)))
-    alpha = model.pointer_attention(r, model.wk(enc.hidden)).data
+    alpha = model.pointer_attention(r, model.wk(enc.hidden).transpose()).data
     assert np.allclose(alpha, 0.25, atol=1e-12)
 
 
@@ -44,7 +44,7 @@ def test_pointer_attention_softmax_arithmetic():
     h[0, 0] = 1.0
     r = np.zeros((1, d))
     r[0, 0] = math.sqrt(d) * math.log(3.0)
-    alpha = model.pointer_attention(Tensor(r), model.wk(Tensor(h))).data
+    alpha = model.pointer_attention(Tensor(r), model.wk(Tensor(h)).transpose()).data
     assert np.allclose(alpha, [[0.75, 0.25]], atol=1e-12)
 
 
@@ -323,8 +323,9 @@ def test_a_cached_beam_step_builds_a_fixed_number_of_tensors(width, n_layers, mo
     # must not build more than these, whatever the number of live hypotheses:
     # 4 to embed the tokens (token lookup, projection, position lookup, add),
     # 7 per decoder layer (self K/V append with the gathered cache, self- and
-    # cross-attention, feed-forward, three residual LayerNorms) and 5 for
-    # pointer attention (query, transposed keys, matmul, scale, softmax).
+    # cross-attention, feed-forward, three residual LayerNorms) and 4 for
+    # pointer attention (query, matmul, scale, softmax); the transposed keys
+    # are built once per table.
     model, _ = tiny_pointer(seed=14, n_layers=n_layers)
     with ag.no_grad():
         search = model._start_search(random_table(np.random.default_rng(14)))
@@ -338,7 +339,7 @@ def test_a_cached_beam_step_builds_a_fixed_number_of_tensors(width, n_layers, mo
         )
         logp, _ = model._step_log_probs(search, live, [0] * width)
     assert logp.shape[0] == width
-    assert len(built) == 4 + 7 * n_layers + 5
+    assert len(built) == 4 + 7 * n_layers + 4
 
 
 @pytest.mark.parametrize("width", [1, 2, 5])

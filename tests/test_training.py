@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from skeltext import annotate_corpus, default_stop_words, generate
+from skeltext.oracle import backprop_edit_batch, draft_supervision
 from skeltext.synth import TemplateSpec
 from skeltext.training import (
     load_editor_dir,
@@ -17,7 +20,7 @@ from skeltext.training import (
     train_pointer,
 )
 
-from helpers import tiny_config, tiny_editor, tiny_pointer
+from helpers import per_example_edit_step, tiny_config, tiny_editor, tiny_pointer
 
 EDIT_LOSS_PARTS = {"loss_edit", "loss_ins", "loss_plh", "loss_tok", "loss_del"}
 
@@ -117,3 +120,108 @@ def test_checkpoint_with_a_legacy_config_loads(tmp_path, build, load):
     loaded, loaded_cfg = load(str(tmp_path))
     assert loaded_cfg == cfg
     assert [n for n, _ in loaded.named_parameters()] == [n for n, _ in model.named_parameters()]
+
+
+# -- micro-batched editor steps ------------------------------------------------
+
+
+def _edit_batch(k_max: int):
+    """Four examples of different lengths; the first has a Y'' without placeholder."""
+    examples = annotate_corpus(generate(TemplateSpec(seed=5), 4), default_stop_words())
+    # A skeleton that is the whole reference protects every token of it, so
+    # Y' is the reference and Y'' has nothing to fill.
+    examples[0] = replace(examples[0], skeleton=examples[0].reference)
+    model, cfg = tiny_editor(seed=6, n_layers=2, k_max=k_max)
+    return model, examples
+
+
+def _seeds(n: int) -> list[np.random.Generator]:
+    return [np.random.default_rng(10 + i) for i in range(n)]
+
+
+def _batched_step(model, examples, lam=0.7):
+    for p in model.parameters():
+        p.grad[...] = 0.0
+    sups = [draft_supervision(model, ex.skeleton, ex.reference, rng)
+            for ex, rng in zip(examples, _seeds(len(examples)))]
+    parts = backprop_edit_batch(model, examples, sups, lam, 1.0 / len(examples))
+    return sups, [p.as_dict() for p in parts], {n: p.grad.copy() for n, p in model.named_parameters()}
+
+
+def _assert_gradients_match(got: dict, want: dict, tol: float = 1e-10):
+    # Relative to each parameter's gradient scale. The attention key biases
+    # have a mathematically zero gradient (softmax ignores a shift shared by
+    # every key); theirs is rounding noise, scaled by their key weights'.
+    for name, g in want.items():
+        scale = np.abs(want[name.replace("wk.bias", "wk.weight")]).max()
+        assert np.abs(got[name] - g).max() <= tol * scale, name
+
+
+@pytest.mark.parametrize("k_max", [4, 1], ids=["k_max4", "k_max1_clamped"])
+def test_a_batched_editor_step_equals_the_per_example_steps(k_max):
+    model, examples = _edit_batch(k_max)
+    reference, _ = tiny_editor(seed=6, n_layers=2, k_max=k_max)
+    want_parts = per_example_edit_step(reference, examples, _seeds(len(examples)), 0.7)
+    want = {n: p.grad.copy() for n, p in reference.named_parameters()}
+    sups, got_parts, got = _batched_step(model, examples)
+
+    assert not sups[0].positions and all(sup.positions for sup in sups[1:])
+    assert len({len(sup.state3) for sup in sups}) > 1  # padding in every pass
+    assert (sum(sup.clamped_slots for sup in sups) > 0) == (k_max == 1)
+    for g, w in zip(got_parts, want_parts):
+        assert g.keys() == w.keys()
+        for key in w:
+            assert g[key] == pytest.approx(w[key], rel=1e-10, abs=1e-12), key
+    _assert_gradients_match(got, want)
+
+
+def test_padding_changes_no_loss_and_gets_no_gradient(monkeypatch):
+    from skeltext import encoder
+    from skeltext.data import PAD_ID
+
+    model, examples = _edit_batch(4)
+    _, parts, grads = _batched_step(model, examples)
+    # Padding rows (id 0 in every cell field, the padding token in states)
+    # are the only readers of these embedding rows.
+    enc = model.encoder
+    for table, row in ((enc.tok_emb, PAD_ID), (enc.key_emb, PAD_ID), (enc.fwd_emb, 0),
+                       (enc.bwd_emb, 0)):
+        assert not table.weight.grad[row].any()
+
+    def wider(seqs):
+        # Three more columns, and id 3 (end of sequence, position 3) for padding.
+        ids = np.full((len(seqs),) + seqs[0].shape[:-1] + (max(s.shape[-1] for s in seqs) + 3,), 3)
+        for row, s in zip(ids, seqs):
+            row[..., : s.shape[-1]] = s
+        return ids, [s.shape[-1] for s in seqs]
+
+    monkeypatch.setattr(encoder, "pad_ids", wider)
+    _, wider_parts, wider_grads = _batched_step(model, examples)
+    assert [p.keys() for p in wider_parts] == [p.keys() for p in parts]
+    for got, want in zip(wider_parts, parts):
+        for key in want:
+            assert got[key] == pytest.approx(want[key], rel=1e-12, abs=1e-12), key
+    _assert_gradients_match(wider_grads, grads, 1e-12)
+
+
+def test_editor_training_is_deterministic_and_logs_the_batch_mean(corpus):
+    cfg = tiny_config(batch_size=6, editor_epochs=2)  # micro-batches of 4 and 2
+    runs = []
+    for _ in range(2):
+        records: list[dict] = []
+        model, opt = train_editor(corpus, cfg, records.append)
+        runs.append((records, [p.data.tobytes() for p in model.parameters()],
+                     [m.tobytes() for m in opt.m + opt.v]))
+    assert runs[0] == runs[1]
+
+    # The first step's logged parts are the per-example parts' mean.
+    from skeltext.training import _example_rng, build_editor, build_vocabularies
+
+    reference = build_editor(cfg, *build_vocabularies(corpus, cfg))
+    order = np.random.Generator(np.random.PCG64(np.random.SeedSequence([cfg.seed, 4])))
+    batch = [int(i) for i in order.permutation(len(corpus))]
+    rngs = [_example_rng(cfg.seed, 0, i) for i in batch]
+    want = per_example_edit_step(reference, [corpus[i] for i in batch], rngs, cfg.lambda_del)
+    step = _events(runs[0][0], "editor_step")[0]
+    for key in EDIT_LOSS_PARTS:
+        assert step[key] == pytest.approx(sum(w[key] for w in want) / len(batch), rel=1e-10)
