@@ -60,7 +60,7 @@ def _cmd_train(args) -> int:
     cfg = resolve_config(args.config, args.set)
     corpus = load_corpus(args.corpus)
     model, opt = args.train(corpus, cfg, _log)
-    save_model_dir(args.out_dir, model, cfg, opt if args.save_optimizer else None)
+    save_model_dir(args.out_dir, model, cfg)
     _log({"event": "checkpoint", "dir": args.out_dir, "steps": opt.step_count})
     return 0
 
@@ -161,9 +161,13 @@ def _cmd_evaluate(args) -> int:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            obj = json.loads(line)
-            if "text" not in obj:
-                raise ValueError(f"{args.system} line {line_no}: missing 'text'")
+            where = f"{args.system} line {line_no}"
+            try:
+                obj = json.loads(line)
+            except (ValueError, RecursionError) as err:
+                raise ValueError(f"{where}: not JSON: {type(err).__name__}: {err}") from None
+            if not isinstance(obj, dict) or not isinstance(obj.get("text"), str):
+                raise ValueError(f"{where}: expected a JSON object with a string 'text'")
             hypotheses.append(tokenize(obj["text"]))
     report = metrics.evaluate_outputs(hypotheses, gold, args.lambda_mix)
     print(json.dumps(report.as_dict(), sort_keys=True))
@@ -215,8 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file (defaults used otherwise)")
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        help="config override; wins over the file and SANA_SEED")
-        p.add_argument("--save-optimizer", action="store_true",
-                       help="include optimizer state for resuming")
         p.set_defaults(func=_cmd_train, train=train)
 
     p = sub.add_parser("skeleton", help="predict skeletons with a trained pointer")

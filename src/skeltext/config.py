@@ -10,6 +10,15 @@ from dataclasses import dataclass
 SEED_ENV_VAR = "SANA_SEED"
 
 
+def read_json(path: str):
+    """The JSON value a file holds; a ValueError naming the file if it holds none."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (ValueError, RecursionError) as err:  # not JSON, not UTF-8, or nested too deep
+        raise ValueError(f"{path}: not a JSON file: {type(err).__name__}: {err}") from None
+
+
 @dataclass
 class RunConfig:
     # model dimensions (desk defaults; published_preset() restores the published setup)
@@ -104,8 +113,13 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path: str) -> "RunConfig":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        data = read_json(path)
+        if not isinstance(data, dict):
+            raise ValueError(f"{path}: expected a JSON object of config fields")
+        try:
+            return cls.from_dict(data)
+        except (TypeError, ValueError) as err:  # TypeError: a field of the wrong type
+            raise ValueError(f"{path}: {err}") from None
 
     def save(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:

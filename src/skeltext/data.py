@@ -149,14 +149,13 @@ class Vocabulary:
     def token_of(self, idx: int) -> str:
         return self.id_to_token[idx]
 
-    def encode(self, tokens: Iterable[str]) -> list[int]:
-        return [self.id_of(t) for t in tokens]
-
     def to_json(self) -> list[str]:
         return list(self.id_to_token)
 
     @classmethod
     def from_json(cls, id_to_token: list[str]) -> "Vocabulary":
+        if not (isinstance(id_to_token, list) and all(isinstance(t, str) for t in id_to_token)):
+            raise ValueError("vocabulary file is not a JSON list of tokens")
         if tuple(id_to_token[:5]) != RESERVED_TOKENS:
             raise ValueError("vocabulary file does not start with the reserved tokens")
         return cls(id_to_token[5:])
@@ -210,9 +209,6 @@ class StopWordList:
         if is_numeric_token(token):
             return False
         return token.lower() in self._words
-
-    def __len__(self) -> int:
-        return len(self._words)
 
     @classmethod
     def from_file(cls, path) -> "StopWordList":

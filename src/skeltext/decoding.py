@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -141,7 +141,7 @@ def iterate(
                 state = insert_and_fill(kept, model, enc, max_state_len, hidden=z)
                 if state.tokens != kept.tokens:
                     z = None
-                state = state.advanced(iteration=step)
+                state = replace(state, iteration=step)
                 snapshots.append(state)
                 if state.tokens == previous:
                     termination = FIXED_POINT

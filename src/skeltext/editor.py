@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -49,12 +49,6 @@ class EditState:
     def body(self) -> tuple[str, ...]:
         """Tokens with the sentinels stripped."""
         return self.tokens[1:-1]
-
-    def plh_positions(self) -> list[int]:
-        return [i for i, t in enumerate(self.tokens) if t == PLH_TOKEN]
-
-    def advanced(self, **changes) -> "EditState":
-        return replace(self, **changes)
 
 
 class EditRealizer(TableToText):

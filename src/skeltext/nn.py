@@ -1,4 +1,4 @@
-"""Layers, optimizer, gradient checking, and checkpoint I/O."""
+"""Layers, the Adam optimizer, and checkpoint I/O."""
 
 from __future__ import annotations
 
@@ -11,6 +11,7 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import ShapeError, Tensor
+from .config import read_json
 
 # Large-but-finite mask value: exp() of it underflows to exactly 0.0, which
 # keeps masked attention exact while every stored value stays finite.
@@ -18,12 +19,11 @@ NEG_INF = -1e9
 
 
 class Parameter(Tensor):
-    __slots__ = ("name",)
+    __slots__ = ()
 
-    def __init__(self, data, name: str = ""):
+    def __init__(self, data):
         super().__init__(data, retain_grad=True)
         self.grad = np.zeros_like(self.data)
-        self.name = name
 
 
 def uniform_init(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> np.ndarray:
@@ -329,34 +329,31 @@ def inverse_sqrt_lr(step: int, peak: float, warmup: int) -> float:
     return peak * np.sqrt(warmup / step)
 
 
+# Adam's moment decay rates and denominator offset, shared by both stages.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.98
+ADAM_EPS = 1e-9
+
+
 class Adam:
     """Adam with the inverse-sqrt warmup schedule used by both training stages."""
 
-    def __init__(
-        self,
-        params: list[Parameter],
-        peak_lr: float,
-        warmup: int,
-        beta1: float = 0.9,
-        beta2: float = 0.98,
-        eps: float = 1e-9,
-    ):
+    def __init__(self, params: list[Parameter], peak_lr: float, warmup: int):
         self._params = params
         self.peak_lr = peak_lr
         self.warmup = warmup
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.step_count = 0
         self.m = [np.zeros_like(p.data) for p in params]
         self.v = [np.zeros_like(p.data) for p in params]
 
-    def lr(self, step: int | None = None) -> float:
-        return inverse_sqrt_lr(self.step_count if step is None else step, self.peak_lr, self.warmup)
+    def lr(self) -> float:
+        return inverse_sqrt_lr(self.step_count, self.peak_lr, self.warmup)
 
     def step(self) -> float:
         """Apply one update, zero gradients, advance the step counter."""
         self.step_count += 1
         lr = self.lr()
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         c1 = 1.0 - b1**self.step_count
         c2 = 1.0 - b2**self.step_count
         for p, m, v in zip(self._params, self.m, self.v):
@@ -365,7 +362,7 @@ class Adam:
             m += (1 - b1) * g
             v *= b2
             v += (1 - b2) * (g * g)
-            p.data -= lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            p.data -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
             p.grad[...] = 0.0
         return lr
 
@@ -373,37 +370,14 @@ class Adam:
 # -- checkpoints -----------------------------------------------------------
 # A checkpoint is a directory: manifest.json lists {name, shape, dtype} in
 # order, params.bin concatenates the values as little-endian float32 in that
-# order. optimizer.bin (same scheme: first moments then second moments, plus
-# optimizer.json for the step counter) appears only for mid-training saves.
+# order. Directories written with the optimizer state of earlier versions
+# also hold optimizer.bin and optimizer.json, which loading ignores.
 
 MANIFEST_FILE = "manifest.json"
 PARAMS_FILE = "params.bin"
-OPTIMIZER_FILE = "optimizer.bin"
-OPTIMIZER_META_FILE = "optimizer.json"
 
 
-def _write_f32(path: str, arrays: list[np.ndarray]) -> None:
-    with open(path, "wb") as fh:
-        for arr in arrays:
-            fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
-
-
-def _read_f32(path: str, manifest: list[dict]) -> list[np.ndarray]:
-    sizes = [int(np.prod(e["shape"], dtype=np.int64)) if e["shape"] else 1 for e in manifest]
-    expected, actual = 4 * sum(sizes), os.path.getsize(path)
-    if actual != expected:
-        raise ValueError(
-            f"{path}: expected {expected} bytes of float32 for the manifest, file has {actual}"
-        )
-    raw = np.fromfile(path, dtype="<f4")
-    arrays, offset = [], 0
-    for entry, size in zip(manifest, sizes):
-        arrays.append(raw[offset : offset + size].astype(np.float64).reshape(entry["shape"]))
-        offset += size
-    return arrays
-
-
-def save_checkpoint(directory: str, model: Module, optimizer: Adam | None = None) -> None:
+def save_checkpoint(directory: str, model: Module) -> None:
     os.makedirs(directory, exist_ok=True)
     named = list(model.named_parameters())
     names = [n for n, _ in named]
@@ -414,48 +388,41 @@ def save_checkpoint(directory: str, model: Module, optimizer: Adam | None = None
     ]
     with open(os.path.join(directory, MANIFEST_FILE), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=1)
-    _write_f32(os.path.join(directory, PARAMS_FILE), [p.data for _, p in named])
-    if optimizer is not None:
-        _write_f32(
-            os.path.join(directory, OPTIMIZER_FILE), list(optimizer.m) + list(optimizer.v)
-        )
-        with open(os.path.join(directory, OPTIMIZER_META_FILE), "w", encoding="utf-8") as fh:
-            json.dump({"step": optimizer.step_count}, fh)
+    with open(os.path.join(directory, PARAMS_FILE), "wb") as fh:
+        for _, p in named:
+            fh.write(np.ascontiguousarray(p.data, dtype="<f4").tobytes())
 
 
-def load_checkpoint(directory: str, model: Module, optimizer: Adam | None = None) -> None:
-    with open(os.path.join(directory, MANIFEST_FILE), encoding="utf-8") as fh:
-        manifest = json.load(fh)
+def load_checkpoint(directory: str, model: Module) -> None:
+    """Set the model's parameters from a checkpoint directory.
+
+    Every file is read and checked before any parameter changes, and a
+    damaged one ends in a ValueError naming it.
+    """
+    path = os.path.join(directory, MANIFEST_FILE)
+    manifest = read_json(path)
+    if not isinstance(manifest, list) or not all(
+        isinstance(e, dict) and isinstance(e.get("name"), str) and isinstance(e.get("shape"), list)
+        for e in manifest
+    ):
+        raise ValueError(f"{path}: expected a JSON list of entries with a name and a shape list")
     named = list(model.named_parameters())
     if [n for n, _ in named] != [e["name"] for e in manifest]:
         raise ValueError(f"checkpoint {directory} does not match the model's parameter set")
     for (_, p), entry in zip(named, manifest):
-        if list(p.shape) != list(entry["shape"]):
+        if list(p.shape) != entry["shape"]:
             raise ValueError(
                 f"checkpoint {directory}: shape {entry['shape']} for {entry['name']} "
                 f"does not match model shape {list(p.shape)}"
             )
-    arrays = _read_f32(os.path.join(directory, PARAMS_FILE), manifest)
-    moments = step = None
-    if optimizer is not None:
-        # Read the whole optimizer state before mutating anything, so a
-        # damaged checkpoint leaves the model and optimizer as they were.
-        opt_path = os.path.join(directory, OPTIMIZER_FILE)
-        meta_path = os.path.join(directory, OPTIMIZER_META_FILE)
-        has_moments, has_step = os.path.exists(opt_path), os.path.exists(meta_path)
-        if has_moments != has_step:
-            missing = OPTIMIZER_META_FILE if has_moments else OPTIMIZER_FILE
-            raise ValueError(f"checkpoint {directory}: optimizer state has no {missing}")
-        if has_moments:
-            moments = _read_f32(opt_path, manifest + manifest)
-            with open(meta_path, encoding="utf-8") as fh:
-                step = json.load(fh)["step"]
-    for (_, p), arr in zip(named, arrays):
-        p.data[...] = arr
-    if moments is not None:
-        half = len(manifest)
-        for m, arr in zip(optimizer.m, moments[:half]):
-            m[...] = arr
-        for v, arr in zip(optimizer.v, moments[half:]):
-            v[...] = arr
-        optimizer.step_count = step
+    path = os.path.join(directory, PARAMS_FILE)
+    expected, actual = 4 * sum(p.data.size for _, p in named), os.path.getsize(path)
+    if actual != expected:
+        raise ValueError(
+            f"{path}: expected {expected} bytes of float32 for the manifest, file has {actual}"
+        )
+    raw = np.fromfile(path, dtype="<f4")
+    offset = 0
+    for _, p in named:
+        p.data[...] = raw[offset : offset + p.data.size].reshape(p.shape)
+        offset += p.data.size

@@ -225,8 +225,13 @@ def build_edit_supervision(
     placeholders with the model's current argmax choices (evaluated without
     gradients) so the deletion head sees its own mistakes.
     """
-    with ag.no_grad():
-        return _supervise(model, enc, skeleton, y_star, rng)[0]
+    sup = draft_supervision(model, skeleton, y_star, rng)
+    model_fill: list[str] = []
+    if sup.positions:
+        with ag.no_grad():
+            model_fill = model.argmax_fill(model.decode_hidden(sup.state2, enc), sup.positions)
+    _complete(sup, y_star, model_fill)
+    return sup
 
 
 def draft_supervision(
@@ -258,29 +263,6 @@ def _complete(sup: EditSupervision, y_star: Tokens, model_fill: Sequence[str]) -
     sup.del_labels = np.array([KEEP, *oracle_deletion(y_tprime, y_star), KEEP], dtype=np.int64)
 
 
-def _supervise(
-    model: EditRealizer,
-    enc: EncoderOutput,
-    skeleton: Tokens,
-    y_star: Tokens,
-    rng: np.random.Generator,
-) -> tuple[EditSupervision, Tensor | None]:
-    """build_edit_supervision, plus the decoder states of state2 it filled from.
-
-    The states are None when state2 has no placeholder. They are on the tape
-    when gradients are on, so that the token loss can reuse them.
-    """
-    sup = draft_supervision(model, skeleton, y_star, rng)
-    z2 = None
-    model_fill: list[str] = []
-    if sup.positions:
-        z2 = model.decode_hidden(sup.state2, enc)
-        with ag.no_grad():
-            model_fill = model.argmax_fill(z2, sup.positions)
-    _complete(sup, y_star, model_fill)
-    return sup, z2
-
-
 def _nll(
     logits: Tensor, rows: np.ndarray, labels: np.ndarray, counts: Sequence[int] = ()
 ) -> tuple[Tensor, list[float]]:
@@ -301,20 +283,15 @@ def edit_loss_from_supervision(
     enc: EncoderOutput,
     sup: EditSupervision,
     lam: float = 1.0,
-    hidden: Tensor | None = None,
 ) -> EditLossParts:
-    """L_ins + lam * L_del over the frozen supervision states.
-
-    `hidden`, when given, is what decode_hidden(sup.state2, enc) returns,
-    already on the current tape; state2 is then not decoded again.
-    """
+    """L_ins + lam * L_del over the frozen supervision states."""
     z1 = model.decode_hidden(sup.state1, enc)
     slots = np.arange(len(sup.slot_labels))
     loss_plh = _nll(model.placeholder_logits(z1), slots, sup.slot_labels)[0]
 
     loss_tok = Tensor(0.0)
     if sup.positions:
-        z2 = model.decode_hidden(sup.state2, enc) if hidden is None else hidden
+        z2 = model.decode_hidden(sup.state2, enc)
         fills = np.arange(len(sup.positions))
         loss_tok = _nll(model.token_logits(z2, sup.positions), fills, sup.gold_ids)[0]
 
@@ -338,12 +315,10 @@ def edit_loss_example(
 ) -> EditLossParts:
     """Imitation loss for one (table, skeleton, reference) triple.
 
-    State2 is decoded once, on the tape: its argmax fills make state3, and
-    its token loss reuses the same states. backprop_edit_batch computes the
-    same losses for a padded batch of examples.
+    backprop_edit_batch computes the same losses for a padded batch of examples.
     """
-    sup, z2 = _supervise(model, enc, skeleton, y_star, rng)
-    return edit_loss_from_supervision(model, enc, sup, lam, hidden=z2)
+    sup = build_edit_supervision(model, enc, skeleton, y_star, rng)
+    return edit_loss_from_supervision(model, enc, sup, lam)
 
 
 def _backprop(loss: Tensor, scale: float) -> None:

@@ -9,7 +9,7 @@ from typing import Callable
 
 import numpy as np
 
-from .config import RunConfig
+from .config import RunConfig, read_json
 from .data import (
     Corpus,
     Vocabulary,
@@ -154,15 +154,10 @@ def train_editor(
     return model, _train("editor", model, schedule, 4, backprop, corpus, cfg, log, {})
 
 
-def save_model_dir(
-    directory: str,
-    model,
-    cfg: RunConfig,
-    optimizer: Adam | None = None,
-) -> None:
+def save_model_dir(directory: str, model, cfg: RunConfig) -> None:
     """Checkpoint directory: manifest/params plus the vocabularies and config."""
     os.makedirs(directory, exist_ok=True)
-    save_checkpoint(directory, model, optimizer)
+    save_checkpoint(directory, model)
     cfg.save(os.path.join(directory, CONFIG_FILE))
     for name, vocab in ((VOCAB_FILE, model.vocab), (KEY_VOCAB_FILE, model.encoder.key_vocab)):
         with open(os.path.join(directory, name), "w", encoding="utf-8") as fh:
@@ -174,8 +169,12 @@ def _load_dir(directory: str, build):
     cfg = RunConfig.from_file(os.path.join(directory, CONFIG_FILE))
     vocabs = []
     for name in (VOCAB_FILE, KEY_VOCAB_FILE):
-        with open(os.path.join(directory, name), encoding="utf-8") as fh:
-            vocabs.append(Vocabulary.from_json(json.load(fh)))
+        path = os.path.join(directory, name)
+        tokens = read_json(path)
+        try:
+            vocabs.append(Vocabulary.from_json(tokens))
+        except ValueError as err:
+            raise ValueError(f"{path}: {err}") from None
     model = build(cfg, *vocabs)
     load_checkpoint(directory, model)
     return model, cfg

@@ -173,6 +173,38 @@ def test_evaluate_on_an_empty_gold_corpus_names_the_problem(tmp_path, capsys):
     assert "at least one gold example" in events[-1]["message"]
 
 
+@pytest.mark.parametrize(
+    "lines,line_no,problem",
+    [
+        (['{"text": "a b"}', "{oops"], 2, "not JSON: JSONDecodeError"),
+        (["5"], 1, "expected a JSON object with a string 'text'"),
+        (['{"text": 5}'], 1, "expected a JSON object with a string 'text'"),
+        (['{"txt": "a"}'], 1, "expected a JSON object with a string 'text'"),
+    ],
+    ids=["not_json", "bare_number", "text_not_a_string", "no_text"],
+)
+def test_evaluate_names_the_file_and_line_of_a_malformed_system_line(
+    tmp_path, capsys, lines, line_no, problem
+):
+    gold, system = str(tmp_path / "gold.jsonl"), str(tmp_path / "system.jsonl")
+    assert main(["synth-corpus", "--n", "2", "--seed", "0", "--out", gold]) == 0
+    with open(system, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["evaluate", "--system", system, "--gold", gold]) == 1
+    event = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert (event["event"], event["error"]) == ("error", "ValueError")
+    assert event["message"].startswith(f"{system} line {line_no}: {problem}")
+
+
+@pytest.mark.parametrize("command", ["train-pointer", "train-editor"])
+def test_save_optimizer_is_a_usage_error(tmp_path, capsys, command):
+    with pytest.raises(SystemExit) as info:
+        main([command, "--corpus", "c.jsonl", "--out-dir", str(tmp_path), "--save-optimizer"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --save-optimizer" in capsys.readouterr().err
+
+
 def test_train_is_deterministic_given_seed(pipeline, tmp_path):
     dir1 = str(tmp_path / "p1")
     dir2 = str(tmp_path / "p2")

@@ -351,7 +351,7 @@ def test_deletion_oracle_composed_with_constraint_machinery():
             protected.append(state.protected[slot + 1])
         state2 = EditState(tuple(tokens), tuple(protected))
         enc = model.encode(table)
-        plh = state2.plh_positions()
+        plh = [i for i, t in enumerate(state2.tokens) if t == PLH_TOKEN]
         fills = model.argmax_fill(model.decode_hidden(state2.tokens, enc), plh)
         filled = list(state2.tokens)
         for pos, tok in zip(plh, fills):

@@ -122,6 +122,51 @@ def test_checkpoint_with_a_legacy_config_loads(tmp_path, build, load):
     assert [n for n, _ in loaded.named_parameters()] == [n for n, _ in model.named_parameters()]
 
 
+@pytest.mark.parametrize(
+    "build,load", [(tiny_pointer, load_pointer_dir), (tiny_editor, load_editor_dir)],
+    ids=["pointer", "editor"],
+)
+def test_checkpoint_with_optimizer_files_of_earlier_versions_loads(tmp_path, build, load):
+    # Earlier versions could also save Adam's moments, as float32 first
+    # moments then second moments in manifest order, and the step counter.
+    model, cfg = build(seed=4)
+    save_model_dir(str(tmp_path / "plain"), model, cfg)
+    save_model_dir(str(tmp_path / "old"), model, cfg)
+    moments = [np.full(p.shape, 0.5) for p in model.parameters()] * 2
+    with open(tmp_path / "old" / "optimizer.bin", "wb") as fh:
+        for arr in moments:
+            fh.write(arr.astype("<f4").tobytes())
+    (tmp_path / "old" / "optimizer.json").write_text(json.dumps({"step": 7}))
+
+    plain, _ = load(str(tmp_path / "plain"))
+    old, old_cfg = load(str(tmp_path / "old"))
+    assert old_cfg == cfg
+    for (name, p), (_, want) in zip(old.named_parameters(), plain.named_parameters()):
+        assert p.data.tobytes() == want.data.tobytes(), name
+
+
+@pytest.mark.parametrize(
+    "name,text,problem",
+    [
+        ("manifest.json", "[{", "not a JSON file"),
+        ("config.json", '{"d_model": 16,', "not a JSON file"),
+        ("config.json", "[16, 24]", "JSON object"),
+        ("config.json", '{"d_model": "wide"}', "not supported between"),
+        ("vocab.json", '{"<pad>": 0}', "list of tokens"),
+        ("keys.json", "", "not a JSON file"),
+    ],
+    ids=["manifest_not_json", "config_not_json", "config_list", "config_wrong_type",
+         "vocab_object", "keys_empty"],
+)
+def test_a_damaged_checkpoint_file_is_a_value_error_naming_it(tmp_path, name, text, problem):
+    model, cfg = tiny_pointer(seed=5)
+    save_model_dir(str(tmp_path), model, cfg)
+    (tmp_path / name).write_text(text)
+    with pytest.raises(ValueError, match=problem) as info:
+        load_pointer_dir(str(tmp_path))
+    assert str(info.value).startswith(str(tmp_path / name) + ": ")
+
+
 # -- micro-batched editor steps ------------------------------------------------
 
 
