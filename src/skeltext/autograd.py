@@ -494,13 +494,39 @@ def transpose(x: Tensor, axes=None) -> Tensor:
     return _make(x.data.transpose(axes_), (x,), lambda g: (g.transpose(inv),), "transpose")
 
 
+def _picks_each_once(index) -> bool:
+    """Whether x[index] reads no element of x twice, judged from its first axis alone.
+
+    True for slices, and for a 1-D integer array of distinct non-negative
+    rows, alone or paired with 1-D arrays of its length, as in
+    x[rows, labels]. Anything else counts as repeating.
+    """
+    parts = index if isinstance(index, tuple) else (index,)
+    if all(isinstance(p, slice) for p in parts):
+        return True
+    rows = parts[0]
+    if not (isinstance(rows, np.ndarray) and rows.ndim == 1 and rows.dtype.kind in "iu"
+            and all(isinstance(p, np.ndarray) and p.shape == rows.shape for p in parts[1:])):
+        return False
+    ids = rows.tolist()
+    return len(set(ids)) == len(ids) and (not ids or min(ids) >= 0)
+
+
 def take(x: Tensor, index) -> Tensor:
-    """Index/slice with gradient scatter-add (fancy integer indexing included)."""
+    """Index/slice with gradient scatter-add (fancy integer indexing included).
+
+    When the index reads each element once, the backward adds g straight
+    into the zero gradient, with np.add.at's bits: both compute 0.0 + g,
+    which turns a -0.0 of g into +0.0.
+    """
     out = x.data[index]
 
     def bw(g):
         gx = np.zeros_like(x.data)
-        np.add.at(gx, index, g)
+        if _picks_each_once(index):
+            gx[index] += g
+        else:
+            np.add.at(gx, index, g)
         return (gx,)
 
     return _make(out, (x,), bw, "take")

@@ -158,6 +158,12 @@ class Vocabulary:
             raise ValueError("vocabulary file is not a JSON list of tokens")
         if tuple(id_to_token[:5]) != RESERVED_TOKENS:
             raise ValueError("vocabulary file does not start with the reserved tokens")
+        # A repeat would be dropped, shifting every later id off its weights.
+        first: dict[str, int] = {}
+        for i, tok in enumerate(id_to_token):
+            if tok in first:
+                raise ValueError(f"vocabulary file repeats token {tok!r} at positions {first[tok]} and {i}")
+            first[tok] = i
         return cls(id_to_token[5:])
 
 

@@ -20,6 +20,7 @@ from .nn import (
     TransformerEncoder,
 )
 from .oracle import backprop_edit_batch, build_edit_supervision, edit_loss_from_supervision
+from .pointer import backprop_pointer_batch
 from .training import RunConfig, build_editor, build_pointer
 
 TOLERANCE = 1e-4
@@ -205,5 +206,12 @@ def run_gradcheck(seed: int = 0) -> list[tuple[str, float]]:
         return Tensor(sum(p.total.item() for p in parts))
 
     check("editor_padded_batch_loss", batch_loss, editor.parameters())
+
+    # Also after the checks above: two tables of 5 and 2 cells, one padded pass.
+    check(
+        "pointer_padded_batch_loss",
+        lambda: Tensor(sum(backprop_pointer_batch(pointer, batch))),
+        pointer.parameters(),
+    )
     return results
 

@@ -128,6 +128,45 @@ class Padded:
         return Padded(self.rows[rows], lengths)
 
 
+class Detached:
+    """Retained leaf copies of a padded pass's rows, and one backward through that pass.
+
+    Later passes backpropagate into the leaves as soon as their losses are
+    known, so the tape holds the padded pass and one later pass at most.
+    backward() then seeds the padded rows with the leaves' gradients, zero
+    on the rows no leaf covers, and walks the graph below them once. Take
+    the leaves one way only, whole() or sequences(), so that none overlap.
+    """
+
+    def __init__(self, padded: Padded):
+        self.padded = padded
+        self._leaves: list[tuple[int, Tensor]] = []
+
+    def _leaf(self, start: int, stop: int) -> Tensor:
+        leaf = Tensor(self.padded.rows.data[start:stop], retain_grad=True)
+        self._leaves.append((start, leaf))
+        return leaf
+
+    def whole(self) -> Padded:
+        """One leaf over every row, padding included, in the same layout."""
+        return Padded(self._leaf(0, self.padded.rows.shape[0]), self.padded.lengths)
+
+    def sequences(self) -> list[Tensor]:
+        """One leaf per sequence, over its unpadded rows."""
+        width = self.padded.width
+        return [self._leaf(b * width, b * width + n) for b, n in enumerate(self.padded.lengths)]
+
+    def backward(self) -> None:
+        """Backpropagate the leaves' gradients through the padded pass; nothing if none has one."""
+        grads = [(start, leaf.grad) for start, leaf in self._leaves if leaf.grad is not None]
+        if not grads:
+            return
+        seed = np.zeros_like(self.padded.rows.data)
+        for start, grad in grads:
+            seed[start : start + len(grad)] = grad
+        self.padded.rows.backward(seed)
+
+
 class MultiHeadAttention(Module):
     """Scaled dot-product attention; full/bidirectional unless a mask says otherwise."""
 

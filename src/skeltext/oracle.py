@@ -18,7 +18,7 @@ from .autograd import Tensor
 from .data import BOS_TOKEN, EOS_TOKEN, PLH_TOKEN, Example
 from .editor import EditRealizer
 from .encoder import EncoderOutput
-from .nn import Padded
+from .nn import Detached
 
 Tokens = Sequence[str]
 
@@ -346,8 +346,8 @@ def backprop_edit_batch(
     pass and one decoder pass at most. Under no_grad this only computes the
     losses. Returns each example's loss parts, with constant totals.
     """
-    encoded = model.encode_batch([ex.table for ex in examples])
-    memory = Padded(Tensor(encoded.rows.data, retain_grad=True), encoded.lengths)
+    encoded = Detached(model.encode_batch([ex.table for ex in examples]))
+    memory = encoded.whole()
 
     token_nll = [0.0] * len(sups)
     filled = [i for i, sup in enumerate(sups) if sup.positions]
@@ -385,8 +385,7 @@ def backprop_edit_batch(
     loss, deletion_nll = _nll(model.deletion_logits(z3.rows), rows, labels, counts)
     _backprop(loss, lam * scale)
 
-    if memory.rows.grad is not None:
-        encoded.rows.backward(memory.rows.grad)
+    encoded.backward()
     return [
         EditLossParts(Tensor(plh + tok + lam * dl), plh, tok, dl, sup.clamped_slots)
         for plh, tok, dl, sup in zip(placeholder_nll, token_nll, deletion_nll, sups)

@@ -3,14 +3,15 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
-from .data import BOS_TOKEN, EOS_TOKEN, Example, Table, Vocabulary
+from .data import BOS_TOKEN, EOS_TOKEN, Example, Table, Vocabulary, linearize_table
 from .encoder import EncoderOutput, TableToText
-from .nn import DecoderCache, Linear
+from .nn import DecoderCache, Detached, Linear
 
 
 class DataIntegrityError(ValueError):
@@ -29,6 +30,20 @@ def copy_pool(cell_tokens: list[str]) -> tuple[list[str], np.ndarray]:
     for i, tok in enumerate(cell_tokens):
         pool[i, index[tok]] = 1.0
     return distinct, pool
+
+
+def check_skeleton(example: Example, cell_tokens: Sequence[str], index: int | None = None) -> None:
+    """Raise DataIntegrityError unless the example's skeleton is made of its table's cell tokens.
+
+    `index`, the example's corpus index, is named in the message when given.
+    """
+    where = "" if index is None else f"example {index}: "
+    if example.skeleton is None:
+        raise DataIntegrityError(f"{where}example has no skeleton annotation")
+    table_tokens = set(cell_tokens)
+    for tok in example.skeleton:
+        if tok not in table_tokens:
+            raise DataIntegrityError(f"{where}skeleton token {tok!r} does not occur in the table")
 
 
 @dataclass
@@ -86,15 +101,14 @@ class SkeletonPointer(TableToText):
         distinct, pool = copy_pool(enc.cell_tokens)
         return (attn @ Tensor(pool)).log(), distinct
 
-    def loss(self, example: Example) -> Tensor:
-        """Teacher-forced negative log-likelihood of skeleton + EOS."""
-        if example.skeleton is None:
-            raise DataIntegrityError("example has no skeleton annotation")
-        enc = self.encode(example.table)
-        table_tokens = set(enc.cell_tokens)
-        for tok in example.skeleton:
-            if tok not in table_tokens:
-                raise DataIntegrityError(f"skeleton token {tok!r} does not occur in the table")
+    def loss(self, example: Example, enc: EncoderOutput | None = None) -> Tensor:
+        """Teacher-forced negative log-likelihood of skeleton + EOS.
+
+        `enc` is the example's table, encoded; without it the table is encoded here.
+        """
+        if enc is None:
+            enc = self.encode(example.table)
+        check_skeleton(example, enc.cell_tokens)
         prefix = [BOS_TOKEN, *example.skeleton]
         targets = [*example.skeleton, EOS_TOKEN]
         logp, distinct = self.copy_log_probs(prefix, enc)
@@ -188,3 +202,33 @@ class SkeletonPointer(TableToText):
             return h.score / (len(h.tokens) + 1) if length_normalize else h.score
 
         return max(done or live + exhausted, key=rank)
+
+
+def backprop_pointer_batch(
+    model: SkeletonPointer,
+    examples: Sequence[Example],
+    scale: float = 1.0,
+    indices: Sequence[int] | None = None,
+) -> list[float]:
+    """Add `scale` times the teacher-forced losses of a batch of examples into the gradients.
+
+    Every skeleton is checked first; an error names indices[i], the corpus
+    index of examples[i] (i itself by default). The tables are then encoded
+    as one padded pass. Each example's loss runs on its own unpadded rows of
+    that pass, a retained leaf, and is backpropagated into it at once; the
+    leaves' gradients go through the encoder once, at the end. Under no_grad
+    this only computes the losses. Returns each example's loss.
+    """
+    tables = [linearize_table(ex.table) for ex in examples]
+    tokens = [[cell.token for cell in cells] for cells in tables]
+    for i, (ex, cell_tokens) in enumerate(zip(examples, tokens)):
+        check_skeleton(ex, cell_tokens, i if indices is None else indices[i])
+    encoded = Detached(model.encoder.encode_padded(tables))
+    losses = []
+    for ex, cell_tokens, hidden in zip(examples, tokens, encoded.sequences()):
+        loss = model.loss(ex, EncoderOutput(hidden, cell_tokens))
+        if loss.tracked:
+            (loss * scale).backward()
+        losses.append(loss.item())
+    encoded.backward()
+    return losses

@@ -19,7 +19,7 @@ from .data import (
 from .editor import EditRealizer
 from .nn import Adam, load_checkpoint, save_checkpoint
 from .oracle import backprop_edit_batch, draft_supervision
-from .pointer import SkeletonPointer
+from .pointer import SkeletonPointer, backprop_pointer_batch
 
 Logger = Callable[[dict], None]
 
@@ -100,16 +100,13 @@ def _train(stage: str, model, schedule: tuple[float, int, int], stream: int, bac
 def train_pointer(
     corpus: Corpus, cfg: RunConfig, log: Logger = _noop_logger
 ) -> tuple[SkeletonPointer, Adam]:
-    """Teacher-forced training of the skeleton pointer on an annotated corpus."""
+    """Teacher-forced training of the skeleton pointer, each step's tables encoded as one padded pass."""
     model = build_pointer(cfg, *_training_vocabularies(corpus, cfg, "pointer"))
 
     def backprop(batch: list[int], epoch: int) -> Counter[str]:
-        sums: Counter[str] = Counter()
-        for idx in batch:
-            loss = model.loss(corpus[idx])
-            (loss / len(batch)).backward()
-            sums.update({"loss": loss.item()})
-        return sums
+        examples = [corpus[i] for i in batch]
+        losses = backprop_pointer_batch(model, examples, 1.0 / len(batch), batch)
+        return Counter({"loss": sum(losses)})
 
     schedule = (cfg.pointer_peak_lr, cfg.pointer_warmup, cfg.pointer_epochs)
     opt = _train("pointer", model, schedule, 3, backprop, corpus, cfg, log,

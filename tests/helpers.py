@@ -94,6 +94,20 @@ def per_example_edit_step(model, examples, rngs, lam: float = 1.0) -> list[dict[
     return parts
 
 
+def per_example_pointer_step(model, examples) -> list[float]:
+    """The per-example reference of the batched pointer step: a graph and a backward each.
+
+    Adds the gradient of the batch's mean loss into the parameters and
+    returns each example's loss.
+    """
+    losses = []
+    for ex in examples:
+        loss = model.loss(ex)
+        (loss / len(examples)).backward()
+        losses.append(loss.item())
+    return losses
+
+
 # -- the composed reference of the fused transformer blocks ------------------
 # The single ops that skeltext.autograd's keys_values, attention,
 # feed_forward and residual layer_norm nodes replace, composed as the model

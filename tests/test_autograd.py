@@ -573,6 +573,35 @@ def test_embedding_backward_adds_the_dense_scatters_bits_with_negative_zeros(ids
     assert not np.signbit(table.grad[1, 1:]).any()  # +0.0 plus -0.0
 
 
+@pytest.mark.parametrize(
+    "index,once",
+    [
+        (slice(1, 4), True),
+        (np.array([4, 0, 2]), True),
+        ((np.array([0, 2, 5]), np.array([3, 3, 1])), True),
+        (np.array([1, 4, 1, 1]), False),
+        (np.array([5, -1]), False),  # row 5 twice
+    ],
+    ids=["slice", "distinct", "rows_labels", "repeated", "negative_alias"],
+)
+def test_take_backward_has_the_add_at_bits_with_negative_zeros(index, once):
+    # An index that reads each element once adds g straight into the zero
+    # gradient; the others scatter with np.add.at. Both give add.at's bits,
+    # -0.0 in g included: 0.0 + -0.0 is +0.0.
+    rng = np.random.default_rng(33)
+    x = Tensor(rng.normal(size=(6, 4)), retain_grad=True)
+    out = ag.take(x, index)
+    g = rng.normal(size=out.shape)
+    g.flat[0] = g.flat[-1] = -0.0
+    out.backward(g)
+
+    want = np.zeros((6, 4))
+    np.add.at(want, index, g)
+    assert ag._picks_each_once(index) == once
+    assert x.grad.tobytes() == want.tobytes()
+    assert not np.signbit(x.grad[x.grad == 0.0]).any()
+
+
 def test_backward_with_a_seed_gradient_matches_the_weighted_sum():
     rng = np.random.default_rng(32)
     w = rng.normal(size=(3, 4))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -169,6 +170,19 @@ def test_vocabulary_roundtrip_lookup():
     for _ in range(100):
         idx = int(rng.integers(0, len(vocab)))
         assert again.id_of(again.token_of(idx)) == idx
+
+
+@pytest.mark.parametrize(
+    "extra,token,positions",
+    [(["w1"], "w1", (6, 8)), ([RESERVED_TOKENS[2]], RESERVED_TOKENS[2], (2, 8))],
+    ids=["ordinary", "reserved"],
+)
+def test_a_vocabulary_file_repeating_a_token_names_it_and_both_positions(extra, token, positions):
+    # Dropping the repeat would shift every later id off its weights.
+    tokens = Vocabulary(["w0", "w1", "w2"]).to_json() + extra
+    message = f"repeats token '{token}' at positions {positions[0]} and {positions[1]}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Vocabulary.from_json(tokens)
 
 
 def test_linearize_published_example():

@@ -4,13 +4,17 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from skeltext import annotate_corpus, default_stop_words, generate
+from skeltext.data import PAD_ID, linearize_table
+from skeltext.encoder import TableEncoder
 from skeltext.oracle import backprop_edit_batch, draft_supervision
+from skeltext.pointer import DataIntegrityError, SkeletonPointer, backprop_pointer_batch
 from skeltext.synth import TemplateSpec
 from skeltext.training import (
     load_editor_dir,
@@ -20,7 +24,13 @@ from skeltext.training import (
     train_pointer,
 )
 
-from helpers import per_example_edit_step, tiny_config, tiny_editor, tiny_pointer
+from helpers import (
+    per_example_edit_step,
+    per_example_pointer_step,
+    tiny_config,
+    tiny_editor,
+    tiny_pointer,
+)
 
 EDIT_LOSS_PARTS = {"loss_edit", "loss_ins", "loss_plh", "loss_tok", "loss_del"}
 
@@ -154,9 +164,11 @@ def test_checkpoint_with_optimizer_files_of_earlier_versions_loads(tmp_path, bui
         ("config.json", '{"d_model": "wide"}', "not supported between"),
         ("vocab.json", '{"<pad>": 0}', "list of tokens"),
         ("keys.json", "", "not a JSON file"),
+        ("vocab.json", '["<pad>", "<unk>", "<bos>", "<eos>", "<plh>", "born", "born"]',
+         "repeats token 'born' at positions 5 and 6"),
     ],
     ids=["manifest_not_json", "config_not_json", "config_list", "config_wrong_type",
-         "vocab_object", "keys_empty"],
+         "vocab_object", "keys_empty", "vocab_repeat"],
 )
 def test_a_damaged_checkpoint_file_is_a_value_error_naming_it(tmp_path, name, text, problem):
     model, cfg = tiny_pointer(seed=5)
@@ -222,7 +234,6 @@ def test_a_batched_editor_step_equals_the_per_example_steps(k_max):
 
 def test_padding_changes_no_loss_and_gets_no_gradient(monkeypatch):
     from skeltext import encoder
-    from skeltext.data import PAD_ID
 
     model, examples = _edit_batch(4)
     _, parts, grads = _batched_step(model, examples)
@@ -270,3 +281,74 @@ def test_editor_training_is_deterministic_and_logs_the_batch_mean(corpus):
     step = _events(runs[0][0], "editor_step")[0]
     for key in EDIT_LOSS_PARTS:
         assert step[key] == pytest.approx(sum(w[key] for w in want) / len(batch), rel=1e-10)
+
+
+# -- batched pointer steps -------------------------------------------------------
+
+
+def _pointer_batch():
+    """Four examples whose tables differ in length, and two pointers with the same weights."""
+    examples = annotate_corpus(generate(TemplateSpec(seed=7), 4), default_stop_words())
+    assert len({len(linearize_table(ex.table)) for ex in examples}) > 1  # padding
+    return examples, tiny_pointer(seed=8, n_layers=2)[0], tiny_pointer(seed=8, n_layers=2)[0]
+
+
+def _grads(model) -> dict[str, np.ndarray]:
+    return {n: p.grad.copy() for n, p in model.named_parameters()}
+
+
+def test_a_batched_pointer_step_equals_the_per_example_steps():
+    examples, model, reference = _pointer_batch()
+    want = per_example_pointer_step(reference, examples)
+    got = backprop_pointer_batch(model, examples, 1.0 / len(examples))
+    assert got == pytest.approx(want, rel=1e-12)
+    _assert_gradients_match(_grads(model), _grads(reference))
+
+
+def test_a_one_example_pointer_step_gives_the_per_example_bytes():
+    examples, model, reference = _pointer_batch()
+    want = per_example_pointer_step(reference, examples[1:2])
+    assert backprop_pointer_batch(model, examples[1:2]) == want
+    for name, grad in _grads(reference).items():
+        assert _grads(model)[name].tobytes() == grad.tobytes(), name
+
+
+def test_pointer_padding_gets_no_gradient():
+    examples, model, _ = _pointer_batch()
+    backprop_pointer_batch(model, examples, 1.0 / len(examples))
+    # Padding cells (id 0 in every field) are the only readers of these rows.
+    enc = model.encoder
+    for table, row in ((enc.tok_emb, PAD_ID), (enc.key_emb, PAD_ID), (enc.fwd_emb, 0),
+                       (enc.bwd_emb, 0)):
+        assert not table.weight.grad[row].any()
+    assert enc.tok_emb.weight.grad.any()
+
+
+def test_a_pointer_step_encodes_once_and_decodes_each_example_once(corpus, monkeypatch):
+    calls: Counter[str] = Counter()
+
+    def count(cls, name):
+        original = getattr(cls, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cls, name, counted)
+
+    count(TableEncoder, "encode_padded")
+    count(SkeletonPointer, "decoder_states")
+    train_pointer(corpus, tiny_config(batch_size=4, pointer_epochs=1))  # steps of 4 and 2
+    assert calls == {"encode_padded": 2, "decoder_states": len(corpus)}
+
+
+def test_a_bad_skeleton_names_its_corpus_index_before_any_gradient(corpus):
+    bad = replace(corpus[4], skeleton=(*corpus[4].skeleton, "ghost"))
+    with pytest.raises(DataIntegrityError, match="example 4: skeleton token 'ghost'"):
+        train_pointer([*corpus[:4], bad, *corpus[5:]], tiny_config(batch_size=6))
+
+    # The bad example comes last in its step, and no example of the step runs.
+    model, _ = tiny_pointer(seed=8)
+    with pytest.raises(DataIntegrityError, match="example 4: skeleton token 'ghost'"):
+        backprop_pointer_batch(model, [*corpus[:3], bad], 0.25, [0, 1, 2, 4])
+    assert not any(p.grad.any() for p in model.parameters())
