@@ -54,6 +54,12 @@ class RunConfig:
     seed: int = 0
 
     def validate(self) -> "RunConfig":
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            types = {"bool": bool, "int": int, "float": (int, float)}[f.type]
+            # bool is an int subtype, so only a bool field may hold a bool.
+            if isinstance(value, bool) != (f.type == "bool") or not isinstance(value, types):
+                raise ValueError(f"config field {f.name} must be {f.type}, not {value!r}")
         positive = (
             "d_model", "d_hidden", "n_heads", "n_layers", "token_dim", "key_dim",
             "pos_dim", "pos_clamp", "vocab_cap", "k_max", "max_state_len",

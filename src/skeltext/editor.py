@@ -83,7 +83,8 @@ class EditRealizer(TableToText):
         Under no_grad, the table memory's cross-attention projections are
         computed once per `enc` and reused by every later pass over it.
         """
-        return self.decode_tokens(tokens, enc, causal=False, cache=enc.memory_cache(self.decoder))
+        cache = enc.memory_cache(self.decoder)
+        return self.decode_batch([tokens], enc.padded(), False, cache).rows
 
     # -- classifier heads ---------------------------------------------------
     def deletion_logits(self, z: Tensor) -> Tensor:
@@ -93,22 +94,13 @@ class EditRealizer(TableToText):
         """Per-position (keep, delete) distribution; index 0 keeps, 1 deletes."""
         return ag.softmax(self.deletion_logits(z), axis=-1)
 
-    def placeholder_logits(self, z: Tensor, slots: np.ndarray | None = None) -> Tensor:
-        """Logits of 0..k_max insertions between each row of z in `slots` and the next row.
-
-        By default the slots are every row but the last: the n-1 slots of one state.
-        """
-        if slots is None:
-            if z.shape[0] < 2:
-                raise ValueError("placeholder head needs a state of length >= 2")
-            pairs = ag.concat([z[:-1], z[1:]], axis=1)
-        else:
-            pairs = ag.concat([z[slots], z[slots + 1]], axis=1)
-        return self.w_plh(pairs)
+    def placeholder_logits(self, z: Tensor, slots: np.ndarray) -> Tensor:
+        """Logits of 0..k_max insertions between each row of z in `slots` and the next row."""
+        return self.w_plh(ag.concat([z[slots], z[slots + 1]], axis=1))
 
     def placeholder_scores(self, z: Tensor) -> Tensor:
-        """Distribution over 0..k_max insertions for each of the n-1 slots."""
-        return ag.softmax(self.placeholder_logits(z), axis=-1)
+        """Distribution over 0..k_max insertions for each of the n-1 slots of one state."""
+        return ag.softmax(self.placeholder_logits(z, np.arange(z.shape[0] - 1)), axis=-1)
 
     def token_logits(self, z: Tensor, positions: Sequence[int]) -> Tensor:
         rows = z[np.asarray(positions, dtype=np.int64)]

@@ -28,6 +28,8 @@ def pad_ids(seqs: Sequence[np.ndarray]) -> tuple[np.ndarray, list[int]]:
     Returns the (B, ..., width) array and the B unpadded lengths.
     """
     lengths = [s.shape[-1] for s in seqs]
+    if len(seqs) == 1:
+        return seqs[0][None], lengths
     out = np.full((len(seqs),) + seqs[0].shape[:-1] + (max(lengths),), PAD_ID, dtype=np.int64)
     for row, s in zip(out, seqs):
         row[..., : s.shape[-1]] = s
@@ -52,6 +54,10 @@ class EncoderOutput:
 
     def __len__(self) -> int:
         return len(self.cell_tokens)
+
+    def padded(self) -> Padded:
+        """`hidden` as a padded batch of one table, without padding."""
+        return Padded(self.hidden, [len(self.cell_tokens)])
 
     def memory_cache(self, decoder: TransformerDecoder) -> DecoderCache | None:
         """`decoder`'s cross-attention projections of `hidden`, computed on first use.
@@ -190,30 +196,27 @@ class TableToText(Module):
     def _token_ids(self, tokens: Sequence[str]) -> np.ndarray:
         return np.array([self.vocab.id_of(t) for t in tokens], dtype=np.int64)
 
-    def decode_tokens(
-        self, tokens: Sequence[str], enc: EncoderOutput, causal: bool,
-        cache: DecoderCache | None = None,
-    ) -> Tensor:
-        """Embed `tokens`, add their positions and decode them against the table memory.
+    def decode_tokens(self, tokens: Sequence[str], enc: EncoderOutput, cache: DecoderCache) -> Tensor:
+        """One incremental causal step: tokens[i] is the newest token of hypothesis i.
 
-        The tokens sit at positions 0..n-1, except with an incremental cache,
-        where each is the newest token of one hypothesis, at cache.length.
+        Every token sits at position cache.length, and the cache grows by one.
         """
-        if cache is not None and cache.incremental:
-            positions = np.full(len(tokens), cache.length)
-        else:
-            positions = np.arange(len(tokens))
-        x = self._embed_tokens(self._token_ids(tokens), positions)
-        return self.decoder(x, enc.hidden, causal=causal, cache=cache)
+        x = self._embed_tokens(self._token_ids(tokens), np.full(len(tokens), cache.length))
+        return self.decoder(x, enc.hidden, causal=True, cache=cache)
 
-    def decode_batch(self, states: Sequence[Sequence[str]], memory: Padded, causal: bool) -> Padded:
-        """Decode state b against table b of `memory`, all states as one padded batch.
+    def decode_batch(
+        self, states: Sequence[Sequence[str]], memory: Padded, causal: bool,
+        cache: DecoderCache | None = None,
+    ) -> Padded:
+        """Embed each state at positions 0..n-1 and decode it against table b of `memory`.
 
-        Every state sits at positions 0..n-1, as in decode_tokens, which is
-        the one-sequence case without the padding bookkeeping.
+        All states go as one padded batch; one unpadded state is the
+        unbatched computation. A cache that is not incremental supplies the
+        memory's cross-attention projections (EncoderOutput.memory_cache).
         """
         ids, lengths = pad_ids([self._token_ids(s) for s in states])
         batch, width = ids.shape
-        x = self._embed_tokens(ids.reshape(-1), np.tile(np.arange(width), batch))
+        positions = np.arange(width) if batch == 1 else np.tile(np.arange(width), batch)
+        x = self._embed_tokens(ids.reshape(-1), positions)
         mask = padding_mask(lengths, width)
-        return Padded(self.decoder(x, memory.rows, causal, None, mask, memory.mask()), lengths)
+        return Padded(self.decoder(x, memory.rows, causal, cache, mask, memory.mask()), lengths)

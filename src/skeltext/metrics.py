@@ -49,9 +49,13 @@ def bleu(hypotheses: list[Tokens], references: list[Tokens]) -> float:
 
 def table_entailment_weight(ngram: Tokens, table: Table) -> float:
     """Fraction of the n-gram's tokens that occur anywhere in the table values."""
+    return _entailment(ngram, table.value_token_set())
+
+
+def _entailment(ngram: Tokens, values: frozenset[str]) -> float:
+    """table_entailment_weight against the table's value tokens, built once by the caller."""
     if not ngram:
         return 0.0
-    values = table.value_token_set()
     return sum(1 for tok in ngram if tok in values) / len(ngram)
 
 
@@ -61,7 +65,7 @@ def _geometric_mean(values: list[float]) -> float:
     return math.exp(sum(math.log(v) for v in values) / len(values))
 
 
-def _entailed_precision(hyp: Tokens, ref: Tokens | None, table: Table) -> float:
+def _entailed_precision(hyp: Tokens, ref: Tokens | None, values: frozenset[str]) -> float:
     """Geometric mean over n of entailment-weighted clipped n-gram precision.
 
     With a reference, each hypothesis n-gram scores max(reference match,
@@ -81,14 +85,14 @@ def _entailed_precision(hyp: Tokens, ref: Tokens | None, table: Table) -> float:
         ref_counts = ngram_counts(ref, n) if ref is not None else Counter()
         score = 0.0
         for gram, count in hyp_counts.items():
-            w = table_entailment_weight(gram, table)
+            w = _entailment(gram, values)
             matched = min(count, ref_counts[gram])
             score += matched * max(1.0, w) + (count - matched) * w
         per_order.append(score / total)
     return _geometric_mean(per_order)
 
 
-def _reference_recall(hyp: Tokens, ref: Tokens, table: Table) -> float:
+def _reference_recall(hyp: Tokens, ref: Tokens, values: frozenset[str]) -> float:
     """Entailment-weighted recall of reference n-grams, geometric over n."""
     per_order: list[float] = []
     for n in range(1, MAX_ORDER + 1):
@@ -96,7 +100,7 @@ def _reference_recall(hyp: Tokens, ref: Tokens, table: Table) -> float:
         hyp_counts = ngram_counts(hyp, n)
         numer = denom = 0.0
         for gram, count in ref_counts.items():
-            w = table_entailment_weight(gram, table)
+            w = _entailment(gram, values)
             denom += count * w
             numer += min(count, hyp_counts[gram]) * w
         per_order.append(1.0 if denom == 0.0 else numer / denom)
@@ -126,8 +130,9 @@ def parent(
     Recall blends reference recall and table recall geometrically with
     exponents lambda_mix and 1 - lambda_mix.
     """
-    precision = _entailed_precision(hyp, ref, table)
-    r_ref = _reference_recall(hyp, ref, table)
+    values = table.value_token_set()
+    precision = _entailed_precision(hyp, ref, values)
+    r_ref = _reference_recall(hyp, ref, values)
     r_tab = _table_recall(hyp, table)
     recall = (r_ref**lambda_mix) * (r_tab ** (1.0 - lambda_mix))
     return precision, recall, _f1(precision, recall)
@@ -135,7 +140,7 @@ def parent(
 
 def parent_t(hyp: Tokens, table: Table) -> tuple[float, float, float]:
     """Table-only PARENT variant: entailment precision and LCS table recall."""
-    precision = _entailed_precision(hyp, None, table)
+    precision = _entailed_precision(hyp, None, table.value_token_set())
     recall = _table_recall(hyp, table)
     return precision, recall, _f1(precision, recall)
 

@@ -9,7 +9,7 @@ suite re-verifies that claim by brute force on a small universe.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -18,7 +18,7 @@ from .autograd import Tensor
 from .data import BOS_TOKEN, EOS_TOKEN, PLH_TOKEN, Example
 from .editor import EditRealizer
 from .encoder import EncoderOutput
-from .nn import Detached
+from .nn import Detached, Padded
 
 Tokens = Sequence[str]
 
@@ -226,11 +226,8 @@ def build_edit_supervision(
     gradients) so the deletion head sees its own mistakes.
     """
     sup = draft_supervision(model, skeleton, y_star, rng)
-    model_fill: list[str] = []
-    if sup.positions:
-        with ag.no_grad():
-            model_fill = model.argmax_fill(model.decode_hidden(sup.state2, enc), sup.positions)
-    _complete(sup, y_star, model_fill)
+    with ag.no_grad():
+        _example_loss(model, enc, sup, y_star, 1.0)
     return sup
 
 
@@ -278,6 +275,73 @@ def _nll(
     return -picked.sum(), parts
 
 
+def _edit_losses(
+    model: EditRealizer,
+    memory: Padded,
+    sups: Sequence[EditSupervision],
+    references: Sequence[Tokens | None],
+    lam: float,
+    take: Callable[[str, Tensor], None],
+) -> list[EditLossParts]:
+    """The three edit losses of sups[b] against table b of `memory`, one padded pass each.
+
+    The token pass runs first: a draft takes the argmax fills of its state2
+    into its state3, and its deletion labels from references[b], which a
+    complete supervision never reads. The placeholder and deletion passes
+    follow. take(name, loss) receives each pass's summed loss as soon as it
+    is known, named "tok" (skipped when no state2 has a placeholder), "plh"
+    or "del". Returns each example's loss parts, with constant totals.
+    """
+    token_nll = [0.0] * len(sups)
+    fills: list[list[str]] = [[] for _ in sups]
+    filled = [b for b, sup in enumerate(sups) if sup.positions]
+    if filled:
+        z2 = model.decode_batch([sups[b].state2 for b in filled], memory.select(filled), False)
+        logits = model.token_logits(z2.rows, z2.index([sups[b].positions for b in filled]))
+        argmax, start = model.fill_tokens(logits.data), 0
+        counts = [len(sups[b].positions) for b in filled]
+        labels = np.concatenate([sups[b].gold_ids for b in filled])
+        loss, parts = _nll(logits, np.arange(len(labels)), labels, counts)
+        for b, count, part in zip(filled, counts, parts):
+            fills[b], token_nll[b] = argmax[start : start + count], part
+            start += count
+        take("tok", loss)
+    for sup, y_star, fill in zip(sups, references, fills):
+        if sup.state3 is None:
+            _complete(sup, y_star, fill)
+
+    z1 = model.decode_batch([sup.state1 for sup in sups], memory, False)
+    slots = z1.index([np.arange(len(sup.slot_labels)) for sup in sups])
+    labels = np.concatenate([sup.slot_labels for sup in sups])
+    counts = [len(sup.slot_labels) for sup in sups]
+    logits = model.placeholder_logits(z1.rows, slots)
+    loss, placeholder_nll = _nll(logits, np.arange(len(labels)), labels, counts)
+    take("plh", loss)
+
+    z3 = model.decode_batch([sup.state3 for sup in sups], memory, False)
+    rows = z3.index([np.arange(len(sup.del_labels)) for sup in sups])
+    labels = np.concatenate([sup.del_labels for sup in sups])
+    counts = [len(sup.del_labels) for sup in sups]
+    loss, deletion_nll = _nll(model.deletion_logits(z3.rows), rows, labels, counts)
+    take("del", loss)
+
+    return [
+        EditLossParts(Tensor(plh + tok + lam * dl), plh, tok, dl, sup.clamped_slots)
+        for plh, tok, dl, sup in zip(placeholder_nll, token_nll, deletion_nll, sups)
+    ]
+
+
+def _example_loss(
+    model: EditRealizer, enc: EncoderOutput, sup: EditSupervision, y_star: Tokens | None,
+    lam: float,
+) -> EditLossParts:
+    """_edit_losses of one example, with its total plh + tok + lam * del on the tape."""
+    losses = {"tok": Tensor(0.0)}
+    parts = _edit_losses(model, enc.padded(), [sup], [y_star], lam, losses.__setitem__)[0]
+    parts.total = losses["plh"] + losses["tok"] + lam * losses["del"]
+    return parts
+
+
 def edit_loss_from_supervision(
     model: EditRealizer,
     enc: EncoderOutput,
@@ -285,24 +349,7 @@ def edit_loss_from_supervision(
     lam: float = 1.0,
 ) -> EditLossParts:
     """L_ins + lam * L_del over the frozen supervision states."""
-    z1 = model.decode_hidden(sup.state1, enc)
-    slots = np.arange(len(sup.slot_labels))
-    loss_plh = _nll(model.placeholder_logits(z1), slots, sup.slot_labels)[0]
-
-    loss_tok = Tensor(0.0)
-    if sup.positions:
-        z2 = model.decode_hidden(sup.state2, enc)
-        fills = np.arange(len(sup.positions))
-        loss_tok = _nll(model.token_logits(z2, sup.positions), fills, sup.gold_ids)[0]
-
-    z3 = model.decode_hidden(sup.state3, enc)
-    rows = np.arange(len(sup.del_labels))
-    loss_del = _nll(model.deletion_logits(z3), rows, sup.del_labels)[0]
-
-    total = loss_plh + loss_tok + lam * loss_del
-    return EditLossParts(
-        total, loss_plh.item(), loss_tok.item(), loss_del.item(), sup.clamped_slots
-    )
+    return _example_loss(model, enc, sup, None, lam)
 
 
 def edit_loss_example(
@@ -315,15 +362,12 @@ def edit_loss_example(
 ) -> EditLossParts:
     """Imitation loss for one (table, skeleton, reference) triple.
 
-    backprop_edit_batch computes the same losses for a padded batch of examples.
+    This is backprop_edit_batch's computation for a batch of one, with the
+    total on the tape: state2 is decoded once, for both its argmax fills
+    and its token loss.
     """
-    sup = build_edit_supervision(model, enc, skeleton, y_star, rng)
-    return edit_loss_from_supervision(model, enc, sup, lam)
-
-
-def _backprop(loss: Tensor, scale: float) -> None:
-    if loss.tracked:
-        (loss * scale).backward()
+    sup = draft_supervision(model, skeleton, y_star, rng)
+    return _example_loss(model, enc, sup, y_star, lam)
 
 
 def backprop_edit_batch(
@@ -338,55 +382,20 @@ def backprop_edit_batch(
     sups[i] supervises examples[i]. A draft (draft_supervision) is completed
     from the model's argmax fills of its state2, as in edit_loss_example;
     complete supervision stays as it is. The tables are encoded as one
-    padded pass, and each supervision state of every example is decoded as
-    one padded pass: state2 first, because its fills make state3, then
-    state1 and state3. Each pass is backpropagated as soon as its loss is
+    padded pass, and each supervision state of every example as one padded
+    pass (_edit_losses). Each pass is backpropagated as soon as its loss is
     known, into a retained copy of the encoder output, whose gradient goes
     through the encoder once, at the end; so the tape holds the encoder's
     pass and one decoder pass at most. Under no_grad this only computes the
     losses. Returns each example's loss parts, with constant totals.
     """
     encoded = Detached(model.encode_batch([ex.table for ex in examples]))
-    memory = encoded.whole()
 
-    token_nll = [0.0] * len(sups)
-    filled = [i for i, sup in enumerate(sups) if sup.positions]
-    if filled:
-        z2 = model.decode_batch([sups[i].state2 for i in filled], memory.select(filled), False)
-        logits = model.token_logits(z2.rows, z2.index([sups[i].positions for i in filled]))
-        counts = [len(sups[i].positions) for i in filled]
-        fills = model.fill_tokens(logits.data)
-        start = 0
-        for i, count in zip(filled, counts):
-            if sups[i].state3 is None:
-                _complete(sups[i], examples[i].reference, fills[start : start + count])
-            start += count
-        labels = np.concatenate([sups[i].gold_ids for i in filled])
-        loss, parts = _nll(logits, np.arange(len(labels)), labels, counts)
-        _backprop(loss, scale)
-        for i, part in zip(filled, parts):
-            token_nll[i] = part
-    for sup, ex in zip(sups, examples):
-        if sup.state3 is None:
-            _complete(sup, ex.reference, [])
+    def backprop(name: str, loss: Tensor) -> None:
+        if loss.tracked:
+            (loss * (lam * scale if name == "del" else scale)).backward()
 
-    z1 = model.decode_batch([sup.state1 for sup in sups], memory, False)
-    slots = z1.index([np.arange(len(sup.slot_labels)) for sup in sups])
-    labels = np.concatenate([sup.slot_labels for sup in sups])
-    counts = [len(sup.slot_labels) for sup in sups]
-    logits = model.placeholder_logits(z1.rows, slots)
-    loss, placeholder_nll = _nll(logits, np.arange(len(labels)), labels, counts)
-    _backprop(loss, scale)
-
-    z3 = model.decode_batch([sup.state3 for sup in sups], memory, False)
-    rows = z3.index([np.arange(len(sup.del_labels)) for sup in sups])
-    labels = np.concatenate([sup.del_labels for sup in sups])
-    counts = [len(sup.del_labels) for sup in sups]
-    loss, deletion_nll = _nll(model.deletion_logits(z3.rows), rows, labels, counts)
-    _backprop(loss, lam * scale)
-
+    references = [ex.reference for ex in examples]
+    parts = _edit_losses(model, encoded.whole(), sups, references, lam, backprop)
     encoded.backward()
-    return [
-        EditLossParts(Tensor(plh + tok + lam * dl), plh, tok, dl, sup.clamped_slots)
-        for plh, tok, dl, sup in zip(placeholder_nll, token_nll, deletion_nll, sups)
-    ]
+    return parts

@@ -84,7 +84,9 @@ class SkeletonPointer(TableToText):
         token of each of B live hypotheses, all at position cache.length; the
         result is their states, (B, d), and the cache grows by one position.
         """
-        return self.decode_tokens(tokens, enc, causal=True, cache=cache)
+        if cache is None:
+            return self.decode_batch([tokens], enc.padded(), True).rows
+        return self.decode_tokens(tokens, enc, cache)
 
     def pointer_attention(self, r: Tensor, keys_t: Tensor) -> Tensor:
         """Attention over cells: softmax of (W_q r) . k_i / sqrt(d_r), with keys k_i = W_k h_i.

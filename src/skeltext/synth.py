@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,24 +67,16 @@ FIELDS = (
 FUNCTION_WORDS = ("born", "played", "won", "known")
 
 
+# Each optional attribute (nationality, team, award, field) appears in a
+# table with this probability.
+OPTIONAL_PROB = 0.55
+
+
 @dataclass(frozen=True)
 class TemplateSpec:
-    """Pools and knobs for corpus generation; output is a pure function of
-    (spec, seed, index)."""
+    """The corpus seed: output is a pure function of (seed, index)."""
 
     seed: int = 0
-    optional_prob: float = 0.55
-    first_names: tuple[str, ...] = FIRST_NAMES
-    last_names: tuple[str, ...] = LAST_NAMES
-    cities: tuple[str, ...] = CITIES
-    months: tuple[str, ...] = MONTHS
-    years: tuple[str, ...] = YEARS
-    days: tuple[str, ...] = DAYS
-    occupations: tuple[str, ...] = OCCUPATIONS
-    nationalities: tuple[str, ...] = NATIONALITIES
-    teams: tuple[str, ...] = TEAMS
-    awards: tuple[str, ...] = AWARDS
-    fields: tuple[str, ...] = FIELDS
 
 
 def _pick(rng: np.random.Generator, pool: tuple[str, ...]) -> str:
@@ -94,20 +86,20 @@ def _pick(rng: np.random.Generator, pool: tuple[str, ...]) -> str:
 def generate_example(spec: TemplateSpec, index: int) -> Example:
     """Build example #index: a 4-8 attribute table and its faithful biography."""
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([spec.seed, index])))
-    first = _pick(rng, spec.first_names)
-    last = _pick(rng, spec.last_names)
-    day, month, year = _pick(rng, spec.days), _pick(rng, spec.months), _pick(rng, spec.years)
-    city = _pick(rng, spec.cities)
-    occupation = _pick(rng, spec.occupations)
+    first = _pick(rng, FIRST_NAMES)
+    last = _pick(rng, LAST_NAMES)
+    day, month, year = _pick(rng, DAYS), _pick(rng, MONTHS), _pick(rng, YEARS)
+    city = _pick(rng, CITIES)
+    occupation = _pick(rng, OCCUPATIONS)
 
-    has_nationality = rng.uniform() < spec.optional_prob
-    has_team = rng.uniform() < spec.optional_prob
-    has_award = rng.uniform() < spec.optional_prob
-    has_field = rng.uniform() < spec.optional_prob
-    nationality = _pick(rng, spec.nationalities) if has_nationality else None
-    team = _pick(rng, spec.teams) if has_team else None
-    award = _pick(rng, spec.awards) if has_award else None
-    field_of_work = _pick(rng, spec.fields) if has_field else None
+    has_nationality = rng.uniform() < OPTIONAL_PROB
+    has_team = rng.uniform() < OPTIONAL_PROB
+    has_award = rng.uniform() < OPTIONAL_PROB
+    has_field = rng.uniform() < OPTIONAL_PROB
+    nationality = _pick(rng, NATIONALITIES) if has_nationality else None
+    team = _pick(rng, TEAMS) if has_team else None
+    award = _pick(rng, AWARDS) if has_award else None
+    field_of_work = _pick(rng, FIELDS) if has_field else None
 
     attributes = [
         Attribute("Name_ID", (first, last)),

@@ -312,6 +312,52 @@ def test_config_validation():
         RunConfig(lambda_mix=1.5).validate()
 
 
+WRONGLY_TYPED = [
+    ('tie_token_head="no"', "tie_token_head"),  # a truthy string would tie the head
+    ("tie_token_head=1", "tie_token_head"),
+    ("batch_size=4.0", "batch_size"),
+    ("batch_size=true", "batch_size"),  # bool is an int subtype, not an int field
+    ("d_model=abc", "d_model"),
+    ("seed=null", "seed"),
+    ("lambda_del=false", "lambda_del"),
+    ('editor_peak_lr="1e-3"', "editor_peak_lr"),
+]
+
+
+@pytest.mark.parametrize("override,field", WRONGLY_TYPED)
+def test_a_wrongly_typed_set_fails_before_training_naming_the_field(
+    tmp_path, capsys, override, field
+):
+    out_dir = tmp_path / "out"
+    argv = ["train-pointer", "--corpus", str(tmp_path / "absent.jsonl"),
+            "--out-dir", str(out_dir), "--set", override]
+    assert main(argv) == 1
+    [record] = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+    assert record["error"] == "ValueError"
+    assert f"config field {field} must be" in record["message"]
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("override,field", WRONGLY_TYPED)
+def test_a_wrongly_typed_config_file_field_is_rejected_naming_file_and_field(
+    tmp_path, override, field
+):
+    path = tmp_path / "config.json"
+    _, value = parse_override(override)
+    path.write_text(json.dumps({**RunConfig().to_dict(), field: value}))
+    with pytest.raises(ValueError, match=f"config.json: config field {field} must be"):
+        RunConfig.from_file(str(path))
+
+
+def test_float_fields_take_ints_and_saved_configs_load(tmp_path):
+    cfg = resolve_config(None, ["lambda_del=2", "editor_peak_lr=1", "tie_token_head=true"], env={})
+    assert (cfg.lambda_del, cfg.editor_peak_lr, cfg.tie_token_head) == (2, 1, True)
+    for saved in (cfg, RunConfig(), RunConfig.published_preset()):
+        path = str(tmp_path / "config.json")
+        saved.save(path)
+        assert RunConfig.from_file(path) == saved
+
+
 def test_legacy_zero_dropout_loads(tmp_path):
     # Every config.json written before the field was removed has "dropout": 0.0.
     path = tmp_path / "config.json"

@@ -88,6 +88,25 @@ def test_placeholder_slot_counts():
     assert model.placeholder_scores(z5).shape == (4, cfg.k_max + 1)
 
 
+def test_the_placeholder_head_over_every_slot_gives_the_sliced_pairs_bytes():
+    # The reference is the one-state head of earlier versions, which paired
+    # the slices z[:-1] and z[1:] instead of gathering explicit slots.
+    model, enc, cfg = _setup(seed=5)
+    state = [BOS_TOKEN, "Alda", PLH_TOKEN, "sculptor", EOS_TOKEN]
+    weights = np.random.default_rng(5).normal(size=(len(state) - 1, cfg.k_max + 1))
+    got, want = [], []
+    for out, head in (
+        (got, lambda z: model.placeholder_logits(z, np.arange(len(state) - 1))),
+        (want, lambda z: model.w_plh(ag.concat([z[:-1], z[1:]], axis=1))),
+    ):
+        z = Tensor(model.decode_hidden(state, enc).data, retain_grad=True)
+        logits = head(z)
+        (logits * Tensor(weights)).sum().backward()
+        out += [logits.data.tobytes(), z.grad.tobytes(), model.w_plh.weight.grad.tobytes()]
+        model.w_plh.weight.grad[...] = 0.0
+    assert got == want
+
+
 def test_placeholder_zero_weights_uniform():
     model, enc, cfg = _setup(seed=4)
     model.w_plh.weight.data[...] = 0.0

@@ -473,6 +473,65 @@ def test_edit_loss_overfits_single_example():
         assert final.deletion_nll < 0.2
 
 
+def _one_example_cases():
+    """(model, example, draft seed) triples: with and without placeholders in state2."""
+    from skeltext.data import Example
+
+    model, table, skeleton, y_star = _loss_setup(seed=5)
+    yield model, Example(table, tuple(y_star), tuple(skeleton)), 2
+    # The reference is the skeleton: nothing to insert, so no token pass.
+    yield model, Example(table, tuple(skeleton), tuple(skeleton)), 2
+
+
+def test_the_one_example_loss_is_the_batch_of_one():
+    from skeltext.oracle import backprop_edit_batch, build_edit_supervision, draft_supervision
+
+    with_placeholders = []
+    for model, ex, seed in _one_example_cases():
+        enc = model.encode(ex.table)
+        rng = np.random.default_rng
+        one = edit_loss_example(model, enc, ex.skeleton, ex.reference, rng(seed), lam=0.5)
+        built = build_edit_supervision(model, enc, ex.skeleton, ex.reference, rng(seed))
+        draft = draft_supervision(model, ex.skeleton, ex.reference, rng(seed))
+        assert draft.state3 is None
+        [batch] = backprop_edit_batch(model, [ex], [draft], lam=0.5)
+        assert one.as_dict() == batch.as_dict()
+        assert one.clamped_slots == batch.clamped_slots
+        assert (one.placeholder_nll, one.token_nll, one.deletion_nll) == (
+            batch.placeholder_nll, batch.token_nll, batch.deletion_nll
+        )
+        assert built.state3 == draft.state3
+        assert built.del_labels.tobytes() == draft.del_labels.tobytes()
+        with_placeholders.append(bool(draft.positions))
+    assert with_placeholders == [True, False]
+
+
+def test_build_edit_supervision_completes_the_draft_from_the_argmax_fills():
+    # The reference completion: the model's argmax fills of its own state2,
+    # decoded on its own, written into the draft's placeholders.
+    from skeltext import autograd as ag
+    from skeltext.oracle import build_edit_supervision, draft_supervision
+
+    for model, ex, seed in _one_example_cases():
+        enc = model.encode(ex.table)
+        built = build_edit_supervision(
+            model, enc, ex.skeleton, ex.reference, np.random.default_rng(seed)
+        )
+        want = draft_supervision(model, ex.skeleton, ex.reference, np.random.default_rng(seed))
+        with ag.no_grad():
+            fills = model.argmax_fill(model.decode_hidden(want.state2, enc), want.positions)
+        state3 = list(want.state2)
+        for pos, tok in zip(want.positions, fills):
+            state3[pos] = tok
+        assert built.state3 == state3
+        labels = [KEEP, *oracle_deletion(state3[1:-1], ex.reference), KEEP]
+        assert built.del_labels.tolist() == labels
+        for name in ("state1", "state2", "positions", "clamped_slots"):
+            assert getattr(built, name) == getattr(want, name), name
+        assert built.slot_labels.tobytes() == want.slot_labels.tobytes()
+        assert built.gold_ids.tobytes() == want.gold_ids.tobytes()
+
+
 def test_consumed_graph_reuse_is_loud():
     # Caching a tracked forward across backward() calls must raise, not
     # silently train on stale values.

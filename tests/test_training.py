@@ -161,7 +161,7 @@ def test_checkpoint_with_optimizer_files_of_earlier_versions_loads(tmp_path, bui
         ("manifest.json", "[{", "not a JSON file"),
         ("config.json", '{"d_model": 16,', "not a JSON file"),
         ("config.json", "[16, 24]", "JSON object"),
-        ("config.json", '{"d_model": "wide"}', "not supported between"),
+        ("config.json", '{"d_model": "wide"}', "config field d_model must be int, not 'wide'"),
         ("vocab.json", '{"<pad>": 0}', "list of tokens"),
         ("keys.json", "", "not a JSON file"),
         ("vocab.json", '["<pad>", "<unk>", "<bos>", "<eos>", "<plh>", "born", "born"]',
