@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,13 +31,14 @@ class StateOverflowError(RuntimeError):
 
 @dataclass
 class DecodeTrace:
+    """The initial state, then the state after each completed iteration, at its index."""
+
     snapshots: list[EditState]
     termination: str
-    iterations: int
 
-    def __post_init__(self):
-        if len(self.snapshots) != self.iterations + 1:
-            raise ValueError("trace must hold the initial state plus one snapshot per iteration")
+    @property
+    def iterations(self) -> int:
+        return len(self.snapshots) - 1
 
 
 def init_state(skeleton, protect_skeleton: bool = True) -> EditState:
@@ -57,13 +58,11 @@ def masked_delete(state: EditState, deletion_probs: np.ndarray) -> EditState:
         raise ValueError(
             f"{deletion_probs.shape[0]} deletion rows for a state of {len(state)} tokens"
         )
-    keep = [
-        prot or int(np.argmax(deletion_probs[i])) != DELETE
-        for i, prot in enumerate(state.protected)
-    ]
+    choices = np.argmax(deletion_probs, axis=1).tolist()
+    keep = [prot or c != DELETE for prot, c in zip(state.protected, choices)]
     tokens = tuple(t for t, k in zip(state.tokens, keep) if k)
     protected = tuple(p for p, k in zip(state.protected, keep) if k)
-    return EditState(tokens, protected, state.iteration)
+    return EditState(tokens, protected)
 
 
 def insert_and_fill(
@@ -99,7 +98,7 @@ def insert_and_fill(
             z2 = model.decode_hidden(tokens, enc)
             for pos, tok in zip(plh_positions, model.argmax_fill(z2, plh_positions)):
                 tokens[pos] = tok
-    return EditState(tuple(tokens), tuple(protected), state.iteration)
+    return EditState(tuple(tokens), tuple(protected))
 
 
 def iterate(
@@ -131,7 +130,7 @@ def iterate(
         with ag.no_grad():
             enc = model.encode(table)
             z = None  # hidden states of `state`, when already decoded
-            for step in range(1, max_iter + 1):
+            for _ in range(max_iter):
                 previous = state.tokens
                 if z is None:
                     z = model.decode_hidden(state.tokens, enc)
@@ -141,14 +140,12 @@ def iterate(
                 state = insert_and_fill(kept, model, enc, max_state_len, hidden=z)
                 if state.tokens != kept.tokens:
                     z = None
-                state = replace(state, iteration=step)
                 snapshots.append(state)
                 if state.tokens == previous:
                     termination = FIXED_POINT
                     break
     except (StateOverflowError, ag.NonFiniteError) as err:
         reason = OVERFLOW if isinstance(err, StateOverflowError) else NON_FINITE
-        err.trace = DecodeTrace(snapshots, reason, len(snapshots) - 1)
+        err.trace = DecodeTrace(snapshots, reason)
         raise
-    trace = DecodeTrace(snapshots, termination, len(snapshots) - 1)
-    return list(state.body()), trace
+    return list(state.body()), DecodeTrace(snapshots, termination)

@@ -26,7 +26,6 @@ class EditState:
 
     tokens: tuple[str, ...]
     protected: tuple[bool, ...]
-    iteration: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "tokens", tuple(self.tokens))

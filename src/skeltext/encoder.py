@@ -184,10 +184,6 @@ class TableToText(Module):
     def encode(self, table: Table) -> EncoderOutput:
         return self.encoder(linearize_table(table))
 
-    def encode_batch(self, tables: Sequence[Table]) -> Padded:
-        """The tables' cells encoded as one padded batch."""
-        return self.encoder.encode_padded([linearize_table(t) for t in tables])
-
     def _embed_tokens(self, ids: np.ndarray, positions: np.ndarray) -> Tensor:
         if len(positions) and positions[-1] >= self.max_len:  # the largest, last
             raise ValueError(f"{positions[-1] + 1} positions exceed the {self.max_len}-position cap")

@@ -13,7 +13,6 @@ from .nn import (
     Embedding,
     LayerNorm,
     Linear,
-    Module,
     MultiHeadAttention,
     Parameter,
     TransformerDecoder,
@@ -69,12 +68,6 @@ def finite_difference_check(
     return worst
 
 
-class _Wrap(Module):
-    def __init__(self, **layers):
-        for name, layer in layers.items():
-            setattr(self, name, layer)
-
-
 def _toy_vocabs() -> tuple[Vocabulary, Vocabulary]:
     vocab = Vocabulary(["Alda", "Fenwick", "Lunden", "optics", "born", "in", "."])
     key_vocab = Vocabulary(["Name_ID", "Place_of_birth", "Field_of_work"])
@@ -111,47 +104,47 @@ def run_gradcheck(seed: int = 0) -> list[tuple[str, float]]:
         results.append((name, err))
 
     x = Tensor(rng.normal(size=(5, 6)))
-    linear = _Wrap(layer=Linear(rng, 6, 4))
+    linear = Linear(rng, 6, 4)
     w_lin = Tensor(rng.normal(size=(5, 4)))
-    check("linear", lambda: (linear.layer(x) * w_lin).sum(), linear.parameters())
+    check("linear", lambda: (linear(x) * w_lin).sum(), linear.parameters())
 
-    emb = _Wrap(layer=Embedding(rng, 9, 5))
+    emb = Embedding(rng, 9, 5)
     ids = np.array([0, 3, 3, 8])
     w_emb = Tensor(rng.normal(size=(4, 5)))
-    check("embedding", lambda: (emb.layer(ids) * w_emb).sum(), emb.parameters())
+    check("embedding", lambda: (emb(ids) * w_emb).sum(), emb.parameters())
 
-    ln = _Wrap(layer=LayerNorm(6))
+    ln = LayerNorm(6)
     ln_x = Tensor(rng.normal(size=(4, 6)))
     w_ln = Tensor(rng.normal(size=(4, 6)))
-    check("layer_norm", lambda: (ln.layer(ln_x) * w_ln).sum(), ln.parameters())
+    check("layer_norm", lambda: (ln(ln_x) * w_ln).sum(), ln.parameters())
 
-    attn = _Wrap(layer=MultiHeadAttention(rng, 8, 2))
+    attn = MultiHeadAttention(rng, 8, 2)
     q_in = Tensor(rng.normal(size=(4, 8)))
     m_in = Tensor(rng.normal(size=(6, 8)))
     w_attn = Tensor(rng.normal(size=(4, 8)))
-    check("multi_head_attention", lambda: (attn.layer(q_in, m_in) * w_attn).sum(), attn.parameters())
+    check("multi_head_attention", lambda: (attn(q_in, m_in) * w_attn).sum(), attn.parameters())
 
-    enc_block = _Wrap(layer=TransformerEncoder(rng, 8, 12, 2, 2))
+    enc_block = TransformerEncoder(rng, 8, 12, 2, 2)
     enc_x = Tensor(rng.normal(size=(5, 8)))
     w_enc = Tensor(rng.normal(size=(5, 8)))
-    check("transformer_encoder_2layer", lambda: (enc_block.layer(enc_x) * w_enc).sum(), enc_block.parameters())
+    check("transformer_encoder_2layer", lambda: (enc_block(enc_x) * w_enc).sum(), enc_block.parameters())
 
-    dec_block = _Wrap(layer=TransformerDecoder(rng, 8, 12, 2, 2))
+    dec_block = TransformerDecoder(rng, 8, 12, 2, 2)
     dec_x = Tensor(rng.normal(size=(4, 8)))
     dec_m = Tensor(rng.normal(size=(5, 8)))
     w_dec = Tensor(rng.normal(size=(4, 8)))
     check(
         "transformer_decoder_causal",
-        lambda: (dec_block.layer(dec_x, dec_m, causal=True) * w_dec).sum(),
+        lambda: (dec_block(dec_x, dec_m, causal=True) * w_dec).sum(),
         dec_block.parameters(),
     )
 
     sm_x = Tensor(rng.normal(size=(3, 6)))
-    sm_head = _Wrap(layer=Linear(rng, 6, 6))
+    sm_head = Linear(rng, 6, 6)
     sm_w = Tensor(rng.normal(size=(3, 6)))
     check(
         "softmax",
-        lambda: (ag.softmax(sm_head.layer(sm_x), axis=-1) * sm_w).sum(),
+        lambda: (ag.softmax(sm_head(sm_x), axis=-1) * sm_w).sum(),
         sm_head.parameters(),
     )
 

@@ -11,12 +11,18 @@ from .data import Corpus, Table
 from .oracle import lcs
 
 Tokens = Sequence[str]
+Grams = list[Counter]  # n-gram counts of each order 1..MAX_ORDER (_orders)
+Scores = tuple[float, float, float]  # precision, recall, f1
 
 MAX_ORDER = 4
 
 
 def ngram_counts(tokens: Tokens, n: int) -> Counter:
     return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+
+
+def _orders(tokens: Tokens) -> Grams:
+    return [ngram_counts(tokens, n) for n in range(1, MAX_ORDER + 1)]
 
 
 def bleu(hypotheses: list[Tokens], references: list[Tokens]) -> float:
@@ -65,7 +71,7 @@ def _geometric_mean(values: list[float]) -> float:
     return math.exp(sum(math.log(v) for v in values) / len(values))
 
 
-def _entailed_precision(hyp: Tokens, ref: Tokens | None, values: frozenset[str]) -> float:
+def _entailed_precision(hyp: Grams, ref: Grams | None, values: frozenset[str]) -> float:
     """Geometric mean over n of entailment-weighted clipped n-gram precision.
 
     With a reference, each hypothesis n-gram scores max(reference match,
@@ -73,16 +79,15 @@ def _entailed_precision(hyp: Tokens, ref: Tokens | None, values: frozenset[str])
     the hypothesis has no n-grams contribute a neutral 1. Empty hypotheses
     score 0 outright.
     """
-    if not hyp:
+    if not hyp[0]:
         return 0.0
     per_order: list[float] = []
-    for n in range(1, MAX_ORDER + 1):
-        hyp_counts = ngram_counts(hyp, n)
+    for n, hyp_counts in enumerate(hyp):
         total = sum(hyp_counts.values())
         if total == 0:
             per_order.append(1.0)
             continue
-        ref_counts = ngram_counts(ref, n) if ref is not None else Counter()
+        ref_counts = ref[n] if ref is not None else Counter()
         score = 0.0
         for gram, count in hyp_counts.items():
             w = _entailment(gram, values)
@@ -92,12 +97,10 @@ def _entailed_precision(hyp: Tokens, ref: Tokens | None, values: frozenset[str])
     return _geometric_mean(per_order)
 
 
-def _reference_recall(hyp: Tokens, ref: Tokens, values: frozenset[str]) -> float:
+def _reference_recall(hyp: Grams, ref: Grams, values: frozenset[str]) -> float:
     """Entailment-weighted recall of reference n-grams, geometric over n."""
     per_order: list[float] = []
-    for n in range(1, MAX_ORDER + 1):
-        ref_counts = ngram_counts(ref, n)
-        hyp_counts = ngram_counts(hyp, n)
+    for hyp_counts, ref_counts in zip(hyp, ref):
         numer = denom = 0.0
         for gram, count in ref_counts.items():
             w = _entailment(gram, values)
@@ -122,26 +125,31 @@ def _f1(precision: float, recall: float) -> float:
     return 2.0 * precision * recall / (precision + recall)
 
 
-def parent(
-    hyp: Tokens, ref: Tokens, table: Table, lambda_mix: float = 0.5
-) -> tuple[float, float, float]:
+def parent(hyp: Tokens, ref: Tokens, table: Table, lambda_mix: float = 0.5) -> Scores:
     """PARENT (precision, recall, f1) for one example.
 
     Recall blends reference recall and table recall geometrically with
     exponents lambda_mix and 1 - lambda_mix.
     """
     values = table.value_token_set()
+    return _parent(_orders(hyp), _orders(ref), _table_recall(hyp, table), values, lambda_mix)
+
+
+def _parent(hyp: Grams, ref: Grams, r_tab: float, values: frozenset[str], mix: float) -> Scores:
+    """parent from the n-gram counts and the table recall, built once by the caller."""
     precision = _entailed_precision(hyp, ref, values)
-    r_ref = _reference_recall(hyp, ref, values)
-    r_tab = _table_recall(hyp, table)
-    recall = (r_ref**lambda_mix) * (r_tab ** (1.0 - lambda_mix))
+    recall = (_reference_recall(hyp, ref, values) ** mix) * (r_tab ** (1.0 - mix))
     return precision, recall, _f1(precision, recall)
 
 
-def parent_t(hyp: Tokens, table: Table) -> tuple[float, float, float]:
+def parent_t(hyp: Tokens, table: Table) -> Scores:
     """Table-only PARENT variant: entailment precision and LCS table recall."""
-    precision = _entailed_precision(hyp, None, table.value_token_set())
-    recall = _table_recall(hyp, table)
+    return _parent_t(_orders(hyp), _table_recall(hyp, table), table.value_token_set())
+
+
+def _parent_t(hyp: Grams, recall: float, values: frozenset[str]) -> Scores:
+    """parent_t from the n-gram counts and the table recall, built once by the caller."""
+    precision = _entailed_precision(hyp, None, values)
     return precision, recall, _f1(precision, recall)
 
 
@@ -185,8 +193,10 @@ def evaluate_outputs(
     per_example = []
     sums = [0.0] * 6
     for hyp, ex in zip(hypotheses, corpus):
-        p, r, f = parent(hyp, list(ex.reference), ex.table, lambda_mix)
-        tp, tr, tf = parent_t(hyp, ex.table)
+        hyp_grams, values = _orders(hyp), ex.table.value_token_set()
+        r_tab = _table_recall(hyp, ex.table)
+        p, r, f = _parent(hyp_grams, _orders(ex.reference), r_tab, values, lambda_mix)
+        tp, tr, tf = _parent_t(hyp_grams, r_tab, values)
         per_example.append(
             {
                 "parent": {"precision": p, "recall": r, "f1": f},

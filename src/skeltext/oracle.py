@@ -15,7 +15,7 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
-from .data import BOS_TOKEN, EOS_TOKEN, PLH_TOKEN, Example
+from .data import BOS_TOKEN, EOS_TOKEN, PLH_TOKEN, Example, linearize_table
 from .editor import EditRealizer
 from .encoder import EncoderOutput
 from .nn import Detached, Padded
@@ -183,6 +183,7 @@ def fill_positions(y_dprime: Tokens) -> list[int]:
 class EditSupervision:
     """Frozen intermediate states and oracle targets for one training example."""
 
+    reference: list[str]  # Y*, which every oracle label is drawn against
     state1: list[str]  # [BOS] Y' [EOS], supervises the placeholder head
     slot_labels: np.ndarray  # oracle counts clamped to k_max, one per slot
     state2: list[str]  # [BOS] Y'' [EOS] with placeholders, supervises the token head
@@ -227,7 +228,7 @@ def build_edit_supervision(
     """
     sup = draft_supervision(model, skeleton, y_star, rng)
     with ag.no_grad():
-        _example_loss(model, enc, sup, y_star, 1.0)
+        edit_loss_from_supervision(model, enc, sup)
     return sup
 
 
@@ -240,6 +241,7 @@ def draft_supervision(
     y_dprime = apply_insertions(y_prime, counts)
     gold_fill = [tok for gap in fills for tok in gap]
     return EditSupervision(
+        reference=list(y_star),
         state1=[BOS_TOKEN, *y_prime, EOS_TOKEN],
         slot_labels=np.array([min(c, model.k_max) for c in counts], dtype=np.int64),
         state2=[BOS_TOKEN, *y_dprime, EOS_TOKEN],
@@ -251,13 +253,14 @@ def draft_supervision(
     )
 
 
-def _complete(sup: EditSupervision, y_star: Tokens, model_fill: Sequence[str]) -> None:
-    """Set Y''' (Y'' with the model's fills) and its deletion labels."""
+def _complete(sup: EditSupervision, model_fill: Sequence[str]) -> None:
+    """Set Y''' (Y'' with the model's fills) and its deletion labels against the reference."""
     y_tprime = sup.state2[1:-1]
     for pos, tok in zip(sup.positions, model_fill):
         y_tprime[pos - 1] = tok  # positions are sentinel-offset by one
     sup.state3 = [BOS_TOKEN, *y_tprime, EOS_TOKEN]
-    sup.del_labels = np.array([KEEP, *oracle_deletion(y_tprime, y_star), KEEP], dtype=np.int64)
+    labels = oracle_deletion(y_tprime, sup.reference)
+    sup.del_labels = np.array([KEEP, *labels, KEEP], dtype=np.int64)
 
 
 def _nll(
@@ -279,18 +282,17 @@ def _edit_losses(
     model: EditRealizer,
     memory: Padded,
     sups: Sequence[EditSupervision],
-    references: Sequence[Tokens | None],
     lam: float,
     take: Callable[[str, Tensor], None],
 ) -> list[EditLossParts]:
     """The three edit losses of sups[b] against table b of `memory`, one padded pass each.
 
     The token pass runs first: a draft takes the argmax fills of its state2
-    into its state3, and its deletion labels from references[b], which a
-    complete supervision never reads. The placeholder and deletion passes
-    follow. take(name, loss) receives each pass's summed loss as soon as it
-    is known, named "tok" (skipped when no state2 has a placeholder), "plh"
-    or "del". Returns each example's loss parts, with constant totals.
+    into its state3, and its deletion labels against its reference. The
+    placeholder and deletion passes follow. take(name, loss) receives each
+    pass's summed loss as soon as it is known, named "tok" (skipped when no
+    state2 has a placeholder), "plh" or "del". Returns each example's loss
+    parts, with constant totals.
     """
     token_nll = [0.0] * len(sups)
     fills: list[list[str]] = [[] for _ in sups]
@@ -306,9 +308,9 @@ def _edit_losses(
             fills[b], token_nll[b] = argmax[start : start + count], part
             start += count
         take("tok", loss)
-    for sup, y_star, fill in zip(sups, references, fills):
+    for sup, fill in zip(sups, fills):
         if sup.state3 is None:
-            _complete(sup, y_star, fill)
+            _complete(sup, fill)
 
     z1 = model.decode_batch([sup.state1 for sup in sups], memory, False)
     slots = z1.index([np.arange(len(sup.slot_labels)) for sup in sups])
@@ -331,25 +333,22 @@ def _edit_losses(
     ]
 
 
-def _example_loss(
-    model: EditRealizer, enc: EncoderOutput, sup: EditSupervision, y_star: Tokens | None,
-    lam: float,
-) -> EditLossParts:
-    """_edit_losses of one example, with its total plh + tok + lam * del on the tape."""
-    losses = {"tok": Tensor(0.0)}
-    parts = _edit_losses(model, enc.padded(), [sup], [y_star], lam, losses.__setitem__)[0]
-    parts.total = losses["plh"] + losses["tok"] + lam * losses["del"]
-    return parts
-
-
 def edit_loss_from_supervision(
     model: EditRealizer,
     enc: EncoderOutput,
     sup: EditSupervision,
     lam: float = 1.0,
 ) -> EditLossParts:
-    """L_ins + lam * L_del over the frozen supervision states."""
-    return _example_loss(model, enc, sup, None, lam)
+    """L_ins + lam * L_del of one example: _edit_losses of a batch of one, total on the tape.
+
+    A draft is completed from the model's argmax fills of its state2, as in
+    backprop_edit_batch; state2 is decoded once, for both its fills and its
+    token loss.
+    """
+    losses = {"tok": Tensor(0.0)}
+    parts = _edit_losses(model, enc.padded(), [sup], lam, losses.__setitem__)[0]
+    parts.total = losses["plh"] + losses["tok"] + lam * losses["del"]
+    return parts
 
 
 def edit_loss_example(
@@ -360,14 +359,9 @@ def edit_loss_example(
     rng: np.random.Generator,
     lam: float = 1.0,
 ) -> EditLossParts:
-    """Imitation loss for one (table, skeleton, reference) triple.
-
-    This is backprop_edit_batch's computation for a batch of one, with the
-    total on the tape: state2 is decoded once, for both its argmax fills
-    and its token loss.
-    """
+    """Imitation loss for one (table, skeleton, reference) triple: its draft's edit loss."""
     sup = draft_supervision(model, skeleton, y_star, rng)
-    return _example_loss(model, enc, sup, y_star, lam)
+    return edit_loss_from_supervision(model, enc, sup, lam)
 
 
 def backprop_edit_batch(
@@ -380,22 +374,23 @@ def backprop_edit_batch(
     """Add `scale` times the edit losses of a batch of examples into the gradients.
 
     sups[i] supervises examples[i]. A draft (draft_supervision) is completed
-    from the model's argmax fills of its state2, as in edit_loss_example;
-    complete supervision stays as it is. The tables are encoded as one
-    padded pass, and each supervision state of every example as one padded
-    pass (_edit_losses). Each pass is backpropagated as soon as its loss is
-    known, into a retained copy of the encoder output, whose gradient goes
-    through the encoder once, at the end; so the tape holds the encoder's
-    pass and one decoder pass at most. Under no_grad this only computes the
-    losses. Returns each example's loss parts, with constant totals.
+    from the model's argmax fills of its state2, as in
+    edit_loss_from_supervision; complete supervision stays as it is. The
+    tables are encoded as one padded pass, and each supervision state of
+    every example as one padded pass (_edit_losses). Each pass is
+    backpropagated as soon as its loss is known, into a retained copy of the
+    encoder output, whose gradient goes through the encoder once, at the
+    end; so the tape holds the encoder's pass and one decoder pass at most.
+    Under no_grad this only computes the losses. Returns each example's loss
+    parts, with constant totals.
     """
-    encoded = Detached(model.encode_batch([ex.table for ex in examples]))
+    tables = [linearize_table(ex.table) for ex in examples]
+    encoded = Detached(model.encoder.encode_padded(tables))
 
     def backprop(name: str, loss: Tensor) -> None:
         if loss.tracked:
             (loss * (lam * scale if name == "del" else scale)).backward()
 
-    references = [ex.reference for ex in examples]
-    parts = _edit_losses(model, encoded.whole(), sups, references, lam, backprop)
+    parts = _edit_losses(model, encoded.whole(), sups, lam, backprop)
     encoded.backward()
     return parts

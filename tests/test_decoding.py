@@ -15,7 +15,6 @@ from skeltext.decoding import (
     MAX_ITERATIONS,
     NON_FINITE,
     OVERFLOW,
-    DecodeTrace,
     StateOverflowError,
     init_state,
     insert_and_fill,
@@ -99,6 +98,12 @@ def test_masked_delete_removes_unprotected_majority_delete():
     out = masked_delete(state, probs)
     assert out.tokens == (BOS_TOKEN, "b", EOS_TOKEN)
     assert out.protected == (True, True, True)
+
+
+def test_masked_delete_keeps_a_position_whose_scores_tie():
+    state = EditState((BOS_TOKEN, "a", "b", EOS_TOKEN), (True, False, False, True))
+    probs = np.array([[1, 0], [0.5, 0.5], [0.2, 0.8], [1, 0]], dtype=float)
+    assert masked_delete(state, probs).tokens == (BOS_TOKEN, "a", EOS_TOKEN)
 
 
 def test_masked_delete_sentinels_survive_adversarial_scores():
@@ -186,11 +191,6 @@ def test_iterate_hard_constraints_flag_changes_adversarial_output():
     assert kept != dropped
 
 
-def test_trace_snapshot_count_invariant():
-    with pytest.raises(ValueError):
-        DecodeTrace([init_state([])], FIXED_POINT, 3)
-
-
 def test_iterate_random_model_constraint_preservation():
     rng = np.random.default_rng(1)
     for seed in range(6):
@@ -245,7 +245,7 @@ def _reference_iterate(model, table, skeleton, max_iter, hard_constraints, max_s
     snapshots = [state]
     with ag.no_grad():
         enc = model.encode(table)
-        for step in range(1, max_iter + 1):
+        for _ in range(max_iter):
             previous = state.tokens
             z = _decode_every_pass(model, state.tokens, enc)
             state = masked_delete(state, model.deletion_scores(z).data)
@@ -264,7 +264,7 @@ def _reference_iterate(model, table, skeleton, max_iter, hard_constraints, max_s
                 fills = model.argmax_fill(_decode_every_pass(model, tokens, enc), plh)
                 for pos, tok in zip(plh, fills):
                     tokens[pos] = tok
-            state = EditState(tokens, protected, step)
+            state = EditState(tokens, protected)
             snapshots.append(state)
             if state.tokens == previous:
                 return snapshots, FIXED_POINT
@@ -301,9 +301,10 @@ def test_iterate_matches_a_loop_that_decodes_every_pass(case):
     except StateOverflowError as err:
         trace = err.trace
     assert trace.termination == termination
-    assert trace.iterations == len(expected) - 1
-    assert [(s.tokens, s.protected, s.iteration) for s in trace.snapshots] == [
-        (s.tokens, s.protected, s.iteration) for s in expected
+    assert trace.iterations == len(expected) - 1 == len(trace.snapshots) - 1
+    # Snapshot i is the state after iteration i, the initial state at 0.
+    assert [(i, s.tokens, s.protected) for i, s in enumerate(trace.snapshots)] == [
+        (i, s.tokens, s.protected) for i, s in enumerate(expected)
     ]
     if termination == OVERFLOW:
         assert tokens is None
@@ -385,3 +386,44 @@ def test_overflow_carries_the_states_decoded_before_it():
     assert trace.termination == OVERFLOW
     assert [len(s) for s in trace.snapshots] == [3, 5, 9]
     assert all(is_subsequence(["a"], s.body()) for s in trace.snapshots)
+
+
+class _NonFiniteAfter(StubEditor):
+    """StubEditor whose deletion head goes non-finite after `passes` passes (None: never)."""
+
+    def __init__(self, passes=None, **kwargs):
+        super().__init__(**kwargs)
+        self.passes = passes
+
+    def deletion_scores(self, z):
+        if self.passes is not None:
+            if self.passes == 0:
+                raise NonFiniteError("deletion scores are not finite")
+            self.passes -= 1
+        return super().deletion_scores(z)
+
+
+@pytest.mark.parametrize(
+    "stub, max_iter, max_state_len, termination, iterations",
+    [
+        ({}, 10, 512, FIXED_POINT, 1),
+        ({"insert_per_slot": 1}, 3, 512, MAX_ITERATIONS, 3),
+        ({"insert_per_slot": 1}, 0, 512, MAX_ITERATIONS, 0),
+        ({"insert_per_slot": 1}, 10, 12, OVERFLOW, 2),
+        ({"insert_per_slot": 1, "passes": 2}, 10, 512, NON_FINITE, 2),
+        ({"passes": 0}, 10, 512, NON_FINITE, 0),
+    ],
+    ids=["fixed_point", "max_iterations", "no_iterations", "overflow", "non_finite",
+         "non_finite_at_once"],
+)
+def test_trace_iterations_count_the_snapshots_after_the_first(
+    stub, max_iter, max_state_len, termination, iterations
+):
+    table = Table((Attribute("K", ("x",)),))
+    try:
+        _, trace = iterate(_NonFiniteAfter(**stub), table, ["a"], max_iter,
+                           max_state_len=max_state_len)
+    except (StateOverflowError, NonFiniteError) as err:
+        trace = err.trace
+    assert trace.termination == termination
+    assert trace.iterations == len(trace.snapshots) - 1 == iterations

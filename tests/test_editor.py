@@ -9,7 +9,7 @@ import pytest
 
 from skeltext import autograd as ag
 from skeltext.autograd import Tensor
-from skeltext.data import BOS_TOKEN, EOS_TOKEN, PLH_TOKEN, Attribute, Table
+from skeltext.data import BOS_TOKEN, EOS_TOKEN, PLH_TOKEN, Attribute, Table, linearize_table
 from skeltext.editor import EditState
 
 from helpers import tiny_editor
@@ -297,7 +297,7 @@ def test_a_padded_batch_encodes_and_decodes_each_example_as_alone():
     rng = np.random.default_rng(21)
     tables = [random_table(rng) for _ in range(3)]
     states = [[BOS_TOKEN, *random_tokens(rng, 7), EOS_TOKEN] for _ in range(3)]
-    memory = model.encode_batch(tables)
+    memory = model.encoder.encode_padded([linearize_table(t) for t in tables])
     z = model.decode_batch(states, memory, causal=False)
     assert len({len(s) for s in states}) > 1 and len(set(memory.lengths)) > 1
     for b, (table, state) in enumerate(zip(tables, states)):
@@ -307,6 +307,7 @@ def test_a_padded_batch_encodes_and_decodes_each_example_as_alone():
         rows = z.rows.data[b * z.width : b * z.width + len(state)]
         assert np.abs(rows - model.decode_hidden(state, enc).data).max() < 1e-12
     # One example is the unbatched computation, to the bit.
-    one = model.decode_batch(states[:1], model.encode_batch(tables[:1]), causal=False)
+    first = model.encoder.encode_padded([linearize_table(tables[0])])
+    one = model.decode_batch(states[:1], first, causal=False)
     alone = model.decode_hidden(states[0], model.encode(tables[0]))
     assert one.rows.data.tobytes() == alone.data.tobytes()

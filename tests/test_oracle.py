@@ -506,6 +506,32 @@ def test_the_one_example_loss_is_the_batch_of_one():
     assert with_placeholders == [True, False]
 
 
+def test_a_draft_given_to_edit_loss_from_supervision_is_edit_loss_example():
+    from skeltext.oracle import draft_supervision, edit_loss_from_supervision
+
+    def parts_and_gradient_bytes(model, loss):
+        for p in model.parameters():
+            p.grad[...] = 0.0
+        parts = loss()
+        parts.total.backward()
+        return parts.as_dict(), parts.clamped_slots, [p.grad.tobytes() for p in model.parameters()]
+
+    for model, ex, seed in _one_example_cases():
+        rng = np.random.default_rng
+        want = parts_and_gradient_bytes(model, lambda: edit_loss_example(
+            model, model.encode(ex.table), ex.skeleton, ex.reference, rng(seed), lam=0.5))
+        draft = draft_supervision(model, ex.skeleton, ex.reference, rng(seed))
+        assert draft.reference == list(ex.reference) and draft.state3 is None
+        got = parts_and_gradient_bytes(model, lambda: edit_loss_from_supervision(
+            model, model.encode(ex.table), draft, lam=0.5))
+        assert got == want
+        # Now complete, the supervision is read as it is and gives the same again.
+        assert draft.state3 is not None
+        again = parts_and_gradient_bytes(model, lambda: edit_loss_from_supervision(
+            model, model.encode(ex.table), draft, lam=0.5))
+        assert again == want
+
+
 def test_build_edit_supervision_completes_the_draft_from_the_argmax_fills():
     # The reference completion: the model's argmax fills of its own state2,
     # decoded on its own, written into the draft's placeholders.

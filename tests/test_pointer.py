@@ -253,25 +253,52 @@ def _search_trace(model, search_fn, *args):
     return (pred.tokens, pred.score.hex(), pred.finished), steps
 
 
-@pytest.mark.parametrize("width", [1, 3, 5])
-def test_beam_search_matches_the_plain_loop_to_the_bit(width):
+class _LengthPointer(_ForcedPointer):
+    """EOS first (0.6) beats "a" (0.4), after which EOS is all but certain.
+
+    The empty skeleton has the best score (log 0.6); ["a"] has the best
+    length-normalized one (log 0.4 / 2).
+    """
+
+    def __init__(self):
+        super().__init__([])
+        self.forced_vocab = ["a", EOS_TOKEN]
+
+    def _step_log_probs(self, search, live, parents):
+        rows = [[1e-6, 1.0 - 1e-6] if h.tokens else [0.4, 0.6] for h in live]
+        return np.log(np.array(rows)), self.forced_vocab
+
+
+@pytest.mark.parametrize(
+    "width, length_normalize",
+    [pytest.param(w, norm, id=f"{w}-normalized" if norm else str(w))
+     for norm in (False, True) for w in (1, 3, 5)],
+)
+def test_beam_search_matches_the_plain_loop_to_the_bit(width, length_normalize):
     # Every step's hypotheses and parents, and the result's tokens, score
     # bits and finished flag, tie order included.
     rng = np.random.default_rng(50 + width)
     for seed in range(4):
         model, _ = tiny_pointer(seed=60 + seed)
         table = random_table(rng)
+        args = (table, width, 10, length_normalize)
         with ag.no_grad():
-            got = _search_trace(model, model.beam_search, table, width, 10)
-            want = _search_trace(model, _reference_beam_search, model, table, width, 10)
+            got = _search_trace(model, model.beam_search, *args)
+            want = _search_trace(model, _reference_beam_search, model, *args)
         assert got == want
-    table = Table((Attribute("K", ("x",)),))  # _TiedPointer ignores the table
+    table = Table((Attribute("K", ("x",)),))  # the scripted pointers ignore the table
+    args = (table, width, 6, length_normalize)
     for seed in range(6):
         model = _TiedPointer(seed)
-        got = _search_trace(model, model.beam_search, table, width, 6)
+        got = _search_trace(model, model.beam_search, *args)
         model = _TiedPointer(seed)
-        want = _search_trace(model, _reference_beam_search, model, table, width, 6)
+        want = _search_trace(model, _reference_beam_search, model, *args)
         assert got == want
+    model = _LengthPointer()
+    got = _search_trace(model, model.beam_search, *args)
+    assert got == _search_trace(model, _reference_beam_search, model, *args)
+    # A beam of one never keeps ["a"]; a wider one lets normalization pick it.
+    assert got[0][0] == (["a"] if length_normalize and width > 1 else [])
 
 
 def test_truncation_is_flagged_not_silent():
