@@ -141,7 +141,7 @@ def _cmd_generate(args) -> int:
                     )
                 except (decoding.StateOverflowError, NonFiniteError) as err:
                     # One runaway example must not end the run: keep its last
-                    # state within the cap, which still holds the skeleton.
+                    # state, which still holds the skeleton.
                     trace = err.trace
                     tokens = list(trace.snapshots[-1].body())
                     _log({"event": "warning", "example": i, "termination": trace.termination,

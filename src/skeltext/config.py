@@ -36,7 +36,6 @@ class RunConfig:
     k_max: int = 8
     max_iter: int = 10
     max_state_len: int = 512
-    tie_token_head: bool = False
     # stage 1 decoding
     beam_width: int = 5
     beam_length_normalize: bool = False
@@ -108,9 +107,12 @@ class RunConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
         data = dict(data)
-        # Configs written before dropout was removed carry "dropout": 0.0.
-        if data.pop("dropout", 0.0) != 0.0:
-            raise ValueError("config field dropout is no longer supported; only 0.0 loads")
+        # A retired field loads only with the value every config.json written
+        # while it existed holds: "dropout": 0.0 and "tie_token_head": false.
+        for name, only in (("dropout", 0), ("tie_token_head", False)):
+            value = data.pop(name, only)
+            if isinstance(value, bool) != isinstance(only, bool) or value != only:
+                raise ValueError(f"config field {name} is retired; only {json.dumps(only)} loads")
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(data) - known
         if unknown:

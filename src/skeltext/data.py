@@ -79,11 +79,6 @@ class Example:
         if self.skeleton is not None:
             object.__setattr__(self, "skeleton", tuple(self.skeleton))
 
-    def require_reference(self) -> tuple[str, ...]:
-        if not self.reference:
-            raise ValueError("training example has an empty reference")
-        return self.reference
-
 
 Corpus = list[Example]
 

@@ -120,13 +120,17 @@ def iterate(
 
     A StateOverflowError or NonFiniteError propagates with a `trace`
     attribute holding the iterations completed before it, terminated
-    OVERFLOW or NON_FINITE; its last snapshot is within the length cap and,
-    under hard constraints, holds every skeleton token.
+    OVERFLOW or NON_FINITE; under hard constraints its last snapshot holds
+    every skeleton token, and it is within the length cap unless the
+    initial state alone is past it. Such a state overflows before any
+    decoding, with the trace [initial state].
     """
     state = init_state(skeleton, protect_skeleton=hard_constraints)
     snapshots = [state]
     termination = MAX_ITERATIONS
     try:
+        if len(state) > max_state_len:
+            raise StateOverflowError(f"initial state has {len(state)} tokens (cap {max_state_len})")
         with ag.no_grad():
             enc = model.encode(table)
             z = None  # hidden states of `state`, when already decoded

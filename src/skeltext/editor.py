@@ -65,16 +65,13 @@ class EditRealizer(TableToText):
         key_vocab: Vocabulary,
         *,
         k_max: int,
-        tie_token_head: bool,
         **trunk,
     ):
         super().__init__(rng, vocab, key_vocab, **trunk)
         self.k_max = k_max
-        self.tie_token_head = tie_token_head
         self.w_del = Linear(rng, self.d_model, 2, bias=False)
         self.w_plh = Linear(rng, 2 * self.d_model, k_max + 1, bias=False)
-        if not tie_token_head:
-            self.w_tok = Linear(rng, self.d_model, len(vocab), bias=False)
+        self.w_tok = Linear(rng, self.d_model, len(vocab), bias=False)
 
     def decode_hidden(self, tokens: Sequence[str], enc: EncoderOutput) -> Tensor:
         """Decoder outputs z_0..z_n.
@@ -102,11 +99,7 @@ class EditRealizer(TableToText):
         return ag.softmax(self.placeholder_logits(z, np.arange(z.shape[0] - 1)), axis=-1)
 
     def token_logits(self, z: Tensor, positions: Sequence[int]) -> Tensor:
-        rows = z[np.asarray(positions, dtype=np.int64)]
-        if self.tie_token_head:
-            table = self.in_proj(self.encoder.tok_emb.weight)
-            return rows @ table.transpose()
-        return self.w_tok(rows)
+        return self.w_tok(z[np.asarray(positions, dtype=np.int64)])
 
     def argmax_fill(self, z: Tensor, positions: Sequence[int]) -> list[str]:
         """Greedy token choices for the given placeholder positions.

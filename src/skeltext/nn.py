@@ -240,21 +240,6 @@ class EncoderLayer(Module):
         return self.ln2(x, self.ff(x))
 
 
-class LayerCache:
-    """One decoder layer's share of a DecoderCache.
-
-    `memory_kv` is the cross-attention keys_values() of the memory. `self_kv`
-    is None for full passes, or the (2, B, h, t, d_head) self-attention keys
-    and values of every position decoded so far, one row per hypothesis.
-    """
-
-    __slots__ = ("self_kv", "memory_kv")
-
-    def __init__(self, self_kv: Tensor | None, memory_kv: Tensor):
-        self.self_kv = self_kv
-        self.memory_kv = memory_kv
-
-
 class DecoderLayer(Module):
     """Self-attention (optionally causal) + cross-attention + feed-forward, post-LN."""
 
@@ -271,18 +256,11 @@ class DecoderLayer(Module):
         x: Tensor,
         memory: Tensor,
         self_mask: np.ndarray | None = None,
-        cache: LayerCache | None = None,
-        parents: np.ndarray | None = None,
         memory_mask: np.ndarray | None = None,
+        self_kv: Tensor | None = None,
+        memory_kv: Tensor | None = None,
     ) -> Tensor:
-        """With a cache whose self_kv is set, x (B, d) is one incremental step:
-        row i's keys and values are appended to self_kv row parents[i] before
-        it attends. `memory_mask` is the cross-attention's additive mask."""
-        self_kv = memory_kv = None
-        if cache is not None:
-            memory_kv = cache.memory_kv
-            if cache.self_kv is not None:
-                self_kv = cache.self_kv = self.self_attn.keys_values(x, cache.self_kv, parents)
+        """Each attention takes its own mask and `kv` (see MultiHeadAttention)."""
         x = self.ln1(x, self.self_attn(x, x, self_mask, self_kv))
         x = self.ln2(x, self.cross_attn(x, memory, memory_mask, memory_kv))
         return self.ln3(x, self.ff(x))
@@ -302,23 +280,23 @@ class TransformerEncoder(Module):
 class DecoderCache:
     """What a TransformerDecoder reuses across passes over one memory.
 
-    Per layer: the cross-attention projections of the memory, computed once,
-    and, when `incremental`, the self-attention keys and values of every
-    position decoded so far for B live hypotheses, (2, B, h, t, d_head), with
-    `length` = t. The next step's hypothesis i continues cache row
-    `parents[i]`. A cache that is not incremental serves full passes: each
-    decodes a whole sequence and only the memory projections are reused.
+    `memory_kv[l]` is layer l's cross-attention keys_values() of the memory,
+    computed once. An incremental cache also holds, in `self_kv[l]`, layer
+    l's self-attention keys and values of every position decoded so far for
+    B live hypotheses, (2, B, h, t, d_head), with `length` = t. The next
+    step's hypothesis i continues cache row `parents[i]`. Otherwise
+    `self_kv` is None and the cache serves full passes: each decodes a whole
+    sequence and only the memory projections are reused.
     """
 
     def __init__(self, decoder: TransformerDecoder, memory: Tensor, incremental: bool = True):
-        self.incremental = incremental
-        self.layers: list[LayerCache] = []
-        for layer in decoder.layers:
-            attn = layer.self_attn
-            self_kv = None
-            if incremental:
-                self_kv = Tensor(np.zeros((2, 1, attn.n_heads, 0, attn.d_head)))
-            self.layers.append(LayerCache(self_kv, layer.cross_attn.keys_values(memory)))
+        self.memory_kv = [layer.cross_attn.keys_values(memory) for layer in decoder.layers]
+        self.self_kv = None
+        if incremental:
+            self.self_kv = [
+                Tensor(np.zeros((2, 1, layer.self_attn.n_heads, 0, layer.self_attn.d_head)))
+                for layer in decoder.layers
+            ]
         self.length = 0
         self.parents = np.zeros(1, dtype=np.int64)
 
@@ -346,18 +324,19 @@ class TransformerDecoder(Module):
         masks of a padded batch (Padded.mask) go in `mask`, for x, and
         `memory_mask`, for the memory.
         """
-        if cache is not None and cache.incremental:
-            for layer, layer_cache in zip(self.layers, cache.layers):
-                x = layer(x, memory, None, layer_cache, cache.parents)
+        if cache is not None and cache.self_kv is not None:
+            for i, layer in enumerate(self.layers):
+                kv = cache.self_kv[i] = layer.self_attn.keys_values(x, cache.self_kv[i], cache.parents)
+                x = layer(x, memory, None, None, kv, cache.memory_kv[i])
             cache.length += 1
             cache.parents = np.arange(x.shape[0])  # unless reordered, rows continue
             return x
         if causal:
             causal_part = causal_mask(x.shape[0] if mask is None else mask.shape[-1])
             mask = causal_part if mask is None else mask + causal_part
-        layer_caches = cache.layers if cache is not None else [None] * len(self.layers)
-        for layer, layer_cache in zip(self.layers, layer_caches):
-            x = layer(x, memory, mask, layer_cache, None, memory_mask)
+        memory_kv = cache.memory_kv if cache is not None else [None] * len(self.layers)
+        for layer, kv in zip(self.layers, memory_kv):
+            x = layer(x, memory, mask, memory_mask, None, kv)
         return x
 
 

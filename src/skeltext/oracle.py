@@ -38,41 +38,27 @@ def levenshtein_distance(a: Tokens, b: Tokens) -> int:
     return prev[m]
 
 
-def lcs_align(
-    a: Tokens, b: Tokens, a_required: Sequence[bool] | None = None
-) -> list[tuple[int, int]]:
+def lcs_align(a: Tokens, b: Tokens) -> list[tuple[int, int]]:
     """Leftmost-greedy LCS alignment as (index in a, index in b) pairs.
 
-    Maximizes the number of matched required a-positions first (none are
-    required by default, giving the plain LCS), then total match count, and
-    among remaining ties prefers matches with the smallest index in a, then
-    in b. Whenever the required tokens form a subsequence of b in order (the
-    constrained decoder guarantees this for protected skeleton tokens), the
-    alignment matches every required position.
+    Of the longest alignments it is the lexicographically smallest: ties
+    prefer matches with the smallest index in a, then in b.
     """
     n, m = len(a), len(b)
-    required = [False] * n if a_required is None else list(a_required)
-    bonus = n + 1  # one required match outweighs every possible plain match
-    score = [bonus + 1 if req else 1 for req in required]
-    # best[i][j]: max total score of an alignment of a[i:] with b[j:]
+    # best[i][j]: LCS length of a[i:] and b[j:]
     best = [[0] * (m + 1) for _ in range(n + 1)]
     for i in range(n - 1, -1, -1):
         row, nxt = best[i], best[i + 1]
-        ai, si = a[i], score[i]
+        ai = a[i]
         for j in range(m - 1, -1, -1):
-            cand = max(nxt[j], row[j + 1])
-            if ai == b[j]:
-                matched = si + nxt[j + 1]
-                if matched > cand:
-                    cand = matched
-            row[j] = cand
+            row[j] = nxt[j + 1] + 1 if ai == b[j] else max(nxt[j], row[j + 1])
     pairs: list[tuple[int, int]] = []
     i = j = 0
     while i < n and best[i][j] > 0:
         target = best[i][j]
         found = -1
         for j2 in range(j, m):
-            if a[i] == b[j2] and score[i] + best[i + 1][j2 + 1] == target:
+            if a[i] == b[j2] and 1 + best[i + 1][j2 + 1] == target:
                 found = j2
                 break
         if found < 0:
@@ -146,19 +132,13 @@ def oracle_insertion(y_current: Tokens, y_star: Tokens) -> tuple[list[int], list
     return counts, fills
 
 
-def oracle_deletion(
-    y_tprime: Tokens, y_star: Tokens, protected: Sequence[bool] | None = None
-) -> list[int]:
+def oracle_deletion(y_tprime: Tokens, y_star: Tokens) -> list[int]:
     """Keep/delete labels (0 keep, 1 delete) from an LCS alignment with y_star.
 
     Kept positions form a maximal common subsequence, which minimizes the
-    post-deletion distance among deletion-only actions. Protection flags, if
-    supplied, constrain the alignment to keep those positions (the masked
-    decoder cannot delete them, so supervision targets the best state its
-    action space can actually reach); cardinality is maximal among such
-    alignments.
+    post-deletion distance among deletion-only actions.
     """
-    kept = {i for i, _ in lcs_align(y_tprime, y_star, protected)}
+    kept = {i for i, _ in lcs_align(y_tprime, y_star)}
     return [KEEP if i in kept else DELETE for i in range(len(y_tprime))]
 
 

@@ -17,7 +17,7 @@ from .data import (
     build_vocabulary,
 )
 from .editor import EditRealizer
-from .nn import Adam, load_checkpoint, save_checkpoint
+from .nn import Adam, Module, load_checkpoint, save_checkpoint
 from .oracle import backprop_edit_batch, draft_supervision
 from .pointer import SkeletonPointer, backprop_pointer_batch
 
@@ -52,8 +52,7 @@ def build_pointer(cfg: RunConfig, vocab: Vocabulary, key_vocab: Vocabulary) -> S
 
 def build_editor(cfg: RunConfig, vocab: Vocabulary, key_vocab: Vocabulary) -> EditRealizer:
     return _build(
-        EditRealizer, 2, cfg, vocab, key_vocab, max_len=cfg.max_state_len,
-        k_max=cfg.k_max, tie_token_head=cfg.tie_token_head,
+        EditRealizer, 2, cfg, vocab, key_vocab, max_len=cfg.max_state_len, k_max=cfg.k_max
     )
 
 
@@ -61,12 +60,22 @@ def build_vocabularies(corpus: Corpus, cfg: RunConfig) -> tuple[Vocabulary, Voca
     return build_vocabulary(corpus, cfg.vocab_cap), build_key_vocabulary(corpus)
 
 
-def _training_vocabularies(corpus: Corpus, cfg: RunConfig, stage: str):
-    for ex in corpus:
-        ex.require_reference()
+def _training_model(build, corpus: Corpus, cfg: RunConfig, stage: str, positions) -> Module:
+    """build(cfg, vocab, key_vocab) for the corpus, once every example is checked.
+
+    positions(example) is the number of decoder positions the example needs
+    in training. An error names the corpus index of the example.
+    """
+    model = build(cfg, *build_vocabularies(corpus, cfg))
+    for i, ex in enumerate(corpus):
+        if not ex.reference:
+            raise ValueError(f"example {i}: training example has an empty reference")
         if ex.skeleton is None:
-            raise ValueError(f"{stage} training needs skeleton annotations (run annotate first)")
-    return build_vocabularies(corpus, cfg)
+            raise ValueError(f"example {i}: {stage} training needs a skeleton (run annotate first)")
+        n = positions(ex)
+        if n > model.max_len:
+            raise ValueError(f"example {i}: {n} positions exceed the {model.max_len}-position cap")
+    return model
 
 
 def _train(stage: str, model, schedule: tuple[float, int, int], stream: int, backprop,
@@ -101,7 +110,7 @@ def train_pointer(
     corpus: Corpus, cfg: RunConfig, log: Logger = _noop_logger
 ) -> tuple[SkeletonPointer, Adam]:
     """Teacher-forced training of the skeleton pointer, each step's tables encoded as one padded pass."""
-    model = build_pointer(cfg, *_training_vocabularies(corpus, cfg, "pointer"))
+    model = _training_model(build_pointer, corpus, cfg, "pointer", lambda ex: 1 + len(ex.skeleton))
 
     def backprop(batch: list[int], epoch: int) -> Counter[str]:
         examples = [corpus[i] for i in batch]
@@ -126,7 +135,8 @@ def train_editor(
     corpus: Corpus, cfg: RunConfig, log: Logger = _noop_logger
 ) -> tuple[EditRealizer, Adam]:
     """Imitation training of the edit realizer on an annotated corpus, in padded micro-batches."""
-    model = build_editor(cfg, *_training_vocabularies(corpus, cfg, "editor"))
+    # The longest edit state is the reference between its sentinels.
+    model = _training_model(build_editor, corpus, cfg, "editor", lambda ex: 2 + len(ex.reference))
     clamp_warned = False
 
     def backprop(batch: list[int], epoch: int) -> Counter[str]:

@@ -280,7 +280,7 @@ def test_gradcheck_command_exits_zero():
 def test_parse_override_json_values():
     assert parse_override("d_model=32") == ("d_model", 32)
     assert parse_override("editor_peak_lr=0.001") == ("editor_peak_lr", 0.001)
-    assert parse_override("tie_token_head=true") == ("tie_token_head", True)
+    assert parse_override("beam_length_normalize=true") == ("beam_length_normalize", True)
     with pytest.raises(ValueError):
         parse_override("no-equals-sign")
 
@@ -313,8 +313,8 @@ def test_config_validation():
 
 
 WRONGLY_TYPED = [
-    ('tie_token_head="no"', "tie_token_head"),  # a truthy string would tie the head
-    ("tie_token_head=1", "tie_token_head"),
+    ('beam_length_normalize="no"', "beam_length_normalize"),  # a truthy string would normalize
+    ("beam_length_normalize=1", "beam_length_normalize"),
     ("batch_size=4.0", "batch_size"),
     ("batch_size=true", "batch_size"),  # bool is an int subtype, not an int field
     ("d_model=abc", "d_model"),
@@ -350,8 +350,10 @@ def test_a_wrongly_typed_config_file_field_is_rejected_naming_file_and_field(
 
 
 def test_float_fields_take_ints_and_saved_configs_load(tmp_path):
-    cfg = resolve_config(None, ["lambda_del=2", "editor_peak_lr=1", "tie_token_head=true"], env={})
-    assert (cfg.lambda_del, cfg.editor_peak_lr, cfg.tie_token_head) == (2, 1, True)
+    cfg = resolve_config(
+        None, ["lambda_del=2", "editor_peak_lr=1", "beam_length_normalize=true"], env={}
+    )
+    assert (cfg.lambda_del, cfg.editor_peak_lr, cfg.beam_length_normalize) == (2, 1, True)
     for saved in (cfg, RunConfig(), RunConfig.published_preset()):
         path = str(tmp_path / "config.json")
         saved.save(path)
@@ -361,15 +363,26 @@ def test_float_fields_take_ints_and_saved_configs_load(tmp_path):
 def test_legacy_zero_dropout_loads(tmp_path):
     # Every config.json written before the field was removed has "dropout": 0.0.
     path = tmp_path / "config.json"
-    path.write_text(json.dumps({**RunConfig(seed=4).to_dict(), "dropout": 0.0}))
-    assert RunConfig.from_file(str(path)) == RunConfig(seed=4)
+    for zero in (0.0, 0):
+        path.write_text(json.dumps({**RunConfig(seed=4).to_dict(), "dropout": zero}))
+        assert RunConfig.from_file(str(path)) == RunConfig(seed=4)
     assert "dropout" not in RunConfig().to_dict()
 
 
-@pytest.mark.parametrize("value", [0.1, 1.0, "0.5"])
+@pytest.mark.parametrize("value", [0.1, 1.0, "0.5", False])
 def test_nonzero_dropout_rejected_naming_the_field(value):
     with pytest.raises(ValueError, match="dropout"):
         RunConfig.from_dict({**RunConfig().to_dict(), "dropout": value})
+
+
+@pytest.mark.parametrize("value", [True, 0, "false", None])
+def test_retired_tie_token_head_other_than_false_rejected_naming_file_and_field(tmp_path, value):
+    # Every config.json written while the field existed has "tie_token_head": false.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**RunConfig().to_dict(), "tie_token_head": value}))
+    with pytest.raises(ValueError, match="config.json: config field tie_token_head"):
+        RunConfig.from_file(str(path))
+    assert "tie_token_head" not in RunConfig().to_dict()
 
 
 def test_published_preset_dimensions():
@@ -438,6 +451,31 @@ def test_generate_overflow_is_a_per_example_outcome(tmp_path, capsys):
     assert closing["terminations"] == {
         "fixed_point": 0, "max_iterations": 1, "overflow": 1, "non_finite": 0
     }
+
+
+def test_generate_a_skeleton_past_the_cap_overflows_as_itself(tmp_path, capsys):
+    # The second skeleton alone (10 tokens with its sentinels) is past the cap
+    # of 8, so it is never decoded; the run still writes every line.
+    from skeltext.data import Example, save_corpus
+
+    from helpers import all_value_tokens
+
+    corpus = str(tmp_path / "c.jsonl")
+    assert main(["synth-corpus", "--n", "3", "--seed", "0", "--out", corpus]) == 0
+    data = load_corpus(corpus)
+    skeletons = [(), tuple((all_value_tokens(data[1].table) * 8)[:8]), ()]
+    save_corpus([Example(ex.table, ex.reference, sk) for ex, sk in zip(data, skeletons)], corpus)
+    ckpt = _runaway_editor(tmp_path, corpus)
+    out = str(tmp_path / "gen.jsonl")
+    assert main(["generate", "--editor", ckpt, "--corpus", corpus, "--out", out,
+                 "--oracle-skeleton", "--max-iter", "1"]) == 0
+    rows = [json.loads(line) for line in _read(out).splitlines()]
+    assert [r["termination"] for r in rows] == ["max_iterations", "overflow", "max_iterations"]
+    assert rows[1] == {"text": " ".join(skeletons[1]), "iterations": 0, "termination": "overflow"}
+    events = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+    [warning] = [e for e in events if e["event"] == "warning"]
+    assert (warning["example"], warning["termination"]) == (1, "overflow")
+    assert "StateOverflowError" in warning["message"]
 
 
 def test_generate_non_finite_is_a_per_example_outcome(tmp_path, capsys):

@@ -172,17 +172,6 @@ def test_all_three_heads_receive_gradient():
     assert np.abs(model.w_tok.weight.grad).max() > 0
 
 
-def test_tied_token_head_uses_embedding_table():
-    model, cfg = tiny_editor(seed=10, tie_token_head=True)
-    table = Table((Attribute("K", ("Alda",)),))
-    enc = model.encode(table)
-    assert not hasattr(model, "w_tok")
-    z = model.decode_hidden([BOS_TOKEN, PLH_TOKEN, EOS_TOKEN], enc)
-    scores = ag.softmax(model.token_logits(z, [1]))
-    assert scores.shape == (1, len(model.vocab))
-    assert np.allclose(scores.data.sum(axis=1), 1.0)
-
-
 def test_state_cap_enforced():
     model, _ = tiny_editor(seed=11, max_state_len=4)
     enc = model.encode(Table((Attribute("Name_ID", ("Alda",)),)))
@@ -243,39 +232,25 @@ def test_decoding_with_gradients_ignores_a_memo_made_under_no_grad():
 # gradient bytes, recorded when edit_loss_example still decoded state2 once, on
 # the tape, for both its argmax fills and its token loss. Decoding it a second
 # time for the token loss gives the same bits.
-PINNED_EDIT_LOSS = {
-    "untied": (
-        {
-            "loss_edit": 26.250040149382812,
-            "loss_ins": 18.67466034147044,
-            "loss_plh": 3.149094734059127,
-            "loss_tok": 15.52556560741131,
-            "loss_del": 7.5753798079123715,
-        },
-        1,
-        "5a212e23d1f438cf1b61b395b5ec4caf7c6134bec39bb019b69bd59f2ae07a73",
-    ),
-    "tied": (
-        {
-            "loss_edit": 24.265368580507907,
-            "loss_ins": 16.322655868459304,
-            "loss_plh": 3.149094734059127,
-            "loss_tok": 13.173561134400176,
-            "loss_del": 7.942712712048604,
-        },
-        1,
-        "93a5a0fec6b0a57d29ac8a722815f72a3e6b8aa887187b38497486b7bba3277f",
-    ),
-}
+PINNED_EDIT_LOSS = (
+    {
+        "loss_edit": 26.250040149382812,
+        "loss_ins": 18.67466034147044,
+        "loss_plh": 3.149094734059127,
+        "loss_tok": 15.52556560741131,
+        "loss_del": 7.5753798079123715,
+    },
+    1,
+    "5a212e23d1f438cf1b61b395b5ec4caf7c6134bec39bb019b69bd59f2ae07a73",
+)
 
 
-@pytest.mark.parametrize("heads", ["untied", "tied"])
-def test_edit_loss_example_gives_its_pinned_loss_and_gradient_bytes(heads):
+def test_edit_loss_example_gives_its_pinned_loss_and_gradient_bytes():
     import hashlib
 
     from skeltext.oracle import edit_loss_example
 
-    model, _ = tiny_editor(seed=13, k_max=1, tie_token_head=heads == "tied")
+    model, _ = tiny_editor(seed=13, k_max=1)
     table = Table(
         (Attribute("Name_ID", ("Alda", "Fenwick")), Attribute("Occupation", ("sculptor",)))
     )
@@ -287,7 +262,7 @@ def test_edit_loss_example_gives_its_pinned_loss_and_gradient_bytes(heads):
     digest = hashlib.sha256()
     for name, p in model.named_parameters():
         digest.update(name.encode() + b"\0" + p.grad.tobytes())
-    assert (parts.as_dict(), parts.clamped_slots, digest.hexdigest()) == PINNED_EDIT_LOSS[heads]
+    assert (parts.as_dict(), parts.clamped_slots, digest.hexdigest()) == PINNED_EDIT_LOSS
 
 
 def test_a_padded_batch_encodes_and_decodes_each_example_as_alone():

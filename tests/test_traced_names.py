@@ -1,8 +1,9 @@
-"""The names the benchmark's tracer wraps are still defined where it wraps them.
+"""The benchmark's tracer still wraps, classifies and restores what it names.
 
 perfbench/tracer.py replaces each `(owner, attr)` of `_traced_targets()` by
 `owner.__dict__[attr]`, so a function that moves or is renamed breaks the
-traced benchmark run. This reads the tracer's list without installing it.
+traced benchmark run. The first test reads the tracer's list without
+installing it; the second installs it on a tiny run of both stages.
 """
 
 from __future__ import annotations
@@ -10,15 +11,21 @@ from __future__ import annotations
 import importlib.util
 import os
 
+import numpy as np
+
 TRACER = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                       "perfbench", "tracer.py")
 
 
-def test_every_traced_target_is_defined_on_its_owner():
+def _load_tracer():
     spec = importlib.util.spec_from_file_location("_perfbench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
-    targets = tracer._traced_targets()
+    return tracer
+
+
+def test_every_traced_target_is_defined_on_its_owner():
+    targets = _load_tracer()._traced_targets()
     assert targets
     missing = [
         f"{getattr(owner, '__name__', owner)}.{attr}"
@@ -26,3 +33,56 @@ def test_every_traced_target_is_defined_on_its_owner():
         if attr not in owner.__dict__
     ]
     assert missing == []
+
+
+def test_a_traced_tiny_run_counts_work_in_every_span_and_uninstall_restores(monkeypatch):
+    from skeltext import annotate_corpus, autograd, decoding, default_stop_words, generate
+    from skeltext import metrics, nn, oracle, training
+    from skeltext.synth import TemplateSpec
+
+    from helpers import tiny_config
+
+    tracer_module = _load_tracer()
+    targets = tracer_module._traced_targets()
+    originals = [(owner, attr, owner.__dict__[attr]) for owner, attr, _ in targets]
+    originals.append((autograd.Tensor, "__init__", autograd.Tensor.__dict__["__init__"]))
+    # Every decoder layer makes one self- and one cross-attention call, and
+    # every encoder layer one self-attention call.
+    layer_calls = {"encoder": 0, "decoder": 0}
+    for kind, cls in (("encoder", nn.EncoderLayer), ("decoder", nn.DecoderLayer)):
+        def counted(self, *args, _kind=kind, _call=cls.__call__, **kwargs):
+            layer_calls[_kind] += 1
+            return _call(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__call__", counted)
+
+    corpus = annotate_corpus(generate(TemplateSpec(seed=2), 4), default_stop_words())
+    cfg = tiny_config(batch_size=2)
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        pointer, _ = training.train_pointer(corpus, cfg)
+        editor, _ = training.train_editor(corpus, cfg)
+        skeleton = pointer.beam_search(corpus[0].table, 2, 4).tokens
+        tokens, _ = decoding.iterate(editor, corpus[0].table, skeleton, max_iter=2)
+        metrics.evaluate_outputs([tokens], corpus[:1])
+        oracle.build_edit_supervision(
+            editor, editor.encode(corpus[1].table), corpus[1].skeleton, corpus[1].reference,
+            np.random.default_rng(0),
+        )
+    finally:
+        tracer.uninstall()
+    not_restored = [
+        f"{owner.__name__}.{attr}" for owner, attr, original in originals
+        if owner.__dict__[attr] is not original
+    ]
+    assert not_restored == []
+
+    totals = tracer.totals()
+    names = {name for _, _, name in targets if isinstance(name, str)}
+    names |= {"nn.self_attention", "nn.cross_attention"}
+    idle = [name for name in sorted(names) if totals.get(name, {"calls": 0})["calls"] == 0]
+    assert idle == []
+    assert totals["nn.cross_attention"]["calls"] == layer_calls["decoder"]
+    assert totals["nn.self_attention"]["calls"] == sum(layer_calls.values())
+    for counter in tracer_module._WORK.values():
+        assert tracer.counts[counter[0]] > 0, counter[0]

@@ -132,6 +132,26 @@ def test_checkpoint_with_a_legacy_config_loads(tmp_path, build, load):
     assert [n for n, _ in loaded.named_parameters()] == [n for n, _ in model.named_parameters()]
 
 
+# sha256 of manifest.json for tiny_editor(seed=0), as written while RunConfig
+# still had a tie_token_head field: every parameter name and shape, in order.
+TIED_ERA_EDITOR_MANIFEST = "75586b20181c2ddcedaa09b74ccafdb342b2af920820f4b1cb2e32bca62f079c"
+
+
+def test_editor_checkpoint_with_the_retired_tie_token_head_false_loads(tmp_path):
+    import hashlib
+
+    model, cfg = tiny_editor(seed=0)
+    save_model_dir(str(tmp_path), model, cfg)
+    manifest = (tmp_path / "manifest.json").read_bytes()
+    assert hashlib.sha256(manifest).hexdigest() == TIED_ERA_EDITOR_MANIFEST
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**json.loads(config.read_text()), "tie_token_head": False}))
+    loaded, loaded_cfg = load_editor_dir(str(tmp_path))
+    assert loaded_cfg == cfg
+    for (name, p), (_, want) in zip(loaded.named_parameters(), model.named_parameters()):
+        assert p.data.tobytes() == want.data.astype("<f4").astype(float).tobytes(), name
+
+
 @pytest.mark.parametrize(
     "build,load", [(tiny_pointer, load_pointer_dir), (tiny_editor, load_editor_dir)],
     ids=["pointer", "editor"],
@@ -352,3 +372,49 @@ def test_a_bad_skeleton_names_its_corpus_index_before_any_gradient(corpus):
     with pytest.raises(DataIntegrityError, match="example 4: skeleton token 'ghost'"):
         backprop_pointer_batch(model, [*corpus[:3], bad], 0.25, [0, 1, 2, 4])
     assert not any(p.grad.any() for p in model.parameters())
+
+
+def _capped(stage: str, cap: int):
+    """A tiny config whose `stage` model has `cap` decoder positions."""
+    if stage == "pointer":
+        return tiny_config(max_skeleton_len=cap - 2)  # BOS and EOS take the other two
+    return tiny_config(max_state_len=cap)
+
+
+@pytest.mark.parametrize(
+    "stage,train,build,need",
+    [
+        ("pointer", train_pointer, "build_pointer", lambda ex: len(ex.skeleton) + 1),
+        ("editor", train_editor, "build_editor", lambda ex: len(ex.reference) + 2),
+    ],
+    ids=["pointer", "editor"],
+)
+def test_a_bad_training_example_is_named_before_the_first_step(
+    corpus, monkeypatch, stage, train, build, need
+):
+    from skeltext import training
+
+    built = []
+    original = getattr(training, build)
+    monkeypatch.setattr(training, build, lambda *a: built.append(original(*a)) or built[-1])
+    # The first of the corpus's longest examples is the first to outgrow the cap.
+    longest = max(range(len(corpus)), key=lambda i: need(corpus[i]))
+    cap = need(corpus[longest]) - 1
+    cfg = _capped(stage, cap)
+    records: list[dict] = []
+    with pytest.raises(
+        ValueError, match=f"^example {longest}: {cap + 1} positions exceed the {cap}-position cap$"
+    ):
+        train(corpus, cfg, records.append)
+    assert records == []
+    fresh = original(cfg, *training.build_vocabularies(corpus, cfg))
+    for (name, p), (_, want) in zip(built[-1].named_parameters(), fresh.named_parameters()):
+        assert p.data.tobytes() == want.data.tobytes(), name
+
+    no_reference = [*corpus[:2], replace(corpus[2], reference=()), *corpus[3:]]
+    with pytest.raises(ValueError, match="^example 2: training example has an empty reference$"):
+        train(no_reference, tiny_config(), records.append)
+    no_skeleton = [*corpus[:3], replace(corpus[3], skeleton=None), *corpus[4:]]
+    with pytest.raises(ValueError, match=f"^example 3: {stage} training needs a skeleton"):
+        train(no_skeleton, tiny_config(), records.append)
+    assert records == []
