@@ -112,7 +112,9 @@ class RunConfig:
         for name, only in (("dropout", 0), ("tie_token_head", False)):
             value = data.pop(name, only)
             if isinstance(value, bool) != isinstance(only, bool) or value != only:
-                raise ValueError(f"config field {name} is retired; only {json.dumps(only)} loads")
+                raise ValueError(
+                    f"config field {name} must be {json.dumps(only)}: the field is retired"
+                )
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(data) - known
         if unknown:

@@ -315,6 +315,8 @@ def test_config_validation():
 WRONGLY_TYPED = [
     ('beam_length_normalize="no"', "beam_length_normalize"),  # a truthy string would normalize
     ("beam_length_normalize=1", "beam_length_normalize"),
+    ('tie_token_head="no"', "tie_token_head"),  # retired: loads only as false
+    ("tie_token_head=1", "tie_token_head"),
     ("batch_size=4.0", "batch_size"),
     ("batch_size=true", "batch_size"),  # bool is an int subtype, not an int field
     ("d_model=abc", "d_model"),
