@@ -20,6 +20,7 @@ from .data import (
     tokenize,
 )
 from .gradcheck import TOLERANCE, run_gradcheck
+from .oracle import is_subsequence
 from .pointer import SkeletonPrediction
 from .skeleton import annotate_corpus
 from .stopwords import default_stop_words
@@ -65,15 +66,24 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _predict_skeletons(model, cfg: RunConfig, corpus: Corpus, beam_width: int | None):
+def _flag_overrides(cfg: RunConfig, **flags) -> RunConfig:
+    """cfg with the flags given on the command line set, checked as the config's own fields are."""
+    given = {name: value for name, value in flags.items() if value is not None}
+    try:
+        return cfg.with_overrides(given)
+    except ValueError as err:
+        names = ", ".join("--" + name.replace("_", "-") for name in given)
+        raise ValueError(f"{names}: {err}") from None
+
+
+def _predict_skeletons(model, cfg: RunConfig, corpus: Corpus):
     """Beam-search skeletons; an example whose search met a non-finite value gets the error."""
-    width = beam_width if beam_width is not None else cfg.beam_width
     predictions: list[SkeletonPrediction | NonFiniteError] = []
     truncated = 0
     for ex in corpus:
         try:
             pred = model.beam_search(
-                ex.table, width, cfg.max_skeleton_len, cfg.beam_length_normalize
+                ex.table, cfg.beam_width, cfg.max_skeleton_len, cfg.beam_length_normalize
             )
         except NonFiniteError as err:
             predictions.append(err)
@@ -92,8 +102,9 @@ def _stage1_failure(i: int, err: NonFiniteError) -> str:
 
 def _cmd_skeleton(args) -> int:
     model, cfg = load_pointer_dir(args.checkpoint)
+    cfg = _flag_overrides(cfg, beam_width=args.beam_width)
     corpus = load_corpus(args.corpus)
-    predictions = _predict_skeletons(model, cfg, corpus, args.beam_width)
+    predictions = _predict_skeletons(model, cfg, corpus)
     for i, pred in enumerate(predictions):
         if isinstance(pred, NonFiniteError):
             raise NonFiniteError(_stage1_failure(i, pred))
@@ -108,8 +119,8 @@ def _cmd_skeleton(args) -> int:
 
 def _cmd_generate(args) -> int:
     editor, cfg = load_editor_dir(args.editor)
+    cfg = _flag_overrides(cfg, max_iter=args.max_iter)
     corpus = load_corpus(args.corpus)
-    max_iter = cfg.max_iter if args.max_iter is None else args.max_iter
     if args.oracle_skeleton:
         for i, ex in enumerate(corpus):
             if ex.skeleton is None:
@@ -119,11 +130,13 @@ def _cmd_generate(args) -> int:
         if not args.pointer:
             raise ValueError("--pointer checkpoint required unless --oracle-skeleton is set")
         pointer_model, pointer_cfg = load_pointer_dir(args.pointer)
-        predictions = _predict_skeletons(pointer_model, pointer_cfg, corpus, args.beam_width)
+        pointer_cfg = _flag_overrides(pointer_cfg, beam_width=args.beam_width)
+        predictions = _predict_skeletons(pointer_model, pointer_cfg, corpus)
         skeletons = [p if isinstance(p, NonFiniteError) else p.tokens for p in predictions]
     terminations = dict.fromkeys(
         (decoding.FIXED_POINT, decoding.MAX_ITERATIONS, decoding.OVERFLOW, decoding.NON_FINITE), 0
     )
+    preserved = 0  # outputs that still hold their stage-1 skeleton
     with open(args.out, "w", encoding="utf-8") as fh:
         for i, (ex, skeleton) in enumerate(zip(corpus, skeletons)):
             if isinstance(skeleton, NonFiniteError):
@@ -135,7 +148,7 @@ def _cmd_generate(args) -> int:
                 try:
                     tokens, trace = decoding.iterate(
                         editor, ex.table, skeleton,
-                        max_iter=max_iter,
+                        max_iter=cfg.max_iter,
                         hard_constraints=not args.no_hard_constraints,
                         max_state_len=cfg.max_state_len,
                     )
@@ -147,14 +160,21 @@ def _cmd_generate(args) -> int:
                     _log({"event": "warning", "example": i, "termination": trace.termination,
                           "message": f"{type(err).__name__}: {err}"})
                 iterations, termination = trace.iterations, trace.termination
+                if is_subsequence(skeleton, tokens):
+                    preserved += 1
+                elif not args.no_hard_constraints:
+                    _log({"event": "warning", "example": i,
+                          "message": f"example {i}: output lost its skeleton under hard constraints"})
             terminations[termination] += 1
             row = {"text": " ".join(tokens), "iterations": iterations, "termination": termination}
             fh.write(json.dumps(row, ensure_ascii=False) + "\n")
-    _log({"event": "generate", "n": len(corpus), "out": args.out, "terminations": terminations})
+    _log({"event": "generate", "n": len(corpus), "out": args.out, "terminations": terminations,
+          "skeleton_preserved": preserved})
     return 0
 
 
 def _cmd_evaluate(args) -> int:
+    lambda_mix = _flag_overrides(RunConfig(), lambda_mix=args.lambda_mix).lambda_mix
     gold = load_corpus(args.gold)
     hypotheses = []
     with open(args.system, encoding="utf-8") as fh:
@@ -169,7 +189,7 @@ def _cmd_evaluate(args) -> int:
             if not isinstance(obj, dict) or not isinstance(obj.get("text"), str):
                 raise ValueError(f"{where}: expected a JSON object with a string 'text'")
             hypotheses.append(tokenize(obj["text"]))
-    report = metrics.evaluate_outputs(hypotheses, gold, args.lambda_mix)
+    report = metrics.evaluate_outputs(hypotheses, gold, lambda_mix)
     print(json.dumps(report.as_dict(), sort_keys=True))
     rows = [
         ("BLEU", report.bleu, "", ""),

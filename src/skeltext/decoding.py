@@ -11,6 +11,7 @@ from .autograd import Tensor
 from .data import BOS_TOKEN, EOS_TOKEN, PLH_TOKEN, Table
 from .editor import EditRealizer, EditState
 from .encoder import EncoderOutput
+from .nn import DecoderCache
 from .oracle import DELETE
 
 FIXED_POINT = "fixed_point"
@@ -69,19 +70,18 @@ def insert_and_fill(
     state: EditState,
     model: EditRealizer,
     enc: EncoderOutput,
+    cache: DecoderCache,
+    hidden: Tensor,
     max_state_len: int = 512,
-    hidden: Tensor | None = None,
 ) -> EditState:
     """Argmax placeholder insertion followed by argmax token filling.
 
-    `hidden` is model.decode_hidden(state.tokens, enc) when the caller has it
-    already; otherwise it is decoded here. Inserted tokens enter unprotected.
-    Growth beyond max_state_len aborts with StateOverflowError rather than
-    decode forever.
+    `hidden` is model.decode_hidden(state.tokens, enc, cache). Inserted
+    tokens enter unprotected. Growth beyond max_state_len aborts with
+    StateOverflowError rather than decode forever.
     """
     with ag.no_grad():
-        z = model.decode_hidden(state.tokens, enc) if hidden is None else hidden
-        counts = np.argmax(model.placeholder_scores(z).data, axis=-1)
+        counts = np.argmax(model.placeholder_scores(hidden).data, axis=-1)
         if counts.sum() + len(state) > max_state_len:
             raise StateOverflowError(
                 f"state would grow to {int(counts.sum()) + len(state)} tokens (cap {max_state_len})"
@@ -95,7 +95,7 @@ def insert_and_fill(
             protected.append(state.protected[slot + 1])
         plh_positions = [i for i, t in enumerate(tokens) if t == PLH_TOKEN]
         if plh_positions:
-            z2 = model.decode_hidden(tokens, enc)
+            z2 = model.decode_hidden(tokens, enc, cache)
             for pos, tok in zip(plh_positions, model.argmax_fill(z2, plh_positions)):
                 tokens[pos] = tok
     return EditState(tuple(tokens), tuple(protected))
@@ -133,15 +133,16 @@ def iterate(
             raise StateOverflowError(f"initial state has {len(state)} tokens (cap {max_state_len})")
         with ag.no_grad():
             enc = model.encode(table)
+            cache = DecoderCache(model.decoder, enc.hidden)
             z = None  # hidden states of `state`, when already decoded
             for _ in range(max_iter):
                 previous = state.tokens
                 if z is None:
-                    z = model.decode_hidden(state.tokens, enc)
+                    z = model.decode_hidden(state.tokens, enc, cache)
                 kept = masked_delete(state, model.deletion_scores(z).data)
                 if kept.tokens != state.tokens:
-                    z = model.decode_hidden(kept.tokens, enc)
-                state = insert_and_fill(kept, model, enc, max_state_len, hidden=z)
+                    z = model.decode_hidden(kept.tokens, enc, cache)
+                state = insert_and_fill(kept, model, enc, cache, z, max_state_len)
                 if state.tokens != kept.tokens:
                     z = None
                 snapshots.append(state)

@@ -17,7 +17,7 @@ from .data import (
     Vocabulary,
 )
 from .encoder import EncoderOutput, TableToText
-from .nn import Linear
+from .nn import DecoderCache, Linear
 
 
 @dataclass(frozen=True)
@@ -73,13 +73,10 @@ class EditRealizer(TableToText):
         self.w_plh = Linear(rng, 2 * self.d_model, k_max + 1, bias=False)
         self.w_tok = Linear(rng, self.d_model, len(vocab), bias=False)
 
-    def decode_hidden(self, tokens: Sequence[str], enc: EncoderOutput) -> Tensor:
-        """Decoder outputs z_0..z_n.
-
-        Under no_grad, the table memory's cross-attention projections are
-        computed once per `enc` and reused by every later pass over it.
-        """
-        cache = enc.memory_cache(self.decoder)
+    def decode_hidden(
+        self, tokens: Sequence[str], enc: EncoderOutput, cache: DecoderCache
+    ) -> Tensor:
+        """Decoder outputs z_0..z_n, with the memory's projections read from `cache`."""
         return self.decode_batch([tokens], enc.padded(), False, cache).rows
 
     # -- classifier heads ---------------------------------------------------

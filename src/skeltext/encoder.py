@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -42,9 +42,6 @@ class EncoderOutput:
 
     hidden: Tensor
     cell_tokens: list[str]
-    _memory: tuple[TransformerDecoder, DecoderCache] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self):
         if self.hidden.shape[0] != len(self.cell_tokens):
@@ -52,25 +49,9 @@ class EncoderOutput:
                 f"{self.hidden.shape[0]} hidden vectors for {len(self.cell_tokens)} cells"
             )
 
-    def __len__(self) -> int:
-        return len(self.cell_tokens)
-
     def padded(self) -> Padded:
         """`hidden` as a padded batch of one table, without padding."""
         return Padded(self.hidden, [len(self.cell_tokens)])
-
-    def memory_cache(self, decoder: TransformerDecoder) -> DecoderCache | None:
-        """`decoder`'s cross-attention projections of `hidden`, computed on first use.
-
-        Only for inference: while a tape is recorded, or `hidden` is on one,
-        this returns None and every pass projects the memory afresh, so
-        gradients reach the projections exactly as they would without it.
-        """
-        if ag.grad_enabled() or self.hidden.tracked:
-            return None
-        if self._memory is None or self._memory[0] is not decoder:
-            self._memory = (decoder, DecoderCache(decoder, self.hidden, incremental=False))
-        return self._memory[1]
 
 
 class TableEncoder(Module):
@@ -192,14 +173,6 @@ class TableToText(Module):
     def _token_ids(self, tokens: Sequence[str]) -> np.ndarray:
         return np.array([self.vocab.id_of(t) for t in tokens], dtype=np.int64)
 
-    def decode_tokens(self, tokens: Sequence[str], enc: EncoderOutput, cache: DecoderCache) -> Tensor:
-        """One incremental causal step: tokens[i] is the newest token of hypothesis i.
-
-        Every token sits at position cache.length, and the cache grows by one.
-        """
-        x = self._embed_tokens(self._token_ids(tokens), np.full(len(tokens), cache.length))
-        return self.decoder(x, enc.hidden, causal=True, cache=cache)
-
     def decode_batch(
         self, states: Sequence[Sequence[str]], memory: Padded, causal: bool,
         cache: DecoderCache | None = None,
@@ -207,8 +180,8 @@ class TableToText(Module):
         """Embed each state at positions 0..n-1 and decode it against table b of `memory`.
 
         All states go as one padded batch; one unpadded state is the
-        unbatched computation. A cache that is not incremental supplies the
-        memory's cross-attention projections (EncoderOutput.memory_cache).
+        unbatched computation. A cache supplies the memory's cross-attention
+        projections.
         """
         ids, lengths = pad_ids([self._token_ids(s) for s in states])
         batch, width = ids.shape

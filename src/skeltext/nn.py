@@ -205,10 +205,10 @@ class MultiHeadAttention(Module):
         """Attend from the rows of x (t_q, d) over the rows of memory (t_k, d).
 
         `kv` stands in for keys_values(memory). It is either the memory's
-        memoized projections, with the same result, or a self-attention
-        cache (2, B, h, t, d_head) that already holds x's newest positions:
-        each row of x (B, d) then attends over its own hypothesis. A cache
-        holds no future position, so it needs no mask.
+        projections from a DecoderCache, with the same result, or a
+        self-attention cache (2, B, h, t, d_head) that already holds x's
+        newest positions: each row of x (B, d) then attends over its own
+        hypothesis. A cache holds no future position, so it needs no mask.
         """
         if kv is None:
             kv = self.keys_values(memory)
@@ -281,31 +281,16 @@ class DecoderCache:
     """What a TransformerDecoder reuses across passes over one memory.
 
     `memory_kv[l]` is layer l's cross-attention keys_values() of the memory,
-    computed once. An incremental cache also holds, in `self_kv[l]`, layer
-    l's self-attention keys and values of every position decoded so far for
-    B live hypotheses, (2, B, h, t, d_head), with `length` = t. The next
-    step's hypothesis i continues cache row `parents[i]`. Otherwise
-    `self_kv` is None and the cache serves full passes: each decodes a whole
-    sequence and only the memory projections are reused.
+    computed once and read by every pass. The steps of
+    TransformerDecoder.step also keep, in `self_kv[l]`, layer l's
+    self-attention keys and values of every position decoded so far for
+    the B live hypotheses, (2, B, h, t, d_head), with `length` = t.
     """
 
-    def __init__(self, decoder: TransformerDecoder, memory: Tensor, incremental: bool = True):
+    def __init__(self, decoder: TransformerDecoder, memory: Tensor):
         self.memory_kv = [layer.cross_attn.keys_values(memory) for layer in decoder.layers]
-        self.self_kv = None
-        if incremental:
-            self.self_kv = [
-                Tensor(np.zeros((2, 1, layer.self_attn.n_heads, 0, layer.self_attn.d_head)))
-                for layer in decoder.layers
-            ]
+        self.self_kv: list[Tensor] = []
         self.length = 0
-        self.parents = np.zeros(1, dtype=np.int64)
-
-    def reorder(self, parents) -> None:
-        """Make row parents[i] of the cache hypothesis i of the next step.
-
-        The rows are gathered when the step appends to the cache.
-        """
-        self.parents = np.asarray(parents, dtype=np.int64)
 
 
 class TransformerDecoder(Module):
@@ -316,27 +301,35 @@ class TransformerDecoder(Module):
         self, x: Tensor, memory: Tensor, causal: bool, cache: DecoderCache | None = None,
         mask: np.ndarray | None = None, memory_mask: np.ndarray | None = None,
     ) -> Tensor:
-        """Decode the rows of x (T, d) against memory.
+        """Decode the rows of x (T, d) against memory; a cache supplies its projections.
 
-        With an incremental cache, x is (B, d): position cache.length of each
-        hypothesis, decoded causally against the cached earlier positions.
-        Any other cache only supplies the memory projections. The key-padding
-        masks of a padded batch (Padded.mask) go in `mask`, for x, and
-        `memory_mask`, for the memory.
+        The key-padding masks of a padded batch (Padded.mask) go in `mask`,
+        for x, and `memory_mask`, for the memory.
         """
-        if cache is not None and cache.self_kv is not None:
-            for i, layer in enumerate(self.layers):
-                kv = cache.self_kv[i] = layer.self_attn.keys_values(x, cache.self_kv[i], cache.parents)
-                x = layer(x, memory, None, None, kv, cache.memory_kv[i])
-            cache.length += 1
-            cache.parents = np.arange(x.shape[0])  # unless reordered, rows continue
-            return x
         if causal:
             causal_part = causal_mask(x.shape[0] if mask is None else mask.shape[-1])
             mask = causal_part if mask is None else mask + causal_part
         memory_kv = cache.memory_kv if cache is not None else [None] * len(self.layers)
         for layer, kv in zip(self.layers, memory_kv):
             x = layer(x, memory, mask, memory_mask, None, kv)
+        return x
+
+    def step(self, x: Tensor, memory: Tensor, cache: DecoderCache, parents) -> Tensor:
+        """Decode position cache.length of B hypotheses, x (B, d), causally.
+
+        Hypothesis i continues the earlier positions in cache row parents[i];
+        the cache grows by one position.
+        """
+        if not cache.length:  # one hypothesis with no positions yet
+            cache.self_kv = [
+                Tensor(np.zeros((2, 1, layer.self_attn.n_heads, 0, layer.self_attn.d_head)))
+                for layer in self.layers
+            ]
+        parents = np.asarray(parents, dtype=np.int64)
+        for i, layer in enumerate(self.layers):
+            kv = cache.self_kv[i] = layer.self_attn.keys_values(x, cache.self_kv[i], parents)
+            x = layer(x, memory, None, None, kv, cache.memory_kv[i])
+        cache.length += 1
         return x
 
 

@@ -75,18 +75,23 @@ class SkeletonPointer(TableToText):
         self.wk = Linear(rng, self.d_model, self.d_model, bias=False)
 
     def decoder_states(
-        self, tokens: list[str], enc: EncoderOutput, cache: DecoderCache | None = None
+        self, tokens: list[str], enc: EncoderOutput,
+        step: tuple[DecoderCache, Sequence[int]] | None = None,
     ) -> Tensor:
         """Causal decoder hidden states.
 
-        Without a cache, `tokens` is the whole selected-token prefix and the
-        result is r_0..r_{T-1}, (T, d). With a cache, `tokens` holds the newest
-        token of each of B live hypotheses, all at position cache.length; the
-        result is their states, (B, d), and the cache grows by one position.
+        Without a step, `tokens` is the whole selected-token prefix and the
+        result is r_0..r_{T-1}, (T, d). A step (cache, parents) decodes one
+        position: `tokens` holds the newest token of each of B live
+        hypotheses, all at position cache.length, and hypothesis i continues
+        cache row parents[i]. The result is their states, (B, d), and the
+        cache grows by one position.
         """
-        if cache is None:
+        if step is None:
             return self.decode_batch([tokens], enc.padded(), True).rows
-        return self.decode_tokens(tokens, enc, cache)
+        cache, parents = step
+        x = self._embed_tokens(self._token_ids(tokens), np.full(len(tokens), cache.length))
+        return self.decoder.step(x, enc.hidden, cache, parents)
 
     def pointer_attention(self, r: Tensor, keys_t: Tensor) -> Tensor:
         """Attention over cells: softmax of (W_q r) . k_i / sqrt(d_r), with keys k_i = W_k h_i.
@@ -132,9 +137,8 @@ class SkeletonPointer(TableToText):
         live[i] extends the hypothesis in cache row parents[i] by its last
         token; one decoder pass decodes that token for every hypothesis.
         """
-        search.cache.reorder(parents)
         tokens = [h.tokens[-1] if h.tokens else BOS_TOKEN for h in live]
-        r = self.decoder_states(tokens, search.enc, search.cache)
+        r = self.decoder_states(tokens, search.enc, (search.cache, parents))
         attn = self.pointer_attention(r, search.keys_t)
         # Plain-array scores: tokens whose copy mass underflowed to zero score
         # -inf and are simply never selected.

@@ -66,6 +66,8 @@ def _training_model(build, corpus: Corpus, cfg: RunConfig, stage: str, positions
     positions(example) is the number of decoder positions the example needs
     in training. An error names the corpus index of the example.
     """
+    if not corpus:
+        raise ValueError(f"{stage} training corpus is empty")
     model = build(cfg, *build_vocabularies(corpus, cfg))
     for i, ex in enumerate(corpus):
         if not ex.reference:

@@ -8,6 +8,7 @@ from skeltext import autograd as ag
 from skeltext.autograd import Tensor
 from skeltext.config import RunConfig
 from skeltext.data import Attribute, Example, Table, Vocabulary
+from skeltext.nn import DecoderCache
 from skeltext.oracle import edit_loss_example
 from skeltext.training import build_editor, build_pointer
 
@@ -65,6 +66,11 @@ def tiny_editor(seed: int = 0, **config_overrides):
     cfg = tiny_config(seed=seed, **config_overrides)
     vocab, key_vocab = tiny_vocabs()
     return build_editor(cfg, vocab, key_vocab), cfg
+
+
+def decode_hidden(model, tokens, enc) -> Tensor:
+    """The editor's decoder outputs for tokens, over a fresh cache of enc's memory projections."""
+    return model.decode_hidden(tokens, enc, DecoderCache(model.decoder, enc.hidden))
 
 
 def small_example(rng: np.random.Generator) -> Example:

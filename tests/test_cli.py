@@ -575,3 +575,69 @@ def test_skeleton_stage1_non_finite_names_the_example(tmp_path, capsys):
     assert events[-1]["error"] == "NonFiniteError"
     assert events[-1]["message"].startswith("example 1: stage 1")
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv,named",
+    [
+        (["generate", "--editor", "{editor}", "--corpus", "{annotated}", "--out", "{out}",
+          "--oracle-skeleton", "--max-iter", "-1"], "--max-iter: max_iter must be >= 0"),
+        (["generate", "--editor", "{editor}", "--pointer", "{pointer}", "--corpus", "{corpus}",
+          "--out", "{out}", "--beam-width", "0"], "--beam-width: config field beam_width"),
+        (["skeleton", "--checkpoint", "{pointer}", "--corpus", "{corpus}", "--out", "{out}",
+          "--beam-width", "0"], "--beam-width: config field beam_width"),
+        (["evaluate", "--system", "{absent}", "--gold", "{absent}", "--lambda-mix", "1.5"],
+         "--lambda-mix: lambda_mix must lie in [0, 1]"),
+        (["evaluate", "--system", "{absent}", "--gold", "{absent}", "--lambda-mix", "-1"],
+         "--lambda-mix: lambda_mix must lie in [0, 1]"),
+        (["train-pointer", "--corpus", "{empty}", "--out-dir", "{out}", *TINY],
+         "pointer training corpus is empty"),
+        (["train-editor", "--corpus", "{empty}", "--out-dir", "{out}", *TINY],
+         "editor training corpus is empty"),
+    ],
+    ids=["max_iter", "generate_beam_width", "skeleton_beam_width", "lambda_mix_above",
+         "lambda_mix_below", "empty_pointer_corpus", "empty_editor_corpus"],
+)
+def test_a_bad_flag_or_corpus_fails_naming_it_and_writes_nothing(
+    pipeline, tmp_path, capsys, argv, named
+):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    out = tmp_path / "out"
+    paths = {**pipeline, "out": str(out), "empty": str(empty), "absent": str(tmp_path / "no")}
+    capsys.readouterr()
+    assert main([arg.format(**paths) for arg in argv]) == 1
+    event = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert (event["event"], event["error"]) == ("error", "ValueError")
+    assert named in event["message"]
+    assert not out.exists()
+
+
+def test_generate_counts_the_outputs_that_keep_their_skeleton(pipeline, tmp_path, capsys):
+    out = str(tmp_path / "gen.jsonl")
+    capsys.readouterr()
+    assert main(["generate", "--editor", pipeline["editor"], "--corpus", pipeline["annotated"],
+                 "--out", out, "--oracle-skeleton", "--max-iter", "2"]) == 0
+    closing = _closing_event(capsys.readouterr().err)
+    assert closing["n"] == closing["skeleton_preserved"] == 20
+
+
+@pytest.mark.parametrize("hard", [True, False])
+def test_generate_warns_of_an_output_that_lost_its_skeleton_only_under_hard_constraints(
+    tmp_path, capsys, monkeypatch, hard
+):
+    from skeltext import decoding
+
+    def drop_everything(model, table, skeleton, **kwargs):
+        return [], decoding.DecodeTrace([decoding.init_state(skeleton)], decoding.FIXED_POINT)
+
+    corpus, _ = _two_example_corpus(tmp_path)  # skeletons: empty, then one token
+    ckpt = _runaway_editor(tmp_path, corpus)
+    monkeypatch.setattr(decoding, "iterate", drop_everything)
+    flags = [] if hard else ["--no-hard-constraints"]
+    assert main(["generate", "--editor", ckpt, "--corpus", corpus, "--out",
+                 str(tmp_path / "gen.jsonl"), "--oracle-skeleton", *flags]) == 0
+    stderr = capsys.readouterr().err
+    warnings = [json.loads(line) for line in stderr.splitlines() if '"warning"' in line]
+    assert [w["example"] for w in warnings] == ([1] if hard else [])
+    assert _closing_event(stderr)["skeleton_preserved"] == 1

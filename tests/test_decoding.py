@@ -22,6 +22,7 @@ from skeltext.decoding import (
     masked_delete,
 )
 from skeltext.editor import EditState
+from skeltext.nn import DecoderCache, TransformerDecoder
 from skeltext.oracle import is_subsequence
 
 from helpers import all_value_tokens, random_table, tiny_editor
@@ -29,6 +30,8 @@ from helpers import all_value_tokens, random_table, tiny_editor
 
 class StubEditor:
     """Scriptable model: fixed deletion bias, fixed per-slot insertions, fixed fill."""
+
+    decoder = TransformerDecoder(None, 2, 2, 1, 0)  # no layers: an empty cache
 
     def __init__(self, delete_everything=False, insert_per_slot=0, fill_token="x", k_max=8):
         self.delete_everything = delete_everything
@@ -41,7 +44,7 @@ class StubEditor:
 
         return EncoderOutput(Tensor(np.zeros((1, 2))), [EOS_TOKEN])
 
-    def decode_hidden(self, tokens, enc, causal=False):
+    def decode_hidden(self, tokens, enc, cache):
         return Tensor(np.zeros((len(tokens), 2)))
 
     def deletion_scores(self, z):
@@ -120,10 +123,18 @@ def test_masked_delete_arity_checked():
         masked_delete(state, np.zeros((2, 2)))
 
 
+def _fill(stub, state, **kwargs):
+    """insert_and_fill of a stub's state, over the stub's own hidden states."""
+    enc = stub.encode(None)
+    cache = DecoderCache(stub.decoder, enc.hidden)
+    z = stub.decode_hidden(state.tokens, enc, cache)
+    return insert_and_fill(state, stub, enc, cache, z, **kwargs)
+
+
 def test_insert_and_fill_noop_when_zero_slots():
     stub = StubEditor(insert_per_slot=0)
     state = init_state(["a"])
-    out = insert_and_fill(state, stub, stub.encode(None))
+    out = _fill(stub, state)
     assert out.tokens == state.tokens
 
 
@@ -140,7 +151,7 @@ def test_insert_and_fill_two_tokens_unprotected():
             return Tensor(probs)
 
     stub2 = OneSlotStub(fill_token="new")
-    out = insert_and_fill(state, stub2, stub2.encode(None))
+    out = _fill(stub2, state)
     assert out.tokens == (BOS_TOKEN, "new", "new", "a", EOS_TOKEN)
     assert out.protected == (True, False, False, True, True)
     assert len(out.tokens) == len(out.protected)
@@ -149,7 +160,7 @@ def test_insert_and_fill_two_tokens_unprotected():
 def test_insert_and_fill_never_leaves_placeholders():
     stub = StubEditor(insert_per_slot=2, fill_token="y")
     state = init_state(["a", "b"])
-    out = insert_and_fill(state, stub, stub.encode(None))
+    out = _fill(stub, state)
     assert PLH_TOKEN not in out.tokens
     assert out.tokens.count("y") == 2 * (len(state) - 1)
 
@@ -158,7 +169,7 @@ def test_insert_and_fill_overflow_aborts():
     stub = StubEditor(insert_per_slot=8)
     state = init_state(["a", "b", "c"])
     with pytest.raises(StateOverflowError):
-        insert_and_fill(state, stub, stub.encode(None), max_state_len=12)
+        _fill(stub, state, max_state_len=12)
 
 
 def test_iterate_keep_all_zero_insert_fixed_point_after_one():
@@ -210,10 +221,12 @@ def test_iterate_random_model_constraint_preservation():
         if trace.termination == FIXED_POINT:
             # one more edit round applied to the final state changes nothing
             enc = model.encode(table)
+            cache = DecoderCache(model.decoder, enc.hidden)
             state = trace.snapshots[-1]
-            z = model.decode_hidden(state.tokens, enc)
+            z = model.decode_hidden(state.tokens, enc, cache)
             after = masked_delete(state, model.deletion_scores(z).data)
-            after = insert_and_fill(after, model, enc)
+            z = model.decode_hidden(after.tokens, enc, cache)
+            after = insert_and_fill(after, model, enc, cache, z)
             assert after.tokens == state.tokens
 
 
@@ -319,9 +332,9 @@ def test_iterate_never_decodes_the_same_tokens_twice_in_a_row():
         calls = []
         decode = model.decode_hidden
 
-        def counting(tokens, enc, decode=decode, calls=calls):
+        def counting(tokens, enc, cache, decode=decode, calls=calls):
             calls.append(tuple(tokens))
-            return decode(tokens, enc)
+            return decode(tokens, enc, cache)
 
         model.decode_hidden = counting
         table = random_table(rng)
@@ -338,10 +351,9 @@ def test_memoized_memory_projections_match_uncached_decoding():
     second = [BOS_TOKEN, "oov-token", *all_value_tokens(table)[:1], PLH_TOKEN, EOS_TOKEN]
     with ag.no_grad():
         enc = model.encode(table)
-        memo = enc.memory_cache(model.decoder)
-        assert memo is not None and enc.memory_cache(model.decoder) is memo
+        cache = DecoderCache(model.decoder, enc.hidden)
         for tokens in (first, second, first):
-            cached = model.decode_hidden(tokens, enc).data
+            cached = model.decode_hidden(tokens, enc, cache).data
             uncached = _decode_every_pass(model, tokens, enc).data
             np.testing.assert_allclose(cached, uncached, rtol=0, atol=1e-12)
 
@@ -357,7 +369,7 @@ def test_iterate_projects_the_table_memory_once_per_layer():
         layer.cross_attn.keys_values = counting
     decodes = []
     decode = model.decode_hidden
-    model.decode_hidden = lambda tokens, enc: decodes.append(tokens) or decode(tokens, enc)
+    model.decode_hidden = lambda tokens, enc, cache: decodes.append(tokens) or decode(tokens, enc, cache)
     table = random_table(np.random.default_rng(4))
     iterate(model, table, all_value_tokens(table)[:2], max_iter=3)
     assert len(decodes) >= 3

@@ -12,7 +12,7 @@ from skeltext.autograd import Tensor
 from skeltext.data import BOS_TOKEN, EOS_TOKEN, PLH_TOKEN, Attribute, Table, linearize_table
 from skeltext.editor import EditState
 
-from helpers import tiny_editor
+from helpers import decode_hidden, tiny_editor
 
 
 def _setup(seed=0):
@@ -36,16 +36,16 @@ def test_edit_state_invariants():
 def test_decode_hidden_output_arity():
     model, enc, _ = _setup()
     state = [BOS_TOKEN, "Alda", "sculptor", EOS_TOKEN]
-    z = model.decode_hidden(state, enc)
+    z = decode_hidden(model, state, enc)
     assert z.shape == (4, 16)
-    z2 = model.decode_hidden([BOS_TOKEN, EOS_TOKEN], enc)
+    z2 = decode_hidden(model, [BOS_TOKEN, EOS_TOKEN], enc)
     assert z2.shape == (2, 16)
 
 
 def test_head_arities():
     model, enc, cfg = _setup()
     state = [BOS_TOKEN, "Alda", PLH_TOKEN, "sculptor", PLH_TOKEN, EOS_TOKEN]
-    z = model.decode_hidden(state, enc)
+    z = decode_hidden(model, state, enc)
     assert model.deletion_scores(z).shape == (6, 2)
     assert model.placeholder_scores(z).shape == (5, cfg.k_max + 1)
     plh = [i for i, t in enumerate(state) if t == PLH_TOKEN]
@@ -55,7 +55,7 @@ def test_head_arities():
 def test_deletion_zero_weights_give_half_half():
     model, enc, _ = _setup()
     model.w_del.weight.data[...] = 0.0
-    z = model.decode_hidden([BOS_TOKEN, "Alda", EOS_TOKEN], enc)
+    z = decode_hidden(model, [BOS_TOKEN, "Alda", EOS_TOKEN], enc)
     assert np.allclose(model.deletion_scores(z).data, 0.5)
 
 
@@ -76,15 +76,15 @@ def test_deletion_softmax_arithmetic_ln9():
 
 def test_deletion_rows_sum_to_one():
     model, enc, _ = _setup(seed=2)
-    z = model.decode_hidden([BOS_TOKEN, "Alda", "Fenwick", EOS_TOKEN], enc)
+    z = decode_hidden(model, [BOS_TOKEN, "Alda", "Fenwick", EOS_TOKEN], enc)
     assert np.allclose(model.deletion_scores(z).data.sum(axis=1), 1.0, atol=1e-9)
 
 
 def test_placeholder_slot_counts():
     model, enc, cfg = _setup(seed=3)
-    z = model.decode_hidden([BOS_TOKEN, EOS_TOKEN], enc)
+    z = decode_hidden(model, [BOS_TOKEN, EOS_TOKEN], enc)
     assert model.placeholder_scores(z).shape == (1, cfg.k_max + 1)
-    z5 = model.decode_hidden([BOS_TOKEN, "a", "b", "c", EOS_TOKEN], enc)
+    z5 = decode_hidden(model, [BOS_TOKEN, "a", "b", "c", EOS_TOKEN], enc)
     assert model.placeholder_scores(z5).shape == (4, cfg.k_max + 1)
 
 
@@ -99,7 +99,7 @@ def test_the_placeholder_head_over_every_slot_gives_the_sliced_pairs_bytes():
         (got, lambda z: model.placeholder_logits(z, np.arange(len(state) - 1))),
         (want, lambda z: model.w_plh(ag.concat([z[:-1], z[1:]], axis=1))),
     ):
-        z = Tensor(model.decode_hidden(state, enc).data, retain_grad=True)
+        z = Tensor(decode_hidden(model, state, enc).data, retain_grad=True)
         logits = head(z)
         (logits * Tensor(weights)).sum().backward()
         out += [logits.data.tobytes(), z.grad.tobytes(), model.w_plh.weight.grad.tobytes()]
@@ -110,13 +110,13 @@ def test_the_placeholder_head_over_every_slot_gives_the_sliced_pairs_bytes():
 def test_placeholder_zero_weights_uniform():
     model, enc, cfg = _setup(seed=4)
     model.w_plh.weight.data[...] = 0.0
-    z = model.decode_hidden([BOS_TOKEN, "Alda", EOS_TOKEN], enc)
+    z = decode_hidden(model, [BOS_TOKEN, "Alda", EOS_TOKEN], enc)
     assert np.allclose(model.placeholder_scores(z).data, 1.0 / (cfg.k_max + 1))
 
 
 def test_token_scores_empty_without_placeholders():
     model, enc, _ = _setup(seed=5)
-    z = model.decode_hidden([BOS_TOKEN, "Alda", EOS_TOKEN], enc)
+    z = decode_hidden(model, [BOS_TOKEN, "Alda", EOS_TOKEN], enc)
     assert ag.softmax(model.token_logits(z, [])).shape == (0, len(model.vocab))
     assert model.argmax_fill(z, []) == []
 
@@ -124,7 +124,7 @@ def test_token_scores_empty_without_placeholders():
 def test_token_scores_rows_are_distributions():
     model, enc, _ = _setup(seed=6)
     state = [BOS_TOKEN, PLH_TOKEN, "Alda", PLH_TOKEN, EOS_TOKEN]
-    z = model.decode_hidden(state, enc)
+    z = decode_hidden(model, state, enc)
     scores = ag.softmax(model.token_logits(z, [1, 3])).data
     assert scores.shape == (2, len(model.vocab))
     assert np.allclose(scores.sum(axis=1), 1.0, atol=1e-9)
@@ -146,8 +146,8 @@ def test_non_causality_last_token_reaches_z0():
     model, enc, _ = _setup(seed=8)
     s1 = [BOS_TOKEN, "Alda", "Fenwick", EOS_TOKEN]
     s2 = [BOS_TOKEN, "Alda", "sculptor", EOS_TOKEN]
-    z1 = model.decode_hidden(s1, enc).data
-    z2 = model.decode_hidden(s2, enc).data
+    z1 = decode_hidden(model, s1, enc).data
+    z2 = decode_hidden(model, s2, enc).data
     assert not np.allclose(z1[0], z2[0])  # full self-attention sees position 2
 
 
@@ -175,54 +175,21 @@ def test_all_three_heads_receive_gradient():
 def test_state_cap_enforced():
     model, _ = tiny_editor(seed=11, max_state_len=4)
     enc = model.encode(Table((Attribute("Name_ID", ("Alda",)),)))
-    model.decode_hidden([BOS_TOKEN, "a", "b", EOS_TOKEN], enc)
+    decode_hidden(model, [BOS_TOKEN, "a", "b", EOS_TOKEN], enc)
     with pytest.raises(ValueError, match="cap"):
-        model.decode_hidden([BOS_TOKEN, "a", "b", "c", EOS_TOKEN], enc)
+        decode_hidden(model, [BOS_TOKEN, "a", "b", "c", EOS_TOKEN], enc)
 
 
-def _gradients(model, enc_of):
-    """Parameter gradients of one edit loss, with the encoding made by enc_of(table)."""
+def test_edit_loss_gradients_reach_every_cross_attention_projection():
     from skeltext.oracle import edit_loss_example
 
+    model, _ = tiny_editor(seed=11, n_layers=2)
     table = Table((Attribute("Name_ID", ("Alda", "Fenwick")), Attribute("Occupation", ("sculptor",))))
-    enc = enc_of(table)
     parts = edit_loss_example(
-        model, enc, ["Alda", "sculptor"],
+        model, model.encode(table), ["Alda", "sculptor"],
         ["Alda", "Fenwick", "was", "a", "sculptor"], np.random.default_rng(4),
     )
     parts.total.backward()
-    return enc, {name: p.grad.copy() for name, p in model.named_parameters()}
-
-
-def test_edit_loss_gradient_unchanged_by_memory_memo(monkeypatch):
-    # A tracked encoding is never memoized, not even by the no-grad argmax
-    # fill inside the supervision, so training builds the graph it always did.
-    from skeltext.encoder import EncoderOutput
-
-    model, _ = tiny_editor(seed=11)
-    enc, got = _gradients(model, model.encode)
-    assert enc._memory is None
-    reference, _ = tiny_editor(seed=11)
-    monkeypatch.setattr(EncoderOutput, "memory_cache", lambda self, decoder: None)
-    _, want = _gradients(reference, reference.encode)
-    assert got.keys() == want.keys()
-    for name in got:
-        assert np.array_equal(got[name], want[name]), name
-    assert np.abs(got["decoder.layers.0.cross_attn.wk.weight"]).max() > 1e-6
-
-
-def test_decoding_with_gradients_ignores_a_memo_made_under_no_grad():
-    from skeltext import autograd as ag
-
-    model, enc, _ = _setup(seed=12)
-    with ag.no_grad():
-        frozen = model.encode(Table((Attribute("Name_ID", ("Alda",)),)))
-        model.decode_hidden([BOS_TOKEN, "Alda", EOS_TOKEN], frozen)
-    assert frozen.memory_cache(model.decoder) is None  # grad is enabled here
-    assert frozen._memory is not None
-    z = model.decode_hidden([BOS_TOKEN, "Alda", EOS_TOKEN], frozen)
-    weights = Tensor(np.random.default_rng(0).normal(size=z.shape))
-    (z * weights).sum().backward()  # a plain sum of layer-normed rows is constant
     for layer in model.decoder.layers:
         assert np.abs(layer.cross_attn.wk.weight.grad).max() > 1e-6
         assert np.abs(layer.cross_attn.wv.weight.grad).max() > 1e-6
@@ -277,12 +244,12 @@ def test_a_padded_batch_encodes_and_decodes_each_example_as_alone():
     assert len({len(s) for s in states}) > 1 and len(set(memory.lengths)) > 1
     for b, (table, state) in enumerate(zip(tables, states)):
         enc = model.encode(table)
-        cells = memory.rows.data[b * memory.width : b * memory.width + len(enc)]
+        cells = memory.rows.data[b * memory.width : b * memory.width + len(enc.cell_tokens)]
         assert np.abs(cells - enc.hidden.data).max() < 1e-12
         rows = z.rows.data[b * z.width : b * z.width + len(state)]
-        assert np.abs(rows - model.decode_hidden(state, enc).data).max() < 1e-12
+        assert np.abs(rows - decode_hidden(model, state, enc).data).max() < 1e-12
     # One example is the unbatched computation, to the bit.
     first = model.encoder.encode_padded([linearize_table(tables[0])])
     one = model.decode_batch(states[:1], first, causal=False)
-    alone = model.decode_hidden(states[0], model.encode(tables[0]))
+    alone = decode_hidden(model, states[0], model.encode(tables[0]))
     assert one.rows.data.tobytes() == alone.data.tobytes()

@@ -9,7 +9,7 @@ from skeltext import autograd as ag
 from skeltext.data import BOS_TOKEN, EOS_TOKEN, Attribute, LinearizedCell, Table, linearize_table
 from skeltext.nn import DecoderCache
 
-from helpers import random_table, tiny_editor, tiny_pointer
+from helpers import decode_hidden, random_table, tiny_editor, tiny_pointer
 
 
 def _encoder(seed: int = 0):
@@ -64,7 +64,7 @@ def test_position_clamp_bounds_lookup():
 def test_encode_single_attribute_length():
     enc = _encoder()
     out = enc(linearize_table(Table((Attribute("K", ("x",)),))))
-    assert len(out) == 2  # value cell + EOS
+    assert len(out.cell_tokens) == 2  # value cell + EOS
     assert out.hidden.shape == (2, 16)
     assert out.cell_tokens[-1] == "<eos>"
 
@@ -128,7 +128,7 @@ def test_encode_requires_cells():
     "build,decode",
     [
         (tiny_pointer, lambda model, tokens, enc: model.decoder_states(tokens, enc)),
-        (tiny_editor, lambda model, tokens, enc: model.decode_hidden(tokens, enc)),
+        (tiny_editor, lambda model, tokens, enc: decode_hidden(model, tokens, enc)),
     ],
     ids=["pointer", "editor"],
 )
@@ -147,6 +147,6 @@ def test_cached_pointer_step_rejects_a_position_beyond_the_cap():
         enc = model.encode(random_table(np.random.default_rng(6)))
         cache = DecoderCache(model.decoder, enc.hidden)
         for _ in range(model.max_len):
-            model.decoder_states([BOS_TOKEN], enc, cache)
+            model.decoder_states([BOS_TOKEN], enc, (cache, [0]))
         with pytest.raises(ValueError, match="positions exceed"):
-            model.decoder_states([BOS_TOKEN], enc, cache)
+            model.decoder_states([BOS_TOKEN], enc, (cache, [0]))

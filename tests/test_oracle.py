@@ -457,6 +457,8 @@ def test_build_edit_supervision_completes_the_draft_from_the_argmax_fills():
     from skeltext import autograd as ag
     from skeltext.oracle import build_edit_supervision, draft_supervision
 
+    from helpers import decode_hidden
+
     for model, ex, seed in _one_example_cases():
         enc = model.encode(ex.table)
         built = build_edit_supervision(
@@ -464,7 +466,7 @@ def test_build_edit_supervision_completes_the_draft_from_the_argmax_fills():
         )
         want = draft_supervision(model, ex.skeleton, ex.reference, np.random.default_rng(seed))
         with ag.no_grad():
-            fills = model.argmax_fill(model.decode_hidden(want.state2, enc), want.positions)
+            fills = model.argmax_fill(decode_hidden(model, want.state2, enc), want.positions)
         state3 = list(want.state2)
         for pos, tok in zip(want.positions, fills):
             state3[pos] = tok

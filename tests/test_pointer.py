@@ -329,15 +329,14 @@ def test_cached_decoder_states_match_full_decoder_rows():
     enc = model.encode(random_table(rng))
     cache = DecoderCache(model.decoder, enc.hidden)
     prefixes = [[BOS_TOKEN]]
-    states = model.decoder_states([BOS_TOKEN], enc, cache)
+    states = model.decoder_states([BOS_TOKEN], enc, (cache, [0]))
     for parents in ([0, 0, 0], [2, 0, 0], [1, 2, 2], [0, 1, 2]):
         for i, prefix in enumerate(prefixes):
             full = model.decoder_states(prefix, enc).data[-1]
             assert np.abs(states.data[i] - full).max() < 1e-12
-        cache.reorder(parents)
         new = [str(rng.choice(enc.cell_tokens)) for _ in parents]
         prefixes = [[*prefixes[p], tok] for p, tok in zip(parents, new)]
-        states = model.decoder_states(new, enc, cache)
+        states = model.decoder_states(new, enc, (cache, parents))
         assert cache.length == len(prefixes[0])
     for i, prefix in enumerate(prefixes):
         full = model.decoder_states(prefix, enc).data
