@@ -36,10 +36,6 @@ def no_grad():
         _grad_enabled = prev
 
 
-def grad_enabled() -> bool:
-    return _grad_enabled
-
-
 # Read-only zeros the finiteness probe multiplies against.
 _ZEROS = np.zeros(1 << 14)
 _ZEROS.flags.writeable = False

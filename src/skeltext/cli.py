@@ -20,8 +20,7 @@ from .data import (
     tokenize,
 )
 from .gradcheck import TOLERANCE, run_gradcheck
-from .oracle import is_subsequence
-from .pointer import SkeletonPrediction
+from .pointer import SkeletonPrediction, predict_skeletons
 from .skeleton import annotate_corpus
 from .stopwords import default_stop_words
 from .synth import TemplateSpec, generate
@@ -45,13 +44,10 @@ def _cmd_synth_corpus(args) -> int:
     return 0
 
 
-def _load_stopwords(path: str | None) -> StopWordList:
-    return StopWordList.from_file(path) if path else default_stop_words()
-
-
 def _cmd_annotate(args) -> int:
     corpus = load_corpus(args.corpus)
-    annotated = annotate_corpus(corpus, _load_stopwords(args.stopwords))
+    stop_words = StopWordList.from_file(args.stopwords) if args.stopwords else default_stop_words()
+    annotated = annotate_corpus(corpus, stop_words)
     save_corpus(annotated, args.out)
     _log({"event": "annotate", "n": len(annotated), "out": args.out})
     return 0
@@ -77,23 +73,15 @@ def _flag_overrides(cfg: RunConfig, **flags) -> RunConfig:
 
 
 def _predict_skeletons(model, cfg: RunConfig, corpus: Corpus):
-    """Beam-search skeletons; an example whose search met a non-finite value gets the error."""
-    predictions: list[SkeletonPrediction | NonFiniteError] = []
-    truncated = 0
-    for ex in corpus:
-        try:
-            pred = model.beam_search(
-                ex.table, cfg.beam_width, cfg.max_skeleton_len, cfg.beam_length_normalize
-            )
-        except NonFiniteError as err:
-            predictions.append(err)
-            continue
-        if not pred.finished:
-            truncated += 1
-        predictions.append(pred)
+    """Each example's stage-1 skeleton or NonFiniteError; a warning names the truncated ones."""
+    predictions = predict_skeletons(model, [ex.table for ex in corpus], cfg.beam_width,
+                                    cfg.max_skeleton_len, cfg.beam_length_normalize)
+    truncated = [i for i, p in enumerate(predictions)
+                 if isinstance(p, SkeletonPrediction) and not p.finished]
     if truncated:
-        _log({"event": "warning", "message": f"{truncated} skeleton(s) truncated at max length"})
-    return predictions
+        _log({"event": "warning", "examples": truncated,
+              "message": f"{len(truncated)} skeleton(s) truncated at max length"})
+    return [p if isinstance(p, NonFiniteError) else p.tokens for p in predictions]
 
 
 def _stage1_failure(i: int, err: NonFiniteError) -> str:
@@ -104,14 +92,11 @@ def _cmd_skeleton(args) -> int:
     model, cfg = load_pointer_dir(args.checkpoint)
     cfg = _flag_overrides(cfg, beam_width=args.beam_width)
     corpus = load_corpus(args.corpus)
-    predictions = _predict_skeletons(model, cfg, corpus)
-    for i, pred in enumerate(predictions):
-        if isinstance(pred, NonFiniteError):
-            raise NonFiniteError(_stage1_failure(i, pred))
-    annotated = [
-        Example(ex.table, ex.reference, tuple(pred.tokens))
-        for ex, pred in zip(corpus, predictions)
-    ]
+    annotated = []
+    for i, (ex, skeleton) in enumerate(zip(corpus, _predict_skeletons(model, cfg, corpus))):
+        if isinstance(skeleton, NonFiniteError):
+            raise NonFiniteError(_stage1_failure(i, skeleton))
+        annotated.append(Example(ex.table, ex.reference, tuple(skeleton)))
     save_corpus(annotated, args.out)
     _log({"event": "skeleton", "n": len(annotated), "out": args.out})
     return 0
@@ -122,51 +107,36 @@ def _cmd_generate(args) -> int:
     cfg = _flag_overrides(cfg, max_iter=args.max_iter)
     corpus = load_corpus(args.corpus)
     if args.oracle_skeleton:
+        _flag_overrides(RunConfig(), beam_width=args.beam_width)  # unused, but still checked
         for i, ex in enumerate(corpus):
             if ex.skeleton is None:
                 raise ValueError(f"example {i}: --oracle-skeleton needs annotated skeletons")
-        skeletons = [list(ex.skeleton) for ex in corpus]
+        skeletons = [ex.skeleton for ex in corpus]
     else:
         if not args.pointer:
             raise ValueError("--pointer checkpoint required unless --oracle-skeleton is set")
         pointer_model, pointer_cfg = load_pointer_dir(args.pointer)
         pointer_cfg = _flag_overrides(pointer_cfg, beam_width=args.beam_width)
-        predictions = _predict_skeletons(pointer_model, pointer_cfg, corpus)
-        skeletons = [p if isinstance(p, NonFiniteError) else p.tokens for p in predictions]
-    terminations = dict.fromkeys(
-        (decoding.FIXED_POINT, decoding.MAX_ITERATIONS, decoding.OVERFLOW, decoding.NON_FINITE), 0
-    )
+        skeletons = _predict_skeletons(pointer_model, pointer_cfg, corpus)
+    terminations = dict.fromkeys(decoding.TERMINATIONS, 0)
     preserved = 0  # outputs that still hold their stage-1 skeleton
+    outcomes = decoding.realize_corpus(editor, [ex.table for ex in corpus], skeletons,
+                                       cfg.max_iter, not args.no_hard_constraints,
+                                       cfg.max_state_len)
     with open(args.out, "w", encoding="utf-8") as fh:
-        for i, (ex, skeleton) in enumerate(zip(corpus, skeletons)):
-            if isinstance(skeleton, NonFiniteError):
-                # Stage 1 found no skeleton, so there is nothing to realize.
-                tokens, iterations, termination = [], 0, decoding.NON_FINITE
-                _log({"event": "warning", "example": i, "termination": termination,
-                      "message": _stage1_failure(i, skeleton)})
-            else:
-                try:
-                    tokens, trace = decoding.iterate(
-                        editor, ex.table, skeleton,
-                        max_iter=cfg.max_iter,
-                        hard_constraints=not args.no_hard_constraints,
-                        max_state_len=cfg.max_state_len,
-                    )
-                except (decoding.StateOverflowError, NonFiniteError) as err:
-                    # One runaway example must not end the run: keep its last
-                    # state, which still holds the skeleton.
-                    trace = err.trace
-                    tokens = list(trace.snapshots[-1].body())
-                    _log({"event": "warning", "example": i, "termination": trace.termination,
-                          "message": f"{type(err).__name__}: {err}"})
-                iterations, termination = trace.iterations, trace.termination
-                if is_subsequence(skeleton, tokens):
-                    preserved += 1
-                elif not args.no_hard_constraints:
-                    _log({"event": "warning", "example": i,
-                          "message": f"example {i}: output lost its skeleton under hard constraints"})
-            terminations[termination] += 1
-            row = {"text": " ".join(tokens), "iterations": iterations, "termination": termination}
+        for i, out in enumerate(outcomes):
+            if out.error is not None:
+                message = f"{type(out.error).__name__}: {out.error}"
+                _log({"event": "warning", "example": i, "termination": out.termination,
+                      "message": _stage1_failure(i, out.error) if out.trace is None else message})
+            preserved += bool(out.preserved)
+            if out.preserved is False and not args.no_hard_constraints:
+                _log({"event": "warning", "example": i,
+                      "message": f"example {i}: output lost its skeleton under hard constraints"})
+            terminations[out.termination] += 1
+            row = {"text": " ".join(out.tokens),
+                   "iterations": out.trace.iterations if out.trace else 0,
+                   "termination": out.termination}
             fh.write(json.dumps(row, ensure_ascii=False) + "\n")
     _log({"event": "generate", "n": len(corpus), "out": args.out, "terminations": terminations,
           "skeleton_preserved": preserved})

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -12,12 +13,13 @@ from .data import BOS_TOKEN, EOS_TOKEN, PLH_TOKEN, Table
 from .editor import EditRealizer, EditState
 from .encoder import EncoderOutput
 from .nn import DecoderCache
-from .oracle import DELETE
+from .oracle import DELETE, is_subsequence
 
 FIXED_POINT = "fixed_point"
 MAX_ITERATIONS = "max_iterations"
 OVERFLOW = "overflow"
 NON_FINITE = "non_finite"
+TERMINATIONS = (FIXED_POINT, MAX_ITERATIONS, OVERFLOW, NON_FINITE)
 
 
 class StateOverflowError(RuntimeError):
@@ -40,6 +42,16 @@ class DecodeTrace:
     @property
     def iterations(self) -> int:
         return len(self.snapshots) - 1
+
+
+class Realization(NamedTuple):
+    """One example's stage-2 outcome; `trace` and `preserved` are None without a skeleton."""
+
+    tokens: list[str]
+    trace: DecodeTrace | None
+    termination: str
+    error: Exception | None  # the error that ended this example early, if any
+    preserved: bool | None  # the output still holds its skeleton
 
 
 def init_state(skeleton, protect_skeleton: bool = True) -> EditState:
@@ -154,3 +166,26 @@ def iterate(
         err.trace = DecodeTrace(snapshots, reason)
         raise
     return list(state.body()), DecodeTrace(snapshots, termination)
+
+
+def realize_corpus(
+    model: EditRealizer, tables: Sequence[Table], skeletons: Sequence, max_iter: int,
+    hard_constraints: bool, max_state_len: int,
+) -> Iterator[Realization]:
+    """Stage 2 over a corpus: `iterate` each table's skeleton, yielding outcomes in order.
+
+    A stage-1 NonFiniteError in place of a skeleton gives an empty NON_FINITE
+    outcome. An overflow or non-finite abort keeps its trace's last state.
+    """
+    for table, skeleton in zip(tables, skeletons):
+        if isinstance(skeleton, ag.NonFiniteError):
+            yield Realization([], None, NON_FINITE, skeleton, None)
+            continue
+        error = None
+        try:
+            tokens, trace = iterate(model, table, skeleton, max_iter=max_iter,
+                                    hard_constraints=hard_constraints, max_state_len=max_state_len)
+        except (StateOverflowError, ag.NonFiniteError) as err:
+            error, trace = err, err.trace
+            tokens = list(trace.snapshots[-1].body())
+        yield Realization(tokens, trace, trace.termination, error, is_subsequence(skeleton, tokens))

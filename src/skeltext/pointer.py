@@ -210,6 +210,20 @@ class SkeletonPointer(TableToText):
         return max(done or live + exhausted, key=rank)
 
 
+def predict_skeletons(
+    model: SkeletonPointer, tables: Sequence[Table], beam_width: int, max_len: int,
+    length_normalize: bool,
+) -> list[SkeletonPrediction | ag.NonFiniteError]:
+    """Each table's beam-searched skeleton, in order, or the NonFiniteError its search met."""
+    predictions: list[SkeletonPrediction | ag.NonFiniteError] = []
+    for table in tables:
+        try:
+            predictions.append(model.beam_search(table, beam_width, max_len, length_normalize))
+        except ag.NonFiniteError as err:
+            predictions.append(err)
+    return predictions
+
+
 def backprop_pointer_batch(
     model: SkeletonPointer,
     examples: Sequence[Example],

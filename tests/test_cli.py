@@ -577,6 +577,30 @@ def test_skeleton_stage1_non_finite_names_the_example(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_a_truncation_warning_names_the_truncated_examples(tmp_path, capsys):
+    from skeltext.training import build_pointer, build_vocabularies, save_model_dir
+
+    from helpers import tiny_config
+
+    corpus = str(tmp_path / "c.jsonl")
+    assert main(["synth-corpus", "--n", "8", "--seed", "0", "--out", corpus]) == 0
+    data = load_corpus(corpus)
+    cfg = tiny_config(seed=0, max_skeleton_len=1)  # untrained: EOS rarely wins in 2 steps
+    model = build_pointer(cfg, *build_vocabularies(data, cfg))
+    ckpt = str(tmp_path / "pointer")
+    save_model_dir(ckpt, model, cfg)
+    truncated = [i for i, ex in enumerate(data)
+                 if not model.beam_search(ex.table, cfg.beam_width, 1).finished]
+    assert 0 < len(truncated) < len(data)
+    capsys.readouterr()
+    out = str(tmp_path / "skeletons.jsonl")
+    assert main(["skeleton", "--checkpoint", ckpt, "--corpus", corpus, "--out", out]) == 0
+    events = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+    [warning] = [e for e in events if e["event"] == "warning"]
+    assert warning["examples"] == truncated
+    assert warning["message"] == f"{len(truncated)} skeleton(s) truncated at max length"
+
+
 @pytest.mark.parametrize(
     "argv,named",
     [
@@ -584,6 +608,8 @@ def test_skeleton_stage1_non_finite_names_the_example(tmp_path, capsys):
           "--oracle-skeleton", "--max-iter", "-1"], "--max-iter: max_iter must be >= 0"),
         (["generate", "--editor", "{editor}", "--pointer", "{pointer}", "--corpus", "{corpus}",
           "--out", "{out}", "--beam-width", "0"], "--beam-width: config field beam_width"),
+        (["generate", "--editor", "{editor}", "--corpus", "{annotated}", "--out", "{out}",
+          "--oracle-skeleton", "--beam-width", "0"], "--beam-width: config field beam_width"),
         (["skeleton", "--checkpoint", "{pointer}", "--corpus", "{corpus}", "--out", "{out}",
           "--beam-width", "0"], "--beam-width: config field beam_width"),
         (["evaluate", "--system", "{absent}", "--gold", "{absent}", "--lambda-mix", "1.5"],
@@ -595,8 +621,8 @@ def test_skeleton_stage1_non_finite_names_the_example(tmp_path, capsys):
         (["train-editor", "--corpus", "{empty}", "--out-dir", "{out}", *TINY],
          "editor training corpus is empty"),
     ],
-    ids=["max_iter", "generate_beam_width", "skeleton_beam_width", "lambda_mix_above",
-         "lambda_mix_below", "empty_pointer_corpus", "empty_editor_corpus"],
+    ids=["max_iter", "generate_beam_width", "oracle_generate_beam_width", "skeleton_beam_width",
+         "lambda_mix_above", "lambda_mix_below", "empty_pointer_corpus", "empty_editor_corpus"],
 )
 def test_a_bad_flag_or_corpus_fails_naming_it_and_writes_nothing(
     pipeline, tmp_path, capsys, argv, named

@@ -15,11 +15,13 @@ from skeltext.decoding import (
     MAX_ITERATIONS,
     NON_FINITE,
     OVERFLOW,
+    Realization,
     StateOverflowError,
     init_state,
     insert_and_fill,
     iterate,
     masked_delete,
+    realize_corpus,
 )
 from skeltext.editor import EditState
 from skeltext.nn import DecoderCache, TransformerDecoder
@@ -439,3 +441,59 @@ def test_trace_iterations_count_the_snapshots_after_the_first(
         trace = err.trace
     assert trace.termination == termination
     assert trace.iterations == len(trace.snapshots) - 1 == iterations
+
+
+# -- the corpus driver: one outcome per example -----------------------------------
+
+_TABLE = Table((Attribute("K", ("x",)),))
+
+
+def _realize(model, skeletons, max_iter=10, hard_constraints=True, max_state_len=512):
+    return list(realize_corpus(model, [_TABLE] * len(skeletons), skeletons, max_iter,
+                               hard_constraints, max_state_len))
+
+
+def test_realize_corpus_passes_a_stage1_error_through_as_its_outcome():
+    err = NonFiniteError("beam scores are not finite")
+    assert _realize(StubEditor(), [["a"], err]) == [
+        Realization(["a"], iterate(StubEditor(), _TABLE, ["a"])[1], FIXED_POINT, None, True),
+        Realization([], None, NON_FINITE, err, None),
+    ]
+
+
+def test_realize_corpus_keeps_the_last_state_of_an_overflow():
+    # 3 -> 5 -> 9 -> 17 tokens: the third insertion breaks a cap of 12.
+    [outcome] = _realize(StubEditor(insert_per_slot=1, fill_token="z"), [["a"]],
+                         max_state_len=12)
+    assert isinstance(outcome.error, StateOverflowError)
+    assert outcome.trace is outcome.error.trace
+    assert (outcome.termination, outcome.trace.iterations) == (OVERFLOW, 2)
+    assert outcome.tokens == list(outcome.trace.snapshots[-1].body())
+    assert len(outcome.tokens) == 7 and outcome.preserved
+
+
+def test_realize_corpus_keeps_the_last_state_of_a_non_finite_abort():
+    [outcome] = _realize(_NonFiniteAfter(passes=2, insert_per_slot=1), [["a"]])
+    assert isinstance(outcome.error, NonFiniteError)
+    assert (outcome.termination, outcome.trace.iterations) == (NON_FINITE, 2)
+    assert outcome.tokens == list(outcome.trace.snapshots[-1].body())
+
+
+def test_realize_corpus_gives_what_iterate_returns_on_plain_examples():
+    rng = np.random.default_rng(4)
+    model, _ = tiny_editor(seed=3, k_max=2)
+    tables = [random_table(rng) for _ in range(4)]
+    skeletons = [all_value_tokens(table)[:n] for n, table in enumerate(tables)]
+    outcomes = list(realize_corpus(model, tables, skeletons, 3, True, 512))
+    assert len(outcomes) == len(tables)
+    for table, skeleton, outcome in zip(tables, skeletons, outcomes):
+        tokens, trace = iterate(model, table, skeleton, max_iter=3)
+        assert outcome == Realization(tokens, trace, trace.termination, None, True)
+
+
+def test_realize_corpus_reports_a_lost_skeleton_only_without_hard_constraints():
+    stub = StubEditor(delete_everything=True)
+    [kept] = _realize(stub, [["s1", "s2"]], max_iter=3)
+    [lost] = _realize(stub, [["s1", "s2"]], max_iter=3, hard_constraints=False)
+    assert (kept.tokens, kept.preserved) == (["s1", "s2"], True)
+    assert (lost.tokens, lost.preserved) == ([], False)
