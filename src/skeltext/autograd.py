@@ -351,8 +351,8 @@ def keys_values(
     `parents`, B indices into its hypotheses, memory holds the newest
     position of B hypotheses, (B, d). Hypothesis i continues cache row
     parents[i]: the result is those rows with the position appended,
-    (2, B, h, t+1, d_head), gathered straight into the new array. The cache
-    gradient scatters back through parents as take() does.
+    (2, B, h, t+1, d_head), gathered straight into the new array. Such a
+    cached step is inference-only, and its result is off the tape.
     """
     x = memory.data
     new = np.empty((2,) + x.shape)
@@ -360,26 +360,19 @@ def keys_values(
     new[0] += bk.data
     np.matmul(x, wv.data, out=new[1])
     new[1] += bv.data
-    if past is None:
-        kv = new
-    else:
+    if past is not None:
         b, (_, _, h, t, dh) = x.shape[0], past.shape
         kv = np.empty((2, b, h, t + 1, dh))
         kv[:, :, :, :t] = past.data[:, parents]
         kv[:, :, :, t] = new.reshape(2, b, h, dh)
+        return _make(kv, (), None, "keys_values")
 
     def bw(g):
-        if past is not None:
-            g_past = np.zeros_like(past.data)
-            np.add.at(g_past, (slice(None), parents), g[:, :, :, :-1])
-            g = g[:, :, :, -1].reshape(2, b, -1)
         gx_k, gwk, gbk = _affine_grads(g[0], x, wk.data)
         gx_v, gwv, gbv = _affine_grads(g[1], x, wv.data)
-        grads = (gx_k, gx_v, gwk, gbk, gwv, gbv)
-        return grads if past is None else grads + (g_past,)
+        return gx_k, gx_v, gwk, gbk, gwv, gbv
 
-    inputs = (memory, memory, wk, bk, wv, bv) + (() if past is None else (past,))
-    return _make(kv, inputs, bw, "keys_values")
+    return _make(new, (memory, memory, wk, bk, wv, bv), bw, "keys_values")
 
 
 def attention(
@@ -420,11 +413,13 @@ def attention(
     np.exp(p, out=p)
     p /= p.sum(axis=-1, keepdims=True)
     c = np.matmul(p, vh)
-    c = c.reshape(n, d) if cached else _merge_heads(c)
+    if cached:  # an inference step: off the tape
+        return _make(_affine(c.reshape(n, d), wo.data, bo.data), (), None, "attention")
+    c = _merge_heads(c)
 
     def bw(g):
         gc, gwo, gbo = _affine_grads(g, c, wo.data)
-        gc = gc.reshape(qh.shape) if cached else np.ascontiguousarray(_heads(gc, n_heads, batch))
+        gc = np.ascontiguousarray(_heads(gc, n_heads, batch))
         gp = np.matmul(gc, np.swapaxes(vh, -1, -2))
         gv = np.matmul(np.swapaxes(p, -1, -2), gc)
         gp = (gp - (gp * p).sum(axis=-1, keepdims=True)) * p
@@ -432,14 +427,9 @@ def attention(
         gq = np.matmul(gp, kh)
         gk = np.swapaxes(np.matmul(np.swapaxes(qh, -1, -2), gp), -1, -2)
         gkv = np.empty_like(kv.data)
-        if cached:
-            gkv[0], gkv[1] = gk, gv
-            gq = gq.reshape(n, d)
-        else:
-            _heads(gkv[0], n_heads, batch)[...] = gk
-            _heads(gkv[1], n_heads, batch)[...] = gv
-            gq = _merge_heads(gq)
-        gx, gwq, gbq = _affine_grads(gq, x.data, wq.data)
+        _heads(gkv[0], n_heads, batch)[...] = gk
+        _heads(gkv[1], n_heads, batch)[...] = gv
+        gx, gwq, gbq = _affine_grads(_merge_heads(gq), x.data, wq.data)
         return gx, gkv, gwq, gbq, gwo, gbo
 
     return _make(_affine(c, wo.data, bo.data), (x, kv, wq, bq, wo, bo), bw, "attention")

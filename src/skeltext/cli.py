@@ -38,7 +38,8 @@ def _log(record: dict) -> None:
 
 
 def _cmd_synth_corpus(args) -> int:
-    corpus = generate(TemplateSpec(seed=args.seed), args.n)
+    seed = _flag_overrides(RunConfig(), seed=args.seed).seed
+    corpus = generate(TemplateSpec(seed=seed), args.n)
     save_corpus(corpus, args.out)
     _log({"event": "synth_corpus", "n": len(corpus), "out": args.out})
     return 0
@@ -174,7 +175,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    results = run_gradcheck(args.seed)
+    results = run_gradcheck(_flag_overrides(RunConfig(), seed=args.seed).seed)
     failures = 0
     for name, err in results:
         ok = bool(err < TOLERANCE)

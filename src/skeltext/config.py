@@ -68,7 +68,7 @@ class RunConfig:
         for name in positive:
             if getattr(self, name) <= 0:
                 raise ValueError(f"config field {name} must be positive")
-        for name in ("pointer_peak_lr", "editor_peak_lr", "lambda_del"):
+        for name in ("pointer_peak_lr", "editor_peak_lr", "lambda_del", "seed"):
             if getattr(self, name) < 0:
                 raise ValueError(f"config field {name} must be non-negative")
         if self.max_iter < 0:
@@ -158,7 +158,10 @@ def resolve_config(
     cfg = RunConfig.from_file(config_path) if config_path else RunConfig()
     env = os.environ if env is None else env
     if SEED_ENV_VAR in env:
-        cfg = cfg.with_overrides({"seed": int(env[SEED_ENV_VAR])})
+        try:
+            cfg = cfg.with_overrides({"seed": int(env[SEED_ENV_VAR])})
+        except ValueError as err:
+            raise ValueError(f"{SEED_ENV_VAR}={env[SEED_ENV_VAR]!r}: {err}") from None
     merged: dict[str, object] = {}
     for item in overrides or []:
         key, value = parse_override(item)

@@ -69,14 +69,13 @@ class Embedding(Module):
 
 
 class LayerNorm(Module):
-    def __init__(self, dim: int, eps: float = 1e-12):
+    def __init__(self, dim: int):
         self.gain = Parameter(np.ones(dim))
         self.bias = Parameter(np.zeros(dim))
-        self.eps = eps
 
     def __call__(self, x: Tensor, residual: Tensor | None = None) -> Tensor:
         """LayerNorm of x, or of x + residual when one is given."""
-        return ag.layer_norm(x, self.gain, self.bias, self.eps, residual)
+        return ag.layer_norm(x, self.gain, self.bias, residual=residual)
 
 
 def causal_mask(n: int) -> np.ndarray:
@@ -318,7 +317,7 @@ class TransformerDecoder(Module):
         """Decode position cache.length of B hypotheses, x (B, d), causally.
 
         Hypothesis i continues the earlier positions in cache row parents[i];
-        the cache grows by one position.
+        the cache grows by one position. Inference-only: it runs under no_grad.
         """
         if not cache.length:  # one hypothesis with no positions yet
             cache.self_kv = [
@@ -326,9 +325,10 @@ class TransformerDecoder(Module):
                 for layer in self.layers
             ]
         parents = np.asarray(parents, dtype=np.int64)
-        for i, layer in enumerate(self.layers):
-            kv = cache.self_kv[i] = layer.self_attn.keys_values(x, cache.self_kv[i], parents)
-            x = layer(x, memory, None, None, kv, cache.memory_kv[i])
+        with ag.no_grad():
+            for i, layer in enumerate(self.layers):
+                kv = cache.self_kv[i] = layer.self_attn.keys_values(x, cache.self_kv[i], parents)
+                x = layer(x, memory, None, None, kv, cache.memory_kv[i])
         cache.length += 1
         return x
 

@@ -228,21 +228,17 @@ def backprop_pointer_batch(
     model: SkeletonPointer,
     examples: Sequence[Example],
     scale: float = 1.0,
-    indices: Sequence[int] | None = None,
 ) -> list[float]:
     """Add `scale` times the teacher-forced losses of a batch of examples into the gradients.
 
-    Every skeleton is checked first; an error names indices[i], the corpus
-    index of examples[i] (i itself by default). The tables are then encoded
-    as one padded pass. Each example's loss runs on its own unpadded rows of
-    that pass, a retained leaf, and is backpropagated into it at once; the
-    leaves' gradients go through the encoder once, at the end. Under no_grad
-    this only computes the losses. Returns each example's loss.
+    The tables are encoded as one padded pass. Each example's loss runs on its
+    own unpadded rows of that pass, a retained leaf, and is backpropagated
+    into it at once; the leaves' gradients go through the encoder once, at the
+    end. Under no_grad this only computes the losses. Returns each example's
+    loss. The caller checks each skeleton first (check_skeleton).
     """
     tables = [linearize_table(ex.table) for ex in examples]
     tokens = [[cell.token for cell in cells] for cells in tables]
-    for i, (ex, cell_tokens) in enumerate(zip(examples, tokens)):
-        check_skeleton(ex, cell_tokens, i if indices is None else indices[i])
     encoded = Detached(model.encoder.encode_padded(tables))
     losses = []
     for ex, cell_tokens, hidden in zip(examples, tokens, encoded.sequences()):

@@ -15,11 +15,12 @@ from .data import (
     Vocabulary,
     build_key_vocabulary,
     build_vocabulary,
+    linearize_table,
 )
 from .editor import EditRealizer
 from .nn import Adam, Module, load_checkpoint, save_checkpoint
 from .oracle import backprop_edit_batch, draft_supervision
-from .pointer import SkeletonPointer, backprop_pointer_batch
+from .pointer import SkeletonPointer, backprop_pointer_batch, check_skeleton
 
 Logger = Callable[[dict], None]
 
@@ -113,10 +114,11 @@ def train_pointer(
 ) -> tuple[SkeletonPointer, Adam]:
     """Teacher-forced training of the skeleton pointer, each step's tables encoded as one padded pass."""
     model = _training_model(build_pointer, corpus, cfg, "pointer", lambda ex: 1 + len(ex.skeleton))
+    for i, ex in enumerate(corpus):
+        check_skeleton(ex, [cell.token for cell in linearize_table(ex.table)], i)
 
     def backprop(batch: list[int], epoch: int) -> Counter[str]:
-        examples = [corpus[i] for i in batch]
-        losses = backprop_pointer_batch(model, examples, 1.0 / len(batch), batch)
+        losses = backprop_pointer_batch(model, [corpus[i] for i in batch], 1.0 / len(batch))
         return Counter({"loss": sum(losses)})
 
     schedule = (cfg.pointer_peak_lr, cfg.pointer_warmup, cfg.pointer_epochs)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from skeltext.cli import main
-from skeltext.config import RunConfig, parse_override, resolve_config
+from skeltext.config import SEED_ENV_VAR, RunConfig, parse_override, resolve_config
 from skeltext.data import load_corpus
 
 TINY = [
@@ -602,31 +602,47 @@ def test_a_truncation_warning_names_the_truncated_examples(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv,named",
+    "env,argv,named",
     [
-        (["generate", "--editor", "{editor}", "--corpus", "{annotated}", "--out", "{out}",
-          "--oracle-skeleton", "--max-iter", "-1"], "--max-iter: max_iter must be >= 0"),
-        (["generate", "--editor", "{editor}", "--pointer", "{pointer}", "--corpus", "{corpus}",
-          "--out", "{out}", "--beam-width", "0"], "--beam-width: config field beam_width"),
-        (["generate", "--editor", "{editor}", "--corpus", "{annotated}", "--out", "{out}",
-          "--oracle-skeleton", "--beam-width", "0"], "--beam-width: config field beam_width"),
-        (["skeleton", "--checkpoint", "{pointer}", "--corpus", "{corpus}", "--out", "{out}",
-          "--beam-width", "0"], "--beam-width: config field beam_width"),
-        (["evaluate", "--system", "{absent}", "--gold", "{absent}", "--lambda-mix", "1.5"],
+        (None, ["generate", "--editor", "{editor}", "--corpus", "{annotated}", "--out", "{out}",
+                "--oracle-skeleton", "--max-iter", "-1"], "--max-iter: max_iter must be >= 0"),
+        (None, ["generate", "--editor", "{editor}", "--pointer", "{pointer}", "--corpus",
+                "{corpus}", "--out", "{out}", "--beam-width", "0"],
+         "--beam-width: config field beam_width"),
+        (None, ["generate", "--editor", "{editor}", "--corpus", "{annotated}", "--out", "{out}",
+                "--oracle-skeleton", "--beam-width", "0"], "--beam-width: config field beam_width"),
+        (None, ["skeleton", "--checkpoint", "{pointer}", "--corpus", "{corpus}", "--out", "{out}",
+                "--beam-width", "0"], "--beam-width: config field beam_width"),
+        (None, ["evaluate", "--system", "{absent}", "--gold", "{absent}", "--lambda-mix", "1.5"],
          "--lambda-mix: lambda_mix must lie in [0, 1]"),
-        (["evaluate", "--system", "{absent}", "--gold", "{absent}", "--lambda-mix", "-1"],
+        (None, ["evaluate", "--system", "{absent}", "--gold", "{absent}", "--lambda-mix", "-1"],
          "--lambda-mix: lambda_mix must lie in [0, 1]"),
-        (["train-pointer", "--corpus", "{empty}", "--out-dir", "{out}", *TINY],
+        (None, ["train-pointer", "--corpus", "{empty}", "--out-dir", "{out}", *TINY],
          "pointer training corpus is empty"),
-        (["train-editor", "--corpus", "{empty}", "--out-dir", "{out}", *TINY],
+        (None, ["train-editor", "--corpus", "{empty}", "--out-dir", "{out}", *TINY],
          "editor training corpus is empty"),
+        (None, ["train-pointer", "--corpus", "{annotated}", "--out-dir", "{out}", *TINY,
+                "--set", "seed=-1"], "config field seed must be non-negative"),
+        ("abc", ["train-editor", "--corpus", "{annotated}", "--out-dir", "{out}", *TINY],
+         "SANA_SEED='abc': invalid literal for int()"),
+        ("-1", ["train-pointer", "--corpus", "{annotated}", "--out-dir", "{out}", *TINY],
+         "SANA_SEED='-1': config field seed must be non-negative"),
+        (None, ["synth-corpus", "--n", "4", "--seed", "-1", "--out", "{out}"],
+         "--seed: config field seed must be non-negative"),
+        (None, ["gradcheck", "--seed", "-1"], "--seed: config field seed must be non-negative"),
     ],
     ids=["max_iter", "generate_beam_width", "oracle_generate_beam_width", "skeleton_beam_width",
-         "lambda_mix_above", "lambda_mix_below", "empty_pointer_corpus", "empty_editor_corpus"],
+         "lambda_mix_above", "lambda_mix_below", "empty_pointer_corpus", "empty_editor_corpus",
+         "set_seed", "env_seed_not_int", "env_seed_negative", "synth_seed", "gradcheck_seed"],
 )
 def test_a_bad_flag_or_corpus_fails_naming_it_and_writes_nothing(
-    pipeline, tmp_path, capsys, argv, named
+    pipeline, tmp_path, capsys, monkeypatch, env, argv, named
 ):
+    # `env` is the SANA_SEED the command runs under, if any.
+    if env is None:
+        monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    else:
+        monkeypatch.setenv(SEED_ENV_VAR, env)
     empty = tmp_path / "empty.jsonl"
     empty.write_text("")
     out = tmp_path / "out"

@@ -317,6 +317,29 @@ def test_a_decoder_layer_forward_pass_records_eight_tape_nodes():
     ]
 
 
+def test_a_decoder_step_with_gradients_on_stays_off_the_tape():
+    # A cached step is inference-only, even over tracked parameters and inputs.
+    from skeltext.autograd import NonFiniteError
+    from skeltext.nn import DecoderCache, TransformerDecoder
+
+    rng = np.random.default_rng(20)
+    decoder = TransformerDecoder(rng, 8, 12, 2, 2)
+    memory = Tensor(rng.normal(size=(4, 8)), retain_grad=True)
+    cache = DecoderCache(decoder, memory)
+    for parents in ([0], [0, 0, 0], [2, 0, 1]):
+        x = Tensor(rng.normal(size=(len(parents), 8)), retain_grad=True)
+        out = decoder.step(x, memory, cache, parents)
+        assert not out.tracked and not any(kv.tracked for kv in cache.self_kv)
+        out.sum().backward()
+    assert x.grad is None and memory.grad is None
+    assert not any(p.grad.any() for p in decoder.parameters())
+
+    # The forward still names the op a non-finite value came from.
+    decoder.layers[1].self_attn.wk.weight.data[0, 0] = np.nan
+    with pytest.raises(NonFiniteError, match="from keys_values$"):
+        decoder.step(x, memory, cache, [0, 1, 2])
+
+
 @pytest.mark.parametrize("stage", ["pointer", "editor"])
 def test_fused_blocks_give_the_composed_models_gradients_to_the_bit(stage, monkeypatch):
     # Whole models, so that the order in which backward() sums a tensor's

@@ -362,16 +362,28 @@ def test_a_pointer_step_encodes_once_and_decodes_each_example_once(corpus, monke
     assert calls == {"encode_padded": 2, "decoder_states": len(corpus)}
 
 
-def test_a_bad_skeleton_names_its_corpus_index_before_any_gradient(corpus):
+def test_a_bad_skeleton_names_its_corpus_index_before_any_gradient(corpus, monkeypatch):
+    from skeltext import training
+
     bad = replace(corpus[4], skeleton=(*corpus[4].skeleton, "ghost"))
     with pytest.raises(DataIntegrityError, match="example 4: skeleton token 'ghost'"):
         train_pointer([*corpus[:4], bad, *corpus[5:]], tiny_config(batch_size=6))
 
-    # The bad example comes last in its step, and no example of the step runs.
-    model, _ = tiny_pointer(seed=8)
-    with pytest.raises(DataIntegrityError, match="example 4: skeleton token 'ghost'"):
-        backprop_pointer_batch(model, [*corpus[:3], bad], 0.25, [0, 1, 2, 4])
-    assert not any(p.grad.any() for p in model.parameters())
+    # Steps of two, the bad example drawn in the last: no step runs.
+    batches = []
+    original = training.backprop_pointer_batch
+    monkeypatch.setattr(training, "backprop_pointer_batch",
+                        lambda model, examples, *rest: batches.append(examples)
+                        or original(model, examples, *rest))
+    cfg = tiny_config(batch_size=2)
+    train_pointer(corpus, cfg)
+    assert len(batches) == 3
+    last = next(i for i, ex in enumerate(corpus) if ex is batches[-1][0])
+    bad = replace(corpus[last], skeleton=(*corpus[last].skeleton, "ghost"))
+    records: list[dict] = []
+    with pytest.raises(DataIntegrityError, match=f"example {last}: skeleton token 'ghost'"):
+        train_pointer([*corpus[:last], bad, *corpus[last + 1 :]], cfg, records.append)
+    assert _events(records, "pointer_step") == []
 
 
 def _capped(stage: str, cap: int):
