@@ -16,6 +16,9 @@ PLH_TOKEN = "<plh>"
 # Reserved ids are frozen so checkpoints stay portable across vocab rebuilds.
 RESERVED_TOKENS = (PAD_TOKEN, UNK_TOKEN, BOS_TOKEN, EOS_TOKEN, PLH_TOKEN)
 PAD_ID, UNK_ID, BOS_ID, EOS_ID, PLH_ID = range(5)
+# Padding, the sentinels and the placeholder mean something in a model's
+# input, so a corpus may not hold them; <unk> maps to the id it names.
+_FORBIDDEN_TOKENS = frozenset(RESERVED_TOKENS) - {UNK_TOKEN}
 
 
 class CorpusError(ValueError):
@@ -217,6 +220,12 @@ class StopWordList:
             return cls(line.strip() for line in fh if line.strip())
 
 
+def _check_tokens(tokens: Iterable[str], field: str, line_no: int) -> None:
+    for tok in tokens:
+        if tok in _FORBIDDEN_TOKENS:
+            raise CorpusError(f"{field} holds the reserved token {tok!r}", line_no)
+
+
 def _parse_line(obj: dict, line_no: int) -> Example:
     if not isinstance(obj, dict):
         raise CorpusError("expected a JSON object", line_no)
@@ -234,6 +243,7 @@ def _parse_line(obj: dict, line_no: int) -> Example:
         value_tokens = tokenize(str(entry["value"]))
         if not value_tokens:
             raise CorpusError(f"table entry {k} ({entry['key']!r}) has an empty value", line_no)
+        _check_tokens(value_tokens, f"table entry {k} ({entry['key']!r})", line_no)
         try:
             attrs.append(Attribute(str(entry["key"]), tuple(value_tokens)))
         except ValueError as err:
@@ -243,7 +253,10 @@ def _parse_line(obj: dict, line_no: int) -> Example:
         if not isinstance(obj["skeleton"], list):
             raise CorpusError('"skeleton" must be a list of tokens', line_no)
         skeleton = tuple(str(t) for t in obj["skeleton"])
-    return Example(Table(tuple(attrs)), tuple(tokenize(str(obj["text"]))), skeleton)
+        _check_tokens(skeleton, "skeleton", line_no)
+    text = tokenize(str(obj["text"]))
+    _check_tokens(text, "text", line_no)
+    return Example(Table(tuple(attrs)), tuple(text), skeleton)
 
 
 def parse_corpus(stream: IO[str] | Iterable[str]) -> Corpus:

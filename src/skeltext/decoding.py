@@ -61,17 +61,19 @@ def init_state(skeleton, protect_skeleton: bool = True) -> EditState:
     return EditState(tokens, protected)
 
 
-def masked_delete(state: EditState, deletion_probs: np.ndarray) -> EditState:
-    """Drop unprotected positions whose delete probability wins; keep the rest.
+def masked_delete(state: EditState, deletion_scores: np.ndarray) -> EditState:
+    """Drop unprotected positions whose delete score wins; keep the rest.
 
+    `deletion_scores` holds a (keep, delete) row per position: logits,
+    probabilities, any scores whose argmax is the choice (a tie keeps).
     Protected positions (sentinels included) are forced to "keep" no matter
     what the classifier says. Mask entries of the survivors carry over.
     """
-    if deletion_probs.shape[0] != len(state):
+    if deletion_scores.shape[0] != len(state):
         raise ValueError(
-            f"{deletion_probs.shape[0]} deletion rows for a state of {len(state)} tokens"
+            f"{deletion_scores.shape[0]} deletion rows for a state of {len(state)} tokens"
         )
-    choices = np.argmax(deletion_probs, axis=1).tolist()
+    choices = np.argmax(deletion_scores, axis=1).tolist()
     keep = [prot or c != DELETE for prot, c in zip(state.protected, choices)]
     tokens = tuple(t for t, k in zip(state.tokens, keep) if k)
     protected = tuple(p for p, k in zip(state.protected, keep) if k)
@@ -93,7 +95,8 @@ def insert_and_fill(
     StateOverflowError rather than decode forever.
     """
     with ag.no_grad():
-        counts = np.argmax(model.placeholder_scores(hidden).data, axis=-1)
+        slots = np.arange(len(state) - 1)
+        counts = np.argmax(model.placeholder_logits(hidden, slots).data, axis=-1)
         if counts.sum() + len(state) > max_state_len:
             raise StateOverflowError(
                 f"state would grow to {int(counts.sum()) + len(state)} tokens (cap {max_state_len})"
@@ -151,7 +154,7 @@ def iterate(
                 previous = state.tokens
                 if z is None:
                     z = model.decode_hidden(state.tokens, enc, cache)
-                kept = masked_delete(state, model.deletion_scores(z).data)
+                kept = masked_delete(state, model.deletion_logits(z).data)
                 if kept.tokens != state.tokens:
                     z = model.decode_hidden(kept.tokens, enc, cache)
                 state = insert_and_fill(kept, model, enc, cache, z, max_state_len)

@@ -9,13 +9,7 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
-from .data import (
-    BOS_TOKEN,
-    EOS_TOKEN,
-    PLH_TOKEN,
-    RESERVED_TOKENS,
-    Vocabulary,
-)
+from .data import BOS_TOKEN, EOS_TOKEN, PLH_TOKEN, RESERVED_TOKENS, Vocabulary
 from .encoder import EncoderOutput, TableToText
 from .nn import DecoderCache, Linear
 
@@ -83,17 +77,9 @@ class EditRealizer(TableToText):
     def deletion_logits(self, z: Tensor) -> Tensor:
         return self.w_del(z)
 
-    def deletion_scores(self, z: Tensor) -> Tensor:
-        """Per-position (keep, delete) distribution; index 0 keeps, 1 deletes."""
-        return ag.softmax(self.deletion_logits(z), axis=-1)
-
     def placeholder_logits(self, z: Tensor, slots: np.ndarray) -> Tensor:
         """Logits of 0..k_max insertions between each row of z in `slots` and the next row."""
         return self.w_plh(ag.concat([z[slots], z[slots + 1]], axis=1))
-
-    def placeholder_scores(self, z: Tensor) -> Tensor:
-        """Distribution over 0..k_max insertions for each of the n-1 slots of one state."""
-        return ag.softmax(self.placeholder_logits(z, np.arange(z.shape[0] - 1)), axis=-1)
 
     def token_logits(self, z: Tensor, positions: Sequence[int]) -> Tensor:
         return self.w_tok(z[np.asarray(positions, dtype=np.int64)])
@@ -104,12 +90,9 @@ class EditRealizer(TableToText):
         Fills range over actual tokens: the reserved symbols (padding,
         sentinels, the placeholder itself) are excluded from the argmax.
         """
-        if len(positions) == 0:
-            return []
         return self.fill_tokens(self.token_logits(z, positions).data)
 
     def fill_tokens(self, logits: np.ndarray) -> list[str]:
         """The greedy token of each row of token-head logits, reserved symbols excluded."""
-        logits = logits.copy()
-        logits[:, : len(RESERVED_TOKENS)] = -np.inf
-        return [self.vocab.token_of(int(i)) for i in np.argmax(logits, axis=1)]
+        choices = np.argmax(logits[:, len(RESERVED_TOKENS):], axis=1) + len(RESERVED_TOKENS)
+        return [self.vocab.token_of(int(i)) for i in choices]

@@ -31,19 +31,28 @@ def bleu(hypotheses: list[Tokens], references: list[Tokens]) -> float:
         raise ValueError("bleu needs at least one hypothesis")
     if len(hypotheses) != len(references):
         raise ValueError(f"{len(hypotheses)} hypotheses vs {len(references)} references")
-    hyp_len = sum(len(h) for h in hypotheses)
-    ref_len = sum(len(r) for r in references)
+    stats = [_bleu_stats(_orders(h), _orders(r)) for h, r in zip(hypotheses, references)]
+    return _bleu([sum(column) for column in zip(*stats)])
+
+
+def _bleu_stats(hyp: Grams, ref: Grams) -> list[int]:
+    """One pair's BLEU counts: both lengths, then the matched and total n-grams of each order."""
+    stats = [sum(hyp[0].values()), sum(ref[0].values())]
+    for hyp_counts, ref_counts in zip(hyp, ref):
+        stats.append(sum(min(c, ref_counts[g]) for g, c in hyp_counts.items()))
+        stats.append(sum(hyp_counts.values()))
+    return stats
+
+
+def _bleu(stats: list[int]) -> float:
+    """bleu from the sum of every pair's _bleu_stats."""
+    hyp_len, ref_len = stats[0], stats[1]
     if hyp_len == 0:
         return 0.0
     log_precision = 0.0
-    for n in range(1, MAX_ORDER + 1):
-        matched = total = 0
-        for hyp, ref in zip(hypotheses, references):
-            hyp_counts = ngram_counts(hyp, n)
-            ref_counts = ngram_counts(ref, n)
-            total += sum(hyp_counts.values())
-            matched += sum(min(c, ref_counts[g]) for g, c in hyp_counts.items())
-        if n >= 2:
+    for n in range(MAX_ORDER):  # order n + 1
+        matched, total = stats[2 + 2 * n], stats[3 + 2 * n]
+        if n > 0:
             matched += 1
             total += 1
         if matched == 0:
@@ -189,13 +198,14 @@ def evaluate_outputs(
         raise ValueError(f"{len(hypotheses)} hypotheses for {len(corpus)} gold examples")
     if not corpus:
         raise ValueError("evaluate_outputs needs at least one gold example, got an empty corpus")
-    references = [list(ex.reference) for ex in corpus]
     per_example = []
     sums = [0.0] * 6
+    bleu_stats = [0] * (2 + 2 * MAX_ORDER)
     for hyp, ex in zip(hypotheses, corpus):
-        hyp_grams, values = _orders(hyp), ex.table.value_token_set()
-        r_tab = _table_recall(hyp, ex.table)
-        p, r, f = _parent(hyp_grams, _orders(ex.reference), r_tab, values, lambda_mix)
+        hyp_grams, ref_grams = _orders(hyp), _orders(ex.reference)  # for BLEU and PARENT alike
+        bleu_stats = [a + b for a, b in zip(bleu_stats, _bleu_stats(hyp_grams, ref_grams))]
+        values, r_tab = ex.table.value_token_set(), _table_recall(hyp, ex.table)
+        p, r, f = _parent(hyp_grams, ref_grams, r_tab, values, lambda_mix)
         tp, tr, tf = _parent_t(hyp_grams, r_tab, values)
         per_example.append(
             {
@@ -208,7 +218,7 @@ def evaluate_outputs(
     n = len(corpus)
     means = [s / n for s in sums]
     return MetricReport(
-        bleu=bleu(hypotheses, references),
+        bleu=_bleu(bleu_stats),
         parent_precision=means[0],
         parent_recall=means[1],
         parent_f1=_f1(means[0], means[1]),

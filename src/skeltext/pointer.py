@@ -141,9 +141,10 @@ class SkeletonPointer(TableToText):
         r = self.decoder_states(tokens, search.enc, (search.cache, parents))
         attn = self.pointer_attention(r, search.keys_t)
         # Plain-array scores: tokens whose copy mass underflowed to zero score
-        # -inf and are simply never selected.
+        # -inf and are simply never selected. Rounding can pool a little more
+        # than all the mass into one token; capped at 1, no score is above 0.
         with np.errstate(divide="ignore"):
-            return np.log(attn.data @ search.pool), search.distinct
+            return np.log(np.minimum(attn.data @ search.pool, 1.0)), search.distinct
 
     def beam_search(
         self,
@@ -152,7 +153,8 @@ class SkeletonPointer(TableToText):
         max_len: int = 64,
         length_normalize: bool = False,
     ) -> SkeletonPrediction:
-        """Length-unnormalized beam search over copy distributions.
+        """Beam search over copy distributions, ranking hypotheses by score or,
+        with length_normalize, by score per token (EOS included).
 
         Hypotheses end when they select EOS. If nothing finishes within
         max_len the best open prefix is returned with finished=False. The
@@ -166,6 +168,13 @@ class SkeletonPointer(TableToText):
                 f"max_len {max_len} exceeds {self.max_len - 1}: BOS plus max_len "
                 f"tokens must fit the decoder's {self.max_len} positions"
             )
+
+        def rank(h: SkeletonPrediction) -> float:
+            return h.score / (len(h.tokens) + 1) if length_normalize else h.score
+
+        def bound(h: SkeletonPrediction) -> float:  # the best rank h's descendants reach
+            return h.score / (max_len + 1) if length_normalize else h.score
+
         with ag.no_grad():
             search = self._start_search(table)
             live = [SkeletonPrediction([], 0.0, False)]
@@ -175,11 +184,11 @@ class SkeletonPointer(TableToText):
             for _ in range(max_len + 1):  # +1: the final EOS step
                 if not live:
                     break
-                # Scores only fall with extension, so once the best finished
-                # hypothesis beats every live one the search is settled.
-                if done and not length_normalize:
-                    if max(h.score for h in done) >= max(h.score for h in live):
-                        break
+                # Log-probabilities are <= 0, so no descendant of a live
+                # hypothesis outranks its bound: once the best finished rank
+                # reaches every live bound, the search is settled.
+                if done and max(map(rank, done)) >= max(map(bound, live)):
+                    break
                 logp, distinct = self._step_log_probs(search, live, parents)
                 top = np.argsort(-logp, axis=1)[:, :beam_width].tolist()
                 scores = logp.tolist()
@@ -203,9 +212,6 @@ class SkeletonPointer(TableToText):
                     for score, row, j in expansions
                 ]
                 parents = [row for _, row, _ in expansions]
-
-        def rank(h: SkeletonPrediction) -> float:
-            return h.score / (len(h.tokens) + 1) if length_normalize else h.score
 
         return max(done or live + exhausted, key=rank)
 

@@ -487,15 +487,15 @@ class _DeleteEverythingStub:
     def decode_hidden(self, tokens, enc, cache):
         return Tensor(np.zeros((len(tokens), 2)))
 
-    def deletion_scores(self, z):
-        probs = np.zeros((z.shape[0], 2))
-        probs[:, 1] = 1.0
-        return Tensor(probs)
+    def deletion_logits(self, z):
+        logits = np.zeros((z.shape[0], 2))
+        logits[:, 1] = 1.0
+        return Tensor(logits)
 
-    def placeholder_scores(self, z):
-        probs = np.zeros((z.shape[0] - 1, self.k_max + 1))
-        probs[:, 0] = 1.0
-        return Tensor(probs)
+    def placeholder_logits(self, z, slots):
+        logits = np.zeros((len(slots), self.k_max + 1))
+        logits[:, 0] = 1.0
+        return Tensor(logits)
 
     def argmax_fill(self, z, positions):
         return ["x"] * len(positions)

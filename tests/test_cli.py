@@ -197,6 +197,21 @@ def test_evaluate_names_the_file_and_line_of_a_malformed_system_line(
     assert event["message"].startswith(f"{system} line {line_no}: {problem}")
 
 
+def test_annotate_rejects_a_corpus_holding_a_placeholder_and_writes_nothing(tmp_path, capsys):
+    # Read as an ordinary token, a literal <plh> trained the editor on labels
+    # one row off and ended `generate` when the skeleton held it.
+    corpus, out = tmp_path / "corpus.jsonl", tmp_path / "annotated.jsonl"
+    line = {"table": [{"key": "Name_ID", "value": "Alda <plh> Fenwick"}],
+            "text": "Alda <plh> Fenwick was born ."}
+    corpus.write_text(json.dumps(line) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["annotate", "--corpus", str(corpus), "--out", str(out)]) == 1
+    event = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert (event["event"], event["error"]) == ("error", "CorpusError")
+    assert event["message"] == "line 1: table entry 0 ('Name_ID') holds the reserved token '<plh>'"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["train-pointer", "train-editor"])
 def test_save_optimizer_is_a_usage_error(tmp_path, capsys, command):
     with pytest.raises(SystemExit) as info:

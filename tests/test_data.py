@@ -93,6 +93,34 @@ def test_parse_corpus_skeleton_field_roundtrip():
     assert corpus[0].skeleton == ("v",)
 
 
+@pytest.mark.parametrize(
+    "field, token, named",
+    [
+        ("value", "<plh>", "table entry 1 ('Occupation') holds the reserved token '<plh>'"),
+        ("value", "<pad>", "table entry 1 ('Occupation') holds the reserved token '<pad>'"),
+        ("text", "<bos>", "text holds the reserved token '<bos>'"),
+        ("text", "<plh>", "text holds the reserved token '<plh>'"),
+        ("skeleton", "<eos>", "skeleton holds the reserved token '<eos>'"),
+        ("skeleton", "<plh>", "skeleton holds the reserved token '<plh>'"),
+    ],
+    ids=["value_plh", "value_pad", "text_bos", "text_plh", "skeleton_eos", "skeleton_plh"],
+)
+def test_a_reserved_token_in_a_corpus_is_an_error_naming_line_field_and_token(
+    field, token, named
+):
+    # A literal placeholder in the text would make the edit oracle count it as
+    # a slot to fill; sentinels and padding mean something in the models too.
+    fields = {"value": "sculptor", "text": "Alda was a sculptor", "skeleton": ["Alda"]}
+    fields[field] = [token] if field == "skeleton" else f"{fields[field]} {token}"
+    table = [{"key": "Name_ID", "value": "Alda"}, {"key": "Occupation", "value": fields["value"]}]
+    bad = _line(table, fields["text"], skeleton=fields["skeleton"])
+    good = _line(table[:1], "Alda <unk> .", skeleton=["Alda"])  # <unk> is an ordinary token
+    assert parse_corpus([good])[0].reference == ("Alda", "<unk>", ".")
+    with pytest.raises(CorpusError) as info:
+        parse_corpus([good, bad])
+    assert str(info.value) == f"line 2: {named}"
+
+
 def test_corpus_roundtrip_identical():
     rng = np.random.default_rng(1)
     corpus = []

@@ -49,17 +49,16 @@ class StubEditor:
     def decode_hidden(self, tokens, enc, cache):
         return Tensor(np.zeros((len(tokens), 2)))
 
-    def deletion_scores(self, z):
+    def deletion_logits(self, z):
         n = z.shape[0]
-        probs = np.zeros((n, 2))
-        probs[:, 1 if self.delete_everything else 0] = 1.0
-        return Tensor(probs)
+        logits = np.zeros((n, 2))
+        logits[:, 1 if self.delete_everything else 0] = 1.0
+        return Tensor(logits)
 
-    def placeholder_scores(self, z):
-        n = z.shape[0] - 1
-        probs = np.zeros((n, self.k_max + 1))
-        probs[:, self.insert_per_slot] = 1.0
-        return Tensor(probs)
+    def placeholder_logits(self, z, slots):
+        logits = np.zeros((len(slots), self.k_max + 1))
+        logits[:, self.insert_per_slot] = 1.0
+        return Tensor(logits)
 
     def argmax_fill(self, z, positions):
         return [self.fill_token] * len(positions)
@@ -144,13 +143,12 @@ def test_insert_and_fill_two_tokens_unprotected():
     state = init_state(["a"])
 
     class OneSlotStub(StubEditor):
-        def placeholder_scores(self, z):
-            n = z.shape[0] - 1
-            probs = np.zeros((n, self.k_max + 1))
-            probs[:, 0] = 1.0
-            probs[0, 0] = 0.0
-            probs[0, 2] = 1.0  # two insertions in the first slot only
-            return Tensor(probs)
+        def placeholder_logits(self, z, slots):
+            logits = np.zeros((len(slots), self.k_max + 1))
+            logits[:, 0] = 1.0
+            logits[0, 0] = 0.0
+            logits[0, 2] = 1.0  # two insertions in the first slot only
+            return Tensor(logits)
 
     stub2 = OneSlotStub(fill_token="new")
     out = _fill(stub2, state)
@@ -226,7 +224,7 @@ def test_iterate_random_model_constraint_preservation():
             cache = DecoderCache(model.decoder, enc.hidden)
             state = trace.snapshots[-1]
             z = model.decode_hidden(state.tokens, enc, cache)
-            after = masked_delete(state, model.deletion_scores(z).data)
+            after = masked_delete(state, model.deletion_logits(z).data)
             z = model.decode_hidden(after.tokens, enc, cache)
             after = insert_and_fill(after, model, enc, cache, z)
             assert after.tokens == state.tokens
@@ -254,6 +252,9 @@ def _decode_every_pass(model, tokens, enc):
 def _reference_iterate(model, table, skeleton, max_iter, hard_constraints, max_state_len):
     """The refinement loop spelled out, each of its passes decoding its state afresh.
 
+    Deletions and insertion counts are the argmax of their heads' softmax,
+    the distributions the realizer is trained on; `iterate` reads the logits.
+
     Returns the snapshots and the termination; an overflow ends them with OVERFLOW.
     """
     state = init_state(skeleton, protect_skeleton=hard_constraints)
@@ -263,9 +264,10 @@ def _reference_iterate(model, table, skeleton, max_iter, hard_constraints, max_s
         for _ in range(max_iter):
             previous = state.tokens
             z = _decode_every_pass(model, state.tokens, enc)
-            state = masked_delete(state, model.deletion_scores(z).data)
+            state = masked_delete(state, ag.softmax(model.deletion_logits(z)).data)
             z = _decode_every_pass(model, state.tokens, enc)
-            counts = np.argmax(model.placeholder_scores(z).data, axis=-1)
+            slots = np.arange(len(state) - 1)
+            counts = np.argmax(ag.softmax(model.placeholder_logits(z, slots)).data, axis=-1)
             if counts.sum() + len(state) > max_state_len:
                 return snapshots, OVERFLOW
             tokens, protected = [BOS_TOKEN], [True]
@@ -409,12 +411,12 @@ class _NonFiniteAfter(StubEditor):
         super().__init__(**kwargs)
         self.passes = passes
 
-    def deletion_scores(self, z):
+    def deletion_logits(self, z):
         if self.passes is not None:
             if self.passes == 0:
-                raise NonFiniteError("deletion scores are not finite")
+                raise NonFiniteError("deletion logits are not finite")
             self.passes -= 1
-        return super().deletion_scores(z)
+        return super().deletion_logits(z)
 
 
 @pytest.mark.parametrize(

@@ -1,15 +1,22 @@
-"""Edit decoder heads: arities, softmax arithmetic, non-causality."""
+"""Edit decoder heads: arities, argmax decisions, non-causality."""
 
 from __future__ import annotations
 
-import math
+import json
+import os
+import platform
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from skeltext import autograd as ag
 from skeltext.autograd import Tensor
-from skeltext.data import BOS_TOKEN, EOS_TOKEN, PLH_TOKEN, Attribute, Table, linearize_table
+from skeltext.data import (
+    BOS_TOKEN, EOS_TOKEN, PLH_TOKEN, RESERVED_TOKENS, Attribute, Table, linearize_table,
+)
+from skeltext.decoding import masked_delete
 from skeltext.editor import EditState
 
 from helpers import blas_fingerprint, decode_hidden, tiny_editor
@@ -46,46 +53,28 @@ def test_head_arities():
     model, enc, cfg = _setup()
     state = [BOS_TOKEN, "Alda", PLH_TOKEN, "sculptor", PLH_TOKEN, EOS_TOKEN]
     z = decode_hidden(model, state, enc)
-    assert model.deletion_scores(z).shape == (6, 2)
-    assert model.placeholder_scores(z).shape == (5, cfg.k_max + 1)
+    assert model.deletion_logits(z).shape == (6, 2)
+    assert model.placeholder_logits(z, np.arange(5)).shape == (5, cfg.k_max + 1)
     plh = [i for i, t in enumerate(state) if t == PLH_TOKEN]
     assert ag.softmax(model.token_logits(z, plh)).shape == (2, len(model.vocab))
 
 
 def test_deletion_zero_weights_give_half_half():
+    # Even odds: each position's keep and delete logits tie, and a tie keeps.
     model, enc, _ = _setup()
     model.w_del.weight.data[...] = 0.0
-    z = decode_hidden(model, [BOS_TOKEN, "Alda", EOS_TOKEN], enc)
-    assert np.allclose(model.deletion_scores(z).data, 0.5)
-
-
-def test_deletion_softmax_arithmetic_ln9():
-    model, enc, _ = _setup()
-    # Rig one position to logits (ln 9, 0): P(keep) = 0.9.
-    model.w_del.weight.data[...] = 0.0
-    z_rows = np.zeros((3, 16))
-    z_rows[1, 0] = 1.0
-    model.w_del.weight.data[0, 0] = math.log(9.0)
-    from skeltext.autograd import Tensor
-
-    scores = model.deletion_scores(Tensor(z_rows)).data
-    assert scores[1, 0] == pytest.approx(0.9)
-    assert scores[1, 1] == pytest.approx(0.1)
-    assert np.allclose(scores.sum(axis=1), 1.0)
-
-
-def test_deletion_rows_sum_to_one():
-    model, enc, _ = _setup(seed=2)
-    z = decode_hidden(model, [BOS_TOKEN, "Alda", "Fenwick", EOS_TOKEN], enc)
-    assert np.allclose(model.deletion_scores(z).data.sum(axis=1), 1.0, atol=1e-9)
+    state = EditState((BOS_TOKEN, "Alda", EOS_TOKEN), (True, False, True))
+    logits = model.deletion_logits(decode_hidden(model, state.tokens, enc)).data
+    assert np.array_equal(logits, np.zeros((3, 2)))
+    assert masked_delete(state, logits) == state
 
 
 def test_placeholder_slot_counts():
     model, enc, cfg = _setup(seed=3)
     z = decode_hidden(model, [BOS_TOKEN, EOS_TOKEN], enc)
-    assert model.placeholder_scores(z).shape == (1, cfg.k_max + 1)
+    assert model.placeholder_logits(z, np.arange(1)).shape == (1, cfg.k_max + 1)
     z5 = decode_hidden(model, [BOS_TOKEN, "a", "b", "c", EOS_TOKEN], enc)
-    assert model.placeholder_scores(z5).shape == (4, cfg.k_max + 1)
+    assert model.placeholder_logits(z5, np.arange(4)).shape == (4, cfg.k_max + 1)
 
 
 def test_the_placeholder_head_over_every_slot_gives_the_sliced_pairs_bytes():
@@ -105,13 +94,6 @@ def test_the_placeholder_head_over_every_slot_gives_the_sliced_pairs_bytes():
         out += [logits.data.tobytes(), z.grad.tobytes(), model.w_plh.weight.grad.tobytes()]
         model.w_plh.weight.grad[...] = 0.0
     assert got == want
-
-
-def test_placeholder_zero_weights_uniform():
-    model, enc, cfg = _setup(seed=4)
-    model.w_plh.weight.data[...] = 0.0
-    z = decode_hidden(model, [BOS_TOKEN, "Alda", EOS_TOKEN], enc)
-    assert np.allclose(model.placeholder_scores(z).data, 1.0 / (cfg.k_max + 1))
 
 
 def test_token_scores_empty_without_placeholders():
@@ -140,6 +122,16 @@ def test_one_hot_token_logits_fill_deterministically():
     z_rows = np.zeros((3, 16))
     z_rows[1, 0] = 1.0  # the placeholder position activates the rigged column
     assert model.argmax_fill(Tensor(z_rows), [1]) == ["Lunden"]
+
+
+def test_a_fill_is_the_first_best_non_reserved_token_whatever_the_reserved_logits():
+    model, _, _ = _setup()
+    logits = np.random.default_rng(9).normal(size=(3, len(model.vocab)))
+    logits[:, : len(RESERVED_TOKENS)] = 100.0
+    logits[2, [7, 9]] = 50.0  # a tie goes to the lower id
+    first_best = [max(range(len(RESERVED_TOKENS), len(row)), key=lambda i: (row[i], -i))
+                  for row in logits]
+    assert model.fill_tokens(logits) == [model.vocab.token_of(i) for i in first_best]
 
 
 def test_non_causality_last_token_reaches_z0():
@@ -224,7 +216,8 @@ PINNED_EDIT_LOSS = {
 }
 
 
-def test_edit_loss_example_gives_its_pinned_loss_and_gradient_bytes():
+def _pinned_edit_loss() -> tuple[dict, int, str]:
+    """The pinned computation: loss parts, clamped slots and the gradient sha256."""
     import hashlib
 
     from skeltext.oracle import edit_loss_example
@@ -241,13 +234,54 @@ def test_edit_loss_example_gives_its_pinned_loss_and_gradient_bytes():
     digest = hashlib.sha256()
     for name, p in model.named_parameters():
         digest.update(name.encode() + b"\0" + p.grad.tobytes())
-    got = (parts.as_dict(), parts.clamped_slots, digest.hexdigest())
-    pinned = PINNED_EDIT_LOSS.get(blas_fingerprint())
+    return parts.as_dict(), parts.clamped_slots, digest.hexdigest()
+
+
+def _check_the_pin(got: tuple[dict, int, str], fingerprint: str) -> None:
+    pinned = PINNED_EDIT_LOSS.get(fingerprint)
     if pinned is not None:
         assert got == pinned
     else:  # a kernel with no pin: the loss parts to 1e-12 relative
         assert got[0] == pytest.approx(SKYLAKEX_EDIT_LOSS, rel=1e-12, abs=0.0)
         assert got[1] == 1
+
+
+def test_edit_loss_example_gives_its_pinned_loss_and_gradient_bytes():
+    _check_the_pin(_pinned_edit_loss(), blas_fingerprint())
+
+
+def _kernel_can_run(core: str) -> bool:
+    """numpy's BLAS is OpenBLAS on x86-64, and this CPU has the instructions of kernel `core`."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    if "openblas" not in str(blas.get("name", "")).lower():
+        return False
+    if platform.machine().lower() not in ("x86_64", "amd64"):
+        return False
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            flags = {f for line in fh if line.startswith("flags") for f in line.split()}
+    except OSError:
+        return False
+    return {"Haswell": {"avx2", "fma"}, "Sandybridge": {"avx"}}[core] <= flags
+
+
+@pytest.mark.parametrize("core", ["Haswell", "Sandybridge"])
+def test_the_pinned_edit_loss_holds_under_another_openblas_kernel(core):
+    # OPENBLAS_CORETYPE picks the kernel when OpenBLAS loads, so the
+    # computation reruns in a child process whose environment alone sets it.
+    if not _kernel_can_run(core):
+        pytest.skip(f"numpy's BLAS cannot run OpenBLAS's {core} kernel here")
+    tests = os.path.dirname(os.path.abspath(__file__))
+    path = [os.path.join(os.path.dirname(tests), "src"), tests, os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "OPENBLAS_CORETYPE": core, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    script = ("import json, helpers, test_editor; "
+              "print(json.dumps([helpers.blas_fingerprint(), test_editor._pinned_edit_loss()]))")
+    child = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                           text=True, timeout=300)
+    assert child.returncode == 0, child.stderr
+    fingerprint, got = json.loads(child.stdout)
+    _check_the_pin(tuple(got), fingerprint)
 
 
 def test_a_padded_batch_encodes_and_decodes_each_example_as_alone():

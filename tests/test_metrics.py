@@ -61,12 +61,17 @@ def test_bleu_empty_hypotheses_score_zero():
 
 
 def test_bleu_matches_reference_on_random_corpora():
+    # To the bit, and so does the report's BLEU, which reuses PARENT's n-gram
+    # counts: the counts are integers, so every float operation is the reference's.
     rng = np.random.default_rng(0)
     for _ in range(60):
         n = int(rng.integers(1, 5))
         hyps = [random_tokens(rng, 6) for _ in range(n)]
         refs = [random_tokens(rng, 6) for _ in range(n)]
-        assert bleu(hyps, refs) == pytest.approx(ref_bleu(hyps, refs), abs=1e-9)
+        want = ref_bleu(hyps, refs)
+        assert bleu(hyps, refs) == want
+        corpus = [Example(random_table(rng), tuple(ref)) for ref in refs]
+        assert evaluate_outputs(hyps, corpus).bleu == want
 
 
 # -- entailment weight -----------------------------------------------------------

@@ -190,17 +190,31 @@ def test_beam_score_at_least_greedy_score():
         assert beam.score >= greedy.score - 1e-12
 
 
-def _reference_beam_search(model, table, beam_width, max_len, length_normalize=False):
-    """Beam search as a plain loop: a per-row argsort, every expansion built, one stable sort."""
+def _reference_beam_search(
+    model, table, beam_width, max_len, length_normalize=False, stop_early=True
+):
+    """Beam search as a plain loop: a per-row argsort, every expansion built, one stable sort.
+
+    With stop_early, the search ends once the best finished hypothesis ranks
+    at or above the best rank a live one can still reach: its score, or with
+    length_normalize its score over max_len + 1 tokens (log-probabilities are
+    <= 0). Without it, the search runs until no hypothesis is live.
+    """
+
+    def rank(h):
+        return h.score / (len(h.tokens) + 1) if length_normalize else h.score
+
+    def bound(h):
+        return h.score / (max_len + 1) if length_normalize else h.score
+
     search = model._start_search(table)
     live, parents = [SkeletonPrediction([], 0.0, False)], [0]
     done, exhausted = [], []
     for _ in range(max_len + 1):
         if not live:
             break
-        if done and not length_normalize:
-            if max(h.score for h in done) >= max(h.score for h in live):
-                break
+        if stop_early and done and max(map(rank, done)) >= max(map(bound, live)):
+            break
         logp, distinct = model._step_log_probs(search, live, parents)
         expansions = []
         for row, hyp in enumerate(live):
@@ -216,10 +230,6 @@ def _reference_beam_search(model, table, beam_width, max_len, length_normalize=F
         expansions.sort(key=lambda e: -e[0].score)
         live = [h for h, _ in expansions[:beam_width]]
         parents = [row for _, row in expansions[:beam_width]]
-
-    def rank(h):
-        return h.score / (len(h.tokens) + 1) if length_normalize else h.score
-
     return max(done or live + exhausted, key=rank)
 
 
@@ -269,6 +279,25 @@ class _LengthPointer(_ForcedPointer):
         return np.log(np.array(rows)), self.forced_vocab
 
 
+class _LatePointer(_ForcedPointer):
+    """EOS first (0.7) beats "a" (0.3); then "a" is all but certain, and after four, EOS.
+
+    ["a"] * 4 has the best length-normalized score, but while it is ["a"]
+    its own normalized score is below the empty skeleton's: a stop rule
+    that bounded a live hypothesis by its current rank would return [].
+    """
+
+    def __init__(self):
+        super().__init__([])
+        self.forced_vocab = ["a", EOS_TOKEN]
+
+    def _step_log_probs(self, search, live, parents):
+        def row(n):
+            return [0.3, 0.7] if n == 0 else [1 - 1e-9, 1e-9] if n < 4 else [1e-9, 1 - 1e-9]
+
+        return np.log(np.array([row(len(h.tokens)) for h in live])), self.forced_vocab
+
+
 @pytest.mark.parametrize(
     "width, length_normalize",
     [pytest.param(w, norm, id=f"{w}-normalized" if norm else str(w))
@@ -299,6 +328,52 @@ def test_beam_search_matches_the_plain_loop_to_the_bit(width, length_normalize):
     assert got == _search_trace(model, _reference_beam_search, model, *args)
     # A beam of one never keeps ["a"]; a wider one lets normalization pick it.
     assert got[0][0] == (["a"] if length_normalize and width > 1 else [])
+
+
+@pytest.mark.parametrize(
+    "length_normalize", [False, True], ids=["unnormalized", "normalized"]
+)
+def test_an_early_stop_gives_the_exhaustive_search_result_to_the_bit(length_normalize):
+    # Tokens, score bits and finished flag against a search that never stops
+    # early; the stop must also cut steps in most searches, or it shows nothing.
+    rng = np.random.default_rng(70)
+    cut = 0
+    for width in (2, 3, 5):
+        for seed in range(4):
+            model, _ = tiny_pointer(seed=80 + seed)
+            args = (random_table(rng), width, 10, length_normalize)
+            with ag.no_grad():
+                got, steps = _search_trace(model, model.beam_search, *args)
+                want, every_step = _search_trace(
+                    model, _reference_beam_search, model, *args, False)
+            assert got == want
+            cut += len(steps) < len(every_step)
+    assert cut >= 6  # of 12
+    table = Table((Attribute("K", ("x",)),))  # the scripted pointers ignore the table
+    # (pointer, best normalized skeleton, steps taken normalized, unnormalized)
+    for model, best, normalized, plain in ((_LengthPointer(), ["a"], 2, 1),
+                                           (_LatePointer(), ["a"] * 4, 5, 1)):
+        args = (table, 3, 6, length_normalize)
+        got, steps = _search_trace(model, model.beam_search, *args)
+        want, every_step = _search_trace(model, _reference_beam_search, model, *args, False)
+        assert got == want
+        assert got[0] == (best if length_normalize else [])
+        assert (len(steps), len(every_step)) == (normalized if length_normalize else plain, 7)
+
+
+def test_a_step_scores_a_token_holding_all_the_copy_mass_zero(monkeypatch):
+    # These cells' attention, summed, rounds above 1; the stop rule is exact
+    # only while no step raises a score.
+    model, _ = tiny_pointer(seed=15)
+    table = Table((Attribute("K", ("Alda", "Alda", "Alda")),))
+    attn = ag.softmax(Tensor(np.array([[2.1, -1.1, -0.4, -800.0]])))
+    assert (attn.data @ copy_pool(["Alda"] * 3 + [EOS_TOKEN])[1])[0, 0] > 1.0
+    monkeypatch.setattr(model, "pointer_attention", lambda r, keys_t: attn)
+    with ag.no_grad():
+        search = model._start_search(table)
+        logp, distinct = model._step_log_probs(search, [SkeletonPrediction([], 0.0, False)], [0])
+    assert distinct == ["Alda", EOS_TOKEN]
+    assert logp.tolist() == [[0.0, -np.inf]]
 
 
 def test_truncation_is_flagged_not_silent():
