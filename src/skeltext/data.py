@@ -226,6 +226,12 @@ def _check_tokens(tokens: Iterable[str], field: str, line_no: int) -> None:
             raise CorpusError(f"{field} holds the reserved token {tok!r}", line_no)
 
 
+def _string(value, field: str, line_no: int) -> str:
+    if not isinstance(value, str):
+        raise CorpusError(f"{field} must be a JSON string, got {json.dumps(value)}", line_no)
+    return value
+
+
 def _parse_line(obj: dict, line_no: int) -> Example:
     if not isinstance(obj, dict):
         raise CorpusError("expected a JSON object", line_no)
@@ -240,21 +246,28 @@ def _parse_line(obj: dict, line_no: int) -> Example:
     for k, entry in enumerate(raw_table):
         if not isinstance(entry, dict) or "key" not in entry or "value" not in entry:
             raise CorpusError(f'table entry {k} needs "key" and "value"', line_no)
-        value_tokens = tokenize(str(entry["value"]))
+        key = _string(entry["key"], f"table entry {k} key", line_no)
+        if key in _FORBIDDEN_TOKENS:  # keys share the reserved ids too
+            raise CorpusError(f"table entry {k} key is the reserved token {key!r}", line_no)
+        field = f"table entry {k} ({key!r})"
+        value_tokens = tokenize(_string(entry["value"], f"{field} value", line_no))
         if not value_tokens:
-            raise CorpusError(f"table entry {k} ({entry['key']!r}) has an empty value", line_no)
-        _check_tokens(value_tokens, f"table entry {k} ({entry['key']!r})", line_no)
+            raise CorpusError(f"{field} has an empty value", line_no)
+        _check_tokens(value_tokens, field, line_no)
         try:
-            attrs.append(Attribute(str(entry["key"]), tuple(value_tokens)))
+            attrs.append(Attribute(key, tuple(value_tokens)))
         except ValueError as err:
             raise CorpusError(str(err), line_no) from err
     skeleton = None
     if "skeleton" in obj:
         if not isinstance(obj["skeleton"], list):
             raise CorpusError('"skeleton" must be a list of tokens', line_no)
-        skeleton = tuple(str(t) for t in obj["skeleton"])
+        skeleton = tuple(obj["skeleton"])
+        for i, tok in enumerate(skeleton):
+            if tokenize(_string(tok, f"skeleton entry {i}", line_no)) != [tok]:
+                raise CorpusError(f"skeleton entry {i} must be one token, got {tok!r}", line_no)
         _check_tokens(skeleton, "skeleton", line_no)
-    text = tokenize(str(obj["text"]))
+    text = tokenize(_string(obj["text"], "text", line_no))
     _check_tokens(text, "text", line_no)
     return Example(Table(tuple(attrs)), tuple(text), skeleton)
 
@@ -275,7 +288,7 @@ def parse_corpus(stream: IO[str] | Iterable[str]) -> Corpus:
             raise CorpusError(f"unreadable JSON ({err})", line_no) from err
         try:
             corpus.append(_parse_line(obj, line_no))
-        except RecursionError as err:  # str() of a deeply nested value
+        except RecursionError as err:  # the message's spelling of a deeply nested value
             raise CorpusError("value nested too deeply", line_no) from err
     return corpus
 

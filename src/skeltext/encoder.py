@@ -113,8 +113,9 @@ class TableEncoder(Module):
         Padding cells take id 0 in every field: the padding token and key,
         and position 0, which no real cell has.
         """
-        if not all(tables):
-            raise ValueError("encode_table needs at least the EOS cell")
+        for b, cells in enumerate(tables):
+            if not cells:
+                raise ValueError(f"encode_padded: table {b} has no cells, not even the EOS cell")
         ids, lengths = pad_ids([self._cell_ids(cells) for cells in tables])
         flat = ids.transpose(1, 0, 2).reshape(4, -1)
         mask = padding_mask(lengths, ids.shape[-1])

@@ -153,7 +153,11 @@ def run_gradcheck(seed: int = 0) -> list[tuple[str, float]]:
     example = _toy_example()
 
     pointer = build_pointer(cfg, vocab, key_vocab)
-    check("pointer_model_loss", lambda: pointer.loss(example), pointer.parameters())
+    check(
+        "pointer_model_loss",
+        lambda: pointer.loss(example, pointer.encode(example.table)),
+        pointer.parameters(),
+    )
 
     table_enc = pointer.encoder
     cells = linearize_table(example.table)

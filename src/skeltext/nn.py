@@ -128,42 +128,22 @@ class Padded:
 
 
 class Detached:
-    """Retained leaf copies of a padded pass's rows, and one backward through that pass.
+    """A retained leaf copy of a padded pass, and one backward through that pass.
 
-    Later passes backpropagate into the leaves as soon as their losses are
-    known, so the tape holds the padded pass and one later pass at most.
-    backward() then seeds the padded rows with the leaves' gradients, zero
-    on the rows no leaf covers, and walks the graph below them once. Take
-    the leaves one way only, whole() or sequences(), so that none overlap.
+    Later passes read the leaf, a Padded over every row of the pass, padding
+    included, and backpropagate into it as soon as their losses are known,
+    so the tape holds the padded pass and one later pass at most. backward()
+    then walks the graph below the leaf's rows once, with its gradient.
     """
 
     def __init__(self, padded: Padded):
         self.padded = padded
-        self._leaves: list[tuple[int, Tensor]] = []
-
-    def _leaf(self, start: int, stop: int) -> Tensor:
-        leaf = Tensor(self.padded.rows.data[start:stop], retain_grad=True)
-        self._leaves.append((start, leaf))
-        return leaf
-
-    def whole(self) -> Padded:
-        """One leaf over every row, padding included, in the same layout."""
-        return Padded(self._leaf(0, self.padded.rows.shape[0]), self.padded.lengths)
-
-    def sequences(self) -> list[Tensor]:
-        """One leaf per sequence, over its unpadded rows."""
-        width = self.padded.width
-        return [self._leaf(b * width, b * width + n) for b, n in enumerate(self.padded.lengths)]
+        self.leaf = Padded(Tensor(padded.rows.data, retain_grad=True), padded.lengths)
 
     def backward(self) -> None:
-        """Backpropagate the leaves' gradients through the padded pass; nothing if none has one."""
-        grads = [(start, leaf.grad) for start, leaf in self._leaves if leaf.grad is not None]
-        if not grads:
-            return
-        seed = np.zeros_like(self.padded.rows.data)
-        for start, grad in grads:
-            seed[start : start + len(grad)] = grad
-        self.padded.rows.backward(seed)
+        """Backpropagate the leaf's gradient through the padded pass; nothing if it has none."""
+        if self.leaf.rows.grad is not None:
+            self.padded.rows.backward(self.leaf.rows.grad)
 
 
 class MultiHeadAttention(Module):

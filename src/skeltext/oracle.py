@@ -371,6 +371,6 @@ def backprop_edit_batch(
         if loss.tracked:
             (loss * (lam * scale if name == "del" else scale)).backward()
 
-    parts = _edit_losses(model, encoded.whole(), sups, lam, backprop)
+    parts = _edit_losses(model, encoded.leaf, sups, lam, backprop)
     encoded.backward()
     return parts

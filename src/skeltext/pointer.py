@@ -108,13 +108,8 @@ class SkeletonPointer(TableToText):
         distinct, pool = copy_pool(enc.cell_tokens)
         return (attn @ Tensor(pool)).log(), distinct
 
-    def loss(self, example: Example, enc: EncoderOutput | None = None) -> Tensor:
-        """Teacher-forced negative log-likelihood of skeleton + EOS.
-
-        `enc` is the example's table, encoded; without it the table is encoded here.
-        """
-        if enc is None:
-            enc = self.encode(example.table)
+    def loss(self, example: Example, enc: EncoderOutput) -> Tensor:
+        """Teacher-forced negative log-likelihood of skeleton + EOS; `enc` is its table, encoded."""
         check_skeleton(example, enc.cell_tokens)
         prefix = [BOS_TOKEN, *example.skeleton]
         targets = [*example.skeleton, EOS_TOKEN]
@@ -238,17 +233,17 @@ def backprop_pointer_batch(
     """Add `scale` times the teacher-forced losses of a batch of examples into the gradients.
 
     The tables are encoded as one padded pass. Each example's loss runs on its
-    own unpadded rows of that pass, a retained leaf, and is backpropagated
-    into it at once; the leaves' gradients go through the encoder once, at the
-    end. Under no_grad this only computes the losses. Returns each example's
+    own rows of that pass's retained leaf, and is backpropagated into it at
+    once; the leaf's gradient goes through the encoder once, at the end.
+    Under no_grad this only computes the losses. Returns each example's
     loss. The caller checks each skeleton first (check_skeleton).
     """
     tables = [linearize_table(ex.table) for ex in examples]
-    tokens = [[cell.token for cell in cells] for cells in tables]
     encoded = Detached(model.encoder.encode_padded(tables))
     losses = []
-    for ex, cell_tokens, hidden in zip(examples, tokens, encoded.sequences()):
-        loss = model.loss(ex, EncoderOutput(hidden, cell_tokens))
+    for b, (ex, cells) in enumerate(zip(examples, tables)):
+        enc = EncoderOutput(encoded.leaf.select([b]).rows, [cell.token for cell in cells])
+        loss = model.loss(ex, enc)
         if loss.tracked:
             (loss * scale).backward()
         losses.append(loss.item())

@@ -123,7 +123,7 @@ def per_example_pointer_step(model, examples) -> list[float]:
     """
     losses = []
     for ex in examples:
-        loss = model.loss(ex)
+        loss = model.loss(ex, model.encode(ex.table))
         (loss / len(examples)).backward()
         losses.append(loss.item())
     return losses

@@ -698,3 +698,25 @@ def test_generate_warns_of_an_output_that_lost_its_skeleton_only_under_hard_cons
     warnings = [json.loads(line) for line in stderr.splitlines() if '"warning"' in line]
     assert [w["example"] for w in warnings] == ([1] if hard else [])
     assert _closing_event(stderr)["skeleton_preserved"] == 1
+
+
+def test_the_pipeline_digest_runs_every_subcommand_with_arguments_that_parse():
+    import argparse
+    import importlib.util
+
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "tools", "pipeline_digest.py")
+    spec = importlib.util.spec_from_file_location("_pipeline_digest", path)
+    digest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digest)
+
+    from skeltext.cli import build_parser
+
+    parser = build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    for seed in digest.SEEDS:
+        steps = digest.steps(seed)
+        assert {args[0] for _, args in steps} == set(subparsers.choices)
+        assert len({name for name, _ in steps}) == len(steps)
+        for _, args in steps:
+            parser.parse_args(args)

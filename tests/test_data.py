@@ -121,6 +121,48 @@ def test_a_reserved_token_in_a_corpus_is_an_error_naming_line_field_and_token(
     assert str(info.value) == f"line 2: {named}"
 
 
+_ALDA = {"key": "Name_ID", "value": "Alda"}
+
+
+@pytest.mark.parametrize(
+    "fields, named",
+    [
+        ({"table": [_ALDA, {"key": "Born", "value": None}]},
+         "table entry 1 ('Born') value must be a JSON string, got null"),
+        ({"table": [{"key": "Age", "value": 41}]},
+         "table entry 0 ('Age') value must be a JSON string, got 41"),
+        ({"table": [{"key": None, "value": "Alda"}]},
+         "table entry 0 key must be a JSON string, got null"),
+        ({"text": None}, "text must be a JSON string, got null"),
+        ({"text": ["Alda", "."]}, 'text must be a JSON string, got ["Alda", "."]'),
+        ({"skeleton": ["Alda", None]}, "skeleton entry 1 must be a JSON string, got null"),
+        ({"skeleton": [{"x": 1}]}, 'skeleton entry 0 must be a JSON string, got {"x": 1}'),
+        ({"skeleton": ["Alda", ""]}, "skeleton entry 1 must be one token, got ''"),
+        ({"skeleton": ["Alda Fenwick"]}, "skeleton entry 0 must be one token, got 'Alda Fenwick'"),
+        ({"skeleton": [" Alda"]}, "skeleton entry 0 must be one token, got ' Alda'"),
+        *(({"table": [_ALDA, {"key": key, "value": "sculptor"}]},
+           f"table entry 1 key is the reserved token {key!r}")
+          for key in ("<pad>", "<bos>", "<eos>", "<plh>")),
+    ],
+    ids=["value_null", "value_number", "key_null", "text_null", "text_list", "skeleton_null",
+         "skeleton_object", "skeleton_empty", "skeleton_two_tokens", "skeleton_padded",
+         "key_pad", "key_bos", "key_eos", "key_plh"],
+)
+def test_a_field_that_is_not_its_tokens_is_an_error_naming_line_field_and_value(fields, named):
+    # str() of a non-string made tokens such as 'None' and "{'x': 1}", and an
+    # empty skeleton token was written out as a double space. Keys share the
+    # reserved ids: <eos> would take the EOS cell's key id, <pad> the padding's.
+    line = {"table": [_ALDA], "text": "Alda .", "skeleton": ["Alda"], **fields}
+    with pytest.raises(CorpusError) as info:
+        parse_corpus([_VALID, json.dumps(line)])
+    assert str(info.value) == f"line 2: {named}"
+
+
+def test_an_unk_key_is_an_ordinary_key():
+    (ex,) = parse_corpus([_line([{"key": "<unk>", "value": "Alda"}], "Alda .")])
+    assert ex.table.attributes[0].key == "<unk>"
+
+
 def test_corpus_roundtrip_identical():
     rng = np.random.default_rng(1)
     corpus = []

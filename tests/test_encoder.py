@@ -124,6 +124,13 @@ def test_encode_requires_cells():
         enc([])
 
 
+def test_a_padded_pass_names_its_empty_table():
+    enc = _encoder()
+    cells = linearize_table(Table((Attribute("Name_ID", ("Alda",)),)))
+    with pytest.raises(ValueError, match=r"^encode_padded: table 1 has no cells"):
+        enc.encode_padded([cells, [], cells])
+
+
 @pytest.mark.parametrize(
     "build,decode",
     [

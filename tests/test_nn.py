@@ -361,7 +361,9 @@ def test_fused_blocks_give_the_composed_models_gradients_to_the_bit(stage, monke
             for p in model.parameters():
                 p.grad[...] = 0.0
             if stage == "pointer":
-                loss = model.loss(replace(ex, skeleton=all_value_tokens(ex.table)[:3]))
+                loss = model.loss(
+                    replace(ex, skeleton=all_value_tokens(ex.table)[:3]), model.encode(ex.table)
+                )
             else:
                 skeleton = all_value_tokens(ex.table)[:2]
                 loss = edit_loss_example(model, model.encode(ex.table), skeleton, ex.reference, rng).total

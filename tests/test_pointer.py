@@ -111,7 +111,7 @@ def test_loss_two_step_decomposition():
     logp, distinct = model.copy_log_probs(["<bos>", "tok"], enc)
     idx = {t: i for i, t in enumerate(distinct)}
     expected = -(logp.data[0, idx["tok"]] + logp.data[1, idx[EOS_TOKEN]])
-    assert model.loss(ex).item() == pytest.approx(expected, abs=1e-12)
+    assert model.loss(ex, enc).item() == pytest.approx(expected, abs=1e-12)
 
 
 def test_loss_empty_skeleton_is_eos_step_only():
@@ -121,7 +121,7 @@ def test_loss_empty_skeleton_is_eos_step_only():
     enc = model.encode(table)
     logp, distinct = model.copy_log_probs(["<bos>"], enc)
     expected = -logp.data[0, distinct.index(EOS_TOKEN)]
-    assert model.loss(ex).item() == pytest.approx(expected, abs=1e-12)
+    assert model.loss(ex, enc).item() == pytest.approx(expected, abs=1e-12)
 
 
 def test_loss_perfect_model_is_zero(monkeypatch):
@@ -138,16 +138,17 @@ def test_loss_perfect_model_is_zero(monkeypatch):
         return Tensor(np.log(probs)), distinct
 
     monkeypatch.setattr(model, "copy_log_probs", perfect)
-    assert model.loss(ex).item() == pytest.approx(0.0, abs=1e-12)
+    assert model.loss(ex, model.encode(table)).item() == pytest.approx(0.0, abs=1e-12)
 
 
 def test_loss_requires_annotation_and_table_membership():
     model, _ = tiny_pointer(seed=5)
     table = Table((Attribute("K", ("tok",)),))
+    enc = model.encode(table)
     with pytest.raises(DataIntegrityError):
-        model.loss(Example(table, ("tok",), None))
+        model.loss(Example(table, ("tok",), None), enc)
     with pytest.raises(DataIntegrityError, match="ghost"):
-        model.loss(Example(table, ("tok",), ("ghost",)))
+        model.loss(Example(table, ("tok",), ("ghost",)), enc)
 
 
 class _ForcedPointer(SkeletonPointer):

@@ -362,6 +362,36 @@ def test_a_pointer_step_encodes_once_and_decodes_each_example_once(corpus, monke
     assert calls == {"encode_padded": 2, "decoder_states": len(corpus)}
 
 
+@pytest.mark.parametrize("stage", ["pointer", "editor"])
+def test_a_training_step_retains_one_leaf_over_its_encoder_pass(stage, monkeypatch):
+    from skeltext import autograd
+
+    if stage == "pointer":
+        examples, model, _ = _pointer_batch()
+        step = lambda: backprop_pointer_batch(model, examples, 1.0 / len(examples))  # noqa: E731
+    else:
+        model, examples = _edit_batch(k_max=4)
+        step = lambda: _batched_step(model, examples)  # noqa: E731
+    passes, retained = [], []
+    encode_padded, init = TableEncoder.encode_padded, autograd.Tensor.__init__
+
+    def recorded_pass(self, tables):
+        passes.append(encode_padded(self, tables))
+        return passes[-1]
+
+    def recorded_init(self, data, *args, retain_grad=False, **kwargs):
+        init(self, data, *args, retain_grad=retain_grad, **kwargs)
+        if retain_grad:
+            retained.append(self)
+
+    monkeypatch.setattr(TableEncoder, "encode_padded", recorded_pass)
+    monkeypatch.setattr(autograd.Tensor, "__init__", recorded_init)
+    step()
+    assert len(passes) == 1 and len(retained) == 1
+    assert retained[0].shape == passes[0].rows.shape
+    assert np.shares_memory(retained[0].data, passes[0].rows.data)
+
+
 def test_a_bad_skeleton_names_its_corpus_index_before_any_gradient(corpus, monkeypatch):
     from skeltext import training
 

@@ -1,0 +1,109 @@
+"""Digest every artifact of a short CLI pipeline run from one source tree.
+
+    python3 tools/pipeline_digest.py SRC_DIR
+
+SRC_DIR is the directory that holds the `skeltext` package (a checkout's
+`src`). For synth seeds 0 and 1 the script runs, in a fresh temporary
+directory, the CLI pipeline on 48 synthetic examples with one epoch per
+stage: synth-corpus, annotate, both trainings, skeleton, generate from
+pointer and from oracle skeletons (each with and without
+--no-hard-constraints), evaluate of each output, and gradcheck. It prints
+one sha256 per artifact (each step's exit code, stdout, and stderr with the
+run directory stripped, then every file the run wrote) and a total.
+
+A change that must not move any bit gives the same lines on both trees:
+
+    python3 tools/pipeline_digest.py OLD/src > old.txt
+    python3 tools/pipeline_digest.py NEW/src > new.txt
+    diff old.txt new.txt
+
+Each command runs with the caller's environment, PYTHONPATH set to SRC_DIR
+and SANA_SEED removed. Takes a few minutes per tree on one CPU core.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+
+SEEDS = (0, 1)
+N_EXAMPLES = 48
+_GENERATE = {
+    "pointer": ["--pointer", "pointer"],
+    "pointer_soft": ["--pointer", "pointer", "--no-hard-constraints"],
+    "oracle": ["--oracle-skeleton"],
+    "oracle_soft": ["--oracle-skeleton", "--no-hard-constraints"],
+}
+
+
+def steps(seed: int) -> list[tuple[str, list[str]]]:
+    """(name, CLI arguments) of each step of one seed's run, in order; paths are run-relative."""
+    out = [
+        ("synth-corpus", ["synth-corpus", "--n", str(N_EXAMPLES), "--seed", str(seed),
+                          "--out", "corpus.jsonl"]),
+        ("annotate", ["annotate", "--corpus", "corpus.jsonl", "--out", "annotated.jsonl"]),
+    ]
+    for stage in ("pointer", "editor"):
+        out.append((f"train-{stage}", [
+            f"train-{stage}", "--corpus", "annotated.jsonl", "--out-dir", stage,
+            "--set", f"{stage}_epochs=1", "--set", f"seed={seed}",
+        ]))
+    out.append(("skeleton", ["skeleton", "--checkpoint", "pointer", "--corpus", "annotated.jsonl",
+                             "--out", "skeletons.jsonl"]))
+    for name, flags in _GENERATE.items():
+        out.append((f"generate-{name}", ["generate", "--editor", "editor", *flags,
+                                         "--corpus", "annotated.jsonl",
+                                         "--out", f"generate-{name}.jsonl"]))
+    for name in _GENERATE:
+        out.append((f"evaluate-{name}", ["evaluate", "--system", f"generate-{name}.jsonl",
+                                         "--gold", "annotated.jsonl"]))
+    out.append(("gradcheck", ["gradcheck", "--seed", str(seed)]))
+    return out
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def digest_run(src_dir: str, run_dir: str, seed: int) -> list[tuple[str, str]]:
+    """(artifact, sha256) of every step's outcome and every file of one seed's run."""
+    env = {k: v for k, v in os.environ.items() if k != "SANA_SEED"}
+    env["PYTHONPATH"] = os.path.abspath(src_dir)
+    os.makedirs(run_dir)
+    artifacts = []
+    for name, args in steps(seed):
+        proc = subprocess.run([sys.executable, "-m", "skeltext.cli", *args], cwd=run_dir,
+                              env=env, capture_output=True)
+        stderr = proc.stderr.replace(os.fsencode(run_dir), b"<run>")
+        artifacts += [(f"{name}:exit", _sha(str(proc.returncode).encode())),
+                      (f"{name}:stdout", _sha(proc.stdout)),
+                      (f"{name}:stderr", _sha(stderr))]
+    for root, dirs, files in os.walk(run_dir):
+        dirs.sort()
+        for file in sorted(files):
+            path = os.path.join(root, file)
+            with open(path, "rb") as fh:
+                artifacts.append((f"file:{os.path.relpath(path, run_dir)}", _sha(fh.read())))
+    return artifacts
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print(__doc__, file=sys.stderr)
+        return 2
+    total = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as tmp:
+        for seed in SEEDS:
+            for artifact, sha in digest_run(argv[0], os.path.join(tmp, f"seed{seed}"), seed):
+                line = f"{sha}  seed{seed}/{artifact}"
+                print(line, flush=True)
+                total.update(line.encode() + b"\n")
+    print(f"{total.hexdigest()}  total")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
