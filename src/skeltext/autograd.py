@@ -288,9 +288,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(out, (a, b), bw, "matmul")
 
 
-def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray | None) -> np.ndarray:
     out = np.matmul(x, w)
-    out += b
+    if b is not None:
+        out += b
     return out
 
 
@@ -309,16 +310,13 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
         raise ShapeError(f"linear needs a 2-D input, got shape {x.shape}")
     if x.shape[1] != weight.shape[0]:
         raise ShapeError(f"linear: input {x.shape} does not fit weight {weight.shape}")
-    out = np.matmul(x.data, weight.data)
-    if bias is not None:
-        out += bias.data
+    parents = (x, weight) if bias is None else (x, weight, bias)
+    out = _affine(x.data, weight.data, None if bias is None else bias.data)
 
-    def bw(g):
-        gx = np.matmul(g, weight.data.T)
-        gw = np.matmul(x.data.T, g)
-        return (gx, gw) if bias is None else (gx, gw, g.sum(axis=0))
+    def bw(g):  # a bias-less node has no bias gradient
+        return _affine_grads(g, x.data, weight.data)[: len(parents)]
 
-    return _make(out, (x, weight) if bias is None else (x, weight, bias), bw, "linear")
+    return _make(out, parents, bw, "linear")
 
 
 # -- whole transformer blocks ------------------------------------------------

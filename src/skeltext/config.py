@@ -59,20 +59,13 @@ class RunConfig:
             # bool is an int subtype, so only a bool field may hold a bool.
             if isinstance(value, bool) != (f.type == "bool") or not isinstance(value, types):
                 raise ValueError(f"config field {f.name} must be {f.type}, not {value!r}")
-        positive = (
-            "d_model", "d_hidden", "n_heads", "n_layers", "token_dim", "key_dim",
-            "pos_dim", "pos_clamp", "vocab_cap", "k_max", "max_state_len",
-            "beam_width", "max_skeleton_len", "pointer_warmup", "editor_warmup",
-            "pointer_epochs", "editor_epochs", "batch_size",
-        )
-        for name in positive:
-            if getattr(self, name) <= 0:
-                raise ValueError(f"config field {name} must be positive")
-        for name in ("pointer_peak_lr", "editor_peak_lr", "lambda_del", "seed"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"config field {name} must be non-negative")
-        if self.max_iter < 0:
-            raise ValueError("max_iter must be >= 0")
+        # An int field is positive (max_iter and seed may be 0), a float field non-negative.
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int" and f.name not in ("max_iter", "seed") and value <= 0:
+                raise ValueError(f"config field {f.name} must be positive")
+            if f.type != "bool" and f.name != "lambda_mix" and value < 0:
+                raise ValueError(f"config field {f.name} must be non-negative")
         if not 0.0 <= self.lambda_mix <= 1.0:
             raise ValueError("lambda_mix must lie in [0, 1]")
         if self.d_model % self.n_heads != 0:

@@ -249,15 +249,14 @@ def _parse_line(obj: dict, line_no: int) -> Example:
         key = _string(entry["key"], f"table entry {k} key", line_no)
         if key in _FORBIDDEN_TOKENS:  # keys share the reserved ids too
             raise CorpusError(f"table entry {k} key is the reserved token {key!r}", line_no)
+        if tokenize(key) != [key]:
+            raise CorpusError(f"table entry {k} key must be one token, got {key!r}", line_no)
         field = f"table entry {k} ({key!r})"
         value_tokens = tokenize(_string(entry["value"], f"{field} value", line_no))
         if not value_tokens:
             raise CorpusError(f"{field} has an empty value", line_no)
         _check_tokens(value_tokens, field, line_no)
-        try:
-            attrs.append(Attribute(key, tuple(value_tokens)))
-        except ValueError as err:
-            raise CorpusError(str(err), line_no) from err
+        attrs.append(Attribute(key, tuple(value_tokens)))
     skeleton = None
     if "skeleton" in obj:
         if not isinstance(obj["skeleton"], list):

@@ -103,50 +103,44 @@ def run_gradcheck(seed: int = 0) -> list[tuple[str, float]]:
         err = finite_difference_check(loss_fn, params, rng, SAMPLES_PER_PARAM)
         results.append((name, err))
 
+    def weighted(name: str, out: Callable[[], Tensor], params) -> None:
+        # w is drawn after the module and its inputs, so each check keeps its draws.
+        w = Tensor(rng.normal(size=out().shape))
+        check(name, lambda: (out() * w).sum(), params)
+
     x = Tensor(rng.normal(size=(5, 6)))
     linear = Linear(rng, 6, 4)
-    w_lin = Tensor(rng.normal(size=(5, 4)))
-    check("linear", lambda: (linear(x) * w_lin).sum(), linear.parameters())
+    weighted("linear", lambda: linear(x), linear.parameters())
 
     emb = Embedding(rng, 9, 5)
     ids = np.array([0, 3, 3, 8])
-    w_emb = Tensor(rng.normal(size=(4, 5)))
-    check("embedding", lambda: (emb(ids) * w_emb).sum(), emb.parameters())
+    weighted("embedding", lambda: emb(ids), emb.parameters())
 
     ln = LayerNorm(6)
     ln_x = Tensor(rng.normal(size=(4, 6)))
-    w_ln = Tensor(rng.normal(size=(4, 6)))
-    check("layer_norm", lambda: (ln(ln_x) * w_ln).sum(), ln.parameters())
+    weighted("layer_norm", lambda: ln(ln_x), ln.parameters())
 
     attn = MultiHeadAttention(rng, 8, 2)
     q_in = Tensor(rng.normal(size=(4, 8)))
     m_in = Tensor(rng.normal(size=(6, 8)))
-    w_attn = Tensor(rng.normal(size=(4, 8)))
-    check("multi_head_attention", lambda: (attn(q_in, m_in) * w_attn).sum(), attn.parameters())
+    weighted("multi_head_attention", lambda: attn(q_in, m_in), attn.parameters())
 
     enc_block = TransformerEncoder(rng, 8, 12, 2, 2)
     enc_x = Tensor(rng.normal(size=(5, 8)))
-    w_enc = Tensor(rng.normal(size=(5, 8)))
-    check("transformer_encoder_2layer", lambda: (enc_block(enc_x) * w_enc).sum(), enc_block.parameters())
+    weighted("transformer_encoder_2layer", lambda: enc_block(enc_x), enc_block.parameters())
 
     dec_block = TransformerDecoder(rng, 8, 12, 2, 2)
     dec_x = Tensor(rng.normal(size=(4, 8)))
     dec_m = Tensor(rng.normal(size=(5, 8)))
-    w_dec = Tensor(rng.normal(size=(4, 8)))
-    check(
+    weighted(
         "transformer_decoder_causal",
-        lambda: (dec_block(dec_x, dec_m, causal=True) * w_dec).sum(),
+        lambda: dec_block(dec_x, dec_m, causal=True),
         dec_block.parameters(),
     )
 
     sm_x = Tensor(rng.normal(size=(3, 6)))
     sm_head = Linear(rng, 6, 6)
-    sm_w = Tensor(rng.normal(size=(3, 6)))
-    check(
-        "softmax",
-        lambda: (ag.softmax(sm_head(sm_x), axis=-1) * sm_w).sum(),
-        sm_head.parameters(),
-    )
+    weighted("softmax", lambda: ag.softmax(sm_head(sm_x), axis=-1), sm_head.parameters())
 
     cfg = _toy_config()
     vocab, key_vocab = _toy_vocabs()
@@ -161,12 +155,7 @@ def run_gradcheck(seed: int = 0) -> list[tuple[str, float]]:
 
     table_enc = pointer.encoder
     cells = linearize_table(example.table)
-    w_cells = Tensor(rng.normal(size=(len(cells), cfg.d_model)))
-    check(
-        "table_encoder",
-        lambda: (table_enc(cells).hidden * w_cells).sum(),
-        table_enc.parameters(),
-    )
+    weighted("table_encoder", lambda: table_enc(cells).hidden, table_enc.parameters())
 
     editor = build_editor(cfg, vocab, key_vocab)
     # The first, analytic, loss completes each draft from the argmax fills.

@@ -62,13 +62,8 @@ def _bleu(stats: list[int]) -> float:
     return 100.0 * brevity * math.exp(log_precision / MAX_ORDER)
 
 
-def table_entailment_weight(ngram: Tokens, table: Table) -> float:
-    """Fraction of the n-gram's tokens that occur anywhere in the table values."""
-    return _entailment(ngram, table.value_token_set())
-
-
 def _entailment(ngram: Tokens, values: frozenset[str]) -> float:
-    """table_entailment_weight against the table's value tokens, built once by the caller."""
+    """Fraction of the n-gram's tokens among a table's value tokens, built once by the caller."""
     if not ngram:
         return 0.0
     return sum(1 for tok in ngram if tok in values) / len(ngram)

@@ -235,11 +235,10 @@ def draft_supervision(
 
 def _complete(sup: EditSupervision, model_fill: Sequence[str]) -> None:
     """Set Y''' (Y'' with the model's fills) and its deletion labels against the reference."""
-    y_tprime = sup.state2[1:-1]
+    sup.state3 = list(sup.state2)
     for pos, tok in zip(sup.positions, model_fill):
-        y_tprime[pos - 1] = tok  # positions are sentinel-offset by one
-    sup.state3 = [BOS_TOKEN, *y_tprime, EOS_TOKEN]
-    labels = oracle_deletion(y_tprime, sup.reference)
+        sup.state3[pos] = tok
+    labels = oracle_deletion(sup.state3[1:-1], sup.reference)
     sup.del_labels = np.array([KEEP, *labels, KEEP], dtype=np.int64)
 
 

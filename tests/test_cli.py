@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 
@@ -286,8 +287,17 @@ def test_no_hard_constraints_flag_is_live_end_to_end(tmp_path):
         assert is_subsequence(list(ex.skeleton), json.loads(line)["text"].split())
 
 
-def test_gradcheck_command_exits_zero():
+def test_gradcheck_command_exits_zero(capsys):
+    capsys.readouterr()
     assert main(["gradcheck", "--seed", "1"]) == 0
+    events = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+    assert [e["layer"] for e in events] == [
+        "linear", "embedding", "layer_norm", "multi_head_attention",
+        "transformer_encoder_2layer", "transformer_decoder_causal", "softmax",
+        "pointer_model_loss", "table_encoder", "editor_model_loss", "zero_parameter_fragment",
+        "editor_padded_batch_loss", "pointer_padded_batch_loss",
+    ]
+    assert all(e["event"] == "gradcheck" and e["pass"] for e in events)
 
 
 # -- config resolution ----------------------------------------------------------
@@ -325,6 +335,30 @@ def test_config_validation():
         RunConfig.from_dict({"dropout": 0.5})
     with pytest.raises(ValueError):
         RunConfig(lambda_mix=1.5).validate()
+
+
+def _out_of_range():
+    """(field, a value just outside its range, the error) for every number field."""
+    for f in dataclasses.fields(RunConfig):
+        if f.name == "lambda_mix":
+            yield from ((f.name, v, "lambda_mix must lie in [0, 1]") for v in (-0.1, 1.1))
+        elif f.type == "float":
+            yield f.name, -0.5, f"config field {f.name} must be non-negative"
+        elif f.name in ("max_iter", "seed"):  # the int fields that may be 0
+            yield f.name, -1, f"config field {f.name} must be non-negative"
+        elif f.type == "int":
+            yield f.name, 0, f"config field {f.name} must be positive"
+
+
+@pytest.mark.parametrize(
+    "name,value,error", [pytest.param(*c, id=f"{c[0]}={c[1]}") for c in _out_of_range()]
+)
+def test_a_number_field_outside_its_range_is_rejected_naming_it(name, value, error):
+    for cfg in (RunConfig(), RunConfig.published_preset()):
+        assert cfg.validate() is cfg
+        with pytest.raises(ValueError) as info:
+            dataclasses.replace(cfg, **{name: value}).validate()
+        assert str(info.value) == error
 
 
 WRONGLY_TYPED = [
@@ -620,7 +654,8 @@ def test_a_truncation_warning_names_the_truncated_examples(tmp_path, capsys):
     "env,argv,named",
     [
         (None, ["generate", "--editor", "{editor}", "--corpus", "{annotated}", "--out", "{out}",
-                "--oracle-skeleton", "--max-iter", "-1"], "--max-iter: max_iter must be >= 0"),
+                "--oracle-skeleton", "--max-iter", "-1"],
+         "--max-iter: config field max_iter must be non-negative"),
         (None, ["generate", "--editor", "{editor}", "--pointer", "{pointer}", "--corpus",
                 "{corpus}", "--out", "{out}", "--beam-width", "0"],
          "--beam-width: config field beam_width"),

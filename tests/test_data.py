@@ -143,10 +143,13 @@ _ALDA = {"key": "Name_ID", "value": "Alda"}
         *(({"table": [_ALDA, {"key": key, "value": "sculptor"}]},
            f"table entry 1 key is the reserved token {key!r}")
           for key in ("<pad>", "<bos>", "<eos>", "<plh>")),
+        *(({"table": [_ALDA, {"key": key, "value": "sculptor"}]},
+           f"table entry 1 key must be one token, got {key!r}")
+          for key in ("Birth place", "", " Name_ID")),
     ],
     ids=["value_null", "value_number", "key_null", "text_null", "text_list", "skeleton_null",
          "skeleton_object", "skeleton_empty", "skeleton_two_tokens", "skeleton_padded",
-         "key_pad", "key_bos", "key_eos", "key_plh"],
+         "key_pad", "key_bos", "key_eos", "key_plh", "key_two_tokens", "key_empty", "key_padded"],
 )
 def test_a_field_that_is_not_its_tokens_is_an_error_naming_line_field_and_value(fields, named):
     # str() of a non-string made tokens such as 'None' and "{'x': 1}", and an

@@ -9,14 +9,7 @@ import numpy as np
 import pytest
 
 from skeltext.data import Attribute, Example, Table
-from skeltext.metrics import (
-    bleu,
-    evaluate_outputs,
-    ngram_counts,
-    parent,
-    parent_t,
-    table_entailment_weight,
-)
+from skeltext.metrics import _entailment, bleu, evaluate_outputs, ngram_counts, parent, parent_t
 
 from helpers import random_table, random_tokens
 
@@ -77,11 +70,11 @@ def test_bleu_matches_reference_on_random_corpora():
 # -- entailment weight -----------------------------------------------------------
 
 def test_table_entailment_weight_ratios():
-    table = FIXTURE_TABLE
-    assert table_entailment_weight(("a", "b"), table) == 1.0
-    assert table_entailment_weight(("x", "y"), table) == 0.0
-    assert table_entailment_weight(("a", "x"), table) == 0.5
-    assert table_entailment_weight((), table) == 0.0
+    values = FIXTURE_TABLE.value_token_set()
+    assert _entailment(("a", "b"), values) == 1.0
+    assert _entailment(("x", "y"), values) == 0.0
+    assert _entailment(("a", "x"), values) == 0.5
+    assert _entailment((), values) == 0.0
 
 
 # -- parent / parent-t ------------------------------------------------------------
