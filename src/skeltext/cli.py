@@ -122,8 +122,7 @@ def _cmd_generate(args) -> int:
     terminations = dict.fromkeys(decoding.TERMINATIONS, 0)
     preserved = 0  # outputs that still hold their stage-1 skeleton
     outcomes = decoding.realize_corpus(editor, [ex.table for ex in corpus], skeletons,
-                                       cfg.max_iter, not args.no_hard_constraints,
-                                       cfg.max_state_len)
+                                       cfg.max_iter, not args.no_hard_constraints)
     with open(args.out, "w", encoding="utf-8") as fh:
         for i, out in enumerate(outcomes):
             if out.error is not None:

@@ -9,11 +9,10 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
-from .data import BOS_TOKEN, EOS_TOKEN, PLH_TOKEN, Table
+from .data import BOS_TOKEN, EOS_TOKEN, Table
 from .editor import EditRealizer, EditState
-from .encoder import EncoderOutput
 from .nn import DecoderCache
-from .oracle import DELETE, is_subsequence
+from .oracle import DELETE, apply_insertions, fill_positions, is_subsequence
 
 FIXED_POINT = "fixed_point"
 MAX_ITERATIONS = "max_iterations"
@@ -80,40 +79,48 @@ def masked_delete(state: EditState, deletion_scores: np.ndarray) -> EditState:
     return EditState(tokens, protected)
 
 
+def _state_cap(model: EditRealizer, max_state_len: int | None) -> int:
+    """The stage-2 length cap: max_state_len, by default the editor's position cap, or less."""
+    cap = model.max_len if max_state_len is None else max_state_len
+    if cap > model.max_len:
+        raise ValueError(f"max_state_len {cap} exceeds the editor's {model.max_len}-position cap")
+    return cap
+
+
 def insert_and_fill(
     state: EditState,
     model: EditRealizer,
-    enc: EncoderOutput,
     cache: DecoderCache,
     hidden: Tensor,
-    max_state_len: int = 512,
+    max_state_len: int | None = None,
 ) -> EditState:
     """Argmax placeholder insertion followed by argmax token filling.
 
-    `hidden` is model.decode_hidden(state.tokens, enc, cache). Inserted
-    tokens enter unprotected. Growth beyond max_state_len aborts with
+    `hidden` is model.decode_hidden(state.tokens, cache). Inserted tokens
+    enter unprotected; every other position keeps its mask. Growth beyond
+    max_state_len, by default the editor's position cap, aborts with
     StateOverflowError rather than decode forever.
     """
+    cap = _state_cap(model, max_state_len)
     with ag.no_grad():
         slots = np.arange(len(state) - 1)
         counts = np.argmax(model.placeholder_logits(hidden, slots).data, axis=-1)
-        if counts.sum() + len(state) > max_state_len:
+        if counts.sum() + len(state) > cap:
             raise StateOverflowError(
-                f"state would grow to {int(counts.sum()) + len(state)} tokens (cap {max_state_len})"
+                f"state would grow to {int(counts.sum()) + len(state)} tokens (cap {cap})"
             )
-        tokens: list[str] = [state.tokens[0]]
-        protected: list[bool] = [True]
-        for slot, count in enumerate(counts):
-            tokens.extend([PLH_TOKEN] * int(count))
-            protected.extend([False] * int(count))
-            tokens.append(state.tokens[slot + 1])
-            protected.append(state.protected[slot + 1])
-        plh_positions = [i for i, t in enumerate(tokens) if t == PLH_TOKEN]
+        body = apply_insertions(state.body(), counts)
+        tokens = [BOS_TOKEN, *body, EOS_TOKEN]
+        # Position i of the state moves right past the placeholders of slots 0..i-1.
+        moved = np.arange(len(state)) + np.concatenate(([0], np.cumsum(counts)))
+        protected = np.zeros(len(tokens), dtype=bool)
+        protected[moved] = state.protected
+        plh_positions = fill_positions(body)
         if plh_positions:
-            z2 = model.decode_hidden(tokens, enc, cache)
+            z2 = model.decode_hidden(tokens, cache)
             for pos, tok in zip(plh_positions, model.argmax_fill(z2, plh_positions)):
                 tokens[pos] = tok
-    return EditState(tuple(tokens), tuple(protected))
+    return EditState(tokens, protected.tolist())
 
 
 def iterate(
@@ -122,7 +129,7 @@ def iterate(
     skeleton,
     max_iter: int = 10,
     hard_constraints: bool = True,
-    max_state_len: int = 512,
+    max_state_len: int | None = None,
 ) -> tuple[list[str], DecodeTrace]:
     """Alternate masked deletion and insertion until the text stops changing.
 
@@ -136,28 +143,29 @@ def iterate(
     A StateOverflowError or NonFiniteError propagates with a `trace`
     attribute holding the iterations completed before it, terminated
     OVERFLOW or NON_FINITE; under hard constraints its last snapshot holds
-    every skeleton token, and it is within the length cap unless the
-    initial state alone is past it. Such a state overflows before any
-    decoding, with the trace [initial state].
+    every skeleton token, and it is within the length cap (max_state_len,
+    by default the editor's position cap) unless the initial state alone is
+    past it. Such a state overflows before any decoding, with the trace
+    [initial state]. A cap beyond the editor's is a ValueError.
     """
+    cap = _state_cap(model, max_state_len)
     state = init_state(skeleton, protect_skeleton=hard_constraints)
     snapshots = [state]
     termination = MAX_ITERATIONS
     try:
-        if len(state) > max_state_len:
-            raise StateOverflowError(f"initial state has {len(state)} tokens (cap {max_state_len})")
+        if len(state) > cap:
+            raise StateOverflowError(f"initial state has {len(state)} tokens (cap {cap})")
         with ag.no_grad():
-            enc = model.encode(table)
-            cache = DecoderCache(model.decoder, enc.hidden)
+            cache = DecoderCache(model.decoder, model.encode(table))
             z = None  # hidden states of `state`, when already decoded
             for _ in range(max_iter):
                 previous = state.tokens
                 if z is None:
-                    z = model.decode_hidden(state.tokens, enc, cache)
+                    z = model.decode_hidden(state.tokens, cache)
                 kept = masked_delete(state, model.deletion_logits(z).data)
                 if kept.tokens != state.tokens:
-                    z = model.decode_hidden(kept.tokens, enc, cache)
-                state = insert_and_fill(kept, model, enc, cache, z, max_state_len)
+                    z = model.decode_hidden(kept.tokens, cache)
+                state = insert_and_fill(kept, model, cache, z, cap)
                 if state.tokens != kept.tokens:
                     z = None
                 snapshots.append(state)
@@ -173,12 +181,13 @@ def iterate(
 
 def realize_corpus(
     model: EditRealizer, tables: Sequence[Table], skeletons: Sequence, max_iter: int,
-    hard_constraints: bool, max_state_len: int,
+    hard_constraints: bool,
 ) -> Iterator[Realization]:
     """Stage 2 over a corpus: `iterate` each table's skeleton, yielding outcomes in order.
 
-    A stage-1 NonFiniteError in place of a skeleton gives an empty NON_FINITE
-    outcome. An overflow or non-finite abort keeps its trace's last state.
+    States are capped at the editor's position cap. A stage-1 NonFiniteError
+    in place of a skeleton gives an empty NON_FINITE outcome. An overflow or
+    non-finite abort keeps its trace's last state.
     """
     for table, skeleton in zip(tables, skeletons):
         if isinstance(skeleton, ag.NonFiniteError):
@@ -187,7 +196,7 @@ def realize_corpus(
         error = None
         try:
             tokens, trace = iterate(model, table, skeleton, max_iter=max_iter,
-                                    hard_constraints=hard_constraints, max_state_len=max_state_len)
+                                    hard_constraints=hard_constraints)
         except (StateOverflowError, ag.NonFiniteError) as err:
             error, trace = err, err.trace
             tokens = list(trace.snapshots[-1].body())

@@ -10,7 +10,7 @@ import numpy as np
 from . import autograd as ag
 from .autograd import Tensor
 from .data import BOS_TOKEN, EOS_TOKEN, PLH_TOKEN, RESERVED_TOKENS, Vocabulary
-from .encoder import EncoderOutput, TableToText
+from .encoder import TableToText
 from .nn import DecoderCache, Linear
 
 
@@ -67,11 +67,9 @@ class EditRealizer(TableToText):
         self.w_plh = Linear(rng, 2 * self.d_model, k_max + 1, bias=False)
         self.w_tok = Linear(rng, self.d_model, len(vocab), bias=False)
 
-    def decode_hidden(
-        self, tokens: Sequence[str], enc: EncoderOutput, cache: DecoderCache
-    ) -> Tensor:
-        """Decoder outputs z_0..z_n, with the memory's projections read from `cache`."""
-        return self.decode_batch([tokens], enc.padded(), False, cache).rows
+    def decode_hidden(self, tokens: Sequence[str], cache: DecoderCache) -> Tensor:
+        """Decoder outputs z_0..z_n against the cache's memory, read with its projections."""
+        return self.decode_batch([tokens], cache, False).rows
 
     # -- classifier heads ---------------------------------------------------
     def deletion_logits(self, z: Tensor) -> Tensor:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -34,24 +33,6 @@ def pad_ids(seqs: Sequence[np.ndarray]) -> tuple[np.ndarray, list[int]]:
     for row, s in zip(out, seqs):
         row[..., : s.shape[-1]] = s
     return out, lengths
-
-
-@dataclass
-class EncoderOutput:
-    """Hidden vector per cell plus the parallel token strings for copy addressing."""
-
-    hidden: Tensor
-    cell_tokens: list[str]
-
-    def __post_init__(self):
-        if self.hidden.shape[0] != len(self.cell_tokens):
-            raise ValueError(
-                f"{self.hidden.shape[0]} hidden vectors for {len(self.cell_tokens)} cells"
-            )
-
-    def padded(self) -> Padded:
-        """`hidden` as a padded batch of one table, without padding."""
-        return Padded(self.hidden, [len(self.cell_tokens)])
 
 
 class TableEncoder(Module):
@@ -121,9 +102,9 @@ class TableEncoder(Module):
         mask = padding_mask(lengths, ids.shape[-1])
         return Padded(self.encoder(self._embed(flat), mask), lengths)
 
-    def __call__(self, cells: LinearizedTable) -> EncoderOutput:
-        hidden = self.encode_padded([cells]).rows
-        return EncoderOutput(hidden, [c.token for c in cells])
+    def __call__(self, cells: LinearizedTable) -> Padded:
+        """Hidden vectors of one table's cells: encode_padded of that table alone."""
+        return self.encode_padded([cells])
 
 
 class TableToText(Module):
@@ -163,7 +144,7 @@ class TableToText(Module):
         self.pos_emb = Embedding(rng, max_len, d_model)
         self.decoder = TransformerDecoder(rng, d_model, d_hidden, n_heads, n_layers)
 
-    def encode(self, table: Table) -> EncoderOutput:
+    def encode(self, table: Table) -> Padded:
         return self.encoder(linearize_table(table))
 
     def _embed_tokens(self, ids: np.ndarray, positions: np.ndarray) -> Tensor:
@@ -175,18 +156,17 @@ class TableToText(Module):
         return np.array([self.vocab.id_of(t) for t in tokens], dtype=np.int64)
 
     def decode_batch(
-        self, states: Sequence[Sequence[str]], memory: Padded, causal: bool,
-        cache: DecoderCache | None = None,
+        self, states: Sequence[Sequence[str]], memory: Padded | DecoderCache, causal: bool
     ) -> Padded:
         """Embed each state at positions 0..n-1 and decode it against table b of `memory`.
 
         All states go as one padded batch; one unpadded state is the
-        unbatched computation. A cache supplies the memory's cross-attention
-        projections.
+        unbatched computation. A DecoderCache in place of the memory
+        supplies its memory and that memory's cross-attention projections.
         """
         ids, lengths = pad_ids([self._token_ids(s) for s in states])
         batch, width = ids.shape
         positions = np.arange(width) if batch == 1 else np.tile(np.arange(width), batch)
         x = self._embed_tokens(ids.reshape(-1), positions)
         mask = padding_mask(lengths, width)
-        return Padded(self.decoder(x, memory.rows, causal, cache, mask, memory.mask()), lengths)
+        return Padded(self.decoder(x, memory, causal, mask), lengths)

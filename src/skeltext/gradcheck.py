@@ -14,6 +14,7 @@ from .nn import (
     LayerNorm,
     Linear,
     MultiHeadAttention,
+    Padded,
     Parameter,
     TransformerDecoder,
     TransformerEncoder,
@@ -131,7 +132,7 @@ def run_gradcheck(seed: int = 0) -> list[tuple[str, float]]:
 
     dec_block = TransformerDecoder(rng, 8, 12, 2, 2)
     dec_x = Tensor(rng.normal(size=(4, 8)))
-    dec_m = Tensor(rng.normal(size=(5, 8)))
+    dec_m = Padded(Tensor(rng.normal(size=(5, 8))), [5])
     weighted(
         "transformer_decoder_causal",
         lambda: dec_block(dec_x, dec_m, causal=True),
@@ -147,15 +148,14 @@ def run_gradcheck(seed: int = 0) -> list[tuple[str, float]]:
     example = _toy_example()
 
     pointer = build_pointer(cfg, vocab, key_vocab)
-    check(
-        "pointer_model_loss",
-        lambda: pointer.loss(example, pointer.encode(example.table)),
-        pointer.parameters(),
-    )
-
     table_enc = pointer.encoder
     cells = linearize_table(example.table)
-    weighted("table_encoder", lambda: table_enc(cells).hidden, table_enc.parameters())
+    check(
+        "pointer_model_loss",
+        lambda: pointer.loss(example, table_enc(cells), [c.token for c in cells]),
+        pointer.parameters(),
+    )
+    weighted("table_encoder", lambda: table_enc(cells).rows, table_enc.parameters())
 
     editor = build_editor(cfg, vocab, key_vocab)
     # The first, analytic, loss completes each draft from the argmax fills.

@@ -257,17 +257,18 @@ class TransformerEncoder(Module):
 
 
 class DecoderCache:
-    """What a TransformerDecoder reuses across passes over one memory.
+    """What a TransformerDecoder reuses across passes over one memory, and that memory.
 
-    `memory_kv[l]` is layer l's cross-attention keys_values() of the memory,
-    computed once and read by every pass. The steps of
+    `memory_kv[l]` is layer l's cross-attention keys_values() of the
+    memory's rows, computed once and read by every pass. The steps of
     TransformerDecoder.step also keep, in `self_kv[l]`, layer l's
     self-attention keys and values of every position decoded so far for
     the B live hypotheses, (2, B, h, t, d_head), with `length` = t.
     """
 
-    def __init__(self, decoder: TransformerDecoder, memory: Tensor):
-        self.memory_kv = [layer.cross_attn.keys_values(memory) for layer in decoder.layers]
+    def __init__(self, decoder: TransformerDecoder, memory: Padded):
+        self.memory = memory
+        self.memory_kv = [layer.cross_attn.keys_values(memory.rows) for layer in decoder.layers]
         self.self_kv: list[Tensor] = []
         self.length = 0
 
@@ -277,24 +278,27 @@ class TransformerDecoder(Module):
         self.layers = [DecoderLayer(rng, d_model, d_hidden, n_heads) for _ in range(n_layers)]
 
     def __call__(
-        self, x: Tensor, memory: Tensor, causal: bool, cache: DecoderCache | None = None,
-        mask: np.ndarray | None = None, memory_mask: np.ndarray | None = None,
+        self, x: Tensor, memory: Padded | DecoderCache, causal: bool,
+        mask: np.ndarray | None = None,
     ) -> Tensor:
-        """Decode the rows of x (T, d) against memory; a cache supplies its projections.
+        """Decode the rows of x (T, d) against memory, or a cache's memory and projections.
 
-        The key-padding masks of a padded batch (Padded.mask) go in `mask`,
-        for x, and `memory_mask`, for the memory.
+        The key-padding mask of a padded batch of x (Padded.mask) goes in
+        `mask`; the memory's comes from the memory.
         """
         if causal:
             causal_part = causal_mask(x.shape[0] if mask is None else mask.shape[-1])
             mask = causal_part if mask is None else mask + causal_part
-        memory_kv = cache.memory_kv if cache is not None else [None] * len(self.layers)
+        memory_kv = [None] * len(self.layers)
+        if isinstance(memory, DecoderCache):
+            memory, memory_kv = memory.memory, memory.memory_kv
+        memory_mask = memory.mask()
         for layer, kv in zip(self.layers, memory_kv):
-            x = layer(x, memory, mask, memory_mask, None, kv)
+            x = layer(x, memory.rows, mask, memory_mask, None, kv)
         return x
 
-    def step(self, x: Tensor, memory: Tensor, cache: DecoderCache, parents) -> Tensor:
-        """Decode position cache.length of B hypotheses, x (B, d), causally.
+    def step(self, x: Tensor, cache: DecoderCache, parents) -> Tensor:
+        """Decode position cache.length of B hypotheses, x (B, d), causally, against one table.
 
         Hypothesis i continues the earlier positions in cache row parents[i];
         the cache grows by one position. Inference-only: it runs under no_grad.
@@ -308,7 +312,7 @@ class TransformerDecoder(Module):
         with ag.no_grad():
             for i, layer in enumerate(self.layers):
                 kv = cache.self_kv[i] = layer.self_attn.keys_values(x, cache.self_kv[i], parents)
-                x = layer(x, memory, None, None, kv, cache.memory_kv[i])
+                x = layer(x, cache.memory.rows, None, None, kv, cache.memory_kv[i])
         cache.length += 1
         return x
 
@@ -388,7 +392,7 @@ def load_checkpoint(directory: str, model: Module) -> None:
     """Set the model's parameters from a checkpoint directory.
 
     Every file is read and checked before any parameter changes, and a
-    damaged one ends in a ValueError naming it.
+    damaged one, or a non-finite value, ends in a ValueError naming it.
     """
     path = os.path.join(directory, MANIFEST_FILE)
     manifest = read_json(path)
@@ -413,7 +417,9 @@ def load_checkpoint(directory: str, model: Module) -> None:
             f"{path}: expected {expected} bytes of float32 for the manifest, file has {actual}"
         )
     raw = np.fromfile(path, dtype="<f4")
-    offset = 0
-    for _, p in named:
-        p.data[...] = raw[offset : offset + p.data.size].reshape(p.shape)
-        offset += p.data.size
+    ends = np.cumsum([p.data.size for _, p in named]).tolist()
+    for (name, p), end in zip(named, ends):
+        if not np.isfinite(raw[end - p.data.size : end]).all():
+            raise ValueError(f"{path}: parameter {name} holds a non-finite value")
+    for (_, p), end in zip(named, ends):
+        p.data[...] = raw[end - p.data.size : end].reshape(p.shape)

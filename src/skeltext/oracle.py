@@ -17,7 +17,6 @@ from . import autograd as ag
 from .autograd import Tensor
 from .data import BOS_TOKEN, EOS_TOKEN, PLH_TOKEN, Example, linearize_table
 from .editor import EditRealizer
-from .encoder import EncoderOutput
 from .nn import Detached, Padded
 
 Tokens = Sequence[str]
@@ -194,7 +193,7 @@ class EditLossParts:
 
 def build_edit_supervision(
     model: EditRealizer,
-    enc: EncoderOutput,
+    memory: Padded,
     skeleton: Tokens,
     y_star: Tokens,
     rng: np.random.Generator,
@@ -208,7 +207,7 @@ def build_edit_supervision(
     """
     sup = draft_supervision(model, skeleton, y_star, rng)
     with ag.no_grad():
-        edit_loss_from_supervision(model, enc, sup)
+        edit_loss_from_supervision(model, memory, sup)
     return sup
 
 
@@ -314,7 +313,7 @@ def _edit_losses(
 
 def edit_loss_from_supervision(
     model: EditRealizer,
-    enc: EncoderOutput,
+    memory: Padded,
     sup: EditSupervision,
     lam: float = 1.0,
 ) -> EditLossParts:
@@ -325,14 +324,14 @@ def edit_loss_from_supervision(
     token loss.
     """
     losses = {"tok": Tensor(0.0)}
-    parts = _edit_losses(model, enc.padded(), [sup], lam, losses.__setitem__)[0]
+    parts = _edit_losses(model, memory, [sup], lam, losses.__setitem__)[0]
     parts.total = losses["plh"] + losses["tok"] + lam * losses["del"]
     return parts
 
 
 def edit_loss_example(
     model: EditRealizer,
-    enc: EncoderOutput,
+    memory: Padded,
     skeleton: Tokens,
     y_star: Tokens,
     rng: np.random.Generator,
@@ -340,7 +339,7 @@ def edit_loss_example(
 ) -> EditLossParts:
     """Imitation loss for one (table, skeleton, reference) triple: its draft's edit loss."""
     sup = draft_supervision(model, skeleton, y_star, rng)
-    return edit_loss_from_supervision(model, enc, sup, lam)
+    return edit_loss_from_supervision(model, memory, sup, lam)
 
 
 def backprop_edit_batch(

@@ -10,8 +10,8 @@ import numpy as np
 from . import autograd as ag
 from .autograd import Tensor
 from .data import BOS_TOKEN, EOS_TOKEN, Example, Table, Vocabulary, linearize_table
-from .encoder import EncoderOutput, TableToText
-from .nn import DecoderCache, Detached, Linear
+from .encoder import TableToText
+from .nn import DecoderCache, Detached, Linear, Padded
 
 
 class DataIntegrityError(ValueError):
@@ -59,7 +59,6 @@ class SkeletonPrediction:
 class _TableSearch:
     """What one beam search computes once per table, before its step loop."""
 
-    enc: EncoderOutput
     distinct: list[str]
     pool: np.ndarray  # cell -> distinct-token pooling matrix
     keys_t: Tensor  # (W_k h)^T, the pointer keys of the cells as columns
@@ -75,23 +74,22 @@ class SkeletonPointer(TableToText):
         self.wk = Linear(rng, self.d_model, self.d_model, bias=False)
 
     def decoder_states(
-        self, tokens: list[str], enc: EncoderOutput,
-        step: tuple[DecoderCache, Sequence[int]] | None = None,
+        self, tokens: list[str], memory: Padded | DecoderCache,
+        parents: Sequence[int] | None = None,
     ) -> Tensor:
-        """Causal decoder hidden states.
+        """Causal decoder hidden states against one table's memory.
 
-        Without a step, `tokens` is the whole selected-token prefix and the
-        result is r_0..r_{T-1}, (T, d). A step (cache, parents) decodes one
-        position: `tokens` holds the newest token of each of B live
-        hypotheses, all at position cache.length, and hypothesis i continues
-        cache row parents[i]. The result is their states, (B, d), and the
-        cache grows by one position.
+        Without parents, `tokens` is the whole selected-token prefix and the
+        result is r_0..r_{T-1}, (T, d). With parents, `memory` is a
+        DecoderCache and one position is decoded: `tokens` holds the newest
+        token of each of B live hypotheses, all at position cache.length,
+        and hypothesis i continues cache row parents[i]. The result is their
+        states, (B, d), and the cache grows by one position.
         """
-        if step is None:
-            return self.decode_batch([tokens], enc.padded(), True).rows
-        cache, parents = step
-        x = self._embed_tokens(self._token_ids(tokens), np.full(len(tokens), cache.length))
-        return self.decoder.step(x, enc.hidden, cache, parents)
+        if parents is None:
+            return self.decode_batch([tokens], memory, True).rows
+        x = self._embed_tokens(self._token_ids(tokens), np.full(len(tokens), memory.length))
+        return self.decoder.step(x, memory, parents)
 
     def pointer_attention(self, r: Tensor, keys_t: Tensor) -> Tensor:
         """Attention over cells: softmax of (W_q r) . k_i / sqrt(d_r), with keys k_i = W_k h_i.
@@ -101,28 +99,31 @@ class SkeletonPointer(TableToText):
         logits = (self.wq(r) @ keys_t) / np.sqrt(self.d_model)
         return ag.softmax(logits, axis=-1)
 
-    def copy_log_probs(self, prefix: list[str], enc: EncoderOutput) -> tuple[Tensor, list[str]]:
-        """Per-step log P_copy over distinct table tokens (mass pooled across cells)."""
-        r = self.decoder_states(prefix, enc)
-        attn = self.pointer_attention(r, self.wk(enc.hidden).transpose())
-        distinct, pool = copy_pool(enc.cell_tokens)
+    def copy_log_probs(
+        self, prefix: list[str], memory: Padded, cell_tokens: Sequence[str]
+    ) -> tuple[Tensor, list[str]]:
+        """Per-step log P_copy over one encoded table's distinct `cell_tokens` (mass pooled)."""
+        r = self.decoder_states(prefix, memory)
+        attn = self.pointer_attention(r, self.wk(memory.rows).transpose())
+        distinct, pool = copy_pool(cell_tokens)
         return (attn @ Tensor(pool)).log(), distinct
 
-    def loss(self, example: Example, enc: EncoderOutput) -> Tensor:
-        """Teacher-forced negative log-likelihood of skeleton + EOS; `enc` is its table, encoded."""
-        check_skeleton(example, enc.cell_tokens)
+    def loss(self, example: Example, memory: Padded, cell_tokens: Sequence[str]) -> Tensor:
+        """Teacher-forced negative log-likelihood of skeleton + EOS, against its encoded table."""
+        check_skeleton(example, cell_tokens)
         prefix = [BOS_TOKEN, *example.skeleton]
         targets = [*example.skeleton, EOS_TOKEN]
-        logp, distinct = self.copy_log_probs(prefix, enc)
+        logp, distinct = self.copy_log_probs(prefix, memory, cell_tokens)
         idx = {t: i for i, t in enumerate(distinct)}
         target_ids = np.array([idx[t] for t in targets], dtype=np.int64)
         return -logp[np.arange(len(targets)), target_ids].sum()
 
     def _start_search(self, table: Table) -> _TableSearch:
-        enc = self.encode(table)
-        distinct, pool = copy_pool(enc.cell_tokens)
-        cache = DecoderCache(self.decoder, enc.hidden)
-        return _TableSearch(enc, distinct, pool, self.wk(enc.hidden).transpose(), cache)
+        cells = linearize_table(table)
+        memory = self.encoder(cells)
+        distinct, pool = copy_pool([c.token for c in cells])
+        cache = DecoderCache(self.decoder, memory)
+        return _TableSearch(distinct, pool, self.wk(memory.rows).transpose(), cache)
 
     def _step_log_probs(
         self, search: _TableSearch, live: list[SkeletonPrediction], parents: list[int]
@@ -133,7 +134,7 @@ class SkeletonPointer(TableToText):
         token; one decoder pass decodes that token for every hypothesis.
         """
         tokens = [h.tokens[-1] if h.tokens else BOS_TOKEN for h in live]
-        r = self.decoder_states(tokens, search.enc, (search.cache, parents))
+        r = self.decoder_states(tokens, search.cache, parents)
         attn = self.pointer_attention(r, search.keys_t)
         # Plain-array scores: tokens whose copy mass underflowed to zero score
         # -inf and are simply never selected. Rounding can pool a little more
@@ -242,8 +243,7 @@ def backprop_pointer_batch(
     encoded = Detached(model.encoder.encode_padded(tables))
     losses = []
     for b, (ex, cells) in enumerate(zip(examples, tables)):
-        enc = EncoderOutput(encoded.leaf.select([b]).rows, [cell.token for cell in cells])
-        loss = model.loss(ex, enc)
+        loss = model.loss(ex, encoded.leaf.select([b]), [cell.token for cell in cells])
         if loss.tracked:
             (loss * scale).backward()
         losses.append(loss.item())

@@ -9,7 +9,7 @@ import numpy as np
 from skeltext import autograd as ag
 from skeltext.autograd import Tensor
 from skeltext.config import RunConfig
-from skeltext.data import Attribute, Example, Table, Vocabulary
+from skeltext.data import Attribute, Example, Table, Vocabulary, linearize_table
 from skeltext.nn import DecoderCache
 from skeltext.oracle import edit_loss_example
 from skeltext.training import build_editor, build_pointer
@@ -83,9 +83,15 @@ def tiny_editor(seed: int = 0, **config_overrides):
     return build_editor(cfg, vocab, key_vocab), cfg
 
 
-def decode_hidden(model, tokens, enc) -> Tensor:
-    """The editor's decoder outputs for tokens, over a fresh cache of enc's memory projections."""
-    return model.decode_hidden(tokens, enc, DecoderCache(model.decoder, enc.hidden))
+def decode_hidden(model, tokens, memory) -> Tensor:
+    """The editor's decoder outputs for tokens, over a fresh cache of the memory's projections."""
+    return model.decode_hidden(tokens, DecoderCache(model.decoder, memory))
+
+
+def encode_cells(model, table: Table):
+    """A table's memory and the tokens of its cells, the copy addresses the pointer takes."""
+    cells = linearize_table(table)
+    return model.encoder(cells), [c.token for c in cells]
 
 
 def small_example(rng: np.random.Generator) -> Example:
@@ -123,7 +129,7 @@ def per_example_pointer_step(model, examples) -> list[float]:
     """
     losses = []
     for ex in examples:
-        loss = model.loss(ex, model.encode(ex.table))
+        loss = model.loss(ex, *encode_cells(model, ex.table))
         (loss / len(examples)).backward()
         losses.append(loss.item())
     return losses

@@ -29,7 +29,7 @@ from skeltext.data import (
 )
 from skeltext.gradcheck import TOLERANCE, run_gradcheck
 from skeltext.metrics import bleu, evaluate_outputs, parent, parent_t
-from skeltext.nn import TransformerDecoder
+from skeltext.nn import Padded, TransformerDecoder
 from skeltext.oracle import (
     is_subsequence,
     lcs,
@@ -477,14 +477,13 @@ class _DeleteEverythingStub:
     """Adversarial editor: wants to delete every token and insert nothing."""
 
     k_max = 2
+    max_len = 512
     decoder = TransformerDecoder(None, 2, 2, 1, 0)  # no layers: an empty cache
 
     def encode(self, table):
-        from skeltext.encoder import EncoderOutput
+        return Padded(Tensor(np.zeros((1, 2))), [1])
 
-        return EncoderOutput(Tensor(np.zeros((1, 2))), [EOS_TOKEN])
-
-    def decode_hidden(self, tokens, enc, cache):
+    def decode_hidden(self, tokens, cache):
         return Tensor(np.zeros((len(tokens), 2)))
 
     def deletion_logits(self, z):

@@ -529,15 +529,30 @@ def test_generate_a_skeleton_past_the_cap_overflows_as_itself(tmp_path, capsys):
     assert "StateOverflowError" in warning["message"]
 
 
-def test_generate_non_finite_is_a_per_example_outcome(tmp_path, capsys):
+def _overflowing_editor(tmp_path, corpus_path):
+    """A runaway editor whose first decoder layer overflows in float64 on every state.
+
+    Stored weights are float32, so none can exceed 3.4e38; a chain of them
+    (token embedding, its projection, then the values and the output of the
+    first self-attention) gives attention outputs near 1e157, whose squares
+    overflow the residual LayerNorm's variance in float64.
+    """
     from skeltext.nn import save_checkpoint
     from skeltext.training import load_editor_dir
 
-    corpus, skeletons = _two_example_corpus(tmp_path)
-    ckpt = _runaway_editor(tmp_path, corpus, max_state_len=64)
+    ckpt = _runaway_editor(tmp_path, corpus_path, max_state_len=64)
     model, _ = load_editor_dir(ckpt)
-    model.decoder.layers[0].cross_attn.wk.weight.data[0, 0] = np.nan
+    attn = model.decoder.layers[0].self_attn
+    for p in (model.encoder.tok_emb.weight, model.in_proj.weight, attn.wv.weight, attn.wo.weight):
+        p.data[...] = np.finfo(np.float32).max
+    attn.wo.weight.data[:, ::2] *= -1.0  # rows of +-1e157 deviate from their mean
     save_checkpoint(ckpt, model)
+    return ckpt
+
+
+def test_generate_non_finite_is_a_per_example_outcome(tmp_path, capsys):
+    corpus, skeletons = _two_example_corpus(tmp_path)
+    ckpt = _overflowing_editor(tmp_path, corpus)
     out = str(tmp_path / "gen.jsonl")
     assert main(["generate", "--editor", ckpt, "--corpus", corpus, "--out", out,
                  "--oracle-skeleton"]) == 0
@@ -549,23 +564,10 @@ def test_generate_non_finite_is_a_per_example_outcome(tmp_path, capsys):
 
 
 def test_generate_overflow_ends_non_finite_without_a_warning(tmp_path, capsys):
-    # Stored weights are float32, so none can exceed 3.4e38; a chain of them
-    # (token embedding, its projection, then the values and the output of the
-    # first self-attention) gives attention outputs near 1e157, whose squares
-    # overflow the residual LayerNorm's variance in float64.
     import warnings
 
-    from skeltext.nn import save_checkpoint
-    from skeltext.training import load_editor_dir
-
-    corpus, skeletons = _two_example_corpus(tmp_path)
-    ckpt = _runaway_editor(tmp_path, corpus, max_state_len=64)
-    model, _ = load_editor_dir(ckpt)
-    attn = model.decoder.layers[0].self_attn
-    for p in (model.encoder.tok_emb.weight, model.in_proj.weight, attn.wv.weight, attn.wo.weight):
-        p.data[...] = np.finfo(np.float32).max
-    attn.wo.weight.data[:, ::2] *= -1.0  # rows of +-1e157 deviate from their mean
-    save_checkpoint(ckpt, model)
+    corpus, _ = _two_example_corpus(tmp_path)
+    ckpt = _overflowing_editor(tmp_path, corpus)
     out = str(tmp_path / "gen.jsonl")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -579,25 +581,60 @@ def test_generate_overflow_ends_non_finite_without_a_warning(tmp_path, capsys):
     assert all("from layer_norm" in e["message"] for e in events if e["event"] == "warning")
 
 
-def _pointer_with_a_nan_token(tmp_path, corpus_path):
-    """Untrained tiny pointer whose embedding of one token of example 1 only is NaN."""
-    from skeltext.training import build_pointer, build_vocabularies, save_model_dir
+def test_generate_rejects_a_checkpoint_holding_a_non_finite_value(tmp_path, capsys):
+    # Two NaNs; the error names the first parameter, in manifest order.
+    from skeltext.nn import save_checkpoint
+    from skeltext.training import load_editor_dir
+
+    corpus, _ = _two_example_corpus(tmp_path)
+    ckpt = _runaway_editor(tmp_path, corpus, max_state_len=64)
+    model, _ = load_editor_dir(ckpt)
+    model.encoder.fuse.bias.data[3] = np.nan
+    model.w_tok.weight.data[0, 0] = np.inf
+    save_checkpoint(ckpt, model)
+    out = tmp_path / "gen.jsonl"
+    assert main(["generate", "--editor", ckpt, "--corpus", corpus, "--out", str(out),
+                 "--oracle-skeleton"]) == 1
+    events = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+    assert [e["event"] for e in events].count("error") == 1
+    assert (events[-1]["error"], events[-1]["message"]) == (
+        "ValueError",
+        f"{os.path.join(ckpt, 'params.bin')}: parameter encoder.fuse.bias holds a non-finite value",
+    )
+    assert not out.exists()
+
+
+def _pointer_with_a_nan_token(tmp_path, corpus_path, monkeypatch):
+    """Untrained tiny pointer whose embedding of one token of example 1 only is NaN.
+
+    A checkpoint holding a NaN is rejected when loaded, so the NaN is set in
+    the model the CLI loads, and met by the forward pass of that example.
+    """
+    from skeltext import cli
+    from skeltext.training import (
+        build_pointer, build_vocabularies, load_pointer_dir, save_model_dir,
+    )
 
     from helpers import all_value_tokens, tiny_config
 
     data = load_corpus(corpus_path)
     token = sorted(set(all_value_tokens(data[1].table)) - set(all_value_tokens(data[0].table)))[0]
     cfg = tiny_config(seed=0)
-    model = build_pointer(cfg, *build_vocabularies(data, cfg))
-    model.encoder.tok_emb.weight.data[model.vocab.id_of(token), 0] = np.nan
     ckpt = str(tmp_path / "nan-pointer")
-    save_model_dir(ckpt, model, cfg)
+    save_model_dir(ckpt, build_pointer(cfg, *build_vocabularies(data, cfg)), cfg)
+
+    def load_with_a_nan(directory):
+        model, loaded_cfg = load_pointer_dir(directory)
+        model.encoder.tok_emb.weight.data[model.vocab.id_of(token), 0] = np.nan
+        return model, loaded_cfg
+
+    monkeypatch.setattr(cli, "load_pointer_dir", load_with_a_nan)
     return ckpt
 
 
-def test_generate_stage1_non_finite_is_a_per_example_outcome(tmp_path, capsys):
+def test_generate_stage1_non_finite_is_a_per_example_outcome(tmp_path, capsys, monkeypatch):
     corpus, _ = _two_example_corpus(tmp_path)
-    pointer = _pointer_with_a_nan_token(tmp_path, corpus)
+    pointer = _pointer_with_a_nan_token(tmp_path, corpus, monkeypatch)
     editor = _runaway_editor(tmp_path, corpus, max_state_len=64)
     out = str(tmp_path / "gen.jsonl")
     assert main(["generate", "--editor", editor, "--pointer", pointer, "--corpus", corpus,
@@ -614,9 +651,9 @@ def test_generate_stage1_non_finite_is_a_per_example_outcome(tmp_path, capsys):
     }
 
 
-def test_skeleton_stage1_non_finite_names_the_example(tmp_path, capsys):
+def test_skeleton_stage1_non_finite_names_the_example(tmp_path, capsys, monkeypatch):
     corpus, _ = _two_example_corpus(tmp_path)
-    pointer = _pointer_with_a_nan_token(tmp_path, corpus)
+    pointer = _pointer_with_a_nan_token(tmp_path, corpus, monkeypatch)
     out = tmp_path / "skeletons.jsonl"
     assert main(["skeleton", "--checkpoint", pointer, "--corpus", corpus, "--out", str(out)]) == 1
     events = [json.loads(line) for line in capsys.readouterr().err.splitlines()]

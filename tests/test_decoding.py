@@ -24,7 +24,7 @@ from skeltext.decoding import (
     realize_corpus,
 )
 from skeltext.editor import EditState
-from skeltext.nn import DecoderCache, TransformerDecoder
+from skeltext.nn import DecoderCache, Padded, TransformerDecoder
 from skeltext.oracle import is_subsequence
 
 from helpers import all_value_tokens, random_table, tiny_editor
@@ -35,18 +35,19 @@ class StubEditor:
 
     decoder = TransformerDecoder(None, 2, 2, 1, 0)  # no layers: an empty cache
 
-    def __init__(self, delete_everything=False, insert_per_slot=0, fill_token="x", k_max=8):
+    def __init__(
+        self, delete_everything=False, insert_per_slot=0, fill_token="x", k_max=8, max_len=512
+    ):
         self.delete_everything = delete_everything
         self.insert_per_slot = insert_per_slot
         self.fill_token = fill_token
         self.k_max = k_max
+        self.max_len = max_len
 
     def encode(self, table):
-        from skeltext.encoder import EncoderOutput
+        return Padded(Tensor(np.zeros((1, 2))), [1])
 
-        return EncoderOutput(Tensor(np.zeros((1, 2))), [EOS_TOKEN])
-
-    def decode_hidden(self, tokens, enc, cache):
+    def decode_hidden(self, tokens, cache):
         return Tensor(np.zeros((len(tokens), 2)))
 
     def deletion_logits(self, z):
@@ -126,10 +127,9 @@ def test_masked_delete_arity_checked():
 
 def _fill(stub, state, **kwargs):
     """insert_and_fill of a stub's state, over the stub's own hidden states."""
-    enc = stub.encode(None)
-    cache = DecoderCache(stub.decoder, enc.hidden)
-    z = stub.decode_hidden(state.tokens, enc, cache)
-    return insert_and_fill(state, stub, enc, cache, z, **kwargs)
+    cache = DecoderCache(stub.decoder, stub.encode(None))
+    z = stub.decode_hidden(state.tokens, cache)
+    return insert_and_fill(state, stub, cache, z, **kwargs)
 
 
 def test_insert_and_fill_noop_when_zero_slots():
@@ -155,6 +155,20 @@ def test_insert_and_fill_two_tokens_unprotected():
     assert out.tokens == (BOS_TOKEN, "new", "new", "a", EOS_TOKEN)
     assert out.protected == (True, False, False, True, True)
     assert len(out.tokens) == len(out.protected)
+
+
+def test_insert_and_fill_keeps_every_mask_and_leaves_insertions_unprotected():
+    state = EditState((BOS_TOKEN, "a", "b", "c", EOS_TOKEN), (True, False, True, False, True))
+
+    class SlotCounts(StubEditor):
+        def placeholder_logits(self, z, slots):
+            logits = np.zeros((len(slots), self.k_max + 1))
+            logits[np.arange(len(slots)), [1, 0, 2, 1]] = 1.0
+            return Tensor(logits)
+
+    out = _fill(SlotCounts(fill_token="n"), state)
+    assert out.tokens == (BOS_TOKEN, "n", "a", "b", "n", "n", "c", "n", EOS_TOKEN)
+    assert out.protected == (True, False, False, True, False, False, False, False, True)
 
 
 def test_insert_and_fill_never_leaves_placeholders():
@@ -220,13 +234,12 @@ def test_iterate_random_model_constraint_preservation():
         assert is_subsequence(skeleton, tokens)
         if trace.termination == FIXED_POINT:
             # one more edit round applied to the final state changes nothing
-            enc = model.encode(table)
-            cache = DecoderCache(model.decoder, enc.hidden)
+            cache = DecoderCache(model.decoder, model.encode(table))
             state = trace.snapshots[-1]
-            z = model.decode_hidden(state.tokens, enc, cache)
+            z = model.decode_hidden(state.tokens, cache)
             after = masked_delete(state, model.deletion_logits(z).data)
-            z = model.decode_hidden(after.tokens, enc, cache)
-            after = insert_and_fill(after, model, enc, cache, z)
+            z = model.decode_hidden(after.tokens, cache)
+            after = insert_and_fill(after, model, cache, z)
             assert after.tokens == state.tokens
 
 
@@ -242,11 +255,11 @@ def test_iterate_trained_stub_fixed_point_detection():
 
 # -- decoder-state reuse against a loop that decodes every pass ------------------
 
-def _decode_every_pass(model, tokens, enc):
+def _decode_every_pass(model, tokens, memory):
     """decode_hidden without reuse: embed, then a full pass that projects the memory."""
     ids = np.array([model.vocab.id_of(t) for t in tokens], dtype=np.int64)
     x = model.in_proj(model.encoder.tok_emb(ids)) + model.pos_emb(np.arange(len(tokens)))
-    return model.decoder(x, enc.hidden, causal=False)
+    return model.decoder(x, memory, causal=False)
 
 
 def _reference_iterate(model, table, skeleton, max_iter, hard_constraints, max_state_len):
@@ -260,12 +273,12 @@ def _reference_iterate(model, table, skeleton, max_iter, hard_constraints, max_s
     state = init_state(skeleton, protect_skeleton=hard_constraints)
     snapshots = [state]
     with ag.no_grad():
-        enc = model.encode(table)
+        memory = model.encode(table)
         for _ in range(max_iter):
             previous = state.tokens
-            z = _decode_every_pass(model, state.tokens, enc)
+            z = _decode_every_pass(model, state.tokens, memory)
             state = masked_delete(state, ag.softmax(model.deletion_logits(z)).data)
-            z = _decode_every_pass(model, state.tokens, enc)
+            z = _decode_every_pass(model, state.tokens, memory)
             slots = np.arange(len(state) - 1)
             counts = np.argmax(ag.softmax(model.placeholder_logits(z, slots)).data, axis=-1)
             if counts.sum() + len(state) > max_state_len:
@@ -278,7 +291,7 @@ def _reference_iterate(model, table, skeleton, max_iter, hard_constraints, max_s
                 protected.append(state.protected[slot + 1])
             plh = [i for i, t in enumerate(tokens) if t == PLH_TOKEN]
             if plh:
-                fills = model.argmax_fill(_decode_every_pass(model, tokens, enc), plh)
+                fills = model.argmax_fill(_decode_every_pass(model, tokens, memory), plh)
                 for pos, tok in zip(plh, fills):
                     tokens[pos] = tok
             state = EditState(tokens, protected)
@@ -336,9 +349,9 @@ def test_iterate_never_decodes_the_same_tokens_twice_in_a_row():
         calls = []
         decode = model.decode_hidden
 
-        def counting(tokens, enc, cache, decode=decode, calls=calls):
+        def counting(tokens, cache, decode=decode, calls=calls):
             calls.append(tuple(tokens))
-            return decode(tokens, enc, cache)
+            return decode(tokens, cache)
 
         model.decode_hidden = counting
         table = random_table(rng)
@@ -354,11 +367,11 @@ def test_memoized_memory_projections_match_uncached_decoding():
     first = [BOS_TOKEN, *all_value_tokens(table), EOS_TOKEN]
     second = [BOS_TOKEN, "oov-token", *all_value_tokens(table)[:1], PLH_TOKEN, EOS_TOKEN]
     with ag.no_grad():
-        enc = model.encode(table)
-        cache = DecoderCache(model.decoder, enc.hidden)
+        memory = model.encode(table)
+        cache = DecoderCache(model.decoder, memory)
         for tokens in (first, second, first):
-            cached = model.decode_hidden(tokens, enc, cache).data
-            uncached = _decode_every_pass(model, tokens, enc).data
+            cached = model.decode_hidden(tokens, cache).data
+            uncached = _decode_every_pass(model, tokens, memory).data
             np.testing.assert_allclose(cached, uncached, rtol=0, atol=1e-12)
 
 
@@ -373,7 +386,7 @@ def test_iterate_projects_the_table_memory_once_per_layer():
         layer.cross_attn.keys_values = counting
     decodes = []
     decode = model.decode_hidden
-    model.decode_hidden = lambda tokens, enc, cache: decodes.append(tokens) or decode(tokens, enc, cache)
+    model.decode_hidden = lambda tokens, cache: decodes.append(tokens) or decode(tokens, cache)
     table = random_table(np.random.default_rng(4))
     iterate(model, table, all_value_tokens(table)[:2], max_iter=3)
     assert len(decodes) >= 3
@@ -450,9 +463,44 @@ def test_trace_iterations_count_the_snapshots_after_the_first(
 _TABLE = Table((Attribute("K", ("x",)),))
 
 
-def _realize(model, skeletons, max_iter=10, hard_constraints=True, max_state_len=512):
+def _realize(model, skeletons, max_iter=10, hard_constraints=True):
     return list(realize_corpus(model, [_TABLE] * len(skeletons), skeletons, max_iter,
-                               hard_constraints, max_state_len))
+                               hard_constraints))
+
+
+def _runaway_editor(max_state_len):
+    """Tiny editor whose hidden states are all one row: keep every token, insert k_max per slot."""
+    model, _ = tiny_editor(seed=0, max_state_len=max_state_len)
+    last = model.decoder.layers[-1].ln3
+    last.gain.data[...] = 0.0
+    last.bias.data[...] = 1.0
+    model.w_del.weight.data[...] = [1.0, 0.0]
+    model.w_plh.weight.data[...] = 0.0
+    model.w_plh.weight.data[:, model.k_max] = 1.0
+    return model
+
+
+def test_a_runaway_overflows_at_the_editors_own_position_cap():
+    # 4 insertions per slot: 3 -> 11 tokens, then 11 + 40 is past the 12 positions.
+    model = _runaway_editor(12)
+    with pytest.raises(StateOverflowError, match=r"51 tokens \(cap 12\)") as info:
+        iterate(model, _TABLE, ["a"], max_iter=10)
+    assert info.value.trace.termination == OVERFLOW
+    assert [len(s) for s in info.value.trace.snapshots] == [3, 11]
+    [outcome] = realize_corpus(model, [_TABLE], [["a"]], 10, True)
+    assert (outcome.termination, outcome.trace.iterations, len(outcome.tokens)) == (OVERFLOW, 1, 9)
+    assert isinstance(outcome.error, StateOverflowError)
+
+
+def test_a_state_cap_beyond_the_editors_positions_is_rejected():
+    model = _runaway_editor(12)
+    message = "max_state_len 13 exceeds the editor's 12-position cap"
+    with pytest.raises(ValueError, match=message):
+        iterate(model, _TABLE, ["a"], max_state_len=13)
+    cache = DecoderCache(model.decoder, model.encode(_TABLE))
+    state = init_state(["a"])
+    with pytest.raises(ValueError, match=message):
+        insert_and_fill(state, model, cache, model.decode_hidden(state.tokens, cache), 13)
 
 
 def test_realize_corpus_passes_a_stage1_error_through_as_its_outcome():
@@ -465,8 +513,7 @@ def test_realize_corpus_passes_a_stage1_error_through_as_its_outcome():
 
 def test_realize_corpus_keeps_the_last_state_of_an_overflow():
     # 3 -> 5 -> 9 -> 17 tokens: the third insertion breaks a cap of 12.
-    [outcome] = _realize(StubEditor(insert_per_slot=1, fill_token="z"), [["a"]],
-                         max_state_len=12)
+    [outcome] = _realize(StubEditor(insert_per_slot=1, fill_token="z", max_len=12), [["a"]])
     assert isinstance(outcome.error, StateOverflowError)
     assert outcome.trace is outcome.error.trace
     assert (outcome.termination, outcome.trace.iterations) == (OVERFLOW, 2)
@@ -486,7 +533,7 @@ def test_realize_corpus_gives_what_iterate_returns_on_plain_examples():
     model, _ = tiny_editor(seed=3, k_max=2)
     tables = [random_table(rng) for _ in range(4)]
     skeletons = [all_value_tokens(table)[:n] for n, table in enumerate(tables)]
-    outcomes = list(realize_corpus(model, tables, skeletons, 3, True, 512))
+    outcomes = list(realize_corpus(model, tables, skeletons, 3, True))
     assert len(outcomes) == len(tables)
     for table, skeleton, outcome in zip(tables, skeletons, outcomes):
         tokens, trace = iterate(model, table, skeleton, max_iter=3)

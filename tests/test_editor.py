@@ -41,18 +41,18 @@ def test_edit_state_invariants():
 
 
 def test_decode_hidden_output_arity():
-    model, enc, _ = _setup()
+    model, memory, _ = _setup()
     state = [BOS_TOKEN, "Alda", "sculptor", EOS_TOKEN]
-    z = decode_hidden(model, state, enc)
+    z = decode_hidden(model, state, memory)
     assert z.shape == (4, 16)
-    z2 = decode_hidden(model, [BOS_TOKEN, EOS_TOKEN], enc)
+    z2 = decode_hidden(model, [BOS_TOKEN, EOS_TOKEN], memory)
     assert z2.shape == (2, 16)
 
 
 def test_head_arities():
-    model, enc, cfg = _setup()
+    model, memory, cfg = _setup()
     state = [BOS_TOKEN, "Alda", PLH_TOKEN, "sculptor", PLH_TOKEN, EOS_TOKEN]
-    z = decode_hidden(model, state, enc)
+    z = decode_hidden(model, state, memory)
     assert model.deletion_logits(z).shape == (6, 2)
     assert model.placeholder_logits(z, np.arange(5)).shape == (5, cfg.k_max + 1)
     plh = [i for i, t in enumerate(state) if t == PLH_TOKEN]
@@ -61,26 +61,26 @@ def test_head_arities():
 
 def test_deletion_zero_weights_give_half_half():
     # Even odds: each position's keep and delete logits tie, and a tie keeps.
-    model, enc, _ = _setup()
+    model, memory, _ = _setup()
     model.w_del.weight.data[...] = 0.0
     state = EditState((BOS_TOKEN, "Alda", EOS_TOKEN), (True, False, True))
-    logits = model.deletion_logits(decode_hidden(model, state.tokens, enc)).data
+    logits = model.deletion_logits(decode_hidden(model, state.tokens, memory)).data
     assert np.array_equal(logits, np.zeros((3, 2)))
     assert masked_delete(state, logits) == state
 
 
 def test_placeholder_slot_counts():
-    model, enc, cfg = _setup(seed=3)
-    z = decode_hidden(model, [BOS_TOKEN, EOS_TOKEN], enc)
+    model, memory, cfg = _setup(seed=3)
+    z = decode_hidden(model, [BOS_TOKEN, EOS_TOKEN], memory)
     assert model.placeholder_logits(z, np.arange(1)).shape == (1, cfg.k_max + 1)
-    z5 = decode_hidden(model, [BOS_TOKEN, "a", "b", "c", EOS_TOKEN], enc)
+    z5 = decode_hidden(model, [BOS_TOKEN, "a", "b", "c", EOS_TOKEN], memory)
     assert model.placeholder_logits(z5, np.arange(4)).shape == (4, cfg.k_max + 1)
 
 
 def test_the_placeholder_head_over_every_slot_gives_the_sliced_pairs_bytes():
     # The reference is the one-state head of earlier versions, which paired
     # the slices z[:-1] and z[1:] instead of gathering explicit slots.
-    model, enc, cfg = _setup(seed=5)
+    model, memory, cfg = _setup(seed=5)
     state = [BOS_TOKEN, "Alda", PLH_TOKEN, "sculptor", EOS_TOKEN]
     weights = np.random.default_rng(5).normal(size=(len(state) - 1, cfg.k_max + 1))
     got, want = [], []
@@ -88,7 +88,7 @@ def test_the_placeholder_head_over_every_slot_gives_the_sliced_pairs_bytes():
         (got, lambda z: model.placeholder_logits(z, np.arange(len(state) - 1))),
         (want, lambda z: model.w_plh(ag.concat([z[:-1], z[1:]], axis=1))),
     ):
-        z = Tensor(decode_hidden(model, state, enc).data, retain_grad=True)
+        z = Tensor(decode_hidden(model, state, memory).data, retain_grad=True)
         logits = head(z)
         (logits * Tensor(weights)).sum().backward()
         out += [logits.data.tobytes(), z.grad.tobytes(), model.w_plh.weight.grad.tobytes()]
@@ -97,16 +97,16 @@ def test_the_placeholder_head_over_every_slot_gives_the_sliced_pairs_bytes():
 
 
 def test_token_scores_empty_without_placeholders():
-    model, enc, _ = _setup(seed=5)
-    z = decode_hidden(model, [BOS_TOKEN, "Alda", EOS_TOKEN], enc)
+    model, memory, _ = _setup(seed=5)
+    z = decode_hidden(model, [BOS_TOKEN, "Alda", EOS_TOKEN], memory)
     assert ag.softmax(model.token_logits(z, [])).shape == (0, len(model.vocab))
     assert model.argmax_fill(z, []) == []
 
 
 def test_token_scores_rows_are_distributions():
-    model, enc, _ = _setup(seed=6)
+    model, memory, _ = _setup(seed=6)
     state = [BOS_TOKEN, PLH_TOKEN, "Alda", PLH_TOKEN, EOS_TOKEN]
-    z = decode_hidden(model, state, enc)
+    z = decode_hidden(model, state, memory)
     scores = ag.softmax(model.token_logits(z, [1, 3])).data
     assert scores.shape == (2, len(model.vocab))
     assert np.allclose(scores.sum(axis=1), 1.0, atol=1e-9)
@@ -115,7 +115,7 @@ def test_token_scores_rows_are_distributions():
 def test_one_hot_token_logits_fill_deterministically():
     from skeltext.autograd import Tensor
 
-    model, enc, _ = _setup(seed=7)
+    model, memory, _ = _setup(seed=7)
     target = model.vocab.id_of("Lunden")
     model.w_tok.weight.data[...] = 0.0
     model.w_tok.weight.data[0, target] = 5.0
@@ -135,16 +135,16 @@ def test_a_fill_is_the_first_best_non_reserved_token_whatever_the_reserved_logit
 
 
 def test_non_causality_last_token_reaches_z0():
-    model, enc, _ = _setup(seed=8)
+    model, memory, _ = _setup(seed=8)
     s1 = [BOS_TOKEN, "Alda", "Fenwick", EOS_TOKEN]
     s2 = [BOS_TOKEN, "Alda", "sculptor", EOS_TOKEN]
-    z1 = decode_hidden(model, s1, enc).data
-    z2 = decode_hidden(model, s2, enc).data
+    z1 = decode_hidden(model, s1, memory).data
+    z2 = decode_hidden(model, s2, memory).data
     assert not np.allclose(z1[0], z2[0])  # full self-attention sees position 2
 
 
 def test_all_three_heads_receive_gradient():
-    model, enc, _ = _setup(seed=9)
+    model, memory, _ = _setup(seed=9)
     from skeltext.oracle import edit_loss_example
 
     class _Rng:  # rho = 0 corrupts down to the skeleton, so gaps exist
@@ -155,7 +155,7 @@ def test_all_three_heads_receive_gradient():
             return 0.0 if self.calls == 1 else 0.5
 
     parts = edit_loss_example(
-        model, enc, ["Alda", "sculptor"],
+        model, memory, ["Alda", "sculptor"],
         ["Alda", "Fenwick", "was", "a", "sculptor"], _Rng(),
     )
     parts.total.backward()
@@ -166,10 +166,10 @@ def test_all_three_heads_receive_gradient():
 
 def test_state_cap_enforced():
     model, _ = tiny_editor(seed=11, max_state_len=4)
-    enc = model.encode(Table((Attribute("Name_ID", ("Alda",)),)))
-    decode_hidden(model, [BOS_TOKEN, "a", "b", EOS_TOKEN], enc)
+    memory = model.encode(Table((Attribute("Name_ID", ("Alda",)),)))
+    decode_hidden(model, [BOS_TOKEN, "a", "b", EOS_TOKEN], memory)
     with pytest.raises(ValueError, match="cap"):
-        decode_hidden(model, [BOS_TOKEN, "a", "b", "c", EOS_TOKEN], enc)
+        decode_hidden(model, [BOS_TOKEN, "a", "b", "c", EOS_TOKEN], memory)
 
 
 def test_edit_loss_gradients_reach_every_cross_attention_projection():
@@ -295,11 +295,11 @@ def test_a_padded_batch_encodes_and_decodes_each_example_as_alone():
     z = model.decode_batch(states, memory, causal=False)
     assert len({len(s) for s in states}) > 1 and len(set(memory.lengths)) > 1
     for b, (table, state) in enumerate(zip(tables, states)):
-        enc = model.encode(table)
-        cells = memory.rows.data[b * memory.width : b * memory.width + len(enc.cell_tokens)]
-        assert np.abs(cells - enc.hidden.data).max() < 1e-12
+        own = model.encode(table)
+        cells = memory.rows.data[b * memory.width : b * memory.width + own.lengths[0]]
+        assert np.abs(cells - own.rows.data).max() < 1e-12
         rows = z.rows.data[b * z.width : b * z.width + len(state)]
-        assert np.abs(rows - decode_hidden(model, state, enc).data).max() < 1e-12
+        assert np.abs(rows - decode_hidden(model, state, own).data).max() < 1e-12
     # One example is the unbatched computation, to the bit.
     first = model.encoder.encode_padded([linearize_table(tables[0])])
     one = model.decode_batch(states[:1], first, causal=False)

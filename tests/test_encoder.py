@@ -63,18 +63,19 @@ def test_position_clamp_bounds_lookup():
 
 def test_encode_single_attribute_length():
     enc = _encoder()
-    out = enc(linearize_table(Table((Attribute("K", ("x",)),))))
-    assert len(out.cell_tokens) == 2  # value cell + EOS
-    assert out.hidden.shape == (2, 16)
-    assert out.cell_tokens[-1] == "<eos>"
+    cells = linearize_table(Table((Attribute("K", ("x",)),)))
+    out = enc(cells)
+    assert [c.token for c in cells] == ["x", "<eos>"]  # value cell + EOS
+    assert out.rows.shape == (2, 16)
+    assert out.lengths == [2]
 
 
 def test_encode_published_linearization_example():
     enc = _encoder()
     table = Table((Attribute("Name_ID", ("Thaila", "Ayala")),))
-    out = enc(linearize_table(table))
-    assert out.cell_tokens == ["Thaila", "Ayala", "<eos>"]
-    assert out.hidden.shape[0] == 3
+    cells = linearize_table(table)
+    assert [c.token for c in cells] == ["Thaila", "Ayala", "<eos>"]
+    assert enc(cells).rows.shape[0] == 3
 
 
 def test_encoder_output_shape_invariants_random():
@@ -84,8 +85,8 @@ def test_encoder_output_shape_invariants_random():
         table = random_table(rng)
         cells = linearize_table(table)
         out = enc(cells)
-        assert out.hidden.shape == (len(cells), 16)
-        assert out.cell_tokens == [c.token for c in cells]
+        assert out.rows.shape == (len(cells), 16)
+        assert out.lengths == [len(cells)]
 
 
 def test_permutation_equivariance_over_attributes():
@@ -97,7 +98,7 @@ def test_permutation_equivariance_over_attributes():
     out2 = enc(linearize_table(Table((c, a, b))))
     # cells: table1 -> [a0 a1 b0 c0 eos], table2 -> [c0 a0 a1 b0 eos]
     perm = [3, 0, 1, 2, 4]
-    assert np.allclose(out2.hidden.data, out1.hidden.data[perm], atol=1e-10)
+    assert np.allclose(out2.rows.data, out1.rows.data[perm], atol=1e-10)
 
 
 def test_gradients_reach_fusion_and_embeddings():
@@ -105,7 +106,7 @@ def test_gradients_reach_fusion_and_embeddings():
     enc = model.encoder
     table = Table((Attribute("Name_ID", ("Alda",)), Attribute("Occupation", ("sculptor",))))
     out = enc(linearize_table(table))
-    (out.hidden * out.hidden).sum().backward()
+    (out.rows * out.rows).sum().backward()
     assert np.abs(enc.fuse.weight.grad).max() > 0
     assert np.abs(enc.fuse.bias.grad).max() > 0
     tok_ids = [enc.vocab.id_of(t) for t in ("Alda", "sculptor", "<eos>")]
@@ -134,26 +135,25 @@ def test_a_padded_pass_names_its_empty_table():
 @pytest.mark.parametrize(
     "build,decode",
     [
-        (tiny_pointer, lambda model, tokens, enc: model.decoder_states(tokens, enc)),
-        (tiny_editor, lambda model, tokens, enc: decode_hidden(model, tokens, enc)),
+        (tiny_pointer, lambda model, tokens, memory: model.decoder_states(tokens, memory)),
+        (tiny_editor, lambda model, tokens, memory: decode_hidden(model, tokens, memory)),
     ],
     ids=["pointer", "editor"],
 )
 def test_trunk_rejects_inputs_beyond_its_positions(build, decode):
     model, _ = build(seed=5, max_skeleton_len=6, max_state_len=8)
-    enc = model.encode(random_table(np.random.default_rng(5)))
+    memory = model.encode(random_table(np.random.default_rng(5)))
     tokens = [BOS_TOKEN, *["Alda"] * (model.max_len - 2), EOS_TOKEN]
-    assert decode(model, tokens, enc).shape == (model.max_len, model.d_model)
+    assert decode(model, tokens, memory).shape == (model.max_len, model.d_model)
     with pytest.raises(ValueError, match=f"{model.max_len + 1} positions exceed the {model.max_len}"):
-        decode(model, [BOS_TOKEN, *tokens], enc)
+        decode(model, [BOS_TOKEN, *tokens], memory)
 
 
 def test_cached_pointer_step_rejects_a_position_beyond_the_cap():
     model, _ = tiny_pointer(seed=6, max_skeleton_len=3)
     with ag.no_grad():
-        enc = model.encode(random_table(np.random.default_rng(6)))
-        cache = DecoderCache(model.decoder, enc.hidden)
+        cache = DecoderCache(model.decoder, model.encode(random_table(np.random.default_rng(6))))
         for _ in range(model.max_len):
-            model.decoder_states([BOS_TOKEN], enc, (cache, [0]))
+            model.decoder_states([BOS_TOKEN], cache, [0])
         with pytest.raises(ValueError, match="positions exceed"):
-            model.decoder_states([BOS_TOKEN], enc, (cache, [0]))
+            model.decoder_states([BOS_TOKEN], cache, [0])

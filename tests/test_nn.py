@@ -195,6 +195,23 @@ def test_checkpoint_name_mismatch_rejected(tmp_path):
         load_checkpoint(str(tmp_path / "ck"), other)
 
 
+@pytest.mark.parametrize("bad,row,col", [(np.nan, 4, 2), (np.inf, 0, 0)], ids=["nan", "inf_first"])
+def test_a_non_finite_checkpoint_value_is_rejected_before_any_parameter_changes(
+    tmp_path, bad, row, col
+):
+    rng = np.random.default_rng(14)
+    model = Holder(a=Linear(rng, 6, 5), b=Embedding(rng, 7, 6))
+    model.b.weight.data[row, col] = bad  # [0, 0] is the first value after a.bias
+    save_checkpoint(str(tmp_path / "ck"), model)
+    other = Holder(a=Linear(rng, 6, 5), b=Embedding(rng, 7, 6))
+    before = [p.data.copy() for p in other.parameters()]
+    with pytest.raises(ValueError) as info:
+        load_checkpoint(str(tmp_path / "ck"), other)
+    path = tmp_path / "ck" / "params.bin"
+    assert str(info.value) == f"{path}: parameter b.weight holds a non-finite value"
+    assert all(np.array_equal(p.data, b) for p, b in zip(other.parameters(), before))
+
+
 def _train_steps(seed: int, steps: int) -> bytes:
     rng = np.random.default_rng(seed)
     model = Holder(l1=Linear(rng, 8, 8), ln=LayerNorm(8), l2=Linear(rng, 8, 2))
@@ -320,15 +337,15 @@ def test_a_decoder_layer_forward_pass_records_eight_tape_nodes():
 def test_a_decoder_step_with_gradients_on_stays_off_the_tape():
     # A cached step is inference-only, even over tracked parameters and inputs.
     from skeltext.autograd import NonFiniteError
-    from skeltext.nn import DecoderCache, TransformerDecoder
+    from skeltext.nn import DecoderCache, Padded, TransformerDecoder
 
     rng = np.random.default_rng(20)
     decoder = TransformerDecoder(rng, 8, 12, 2, 2)
     memory = Tensor(rng.normal(size=(4, 8)), retain_grad=True)
-    cache = DecoderCache(decoder, memory)
+    cache = DecoderCache(decoder, Padded(memory, [4]))
     for parents in ([0], [0, 0, 0], [2, 0, 1]):
         x = Tensor(rng.normal(size=(len(parents), 8)), retain_grad=True)
-        out = decoder.step(x, memory, cache, parents)
+        out = decoder.step(x, cache, parents)
         assert not out.tracked and not any(kv.tracked for kv in cache.self_kv)
         out.sum().backward()
     assert x.grad is None and memory.grad is None
@@ -337,7 +354,7 @@ def test_a_decoder_step_with_gradients_on_stays_off_the_tape():
     # The forward still names the op a non-finite value came from.
     decoder.layers[1].self_attn.wk.weight.data[0, 0] = np.nan
     with pytest.raises(NonFiniteError, match="from keys_values$"):
-        decoder.step(x, memory, cache, [0, 1, 2])
+        decoder.step(x, cache, [0, 1, 2])
 
 
 @pytest.mark.parametrize("stage", ["pointer", "editor"])
@@ -348,7 +365,7 @@ def test_fused_blocks_give_the_composed_models_gradients_to_the_bit(stage, monke
     from skeltext.oracle import edit_loss_example
 
     from helpers import (
-        all_value_tokens, small_example, tiny_editor, tiny_pointer, use_composed_blocks,
+        all_value_tokens, encode_cells, small_example, tiny_editor, tiny_pointer, use_composed_blocks,
     )
 
     def gradients() -> list[bytes]:
@@ -362,7 +379,7 @@ def test_fused_blocks_give_the_composed_models_gradients_to_the_bit(stage, monke
                 p.grad[...] = 0.0
             if stage == "pointer":
                 loss = model.loss(
-                    replace(ex, skeleton=all_value_tokens(ex.table)[:3]), model.encode(ex.table)
+                    replace(ex, skeleton=all_value_tokens(ex.table)[:3]), *encode_cells(model, ex.table)
                 )
             else:
                 skeleton = all_value_tokens(ex.table)[:2]

@@ -407,10 +407,10 @@ def test_the_one_example_loss_is_the_batch_of_one():
 
     with_placeholders = []
     for model, ex, seed in _one_example_cases():
-        enc = model.encode(ex.table)
+        memory = model.encode(ex.table)
         rng = np.random.default_rng
-        one = edit_loss_example(model, enc, ex.skeleton, ex.reference, rng(seed), lam=0.5)
-        built = build_edit_supervision(model, enc, ex.skeleton, ex.reference, rng(seed))
+        one = edit_loss_example(model, memory, ex.skeleton, ex.reference, rng(seed), lam=0.5)
+        built = build_edit_supervision(model, memory, ex.skeleton, ex.reference, rng(seed))
         draft = draft_supervision(model, ex.skeleton, ex.reference, rng(seed))
         assert draft.state3 is None
         [batch] = backprop_edit_batch(model, [ex], [draft], lam=0.5)
@@ -460,13 +460,13 @@ def test_build_edit_supervision_completes_the_draft_from_the_argmax_fills():
     from helpers import decode_hidden
 
     for model, ex, seed in _one_example_cases():
-        enc = model.encode(ex.table)
+        memory = model.encode(ex.table)
         built = build_edit_supervision(
-            model, enc, ex.skeleton, ex.reference, np.random.default_rng(seed)
+            model, memory, ex.skeleton, ex.reference, np.random.default_rng(seed)
         )
         want = draft_supervision(model, ex.skeleton, ex.reference, np.random.default_rng(seed))
         with ag.no_grad():
-            fills = model.argmax_fill(decode_hidden(model, want.state2, enc), want.positions)
+            fills = model.argmax_fill(decode_hidden(model, want.state2, memory), want.positions)
         state3 = list(want.state2)
         for pos, tok in zip(want.positions, fills):
             state3[pos] = tok
@@ -483,11 +483,11 @@ def test_consumed_graph_reuse_is_loud():
     # Caching a tracked forward across backward() calls must raise, not
     # silently train on stale values.
     model, table, skeleton, y_star = _loss_setup(seed=4)
-    enc = model.encode(table)
-    parts = edit_loss_example(model, enc, skeleton, y_star, np.random.default_rng(0))
+    memory = model.encode(table)
+    parts = edit_loss_example(model, memory, skeleton, y_star, np.random.default_rng(0))
     parts.total.backward()
     with pytest.raises(RuntimeError, match="backward"):
-        edit_loss_example(model, enc, skeleton, y_star, np.random.default_rng(1))
+        edit_loss_example(model, memory, skeleton, y_star, np.random.default_rng(1))
 
 
 # -- properties over random alphabets (hypothesis) -------------------------------

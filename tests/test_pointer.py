@@ -10,7 +10,6 @@ import pytest
 from skeltext import autograd as ag
 from skeltext.autograd import NonFiniteError, Tensor
 from skeltext.data import Attribute, BOS_TOKEN, EOS_TOKEN, Example, Table
-from skeltext.encoder import EncoderOutput
 from skeltext.nn import DecoderCache
 from skeltext.pointer import DataIntegrityError, SkeletonPointer, SkeletonPrediction, copy_pool
 from skeltext.skeleton import annotate_skeleton
@@ -18,19 +17,14 @@ from skeltext.stopwords import default_stop_words
 from skeltext.synth import TemplateSpec, generate
 from skeltext.training import train_pointer
 
-from helpers import random_table, tiny_config, tiny_pointer
-
-
-def _enc(rows: np.ndarray, tokens: list[str]) -> EncoderOutput:
-    return EncoderOutput(Tensor(rows), tokens)
+from helpers import encode_cells, random_table, tiny_config, tiny_pointer
 
 
 def test_pointer_attention_uniform_when_keys_identical():
     model, _ = tiny_pointer()
-    rows = np.tile(np.linspace(0.1, 1.0, 16), (4, 1))
-    enc = _enc(rows, ["a", "b", "c", EOS_TOKEN])
+    rows = Tensor(np.tile(np.linspace(0.1, 1.0, 16), (4, 1)))
     r = Tensor(np.random.default_rng(0).normal(size=(2, 16)))
-    alpha = model.pointer_attention(r, model.wk(enc.hidden).transpose()).data
+    alpha = model.pointer_attention(r, model.wk(rows).transpose()).data
     assert np.allclose(alpha, 0.25, atol=1e-12)
 
 
@@ -97,8 +91,7 @@ def test_copy_distribution_no_pooling_when_distinct():
 def test_copy_support_restricted_to_table_tokens():
     model, _ = tiny_pointer(seed=1)
     table = Table((Attribute("Name_ID", ("Alda", "Bram", "Alda")),))
-    enc = model.encode(table)
-    logp, distinct = model.copy_log_probs(["<bos>"], enc)
+    logp, distinct = model.copy_log_probs(["<bos>"], *encode_cells(model, table))
     assert set(distinct) == {"Alda", "Bram", EOS_TOKEN}
     assert np.exp(logp.data[0]).sum() == pytest.approx(1.0, abs=1e-9)
 
@@ -107,21 +100,21 @@ def test_loss_two_step_decomposition():
     model, _ = tiny_pointer(seed=2)
     table = Table((Attribute("K", ("tok",)),))
     ex = Example(table, ("tok",), ("tok",))
-    enc = model.encode(table)
-    logp, distinct = model.copy_log_probs(["<bos>", "tok"], enc)
+    memory, tokens = encode_cells(model, table)
+    logp, distinct = model.copy_log_probs(["<bos>", "tok"], memory, tokens)
     idx = {t: i for i, t in enumerate(distinct)}
     expected = -(logp.data[0, idx["tok"]] + logp.data[1, idx[EOS_TOKEN]])
-    assert model.loss(ex, enc).item() == pytest.approx(expected, abs=1e-12)
+    assert model.loss(ex, memory, tokens).item() == pytest.approx(expected, abs=1e-12)
 
 
 def test_loss_empty_skeleton_is_eos_step_only():
     model, _ = tiny_pointer(seed=3)
     table = Table((Attribute("K", ("tok",)),))
     ex = Example(table, ("text",), ())
-    enc = model.encode(table)
-    logp, distinct = model.copy_log_probs(["<bos>"], enc)
+    memory, tokens = encode_cells(model, table)
+    logp, distinct = model.copy_log_probs(["<bos>"], memory, tokens)
     expected = -logp.data[0, distinct.index(EOS_TOKEN)]
-    assert model.loss(ex, enc).item() == pytest.approx(expected, abs=1e-12)
+    assert model.loss(ex, memory, tokens).item() == pytest.approx(expected, abs=1e-12)
 
 
 def test_loss_perfect_model_is_zero(monkeypatch):
@@ -129,7 +122,7 @@ def test_loss_perfect_model_is_zero(monkeypatch):
     table = Table((Attribute("K", ("tok",)),))
     ex = Example(table, ("tok",), ("tok",))
 
-    def perfect(prefix, enc):
+    def perfect(prefix, memory, cell_tokens):
         distinct = ["tok", EOS_TOKEN]
         n = len(prefix)
         probs = np.full((n, 2), 1e-300)
@@ -138,17 +131,17 @@ def test_loss_perfect_model_is_zero(monkeypatch):
         return Tensor(np.log(probs)), distinct
 
     monkeypatch.setattr(model, "copy_log_probs", perfect)
-    assert model.loss(ex, model.encode(table)).item() == pytest.approx(0.0, abs=1e-12)
+    assert model.loss(ex, *encode_cells(model, table)).item() == pytest.approx(0.0, abs=1e-12)
 
 
 def test_loss_requires_annotation_and_table_membership():
     model, _ = tiny_pointer(seed=5)
     table = Table((Attribute("K", ("tok",)),))
-    enc = model.encode(table)
+    memory, tokens = encode_cells(model, table)
     with pytest.raises(DataIntegrityError):
-        model.loss(Example(table, ("tok",), None), enc)
+        model.loss(Example(table, ("tok",), None), memory, tokens)
     with pytest.raises(DataIntegrityError, match="ghost"):
-        model.loss(Example(table, ("tok",), ("ghost",)), enc)
+        model.loss(Example(table, ("tok",), ("ghost",)), memory, tokens)
 
 
 class _ForcedPointer(SkeletonPointer):
@@ -402,20 +395,20 @@ def test_cached_decoder_states_match_full_decoder_rows():
     # rows are gathered by parent, reordering and duplicating hypotheses.
     rng = np.random.default_rng(21)
     model, _ = tiny_pointer(seed=21)
-    enc = model.encode(random_table(rng))
-    cache = DecoderCache(model.decoder, enc.hidden)
+    memory, cell_tokens = encode_cells(model, random_table(rng))
+    cache = DecoderCache(model.decoder, memory)
     prefixes = [[BOS_TOKEN]]
-    states = model.decoder_states([BOS_TOKEN], enc, (cache, [0]))
+    states = model.decoder_states([BOS_TOKEN], cache, [0])
     for parents in ([0, 0, 0], [2, 0, 0], [1, 2, 2], [0, 1, 2]):
         for i, prefix in enumerate(prefixes):
-            full = model.decoder_states(prefix, enc).data[-1]
+            full = model.decoder_states(prefix, memory).data[-1]
             assert np.abs(states.data[i] - full).max() < 1e-12
-        new = [str(rng.choice(enc.cell_tokens)) for _ in parents]
+        new = [str(rng.choice(cell_tokens)) for _ in parents]
         prefixes = [[*prefixes[p], tok] for p, tok in zip(parents, new)]
-        states = model.decoder_states(new, enc, (cache, parents))
+        states = model.decoder_states(new, cache, parents)
         assert cache.length == len(prefixes[0])
     for i, prefix in enumerate(prefixes):
-        full = model.decoder_states(prefix, enc).data
+        full = model.decoder_states(prefix, memory).data
         assert np.abs(states.data[i] - full[-1]).max() < 1e-12
 
 
@@ -453,13 +446,13 @@ def test_beam_score_is_teacher_forced_log_prob(width, monkeypatch):
     for seed in range(6):
         model, _ = tiny_pointer(seed=40 + seed)
         table = random_table(rng)
-        enc = model.encode(table)
+        memory, tokens = encode_cells(model, table)
         step = model._step_log_probs
 
         def checked(search, live, parents):
             logp, distinct = step(search, live, parents)
             for row, hyp in enumerate(live):
-                forced, forced_distinct = model.copy_log_probs([BOS_TOKEN, *hyp.tokens], enc)
+                forced, forced_distinct = model.copy_log_probs([BOS_TOKEN, *hyp.tokens], memory, tokens)
                 assert forced_distinct == distinct
                 assert np.abs(logp[row] - forced.data[-1]).max() < 1e-9
             return logp, distinct
@@ -469,7 +462,7 @@ def test_beam_score_is_teacher_forced_log_prob(width, monkeypatch):
         if not pred.finished:
             continue
         finished += 1
-        logp, distinct = model.copy_log_probs([BOS_TOKEN, *pred.tokens], enc)
+        logp, distinct = model.copy_log_probs([BOS_TOKEN, *pred.tokens], memory, tokens)
         targets = [distinct.index(t) for t in [*pred.tokens, EOS_TOKEN]]
         forced = logp.data[np.arange(len(targets)), targets].sum()
         assert abs(pred.score - forced) < 1e-9
