@@ -192,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth-corpus", help="generate the deterministic synthetic corpus")
     p.add_argument("--n", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_synth_corpus)
 
@@ -234,11 +234,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="score system output against a gold corpus")
     p.add_argument("--system", required=True, help="generation output JSON Lines")
     p.add_argument("--gold", required=True, help="gold corpus JSON Lines")
-    p.add_argument("--lambda-mix", type=float, default=0.5)
+    p.add_argument("--lambda-mix", type=float)
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of all layers and models")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int)
     p.set_defaults(func=_cmd_gradcheck)
 
     return parser

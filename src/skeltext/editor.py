@@ -9,6 +9,7 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
+from .config import RunConfig
 from .data import BOS_TOKEN, EOS_TOKEN, PLH_TOKEN, RESERVED_TOKENS, Vocabulary
 from .encoder import TableToText
 from .nn import DecoderCache, Linear
@@ -52,19 +53,12 @@ class EditRealizer(TableToText):
     table. The usual output softmax is replaced by three classifier heads.
     """
 
-    def __init__(
-        self,
-        rng: np.random.Generator,
-        vocab: Vocabulary,
-        key_vocab: Vocabulary,
-        *,
-        k_max: int,
-        **trunk,
-    ):
-        super().__init__(rng, vocab, key_vocab, **trunk)
-        self.k_max = k_max
+    def __init__(self, rng: np.random.Generator, vocab: Vocabulary, key_vocab: Vocabulary,
+                 cfg: RunConfig):
+        super().__init__(rng, vocab, key_vocab, cfg, cfg.max_state_len)
+        self.k_max = cfg.k_max
         self.w_del = Linear(rng, self.d_model, 2, bias=False)
-        self.w_plh = Linear(rng, 2 * self.d_model, k_max + 1, bias=False)
+        self.w_plh = Linear(rng, 2 * self.d_model, cfg.k_max + 1, bias=False)
         self.w_tok = Linear(rng, self.d_model, len(vocab), bias=False)
 
     def decode_hidden(self, tokens: Sequence[str], cache: DecoderCache) -> Tensor:

@@ -8,6 +8,7 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
+from .config import RunConfig
 from .data import PAD_ID, LinearizedTable, Table, Vocabulary, linearize_table
 from .nn import (
     DecoderCache,
@@ -42,29 +43,17 @@ class TableEncoder(Module):
     and attribute-internal order enters only through the two position fields.
     """
 
-    def __init__(
-        self,
-        rng: np.random.Generator,
-        vocab: Vocabulary,
-        key_vocab: Vocabulary,
-        token_dim: int,
-        key_dim: int,
-        pos_dim: int,
-        pos_clamp: int,
-        d_model: int,
-        d_hidden: int,
-        n_heads: int,
-        n_layers: int,
-    ):
+    def __init__(self, rng: np.random.Generator, vocab: Vocabulary, key_vocab: Vocabulary,
+                 cfg: RunConfig):
         self.vocab = vocab
         self.key_vocab = key_vocab
-        self.pos_clamp = pos_clamp
-        self.tok_emb = Embedding(rng, len(vocab), token_dim)
-        self.key_emb = Embedding(rng, len(key_vocab), key_dim)
-        self.fwd_emb = Embedding(rng, pos_clamp + 1, pos_dim)
-        self.bwd_emb = Embedding(rng, pos_clamp + 1, pos_dim)
-        self.fuse = Linear(rng, token_dim + key_dim + 2 * pos_dim, d_model)
-        self.encoder = TransformerEncoder(rng, d_model, d_hidden, n_heads, n_layers)
+        self.pos_clamp = cfg.pos_clamp
+        self.tok_emb = Embedding(rng, len(vocab), cfg.token_dim)
+        self.key_emb = Embedding(rng, len(key_vocab), cfg.key_dim)
+        self.fwd_emb = Embedding(rng, cfg.pos_clamp + 1, cfg.pos_dim)
+        self.bwd_emb = Embedding(rng, cfg.pos_clamp + 1, cfg.pos_dim)
+        self.fuse = Linear(rng, cfg.token_dim + cfg.key_dim + 2 * cfg.pos_dim, cfg.d_model)
+        self.encoder = TransformerEncoder(rng, cfg.d_model, cfg.d_hidden, cfg.n_heads, cfg.n_layers)
 
     def _cell_ids(self, cells: LinearizedTable) -> np.ndarray:
         """(4, cells) ids: token, key, forward position and backward position."""
@@ -115,34 +104,17 @@ class TableToText(Module):
     their heads, so parameters are drawn and named in the same order.
     """
 
-    def __init__(
-        self,
-        rng: np.random.Generator,
-        vocab: Vocabulary,
-        key_vocab: Vocabulary,
-        *,
-        token_dim: int,
-        key_dim: int,
-        pos_dim: int,
-        pos_clamp: int,
-        d_model: int,
-        d_hidden: int,
-        n_heads: int,
-        n_layers: int,
-        max_len: int,
-    ):
+    def __init__(self, rng: np.random.Generator, vocab: Vocabulary, key_vocab: Vocabulary,
+                 cfg: RunConfig, max_len: int):
         self.vocab = vocab
-        self.d_model = d_model
+        self.d_model = cfg.d_model
         self.max_len = max_len
-        self.encoder = TableEncoder(
-            rng, vocab, key_vocab, token_dim, key_dim, pos_dim, pos_clamp,
-            d_model, d_hidden, n_heads, n_layers,
-        )
+        self.encoder = TableEncoder(rng, vocab, key_vocab, cfg)
         # Output tokens reuse the encoder-side embedding table, projected up
         # to decoder width, plus learned absolute positions.
-        self.in_proj = Linear(rng, token_dim, d_model)
-        self.pos_emb = Embedding(rng, max_len, d_model)
-        self.decoder = TransformerDecoder(rng, d_model, d_hidden, n_heads, n_layers)
+        self.in_proj = Linear(rng, cfg.token_dim, cfg.d_model)
+        self.pos_emb = Embedding(rng, max_len, cfg.d_model)
+        self.decoder = TransformerDecoder(rng, cfg.d_model, cfg.d_hidden, cfg.n_heads, cfg.n_layers)
 
     def encode(self, table: Table) -> Padded:
         return self.encoder(linearize_table(table))

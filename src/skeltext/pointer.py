@@ -9,6 +9,7 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
+from .config import RunConfig
 from .data import BOS_TOKEN, EOS_TOKEN, Example, Table, Vocabulary, linearize_table
 from .encoder import TableToText
 from .nn import DecoderCache, Detached, Linear, Padded
@@ -32,15 +33,15 @@ def copy_pool(cell_tokens: list[str]) -> tuple[list[str], np.ndarray]:
     return distinct, pool
 
 
-def check_skeleton(example: Example, cell_tokens: Sequence[str], index: int | None = None) -> None:
-    """Raise DataIntegrityError unless the example's skeleton is made of its table's cell tokens.
+def check_skeleton(example: Example, index: int | None = None) -> None:
+    """Raise DataIntegrityError unless the example's skeleton is made of its table's value tokens.
 
     `index`, the example's corpus index, is named in the message when given.
     """
     where = "" if index is None else f"example {index}: "
     if example.skeleton is None:
         raise DataIntegrityError(f"{where}example has no skeleton annotation")
-    table_tokens = set(cell_tokens)
+    table_tokens = example.table.value_token_set()
     for tok in example.skeleton:
         if tok not in table_tokens:
             raise DataIntegrityError(f"{where}skeleton token {tok!r} does not occur in the table")
@@ -68,8 +69,9 @@ class _TableSearch:
 class SkeletonPointer(TableToText):
     """Table-to-text trunk with a causal decoder and copy attention over cells."""
 
-    def __init__(self, rng: np.random.Generator, vocab: Vocabulary, key_vocab: Vocabulary, **trunk):
-        super().__init__(rng, vocab, key_vocab, **trunk)
+    def __init__(self, rng: np.random.Generator, vocab: Vocabulary, key_vocab: Vocabulary,
+                 cfg: RunConfig):
+        super().__init__(rng, vocab, key_vocab, cfg, cfg.max_skeleton_len + 2)  # BOS, skeleton, EOS
         self.wq = Linear(rng, self.d_model, self.d_model, bias=False)
         self.wk = Linear(rng, self.d_model, self.d_model, bias=False)
 
@@ -110,7 +112,7 @@ class SkeletonPointer(TableToText):
 
     def loss(self, example: Example, memory: Padded, cell_tokens: Sequence[str]) -> Tensor:
         """Teacher-forced negative log-likelihood of skeleton + EOS, against its encoded table."""
-        check_skeleton(example, cell_tokens)
+        check_skeleton(example)
         prefix = [BOS_TOKEN, *example.skeleton]
         targets = [*example.skeleton, EOS_TOKEN]
         logp, distinct = self.copy_log_probs(prefix, memory, cell_tokens)

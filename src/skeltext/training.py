@@ -15,7 +15,6 @@ from .data import (
     Vocabulary,
     build_key_vocabulary,
     build_vocabulary,
-    linearize_table,
 )
 from .editor import EditRealizer
 from .nn import Adam, Module, load_checkpoint, save_checkpoint
@@ -33,28 +32,22 @@ def _noop_logger(_: dict) -> None:
     pass
 
 
+def _rng(*entropy: int) -> np.random.Generator:
+    """The generator of every training draw, seeded with SeedSequence(entropy): (seed, 1|2)
+    builds the pointer|editor, (seed, 3|4) shuffles its epochs, (seed, epoch, index) drafts."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(list(entropy))))
+
+
 def _example_rng(seed: int, epoch: int, index: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, epoch, index])))
-
-
-def _build(cls, stream: int, cfg: RunConfig, vocab: Vocabulary, key_vocab: Vocabulary, **extra):
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([cfg.seed, stream])))
-    return cls(
-        rng, vocab, key_vocab,
-        token_dim=cfg.token_dim, key_dim=cfg.key_dim, pos_dim=cfg.pos_dim,
-        pos_clamp=cfg.pos_clamp, d_model=cfg.d_model, d_hidden=cfg.d_hidden,
-        n_heads=cfg.n_heads, n_layers=cfg.n_layers, **extra,
-    )
+    return _rng(seed, epoch, index)
 
 
 def build_pointer(cfg: RunConfig, vocab: Vocabulary, key_vocab: Vocabulary) -> SkeletonPointer:
-    return _build(SkeletonPointer, 1, cfg, vocab, key_vocab, max_len=cfg.max_skeleton_len + 2)
+    return SkeletonPointer(_rng(cfg.seed, 1), vocab, key_vocab, cfg)
 
 
 def build_editor(cfg: RunConfig, vocab: Vocabulary, key_vocab: Vocabulary) -> EditRealizer:
-    return _build(
-        EditRealizer, 2, cfg, vocab, key_vocab, max_len=cfg.max_state_len, k_max=cfg.k_max
-    )
+    return EditRealizer(_rng(cfg.seed, 2), vocab, key_vocab, cfg)
 
 
 def build_vocabularies(corpus: Corpus, cfg: RunConfig) -> tuple[Vocabulary, Vocabulary]:
@@ -93,7 +86,7 @@ def _train(stage: str, model, schedule: tuple[float, int, int], stream: int, bac
     """
     peak_lr, warmup, epochs = schedule
     opt = Adam(model.parameters(), peak_lr, warmup)
-    shuffle_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([cfg.seed, stream])))
+    shuffle_rng = _rng(cfg.seed, stream)
     for epoch in range(epochs):
         order = shuffle_rng.permutation(len(corpus))
         sums: Counter[str] = Counter()
@@ -115,7 +108,7 @@ def train_pointer(
     """Teacher-forced training of the skeleton pointer, each step's tables encoded as one padded pass."""
     model = _training_model(build_pointer, corpus, cfg, "pointer", lambda ex: 1 + len(ex.skeleton))
     for i, ex in enumerate(corpus):
-        check_skeleton(ex, [cell.token for cell in linearize_table(ex.table)], i)
+        check_skeleton(ex, i)
 
     def backprop(batch: list[int], epoch: int) -> Counter[str]:
         losses = backprop_pointer_batch(model, [corpus[i] for i in batch], 1.0 / len(batch))

@@ -792,3 +792,19 @@ def test_the_pipeline_digest_runs_every_subcommand_with_arguments_that_parse():
         assert len({name for name, _ in steps}) == len(steps)
         for _, args in steps:
             parser.parse_args(args)
+
+
+def test_every_option_that_sets_a_config_field_defaults_to_none():
+    """RunConfig states each default once: a flag for a config field has no default of its own."""
+    import argparse
+
+    from skeltext.cli import build_parser
+
+    fields = {f.name for f in dataclasses.fields(RunConfig)}
+    (subparsers,) = [a for a in build_parser()._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+    options = [(command, action.option_strings[0], action.default)
+               for command, sub in subparsers.choices.items()
+               for action in sub._actions if action.dest in fields]
+    assert ("evaluate", "--lambda-mix") in [o[:2] for o in options]  # the walk finds flags
+    assert [o for o in options if o[2] is not None] == []

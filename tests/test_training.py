@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from skeltext import annotate_corpus, default_stop_words, generate
-from skeltext.data import PAD_ID, linearize_table
+from skeltext.data import EOS_TOKEN, PAD_ID, linearize_table
 from skeltext.encoder import TableEncoder
 from skeltext.oracle import backprop_edit_batch, draft_supervision
 from skeltext.pointer import DataIntegrityError, SkeletonPointer, backprop_pointer_batch
@@ -395,9 +395,15 @@ def test_a_training_step_retains_one_leaf_over_its_encoder_pass(stage, monkeypat
 def test_a_bad_skeleton_names_its_corpus_index_before_any_gradient(corpus, monkeypatch):
     from skeltext import training
 
-    bad = replace(corpus[4], skeleton=(*corpus[4].skeleton, "ghost"))
-    with pytest.raises(DataIntegrityError, match="example 4: skeleton token 'ghost'"):
-        train_pointer([*corpus[:4], bad, *corpus[5:]], tiny_config(batch_size=6))
+    # The linearized table ends in an EOS cell, but EOS is no value token: a
+    # pointer taught to copy it would end its skeletons early.
+    for token in ("ghost", EOS_TOKEN):
+        bad = replace(corpus[4], skeleton=(*corpus[4].skeleton, token))
+        records: list[dict] = []
+        with pytest.raises(DataIntegrityError, match=f"example 4: skeleton token {token!r}"):
+            train_pointer([*corpus[:4], bad, *corpus[5:]], tiny_config(batch_size=6),
+                          records.append)
+        assert records == []
 
     # Steps of two, the bad example drawn in the last: no step runs.
     batches = []
@@ -410,7 +416,7 @@ def test_a_bad_skeleton_names_its_corpus_index_before_any_gradient(corpus, monke
     assert len(batches) == 3
     last = next(i for i, ex in enumerate(corpus) if ex is batches[-1][0])
     bad = replace(corpus[last], skeleton=(*corpus[last].skeleton, "ghost"))
-    records: list[dict] = []
+    records = []
     with pytest.raises(DataIntegrityError, match=f"example {last}: skeleton token 'ghost'"):
         train_pointer([*corpus[:last], bad, *corpus[last + 1 :]], cfg, records.append)
     assert _events(records, "pointer_step") == []
