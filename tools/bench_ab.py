@@ -152,6 +152,13 @@ def main(argv: list[str] | None = None) -> int:
     parent = os.path.abspath(args.parent)
     seeds = args.seeds or list(range(1, args.pairs + 1))
     workloads = args.workloads or [w["name"] for w in bench["workloads"]]
+    report = {  # the trees as they are when the runs start
+        "parent_commit": _git(parent, "rev-parse", "HEAD"),
+        "change_commit": _git(ROOT, "rev-parse", "HEAD"),
+        "change_uncommitted_files": _git(ROOT, "status", "--porcelain").splitlines(),
+        "command": bench["command"], "seconds": bench["run_seconds"], "pairs": args.pairs,
+        "seeds": seeds, "order": "parent first in even pairs, the other side first in odd ones",
+    }
     runs: list[dict] = []
     scratch = tempfile.mkdtemp(prefix="bench_ab-")
     try:
@@ -171,20 +178,13 @@ def main(argv: list[str] | None = None) -> int:
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
     env = {k: v for k, v in runs[0]["env"].items() if k != "git_commit"}
-    report = {
-        "parent_commit": _git(parent, "rev-parse", "HEAD"),
-        "change_commit": _git(ROOT, "rev-parse", "HEAD"),
-        "change_uncommitted_files": _git(ROOT, "status", "--porcelain").splitlines(),
-        "command": bench["command"], "seconds": bench["run_seconds"], "pairs": args.pairs,
-        "seeds": seeds, "order": "parent first in even pairs, the other side first in odd ones",
-        "env": {**env, "blas_fingerprint": _blas_fingerprint(ROOT)},
-        "env_equal": all({k: v for k, v in r["env"].items() if k != "git_commit"} == env
-                         for r in runs),
-        "workloads": summarize(runs, bench["end_to_end"]),
-        "runs": [{k: v for k, v in r.items() if k != "env"} for r in runs],
-    }
+    report["env"] = {**env, "blas_fingerprint": _blas_fingerprint(ROOT)}
+    report["env_equal"] = all({k: v for k, v in r["env"].items() if k != "git_commit"} == env
+                              for r in runs)
+    report["workloads"] = summarize(runs, bench["end_to_end"])
     report["fingerprints_equal"] = all(w["fingerprints_equal"]
                                        for w in report["workloads"].values())
+    report["runs"] = [{k: v for k, v in r.items() if k != "env"} for r in runs]
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=1, sort_keys=True)
         fh.write("\n")
