@@ -31,7 +31,8 @@ def _runs():
     runs = []
     for pair, (a, b, (sa, sb)) in enumerate(zip(parent, change, setup)):
         runs += [_run("ab", "parent", pair, a, sa), _run("ab", "change", pair, b, sb)]
-        runs += [_run("aa", "parent", pair, a, sa), _run("aa", "copy", pair, a * 1.1, sa)]
+        aa = a + 10.0
+        runs += [_run("aa", "parent", pair, aa, sa), _run("aa", "copy", pair, aa * 1.1, sa)]
     return runs
 
 
@@ -42,6 +43,7 @@ def test_summary_counts_wins_by_direction_and_ties_for_neither():
     assert rate["parent"] == {"median": 115.0, "q1": 107.5, "q3": 122.5, "n": 4}
     assert rate["change"]["median"] == 114.5
     assert rate["relative_change"] == pytest.approx(-0.5 / 115.0)
+    assert rate["aa"]["parent_median"] == 125.0
     assert rate["aa"]["gap"] == pytest.approx(0.1)
     assert rate["aa"]["pairs"] == 4
     setup = summary["train"]["metrics"]["setup_s"]  # lower is better
