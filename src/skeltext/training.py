@@ -34,12 +34,10 @@ def _noop_logger(_: dict) -> None:
 
 def _rng(*entropy: int) -> np.random.Generator:
     """The generator of every training draw, seeded with SeedSequence(entropy): (seed, 1|2)
-    builds the pointer|editor, (seed, 3|4) shuffles its epochs, (seed, epoch, index) drafts."""
+    builds the pointer|editor, (seed, 3|4) shuffles its epochs, (seed, epoch, index) drafts.
+    These overlap: SeedSequence pads entropy with zeros, so (seed, k) draws the same stream
+    as the draft of example 0 in epoch k, (seed, k, 0)."""
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(list(entropy))))
-
-
-def _example_rng(seed: int, epoch: int, index: int) -> np.random.Generator:
-    return _rng(seed, epoch, index)
 
 
 def build_pointer(cfg: RunConfig, vocab: Vocabulary, key_vocab: Vocabulary) -> SkeletonPointer:
@@ -143,7 +141,7 @@ def train_editor(
             indices = batch[start : start + EDITOR_MICRO_BATCH]
             chunk = [corpus[i] for i in indices]
             sups = [
-                draft_supervision(model, ex.skeleton, ex.reference, _example_rng(cfg.seed, epoch, i))
+                draft_supervision(model, ex.skeleton, ex.reference, _rng(cfg.seed, epoch, i))
                 for ex, i in zip(chunk, indices)
             ]
             for parts in backprop_edit_batch(model, chunk, sups, cfg.lambda_del, 1.0 / len(batch)):

@@ -19,9 +19,11 @@ END_TO_END = [
 ]
 
 
-def _run(kind, side, pair, ex_per_s, setup_s, fingerprint="f", workload="train", correct=True):
+def _run(kind, side, pair, ex_per_s, setup_s, fingerprint="f", workload="train", correct=True,
+         failed=0):
     return {"set": kind, "workload": workload, "pair": pair, "side": side, "correct": correct,
-            "metrics": {"ex_per_s": ex_per_s, "setup_s": setup_s}, "fingerprint": fingerprint}
+            "failed": failed, "metrics": {"ex_per_s": ex_per_s, "setup_s": setup_s},
+            "fingerprint": fingerprint}
 
 
 def _runs():
@@ -50,15 +52,19 @@ def test_summary_counts_wins_by_direction_and_ties_for_neither():
     assert (setup["change_wins"], setup["parent_wins"]) == (1, 1)
     assert summary["train"]["fingerprints_equal"] is True
     assert summary["train"]["failed_runs"] == 0
+    assert summary["train"]["failed_ops"] == {"parent": 0, "change": 0}
 
 
 def test_summary_reports_a_fingerprint_mismatch_and_a_failed_run_per_workload():
     runs = _runs()
-    runs[1] = _run("ab", "change", 0, 105.0, 0.9, fingerprint="g", correct=False)
+    runs[1] = _run("ab", "change", 0, 105.0, 0.9, fingerprint="g", correct=False, failed=3)
+    runs[4] = _run("ab", "parent", 1, 110.0, 1.0, failed=1)
+    runs[6] = _run("aa", "parent", 1, 120.0, 1.0, failed=5)  # the A/A set's failures not summed
     runs += [_run("ab", side, 0, 1.0, 1.0, workload="generate") for side in ("parent", "change")]
     summary = bench_ab.summarize(runs, END_TO_END)
     assert summary["train"]["fingerprints_equal"] is False
     assert summary["train"]["failed_runs"] == 1
+    assert summary["train"]["failed_ops"] == {"parent": 1, "change": 3}
     assert summary["generate"]["fingerprints_equal"] is True
     assert "aa" not in summary["generate"]["metrics"]["ex_per_s"]  # no A/A set was run
     assert summary["generate"]["metrics"]["ex_per_s"]["parent"]["n"] == 1

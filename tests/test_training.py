@@ -291,12 +291,12 @@ def test_editor_training_is_deterministic_and_logs_the_batch_mean(corpus):
     assert runs[0] == runs[1]
 
     # The first step's logged parts are the per-example parts' mean.
-    from skeltext.training import _example_rng, build_editor, build_vocabularies
+    from skeltext.training import _rng, build_editor, build_vocabularies
 
     reference = build_editor(cfg, *build_vocabularies(corpus, cfg))
     order = np.random.Generator(np.random.PCG64(np.random.SeedSequence([cfg.seed, 4])))
     batch = [int(i) for i in order.permutation(len(corpus))]
-    rngs = [_example_rng(cfg.seed, 0, i) for i in batch]
+    rngs = [_rng(cfg.seed, 0, i) for i in batch]
     want = per_example_edit_step(reference, [corpus[i] for i in batch], rngs, cfg.lambda_del)
     step = _events(runs[0][0], "editor_step")[0]
     for key in EDIT_LOSS_PARTS:

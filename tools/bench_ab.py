@@ -17,8 +17,10 @@ run's record under the tree's `.bench_build/perfbench/results/`. It writes
 one JSON file, `--out`. For each workload and end-to-end metric it holds
 both medians and quartiles, the change's wins (pairs where it is better;
 ties count for neither), the relative change of the median and the A/A gap
-between the medians. It also holds whether every pair's output fingerprints
-were equal, both commits, the environment with the BLAS fingerprint of
+between the medians. For each workload it holds the runs that were not
+correct and each A/B side's failed operations, summed over its runs. It
+also holds whether every pair's output fingerprints were equal, both
+commits, the environment with the BLAS fingerprint of
 `tests/helpers.blas_fingerprint()`, and every run's values. Apart from that
 file, the script writes nothing in this tree but what the benchmark itself
 writes. Each run takes a few seconds to a minute; the first `generate` run
@@ -77,9 +79,13 @@ def _relative(new: float, old: float) -> float | None:
 def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
     """Per workload and metric: medians, quartiles, the change's wins and the A/A gap.
 
+    Per workload also: whether the fingerprints were equal, the runs that were
+    not correct, and each A/B side's failed operations summed over its runs.
+
     Each run is a dict with `set` ("ab" or "aa"), `workload`, `pair`, `side`
     ("parent" and "change" in the A/B set, "parent" and "copy" in the A/A
-    set), `metrics` and `fingerprint`. `end_to_end` is BENCHMARK.json's list
+    set), `metrics`, `correct`, `failed` (its count of failed operations) and
+    `fingerprint`. `end_to_end` is BENCHMARK.json's list
     of metrics, each with its `name`, `better` and `bound`.
     """
     out: dict = {}
@@ -118,6 +124,8 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
                 for a, b in ((parent, change), (aa_parent, aa_copy)) for p in set(a) & set(b)),
             "failed_runs": sum(not r["correct"] for by_pair in sides.values()
                                for r in by_pair.values()),
+            "failed_ops": {"parent": sum(r["failed"] for r in parent.values()),
+                           "change": sum(r["failed"] for r in change.values())},
         }
     return out
 
@@ -143,7 +151,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", required=True, help="JSON file to write")
     parser.add_argument("--pairs", type=int, default=10, help="A/B pairs per workload")
     parser.add_argument("--seeds", type=int, nargs="+", help="seeds of the pairs (default 1..N)")
-    parser.add_argument("--workloads", nargs="+", help="default: every workload")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -151,7 +158,6 @@ def main(argv: list[str] | None = None) -> int:
         bench = json.load(fh)
     parent = os.path.abspath(args.parent)
     seeds = args.seeds or list(range(1, args.pairs + 1))
-    workloads = args.workloads or [w["name"] for w in bench["workloads"]]
     report = {  # the trees as they are when the runs start
         "parent_commit": _git(parent, "rev-parse", "HEAD"),
         "change_commit": _git(ROOT, "rev-parse", "HEAD"),
@@ -164,7 +170,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         copy = os.path.join(scratch, "parent-copy")
         shutil.copytree(parent, copy, symlinks=True)
-        for workload in workloads:
+        for workload in (w["name"] for w in bench["workloads"]):
             for pair in range(args.pairs):
                 seed = seeds[pair % len(seeds)]
                 for kind, sides in (("ab", (("parent", parent), ("change", ROOT))),
