@@ -51,9 +51,14 @@ class Attribute:
     def __post_init__(self):
         if not self.key or any(ch.isspace() for ch in self.key):
             raise ValueError(f"attribute key must be non-empty without whitespace, got {self.key!r}")
+        if self.key in _FORBIDDEN_TOKENS:
+            raise ValueError(f"attribute key {self.key!r} is a reserved token")
         if not self.value_tokens:
             raise ValueError(f"attribute {self.key!r} has an empty value")
         object.__setattr__(self, "value_tokens", tuple(self.value_tokens))
+        if not _FORBIDDEN_TOKENS.isdisjoint(self.value_tokens):
+            token = next(t for t in self.value_tokens if t in _FORBIDDEN_TOKENS)
+            raise ValueError(f"attribute {self.key!r} holds the reserved token {token!r}")
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .data import Corpus, Table
-from .oracle import lcs
+from .oracle import lcs_length, match_masks
 
 Tokens = Sequence[str]
 Grams = list[Counter]  # n-gram counts of each order 1..MAX_ORDER (_orders)
@@ -116,8 +116,9 @@ def _reference_recall(hyp: Grams, ref: Grams, values: frozenset[str]) -> float:
 
 def _table_recall(hyp: Tokens, table: Table) -> float:
     """Mean per-attribute LCS coverage of the value tokens by the hypothesis."""
+    masks = match_masks(hyp)
     ratios = [
-        len(lcs(list(attr.value_tokens), list(hyp))) / len(attr.value_tokens)
+        lcs_length(attr.value_tokens, masks, len(hyp)) / len(attr.value_tokens)
         for attr in table.attributes
     ]
     return sum(ratios) / len(ratios)

@@ -328,37 +328,84 @@ def inverse_sqrt_lr(step: int, peak: float, warmup: int) -> float:
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.98
 ADAM_EPS = 1e-9
+# Values per slice of an Adam update, which with its two temporaries stays in
+# cache. On a 2-core Xeon with one BLAS thread, a step over the editor's
+# 234,464 values took 1.8-2.0 ms in slices of 32K values, 3.3 ms in one pass
+# over the whole buffers and 2.4-2.8 ms in a pass per parameter.
+ADAM_BLOCK = 32_768
 
 
 class Adam:
-    """Adam with the inverse-sqrt warmup schedule used by both training stages."""
+    """Adam with the inverse-sqrt warmup schedule used by both training stages.
+
+    The gradients and both moments live in flat buffers, in parameter order:
+    each parameter's `grad`, and its entries of `m` and `v`, are C-contiguous
+    views of its part of them. An update runs over slices of ADAM_BLOCK
+    values, across parameter boundaries, and zeroes every gradient at once.
+    Each value goes through the arithmetic of an update parameter by
+    parameter, in the same order, so it gets the same bits.
+    """
 
     def __init__(self, params: list[Parameter], peak_lr: float, warmup: int):
         self._params = params
         self.peak_lr = peak_lr
         self.warmup = warmup
         self.step_count = 0
-        self.m = [np.zeros_like(p.data) for p in params]
-        self.v = [np.zeros_like(p.data) for p in params]
+        ends = np.cumsum([p.data.size for p in params], dtype=np.int64).tolist()
+        total = ends[-1] if ends else 0
+        self._grad, self._m, self._v = np.zeros(total), np.zeros(total), np.zeros(total)
+        self._grads: list[np.ndarray] = []  # the views each p.grad is bound to
+        self.m: list[np.ndarray] = []
+        self.v: list[np.ndarray] = []
+        starts = [0, *ends[:-1]]
+        for p, start, end in zip(params, starts, ends):
+            self._grad[start:end] = p.grad.reshape(-1)
+            p.grad = self._grad[start:end].reshape(p.shape)
+            self._grads.append(p.grad)
+            self.m.append(self._m[start:end].reshape(p.shape))
+            self.v.append(self._v[start:end].reshape(p.shape))
+        # Each slice of the buffers, with the parameters it covers: (parameter,
+        # its flat values in the slice, where they are in the slice).
+        self._slices = []
+        for first in range(0, total, ADAM_BLOCK):
+            last = min(first + ADAM_BLOCK, total)
+            self._slices.append((slice(first, last), [
+                (p, slice(max(start, first) - start, min(end, last) - start),
+                 slice(max(start, first) - first, min(end, last) - first))
+                for p, start, end in zip(params, starts, ends) if start < last and end > first
+            ]))
 
     def lr(self) -> float:
         return inverse_sqrt_lr(self.step_count, self.peak_lr, self.warmup)
 
     def step(self) -> float:
         """Apply one update, zero gradients, advance the step counter."""
+        for p, view in zip(self._params, self._grads):
+            if p.grad is not view:  # rebound since, as by a backward() that starts at p
+                view[...] = p.grad
+                p.grad = view
         self.step_count += 1
         lr = self.lr()
         b1, b2 = ADAM_BETA1, ADAM_BETA2
         c1 = 1.0 - b1**self.step_count
         c2 = 1.0 - b2**self.step_count
-        for p, m, v in zip(self._params, self.m, self.v):
-            g = p.grad
+        width = self._slices[0][0].stop if self._slices else 0  # the first slice is the longest
+        tmp1, tmp2 = np.empty(width), np.empty(width)
+        for block, pieces in self._slices:
+            g, m, v = self._grad[block], self._m[block], self._v[block]
+            t1, t2 = tmp1[: len(g)], tmp2[: len(g)]
+            # m = b1 m + (1 - b1) g; v = b2 v + (1 - b2) g²
             m *= b1
-            m += (1 - b1) * g
+            m += np.multiply(1 - b1, g, out=t1)
             v *= b2
-            v += (1 - b2) * (g * g)
-            p.data -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
-            p.grad[...] = 0.0
+            v += np.multiply(1 - b2, np.multiply(g, g, out=t1), out=t1)
+            # the step: lr (m / c1) / (sqrt(v / c2) + eps)
+            np.multiply(lr, np.divide(m, c1, out=t1), out=t1)
+            np.add(np.sqrt(np.divide(v, c2, out=t2), out=t2), ADAM_EPS, out=t2)
+            np.divide(t1, t2, out=t1)
+            for p, values, part in pieces:
+                p.data.reshape(-1, copy=False)[values] -= t1[part]
+        self._grad[...] = 0.0
         return lr
 
 

@@ -9,7 +9,7 @@ suite re-verifies that claim by brute force on a small universe.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -37,6 +37,36 @@ def levenshtein_distance(a: Tokens, b: Tokens) -> int:
     return prev[m]
 
 
+def match_masks(seq: Iterable[str]) -> dict[str, int]:
+    """Bit k of masks[t] is set where seq[k] == t: seq as the bit-parallel LCS reads it."""
+    masks: dict[str, int] = {}
+    for k, tok in enumerate(seq):
+        masks[tok] = masks.get(tok, 0) | 1 << k
+    return masks
+
+
+def _lcs_rows(a: Iterable[str], masks: dict[str, int], m: int) -> list[int]:
+    """rows[i]: the columns k < m where LCS(a[:i], b[:k + 1]) exceeds LCS(a[:i], b[:k]).
+
+    b is the m-token sequence whose match_masks are `masks`, so the LCS of
+    a[:i] and b[:k] is the popcount of the low k bits of rows[i]. Each row
+    takes one step of the bit-parallel recurrence of Allison and Dix (1986)
+    in Hyyrö's (2004) form, on a vector of m bits held in a Python int.
+    """
+    full = (1 << m) - 1
+    v, rows = full, [0]
+    for tok in a:
+        u = v & masks.get(tok, 0)
+        v = ((v + u) | (v - u)) & full
+        rows.append(full ^ v)
+    return rows
+
+
+def lcs_length(a: Tokens, masks: dict[str, int], m: int) -> int:
+    """Length of an LCS of a and the m-token sequence whose match_masks are `masks`."""
+    return _lcs_rows(a, masks, m)[-1].bit_count()
+
+
 def lcs_align(a: Tokens, b: Tokens) -> list[tuple[int, int]]:
     """Leftmost-greedy LCS alignment as (index in a, index in b) pairs.
 
@@ -44,28 +74,26 @@ def lcs_align(a: Tokens, b: Tokens) -> list[tuple[int, int]]:
     prefer matches with the smallest index in a, then in b.
     """
     n, m = len(a), len(b)
-    # best[i][j]: LCS length of a[i:] and b[j:]
-    best = [[0] * (m + 1) for _ in range(n + 1)]
-    for i in range(n - 1, -1, -1):
-        row, nxt = best[i], best[i + 1]
-        ai = a[i]
-        for j in range(m - 1, -1, -1):
-            row[j] = nxt[j + 1] + 1 if ai == b[j] else max(nxt[j], row[j + 1])
+    # Bit k stands for b[m - 1 - k], so the low m - j bits are b[j:], and
+    # best(i, j), the LCS length of a[i:] and b[j:], is the popcount of the
+    # low m - j bits of rows[n - i].
+    masks = match_masks(reversed(b))
+    rows = _lcs_rows(reversed(a), masks, m)
     pairs: list[tuple[int, int]] = []
-    i = j = 0
-    while i < n and best[i][j] > 0:
-        target = best[i][j]
-        found = -1
-        for j2 in range(j, m):
-            if a[i] == b[j2] and 1 + best[i + 1][j2 + 1] == target:
-                found = j2
-                break
-        if found < 0:
-            i += 1
-        else:
-            pairs.append((i, found))
-            i += 1
-            j = found + 1
+    low = (1 << m) - 1  # the columns of b[j:]
+    for i in range(n):
+        target = (rows[n - i] & low).bit_count()
+        if not target:
+            break
+        # a[i]'s first match at or after j is the only candidate: no later
+        # one leaves more of b for a[i + 1:].
+        match = masks.get(a[i], 0) & low
+        if match:
+            k = match.bit_length() - 1  # b[m - 1 - k]
+            rest = (1 << k) - 1  # the columns after it
+            if 1 + (rows[n - i - 1] & rest).bit_count() == target:
+                pairs.append((i, m - 1 - k))
+                low = rest
     return pairs
 
 

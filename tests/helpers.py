@@ -1,4 +1,4 @@
-"""Shared test utilities: random fixtures, tiny model builders and composed references."""
+"""Shared test utilities: random fixtures, tiny model builders and the references of fast paths."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from skeltext import autograd as ag
 from skeltext.autograd import Tensor
 from skeltext.config import RunConfig
 from skeltext.data import Attribute, Example, Table, Vocabulary, linearize_table
-from skeltext.nn import DecoderCache
+from skeltext.nn import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, DecoderCache, inverse_sqrt_lr
 from skeltext.oracle import edit_loss_example
 from skeltext.training import build_editor, build_pointer
 
@@ -202,3 +202,68 @@ def use_composed_blocks(monkeypatch) -> None:
     monkeypatch.setattr(nn.MultiHeadAttention, "__call__", composed_attention)
     monkeypatch.setattr(nn.LayerNorm, "__call__", composed_layer_norm)
     monkeypatch.setattr(nn.FeedForward, "__call__", composed_feed_forward)
+
+
+# -- the references of the bit-parallel LCS and the block-wise Adam ----------
+# The plain dynamic program and the update parameter by parameter, which
+# oracle.lcs_align and nn.Adam must match bit for bit.
+
+
+def dp_lcs_align(a, b) -> list[tuple[int, int]]:
+    """lcs_align by a dynamic program over suffixes, with its tie rule: smallest index in a, then b."""
+    n, m = len(a), len(b)
+    # best[i][j]: LCS length of a[i:] and b[j:]
+    best = [[0] * (m + 1) for _ in range(n + 1)]
+    for i in range(n - 1, -1, -1):
+        row, nxt = best[i], best[i + 1]
+        ai = a[i]
+        for j in range(m - 1, -1, -1):
+            row[j] = nxt[j + 1] + 1 if ai == b[j] else max(nxt[j], row[j + 1])
+    pairs: list[tuple[int, int]] = []
+    i = j = 0
+    while i < n and best[i][j] > 0:
+        target = best[i][j]
+        found = -1
+        for j2 in range(j, m):
+            if a[i] == b[j2] and 1 + best[i + 1][j2 + 1] == target:
+                found = j2
+                break
+        if found < 0:
+            i += 1
+        else:
+            pairs.append((i, found))
+            i += 1
+            j = found + 1
+    return pairs
+
+
+class PerParameterAdam:
+    """nn.Adam updating each parameter in turn, with its own gradient and moment arrays."""
+
+    def __init__(self, params, peak_lr: float, warmup: int):
+        self._params = params
+        self.peak_lr = peak_lr
+        self.warmup = warmup
+        self.step_count = 0
+        self.m = [np.zeros_like(p.data) for p in params]
+        self.v = [np.zeros_like(p.data) for p in params]
+
+    def lr(self) -> float:
+        return inverse_sqrt_lr(self.step_count, self.peak_lr, self.warmup)
+
+    def step(self) -> float:
+        self.step_count += 1
+        lr = self.lr()
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
+        c1 = 1.0 - b1**self.step_count
+        c2 = 1.0 - b2**self.step_count
+        for p, m, v in zip(self._params, self.m, self.v):
+            g = p.grad
+            m *= b1
+            m += (1 - b1) * g
+            v *= b2
+            v += (1 - b2) * (g * g)
+            p.data -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+            p.grad[...] = 0.0
+        return lr
+

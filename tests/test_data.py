@@ -194,6 +194,18 @@ def test_attribute_invariants():
         Table(())
 
 
+@pytest.mark.parametrize("token", ["<pad>", "<bos>", "<eos>", "<plh>"])
+def test_an_attribute_rejects_a_reserved_token_naming_the_attribute(token):
+    # A table holding <eos> as a value would let the pointer learn to copy it.
+    with pytest.raises(ValueError) as info:
+        Table((Attribute("K", (token, "x")),))
+    assert str(info.value) == f"attribute 'K' holds the reserved token {token!r}"
+    with pytest.raises(ValueError) as info:
+        Attribute(token, ("x",))
+    assert str(info.value) == f"attribute key {token!r} is a reserved token"
+    assert Attribute("<unk>", ("x", "<unk>")).value_tokens == ("x", "<unk>")
+
+
 def test_vocabulary_reserved_ids_fixed():
     vocab = build_vocabulary([], cap=100)
     assert len(vocab) == 5

@@ -15,6 +15,7 @@ from skeltext.gradcheck import finite_difference_check
 from skeltext.nn import (
     ADAM_BETA1,
     ADAM_BETA2,
+    ADAM_BLOCK,
     ADAM_EPS,
     Adam,
     Embedding,
@@ -28,6 +29,8 @@ from skeltext.nn import (
     load_checkpoint,
     save_checkpoint,
 )
+
+from helpers import PerParameterAdam
 
 
 class Holder(Module):
@@ -116,6 +119,68 @@ def test_adam_step_updates_zeroes_and_counts():
     assert opt.step_count == 1
     assert not np.allclose(layer.lin.weight.data, before)
     assert np.all(layer.lin.weight.grad == 0.0)
+
+
+def _adam_model(seed: int) -> Holder:
+    """Parameters of almost two Adam blocks in all, one of them longer than a block."""
+    rng = np.random.default_rng(seed)
+    return Holder(
+        small=Linear(rng, 3, 5),
+        big=Embedding(rng, ADAM_BLOCK // 64 + 3, 64),
+        ln=LayerNorm(7),
+        wide=Linear(rng, 128, 250),
+    )
+
+
+def test_block_adam_gives_the_per_parameter_bits():
+    model, reference = _adam_model(3), _adam_model(3)
+    params = model.parameters()
+    sizes = [p.data.size for p in params]
+    assert max(sizes) > ADAM_BLOCK and sum(sizes) % ADAM_BLOCK
+    opt = Adam(params, peak_lr=1e-2, warmup=2)
+    ref = PerParameterAdam(reference.parameters(), peak_lr=1e-2, warmup=2)
+    grad_rng = np.random.default_rng(4)
+    for _ in range(4):
+        for p, q in zip(params, reference.parameters()):
+            g = grad_rng.normal(size=p.shape) * grad_rng.choice([0.0, 1e-12, 1.0, 1e6])
+            p.grad += g
+            q.grad += g
+        assert opt.step() == ref.step()
+        for p, q, m, v, m_ref, v_ref in zip(params, reference.parameters(), opt.m, opt.v, ref.m, ref.v):
+            assert p.data.tobytes() == q.data.tobytes()
+            assert (m.tobytes(), v.tobytes()) == (m_ref.tobytes(), v_ref.tobytes())
+            assert not p.grad.any() and p.grad.flags["C_CONTIGUOUS"]
+    assert opt.step_count == ref.step_count == 4
+
+
+def test_adam_takes_a_gradient_bound_after_it_was_built():
+    model, reference = _adam_model(5), _adam_model(5)
+    opt = Adam(model.parameters(), peak_lr=1e-2, warmup=2)
+    ref = PerParameterAdam(reference.parameters(), peak_lr=1e-2, warmup=2)
+    view = model.big.weight.grad
+    model.big.weight.grad = np.full(model.big.weight.shape, 0.5)
+    reference.big.weight.grad[...] = 0.5
+    opt.step()
+    ref.step()
+    assert model.big.weight.data.tobytes() == reference.big.weight.data.tobytes()
+    assert model.big.weight.grad is view and not view.any()
+
+
+def test_checkpoints_round_trip_parameters_an_adam_updates(tmp_path):
+    model = _adam_model(6)
+    opt = Adam(model.parameters(), peak_lr=1e-2, warmup=2)
+    for p in model.parameters():
+        p.grad += 1.0
+    opt.step()
+    save_checkpoint(str(tmp_path / "ck"), model)
+    fresh = _adam_model(7)
+    load_checkpoint(str(tmp_path / "ck"), fresh)
+    for p, q in zip(model.parameters(), fresh.parameters()):
+        assert q.data.tobytes() == p.data.astype(np.float32).astype(np.float64).tobytes()
+    # Loading into the trained model leaves its gradients bound to the optimizer.
+    load_checkpoint(str(tmp_path / "ck"), model)
+    for p, q, view in zip(model.parameters(), fresh.parameters(), opt._grads):
+        assert p.data.tobytes() == q.data.tobytes() and p.grad is view
 
 
 def test_adam_default_hyperparameters():

@@ -16,12 +16,16 @@ from skeltext.oracle import (
     is_subsequence,
     lcs,
     lcs_align,
+    lcs_length,
     levenshtein_distance,
     make_intermediate,
+    match_masks,
     oracle_deletion,
     oracle_insertion,
     subsequence_positions,
 )
+
+from helpers import dp_lcs_align
 
 ABC = ("a", "b", "c")
 
@@ -545,6 +549,38 @@ def test_lcs_align_is_the_lexicographically_smallest_longest_alignment(pair):
     alignments = list(_alignments(a, b))
     longest = max(len(al) for al in alignments)
     assert lcs_align(a, b) == min(al for al in alignments if len(al) == longest)
+
+
+# Up to 80 tokens: bit vectors wider than one 64-bit word. One- and two-token
+# alphabets make ties everywhere.
+_LONG_PAIRS = st.integers(1, 5).map(lambda k: "abcde"[:k]).flatmap(
+    lambda alphabet: st.tuples(_tokens(alphabet, 80), _tokens(alphabet, 80))
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_LONG_PAIRS)
+def test_bit_parallel_lcs_align_gives_the_dynamic_programs_alignment(pair):
+    a, b = pair
+    assert lcs_align(a, b) == dp_lcs_align(a, b)
+    assert lcs_align(b, a) == dp_lcs_align(b, a)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_LONG_PAIRS)
+def test_lcs_length_from_match_masks_is_the_lcs_length(pair):
+    a, b = pair
+    masks = match_masks(b)
+    for c in (a, a[::-1], b):  # one set of masks serves every sequence
+        assert lcs_length(c, masks, len(b)) == len(lcs(c, b))
+
+
+def test_lcs_kernels_take_empty_sides_and_wide_vectors():
+    long = list("ab" * 40)
+    for a, b in (([], []), ([], long), (long, []), (long, long), (long, long[::-1])):
+        assert lcs_align(a, b) == dp_lcs_align(a, b)
+        assert lcs_length(a, match_masks(b), len(b)) == len(dp_lcs_align(a, b))
+    assert lcs_align(long, long) == [(i, i) for i in range(80)]
 
 
 @st.composite

@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from skeltext import annotate_corpus, default_stop_words, generate
+from skeltext import annotate_corpus, default_stop_words, generate, nn, oracle, training
 from skeltext.data import EOS_TOKEN, PAD_ID, linearize_table
 from skeltext.encoder import TableEncoder
 from skeltext.oracle import backprop_edit_batch, draft_supervision
@@ -25,6 +25,8 @@ from skeltext.training import (
 )
 
 from helpers import (
+    PerParameterAdam,
+    dp_lcs_align,
     per_example_edit_step,
     per_example_pointer_step,
     tiny_config,
@@ -301,6 +303,31 @@ def test_editor_training_is_deterministic_and_logs_the_batch_mean(corpus):
     step = _events(runs[0][0], "editor_step")[0]
     for key in EDIT_LOSS_PARTS:
         assert step[key] == pytest.approx(sum(w[key] for w in want) / len(batch), rel=1e-10)
+
+
+def _train_both_stages(corpus, cfg) -> list[tuple]:
+    """Each stage's log records, parameter bytes and moment bytes."""
+    runs = []
+    for train in (train_pointer, train_editor):
+        records: list[dict] = []
+        model, opt = train(corpus, cfg, records.append)
+        runs.append((records, [p.data.tobytes() for p in model.parameters()],
+                     [m.tobytes() for m in opt.m + opt.v]))
+    return runs
+
+
+@pytest.mark.parametrize("block", [nn.ADAM_BLOCK, 777])
+def test_training_with_the_fast_kernels_gives_the_reference_kernels_bits(corpus, monkeypatch, block):
+    # The tiny models fit in one Adam block; 777 values per block split them.
+    monkeypatch.setattr(nn, "ADAM_BLOCK", block)
+    cfg = tiny_config(batch_size=4, pointer_epochs=2, editor_epochs=2)
+    fast = _train_both_stages(corpus, cfg)
+    aligned = []
+    monkeypatch.setattr(oracle, "lcs_align", lambda a, b: aligned.append(1) or dp_lcs_align(a, b))
+    monkeypatch.setattr(training, "Adam", PerParameterAdam)
+    reference = _train_both_stages(corpus, cfg)
+    assert aligned
+    assert fast == reference
 
 
 # -- batched pointer steps -------------------------------------------------------
