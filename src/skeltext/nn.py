@@ -19,11 +19,24 @@ NEG_INF = -1e9
 
 
 class Parameter(Tensor):
+    """A trained tensor, whose gradient is allocated at first read, as zeros.
+
+    So a parameter that is never trained holds no gradient array, and Adam
+    binds each gradient to its own buffer with nothing left behind.
+    """
+
     __slots__ = ()
 
     def __init__(self, data):
         super().__init__(data, retain_grad=True)
-        self.grad = np.zeros_like(self.data)
+        del self.grad
+
+    def __getattr__(self, name: str):
+        # Called only for an attribute that is not set: grad, before its first read.
+        if name != "grad":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self.grad = np.zeros(self.data.shape)
+        return self.grad
 
 
 def uniform_init(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> np.ndarray:

@@ -23,6 +23,7 @@ from skeltext.nn import (
     Linear,
     Module,
     MultiHeadAttention,
+    Parameter,
     TransformerEncoder,
     causal_mask,
     inverse_sqrt_lr,
@@ -181,6 +182,15 @@ def test_checkpoints_round_trip_parameters_an_adam_updates(tmp_path):
     load_checkpoint(str(tmp_path / "ck"), model)
     for p, q, view in zip(model.parameters(), fresh.parameters(), opt._grads):
         assert p.data.tobytes() == q.data.tobytes() and p.grad is view
+
+
+def test_a_parameter_gradient_is_zeros_from_its_first_read():
+    p = Parameter(np.ones((2, 3)))
+    with pytest.raises(AttributeError, match="'Parameter' object has no attribute 'gard'"):
+        p.gard
+    assert p.grad.shape == (2, 3) and not p.grad.any() and p.grad.flags["C_CONTIGUOUS"]
+    p.grad += 1.0
+    assert p.grad.sum() == 6.0  # the same array from then on
 
 
 def test_adam_default_hyperparameters():
