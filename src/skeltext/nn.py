@@ -364,19 +364,21 @@ class Adam:
         self.peak_lr = peak_lr
         self.warmup = warmup
         self.step_count = 0
-        ends = np.cumsum([p.data.size for p in params], dtype=np.int64).tolist()
-        total = ends[-1] if ends else 0
+        total = sum(p.data.size for p in params)
         self._grad, self._m, self._v = np.zeros(total), np.zeros(total), np.zeros(total)
         self._grads: list[np.ndarray] = []  # the views each p.grad is bound to
         self.m: list[np.ndarray] = []
         self.v: list[np.ndarray] = []
-        starts = [0, *ends[:-1]]
-        for p, start, end in zip(params, starts, ends):
+        spans, start = [], 0  # (parameter, its start and end in the buffers)
+        for p in params:
+            end = start + p.data.size
             self._grad[start:end] = p.grad.reshape(-1)
             p.grad = self._grad[start:end].reshape(p.shape)
             self._grads.append(p.grad)
             self.m.append(self._m[start:end].reshape(p.shape))
             self.v.append(self._v[start:end].reshape(p.shape))
+            spans.append((p, start, end))
+            start = end
         # Each slice of the buffers, with the parameters it covers: (parameter,
         # its flat values in the slice, where they are in the slice).
         self._slices = []
@@ -385,7 +387,7 @@ class Adam:
             self._slices.append((slice(first, last), [
                 (p, slice(max(start, first) - start, min(end, last) - start),
                  slice(max(start, first) - first, min(end, last) - first))
-                for p, start, end in zip(params, starts, ends) if start < last and end > first
+                for p, start, end in spans if start < last and end > first
             ]))
 
     def lr(self) -> float:

@@ -154,8 +154,10 @@ def test_block_adam_gives_the_per_parameter_bits():
     assert opt.step_count == ref.step_count == 4
 
 
-def test_adam_takes_a_gradient_bound_after_it_was_built():
+def test_adam_takes_gradients_added_before_it_or_bound_after_it():
     model, reference = _adam_model(5), _adam_model(5)
+    model.small.weight.grad += 0.25  # before the optimizer holds the gradients
+    reference.small.weight.grad += 0.25
     opt = Adam(model.parameters(), peak_lr=1e-2, warmup=2)
     ref = PerParameterAdam(reference.parameters(), peak_lr=1e-2, warmup=2)
     view = model.big.weight.grad
@@ -163,7 +165,8 @@ def test_adam_takes_a_gradient_bound_after_it_was_built():
     reference.big.weight.grad[...] = 0.5
     opt.step()
     ref.step()
-    assert model.big.weight.data.tobytes() == reference.big.weight.data.tobytes()
+    for p, q in zip(model.parameters(), reference.parameters()):
+        assert p.data.tobytes() == q.data.tobytes()
     assert model.big.weight.grad is view and not view.any()
 
 
