@@ -364,12 +364,15 @@ class Adam:
         self.peak_lr = peak_lr
         self.warmup = warmup
         self.step_count = 0
+        for p in params:  # step writes through a flat view of each parameter's data
+            if not p.data.flags.c_contiguous:
+                raise ValueError(f"Adam needs C-contiguous parameters; one of shape {p.shape} is not")
         total = sum(p.data.size for p in params)
         self._grad, self._m, self._v = np.zeros(total), np.zeros(total), np.zeros(total)
         self._grads: list[np.ndarray] = []  # the views each p.grad is bound to
         self.m: list[np.ndarray] = []
         self.v: list[np.ndarray] = []
-        spans, start = [], 0  # (parameter, its start and end in the buffers)
+        spans, start = [], 0  # (a flat view of the parameter, its start and end in the buffers)
         for p in params:
             end = start + p.data.size
             self._grad[start:end] = p.grad.reshape(-1)
@@ -377,17 +380,17 @@ class Adam:
             self._grads.append(p.grad)
             self.m.append(self._m[start:end].reshape(p.shape))
             self.v.append(self._v[start:end].reshape(p.shape))
-            spans.append((p, start, end))
+            spans.append((p.data.reshape(-1), start, end))
             start = end
-        # Each slice of the buffers, with the parameters it covers: (parameter,
-        # its flat values in the slice, where they are in the slice).
+        # Each slice of the buffers, with the parameters it covers: (a flat view
+        # of the parameter, its values in the slice, where they are in the slice).
         self._slices = []
         for first in range(0, total, ADAM_BLOCK):
             last = min(first + ADAM_BLOCK, total)
             self._slices.append((slice(first, last), [
-                (p, slice(max(start, first) - start, min(end, last) - start),
+                (flat, slice(max(start, first) - start, min(end, last) - start),
                  slice(max(start, first) - first, min(end, last) - first))
-                for p, start, end in spans if start < last and end > first
+                for flat, start, end in spans if start < last and end > first
             ]))
 
     def lr(self) -> float:
@@ -418,8 +421,8 @@ class Adam:
             np.multiply(lr, np.divide(m, c1, out=t1), out=t1)
             np.add(np.sqrt(np.divide(v, c2, out=t2), out=t2), ADAM_EPS, out=t2)
             np.divide(t1, t2, out=t1)
-            for p, values, part in pieces:
-                p.data.reshape(-1, copy=False)[values] -= t1[part]
+            for flat, values, part in pieces:
+                flat[values] -= t1[part]
         self._grad[...] = 0.0
         return lr
 

@@ -185,6 +185,20 @@ def test_checkpoints_round_trip_parameters_an_adam_updates(tmp_path):
     load_checkpoint(str(tmp_path / "ck"), model)
     for p, q, view in zip(model.parameters(), fresh.parameters(), opt._grads):
         assert p.data.tobytes() == q.data.tobytes() and p.grad is view
+    # And a step after loading updates the loaded values.
+    for p in model.parameters():
+        p.grad += 1.0
+    opt.step()
+    for p, q in zip(model.parameters(), fresh.parameters()):
+        assert not np.array_equal(p.data, q.data)
+
+
+def test_adam_rejects_a_parameter_it_cannot_update_in_place():
+    ok, transposed = Parameter(np.ones((2, 3))), Parameter(np.ones((3, 2)).T)
+    ok.grad += 1.0
+    with pytest.raises(ValueError, match=r"C-contiguous parameters; one of shape \(2, 3\)"):
+        Adam([ok, transposed], peak_lr=1e-2, warmup=2)
+    assert ok.grad.base is None and ok.grad.sum() == 6.0  # nothing was rebound
 
 
 def test_a_parameter_gradient_is_zeros_from_its_first_read():
