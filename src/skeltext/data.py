@@ -84,6 +84,9 @@ class Example:
 
     def __post_init__(self):
         object.__setattr__(self, "reference", tuple(self.reference))
+        if not _FORBIDDEN_TOKENS.isdisjoint(self.reference):
+            token = next(t for t in self.reference if t in _FORBIDDEN_TOKENS)
+            raise ValueError(f"reference holds the reserved token {token!r}")
         if self.skeleton is not None:
             object.__setattr__(self, "skeleton", tuple(self.skeleton))
 

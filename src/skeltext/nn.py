@@ -55,9 +55,7 @@ class Module:
                 yield from val.named_parameters(f"{prefix}{attr}.")
             elif isinstance(val, (list, tuple)):
                 for i, item in enumerate(val):
-                    if isinstance(item, Parameter):
-                        yield f"{prefix}{attr}.{i}", item
-                    elif isinstance(item, Module):
+                    if isinstance(item, Module):
                         yield from item.named_parameters(f"{prefix}{attr}.{i}.")
 
     def parameters(self) -> list[Parameter]:
@@ -351,11 +349,11 @@ ADAM_BLOCK = 32_768
 class Adam:
     """Adam with the inverse-sqrt warmup schedule used by both training stages.
 
-    The gradients and both moments live in flat buffers, in parameter order:
-    each parameter's `grad`, and its entries of `m` and `v`, are C-contiguous
-    views of its part of them. An update runs over slices of ADAM_BLOCK
-    values, across parameter boundaries, and zeroes every gradient at once.
-    Each value goes through the arithmetic of an update parameter by
+    The values, gradients and both moments live in flat buffers, in parameter
+    order: each parameter's `data` and `grad`, and its entries of `m` and `v`,
+    are C-contiguous views of its part of them. An update runs over slices of
+    ADAM_BLOCK values, across parameter boundaries, and zeroes every gradient
+    at once. Each value goes through the arithmetic of an update parameter by
     parameter, in the same order, so it gets the same bits.
     """
 
@@ -364,34 +362,22 @@ class Adam:
         self.peak_lr = peak_lr
         self.warmup = warmup
         self.step_count = 0
-        for p in params:  # step writes through a flat view of each parameter's data
-            if not p.data.flags.c_contiguous:
-                raise ValueError(f"Adam needs C-contiguous parameters; one of shape {p.shape} is not")
         total = sum(p.data.size for p in params)
-        self._grad, self._m, self._v = np.zeros(total), np.zeros(total), np.zeros(total)
+        self._data, self._grad, self._m, self._v = np.zeros((4, total))
         self._grads: list[np.ndarray] = []  # the views each p.grad is bound to
         self.m: list[np.ndarray] = []
         self.v: list[np.ndarray] = []
-        spans, start = [], 0  # (a flat view of the parameter, its start and end in the buffers)
+        start = 0
         for p in params:
             end = start + p.data.size
+            self._data[start:end] = p.data.reshape(-1)
+            p.data = self._data[start:end].reshape(p.shape)
             self._grad[start:end] = p.grad.reshape(-1)
             p.grad = self._grad[start:end].reshape(p.shape)
             self._grads.append(p.grad)
             self.m.append(self._m[start:end].reshape(p.shape))
             self.v.append(self._v[start:end].reshape(p.shape))
-            spans.append((p.data.reshape(-1), start, end))
             start = end
-        # Each slice of the buffers, with the parameters it covers: (a flat view
-        # of the parameter, its values in the slice, where they are in the slice).
-        self._slices = []
-        for first in range(0, total, ADAM_BLOCK):
-            last = min(first + ADAM_BLOCK, total)
-            self._slices.append((slice(first, last), [
-                (flat, slice(max(start, first) - start, min(end, last) - start),
-                 slice(max(start, first) - first, min(end, last) - first))
-                for flat, start, end in spans if start < last and end > first
-            ]))
 
     def lr(self) -> float:
         return inverse_sqrt_lr(self.step_count, self.peak_lr, self.warmup)
@@ -407,9 +393,9 @@ class Adam:
         b1, b2 = ADAM_BETA1, ADAM_BETA2
         c1 = 1.0 - b1**self.step_count
         c2 = 1.0 - b2**self.step_count
-        width = self._slices[0][0].stop if self._slices else 0  # the first slice is the longest
-        tmp1, tmp2 = np.empty(width), np.empty(width)
-        for block, pieces in self._slices:
+        tmp1, tmp2 = np.empty((2, min(self._data.size, ADAM_BLOCK)))
+        for first in range(0, self._data.size, ADAM_BLOCK):
+            block = slice(first, first + ADAM_BLOCK)
             g, m, v = self._grad[block], self._m[block], self._v[block]
             t1, t2 = tmp1[: len(g)], tmp2[: len(g)]
             # m = b1 m + (1 - b1) g; v = b2 v + (1 - b2) g²
@@ -421,8 +407,7 @@ class Adam:
             np.multiply(lr, np.divide(m, c1, out=t1), out=t1)
             np.add(np.sqrt(np.divide(v, c2, out=t2), out=t2), ADAM_EPS, out=t2)
             np.divide(t1, t2, out=t1)
-            for flat, values, part in pieces:
-                flat[values] -= t1[part]
+            self._data[block] -= t1
         self._grad[...] = 0.0
         return lr
 

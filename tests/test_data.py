@@ -206,6 +206,19 @@ def test_an_attribute_rejects_a_reserved_token_naming_the_attribute(token):
     assert Attribute("<unk>", ("x", "<unk>")).value_tokens == ("x", "<unk>")
 
 
+@pytest.mark.parametrize("token", ["<pad>", "<bos>", "<eos>", "<plh>"])
+def test_an_example_rejects_a_reserved_token_in_its_reference_naming_it(token):
+    # A <plh> read as a reference token counted as a slot of its own, so the
+    # editor was trained on fill labels one slot off, with no error.
+    table = Table((Attribute("Name", ("Alda", "Fenwick")),))
+    with pytest.raises(ValueError) as info:
+        Example(table, ("Alda", token, "Fenwick", "was", "<eos>", "born"))
+    assert str(info.value) == f"reference holds the reserved token {token!r}"
+    assert Example(table, ["Alda", "<unk>", "born"]).reference == ("Alda", "<unk>", "born")
+    # The skeleton is left to check_skeleton and EditState.
+    assert Example(table, ("Alda", "born"), ("<eos>",)).skeleton == ("<eos>",)
+
+
 def test_vocabulary_reserved_ids_fixed():
     vocab = build_vocabulary([], cap=100)
     assert len(vocab) == 5
