@@ -3,7 +3,11 @@
 Desk-scale engine: every value is a row-major numpy float64 array, every op
 builds a node in a backward tape, and gradients are exact analytic forms
 (verified against central finite differences in the test suite). Non-finite
-values anywhere are treated as an error state, not a warning.
+values anywhere are treated as an error state, not a warning. The forward
+arithmetic of the whole-block ops lives in plain-array kernels (`_affine`,
+`_keys_values`, `_attention`, `_softmax`, `_layer_norm`, `_feed_forward`),
+which inference code may also run off the tape, probing each result with
+`_checked`.
 """
 
 from __future__ import annotations
@@ -232,6 +236,13 @@ def _non_finite(op: str) -> NonFiniteError:
     return NonFiniteError(f"non-finite value entering the graph from {op}")
 
 
+def _checked(arr: np.ndarray, op: str) -> np.ndarray:
+    """arr, after the probe a tensor made by op `op` passes: non-finite, it names that op."""
+    if not _all_finite(arr):
+        raise _non_finite(op)
+    return arr
+
+
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum a broadcast gradient back down to the original operand shape."""
     extra = grad.ndim - len(shape)
@@ -288,8 +299,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(out, (a, b), bw, "matmul")
 
 
-def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray | None) -> np.ndarray:
-    out = np.matmul(x, w)
+# -- forward kernels ----------------------------------------------------------
+# Each op below builds its tape node on the `_`-prefixed plain-array kernel of
+# its forward, so each formula is written once; nn.TransformerDecoder.step
+# runs the same kernels off the tape.
+
+def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray | None, out=None) -> np.ndarray:
+    out = np.matmul(x, w, out=out)
     if b is not None:
         out += b
     return out
@@ -339,38 +355,49 @@ def _merge_heads(c: np.ndarray) -> np.ndarray:
     return c.transpose(0, 2, 1, 3).reshape(b * t, h * d)
 
 
-def keys_values(
-    memory: Tensor, wk: Tensor, bk: Tensor, wv: Tensor, bv: Tensor,
-    past: Tensor | None = None, parents: np.ndarray | None = None,
-) -> Tensor:
-    """Key and value projections of the rows of memory (t, d) as one node: (2, t, d).
+def _keys_values(x: np.ndarray, wk: np.ndarray, bk: np.ndarray, wv: np.ndarray,
+                 bv: np.ndarray) -> np.ndarray:
+    """The key and value projections of the rows of x (t, d), stacked: (2, t, d)."""
+    kv = np.empty((2,) + x.shape)
+    _affine(x, wk, bk, out=kv[0])
+    _affine(x, wv, bv, out=kv[1])
+    return kv
 
-    With `past`, a (2, B', h, t, d_head) cache of keys and values, and
-    `parents`, B indices into its hypotheses, memory holds the newest
-    position of B hypotheses, (B, d). Hypothesis i continues cache row
-    parents[i]: the result is those rows with the position appended,
-    (2, B, h, t+1, d_head), gathered straight into the new array. Such a
-    cached step is inference-only, and its result is off the tape.
-    """
+
+def keys_values(memory: Tensor, wk: Tensor, bk: Tensor, wv: Tensor, bv: Tensor) -> Tensor:
+    """Key and value projections of the rows of memory (t, d) as one node: (2, t, d)."""
     x = memory.data
-    new = np.empty((2,) + x.shape)
-    np.matmul(x, wk.data, out=new[0])
-    new[0] += bk.data
-    np.matmul(x, wv.data, out=new[1])
-    new[1] += bv.data
-    if past is not None:
-        b, (_, _, h, t, dh) = x.shape[0], past.shape
-        kv = np.empty((2, b, h, t + 1, dh))
-        kv[:, :, :, :t] = past.data[:, parents]
-        kv[:, :, :, t] = new.reshape(2, b, h, dh)
-        return _make(kv, (), None, "keys_values")
 
     def bw(g):
         gx_k, gwk, gbk = _affine_grads(g[0], x, wk.data)
         gx_v, gwv, gbv = _affine_grads(g[1], x, wv.data)
         return gx_k, gx_v, gwk, gbk, gwv, gbv
 
-    return _make(new, (memory, memory, wk, bk, wv, bv), bw, "keys_values")
+    return _make(_keys_values(x, wk.data, bk.data, wv.data, bv.data),
+                 (memory, memory, wk, bk, wv, bv), bw, "keys_values")
+
+
+def _attention(
+    x: np.ndarray, kh: np.ndarray, vh: np.ndarray, wq: np.ndarray, bq: np.ndarray,
+    wo: np.ndarray, bo: np.ndarray, n_heads: int, batch: int, mask: np.ndarray | None,
+):
+    """attention()'s forward from the rows of x (B·T, d), B sequences of T rows each.
+
+    kh and vh are B sequences' keys and values split into heads,
+    (B, h, t_k, d_head). Returns the query heads, the attention weights
+    (B, h, T, t_k), the merged context rows and the output. The scores are
+    probed: a non-finite score raises even where the softmax would hide it.
+    """
+    qh = _heads(_affine(x, wq, bq), n_heads, batch)
+    p = np.matmul(qh, kh.swapaxes(-1, -2))
+    p *= 1.0 / float(np.sqrt(x.shape[1] // n_heads))
+    if mask is not None:
+        p += mask
+    if not _all_finite(p):
+        raise _non_finite("attention")
+    _softmax(p, -1, out=p)
+    c = _merge_heads(np.matmul(p, vh))
+    return qh, p, c, _affine(c, wo, bo)
 
 
 def attention(
@@ -385,35 +412,12 @@ def attention(
     (T, t_k) mask if one is given. A 4-D mask (B, 1, T or 1, t_k) makes a
     padded batch: x holds B sequences of T rows each, kv B memories of t_k
     rows each, and sequence b attends over memory b under mask[b], which
-    hides its padded keys. With kv a (2, B, h, t, d_head) cache, row b of
-    x (B, d) attends over the t positions of hypothesis b. The scores are
-    probed like any tensor: a non-finite score raises even where the
-    softmax would hide it.
+    hides its padded keys.
     """
-    n, d = x.shape
-    dh = d // n_heads
-    scale = 1.0 / float(np.sqrt(dh))
-    cached = kv.ndim == 5
     batch = mask.shape[0] if mask is not None and mask.ndim == 4 else 1
-    q = _affine(x.data, wq.data, bq.data)
-    if cached:
-        qh, (kh, vh) = q.reshape(n, n_heads, 1, dh), kv.data
-    else:
-        qh = _heads(q, n_heads, batch)
-        kh, vh = _heads(kv.data[0], n_heads, batch), _heads(kv.data[1], n_heads, batch)
-    p = np.matmul(qh, kh.swapaxes(-1, -2))
-    p *= scale
-    if mask is not None:
-        p += mask
-    if not _all_finite(p):
-        raise _non_finite("attention")
-    p -= p.max(axis=-1, keepdims=True)
-    np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
-    c = np.matmul(p, vh)
-    if cached:  # an inference step: off the tape
-        return _make(_affine(c.reshape(n, d), wo.data, bo.data), (), None, "attention")
-    c = _merge_heads(c)
+    kh, vh = _heads(kv.data[0], n_heads, batch), _heads(kv.data[1], n_heads, batch)
+    qh, p, c, out = _attention(x.data, kh, vh, wq.data, bq.data, wo.data, bo.data, n_heads,
+                               batch, mask)
 
     def bw(g):
         gc, gwo, gbo = _affine_grads(g, c, wo.data)
@@ -421,7 +425,7 @@ def attention(
         gp = np.matmul(gc, np.swapaxes(vh, -1, -2))
         gv = np.matmul(np.swapaxes(p, -1, -2), gc)
         gp = (gp - (gp * p).sum(axis=-1, keepdims=True)) * p
-        gp *= scale
+        gp *= 1.0 / float(np.sqrt(x.shape[1] // n_heads))
         gq = np.matmul(gp, kh)
         gk = np.swapaxes(np.matmul(np.swapaxes(qh, -1, -2), gp), -1, -2)
         gkv = np.empty_like(kv.data)
@@ -430,23 +434,30 @@ def attention(
         gx, gwq, gbq = _affine_grads(_merge_heads(gq), x.data, wq.data)
         return gx, gkv, gwq, gbq, gwo, gbo
 
-    return _make(_affine(c, wo.data, bo.data), (x, kv, wq, bq, wo, bo), bw, "attention")
+    return _make(out, (x, kv, wq, bq, wo, bo), bw, "attention")
 
 
-def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
-    """relu(x @ w1 + b1) @ w2 + b2 as one node; the hidden layer is probed too."""
-    h = _affine(x.data, w1.data, b1.data)
+def _feed_forward(x: np.ndarray, w1: np.ndarray, b1: np.ndarray, w2: np.ndarray,
+                  b2: np.ndarray):
+    """feed_forward()'s forward: the relu mask, the hidden layer (probed) and the output."""
+    h = _affine(x, w1, b1)
     if not _all_finite(h):
         raise _non_finite("feed_forward")
     mask = h > 0
     r = np.where(mask, h, 0.0)
+    return mask, r, _affine(r, w2, b2)
+
+
+def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """relu(x @ w1 + b1) @ w2 + b2 as one node; the hidden layer is probed too."""
+    mask, r, out = _feed_forward(x.data, w1.data, b1.data, w2.data, b2.data)
 
     def bw(g):
         gr, gw2, gb2 = _affine_grads(g, r, w2.data)
         gx, gw1, gb1 = _affine_grads(gr * mask, x.data, w1.data)
         return gx, gw1, gb1, gw2, gb2
 
-    return _make(_affine(r, w2.data, b2.data), (x, w1, b1, w2, b2), bw, "feed_forward")
+    return _make(out, (x, w1, b1, w2, b2), bw, "feed_forward")
 
 
 def relu(x: Tensor) -> Tensor:
@@ -533,6 +544,12 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     return _make(out, tuple(tensors), bw, "concat")
 
 
+def _check_ids(low: int, high: int, rows: int) -> None:
+    """Refuse ids from `low` to `high` for an embedding table of `rows` rows unless all fit."""
+    if low < 0 or high >= rows:
+        raise ShapeError(f"embedding ids out of range for table of {rows} rows")
+
+
 def embedding_lookup(table: Tensor, ids) -> Tensor:
     """Rows of an embedding table; gradients scatter-add back into it.
 
@@ -545,8 +562,8 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
     of grad[r] + (0 + g_1), which differ only where g_1 is -0.0.
     """
     ids = np.asarray(ids, dtype=np.int64)
-    if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
-        raise ShapeError(f"embedding ids out of range for table of {table.shape[0]} rows")
+    if ids.size:
+        _check_ids(ids.min(), ids.max(), table.shape[0])
     if not table.retain_grad:
         return take(table, ids)
 
@@ -565,10 +582,16 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
     return _make(table.data[ids], (table,), bw, "embedding_lookup")
 
 
+def _softmax(x: np.ndarray, axis: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Softmax along `axis`, into a new array or into `out` (which may be x)."""
+    y = np.subtract(x, x.max(axis=axis, keepdims=True), out=out)
+    np.exp(y, out=y)
+    y /= y.sum(axis=axis, keepdims=True)
+    return y
+
+
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
+    y = _softmax(x.data, axis)
 
     def bw(g):
         dot = (g * y).sum(axis=axis, keepdims=True)
@@ -588,27 +611,24 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     return _make(out, (x,), bw, "log_softmax")
 
 
-def layer_norm(
-    x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12, residual: Tensor | None = None
-) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then apply affine.
+_LN_EPS = 1e-12  # LayerNorm's variance offset
 
-    With a residual this normalizes x + residual in the same node, and hands
-    both inputs one gradient array, as add() does. A variance that overflows
-    raises: it would otherwise normalize every row to the bias.
+
+def _layer_norm(
+    x: np.ndarray, residual: np.ndarray | None, gain: np.ndarray, bias: np.ndarray,
+    eps: float = _LN_EPS,
+):
+    """layer_norm()'s forward of x, or of x + residual: the normalized rows, 1/std and the output.
+
+    The out-of-place arithmetic, ufunc for ufunc, written into arrays this
+    kernel allocates, never into an input's: xc (h, when there is a
+    residual) becomes the output, and xhat holds the squares first. Means
+    are sum / n, np.mean's arithmetic without its Python wrapper. A
+    variance that overflows raises: it would otherwise normalize every row
+    to the bias.
     """
-    if gain.shape != (x.shape[-1],) or bias.shape != (x.shape[-1],):
-        raise ShapeError(
-            f"layer_norm affine shapes {gain.shape}/{bias.shape} do not match width {x.shape[-1]}"
-        )
-    if residual is not None and residual.shape != x.shape:
-        raise ShapeError(f"layer_norm: residual {residual.shape} does not match input {x.shape}")
-    # The out-of-place arithmetic, ufunc for ufunc, written into arrays this
-    # node allocated, never into an input's: xc (h, when there is a residual)
-    # becomes the output, and xhat holds the squares first. Means are sum / n,
-    # np.mean's arithmetic without its Python wrapper.
     n = x.shape[-1]
-    h = x.data if residual is None else x.data + residual.data
+    h = x if residual is None else x + residual
     mu = h.sum(axis=-1, keepdims=True)
     mu /= n
     xc = h - mu if residual is None else np.subtract(h, mu, out=h)
@@ -621,8 +641,28 @@ def layer_norm(
     inv = np.sqrt(var, out=var)
     np.divide(1.0, inv, out=inv)
     np.multiply(xc, inv, out=xhat)
-    out = np.multiply(xhat, gain.data, out=xc)
-    out += bias.data
+    out = np.multiply(xhat, gain, out=xc)
+    out += bias
+    return xhat, inv, out
+
+
+def layer_norm(
+    x: Tensor, gain: Tensor, bias: Tensor, eps: float = _LN_EPS, residual: Tensor | None = None
+) -> Tensor:
+    """Normalize the last axis to zero mean / unit variance, then apply affine.
+
+    With a residual this normalizes x + residual in the same node, and hands
+    both inputs one gradient array, as add() does.
+    """
+    if gain.shape != (x.shape[-1],) or bias.shape != (x.shape[-1],):
+        raise ShapeError(
+            f"layer_norm affine shapes {gain.shape}/{bias.shape} do not match width {x.shape[-1]}"
+        )
+    if residual is not None and residual.shape != x.shape:
+        raise ShapeError(f"layer_norm: residual {residual.shape} does not match input {x.shape}")
+    n = x.shape[-1]
+    xhat, inv, out = _layer_norm(x.data, None if residual is None else residual.data,
+                                 gain.data, bias.data, eps)
 
     def bw(g):
         dxhat = g * gain.data

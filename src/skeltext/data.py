@@ -152,6 +152,11 @@ class Vocabulary:
         """Id of a token, falling back to UNK."""
         return self.token_to_id.get(token, UNK_ID)
 
+    def ids(self, tokens: Iterable[str]) -> list[int]:
+        """id_of of each token, looked up through one bound dict method."""
+        get = self.token_to_id.get
+        return [get(t, UNK_ID) for t in tokens]
+
     def token_of(self, idx: int) -> str:
         return self.id_to_token[idx]
 

@@ -60,8 +60,8 @@ class TableEncoder(Module):
         clamp = self.pos_clamp
         return np.array(
             [
-                [self.vocab.id_of(c.token) for c in cells],
-                [self.key_vocab.id_of(c.key) for c in cells],
+                self.vocab.ids([c.token for c in cells]),
+                self.key_vocab.ids([c.key for c in cells]),
                 [min(c.fwd_pos, clamp) for c in cells],
                 [min(c.bwd_pos, clamp) for c in cells],
             ],
@@ -119,13 +119,27 @@ class TableToText(Module):
     def encode(self, table: Table) -> Padded:
         return self.encoder(linearize_table(table))
 
+    def _check_positions(self, last: int) -> None:
+        if last >= self.max_len:
+            raise ValueError(f"{last + 1} positions exceed the {self.max_len}-position cap")
+
     def _embed_tokens(self, ids: np.ndarray, positions: np.ndarray) -> Tensor:
-        if len(positions) and positions[-1] >= self.max_len:  # the largest, last
-            raise ValueError(f"{positions[-1] + 1} positions exceed the {self.max_len}-position cap")
+        if len(positions):
+            self._check_positions(positions[-1])  # the largest, last
         return self.in_proj(self.encoder.tok_emb(ids)) + self.pos_emb(positions)
 
+    def _embed_step(self, tokens: Sequence[str], position: int) -> np.ndarray:
+        """_embed_tokens of B tokens at one position, on arrays, each result probed as its op is."""
+        self._check_positions(position)
+        ids, emb = self.vocab.ids(tokens), self.encoder.tok_emb.weight.data
+        ag._check_ids(min(ids), max(ids), len(emb))
+        x = ag._checked(emb[ids], "embedding_lookup")
+        x = ag._checked(ag._affine(x, self.in_proj.weight.data, self.in_proj.bias.data), "linear")
+        return ag._checked(x + ag._checked(self.pos_emb.weight.data[position], "embedding_lookup"),
+                           "add")
+
     def _token_ids(self, tokens: Sequence[str]) -> np.ndarray:
-        return np.array([self.vocab.id_of(t) for t in tokens], dtype=np.int64)
+        return np.array(self.vocab.ids(tokens), dtype=np.int64)
 
     def decode_batch(
         self, states: Sequence[Sequence[str]], memory: Padded | DecoderCache, causal: bool

@@ -88,6 +88,11 @@ class LayerNorm(Module):
         """LayerNorm of x, or of x + residual when one is given."""
         return ag.layer_norm(x, self.gain, self.bias, residual=residual)
 
+    def step(self, x: np.ndarray, residual: np.ndarray) -> np.ndarray:
+        """__call__'s forward of x + residual on arrays, off the tape."""
+        out = ag._layer_norm(x, residual, self.gain.data, self.bias.data)[-1]
+        return ag._checked(out, "layer_norm")
+
 
 def causal_mask(n: int) -> np.ndarray:
     """Additive mask letting position t attend only to positions <= t."""
@@ -170,20 +175,11 @@ class MultiHeadAttention(Module):
         self.wv = Linear(rng, d_model, d_model)
         self.wo = Linear(rng, d_model, d_model)
 
-    def keys_values(
-        self, memory: Tensor, past: Tensor | None = None, parents: np.ndarray | None = None
-    ) -> Tensor:
-        """Keys and values of the rows of memory (t_k, d), stacked: (2, t_k, d).
-
-        With `past`, a (2, B', h, t, d_head) self-attention cache, memory is the
-        newest position of each of B hypotheses, (B, d); hypothesis i continues
-        cache row parents[i]. The result is those rows with it appended.
-        """
-        if past is None and memory.shape[0] == 0:
+    def keys_values(self, memory: Tensor) -> Tensor:
+        """Keys and values of the rows of memory (t_k, d), stacked: (2, t_k, d)."""
+        if memory.shape[0] == 0:
             raise ShapeError("attention over an empty key set")
-        return ag.keys_values(
-            memory, self.wk.weight, self.wk.bias, self.wv.weight, self.wv.bias, past, parents
-        )
+        return ag.keys_values(memory, self.wk.weight, self.wk.bias, self.wv.weight, self.wv.bias)
 
     def __call__(
         self,
@@ -194,11 +190,8 @@ class MultiHeadAttention(Module):
     ) -> Tensor:
         """Attend from the rows of x (t_q, d) over the rows of memory (t_k, d).
 
-        `kv` stands in for keys_values(memory). It is either the memory's
-        projections from a DecoderCache, with the same result, or a
-        self-attention cache (2, B, h, t, d_head) that already holds x's
-        newest positions: each row of x (B, d) then attends over its own
-        hypothesis. A cache holds no future position, so it needs no mask.
+        `kv` stands in for keys_values(memory): the memory's projections
+        from a DecoderCache, with the same result.
         """
         if kv is None:
             kv = self.keys_values(memory)
@@ -206,6 +199,17 @@ class MultiHeadAttention(Module):
             x, kv, self.wq.weight, self.wq.bias, self.wo.weight, self.wo.bias,
             self.n_heads, mask,
         )
+
+    def step(self, x: np.ndarray, kh: np.ndarray, vh: np.ndarray) -> np.ndarray:
+        """__call__'s forward on arrays, off the tape, over keys and values split into heads.
+
+        With kh and vh (B, h, t, d_head), row b of x (B, d) attends over
+        sequence b; with (1, h, t, d_head), every row over the same one.
+        """
+        wq, wo = self.wq, self.wo
+        out = ag._attention(x, kh, vh, wq.weight.data, wq.bias.data, wo.weight.data,
+                            wo.bias.data, self.n_heads, kh.shape[0], None)[-1]
+        return ag._checked(out, "attention")
 
 
 class FeedForward(Module):
@@ -216,6 +220,13 @@ class FeedForward(Module):
     def __call__(self, x: Tensor) -> Tensor:
         lin1, lin2 = self.lin1, self.lin2
         return ag.feed_forward(x, lin1.weight, lin1.bias, lin2.weight, lin2.bias)
+
+    def step(self, x: np.ndarray) -> np.ndarray:
+        """__call__'s forward on arrays, off the tape."""
+        lin1, lin2 = self.lin1, self.lin2
+        out = ag._feed_forward(x, lin1.weight.data, lin1.bias.data, lin2.weight.data,
+                               lin2.bias.data)[-1]
+        return ag._checked(out, "feed_forward")
 
 
 class EncoderLayer(Module):
@@ -247,13 +258,34 @@ class DecoderLayer(Module):
         memory: Tensor,
         self_mask: np.ndarray | None = None,
         memory_mask: np.ndarray | None = None,
-        self_kv: Tensor | None = None,
         memory_kv: Tensor | None = None,
     ) -> Tensor:
-        """Each attention takes its own mask and `kv` (see MultiHeadAttention)."""
-        x = self.ln1(x, self.self_attn(x, x, self_mask, self_kv))
+        """Each attention takes its own mask; cross-attention a `kv` (see MultiHeadAttention)."""
+        x = self.ln1(x, self.self_attn(x, x, self_mask))
         x = self.ln2(x, self.cross_attn(x, memory, memory_mask, memory_kv))
         return self.ln3(x, self.ff(x))
+
+    def step(self, x: np.ndarray, past: np.ndarray, parents: np.ndarray,
+             memory_kv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The newest position of B hypotheses, x (B, d), through the layer on arrays.
+
+        past is the self-attention cache (2, B', h, t, d_head) and memory_kv
+        the memory's keys_values() (2, t_k, d). Returns the layer's output
+        and the new cache: rows parents[i] of past with hypothesis i's keys
+        and values appended, (2, B, h, t+1, d_head). The cache rows were
+        probed when they were appended; only the new ones are.
+        """
+        sa, ca = self.self_attn, self.cross_attn
+        (_, _, h, t, dh), b = past.shape, x.shape[0]
+        new = ag._keys_values(x, sa.wk.weight.data, sa.wk.bias.data, sa.wv.weight.data,
+                              sa.wv.bias.data)
+        kv = np.empty((2, b, h, t + 1, dh))
+        kv[:, :, :, :t] = past[:, parents]
+        kv[:, :, :, t] = ag._checked(new, "keys_values").reshape(2, b, h, dh)
+        x = self.ln1.step(x, sa.step(x, kv[0], kv[1]))
+        kh, vh = ag._heads(memory_kv[0], ca.n_heads), ag._heads(memory_kv[1], ca.n_heads)
+        x = self.ln2.step(x, ca.step(x, kh, vh))
+        return self.ln3.step(x, self.ff.step(x)), kv
 
 
 class TransformerEncoder(Module):
@@ -272,15 +304,15 @@ class DecoderCache:
 
     `memory_kv[l]` is layer l's cross-attention keys_values() of the
     memory's rows, computed once and read by every pass. The steps of
-    TransformerDecoder.step also keep, in `self_kv[l]`, layer l's
-    self-attention keys and values of every position decoded so far for
-    the B live hypotheses, (2, B, h, t, d_head), with `length` = t.
+    TransformerDecoder.step also keep, in `self_kv[l]`, a plain array of
+    layer l's self-attention keys and values of every position decoded so
+    far for the B live hypotheses, (2, B, h, t, d_head), with `length` = t.
     """
 
     def __init__(self, decoder: TransformerDecoder, memory: Padded):
         self.memory = memory
         self.memory_kv = [layer.cross_attn.keys_values(memory.rows) for layer in decoder.layers]
-        self.self_kv: list[Tensor] = []
+        self.self_kv: list[np.ndarray] = []
         self.length = 0
 
 
@@ -305,25 +337,32 @@ class TransformerDecoder(Module):
             memory, memory_kv = memory.memory, memory.memory_kv
         memory_mask = memory.mask()
         for layer, kv in zip(self.layers, memory_kv):
-            x = layer(x, memory.rows, mask, memory_mask, None, kv)
+            x = layer(x, memory.rows, mask, memory_mask, kv)
         return x
 
-    def step(self, x: Tensor, cache: DecoderCache, parents) -> Tensor:
+    def step(self, x: np.ndarray, cache: DecoderCache, parents: Sequence[int]) -> np.ndarray:
         """Decode position cache.length of B hypotheses, x (B, d), causally, against one table.
 
         Hypothesis i continues the earlier positions in cache row parents[i];
-        the cache grows by one position. Inference-only: it runs under no_grad.
+        the cache grows by one position. Inference-only: the step runs the
+        ops' forward kernels on plain arrays, off the tape, and a non-finite
+        result names its op. Cross-attention takes no key mask, so the cache
+        must hold one table.
         """
+        tables = len(cache.memory.lengths)
+        if tables != 1:
+            raise ValueError(
+                f"a decoder step decodes against one table; the cache holds {tables} tables"
+            )
         if not cache.length:  # one hypothesis with no positions yet
             cache.self_kv = [
-                Tensor(np.zeros((2, 1, layer.self_attn.n_heads, 0, layer.self_attn.d_head)))
+                np.zeros((2, 1, layer.self_attn.n_heads, 0, layer.self_attn.d_head))
                 for layer in self.layers
             ]
         parents = np.asarray(parents, dtype=np.int64)
-        with ag.no_grad():
-            for i, layer in enumerate(self.layers):
-                kv = cache.self_kv[i] = layer.self_attn.keys_values(x, cache.self_kv[i], parents)
-                x = layer(x, cache.memory.rows, None, None, kv, cache.memory_kv[i])
+        for i, layer in enumerate(self.layers):
+            x, cache.self_kv[i] = layer.step(x, cache.self_kv[i], parents,
+                                             cache.memory_kv[i].data)
         cache.length += 1
         return x
 

@@ -253,7 +253,7 @@ def draft_supervision(
         slot_labels=np.array([min(c, model.k_max) for c in counts], dtype=np.int64),
         state2=[BOS_TOKEN, *y_dprime, EOS_TOKEN],
         positions=fill_positions(y_dprime),
-        gold_ids=np.array([model.vocab.id_of(t) for t in gold_fill], dtype=np.int64),
+        gold_ids=np.array(model.vocab.ids(gold_fill), dtype=np.int64),
         state3=None,
         del_labels=None,
         clamped_slots=sum(1 for c in counts if c > model.k_max),

@@ -62,7 +62,7 @@ class _TableSearch:
 
     distinct: list[str]
     pool: np.ndarray  # cell -> distinct-token pooling matrix
-    keys_t: Tensor  # (W_k h)^T, the pointer keys of the cells as columns
+    keys_t: np.ndarray  # (W_k h)^T, the pointer keys of the cells as columns
     cache: DecoderCache
 
 
@@ -78,7 +78,7 @@ class SkeletonPointer(TableToText):
     def decoder_states(
         self, tokens: list[str], memory: Padded | DecoderCache,
         parents: Sequence[int] | None = None,
-    ) -> Tensor:
+    ) -> Tensor | np.ndarray:
         """Causal decoder hidden states against one table's memory.
 
         Without parents, `tokens` is the whole selected-token prefix and the
@@ -86,12 +86,12 @@ class SkeletonPointer(TableToText):
         DecoderCache and one position is decoded: `tokens` holds the newest
         token of each of B live hypotheses, all at position cache.length,
         and hypothesis i continues cache row parents[i]. The result is their
-        states, (B, d), and the cache grows by one position.
+        states, (B, d), a plain array off the tape (TransformerDecoder.step),
+        and the cache grows by one position.
         """
         if parents is None:
             return self.decode_batch([tokens], memory, True).rows
-        x = self._embed_tokens(self._token_ids(tokens), np.full(len(tokens), memory.length))
-        return self.decoder.step(x, memory, parents)
+        return self.decoder.step(self._embed_step(tokens, memory.length), memory, parents)
 
     def pointer_attention(self, r: Tensor, keys_t: Tensor) -> Tensor:
         """Attention over cells: softmax of (W_q r) . k_i / sqrt(d_r), with keys k_i = W_k h_i.
@@ -100,6 +100,13 @@ class SkeletonPointer(TableToText):
         """
         logits = (self.wq(r) @ keys_t) / np.sqrt(self.d_model)
         return ag.softmax(logits, axis=-1)
+
+    def _step_attention(self, r: np.ndarray, keys_t: np.ndarray) -> np.ndarray:
+        """pointer_attention on arrays, off the tape, each result probed as its op probes it."""
+        q = ag._checked(ag._affine(r, self.wq.weight.data, None), "linear")
+        logits = ag._checked(np.matmul(q, keys_t), "matmul")
+        logits = ag._checked(logits * (1.0 / float(np.sqrt(self.d_model))), "mul_scalar")
+        return ag._checked(ag._softmax(logits, -1, out=logits), "softmax")
 
     def copy_log_probs(
         self, prefix: list[str], memory: Padded, cell_tokens: Sequence[str]
@@ -125,7 +132,7 @@ class SkeletonPointer(TableToText):
         memory = self.encoder(cells)
         distinct, pool = copy_pool([c.token for c in cells])
         cache = DecoderCache(self.decoder, memory)
-        return _TableSearch(distinct, pool, self.wk(memory.rows).transpose(), cache)
+        return _TableSearch(distinct, pool, self.wk(memory.rows).data.T, cache)
 
     def _step_log_probs(
         self, search: _TableSearch, live: list[SkeletonPrediction], parents: list[int]
@@ -136,13 +143,13 @@ class SkeletonPointer(TableToText):
         token; one decoder pass decodes that token for every hypothesis.
         """
         tokens = [h.tokens[-1] if h.tokens else BOS_TOKEN for h in live]
-        r = self.decoder_states(tokens, search.cache, parents)
-        attn = self.pointer_attention(r, search.keys_t)
-        # Plain-array scores: tokens whose copy mass underflowed to zero score
-        # -inf and are simply never selected. Rounding can pool a little more
-        # than all the mass into one token; capped at 1, no score is above 0.
+        attn = self._step_attention(self.decoder_states(tokens, search.cache, parents),
+                                    search.keys_t)
+        # Tokens whose copy mass underflowed to zero score -inf and are simply
+        # never selected. Rounding can pool a little more than all the mass
+        # into one token; capped at 1, no score is above 0.
         with np.errstate(divide="ignore"):
-            return np.log(np.minimum(attn.data @ search.pool, 1.0)), search.distinct
+            return np.log(np.minimum(attn @ search.pool, 1.0)), search.distinct
 
     def beam_search(
         self,

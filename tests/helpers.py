@@ -138,8 +138,9 @@ def per_example_pointer_step(model, examples) -> list[float]:
 # -- the composed reference of the fused transformer blocks ------------------
 # The single ops that skeltext.autograd's keys_values, attention,
 # feed_forward and residual layer_norm nodes replace, composed as the model
-# composed them before those nodes existed. The byte-equality tests compare
-# the fused nodes against these.
+# composed them before those nodes existed, and the decoder step on the tape
+# ops. The byte-equality tests compare the fused nodes and the array step
+# against these.
 
 
 def reshape(x: Tensor, shape) -> Tensor:
@@ -156,10 +157,8 @@ def composed_sdpa(q: Tensor, k: Tensor, v: Tensor, scale: float, mask) -> Tensor
     return ag.softmax(scores, axis=-1) @ v
 
 
-def composed_keys_values(attn, memory: Tensor, past=None) -> tuple[Tensor, Tensor]:
+def composed_keys_values(attn, memory: Tensor) -> tuple[Tensor, Tensor]:
     """Keys and values of memory (t_k, d), each split into heads: (h, t_k, d_head)."""
-    if past is not None:
-        raise NotImplementedError("incremental steps: use composed_step")
     t_k = memory.shape[0]
     h, dh = attn.n_heads, attn.d_head
     return tuple(
@@ -176,14 +175,40 @@ def composed_attention(attn, x: Tensor, memory: Tensor, mask=None, kv=None) -> T
     return attn.wo(reshape(ctx.transpose(1, 0, 2), (t_q, d)))
 
 
-def composed_step(attn, x: Tensor, past_k: Tensor, past_v: Tensor) -> Tensor:
-    """Rows x (B, d) attend over their cached (B, h, t, d_head) keys and values plus their own."""
+def composed_step(attn, x: Tensor, past_k: Tensor, past_v: Tensor):
+    """Rows x (B, d) attend over their cached (B, h, t, d_head) keys and values plus their own.
+
+    Returns the output and the keys and values with x's appended, (B, h, t+1, d_head).
+    """
     b, d = x.shape
     h, dh = attn.n_heads, attn.d_head
     q = reshape(attn.wq(x), (b, h, 1, dh))
     k = ag.concat([past_k, reshape(attn.wk(x), (b, h, 1, dh))], axis=2)
     v = ag.concat([past_v, reshape(attn.wv(x), (b, h, 1, dh))], axis=2)
-    return attn.wo(reshape(composed_sdpa(q, k, v, 1.0 / float(np.sqrt(dh)), None), (b, d)))
+    out = attn.wo(reshape(composed_sdpa(q, k, v, 1.0 / float(np.sqrt(dh)), None), (b, d)))
+    return out, k, v
+
+
+def tensor_step(decoder, x: Tensor, cache: DecoderCache, parents) -> Tensor:
+    """TransformerDecoder.step on the tape ops: the reference of the step on plain arrays.
+
+    Self-attention over the cache runs on the composed ops (composed_step),
+    every other sublayer on its module's fused op. The cache grows as the
+    step grows it: `self_kv[l]` becomes a (2, B, h, t+1, d_head) array.
+    """
+    if not cache.length:
+        cache.self_kv = [np.zeros((2, 1, layer.self_attn.n_heads, 0, layer.self_attn.d_head))
+                         for layer in decoder.layers]
+    with ag.no_grad():
+        for i, layer in enumerate(decoder.layers):
+            past = cache.self_kv[i][:, parents]
+            out, k, v = composed_step(layer.self_attn, x, Tensor(past[0]), Tensor(past[1]))
+            cache.self_kv[i] = np.stack([k.data, v.data])
+            x = layer.ln1(x, out)
+            x = layer.ln2(x, layer.cross_attn(x, cache.memory.rows, None, cache.memory_kv[i]))
+            x = layer.ln3(x, layer.ff(x))
+    cache.length += 1
+    return x
 
 
 def composed_layer_norm(ln, x: Tensor, residual: Tensor | None = None) -> Tensor:

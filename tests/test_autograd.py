@@ -343,15 +343,19 @@ def test_attention_matches_the_composed_ops_to_the_bit(case, n_heads, t_q, t_k, 
             kv = composed_keys_values(attn, m)
             return composed_attention(attn, x1, m, None, kv), composed_attention(attn, x2, m, None, kv)
     else:  # step: 3 cached hypotheses of t_k positions, gathered to t_q rows
-        # Row 2 continues twice and row 1 not at all. A cached step is
-        # inference-only, off the tape, so only its forward bytes compare.
+        # Row 2 continues twice and row 1 not at all. A step runs on plain
+        # arrays, off the tape, so only its forward bytes compare.
         parents = np.array([2, 0, 2])
         cache = rng.normal(size=(2, 3, n_heads, t_k, d // n_heads))
-        x = Tensor(x)
-        fused = attn(x, x, None, attn.keys_values(x, Tensor(cache), parents))
-        composed = composed_step(attn, x, Tensor(cache[0][parents]), Tensor(cache[1][parents]))
-        assert not fused.tracked
-        assert fused.data.tobytes() == composed.data.tobytes()
+        new = ag._keys_values(x, attn.wk.weight.data, attn.wk.bias.data, attn.wv.weight.data,
+                              attn.wv.bias.data)
+        kv = np.concatenate([cache[:, parents], new.reshape(2, t_q, n_heads, 1, -1)], axis=3)
+        stepped = attn.step(x, kv[0], kv[1])
+        composed, k, v = composed_step(attn, Tensor(x), Tensor(cache[0][parents]),
+                                       Tensor(cache[1][parents]))
+        assert type(stepped) is np.ndarray
+        assert stepped.tobytes() == composed.data.tobytes()
+        assert kv.tobytes() == np.stack([k.data, v.data]).tobytes()
         return
 
     assert _module_run(attn, fused, inputs, weights) == _module_run(attn, composed, inputs, weights)

@@ -772,8 +772,7 @@ def test_generate_warns_of_an_output_that_lost_its_skeleton_only_under_hard_cons
     assert _closing_event(stderr)["skeleton_preserved"] == 1
 
 
-def test_the_pipeline_digest_runs_every_subcommand_with_arguments_that_parse():
-    import argparse
+def _pipeline_digest():
     import importlib.util
 
     path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -781,8 +780,15 @@ def test_the_pipeline_digest_runs_every_subcommand_with_arguments_that_parse():
     spec = importlib.util.spec_from_file_location("_pipeline_digest", path)
     digest = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(digest)
+    return digest
+
+
+def test_the_pipeline_digest_runs_every_subcommand_with_arguments_that_parse():
+    import argparse
 
     from skeltext.cli import build_parser
+
+    digest = _pipeline_digest()
 
     parser = build_parser()
     (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
@@ -792,6 +798,20 @@ def test_the_pipeline_digest_runs_every_subcommand_with_arguments_that_parse():
         assert len({name for name, _ in steps}) == len(steps)
         for _, args in steps:
             parser.parse_args(args)
+
+
+def test_the_pipeline_digests_beam_scores_hold_each_results_score_bits(pipeline, monkeypatch,
+                                                                       capsys):
+    from skeltext.training import load_pointer_dir
+
+    monkeypatch.chdir(pipeline["root"])
+    exec(_pipeline_digest()._BEAM_SCORES, {})
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 4 * 20  # widths 1 and 5, each with and without normalization
+    model, cfg = load_pointer_dir(pipeline["pointer"])
+    table = load_corpus(pipeline["corpus"])[0].table
+    best = model.beam_search(table, 5, cfg.max_skeleton_len, True)
+    assert lines[3 * 20] == f"5 True {best.tokens} {best.score.hex()} {best.finished}"
 
 
 def test_every_option_that_sets_a_config_field_defaults_to_none():

@@ -426,7 +426,8 @@ def test_a_decoder_layer_forward_pass_records_eight_tape_nodes():
 
 
 def test_a_decoder_step_with_gradients_on_stays_off_the_tape():
-    # A cached step is inference-only, even over tracked parameters and inputs.
+    # A cached step is inference-only, even over tracked parameters and a
+    # tracked memory: it runs on plain arrays and builds no tensor.
     from skeltext.autograd import NonFiniteError
     from skeltext.nn import DecoderCache, Padded, TransformerDecoder
 
@@ -435,17 +436,64 @@ def test_a_decoder_step_with_gradients_on_stays_off_the_tape():
     memory = Tensor(rng.normal(size=(4, 8)), retain_grad=True)
     cache = DecoderCache(decoder, Padded(memory, [4]))
     for parents in ([0], [0, 0, 0], [2, 0, 1]):
-        x = Tensor(rng.normal(size=(len(parents), 8)), retain_grad=True)
-        out = decoder.step(x, cache, parents)
-        assert not out.tracked and not any(kv.tracked for kv in cache.self_kv)
-        out.sum().backward()
-    assert x.grad is None and memory.grad is None
+        out = decoder.step(rng.normal(size=(len(parents), 8)), cache, parents)
+        assert type(out) is np.ndarray and out.shape == (len(parents), 8)
+        assert all(type(kv) is np.ndarray for kv in cache.self_kv)
+    assert memory.grad is None
     assert not any(p.grad.any() for p in decoder.parameters())
 
     # The forward still names the op a non-finite value came from.
     decoder.layers[1].self_attn.wk.weight.data[0, 0] = np.nan
     with pytest.raises(NonFiniteError, match="from keys_values$"):
-        decoder.step(x, cache, [0, 1, 2])
+        decoder.step(out, cache, [0, 1, 2])
+
+
+# (layers, heads, the parents of each step after the first): rows reordered,
+# duplicated and dropped.
+_STEP_CASES = [
+    (1, 1, [[0, 0, 0], [2, 0, 1], [1, 1], [0, 1, 1, 0]]),
+    (2, 2, [[0, 0], [1, 0, 1], [2, 2, 0, 1, 1], [4, 0]]),
+    (3, 4, [[0, 0, 0, 0], [3, 1, 1, 0], [2], [0, 0, 0]]),
+    (2, 1, [[0, 0, 0, 0, 0], [4, 3, 2, 1, 0], [0, 2, 4], [1, 1, 2]]),
+    (1, 4, [[0, 0], [1, 1], [0, 1, 0]]),
+]
+
+
+@pytest.mark.parametrize("n_layers,n_heads,steps", _STEP_CASES)
+def test_the_array_step_equals_the_tensor_step_to_the_byte(n_layers, n_heads, steps):
+    # Output rows and every layer's cache, after every step, against the
+    # tape-op reference over a cache of its own.
+    from skeltext.nn import DecoderCache, Padded, TransformerDecoder
+
+    from helpers import tensor_step
+
+    rng = np.random.default_rng(40 + 10 * n_layers + n_heads)
+    decoder = TransformerDecoder(rng, 8, 12, n_heads, n_layers)
+    for p in decoder.parameters():  # non-zero biases, gains off 1
+        p.data[...] = rng.normal(size=p.shape)
+    memory = Padded(Tensor(rng.normal(size=(5, 8))), [5])
+    fast, reference = DecoderCache(decoder, memory), DecoderCache(decoder, memory)
+    for parents in [[0], *steps]:
+        x = rng.normal(size=(len(parents), 8))
+        out = decoder.step(x, fast, parents)
+        expected = tensor_step(decoder, Tensor(x), reference, parents)
+        assert out.tobytes() == expected.data.tobytes()
+        assert fast.length == reference.length
+        for kv, ref in zip(fast.self_kv, reference.self_kv):
+            assert kv.shape == ref.shape and kv.tobytes() == ref.tobytes()
+
+
+def test_a_decoder_step_refuses_a_cache_over_several_tables():
+    # Cross-attention in a step takes no key mask, so a padded batch of
+    # tables would be attended as one table, padding included.
+    from skeltext.nn import DecoderCache, Padded, TransformerDecoder
+
+    rng = np.random.default_rng(23)
+    decoder = TransformerDecoder(rng, 8, 12, 2, 1)
+    cache = DecoderCache(decoder, Padded(Tensor(rng.normal(size=(8, 8))), [4, 3]))
+    with pytest.raises(ValueError, match="the cache holds 2 tables"):
+        decoder.step(rng.normal(size=(1, 8)), cache, [0])
+    assert cache.length == 0 and cache.self_kv == []
 
 
 @pytest.mark.parametrize("stage", ["pointer", "editor"])

@@ -365,7 +365,7 @@ def test_a_step_scores_a_token_holding_all_the_copy_mass_zero(monkeypatch):
     table = Table((Attribute("K", ("Alda", "Alda", "Alda")),))
     attn = ag.softmax(Tensor(np.array([[2.1, -1.1, -0.4, -800.0]])))
     assert (attn.data @ copy_pool(["Alda"] * 3 + [EOS_TOKEN])[1])[0, 0] > 1.0
-    monkeypatch.setattr(model, "pointer_attention", lambda r, keys_t: attn)
+    monkeypatch.setattr(model, "_step_attention", lambda r, keys_t: attn.data)
     with ag.no_grad():
         search = model._start_search(table)
         logp, distinct = model._step_log_probs(search, [SkeletonPrediction([], 0.0, False)], [0])
@@ -405,25 +405,21 @@ def test_cached_decoder_states_match_full_decoder_rows():
     for parents in ([0, 0, 0], [2, 0, 0], [1, 2, 2], [0, 1, 2]):
         for i, prefix in enumerate(prefixes):
             full = model.decoder_states(prefix, memory).data[-1]
-            assert np.abs(states.data[i] - full).max() < 1e-12
+            assert np.abs(states[i] - full).max() < 1e-12
         new = [str(rng.choice(cell_tokens)) for _ in parents]
         prefixes = [[*prefixes[p], tok] for p, tok in zip(parents, new)]
         states = model.decoder_states(new, cache, parents)
         assert cache.length == len(prefixes[0])
     for i, prefix in enumerate(prefixes):
         full = model.decoder_states(prefix, memory).data
-        assert np.abs(states.data[i] - full[-1]).max() < 1e-12
+        assert np.abs(states[i] - full[-1]).max() < 1e-12
 
 
 @pytest.mark.parametrize("width,n_layers", [(1, 1), (3, 2), (5, 3)])
 def test_a_cached_beam_step_builds_a_fixed_number_of_tensors(width, n_layers, monkeypatch):
-    # Each Tensor costs a construction and a finiteness probe, so a beam step
-    # must not build more than these, whatever the number of live hypotheses:
-    # 4 to embed the tokens (token lookup, projection, position lookup, add),
-    # 7 per decoder layer (self K/V append with the gathered cache, self- and
-    # cross-attention, feed-forward, three residual LayerNorms) and 4 for
-    # pointer attention (query, matmul, scale, softmax); the transposed keys
-    # are built once per table.
+    # A beam step runs on plain arrays from the token embedding to the copy
+    # scores, so it builds no Tensor, whatever the number of live hypotheses;
+    # the pointer keys and the memory's projections are built once per table.
     model, _ = tiny_pointer(seed=14, n_layers=n_layers)
     with ag.no_grad():
         search = model._start_search(random_table(np.random.default_rng(14)))
@@ -437,7 +433,53 @@ def test_a_cached_beam_step_builds_a_fixed_number_of_tensors(width, n_layers, mo
         )
         logp, _ = model._step_log_probs(search, live, [0] * width)
     assert logp.shape[0] == width
-    assert len(built) == 4 + 7 * n_layers + 4
+    assert len(built) == 0
+
+
+def _step_weights(model) -> list[tuple[str, str]]:
+    """(name, op) of every parameter a beam step reads, and the op a non-finite value there names.
+
+    The cross-attention key and value weights are not read by a step: the
+    cache holds their projections of the memory.
+    """
+    ops = {"encoder.tok_emb": "embedding_lookup", "in_proj": "linear",
+           "pos_emb": "embedding_lookup", "wq": "linear"}
+    layer_ops = {"self_attn.wk": "keys_values", "self_attn.wv": "keys_values",
+                 "self_attn.wq": "attention", "self_attn.wo": "attention",
+                 "cross_attn.wq": "attention", "cross_attn.wo": "attention",
+                 "ff.lin1": "feed_forward", "ff.lin2": "feed_forward",
+                 "ln1": "layer_norm", "ln2": "layer_norm", "ln3": "layer_norm"}
+    read = []
+    for name, _ in model.named_parameters():
+        module = name.rsplit(".", 1)[0]
+        if name.startswith("decoder.layers."):
+            op = layer_ops.get(module.split(".", 3)[3])
+        else:
+            op = ops.get(module)
+        if op is not None:
+            read.append((name, op))
+    return read
+
+
+def test_a_nan_in_any_weight_a_beam_step_reads_names_its_op():
+    # The ops are those the Tensor path of the step named: the array step
+    # probes every result the tape ops probed. The token embedding is shared
+    # with the encoder, so only the row of the step's token, BOS, is spoiled.
+    table = random_table(np.random.default_rng(24))
+    model, _ = tiny_pointer(seed=24, n_layers=2)
+    weights = _step_weights(model)
+    assert len(weights) == 5 + 2 * 22
+    for name, op in weights:
+        model, _ = tiny_pointer(seed=24, n_layers=2)
+        param = dict(model.named_parameters())[name]
+        if name == "encoder.tok_emb.weight":
+            param.data[model.vocab.id_of(BOS_TOKEN)] = np.nan
+        else:
+            param.data[...] = np.nan
+        with ag.no_grad():
+            search = model._start_search(table)
+            with pytest.raises(NonFiniteError, match=f"entering the graph from {op}$"):
+                model._step_log_probs(search, [SkeletonPrediction([], 0.0, False)], [0])
 
 
 @pytest.mark.parametrize("width", [1, 2, 5])

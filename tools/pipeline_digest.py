@@ -7,10 +7,14 @@ SRC_DIR is the directory that holds the `skeltext` package (a checkout's
 worker and fresh temporary directory, the CLI pipeline on 48 synthetic
 examples with one epoch per stage: synth-corpus, annotate, both trainings,
 skeleton, generate from pointer and from oracle skeletons (each with and
-without --no-hard-constraints), evaluate of each output, and gradcheck. It
-prints one sha256 per artifact (each step's exit code, stdout, and stderr
-with the run directory stripped, then every file the run wrote) and a
-total, in seed order once both seeds are done.
+without --no-hard-constraints), evaluate of each output, and gradcheck.
+Then `beam:scores` beam-searches every table of the seed's corpus with its
+trained pointer, at widths 1 and 5, with and without length normalization,
+and records each result's tokens, score bits (`float.hex`) and `finished`
+flag: no CLI file holds a beam score. It prints one sha256 per artifact
+(each step's exit code, stdout, and stderr with the run directory stripped,
+the beam scores, then every file the run wrote) and a total, in seed order
+once both seeds are done.
 
 A change that must not move any bit gives the same lines on both trees:
 
@@ -40,6 +44,21 @@ _GENERATE = {
     "oracle": ["--oracle-skeleton"],
     "oracle_soft": ["--oracle-skeleton", "--no-hard-constraints"],
 }
+
+# Every table's beam search with the trained pointer, one line per result.
+_BEAM_SCORES = """
+from skeltext.data import load_corpus
+from skeltext.pointer import SkeletonPrediction, predict_skeletons
+from skeltext.training import load_pointer_dir
+
+model, cfg = load_pointer_dir("pointer")
+tables = [ex.table for ex in load_corpus("corpus.jsonl")]
+for width in (1, 5):
+    for normalize in (False, True):
+        for p in predict_skeletons(model, tables, width, cfg.max_skeleton_len, normalize):
+            print(width, normalize, *((p.tokens, p.score.hex(), p.finished)
+                                      if isinstance(p, SkeletonPrediction) else (repr(p),)))
+"""
 
 
 def steps(seed: int) -> list[tuple[str, list[str]]]:
@@ -87,6 +106,11 @@ def digest_run(src_dir: str, run_dir: str, seed: int) -> list[tuple[str, str]]:
         artifacts += [(f"{name}:exit", _sha(str(proc.returncode).encode())),
                       (f"{name}:stdout", _sha(proc.stdout)),
                       (f"{name}:stderr", _sha(stderr))]
+    beam = subprocess.run([sys.executable, "-c", _BEAM_SCORES], cwd=run_dir, env=env,
+                          capture_output=True)
+    if beam.returncode:
+        raise RuntimeError(f"seed {seed} beam scores: {beam.stderr.decode()[-2000:]}")
+    artifacts.append(("beam:scores", _sha(beam.stdout)))
     for root, dirs, files in os.walk(run_dir):
         dirs.sort()
         for file in sorted(files):
