@@ -1,23 +1,20 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 Desk-scale engine: every value is a row-major numpy float64 array, every op
-builds a node in a backward tape, and gradients are exact analytic forms
-(verified against central finite differences in the test suite). Non-finite
-values anywhere are treated as an error state, not a warning. The forward
-arithmetic of the whole-block ops lives in plain-array kernels (`_affine`,
-`_keys_values`, `_attention`, `_softmax`, `_layer_norm`, `_feed_forward`),
-which inference code may also run off the tape, probing each result with
-`_checked`.
+on a tracked tensor builds a node in a backward tape, and gradients are
+exact analytic forms (verified against central finite differences in the
+test suite). Non-finite values anywhere are treated as an error state, not
+a warning. The tape is for training: the forward arithmetic of the
+whole-block ops lives in plain-array kernels (`_affine`, `_keys_values`,
+`_attention`, `_softmax`, `_layer_norm`, `_feed_forward`), which every
+inference pass runs off the tape, probing each result with `_checked`.
 """
 
 from __future__ import annotations
 
-import contextlib
 from typing import Callable, Sequence
 
 import numpy as np
-
-_grad_enabled = True
 
 
 class ShapeError(ValueError):
@@ -26,18 +23,6 @@ class ShapeError(ValueError):
 
 class NonFiniteError(ArithmeticError):
     pass
-
-
-@contextlib.contextmanager
-def no_grad():
-    """Disable tape construction (inference and argmax roll-outs)."""
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = False
-    try:
-        yield
-    finally:
-        _grad_enabled = prev
 
 
 # Read-only zeros the finiteness probe multiplies against.
@@ -77,7 +62,7 @@ class Tensor:
         self.retain_grad = retain_grad
         self._parents = parents
         self._bw: Callable[[np.ndarray], Sequence[np.ndarray | None]] | None = bw
-        self._track = retain_grad or (bool(parents) and _grad_enabled)
+        self._track = retain_grad or bool(parents)
         self._consumed = False
 
     # -- bookkeeping ------------------------------------------------------
@@ -88,11 +73,6 @@ class Tensor:
     @property
     def ndim(self) -> int:
         return self.data.ndim
-
-    @property
-    def tracked(self) -> bool:
-        """Whether ops on this tensor are recorded for backward()."""
-        return self._track
 
     def item(self) -> float:
         return float(self.data)
@@ -217,9 +197,9 @@ def _wrap(value) -> Tensor:
 
 
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], bw, op: str) -> Tensor:
-    """The result of op `op`, on the tape when gradients are on and a parent is tracked."""
+    """The result of op `op`, on the tape when a parent is tracked."""
     try:
-        if _grad_enabled and any(p._track for p in parents):
+        if any(p._track for p in parents):
             for p in parents:
                 if p._consumed:
                     raise RuntimeError(
@@ -301,8 +281,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 # -- forward kernels ----------------------------------------------------------
 # Each op below builds its tape node on the `_`-prefixed plain-array kernel of
-# its forward, so each formula is written once; nn.TransformerDecoder.step
-# runs the same kernels off the tape.
+# its forward, so each formula is written once; the `step` forwards of the nn
+# modules run the same kernels off the tape.
 
 def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray | None, out=None) -> np.ndarray:
     out = np.matmul(x, w, out=out)

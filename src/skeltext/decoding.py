@@ -8,8 +8,7 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from . import autograd as ag
-from .autograd import Tensor
-from .data import BOS_TOKEN, EOS_TOKEN, Table
+from .data import BOS_TOKEN, EOS_TOKEN, Table, linearize_table
 from .editor import EditRealizer, EditState
 from .nn import DecoderCache
 from .oracle import DELETE, apply_insertions, fill_positions, is_subsequence
@@ -91,7 +90,7 @@ def insert_and_fill(
     state: EditState,
     model: EditRealizer,
     cache: DecoderCache,
-    hidden: Tensor,
+    hidden: np.ndarray,
     max_state_len: int | None = None,
 ) -> EditState:
     """Argmax placeholder insertion followed by argmax token filling.
@@ -102,24 +101,22 @@ def insert_and_fill(
     StateOverflowError rather than decode forever.
     """
     cap = _state_cap(model, max_state_len)
-    with ag.no_grad():
-        slots = np.arange(len(state) - 1)
-        counts = np.argmax(model.placeholder_logits(hidden, slots).data, axis=-1)
-        if counts.sum() + len(state) > cap:
-            raise StateOverflowError(
-                f"state would grow to {int(counts.sum()) + len(state)} tokens (cap {cap})"
-            )
-        body = apply_insertions(state.body(), counts)
-        tokens = [BOS_TOKEN, *body, EOS_TOKEN]
-        # Position i of the state moves right past the placeholders of slots 0..i-1.
-        moved = np.arange(len(state)) + np.concatenate(([0], np.cumsum(counts)))
-        protected = np.zeros(len(tokens), dtype=bool)
-        protected[moved] = state.protected
-        plh_positions = fill_positions(body)
-        if plh_positions:
-            z2 = model.decode_hidden(tokens, cache)
-            for pos, tok in zip(plh_positions, model.argmax_fill(z2, plh_positions)):
-                tokens[pos] = tok
+    counts = np.argmax(model.placeholder_scores(hidden), axis=-1)
+    if counts.sum() + len(state) > cap:
+        raise StateOverflowError(
+            f"state would grow to {int(counts.sum()) + len(state)} tokens (cap {cap})"
+        )
+    body = apply_insertions(state.body(), counts)
+    tokens = [BOS_TOKEN, *body, EOS_TOKEN]
+    # Position i of the state moves right past the placeholders of slots 0..i-1.
+    moved = np.arange(len(state)) + np.concatenate(([0], np.cumsum(counts)))
+    protected = np.zeros(len(tokens), dtype=bool)
+    protected[moved] = state.protected
+    plh_positions = fill_positions(body)
+    if plh_positions:
+        z2 = model.decode_hidden(tokens, cache)
+        for pos, tok in zip(plh_positions, model.argmax_fill(z2, plh_positions)):
+            tokens[pos] = tok
     return EditState(tokens, protected.tolist())
 
 
@@ -138,7 +135,8 @@ def iterate(
     decoded once while it stays unchanged: if deletion removes nothing, the
     placeholder head reads the deletion head's hidden states, and if nothing
     is inserted, those states serve the next deletion. The table memory is
-    encoded and projected for cross-attention once per call.
+    encoded and projected for cross-attention once per call. Every pass
+    runs on arrays, off the tape.
 
     A StateOverflowError or NonFiniteError propagates with a `trace`
     attribute holding the iterations completed before it, terminated
@@ -155,23 +153,22 @@ def iterate(
     try:
         if len(state) > cap:
             raise StateOverflowError(f"initial state has {len(state)} tokens (cap {cap})")
-        with ag.no_grad():
-            cache = DecoderCache(model.decoder, model.encode(table))
-            z = None  # hidden states of `state`, when already decoded
-            for _ in range(max_iter):
-                previous = state.tokens
-                if z is None:
-                    z = model.decode_hidden(state.tokens, cache)
-                kept = masked_delete(state, model.deletion_logits(z).data)
-                if kept.tokens != state.tokens:
-                    z = model.decode_hidden(kept.tokens, cache)
-                state = insert_and_fill(kept, model, cache, z, cap)
-                if state.tokens != kept.tokens:
-                    z = None
-                snapshots.append(state)
-                if state.tokens == previous:
-                    termination = FIXED_POINT
-                    break
+        cache = DecoderCache(model.decoder, model.encoder.step(linearize_table(table)))
+        z = None  # hidden states of `state`, when already decoded
+        for _ in range(max_iter):
+            previous = state.tokens
+            if z is None:
+                z = model.decode_hidden(state.tokens, cache)
+            kept = masked_delete(state, model.deletion_scores(z))
+            if kept.tokens != state.tokens:
+                z = model.decode_hidden(kept.tokens, cache)
+            state = insert_and_fill(kept, model, cache, z, cap)
+            if state.tokens != kept.tokens:
+                z = None
+            snapshots.append(state)
+            if state.tokens == previous:
+                termination = FIXED_POINT
+                break
     except (StateOverflowError, ag.NonFiniteError) as err:
         reason = OVERFLOW if isinstance(err, StateOverflowError) else NON_FINITE
         err.trace = DecodeTrace(snapshots, reason)

@@ -61,11 +61,16 @@ class EditRealizer(TableToText):
         self.w_plh = Linear(rng, 2 * self.d_model, cfg.k_max + 1, bias=False)
         self.w_tok = Linear(rng, self.d_model, len(vocab), bias=False)
 
-    def decode_hidden(self, tokens: Sequence[str], cache: DecoderCache) -> Tensor:
-        """Decoder outputs z_0..z_n against the cache's memory, read with its projections."""
-        return self.decode_batch([tokens], cache, False).rows
+    def decode_hidden(self, tokens: Sequence[str], cache: DecoderCache) -> np.ndarray:
+        """Decoder outputs z_0..z_n of one state against the cache's table, on arrays.
 
-    # -- classifier heads ---------------------------------------------------
+        The state is decoded afresh, as one step of n + 1 positions from
+        length 0: the rows of the full pass, off the tape.
+        """
+        cache.length = 0
+        return self.decoder.step(self._embed_step(tokens, 0, len(tokens)), cache, [0])
+
+    # -- classifier heads: on the tape for training, on arrays for stage 2 ---
     def deletion_logits(self, z: Tensor) -> Tensor:
         return self.w_del(z)
 
@@ -76,13 +81,21 @@ class EditRealizer(TableToText):
     def token_logits(self, z: Tensor, positions: Sequence[int]) -> Tensor:
         return self.w_tok(z[np.asarray(positions, dtype=np.int64)])
 
-    def argmax_fill(self, z: Tensor, positions: Sequence[int]) -> list[str]:
-        """Greedy token choices for the given placeholder positions.
+    def deletion_scores(self, z: np.ndarray) -> np.ndarray:
+        """deletion_logits on arrays, off the tape."""
+        return self.w_del.step(z)
+
+    def placeholder_scores(self, z: np.ndarray) -> np.ndarray:
+        """placeholder_logits of every slot between consecutive rows of z, on arrays."""
+        return self.w_plh.step(np.concatenate([z[:-1], z[1:]], axis=1))
+
+    def argmax_fill(self, z: np.ndarray, positions: Sequence[int]) -> list[str]:
+        """Greedy token choices for the given placeholder positions, on arrays.
 
         Fills range over actual tokens: the reserved symbols (padding,
         sentinels, the placeholder itself) are excluded from the argmax.
         """
-        return self.fill_tokens(self.token_logits(z, positions).data)
+        return self.fill_tokens(self.w_tok.step(z[np.asarray(positions, dtype=np.int64)]))
 
     def fill_tokens(self, logits: np.ndarray) -> list[str]:
         """The greedy token of each row of token-head logits, reserved symbols excluded."""

@@ -11,7 +11,6 @@ from .autograd import Tensor
 from .config import RunConfig
 from .data import PAD_ID, LinearizedTable, Table, Vocabulary, linearize_table
 from .nn import (
-    DecoderCache,
     Embedding,
     Linear,
     Module,
@@ -95,6 +94,14 @@ class TableEncoder(Module):
         """Hidden vectors of one table's cells: encode_padded of that table alone."""
         return self.encode_padded([cells])
 
+    def step(self, cells: LinearizedTable) -> np.ndarray:
+        """__call__'s forward on arrays, off the tape: (cells, d) rows, probed as its ops probe."""
+        tok, key, fwd, bwd = self._cell_ids(cells).tolist()
+        fused = np.concatenate([self.tok_emb.step(tok), self.key_emb.step(key),
+                                self.fwd_emb.step(fwd), self.bwd_emb.step(bwd)], axis=1)
+        x = self.fuse.step(fused)
+        return self.encoder.step(np.where(x > 0, x, 0.0))
+
 
 class TableToText(Module):
     """Table encoder plus a transformer decoder over embedded output tokens.
@@ -128,29 +135,24 @@ class TableToText(Module):
             self._check_positions(positions[-1])  # the largest, last
         return self.in_proj(self.encoder.tok_emb(ids)) + self.pos_emb(positions)
 
-    def _embed_step(self, tokens: Sequence[str], position: int) -> np.ndarray:
-        """_embed_tokens of B tokens at one position, on arrays, each result probed as its op is."""
-        self._check_positions(position)
-        ids, emb = self.vocab.ids(tokens), self.encoder.tok_emb.weight.data
-        ag._check_ids(min(ids), max(ids), len(emb))
-        x = ag._checked(emb[ids], "embedding_lookup")
-        x = ag._checked(ag._affine(x, self.in_proj.weight.data, self.in_proj.bias.data), "linear")
-        return ag._checked(x + ag._checked(self.pos_emb.weight.data[position], "embedding_lookup"),
-                           "add")
+    def _embed_step(self, tokens: Sequence[str], start: int, n: int = 1) -> np.ndarray:
+        """_embed_tokens on arrays, each result probed as its op is.
 
-    def _token_ids(self, tokens: Sequence[str]) -> np.ndarray:
-        return np.array(self.vocab.ids(tokens), dtype=np.int64)
+        With n = 1, B tokens all at position `start`, one per hypothesis;
+        otherwise one state's n tokens at positions start .. start + n - 1.
+        """
+        self._check_positions(start + n - 1)
+        x = self.in_proj.step(self.encoder.tok_emb.step(self.vocab.ids(tokens)))
+        position = ag._checked(self.pos_emb.weight.data[start : start + n], "embedding_lookup")
+        return ag._checked(x + position, "add")
 
-    def decode_batch(
-        self, states: Sequence[Sequence[str]], memory: Padded | DecoderCache, causal: bool
-    ) -> Padded:
+    def decode_batch(self, states: Sequence[Sequence[str]], memory: Padded, causal: bool) -> Padded:
         """Embed each state at positions 0..n-1 and decode it against table b of `memory`.
 
         All states go as one padded batch; one unpadded state is the
-        unbatched computation. A DecoderCache in place of the memory
-        supplies its memory and that memory's cross-attention projections.
+        unbatched computation.
         """
-        ids, lengths = pad_ids([self._token_ids(s) for s in states])
+        ids, lengths = pad_ids([np.array(self.vocab.ids(s), dtype=np.int64) for s in states])
         batch, width = ids.shape
         positions = np.arange(width) if batch == 1 else np.tile(np.arange(width), batch)
         x = self._embed_tokens(ids.reshape(-1), positions)

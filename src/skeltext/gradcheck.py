@@ -56,11 +56,10 @@ def finite_difference_check(
         idx = np.arange(n) if n <= samples_per_param else rng.choice(n, samples_per_param, replace=False)
         for i in idx:
             orig = flat[i]
-            with ag.no_grad():
-                flat[i] = orig + eps
-                hi = loss_fn().item()
-                flat[i] = orig - eps
-                lo = loss_fn().item()
+            flat[i] = orig + eps
+            hi = loss_fn().item()
+            flat[i] = orig - eps
+            lo = loss_fn().item()
             flat[i] = orig
             numeric = (hi - lo) / (2 * eps)
             a = ga.reshape(-1)[i]

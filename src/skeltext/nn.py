@@ -70,6 +70,11 @@ class Linear(Module):
     def __call__(self, x: Tensor) -> Tensor:
         return ag.linear(x, self.weight, self.bias)
 
+    def step(self, x: np.ndarray) -> np.ndarray:
+        """__call__'s forward on arrays, off the tape."""
+        bias = None if self.bias is None else self.bias.data
+        return ag._checked(ag._affine(x, self.weight.data, bias), "linear")
+
 
 class Embedding(Module):
     def __init__(self, rng, num_embeddings: int, dim: int):
@@ -77,6 +82,13 @@ class Embedding(Module):
 
     def __call__(self, ids) -> Tensor:
         return ag.embedding_lookup(self.weight, ids)
+
+    def step(self, ids: list[int]) -> np.ndarray:
+        """__call__'s forward of a list of ids on arrays, off the tape."""
+        table = self.weight.data
+        if ids:
+            ag._check_ids(min(ids), max(ids), len(table))
+        return ag._checked(table[ids], "embedding_lookup")
 
 
 class LayerNorm(Module):
@@ -181,34 +193,30 @@ class MultiHeadAttention(Module):
             raise ShapeError("attention over an empty key set")
         return ag.keys_values(memory, self.wk.weight, self.wk.bias, self.wv.weight, self.wv.bias)
 
-    def __call__(
-        self,
-        x: Tensor,
-        memory: Tensor,
-        mask: np.ndarray | None = None,
-        kv: Tensor | None = None,
-    ) -> Tensor:
-        """Attend from the rows of x (t_q, d) over the rows of memory (t_k, d).
-
-        `kv` stands in for keys_values(memory): the memory's projections
-        from a DecoderCache, with the same result.
-        """
-        if kv is None:
-            kv = self.keys_values(memory)
+    def __call__(self, x: Tensor, memory: Tensor, mask: np.ndarray | None = None) -> Tensor:
+        """Attend from the rows of x (t_q, d) over the rows of memory (t_k, d)."""
         return ag.attention(
-            x, kv, self.wq.weight, self.wq.bias, self.wo.weight, self.wo.bias,
-            self.n_heads, mask,
+            x, self.keys_values(memory), self.wq.weight, self.wq.bias, self.wo.weight,
+            self.wo.bias, self.n_heads, mask,
         )
 
-    def step(self, x: np.ndarray, kh: np.ndarray, vh: np.ndarray) -> np.ndarray:
+    def keys_values_step(self, x: np.ndarray, batch: int = 1) -> np.ndarray:
+        """keys_values() of B sequences' rows x (B·T, d) on arrays, as heads (2, B, h, T, d_head)."""
+        wk, wv = self.wk, self.wv
+        kv = ag._checked(ag._keys_values(x, wk.weight.data, wk.bias.data, wv.weight.data,
+                                         wv.bias.data), "keys_values")
+        return kv.reshape(2, batch, x.shape[0] // batch, self.n_heads, self.d_head).swapaxes(2, 3)
+
+    def step(self, x: np.ndarray, kv: np.ndarray) -> np.ndarray:
         """__call__'s forward on arrays, off the tape, over keys and values split into heads.
 
-        With kh and vh (B, h, t, d_head), row b of x (B, d) attends over
-        sequence b; with (1, h, t, d_head), every row over the same one.
+        With kv (2, B, h, t, d_head), the rows of x (B·T, d) of sequence b
+        attend over its t positions; with (2, 1, h, t, d_head), every row
+        over the same ones.
         """
         wq, wo = self.wq, self.wo
-        out = ag._attention(x, kh, vh, wq.weight.data, wq.bias.data, wo.weight.data,
-                            wo.bias.data, self.n_heads, kh.shape[0], None)[-1]
+        out = ag._attention(x, kv[0], kv[1], wq.weight.data, wq.bias.data, wo.weight.data,
+                            wo.bias.data, self.n_heads, kv.shape[1], None)[-1]
         return ag._checked(out, "attention")
 
 
@@ -240,6 +248,11 @@ class EncoderLayer(Module):
         x = self.ln1(x, self.attn(x, x, mask))
         return self.ln2(x, self.ff(x))
 
+    def step(self, x: np.ndarray) -> np.ndarray:
+        """__call__'s forward of one sequence's rows x (n, d) on arrays, off the tape."""
+        x = self.ln1.step(x, self.attn.step(x, self.attn.keys_values_step(x)))
+        return self.ln2.step(x, self.ff.step(x))
+
 
 class DecoderLayer(Module):
     """Self-attention (optionally causal) + cross-attention + feed-forward, post-LN."""
@@ -258,33 +271,29 @@ class DecoderLayer(Module):
         memory: Tensor,
         self_mask: np.ndarray | None = None,
         memory_mask: np.ndarray | None = None,
-        memory_kv: Tensor | None = None,
     ) -> Tensor:
-        """Each attention takes its own mask; cross-attention a `kv` (see MultiHeadAttention)."""
+        """Each attention takes its own mask."""
         x = self.ln1(x, self.self_attn(x, x, self_mask))
-        x = self.ln2(x, self.cross_attn(x, memory, memory_mask, memory_kv))
+        x = self.ln2(x, self.cross_attn(x, memory, memory_mask))
         return self.ln3(x, self.ff(x))
 
     def step(self, x: np.ndarray, past: np.ndarray, parents: np.ndarray,
              memory_kv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The newest position of B hypotheses, x (B, d), through the layer on arrays.
+        """T new positions of each of B hypotheses, x (B·T, d), through the layer on arrays.
 
-        past is the self-attention cache (2, B', h, t, d_head) and memory_kv
-        the memory's keys_values() (2, t_k, d). Returns the layer's output
-        and the new cache: rows parents[i] of past with hypothesis i's keys
-        and values appended, (2, B, h, t+1, d_head). The cache rows were
-        probed when they were appended; only the new ones are.
+        past is the self-attention cache (2, B', h, t, d_head), memory_kv the
+        memory's (2, 1, h, t_k, d_head). Returns the layer's output and the
+        new cache: rows parents[i] of past with hypothesis i's keys and values
+        appended, (2, B, h, t+T, d_head). The cache rows were probed when
+        they were appended; only the new ones are.
         """
-        sa, ca = self.self_attn, self.cross_attn
-        (_, _, h, t, dh), b = past.shape, x.shape[0]
-        new = ag._keys_values(x, sa.wk.weight.data, sa.wk.bias.data, sa.wv.weight.data,
-                              sa.wv.bias.data)
-        kv = np.empty((2, b, h, t + 1, dh))
+        sa = self.self_attn
+        (_, _, h, t, dh), b = past.shape, len(parents)
+        kv = np.empty((2, b, h, t + x.shape[0] // b, dh))
         kv[:, :, :, :t] = past[:, parents]
-        kv[:, :, :, t] = ag._checked(new, "keys_values").reshape(2, b, h, dh)
-        x = self.ln1.step(x, sa.step(x, kv[0], kv[1]))
-        kh, vh = ag._heads(memory_kv[0], ca.n_heads), ag._heads(memory_kv[1], ca.n_heads)
-        x = self.ln2.step(x, ca.step(x, kh, vh))
+        kv[:, :, :, t:] = sa.keys_values_step(x, b)
+        x = self.ln1.step(x, sa.step(x, kv))
+        x = self.ln2.step(x, self.cross_attn.step(x, memory_kv))
         return self.ln3.step(x, self.ff.step(x)), kv
 
 
@@ -298,20 +307,26 @@ class TransformerEncoder(Module):
             x = layer(x, mask)
         return x
 
+    def step(self, x: np.ndarray) -> np.ndarray:
+        """__call__'s forward of one sequence's rows x (n, d) on arrays, off the tape."""
+        for layer in self.layers:
+            x = layer.step(x)
+        return x
+
 
 class DecoderCache:
-    """What a TransformerDecoder reuses across passes over one memory, and that memory.
+    """What TransformerDecoder.step reuses across passes over one table's memory, an array.
 
-    `memory_kv[l]` is layer l's cross-attention keys_values() of the
-    memory's rows, computed once and read by every pass. The steps of
-    TransformerDecoder.step also keep, in `self_kv[l]`, a plain array of
-    layer l's self-attention keys and values of every position decoded so
-    far for the B live hypotheses, (2, B, h, t, d_head), with `length` = t.
+    `memory_kv[l]` is layer l's cross-attention keys and values of the
+    memory's rows (t_k, d), split into heads, (2, 1, h, t_k, d_head):
+    computed once and read by every pass. `self_kv[l]` holds layer l's
+    self-attention keys and values of every position decoded so far for
+    the B live hypotheses, (2, B, h, t, d_head), with `length` = t.
     """
 
-    def __init__(self, decoder: TransformerDecoder, memory: Padded):
+    def __init__(self, decoder: TransformerDecoder, memory: np.ndarray):
         self.memory = memory
-        self.memory_kv = [layer.cross_attn.keys_values(memory.rows) for layer in decoder.layers]
+        self.memory_kv = [layer.cross_attn.keys_values_step(memory) for layer in decoder.layers]
         self.self_kv: list[np.ndarray] = []
         self.length = 0
 
@@ -321,10 +336,9 @@ class TransformerDecoder(Module):
         self.layers = [DecoderLayer(rng, d_model, d_hidden, n_heads) for _ in range(n_layers)]
 
     def __call__(
-        self, x: Tensor, memory: Padded | DecoderCache, causal: bool,
-        mask: np.ndarray | None = None,
+        self, x: Tensor, memory: Padded, causal: bool, mask: np.ndarray | None = None,
     ) -> Tensor:
-        """Decode the rows of x (T, d) against memory, or a cache's memory and projections.
+        """Decode the rows of x (T, d) against memory.
 
         The key-padding mask of a padded batch of x (Padded.mask) goes in
         `mask`; the memory's comes from the memory.
@@ -332,28 +346,22 @@ class TransformerDecoder(Module):
         if causal:
             causal_part = causal_mask(x.shape[0] if mask is None else mask.shape[-1])
             mask = causal_part if mask is None else mask + causal_part
-        memory_kv = [None] * len(self.layers)
-        if isinstance(memory, DecoderCache):
-            memory, memory_kv = memory.memory, memory.memory_kv
         memory_mask = memory.mask()
-        for layer, kv in zip(self.layers, memory_kv):
-            x = layer(x, memory.rows, mask, memory_mask, kv)
+        for layer in self.layers:
+            x = layer(x, memory.rows, mask, memory_mask)
         return x
 
     def step(self, x: np.ndarray, cache: DecoderCache, parents: Sequence[int]) -> np.ndarray:
-        """Decode position cache.length of B hypotheses, x (B, d), causally, against one table.
+        """Decode T new positions of each of B hypotheses, x (B·T, d), against the cache's table.
 
-        Hypothesis i continues the earlier positions in cache row parents[i];
-        the cache grows by one position. Inference-only: the step runs the
-        ops' forward kernels on plain arrays, off the tape, and a non-finite
-        result names its op. Cross-attention takes no key mask, so the cache
-        must hold one table.
+        Hypothesis i continues the positions in cache row parents[i], and the
+        cache grows by T; a cache of length 0 starts afresh, with one empty
+        row. A new position attends over every position of its hypothesis,
+        unmasked: the beam steps one position at a time, and a non-causal
+        pass over a whole state is one step from length 0. Inference-only:
+        the ops' forward kernels run on plain arrays, off the tape, and a
+        non-finite result names its op.
         """
-        tables = len(cache.memory.lengths)
-        if tables != 1:
-            raise ValueError(
-                f"a decoder step decodes against one table; the cache holds {tables} tables"
-            )
         if not cache.length:  # one hypothesis with no positions yet
             cache.self_kv = [
                 np.zeros((2, 1, layer.self_attn.n_heads, 0, layer.self_attn.d_head))
@@ -361,9 +369,8 @@ class TransformerDecoder(Module):
             ]
         parents = np.asarray(parents, dtype=np.int64)
         for i, layer in enumerate(self.layers):
-            x, cache.self_kv[i] = layer.step(x, cache.self_kv[i], parents,
-                                             cache.memory_kv[i].data)
-        cache.length += 1
+            x, cache.self_kv[i] = layer.step(x, cache.self_kv[i], parents, cache.memory_kv[i])
+        cache.length += x.shape[0] // len(parents)
         return x
 
 

@@ -230,12 +230,12 @@ def build_edit_supervision(
 
     Y' corrupts the reference around its skeleton match, the insertion
     oracle yields placeholder counts and gold fills, and Y''' replaces the
-    placeholders with the model's current argmax choices (evaluated without
-    gradients) so the deletion head sees its own mistakes.
+    placeholders with the model's current argmax choices (by an edit loss
+    that is then dropped, never backpropagated) so the deletion head sees
+    its own mistakes.
     """
     sup = draft_supervision(model, skeleton, y_star, rng)
-    with ag.no_grad():
-        edit_loss_from_supervision(model, memory, sup)
+    edit_loss_from_supervision(model, memory, sup)
     return sup
 
 
@@ -387,15 +387,13 @@ def backprop_edit_batch(
     backpropagated as soon as its loss is known, into a retained copy of the
     encoder output, whose gradient goes through the encoder once, at the
     end; so the tape holds the encoder's pass and one decoder pass at most.
-    Under no_grad this only computes the losses. Returns each example's loss
-    parts, with constant totals.
+    Returns each example's loss parts, with constant totals.
     """
     tables = [linearize_table(ex.table) for ex in examples]
     encoded = Detached(model.encoder.encode_padded(tables))
 
     def backprop(name: str, loss: Tensor) -> None:
-        if loss.tracked:
-            (loss * (lam * scale if name == "del" else scale)).backward()
+        (loss * (lam * scale if name == "del" else scale)).backward()
 
     parts = _edit_losses(model, encoded.leaf, sups, lam, backprop)
     encoded.backward()

@@ -103,8 +103,7 @@ class SkeletonPointer(TableToText):
 
     def _step_attention(self, r: np.ndarray, keys_t: np.ndarray) -> np.ndarray:
         """pointer_attention on arrays, off the tape, each result probed as its op probes it."""
-        q = ag._checked(ag._affine(r, self.wq.weight.data, None), "linear")
-        logits = ag._checked(np.matmul(q, keys_t), "matmul")
+        logits = ag._checked(np.matmul(self.wq.step(r), keys_t), "matmul")
         logits = ag._checked(logits * (1.0 / float(np.sqrt(self.d_model))), "mul_scalar")
         return ag._checked(ag._softmax(logits, -1, out=logits), "softmax")
 
@@ -129,10 +128,10 @@ class SkeletonPointer(TableToText):
 
     def _start_search(self, table: Table) -> _TableSearch:
         cells = linearize_table(table)
-        memory = self.encoder(cells)
+        memory = self.encoder.step(cells)
         distinct, pool = copy_pool([c.token for c in cells])
-        cache = DecoderCache(self.decoder, memory)
-        return _TableSearch(distinct, pool, self.wk(memory.rows).data.T, cache)
+        return _TableSearch(distinct, pool, self.wk.step(memory).T,
+                            DecoderCache(self.decoder, memory))
 
     def _step_log_probs(
         self, search: _TableSearch, live: list[SkeletonPrediction], parents: list[int]
@@ -180,43 +179,42 @@ class SkeletonPointer(TableToText):
         def bound(h: SkeletonPrediction) -> float:  # the best rank h's descendants reach
             return h.score / (max_len + 1) if length_normalize else h.score
 
-        with ag.no_grad():
-            search = self._start_search(table)
-            live = [SkeletonPrediction([], 0.0, False)]
-            parents = [0]
-            done: list[SkeletonPrediction] = []
-            exhausted: list[SkeletonPrediction] = []
-            for _ in range(max_len + 1):  # +1: the final EOS step
-                if not live:
-                    break
-                # Log-probabilities are <= 0, so no descendant of a live
-                # hypothesis outranks its bound: once the best finished rank
-                # reaches every live bound, the search is settled.
-                if done and max(map(rank, done)) >= max(map(bound, live)):
-                    break
-                logp, distinct = self._step_log_probs(search, live, parents)
-                top = np.argsort(-logp, axis=1)[:, :beam_width].tolist()
-                scores = logp.tolist()
-                # (score, row, token index) in row order, then argsort order:
-                # the stable sort below breaks score ties in that order.
-                expansions: list[tuple[float, int, int]] = []
-                for row, hyp in enumerate(live):
-                    extend = len(hyp.tokens) < max_len
-                    for j in top[row]:
-                        score = hyp.score + scores[row][j]
-                        if distinct[j] == EOS_TOKEN:
-                            done.append(SkeletonPrediction(hyp.tokens, score, True))
-                        elif extend:
-                            expansions.append((score, row, j))
-                    if not extend:
-                        exhausted.append(hyp)
-                expansions.sort(key=lambda e: -e[0])
-                del expansions[beam_width:]
-                live = [
-                    SkeletonPrediction([*live[row].tokens, distinct[j]], score, False)
-                    for score, row, j in expansions
-                ]
-                parents = [row for _, row, _ in expansions]
+        search = self._start_search(table)
+        live = [SkeletonPrediction([], 0.0, False)]
+        parents = [0]
+        done: list[SkeletonPrediction] = []
+        exhausted: list[SkeletonPrediction] = []
+        for _ in range(max_len + 1):  # +1: the final EOS step
+            if not live:
+                break
+            # Log-probabilities are <= 0, so no descendant of a live
+            # hypothesis outranks its bound: once the best finished rank
+            # reaches every live bound, the search is settled.
+            if done and max(map(rank, done)) >= max(map(bound, live)):
+                break
+            logp, distinct = self._step_log_probs(search, live, parents)
+            top = np.argsort(-logp, axis=1)[:, :beam_width].tolist()
+            scores = logp.tolist()
+            # (score, row, token index) in row order, then argsort order:
+            # the stable sort below breaks score ties in that order.
+            expansions: list[tuple[float, int, int]] = []
+            for row, hyp in enumerate(live):
+                extend = len(hyp.tokens) < max_len
+                for j in top[row]:
+                    score = hyp.score + scores[row][j]
+                    if distinct[j] == EOS_TOKEN:
+                        done.append(SkeletonPrediction(hyp.tokens, score, True))
+                    elif extend:
+                        expansions.append((score, row, j))
+                if not extend:
+                    exhausted.append(hyp)
+            expansions.sort(key=lambda e: -e[0])
+            del expansions[beam_width:]
+            live = [
+                SkeletonPrediction([*live[row].tokens, distinct[j]], score, False)
+                for score, row, j in expansions
+            ]
+            parents = [row for _, row, _ in expansions]
 
         return max(done or live + exhausted, key=rank)
 
@@ -245,16 +243,15 @@ def backprop_pointer_batch(
     The tables are encoded as one padded pass. Each example's loss runs on its
     own rows of that pass's retained leaf, and is backpropagated into it at
     once; the leaf's gradient goes through the encoder once, at the end.
-    Under no_grad this only computes the losses. Returns each example's
-    loss. The caller checks each skeleton first (check_skeleton).
+    Returns each example's loss. The caller checks each skeleton first
+    (check_skeleton).
     """
     tables = [linearize_table(ex.table) for ex in examples]
     encoded = Detached(model.encoder.encode_padded(tables))
     losses = []
     for b, (ex, cells) in enumerate(zip(examples, tables)):
         loss = model.loss(ex, encoded.leaf.select([b]), [cell.token for cell in cells])
-        if loss.tracked:
-            (loss * scale).backward()
+        (loss * scale).backward()
         losses.append(loss.item())
     encoded.backward()
     return losses

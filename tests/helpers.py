@@ -84,8 +84,16 @@ def tiny_editor(seed: int = 0, **config_overrides):
 
 
 def decode_hidden(model, tokens, memory) -> Tensor:
-    """The editor's decoder outputs for tokens, over a fresh cache of the memory's projections."""
-    return model.decode_hidden(tokens, DecoderCache(model.decoder, memory))
+    """EditRealizer.decode_hidden on the tape: the editor's decoder outputs for tokens, a Tensor.
+
+    The reference of the array pass; `memory` is the table's Padded encoding.
+    """
+    return model.decode_batch([tokens], memory, False).rows
+
+
+def table_cache(model, table: Table) -> DecoderCache:
+    """The DecoderCache stage 1 and stage 2 build for a table: its array encoding, projected."""
+    return DecoderCache(model.decoder, model.encoder.step(linearize_table(table)))
 
 
 def encode_cells(model, table: Table):
@@ -190,23 +198,24 @@ def composed_step(attn, x: Tensor, past_k: Tensor, past_v: Tensor):
 
 
 def tensor_step(decoder, x: Tensor, cache: DecoderCache, parents) -> Tensor:
-    """TransformerDecoder.step on the tape ops: the reference of the step on plain arrays.
+    """TransformerDecoder.step of one position on the tape ops: the reference of the array step.
 
     Self-attention over the cache runs on the composed ops (composed_step),
-    every other sublayer on its module's fused op. The cache grows as the
-    step grows it: `self_kv[l]` becomes a (2, B, h, t+1, d_head) array.
+    every other sublayer on its module's fused op, cross-attention over the
+    cache's memory. The cache grows as the step grows it: `self_kv[l]`
+    becomes a (2, B, h, t+1, d_head) array.
     """
     if not cache.length:
         cache.self_kv = [np.zeros((2, 1, layer.self_attn.n_heads, 0, layer.self_attn.d_head))
                          for layer in decoder.layers]
-    with ag.no_grad():
-        for i, layer in enumerate(decoder.layers):
-            past = cache.self_kv[i][:, parents]
-            out, k, v = composed_step(layer.self_attn, x, Tensor(past[0]), Tensor(past[1]))
-            cache.self_kv[i] = np.stack([k.data, v.data])
-            x = layer.ln1(x, out)
-            x = layer.ln2(x, layer.cross_attn(x, cache.memory.rows, None, cache.memory_kv[i]))
-            x = layer.ln3(x, layer.ff(x))
+    memory = Tensor(cache.memory)
+    for i, layer in enumerate(decoder.layers):
+        past = cache.self_kv[i][:, parents]
+        out, k, v = composed_step(layer.self_attn, x, Tensor(past[0]), Tensor(past[1]))
+        cache.self_kv[i] = np.stack([k.data, v.data])
+        x = layer.ln1(x, out)
+        x = layer.ln2(x, layer.cross_attn(x, memory))
+        x = layer.ln3(x, layer.ff(x))
     cache.length += 1
     return x
 

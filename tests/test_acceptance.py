@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from skeltext import decoding
-from skeltext.autograd import Tensor
 from skeltext.cli import main as cli_main
 from skeltext.data import (
     Attribute,
@@ -29,7 +28,7 @@ from skeltext.data import (
 )
 from skeltext.gradcheck import TOLERANCE, run_gradcheck
 from skeltext.metrics import bleu, evaluate_outputs, parent, parent_t
-from skeltext.nn import Padded, TransformerDecoder
+from skeltext.nn import TransformerDecoder
 from skeltext.oracle import (
     is_subsequence,
     lcs,
@@ -473,6 +472,11 @@ def test_acceptance_5_annotator_conformance():
 
 # -- criterion 6: end-to-end overfit ---------------------------------------------------
 
+class _ZeroEncoder:
+    def step(self, cells):
+        return np.zeros((1, 2))
+
+
 class _DeleteEverythingStub:
     """Adversarial editor: wants to delete every token and insert nothing."""
 
@@ -480,21 +484,20 @@ class _DeleteEverythingStub:
     max_len = 512
     decoder = TransformerDecoder(None, 2, 2, 1, 0)  # no layers: an empty cache
 
-    def encode(self, table):
-        return Padded(Tensor(np.zeros((1, 2))), [1])
+    encoder = _ZeroEncoder()
 
     def decode_hidden(self, tokens, cache):
-        return Tensor(np.zeros((len(tokens), 2)))
+        return np.zeros((len(tokens), 2))
 
-    def deletion_logits(self, z):
+    def deletion_scores(self, z):
         logits = np.zeros((z.shape[0], 2))
         logits[:, 1] = 1.0
-        return Tensor(logits)
+        return logits
 
-    def placeholder_logits(self, z, slots):
-        logits = np.zeros((len(slots), self.k_max + 1))
+    def placeholder_scores(self, z):
+        logits = np.zeros((len(z) - 1, self.k_max + 1))
         logits[:, 0] = 1.0
-        return Tensor(logits)
+        return logits
 
     def argmax_fill(self, z, positions):
         return ["x"] * len(positions)

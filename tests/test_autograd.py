@@ -219,15 +219,6 @@ def test_finiteness_probe_accepts_signed_zeros_and_empty_arrays():
         assert Tensor(np.zeros(0)).shape == (0,)
 
 
-def test_no_grad_disables_tape():
-    x = Tensor(np.ones((2, 2)), retain_grad=True)
-    with ag.no_grad():
-        y = (x * 3.0).sum()
-    assert y._parents == ()
-    y2 = (x * 3.0).sum()
-    assert y2._parents != ()
-
-
 def test_backward_accumulates_into_retained_grads():
     x = Tensor(np.ones(3), retain_grad=True)
     x.grad = np.zeros(3)
@@ -337,7 +328,8 @@ def test_attention_matches_the_composed_ops_to_the_bit(case, n_heads, t_q, t_k, 
 
         def fused(x1, x2, m):
             kv = attn.keys_values(m)
-            return attn(x1, m, None, kv), attn(x2, m, None, kv)
+            args = (attn.wq.weight, attn.wq.bias, attn.wo.weight, attn.wo.bias, n_heads)
+            return ag.attention(x1, kv, *args), ag.attention(x2, kv, *args)
 
         def composed(x1, x2, m):
             kv = composed_keys_values(attn, m)
@@ -350,7 +342,7 @@ def test_attention_matches_the_composed_ops_to_the_bit(case, n_heads, t_q, t_k, 
         new = ag._keys_values(x, attn.wk.weight.data, attn.wk.bias.data, attn.wv.weight.data,
                               attn.wv.bias.data)
         kv = np.concatenate([cache[:, parents], new.reshape(2, t_q, n_heads, 1, -1)], axis=3)
-        stepped = attn.step(x, kv[0], kv[1])
+        stepped = attn.step(x, kv)
         composed, k, v = composed_step(attn, Tensor(x), Tensor(cache[0][parents]),
                                        Tensor(cache[1][parents]))
         assert type(stepped) is np.ndarray
@@ -429,7 +421,7 @@ def test_backward_gives_untracked_constants_no_gradient():
     ((x * const) + bias).sum().backward()
     assert x.grad is not None
     assert const.grad is None and bias.grad is None
-    assert not const.tracked
+    assert not const._track
 
 
 def test_every_retained_gradient_is_c_contiguous():
@@ -511,9 +503,6 @@ def test_attention_raises_on_overflowing_scores_the_softmax_would_hide():
     one, zero = Tensor([[1.0]]), Tensor([0.0])
     with pytest.raises(NonFiniteError, match="from attention$"):
         ag.attention(x, kv, one, zero, one, zero, 1)
-    with ag.no_grad():
-        with pytest.raises(NonFiniteError, match="from attention$"):
-            ag.attention(x, kv, one, zero, one, zero, 1)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")

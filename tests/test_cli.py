@@ -814,6 +814,24 @@ def test_the_pipeline_digests_beam_scores_hold_each_results_score_bits(pipeline,
     assert lines[3 * 20] == f"5 True {best.tokens} {best.score.hex()} {best.finished}"
 
 
+def test_the_pipeline_digests_stage2_traces_hold_every_snapshot(pipeline, monkeypatch, capsys):
+    from skeltext.decoding import iterate
+    from skeltext.training import load_editor_dir
+
+    monkeypatch.chdir(pipeline["root"])
+    assert main(["skeleton", "--checkpoint", pipeline["pointer"], "--corpus",
+                 pipeline["annotated"], "--out", "skeletons.jsonl"]) == 0
+    capsys.readouterr()
+    exec(_pipeline_digest()._STAGE2_TRACES, {})
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 4 * 20  # two skeleton sources, each with and without hard constraints
+    model, cfg = load_editor_dir(pipeline["editor"])
+    example = load_corpus("skeletons.jsonl")[3]
+    _, trace = iterate(model, example.table, example.skeleton, cfg.max_iter, False)
+    snapshots = " ".join(str((s.tokens, s.protected)) for s in trace.snapshots)
+    assert lines[3 * 20 + 3] == f"skeletons.jsonl False 3 {trace.termination} None {snapshots}"
+
+
 def test_every_option_that_sets_a_config_field_defaults_to_none():
     """RunConfig states each default once: a flag for a config field has no default of its own."""
     import argparse

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skeltext import autograd as ag
-from skeltext.autograd import NonFiniteError, Tensor
+from skeltext.autograd import NonFiniteError
 from skeltext.data import BOS_TOKEN, EOS_TOKEN, PLH_TOKEN, Attribute, Table
 from skeltext.decoding import (
     FIXED_POINT,
@@ -24,16 +24,22 @@ from skeltext.decoding import (
     realize_corpus,
 )
 from skeltext.editor import EditState
-from skeltext.nn import DecoderCache, Padded, TransformerDecoder
+from skeltext.nn import DecoderCache, TransformerDecoder
 from skeltext.oracle import is_subsequence
 
-from helpers import all_value_tokens, random_table, tiny_editor
+from helpers import all_value_tokens, random_table, table_cache, tiny_editor
+
+
+class _StubEncoder:
+    def step(self, cells):
+        return np.zeros((1, 2))
 
 
 class StubEditor:
     """Scriptable model: fixed deletion bias, fixed per-slot insertions, fixed fill."""
 
     decoder = TransformerDecoder(None, 2, 2, 1, 0)  # no layers: an empty cache
+    encoder = _StubEncoder()
 
     def __init__(
         self, delete_everything=False, insert_per_slot=0, fill_token="x", k_max=8, max_len=512
@@ -44,22 +50,19 @@ class StubEditor:
         self.k_max = k_max
         self.max_len = max_len
 
-    def encode(self, table):
-        return Padded(Tensor(np.zeros((1, 2))), [1])
-
     def decode_hidden(self, tokens, cache):
-        return Tensor(np.zeros((len(tokens), 2)))
+        return np.zeros((len(tokens), 2))
 
-    def deletion_logits(self, z):
+    def deletion_scores(self, z):
         n = z.shape[0]
         logits = np.zeros((n, 2))
         logits[:, 1 if self.delete_everything else 0] = 1.0
-        return Tensor(logits)
+        return logits
 
-    def placeholder_logits(self, z, slots):
-        logits = np.zeros((len(slots), self.k_max + 1))
+    def placeholder_scores(self, z):
+        logits = np.zeros((len(z) - 1, self.k_max + 1))
         logits[:, self.insert_per_slot] = 1.0
-        return Tensor(logits)
+        return logits
 
     def argmax_fill(self, z, positions):
         return [self.fill_token] * len(positions)
@@ -127,7 +130,7 @@ def test_masked_delete_arity_checked():
 
 def _fill(stub, state, **kwargs):
     """insert_and_fill of a stub's state, over the stub's own hidden states."""
-    cache = DecoderCache(stub.decoder, stub.encode(None))
+    cache = DecoderCache(stub.decoder, stub.encoder.step(None))
     z = stub.decode_hidden(state.tokens, cache)
     return insert_and_fill(state, stub, cache, z, **kwargs)
 
@@ -143,12 +146,12 @@ def test_insert_and_fill_two_tokens_unprotected():
     state = init_state(["a"])
 
     class OneSlotStub(StubEditor):
-        def placeholder_logits(self, z, slots):
-            logits = np.zeros((len(slots), self.k_max + 1))
+        def placeholder_scores(self, z):
+            logits = np.zeros((len(z) - 1, self.k_max + 1))
             logits[:, 0] = 1.0
             logits[0, 0] = 0.0
             logits[0, 2] = 1.0  # two insertions in the first slot only
-            return Tensor(logits)
+            return logits
 
     stub2 = OneSlotStub(fill_token="new")
     out = _fill(stub2, state)
@@ -161,10 +164,10 @@ def test_insert_and_fill_keeps_every_mask_and_leaves_insertions_unprotected():
     state = EditState((BOS_TOKEN, "a", "b", "c", EOS_TOKEN), (True, False, True, False, True))
 
     class SlotCounts(StubEditor):
-        def placeholder_logits(self, z, slots):
-            logits = np.zeros((len(slots), self.k_max + 1))
-            logits[np.arange(len(slots)), [1, 0, 2, 1]] = 1.0
-            return Tensor(logits)
+        def placeholder_scores(self, z):
+            logits = np.zeros((len(z) - 1, self.k_max + 1))
+            logits[np.arange(len(z) - 1), [1, 0, 2, 1]] = 1.0
+            return logits
 
     out = _fill(SlotCounts(fill_token="n"), state)
     assert out.tokens == (BOS_TOKEN, "n", "a", "b", "n", "n", "c", "n", EOS_TOKEN)
@@ -234,10 +237,10 @@ def test_iterate_random_model_constraint_preservation():
         assert is_subsequence(skeleton, tokens)
         if trace.termination == FIXED_POINT:
             # one more edit round applied to the final state changes nothing
-            cache = DecoderCache(model.decoder, model.encode(table))
+            cache = table_cache(model, table)
             state = trace.snapshots[-1]
             z = model.decode_hidden(state.tokens, cache)
-            after = masked_delete(state, model.deletion_logits(z).data)
+            after = masked_delete(state, model.deletion_scores(z))
             z = model.decode_hidden(after.tokens, cache)
             after = insert_and_fill(after, model, cache, z)
             assert after.tokens == state.tokens
@@ -263,7 +266,7 @@ def _decode_every_pass(model, tokens, memory):
 
 
 def _reference_iterate(model, table, skeleton, max_iter, hard_constraints, max_state_len):
-    """The refinement loop spelled out, each of its passes decoding its state afresh.
+    """The refinement loop spelled out on the tape, each of its passes decoding its state afresh.
 
     Deletions and insertion counts are the argmax of their heads' softmax,
     the distributions the realizer is trained on; `iterate` reads the logits.
@@ -272,32 +275,31 @@ def _reference_iterate(model, table, skeleton, max_iter, hard_constraints, max_s
     """
     state = init_state(skeleton, protect_skeleton=hard_constraints)
     snapshots = [state]
-    with ag.no_grad():
-        memory = model.encode(table)
-        for _ in range(max_iter):
-            previous = state.tokens
-            z = _decode_every_pass(model, state.tokens, memory)
-            state = masked_delete(state, ag.softmax(model.deletion_logits(z)).data)
-            z = _decode_every_pass(model, state.tokens, memory)
-            slots = np.arange(len(state) - 1)
-            counts = np.argmax(ag.softmax(model.placeholder_logits(z, slots)).data, axis=-1)
-            if counts.sum() + len(state) > max_state_len:
-                return snapshots, OVERFLOW
-            tokens, protected = [BOS_TOKEN], [True]
-            for slot, count in enumerate(counts):
-                tokens += [PLH_TOKEN] * int(count)
-                protected += [False] * int(count)
-                tokens.append(state.tokens[slot + 1])
-                protected.append(state.protected[slot + 1])
-            plh = [i for i, t in enumerate(tokens) if t == PLH_TOKEN]
-            if plh:
-                fills = model.argmax_fill(_decode_every_pass(model, tokens, memory), plh)
-                for pos, tok in zip(plh, fills):
-                    tokens[pos] = tok
-            state = EditState(tokens, protected)
-            snapshots.append(state)
-            if state.tokens == previous:
-                return snapshots, FIXED_POINT
+    memory = model.encode(table)
+    for _ in range(max_iter):
+        previous = state.tokens
+        z = _decode_every_pass(model, state.tokens, memory)
+        state = masked_delete(state, ag.softmax(model.deletion_logits(z)).data)
+        z = _decode_every_pass(model, state.tokens, memory)
+        slots = np.arange(len(state) - 1)
+        counts = np.argmax(ag.softmax(model.placeholder_logits(z, slots)).data, axis=-1)
+        if counts.sum() + len(state) > max_state_len:
+            return snapshots, OVERFLOW
+        tokens, protected = [BOS_TOKEN], [True]
+        for slot, count in enumerate(counts):
+            tokens += [PLH_TOKEN] * int(count)
+            protected += [False] * int(count)
+            tokens.append(state.tokens[slot + 1])
+            protected.append(state.protected[slot + 1])
+        plh = [i for i, t in enumerate(tokens) if t == PLH_TOKEN]
+        if plh:
+            z = _decode_every_pass(model, tokens, memory)
+            for pos, tok in zip(plh, model.fill_tokens(model.token_logits(z, plh).data)):
+                tokens[pos] = tok
+        state = EditState(tokens, protected)
+        snapshots.append(state)
+        if state.tokens == previous:
+            return snapshots, FIXED_POINT
     return snapshots, MAX_ITERATIONS
 
 
@@ -366,24 +368,23 @@ def test_memoized_memory_projections_match_uncached_decoding():
     table = random_table(np.random.default_rng(3))
     first = [BOS_TOKEN, *all_value_tokens(table), EOS_TOKEN]
     second = [BOS_TOKEN, "oov-token", *all_value_tokens(table)[:1], PLH_TOKEN, EOS_TOKEN]
-    with ag.no_grad():
-        memory = model.encode(table)
-        cache = DecoderCache(model.decoder, memory)
-        for tokens in (first, second, first):
-            cached = model.decode_hidden(tokens, cache).data
-            uncached = _decode_every_pass(model, tokens, memory).data
-            np.testing.assert_allclose(cached, uncached, rtol=0, atol=1e-12)
+    memory = model.encode(table)
+    cache = DecoderCache(model.decoder, memory.rows.data)
+    for tokens in (first, second, first):
+        cached = model.decode_hidden(tokens, cache)
+        uncached = _decode_every_pass(model, tokens, memory).data
+        np.testing.assert_allclose(cached, uncached, rtol=0, atol=1e-12)
 
 
 def test_iterate_projects_the_table_memory_once_per_layer():
     model, _ = tiny_editor(seed=4, n_layers=2, k_max=3)
     projections = {}
     for i, layer in enumerate(model.decoder.layers):
-        def counting(memory, i=i, project=layer.cross_attn.keys_values):
+        def counting(memory, i=i, project=layer.cross_attn.keys_values_step):
             projections[i] = projections.get(i, 0) + 1
             return project(memory)
 
-        layer.cross_attn.keys_values = counting
+        layer.cross_attn.keys_values_step = counting
     decodes = []
     decode = model.decode_hidden
     model.decode_hidden = lambda tokens, cache: decodes.append(tokens) or decode(tokens, cache)
@@ -405,6 +406,37 @@ def test_nan_in_a_cross_attention_weight_raises_non_finite():
     assert trace.snapshots[0].body() == tuple(all_value_tokens(table)[:2])
 
 
+def test_a_nan_in_any_weight_iterate_reads_names_the_op_the_tape_names():
+    # Each weight the table encoder, the decoder and the three heads read,
+    # spoiled alone: iterate's array passes must stop at the op where the
+    # same loop on the tape ops stops. The token embedding is also spoiled
+    # in BOS's row alone, which only the decoder reads. The first iteration
+    # inserts, so the token head is read too.
+    table = random_table(np.random.default_rng(10))
+    skeleton = all_value_tokens(table)[:2]
+    args = (table, skeleton, 2, True, 64)
+
+    def spoiled(name, row=None):
+        model, _ = tiny_editor(seed=10, n_layers=2, k_max=3)
+        param = dict(model.named_parameters())[name]
+        param.data[... if row is None else row] = np.nan
+        return model
+
+    model, _ = tiny_editor(seed=10, n_layers=2, k_max=3)
+    cases = [(name, None) for name, _ in model.named_parameters()]
+    cases.append(("encoder.tok_emb.weight", model.vocab.id_of(BOS_TOKEN)))
+    ops = set()
+    for name, row in cases:
+        with pytest.raises(NonFiniteError) as tape:
+            _reference_iterate(spoiled(name, row), *args)
+        with pytest.raises(NonFiniteError) as arrays:
+            iterate(spoiled(name, row), *args)
+        assert str(arrays.value) == str(tape.value), name
+        ops.add(str(tape.value).rsplit(" ", 1)[-1])
+    assert ops == {"embedding_lookup", "linear", "keys_values", "attention", "feed_forward",
+                   "layer_norm"}
+
+
 def test_overflow_carries_the_states_decoded_before_it():
     stub = StubEditor(insert_per_slot=1, fill_token="z")
     table = Table((Attribute("K", ("x",)),))
@@ -424,12 +456,12 @@ class _NonFiniteAfter(StubEditor):
         super().__init__(**kwargs)
         self.passes = passes
 
-    def deletion_logits(self, z):
+    def deletion_scores(self, z):
         if self.passes is not None:
             if self.passes == 0:
                 raise NonFiniteError("deletion logits are not finite")
             self.passes -= 1
-        return super().deletion_logits(z)
+        return super().deletion_scores(z)
 
 
 @pytest.mark.parametrize(
@@ -497,7 +529,7 @@ def test_a_state_cap_beyond_the_editors_positions_is_rejected():
     message = "max_state_len 13 exceeds the editor's 12-position cap"
     with pytest.raises(ValueError, match=message):
         iterate(model, _TABLE, ["a"], max_state_len=13)
-    cache = DecoderCache(model.decoder, model.encode(_TABLE))
+    cache = table_cache(model, _TABLE)
     state = init_state(["a"])
     with pytest.raises(ValueError, match=message):
         insert_and_fill(state, model, cache, model.decode_hidden(state.tokens, cache), 13)

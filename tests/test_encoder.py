@@ -5,11 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from skeltext import autograd as ag
 from skeltext.data import BOS_TOKEN, EOS_TOKEN, Attribute, LinearizedCell, Table, linearize_table
 from skeltext.nn import DecoderCache
 
-from helpers import decode_hidden, random_table, tiny_editor, tiny_pointer
+from helpers import random_table, table_cache, tiny_editor, tiny_pointer
 
 
 def _encoder(seed: int = 0):
@@ -136,7 +135,8 @@ def test_a_padded_pass_names_its_empty_table():
     "build,decode",
     [
         (tiny_pointer, lambda model, tokens, memory: model.decoder_states(tokens, memory)),
-        (tiny_editor, lambda model, tokens, memory: decode_hidden(model, tokens, memory)),
+        (tiny_editor, lambda model, tokens, memory: model.decode_hidden(
+            tokens, DecoderCache(model.decoder, memory.rows.data))),
     ],
     ids=["pointer", "editor"],
 )
@@ -151,9 +151,8 @@ def test_trunk_rejects_inputs_beyond_its_positions(build, decode):
 
 def test_cached_pointer_step_rejects_a_position_beyond_the_cap():
     model, _ = tiny_pointer(seed=6, max_skeleton_len=3)
-    with ag.no_grad():
-        cache = DecoderCache(model.decoder, model.encode(random_table(np.random.default_rng(6))))
-        for _ in range(model.max_len):
-            model.decoder_states([BOS_TOKEN], cache, [0])
-        with pytest.raises(ValueError, match="positions exceed"):
-            model.decoder_states([BOS_TOKEN], cache, [0])
+    cache = table_cache(model, random_table(np.random.default_rng(6)))
+    for _ in range(model.max_len):
+        model.decoder_states([BOS_TOKEN], cache, [0])
+    with pytest.raises(ValueError, match="positions exceed"):
+        model.decoder_states([BOS_TOKEN], cache, [0])

@@ -426,20 +426,19 @@ def test_a_decoder_layer_forward_pass_records_eight_tape_nodes():
 
 
 def test_a_decoder_step_with_gradients_on_stays_off_the_tape():
-    # A cached step is inference-only, even over tracked parameters and a
-    # tracked memory: it runs on plain arrays and builds no tensor.
+    # A cached step is inference-only, even over tracked parameters: it runs
+    # on plain arrays and builds no tensor.
     from skeltext.autograd import NonFiniteError
-    from skeltext.nn import DecoderCache, Padded, TransformerDecoder
+    from skeltext.nn import DecoderCache, TransformerDecoder
 
     rng = np.random.default_rng(20)
     decoder = TransformerDecoder(rng, 8, 12, 2, 2)
-    memory = Tensor(rng.normal(size=(4, 8)), retain_grad=True)
-    cache = DecoderCache(decoder, Padded(memory, [4]))
+    cache = DecoderCache(decoder, rng.normal(size=(4, 8)))
+    assert all(type(kv) is np.ndarray for kv in cache.memory_kv)
     for parents in ([0], [0, 0, 0], [2, 0, 1]):
         out = decoder.step(rng.normal(size=(len(parents), 8)), cache, parents)
         assert type(out) is np.ndarray and out.shape == (len(parents), 8)
         assert all(type(kv) is np.ndarray for kv in cache.self_kv)
-    assert memory.grad is None
     assert not any(p.grad.any() for p in decoder.parameters())
 
     # The forward still names the op a non-finite value came from.
@@ -461,17 +460,21 @@ _STEP_CASES = [
 
 @pytest.mark.parametrize("n_layers,n_heads,steps", _STEP_CASES)
 def test_the_array_step_equals_the_tensor_step_to_the_byte(n_layers, n_heads, steps):
-    # Output rows and every layer's cache, after every step, against the
-    # tape-op reference over a cache of its own.
-    from skeltext.nn import DecoderCache, Padded, TransformerDecoder
+    # The beam's steps: output rows and every layer's cache, after every
+    # step, against the tape-op reference over a cache of its own. Then the
+    # other array passes against their tape forms: a table's encoding, and
+    # stage 2's pass over a whole state, one step of n positions from an
+    # empty cache, against decode_batch of that state alone.
+    from skeltext.data import BOS_TOKEN, EOS_TOKEN, PLH_TOKEN, linearize_table
+    from skeltext.nn import DecoderCache, TransformerDecoder
 
-    from helpers import tensor_step
+    from helpers import WORDS, random_table, tensor_step, tiny_editor
 
     rng = np.random.default_rng(40 + 10 * n_layers + n_heads)
     decoder = TransformerDecoder(rng, 8, 12, n_heads, n_layers)
     for p in decoder.parameters():  # non-zero biases, gains off 1
         p.data[...] = rng.normal(size=p.shape)
-    memory = Padded(Tensor(rng.normal(size=(5, 8))), [5])
+    memory = rng.normal(size=(5, 8))
     fast, reference = DecoderCache(decoder, memory), DecoderCache(decoder, memory)
     for parents in [[0], *steps]:
         x = rng.normal(size=(len(parents), 8))
@@ -482,18 +485,21 @@ def test_the_array_step_equals_the_tensor_step_to_the_byte(n_layers, n_heads, st
         for kv, ref in zip(fast.self_kv, reference.self_kv):
             assert kv.shape == ref.shape and kv.tobytes() == ref.tobytes()
 
-
-def test_a_decoder_step_refuses_a_cache_over_several_tables():
-    # Cross-attention in a step takes no key mask, so a padded batch of
-    # tables would be attended as one table, padding included.
-    from skeltext.nn import DecoderCache, Padded, TransformerDecoder
-
-    rng = np.random.default_rng(23)
-    decoder = TransformerDecoder(rng, 8, 12, 2, 1)
-    cache = DecoderCache(decoder, Padded(Tensor(rng.normal(size=(8, 8))), [4, 3]))
-    with pytest.raises(ValueError, match="the cache holds 2 tables"):
-        decoder.step(rng.normal(size=(1, 8)), cache, [0])
-    assert cache.length == 0 and cache.self_kv == []
+    model, _ = tiny_editor(seed=n_layers, n_layers=n_layers, n_heads=n_heads)
+    for p in model.parameters():
+        p.data[...] = rng.normal(size=p.shape) * 0.5
+    for _ in range(3):
+        cells = linearize_table(random_table(rng))
+        memory = model.encoder(cells)
+        rows = model.encoder.step(cells)
+        assert type(rows) is np.ndarray and rows.tobytes() == memory.rows.data.tobytes()
+        cache = DecoderCache(model.decoder, rows)
+        for n in (0, 1, 6):
+            body = [WORDS[i] for i in rng.integers(0, len(WORDS), size=n)] + [PLH_TOKEN] * (n > 1)
+            state = [BOS_TOKEN, *body, EOS_TOKEN]
+            z = model.decode_hidden(state, cache)
+            assert cache.length == len(state)
+            assert z.tobytes() == model.decode_batch([state], memory, False).rows.data.tobytes()
 
 
 @pytest.mark.parametrize("stage", ["pointer", "editor"])

@@ -458,7 +458,6 @@ def test_a_draft_given_to_edit_loss_from_supervision_is_edit_loss_example():
 def test_build_edit_supervision_completes_the_draft_from_the_argmax_fills():
     # The reference completion: the model's argmax fills of its own state2,
     # decoded on its own, written into the draft's placeholders.
-    from skeltext import autograd as ag
     from skeltext.oracle import build_edit_supervision, draft_supervision
 
     from helpers import decode_hidden
@@ -469,8 +468,7 @@ def test_build_edit_supervision_completes_the_draft_from_the_argmax_fills():
             model, memory, ex.skeleton, ex.reference, np.random.default_rng(seed)
         )
         want = draft_supervision(model, ex.skeleton, ex.reference, np.random.default_rng(seed))
-        with ag.no_grad():
-            fills = model.argmax_fill(decode_hidden(model, want.state2, memory), want.positions)
+        fills = model.argmax_fill(decode_hidden(model, want.state2, memory).data, want.positions)
         state3 = list(want.state2)
         for pos, tok in zip(want.positions, fills):
             state3[pos] = tok

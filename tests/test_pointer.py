@@ -308,9 +308,8 @@ def test_beam_search_matches_the_plain_loop_to_the_bit(width, length_normalize):
         model, _ = tiny_pointer(seed=60 + seed)
         table = random_table(rng)
         args = (table, width, 10, length_normalize)
-        with ag.no_grad():
-            got = _search_trace(model, model.beam_search, *args)
-            want = _search_trace(model, _reference_beam_search, model, *args)
+        got = _search_trace(model, model.beam_search, *args)
+        want = _search_trace(model, _reference_beam_search, model, *args)
         assert got == want
     table = Table((Attribute("K", ("x",)),))  # the scripted pointers ignore the table
     args = (table, width, 6, length_normalize)
@@ -339,10 +338,9 @@ def test_an_early_stop_gives_the_exhaustive_search_result_to_the_bit(length_norm
         for seed in range(4):
             model, _ = tiny_pointer(seed=80 + seed)
             args = (random_table(rng), width, 10, length_normalize)
-            with ag.no_grad():
-                got, steps = _search_trace(model, model.beam_search, *args)
-                want, every_step = _search_trace(
-                    model, _reference_beam_search, model, *args, False)
+            got, steps = _search_trace(model, model.beam_search, *args)
+            want, every_step = _search_trace(
+                model, _reference_beam_search, model, *args, False)
             assert got == want
             cut += len(steps) < len(every_step)
     assert cut >= 6  # of 12
@@ -366,9 +364,8 @@ def test_a_step_scores_a_token_holding_all_the_copy_mass_zero(monkeypatch):
     attn = ag.softmax(Tensor(np.array([[2.1, -1.1, -0.4, -800.0]])))
     assert (attn.data @ copy_pool(["Alda"] * 3 + [EOS_TOKEN])[1])[0, 0] > 1.0
     monkeypatch.setattr(model, "_step_attention", lambda r, keys_t: attn.data)
-    with ag.no_grad():
-        search = model._start_search(table)
-        logp, distinct = model._step_log_probs(search, [SkeletonPrediction([], 0.0, False)], [0])
+    search = model._start_search(table)
+    logp, distinct = model._step_log_probs(search, [SkeletonPrediction([], 0.0, False)], [0])
     assert distinct == ["Alda", EOS_TOKEN]
     assert logp.tolist() == [[0.0, -np.inf]]
 
@@ -399,7 +396,7 @@ def test_cached_decoder_states_match_full_decoder_rows():
     rng = np.random.default_rng(21)
     model, _ = tiny_pointer(seed=21)
     memory, cell_tokens = encode_cells(model, random_table(rng))
-    cache = DecoderCache(model.decoder, memory)
+    cache = DecoderCache(model.decoder, memory.rows.data)
     prefixes = [[BOS_TOKEN]]
     states = model.decoder_states([BOS_TOKEN], cache, [0])
     for parents in ([0, 0, 0], [2, 0, 0], [1, 2, 2], [0, 1, 2]):
@@ -419,19 +416,19 @@ def test_cached_decoder_states_match_full_decoder_rows():
 def test_a_cached_beam_step_builds_a_fixed_number_of_tensors(width, n_layers, monkeypatch):
     # A beam step runs on plain arrays from the token embedding to the copy
     # scores, so it builds no Tensor, whatever the number of live hypotheses;
-    # the pointer keys and the memory's projections are built once per table.
+    # nor does the start of a search: the table's encoding, the pointer keys
+    # and the memory's projections.
     model, _ = tiny_pointer(seed=14, n_layers=n_layers)
-    with ag.no_grad():
-        search = model._start_search(random_table(np.random.default_rng(14)))
-        model._step_log_probs(search, [SkeletonPrediction([], 0.0, False)], [0])
-        live = [SkeletonPrediction([tok], 0.0, False) for tok in search.distinct[:width]]
-        live += [live[0]] * (width - len(live))
-        built = []
-        init = Tensor.__init__
-        monkeypatch.setattr(
-            Tensor, "__init__", lambda t, *a, **k: built.append(1) or init(t, *a, **k)
-        )
-        logp, _ = model._step_log_probs(search, live, [0] * width)
+    built = []
+    init = Tensor.__init__
+    monkeypatch.setattr(
+        Tensor, "__init__", lambda t, *a, **k: built.append(1) or init(t, *a, **k)
+    )
+    search = model._start_search(random_table(np.random.default_rng(14)))
+    model._step_log_probs(search, [SkeletonPrediction([], 0.0, False)], [0])
+    live = [SkeletonPrediction([tok], 0.0, False) for tok in search.distinct[:width]]
+    live += [live[0]] * (width - len(live))
+    logp, _ = model._step_log_probs(search, live, [0] * width)
     assert logp.shape[0] == width
     assert len(built) == 0
 
@@ -476,10 +473,9 @@ def test_a_nan_in_any_weight_a_beam_step_reads_names_its_op():
             param.data[model.vocab.id_of(BOS_TOKEN)] = np.nan
         else:
             param.data[...] = np.nan
-        with ag.no_grad():
-            search = model._start_search(table)
-            with pytest.raises(NonFiniteError, match=f"entering the graph from {op}$"):
-                model._step_log_probs(search, [SkeletonPrediction([], 0.0, False)], [0])
+        search = model._start_search(table)
+        with pytest.raises(NonFiniteError, match=f"entering the graph from {op}$"):
+            model._step_log_probs(search, [SkeletonPrediction([], 0.0, False)], [0])
 
 
 @pytest.mark.parametrize("width", [1, 2, 5])

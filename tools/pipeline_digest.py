@@ -11,9 +11,14 @@ without --no-hard-constraints), evaluate of each output, and gradcheck.
 Then `beam:scores` beam-searches every table of the seed's corpus with its
 trained pointer, at widths 1 and 5, with and without length normalization,
 and records each result's tokens, score bits (`float.hex`) and `finished`
-flag: no CLI file holds a beam score. It prints one sha256 per artifact
-(each step's exit code, stdout, and stderr with the run directory stripped,
-the beam scores, then every file the run wrote) and a total, in seed order
+flag: no CLI file holds a beam score. And `stage2:traces` realizes every
+table with the trained editor, from its annotated skeleton and from the
+pointer's (`skeletons.jsonl`), with and without hard constraints, and
+records each outcome's termination, error and every `DecodeTrace`
+snapshot, tokens and protected mask: the CLI writes only the final texts
+and counts. It prints one sha256 per artifact (each step's exit code,
+stdout, and stderr with the run directory stripped, the beam scores, the
+stage-2 traces, then every file the run wrote) and a total, in seed order
 once both seeds are done.
 
 A change that must not move any bit gives the same lines on both trees:
@@ -58,6 +63,22 @@ for width in (1, 5):
         for p in predict_skeletons(model, tables, width, cfg.max_skeleton_len, normalize):
             print(width, normalize, *((p.tokens, p.score.hex(), p.finished)
                                       if isinstance(p, SkeletonPrediction) else (repr(p),)))
+"""
+
+# Every table's stage-2 trace with the trained editor, one line per outcome.
+_STAGE2_TRACES = """
+from skeltext.data import load_corpus
+from skeltext.decoding import realize_corpus
+from skeltext.training import load_editor_dir
+
+model, cfg = load_editor_dir("editor")
+for path in ("annotated.jsonl", "skeletons.jsonl"):
+    corpus = load_corpus(path)
+    tables, skeletons = [ex.table for ex in corpus], [ex.skeleton for ex in corpus]
+    for hard in (True, False):
+        for i, r in enumerate(realize_corpus(model, tables, skeletons, cfg.max_iter, hard)):
+            print(path, hard, i, r.termination, repr(r.error),
+                  *((s.tokens, s.protected) for s in r.trace.snapshots))
 """
 
 
@@ -111,6 +132,11 @@ def digest_run(src_dir: str, run_dir: str, seed: int) -> list[tuple[str, str]]:
     if beam.returncode:
         raise RuntimeError(f"seed {seed} beam scores: {beam.stderr.decode()[-2000:]}")
     artifacts.append(("beam:scores", _sha(beam.stdout)))
+    traces = subprocess.run([sys.executable, "-c", _STAGE2_TRACES], cwd=run_dir, env=env,
+                            capture_output=True)
+    if traces.returncode:
+        raise RuntimeError(f"seed {seed} stage-2 traces: {traces.stderr.decode()[-2000:]}")
+    artifacts.append(("stage2:traces", _sha(traces.stdout)))
     for root, dirs, files in os.walk(run_dir):
         dirs.sort()
         for file in sorted(files):
