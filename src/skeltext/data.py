@@ -133,14 +133,10 @@ class Vocabulary:
     """Bidirectional token<->id map with fixed reserved ids 0..4."""
 
     def __init__(self, tokens: Iterable[str]):
-        self.id_to_token: list[str] = list(RESERVED_TOKENS)
-        seen = set(self.id_to_token)
+        self.token_to_id = {t: i for i, t in enumerate(RESERVED_TOKENS)}
         for tok in tokens:
-            if tok in seen:
-                continue
-            seen.add(tok)
-            self.id_to_token.append(tok)
-        self.token_to_id = {t: i for i, t in enumerate(self.id_to_token)}
+            self.token_to_id.setdefault(tok, len(self.token_to_id))
+        self.id_to_token: list[str] = list(self.token_to_id)
 
     def __len__(self) -> int:
         return len(self.id_to_token)
@@ -187,32 +183,20 @@ def build_vocabulary(corpus: Corpus, cap: int = 50_000) -> Vocabulary:
     if cap < len(RESERVED_TOKENS):
         raise ValueError(f"cap must be >= {len(RESERVED_TOKENS)}, got {cap}")
     counts: Counter[str] = Counter()
-    first_seen: dict[str, int] = {}
-
-    def see(tok: str):
-        counts[tok] += 1
-        if tok not in first_seen:
-            first_seen[tok] = len(first_seen)
-
     for ex in corpus:
         for attr in ex.table.attributes:
-            for tok in attr.value_tokens:
-                see(tok)
-        for tok in ex.reference:
-            see(tok)
+            counts.update(attr.value_tokens)
+        counts.update(ex.reference)
     for tok in RESERVED_TOKENS:
         counts.pop(tok, None)
-    ranked = sorted(counts, key=lambda t: (-counts[t], first_seen[t]))
+    # A Counter keeps first-seen order, and a stable sort keeps it among ties.
+    ranked = sorted(counts, key=lambda t: -counts[t])
     return Vocabulary(ranked[: cap - len(RESERVED_TOKENS)])
 
 
 def build_key_vocabulary(corpus: Corpus) -> Vocabulary:
     """Vocabulary over attribute keys (EOS key included via reserved ids)."""
-    seen: dict[str, None] = {}
-    for ex in corpus:
-        for attr in ex.table.attributes:
-            seen.setdefault(attr.key, None)
-    return Vocabulary(seen)
+    return Vocabulary(attr.key for ex in corpus for attr in ex.table.attributes)
 
 
 # See stopwords.py for the shipped default list.

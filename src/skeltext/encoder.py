@@ -27,8 +27,6 @@ def pad_ids(seqs: Sequence[np.ndarray]) -> tuple[np.ndarray, list[int]]:
     Returns the (B, ..., width) array and the B unpadded lengths.
     """
     lengths = [s.shape[-1] for s in seqs]
-    if len(seqs) == 1:
-        return seqs[0][None], lengths
     out = np.full((len(seqs),) + seqs[0].shape[:-1] + (max(lengths),), PAD_ID, dtype=np.int64)
     for row, s in zip(out, seqs):
         row[..., : s.shape[-1]] = s
@@ -154,7 +152,6 @@ class TableToText(Module):
         """
         ids, lengths = pad_ids([np.array(self.vocab.ids(s), dtype=np.int64) for s in states])
         batch, width = ids.shape
-        positions = np.arange(width) if batch == 1 else np.tile(np.arange(width), batch)
-        x = self._embed_tokens(ids.reshape(-1), positions)
+        x = self._embed_tokens(ids.reshape(-1), np.tile(np.arange(width), batch))
         mask = padding_mask(lengths, width)
         return Padded(self.decoder(x, memory, causal, mask), lengths)

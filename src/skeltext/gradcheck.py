@@ -19,7 +19,7 @@ from .nn import (
     TransformerDecoder,
     TransformerEncoder,
 )
-from .oracle import backprop_edit_batch, draft_supervision, edit_loss_from_supervision
+from .oracle import _edit_losses, backprop_edit_batch, draft_supervision, edit_loss_from_supervision
 from .pointer import backprop_pointer_batch
 from .training import RunConfig, build_editor, build_pointer
 
@@ -28,23 +28,26 @@ SAMPLES_PER_PARAM = 12  # coordinates run_gradcheck checks in each parameter
 
 
 def finite_difference_check(
-    loss_fn: Callable[[], Tensor],
+    backprop: Callable[[], object],
+    value: Callable[[], float],
     params: list[Parameter],
     rng: np.random.Generator,
     samples_per_param: int = 16,
     eps: float = 1e-5,
 ) -> float:
-    """Max relative error between analytic and central-difference gradients.
+    """Max relative error between analytic and central-difference gradients of one loss.
 
-    Coordinates are sampled per parameter. Relative error uses a 1e-4 floor
-    in the denominator so finite-difference rounding noise on near-zero
-    gradients does not register as failure. Zero parameters -> 0.0.
+    backprop() adds the loss's gradient into the parameters' gradients, once;
+    value() returns the loss, without a backward, at each perturbed
+    coordinate. Coordinates are sampled per parameter. Relative error uses a
+    1e-4 floor in the denominator so finite-difference rounding noise on
+    near-zero gradients does not register as failure. Zero parameters -> 0.0.
     """
     if not params:
         return 0.0
     for p in params:
         p.grad[...] = 0.0
-    loss_fn().backward()
+    backprop()
     analytic = [p.grad.copy() for p in params]
     for p in params:
         p.grad[...] = 0.0
@@ -57,9 +60,9 @@ def finite_difference_check(
         for i in idx:
             orig = flat[i]
             flat[i] = orig + eps
-            hi = loss_fn().item()
+            hi = value()
             flat[i] = orig - eps
-            lo = loss_fn().item()
+            lo = value()
             flat[i] = orig
             numeric = (hi - lo) / (2 * eps)
             a = ga.reshape(-1)[i]
@@ -99,14 +102,17 @@ def run_gradcheck(seed: int = 0) -> list[tuple[str, float]]:
     rng = np.random.Generator(np.random.PCG64(seed))
     results: list[tuple[str, float]] = []
 
-    def check(name: str, loss_fn, params) -> None:
-        err = finite_difference_check(loss_fn, params, rng, SAMPLES_PER_PARAM)
+    def check(name: str, backprop, value, params) -> None:
+        err = finite_difference_check(backprop, value, params, rng, SAMPLES_PER_PARAM)
         results.append((name, err))
+
+    def check_loss(name: str, loss_fn: Callable[[], Tensor], params) -> None:
+        check(name, lambda: loss_fn().backward(), lambda: loss_fn().item(), params)
 
     def weighted(name: str, out: Callable[[], Tensor], params) -> None:
         # w is drawn after the module and its inputs, so each check keeps its draws.
         w = Tensor(rng.normal(size=out().shape))
-        check(name, lambda: (out() * w).sum(), params)
+        check_loss(name, lambda: (out() * w).sum(), params)
 
     x = Tensor(rng.normal(size=(5, 6)))
     linear = Linear(rng, 6, 4)
@@ -149,7 +155,7 @@ def run_gradcheck(seed: int = 0) -> list[tuple[str, float]]:
     pointer = build_pointer(cfg, vocab, key_vocab)
     table_enc = pointer.encoder
     cells = linearize_table(example.table)
-    check(
+    check_loss(
         "pointer_model_loss",
         lambda: pointer.loss(example, table_enc(cells), [c.token for c in cells]),
         pointer.parameters(),
@@ -161,14 +167,13 @@ def run_gradcheck(seed: int = 0) -> list[tuple[str, float]]:
     sup = draft_supervision(
         editor, example.skeleton, example.reference, np.random.Generator(np.random.PCG64(11))
     )
-    check(
+    check_loss(
         "editor_model_loss",
         lambda: edit_loss_from_supervision(editor, editor.encode(example.table), sup).total,
         editor.parameters(),
     )
 
-    empty = finite_difference_check(lambda: Tensor(0.0), [], rng)
-    results.append(("zero_parameter_fragment", empty))
+    check_loss("zero_parameter_fragment", lambda: Tensor(0.0), [])
 
     # Last, so that the checks above draw what they always drew from rng.
     short = Example(
@@ -182,19 +187,34 @@ def run_gradcheck(seed: int = 0) -> list[tuple[str, float]]:
         for i, ex in enumerate(batch)
     ]
 
-    def batch_loss() -> Tensor:
-        # backprop_edit_batch backpropagates as it goes; the sum it returns
-        # is a constant whose backward() adds nothing more.
-        parts = backprop_edit_batch(editor, batch, batch_sups)
-        return Tensor(sum(p.total.item() for p in parts))
+    # Each padded check runs its training step once, for the analytic
+    # gradient; the finite differences evaluate the same losses without a backward.
+    tables = [linearize_table(ex.table) for ex in batch]
 
-    check("editor_padded_batch_loss", batch_loss, editor.parameters())
+    def editor_batch_loss() -> float:
+        memory = editor.encoder.encode_padded(tables)
+        parts = _edit_losses(editor, memory, batch_sups, 1.0, lambda name, loss: None)
+        return sum(p.total.item() for p in parts)
+
+    check(
+        "editor_padded_batch_loss",
+        lambda: backprop_edit_batch(editor, batch, batch_sups),
+        editor_batch_loss,
+        editor.parameters(),
+    )
 
     # Also after the checks above: two tables of 5 and 2 cells, one padded pass.
+    def pointer_batch_loss() -> float:
+        memory = pointer.encoder.encode_padded(tables)
+        return sum(
+            pointer.loss(ex, memory.select([b]), [c.token for c in cells]).item()
+            for b, (ex, cells) in enumerate(zip(batch, tables))
+        )
+
     check(
         "pointer_padded_batch_loss",
-        lambda: Tensor(sum(backprop_pointer_batch(pointer, batch))),
+        lambda: backprop_pointer_batch(pointer, batch),
+        pointer_batch_loss,
         pointer.parameters(),
     )
     return results
-

@@ -325,7 +325,6 @@ class DecoderCache:
     """
 
     def __init__(self, decoder: TransformerDecoder, memory: np.ndarray):
-        self.memory = memory
         self.memory_kv = [layer.cross_attn.keys_values_step(memory) for layer in decoder.layers]
         self.self_kv: list[np.ndarray] = []
         self.length = 0
@@ -396,7 +395,7 @@ class Adam:
     """Adam with the inverse-sqrt warmup schedule used by both training stages.
 
     The values, gradients and both moments live in flat buffers, in parameter
-    order: each parameter's `data` and `grad`, and its entries of `m` and `v`,
+    order, `_data`, `_grad`, `_m` and `_v`: each parameter's `data` and `grad`
     are C-contiguous views of its part of them. An update runs over slices of
     ADAM_BLOCK values, across parameter boundaries, and zeroes every gradient
     at once. Each value goes through the arithmetic of an update parameter by
@@ -411,8 +410,6 @@ class Adam:
         total = sum(p.data.size for p in params)
         self._data, self._grad, self._m, self._v = np.zeros((4, total))
         self._grads: list[np.ndarray] = []  # the views each p.grad is bound to
-        self.m: list[np.ndarray] = []
-        self.v: list[np.ndarray] = []
         start = 0
         for p in params:
             end = start + p.data.size
@@ -421,8 +418,6 @@ class Adam:
             self._grad[start:end] = p.grad.reshape(-1)
             p.grad = self._grad[start:end].reshape(p.shape)
             self._grads.append(p.grad)
-            self.m.append(self._m[start:end].reshape(p.shape))
-            self.v.append(self._v[start:end].reshape(p.shape))
             start = end
 
     def lr(self) -> float:

@@ -21,16 +21,13 @@ class DataIntegrityError(ValueError):
 
 def copy_pool(cell_tokens: list[str]) -> tuple[list[str], np.ndarray]:
     """Distinct table tokens (first-occurrence order) and the cell->token pooling matrix."""
-    distinct: list[str] = []
     index: dict[str, int] = {}
     for tok in cell_tokens:
-        if tok not in index:
-            index[tok] = len(distinct)
-            distinct.append(tok)
-    pool = np.zeros((len(cell_tokens), len(distinct)))
+        index.setdefault(tok, len(index))
+    pool = np.zeros((len(cell_tokens), len(index)))
     for i, tok in enumerate(cell_tokens):
         pool[i, index[tok]] = 1.0
-    return distinct, pool
+    return list(index), pool
 
 
 def check_skeleton(example: Example, index: int | None = None) -> None:
@@ -216,7 +213,7 @@ class SkeletonPointer(TableToText):
             ]
             parents = [row for _, row, _ in expansions]
 
-        return max(done or live + exhausted, key=rank)
+        return max(done or exhausted, key=rank)
 
 
 def predict_skeletons(

@@ -197,18 +197,17 @@ def composed_step(attn, x: Tensor, past_k: Tensor, past_v: Tensor):
     return out, k, v
 
 
-def tensor_step(decoder, x: Tensor, cache: DecoderCache, parents) -> Tensor:
+def tensor_step(decoder, x: Tensor, memory: Tensor, cache: DecoderCache, parents) -> Tensor:
     """TransformerDecoder.step of one position on the tape ops: the reference of the array step.
 
     Self-attention over the cache runs on the composed ops (composed_step),
-    every other sublayer on its module's fused op, cross-attention over the
-    cache's memory. The cache grows as the step grows it: `self_kv[l]`
-    becomes a (2, B, h, t+1, d_head) array.
+    every other sublayer on its module's fused op, cross-attention over
+    `memory`, the rows the cache was built from. The cache grows as the
+    step grows it: `self_kv[l]` becomes a (2, B, h, t+1, d_head) array.
     """
     if not cache.length:
         cache.self_kv = [np.zeros((2, 1, layer.self_attn.n_heads, 0, layer.self_attn.d_head))
                          for layer in decoder.layers]
-    memory = Tensor(cache.memory)
     for i, layer in enumerate(decoder.layers):
         past = cache.self_kv[i][:, parents]
         out, k, v = composed_step(layer.self_attn, x, Tensor(past[0]), Tensor(past[1]))
@@ -281,6 +280,16 @@ class PerParameterAdam:
         self.step_count = 0
         self.m = [np.zeros_like(p.data) for p in params]
         self.v = [np.zeros_like(p.data) for p in params]
+
+    @property
+    def _m(self) -> np.ndarray:
+        """The first moments laid out as nn.Adam's `_m`: flat, in parameter order."""
+        return np.concatenate([m.reshape(-1) for m in self.m])
+
+    @property
+    def _v(self) -> np.ndarray:
+        """The second moments laid out as nn.Adam's `_v`."""
+        return np.concatenate([v.reshape(-1) for v in self.v])
 
     def lr(self) -> float:
         return inverse_sqrt_lr(self.step_count, self.peak_lr, self.warmup)

@@ -287,7 +287,24 @@ def test_no_hard_constraints_flag_is_live_end_to_end(tmp_path):
         assert is_subsequence(list(ex.skeleton), json.loads(line)["text"].split())
 
 
-def test_gradcheck_command_exits_zero(capsys):
+def test_gradcheck_command_exits_zero(capsys, monkeypatch):
+    # Each padded-batch check runs its training step once, for the analytic
+    # gradient; its finite differences evaluate the losses without one.
+    from skeltext import gradcheck
+
+    calls: list[str] = []
+
+    def counted(name: str):
+        step = getattr(gradcheck, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return step(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("backprop_edit_batch", "backprop_pointer_batch"):
+        monkeypatch.setattr(gradcheck, name, counted(name))
     capsys.readouterr()
     assert main(["gradcheck", "--seed", "1"]) == 0
     events = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
@@ -298,6 +315,7 @@ def test_gradcheck_command_exits_zero(capsys):
         "editor_padded_batch_loss", "pointer_padded_batch_loss",
     ]
     assert all(e["event"] == "gradcheck" and e["pass"] for e in events)
+    assert calls == ["backprop_edit_batch", "backprop_pointer_batch"]
 
 
 # -- config resolution ----------------------------------------------------------

@@ -243,6 +243,31 @@ def test_vocabulary_tie_breaks_by_first_occurrence():
     assert vocab.id_of("b") == vocab.id_of("<unk>")
 
 
+def test_build_vocabularies_pins_both_id_lists():
+    from skeltext.config import RunConfig
+    from skeltext.training import build_vocabularies
+
+    # zeta and alpha tie at 2. zeta is seen first, in a table value and then
+    # in the reference, so it takes the lower id, though it sorts after alpha
+    # and alpha's last occurrence comes before zeta's. <unk> takes no slot,
+    # neither in a reference nor as a key; keys keep their first-seen order.
+    corpus = [
+        Example(
+            Table((Attribute("Name", ("zeta", "x")), Attribute("Job", ("x",)))),
+            ("alpha", "x", "alpha", "<unk>", "zeta"),
+        ),
+        Example(
+            Table((Attribute("Job", ("mid",)), Attribute("<unk>", ("mid",)),
+                   Attribute("Born", ("x",)))),
+            ("mid",),
+        ),
+    ]
+    vocab, key_vocab = build_vocabularies(corpus, RunConfig())
+    assert vocab.to_json() == [*RESERVED_TOKENS, "x", "mid", "zeta", "alpha"]
+    assert key_vocab.to_json() == [*RESERVED_TOKENS, "Name", "Job", "Born"]
+    assert [vocab.id_of(t) for t in ("x", "alpha", "<unk>")] == [5, 8, 1]
+
+
 def test_vocabulary_default_cap_matches_published_setting():
     import inspect
 

@@ -289,7 +289,7 @@ def test_editor_training_is_deterministic_and_logs_the_batch_mean(corpus):
         records: list[dict] = []
         model, opt = train_editor(corpus, cfg, records.append)
         runs.append((records, [p.data.tobytes() for p in model.parameters()],
-                     [m.tobytes() for m in opt.m + opt.v]))
+                     [opt._m.tobytes(), opt._v.tobytes()]))
     assert runs[0] == runs[1]
 
     # The first step's logged parts are the per-example parts' mean.
@@ -312,7 +312,7 @@ def _train_both_stages(corpus, cfg) -> list[tuple]:
         records: list[dict] = []
         model, opt = train(corpus, cfg, records.append)
         runs.append((records, [p.data.tobytes() for p in model.parameters()],
-                     [m.tobytes() for m in opt.m + opt.v]))
+                     [opt._m.tobytes(), opt._v.tobytes()]))
     return runs
 
 

@@ -28,7 +28,7 @@ A change that must not move any bit gives the same lines on both trees:
     diff old.txt new.txt
 
 Each command runs with the caller's environment, PYTHONPATH set to SRC_DIR,
-SANA_SEED removed and one BLAS thread. Takes about 20 s per tree on two
+SANA_SEED removed and one BLAS thread. Takes about 45 s per tree on two
 CPU cores.
 """
 
