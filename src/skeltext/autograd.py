@@ -594,10 +594,7 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
 _LN_EPS = 1e-12  # LayerNorm's variance offset
 
 
-def _layer_norm(
-    x: np.ndarray, residual: np.ndarray | None, gain: np.ndarray, bias: np.ndarray,
-    eps: float = _LN_EPS,
-):
+def _layer_norm(x: np.ndarray, residual: np.ndarray | None, gain: np.ndarray, bias: np.ndarray):
     """layer_norm()'s forward of x, or of x + residual: the normalized rows, 1/std and the output.
 
     The out-of-place arithmetic, ufunc for ufunc, written into arrays this
@@ -617,7 +614,7 @@ def _layer_norm(
     var /= n
     if not _all_finite(var):
         raise _non_finite("layer_norm")
-    var += eps
+    var += _LN_EPS
     inv = np.sqrt(var, out=var)
     np.divide(1.0, inv, out=inv)
     np.multiply(xc, inv, out=xhat)
@@ -626,9 +623,7 @@ def _layer_norm(
     return xhat, inv, out
 
 
-def layer_norm(
-    x: Tensor, gain: Tensor, bias: Tensor, eps: float = _LN_EPS, residual: Tensor | None = None
-) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, residual: Tensor | None = None) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then apply affine.
 
     With a residual this normalizes x + residual in the same node, and hands
@@ -642,7 +637,7 @@ def layer_norm(
         raise ShapeError(f"layer_norm: residual {residual.shape} does not match input {x.shape}")
     n = x.shape[-1]
     xhat, inv, out = _layer_norm(x.data, None if residual is None else residual.data,
-                                 gain.data, bias.data, eps)
+                                 gain.data, bias.data)
 
     def bw(g):
         dxhat = g * gain.data

@@ -16,6 +16,7 @@ from .data import (
     Example,
     StopWordList,
     load_corpus,
+    read_json_lines,
     save_corpus,
     tokenize,
 )
@@ -143,22 +144,18 @@ def _cmd_generate(args) -> int:
     return 0
 
 
+def _output_tokens(obj) -> list[str]:
+    """The tokens of one generation-output line."""
+    if not isinstance(obj, dict) or not isinstance(obj.get("text"), str):
+        raise ValueError("expected a JSON object with a string 'text'")
+    return tokenize(obj["text"])
+
+
 def _cmd_evaluate(args) -> int:
     lambda_mix = _flag_overrides(RunConfig(), lambda_mix=args.lambda_mix).lambda_mix
     gold = load_corpus(args.gold)
-    hypotheses = []
     with open(args.system, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            where = f"{args.system} line {line_no}"
-            try:
-                obj = json.loads(line)
-            except (ValueError, RecursionError) as err:
-                raise ValueError(f"{where}: not JSON: {type(err).__name__}: {err}") from None
-            if not isinstance(obj, dict) or not isinstance(obj.get("text"), str):
-                raise ValueError(f"{where}: expected a JSON object with a string 'text'")
-            hypotheses.append(tokenize(obj["text"]))
+        hypotheses = read_json_lines(fh, _output_tokens)
     report = metrics.evaluate_outputs(hypotheses, gold, lambda_mix)
     print(json.dumps(report.as_dict(), sort_keys=True))
     rows = [

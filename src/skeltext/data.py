@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
-from typing import IO, Iterable
+from typing import IO, Callable, Iterable
 
 PAD_TOKEN = "<pad>"
 UNK_TOKEN = "<unk>"
@@ -22,12 +22,10 @@ _FORBIDDEN_TOKENS = frozenset(RESERVED_TOKENS) - {UNK_TOKEN}
 
 
 class CorpusError(ValueError):
-    """Raised for malformed corpus files; carries the offending line number."""
+    """A malformed line of a JSON-lines file; the message names the file and the line."""
 
-    def __init__(self, message: str, line: int | None = None):
+    def __init__(self, message: str, line: int):
         self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
         super().__init__(message)
 
 
@@ -41,6 +39,18 @@ def is_numeric_token(token: str) -> bool:
     return any(ch.isdigit() for ch in token)
 
 
+def _check_tokens(field: str, tokens: tuple[str, ...]) -> None:
+    """The corpus file's rule for every token: one non-empty run of non-whitespace, not reserved.
+
+    Tokens that the file's text splits back into are what saves and loads back equal.
+    """
+    if tuple(tokenize(" ".join(tokens))) != tokens or not _FORBIDDEN_TOKENS.isdisjoint(tokens):
+        token = next(t for t in tokens if tokenize(t) != [t] or t in _FORBIDDEN_TOKENS)
+        if token in _FORBIDDEN_TOKENS:
+            raise ValueError(f"{field} holds the reserved token {token!r}")
+        raise ValueError(f"{field} holds {token!r}, which is not one token")
+
+
 @dataclass(frozen=True)
 class Attribute:
     """One key/value pair of a table; the value is an ordered token list."""
@@ -49,16 +59,11 @@ class Attribute:
     value_tokens: tuple[str, ...]
 
     def __post_init__(self):
-        if not self.key or any(ch.isspace() for ch in self.key):
-            raise ValueError(f"attribute key must be non-empty without whitespace, got {self.key!r}")
-        if self.key in _FORBIDDEN_TOKENS:
-            raise ValueError(f"attribute key {self.key!r} is a reserved token")
+        object.__setattr__(self, "value_tokens", tuple(self.value_tokens))
+        _check_tokens("attribute key", (self.key,))
         if not self.value_tokens:
             raise ValueError(f"attribute {self.key!r} has an empty value")
-        object.__setattr__(self, "value_tokens", tuple(self.value_tokens))
-        if not _FORBIDDEN_TOKENS.isdisjoint(self.value_tokens):
-            token = next(t for t in self.value_tokens if t in _FORBIDDEN_TOKENS)
-            raise ValueError(f"attribute {self.key!r} holds the reserved token {token!r}")
+        _check_tokens(f"attribute {self.key!r} value", self.value_tokens)
 
 
 @dataclass(frozen=True)
@@ -84,11 +89,10 @@ class Example:
 
     def __post_init__(self):
         object.__setattr__(self, "reference", tuple(self.reference))
-        if not _FORBIDDEN_TOKENS.isdisjoint(self.reference):
-            token = next(t for t in self.reference if t in _FORBIDDEN_TOKENS)
-            raise ValueError(f"reference holds the reserved token {token!r}")
+        _check_tokens("reference", self.reference)
         if self.skeleton is not None:
             object.__setattr__(self, "skeleton", tuple(self.skeleton))
+            _check_tokens("skeleton", self.skeleton)
 
 
 Corpus = list[Example]
@@ -217,76 +221,78 @@ class StopWordList:
             return cls(line.strip() for line in fh if line.strip())
 
 
-def _check_tokens(tokens: Iterable[str], field: str, line_no: int) -> None:
-    for tok in tokens:
-        if tok in _FORBIDDEN_TOKENS:
-            raise CorpusError(f"{field} holds the reserved token {tok!r}", line_no)
-
-
-def _string(value, field: str, line_no: int) -> str:
+def _string(value, field: str) -> str:
     if not isinstance(value, str):
-        raise CorpusError(f"{field} must be a JSON string, got {json.dumps(value)}", line_no)
+        raise ValueError(f"{field} must be a JSON string, got {json.dumps(value)}")
     return value
 
 
-def _parse_line(obj: dict, line_no: int) -> Example:
+def _parse_line(obj) -> Example:
+    """The Example of one corpus line's JSON; the types check every token."""
     if not isinstance(obj, dict):
-        raise CorpusError("expected a JSON object", line_no)
+        raise ValueError("expected a JSON object")
     if "table" not in obj:
-        raise CorpusError('missing "table" field', line_no)
+        raise ValueError('missing "table" field')
     if "text" not in obj:
-        raise CorpusError('missing "text" field', line_no)
+        raise ValueError('missing "text" field')
     raw_table = obj["table"]
     if not isinstance(raw_table, list) or not raw_table:
-        raise CorpusError("table must be a non-empty list of attributes", line_no)
+        raise ValueError("table must be a non-empty list of attributes")
     attrs = []
     for k, entry in enumerate(raw_table):
         if not isinstance(entry, dict) or "key" not in entry or "value" not in entry:
-            raise CorpusError(f'table entry {k} needs "key" and "value"', line_no)
-        key = _string(entry["key"], f"table entry {k} key", line_no)
-        if key in _FORBIDDEN_TOKENS:  # keys share the reserved ids too
-            raise CorpusError(f"table entry {k} key is the reserved token {key!r}", line_no)
-        if tokenize(key) != [key]:
-            raise CorpusError(f"table entry {k} key must be one token, got {key!r}", line_no)
-        field = f"table entry {k} ({key!r})"
-        value_tokens = tokenize(_string(entry["value"], f"{field} value", line_no))
-        if not value_tokens:
-            raise CorpusError(f"{field} has an empty value", line_no)
-        _check_tokens(value_tokens, field, line_no)
-        attrs.append(Attribute(key, tuple(value_tokens)))
+            raise ValueError(f'table entry {k} needs "key" and "value"')
+        key = _string(entry["key"], f"table entry {k} key")
+        value = _string(entry["value"], f"table entry {k} ({key!r}) value")
+        try:
+            attrs.append(Attribute(key, tuple(tokenize(value))))
+        except ValueError as err:
+            raise ValueError(f"table entry {k}: {err}") from None
     skeleton = None
     if "skeleton" in obj:
         if not isinstance(obj["skeleton"], list):
-            raise CorpusError('"skeleton" must be a list of tokens', line_no)
-        skeleton = tuple(obj["skeleton"])
-        for i, tok in enumerate(skeleton):
-            if tokenize(_string(tok, f"skeleton entry {i}", line_no)) != [tok]:
-                raise CorpusError(f"skeleton entry {i} must be one token, got {tok!r}", line_no)
-        _check_tokens(skeleton, "skeleton", line_no)
-    text = tokenize(_string(obj["text"], "text", line_no))
-    _check_tokens(text, "text", line_no)
+            raise ValueError('"skeleton" must be a list of tokens')
+        skeleton = [_string(tok, f"skeleton entry {i}") for i, tok in enumerate(obj["skeleton"])]
+    text = tokenize(_string(obj["text"], "text"))
     return Example(Table(tuple(attrs)), tuple(text), skeleton)
 
 
-def parse_corpus(stream: IO[str] | Iterable[str]) -> Corpus:
-    """Parse JSON Lines ({"table": [{"key","value"}...], "text": ...}) into Examples."""
-    corpus: Corpus = []
+def read_json_lines(stream: IO[str] | Iterable[str], parse: Callable[[object], object]) -> list:
+    """parse() of each non-blank line's JSON value, in order.
+
+    Every error is a CorpusError whose message starts "FILE line N: ", FILE
+    being the stream's name (an open file's path), or "line N: " for a
+    stream without one; parse() reports a bad value with a ValueError.
+    """
+    name = getattr(stream, "name", None)
+    where = "line" if name is None else f"{name} line"
+    rows = []
     for line_no, line in enumerate(stream, start=1):
         if not line.strip():
             continue
         try:
             obj = json.loads(line)
         except json.JSONDecodeError as err:
-            raise CorpusError(f"malformed JSON ({err.msg})", line_no) from err
-        except RecursionError as err:
-            raise CorpusError("JSON nested too deeply", line_no) from err
+            problem = f"malformed JSON ({err.msg})"
+        except RecursionError:
+            problem = "JSON nested too deeply"
         except ValueError as err:  # e.g. an integer literal beyond the digit limit
-            raise CorpusError(f"unreadable JSON ({err})", line_no) from err
-        try:
-            corpus.append(_parse_line(obj, line_no))
-        except RecursionError as err:  # the message's spelling of a deeply nested value
-            raise CorpusError("value nested too deeply", line_no) from err
-    return corpus
+            problem = f"unreadable JSON ({err})"
+        else:
+            try:
+                rows.append(parse(obj))
+                continue
+            except RecursionError:  # json.dumps of a deeply nested value, for parse()'s message
+                problem = "value nested too deeply"
+            except ValueError as err:
+                problem = str(err)
+        raise CorpusError(f"{where} {line_no}: {problem}", line_no)
+    return rows
+
+
+def parse_corpus(stream: IO[str] | Iterable[str]) -> Corpus:
+    """Parse JSON Lines ({"table": [{"key","value"}...], "text": ...}) into Examples."""
+    return read_json_lines(stream, _parse_line)
 
 
 def load_corpus(path) -> Corpus:

@@ -25,6 +25,7 @@ from .training import RunConfig, build_editor, build_pointer
 
 TOLERANCE = 1e-4
 SAMPLES_PER_PARAM = 12  # coordinates run_gradcheck checks in each parameter
+FD_STEP = 1e-5  # the central difference's step in each coordinate
 
 
 def finite_difference_check(
@@ -33,7 +34,6 @@ def finite_difference_check(
     params: list[Parameter],
     rng: np.random.Generator,
     samples_per_param: int = 16,
-    eps: float = 1e-5,
 ) -> float:
     """Max relative error between analytic and central-difference gradients of one loss.
 
@@ -59,12 +59,12 @@ def finite_difference_check(
         idx = np.arange(n) if n <= samples_per_param else rng.choice(n, samples_per_param, replace=False)
         for i in idx:
             orig = flat[i]
-            flat[i] = orig + eps
+            flat[i] = orig + FD_STEP
             hi = value()
-            flat[i] = orig - eps
+            flat[i] = orig - FD_STEP
             lo = value()
             flat[i] = orig
-            numeric = (hi - lo) / (2 * eps)
+            numeric = (hi - lo) / (2 * FD_STEP)
             a = ga.reshape(-1)[i]
             rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-4)
             worst = max(worst, rel)

@@ -391,11 +391,11 @@ def test_layer_norm_forward_is_the_out_of_place_arithmetic_and_spares_its_inputs
     arrays += [rng.normal(size=6), rng.normal(size=6)]
     before = [a.tobytes() for a in arrays]
     x, r, gain, bias = (Tensor(a) for a in arrays)
-    out = ag.layer_norm(x, gain, bias, 1e-5, r if with_residual else None)
+    out = ag.layer_norm(x, gain, bias, residual=r if with_residual else None)
     h = arrays[0] + arrays[1] if with_residual else arrays[0]
     xc = h - h.sum(axis=-1, keepdims=True) / 6
     var = (xc * xc).sum(axis=-1, keepdims=True) / 6
-    want = xc * (1.0 / np.sqrt(var + 1e-5)) * arrays[2] + arrays[3]
+    want = xc * (1.0 / np.sqrt(var + ag._LN_EPS)) * arrays[2] + arrays[3]
     assert out.data.tobytes() == want.tobytes()
     assert [a.tobytes() for a in arrays] == before
     assert not any(np.shares_memory(out.data, a) for a in arrays)

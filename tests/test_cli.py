@@ -177,7 +177,7 @@ def test_evaluate_on_an_empty_gold_corpus_names_the_problem(tmp_path, capsys):
 @pytest.mark.parametrize(
     "lines,line_no,problem",
     [
-        (['{"text": "a b"}', "{oops"], 2, "not JSON: JSONDecodeError"),
+        (['{"text": "a b"}', "{oops"], 2, "malformed JSON ("),
         (["5"], 1, "expected a JSON object with a string 'text'"),
         (['{"text": 5}'], 1, "expected a JSON object with a string 'text'"),
         (['{"txt": "a"}'], 1, "expected a JSON object with a string 'text'"),
@@ -194,7 +194,7 @@ def test_evaluate_names_the_file_and_line_of_a_malformed_system_line(
     capsys.readouterr()
     assert main(["evaluate", "--system", system, "--gold", gold]) == 1
     event = json.loads(capsys.readouterr().err.splitlines()[-1])
-    assert (event["event"], event["error"]) == ("error", "ValueError")
+    assert (event["event"], event["error"]) == ("error", "CorpusError")
     assert event["message"].startswith(f"{system} line {line_no}: {problem}")
 
 
@@ -209,8 +209,41 @@ def test_annotate_rejects_a_corpus_holding_a_placeholder_and_writes_nothing(tmp_
     assert main(["annotate", "--corpus", str(corpus), "--out", str(out)]) == 1
     event = json.loads(capsys.readouterr().err.splitlines()[-1])
     assert (event["event"], event["error"]) == ("error", "CorpusError")
-    assert event["message"] == "line 1: table entry 0 ('Name_ID') holds the reserved token '<plh>'"
+    assert event["message"] == (f"{corpus} line 1: table entry 0: attribute 'Name_ID' value "
+                                "holds the reserved token '<plh>'")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["annotate", "train-pointer", "train-editor", "skeleton",
+                                     "generate", "evaluate --gold", "evaluate --system"])
+def test_a_malformed_line_ends_in_one_error_naming_its_file_and_line(
+    pipeline, tmp_path, capsys, command
+):
+    # Every command reads its JSON-lines files through one reader, so each
+    # bad line gets one message format: "FILE line N: problem".
+    bad, out, system = (str(tmp_path / name) for name in ("bad.jsonl", "out", "system.jsonl"))
+    with open(pipeline["annotated"], encoding="utf-8") as fh:
+        first = '{"text": "a b"}\n' if command == "evaluate --system" else fh.readline()
+    with open(bad, "w", encoding="utf-8") as fh:
+        fh.write(first + "{oops\n")
+    with open(system, "w", encoding="utf-8") as fh:
+        fh.write('{"text": "a b"}\n')
+    args = {
+        "annotate": ["annotate", "--corpus", bad, "--out", out],
+        "train-pointer": ["train-pointer", "--corpus", bad, "--out-dir", out, *TINY],
+        "train-editor": ["train-editor", "--corpus", bad, "--out-dir", out, *TINY],
+        "skeleton": ["skeleton", "--checkpoint", pipeline["pointer"], "--corpus", bad,
+                     "--out", out],
+        "generate": ["generate", "--editor", pipeline["editor"], "--pointer", pipeline["pointer"],
+                     "--corpus", bad, "--out", out],
+        "evaluate --gold": ["evaluate", "--system", system, "--gold", bad],
+        "evaluate --system": ["evaluate", "--system", bad, "--gold", pipeline["corpus"]],
+    }[command]
+    capsys.readouterr()
+    assert main(args) == 1
+    events = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+    assert [e["event"] for e in events] == ["error"]
+    assert events[0]["message"].startswith(f"{bad} line 2: ")
 
 
 @pytest.mark.parametrize("command", ["train-pointer", "train-editor"])

@@ -8,7 +8,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from skeltext.data import (
@@ -96,10 +96,12 @@ def test_parse_corpus_skeleton_field_roundtrip():
 @pytest.mark.parametrize(
     "field, token, named",
     [
-        ("value", "<plh>", "table entry 1 ('Occupation') holds the reserved token '<plh>'"),
-        ("value", "<pad>", "table entry 1 ('Occupation') holds the reserved token '<pad>'"),
-        ("text", "<bos>", "text holds the reserved token '<bos>'"),
-        ("text", "<plh>", "text holds the reserved token '<plh>'"),
+        ("value", "<plh>",
+         "table entry 1: attribute 'Occupation' value holds the reserved token '<plh>'"),
+        ("value", "<pad>",
+         "table entry 1: attribute 'Occupation' value holds the reserved token '<pad>'"),
+        ("text", "<bos>", "reference holds the reserved token '<bos>'"),
+        ("text", "<plh>", "reference holds the reserved token '<plh>'"),
         ("skeleton", "<eos>", "skeleton holds the reserved token '<eos>'"),
         ("skeleton", "<plh>", "skeleton holds the reserved token '<plh>'"),
     ],
@@ -137,14 +139,14 @@ _ALDA = {"key": "Name_ID", "value": "Alda"}
         ({"text": ["Alda", "."]}, 'text must be a JSON string, got ["Alda", "."]'),
         ({"skeleton": ["Alda", None]}, "skeleton entry 1 must be a JSON string, got null"),
         ({"skeleton": [{"x": 1}]}, 'skeleton entry 0 must be a JSON string, got {"x": 1}'),
-        ({"skeleton": ["Alda", ""]}, "skeleton entry 1 must be one token, got ''"),
-        ({"skeleton": ["Alda Fenwick"]}, "skeleton entry 0 must be one token, got 'Alda Fenwick'"),
-        ({"skeleton": [" Alda"]}, "skeleton entry 0 must be one token, got ' Alda'"),
+        ({"skeleton": ["Alda", ""]}, "skeleton holds '', which is not one token"),
+        ({"skeleton": ["Alda Fenwick"]}, "skeleton holds 'Alda Fenwick', which is not one token"),
+        ({"skeleton": [" Alda"]}, "skeleton holds ' Alda', which is not one token"),
         *(({"table": [_ALDA, {"key": key, "value": "sculptor"}]},
-           f"table entry 1 key is the reserved token {key!r}")
+           f"table entry 1: attribute key holds the reserved token {key!r}")
           for key in ("<pad>", "<bos>", "<eos>", "<plh>")),
         *(({"table": [_ALDA, {"key": key, "value": "sculptor"}]},
-           f"table entry 1 key must be one token, got {key!r}")
+           f"table entry 1: attribute key holds {key!r}, which is not one token")
           for key in ("Birth place", "", " Name_ID")),
     ],
     ids=["value_null", "value_number", "key_null", "text_null", "text_list", "skeleton_null",
@@ -183,6 +185,51 @@ def test_corpus_roundtrip_identical():
     assert buf.getvalue() == buf2.getvalue()
 
 
+_RESERVED = ("<pad>", "<bos>", "<eos>", "<plh>")
+_WORDS = st.sampled_from(["Alda", "Fenwick", "born", "<unk>"])
+_SPACES = st.sampled_from([" ", "\t", "\x1c"])  # str.split() splits at each
+_ODD_TOKENS = st.one_of(
+    st.sampled_from(_RESERVED),
+    st.just(""),
+    _SPACES,
+    st.tuples(_WORDS, _SPACES, _WORDS).map("".join),
+    st.tuples(_SPACES, _WORDS).map("".join),
+    st.tuples(_WORDS, _SPACES).map("".join),
+)
+_TOKENS = st.one_of(*[_WORDS] * 5, _ODD_TOKENS)  # about one token in six is odd
+
+
+def _not_a_corpus_token(token: str) -> bool:
+    return tokenize(token) != [token] or token in _RESERVED
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TOKENS, st.lists(_TOKENS, min_size=1, max_size=3), st.lists(_TOKENS, max_size=4),
+       st.none() | st.lists(_TOKENS, max_size=3))
+# The shapes that saved and then did not load, or loaded back changed.
+@example("Name", ["Alda"], ["Alda"], ["<eos>"])
+@example("Name", ["Alda"], ["Alda"], ["Alda Fenwick"])
+@example("Name", [""], ["Alda"], None)
+@example("Name", ["Alda"], ["Alda Fenwick"], None)
+@example("Name", ["Alda Fenwick"], ["Alda"], None)
+@example("Name", ["Alda"], [""], None)
+def test_an_example_either_names_its_bad_token_or_saves_and_loads_back_equal(
+    key, value, reference, skeleton
+):
+    try:
+        ex = Example(Table((Attribute(key, value),)), reference, skeleton)
+    except ValueError as err:
+        fields = [("attribute key", [key]), (f"attribute {key!r} value", value),
+                  ("reference", reference), ("skeleton", skeleton or [])]
+        field, tokens = next((f, ts) for f, ts in fields if any(map(_not_a_corpus_token, ts)))
+        assert str(err).startswith(f"{field} holds ")
+        assert any(repr(t) in str(err) for t in tokens if _not_a_corpus_token(t))
+        return
+    buf = io.StringIO()
+    write_corpus([ex], buf)
+    assert parse_corpus(io.StringIO(buf.getvalue())) == [ex]
+
+
 def test_attribute_invariants():
     with pytest.raises(ValueError):
         Attribute("K", ())
@@ -199,10 +246,10 @@ def test_an_attribute_rejects_a_reserved_token_naming_the_attribute(token):
     # A table holding <eos> as a value would let the pointer learn to copy it.
     with pytest.raises(ValueError) as info:
         Table((Attribute("K", (token, "x")),))
-    assert str(info.value) == f"attribute 'K' holds the reserved token {token!r}"
+    assert str(info.value) == f"attribute 'K' value holds the reserved token {token!r}"
     with pytest.raises(ValueError) as info:
         Attribute(token, ("x",))
-    assert str(info.value) == f"attribute key {token!r} is a reserved token"
+    assert str(info.value) == f"attribute key holds the reserved token {token!r}"
     assert Attribute("<unk>", ("x", "<unk>")).value_tokens == ("x", "<unk>")
 
 
@@ -215,8 +262,11 @@ def test_an_example_rejects_a_reserved_token_in_its_reference_naming_it(token):
         Example(table, ("Alda", token, "Fenwick", "was", "<eos>", "born"))
     assert str(info.value) == f"reference holds the reserved token {token!r}"
     assert Example(table, ["Alda", "<unk>", "born"]).reference == ("Alda", "<unk>", "born")
-    # The skeleton is left to check_skeleton and EditState.
-    assert Example(table, ("Alda", "born"), ("<eos>",)).skeleton == ("<eos>",)
+    # The skeleton holds the same rule: saved, it would not load back.
+    with pytest.raises(ValueError) as info:
+        Example(table, ("Alda", "born"), ("Alda", token))
+    assert str(info.value) == f"skeleton holds the reserved token {token!r}"
+    assert Example(table, ("Alda", "born"), ["<unk>"]).skeleton == ("<unk>",)
 
 
 def test_vocabulary_reserved_ids_fixed():

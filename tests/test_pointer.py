@@ -142,9 +142,9 @@ def test_loss_requires_annotation_and_table_membership():
         model.loss(Example(table, ("tok",), None), memory, tokens)
     with pytest.raises(DataIntegrityError, match="ghost"):
         model.loss(Example(table, ("tok",), ("ghost",)), memory, tokens)
-    assert EOS_TOKEN in tokens  # the EOS cell can be copied, but is no skeleton token
-    with pytest.raises(DataIntegrityError, match="skeleton token '<eos>' does not occur"):
-        model.loss(Example(table, ("tok",), ("tok", EOS_TOKEN)), memory, tokens)
+    assert EOS_TOKEN in tokens  # the EOS cell can be copied, but is no skeleton token:
+    with pytest.raises(ValueError, match="skeleton holds the reserved token '<eos>'"):
+        Example(table, ("tok",), ("tok", EOS_TOKEN))  # such an example cannot be built
 
 
 class _ForcedPointer(SkeletonPointer):

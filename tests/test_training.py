@@ -422,15 +422,16 @@ def test_a_training_step_retains_one_leaf_over_its_encoder_pass(stage, monkeypat
 def test_a_bad_skeleton_names_its_corpus_index_before_any_gradient(corpus, monkeypatch):
     from skeltext import training
 
+    bad = replace(corpus[4], skeleton=(*corpus[4].skeleton, "ghost"))
+    records: list[dict] = []
+    with pytest.raises(DataIntegrityError, match="example 4: skeleton token 'ghost'"):
+        train_pointer([*corpus[:4], bad, *corpus[5:]], tiny_config(batch_size=6), records.append)
+    assert records == []
     # The linearized table ends in an EOS cell, but EOS is no value token: a
-    # pointer taught to copy it would end its skeletons early.
-    for token in ("ghost", EOS_TOKEN):
-        bad = replace(corpus[4], skeleton=(*corpus[4].skeleton, token))
-        records: list[dict] = []
-        with pytest.raises(DataIntegrityError, match=f"example 4: skeleton token {token!r}"):
-            train_pointer([*corpus[:4], bad, *corpus[5:]], tiny_config(batch_size=6),
-                          records.append)
-        assert records == []
+    # pointer taught to copy it would end its skeletons early. No Example
+    # holds it, so no corpus can reach training with it.
+    with pytest.raises(ValueError, match="skeleton holds the reserved token '<eos>'"):
+        replace(corpus[4], skeleton=(*corpus[4].skeleton, EOS_TOKEN))
 
     # Steps of two, the bad example drawn in the last: no step runs.
     batches = []
