@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import IO, Callable, Iterable
 
 PAD_TOKEN = "<pad>"
@@ -44,7 +45,12 @@ def _check_tokens(field: str, tokens: tuple[str, ...]) -> None:
 
     Tokens that the file's text splits back into are what saves and loads back equal.
     """
-    if tuple(tokenize(" ".join(tokens))) != tokens or not _FORBIDDEN_TOKENS.isdisjoint(tokens):
+    try:
+        text = " ".join(tokens)
+    except TypeError:  # str.join names neither the field nor the token
+        token = next(t for t in tokens if not isinstance(t, str))
+        raise TypeError(f"{field} holds {token!r}, which is not a string") from None
+    if tuple(tokenize(text)) != tokens or not _FORBIDDEN_TOKENS.isdisjoint(tokens):
         token = next(t for t in tokens if tokenize(t) != [t] or t in _FORBIDDEN_TOKENS)
         if token in _FORBIDDEN_TOKENS:
             raise ValueError(f"{field} holds the reserved token {token!r}")
@@ -93,6 +99,20 @@ class Example:
         if self.skeleton is not None:
             object.__setattr__(self, "skeleton", tuple(self.skeleton))
             _check_tokens("skeleton", self.skeleton)
+
+    def _annotated(self, skeleton: tuple[str, ...]) -> Example:
+        """This example holding `skeleton`, a subsequence of its reference.
+
+        Every token is one the reference's check has passed, so the copy
+        skips __post_init__ and checks nothing again. Set one by one, the
+        fields are stored as __init__ stores them; vars() would give each
+        copy a dict of its own.
+        """
+        copy = object.__new__(Example)
+        object.__setattr__(copy, "table", self.table)
+        object.__setattr__(copy, "reference", self.reference)
+        object.__setattr__(copy, "skeleton", skeleton)
+        return copy
 
 
 Corpus = list[Example]
@@ -186,11 +206,9 @@ def build_vocabulary(corpus: Corpus, cap: int = 50_000) -> Vocabulary:
     """
     if cap < len(RESERVED_TOKENS):
         raise ValueError(f"cap must be >= {len(RESERVED_TOKENS)}, got {cap}")
-    counts: Counter[str] = Counter()
-    for ex in corpus:
-        for attr in ex.table.attributes:
-            counts.update(attr.value_tokens)
-        counts.update(ex.reference)
+    counts = Counter(chain.from_iterable(
+        tokens for ex in corpus
+        for tokens in (*(attr.value_tokens for attr in ex.table.attributes), ex.reference)))
     for tok in RESERVED_TOKENS:
         counts.pop(tok, None)
     # A Counter keeps first-seen order, and a stable sort keeps it among ties.
@@ -211,9 +229,8 @@ class StopWordList:
         self._words = frozenset(w.lower() for w in words)
 
     def __contains__(self, token: str) -> bool:
-        if is_numeric_token(token):
-            return False
-        return token.lower() in self._words
+        # The lookup first: only a token it finds pays for the digit scan.
+        return token.lower() in self._words and not is_numeric_token(token)
 
     @classmethod
     def from_file(cls, path) -> "StopWordList":

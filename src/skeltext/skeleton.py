@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .data import Corpus, Example, StopWordList, Table
+from .data import Corpus, StopWordList, Table
 
 
 def annotate_skeleton(
@@ -22,6 +22,6 @@ def annotate_skeleton(
 def annotate_corpus(corpus: Corpus, stopwords: StopWordList) -> Corpus:
     """Return a copy of the corpus with skeleton fields filled in."""
     return [
-        Example(ex.table, ex.reference, tuple(annotate_skeleton(ex.table, ex.reference, stopwords)))
+        ex._annotated(tuple(annotate_skeleton(ex.table, ex.reference, stopwords)))
         for ex in corpus
     ]

@@ -166,8 +166,17 @@ def save_model_dir(directory: str, model, cfg: RunConfig) -> None:
             json.dump(vocab.to_json(), fh)
 
 
-def _load_dir(directory: str, build):
-    """The model build(cfg, vocab, key_vocab) makes from a checkpoint directory, weights loaded."""
+class _Placeholders:
+    """The generator a loading model is built with: every weight it draws is zeros,
+    which load_checkpoint replaces, so loading draws no random numbers."""
+
+    @staticmethod
+    def uniform(low: float, high: float, size) -> np.ndarray:
+        return np.zeros(size)
+
+
+def _load_dir(directory: str, model_class):
+    """model_class(rng, vocab, key_vocab, cfg) from a checkpoint directory, its weights loaded."""
     cfg = RunConfig.from_file(os.path.join(directory, CONFIG_FILE))
     vocabs = []
     for name in (VOCAB_FILE, KEY_VOCAB_FILE):
@@ -177,14 +186,14 @@ def _load_dir(directory: str, build):
             vocabs.append(Vocabulary.from_json(tokens))
         except ValueError as err:
             raise ValueError(f"{path}: {err}") from None
-    model = build(cfg, *vocabs)
+    model = model_class(_Placeholders(), *vocabs, cfg)
     load_checkpoint(directory, model)
     return model, cfg
 
 
 def load_pointer_dir(directory: str) -> tuple[SkeletonPointer, RunConfig]:
-    return _load_dir(directory, build_pointer)
+    return _load_dir(directory, SkeletonPointer)
 
 
 def load_editor_dir(directory: str) -> tuple[EditRealizer, RunConfig]:
-    return _load_dir(directory, build_editor)
+    return _load_dir(directory, EditRealizer)

@@ -241,6 +241,21 @@ def test_attribute_invariants():
         Table(())
 
 
+def test_a_token_that_is_not_a_string_is_an_error_naming_the_field_and_the_token():
+    # str.join's own TypeError named neither.
+    table = Table((Attribute("K", ("x",)),))
+    cases = [
+        (lambda: Attribute("K", (1,)), "attribute 'K' value holds 1, which is not a string"),
+        (lambda: Attribute(7, ("x",)), "attribute key holds 7, which is not a string"),
+        (lambda: Example(table, ("x", None)), "reference holds None, which is not a string"),
+        (lambda: Example(table, ("x",), (b"x",)), "skeleton holds b'x', which is not a string"),
+    ]
+    for build, message in cases:
+        with pytest.raises(TypeError) as info:
+            build()
+        assert str(info.value) == message
+
+
 @pytest.mark.parametrize("token", ["<pad>", "<bos>", "<eos>", "<plh>"])
 def test_an_attribute_rejects_a_reserved_token_naming_the_attribute(token):
     # A table holding <eos> as a value would let the pointer learn to copy it.
@@ -424,6 +439,20 @@ def test_stop_word_list_numeric_tokens_never_match():
     assert "1908" not in sw
     assert "8" not in sw
     assert "the" in sw
+
+
+_STOP_CHARS = st.sampled_from("aAeEnNdDtT2819-İ")  # "İ".lower() is two characters
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.text(_STOP_CHARS, min_size=1, max_size=4), max_size=6),
+       st.text(_STOP_CHARS, max_size=4))
+@example(["2nd", "the"], "2ND")
+@example(["the"], "The")
+def test_stop_word_membership_is_a_lowercase_match_of_a_token_without_a_digit(words, token):
+    expected = False if any(ch.isdigit() for ch in token) else token.lower() in {
+        w.lower() for w in words}
+    assert (token in StopWordList(words)) is expected
 
 
 # -- fuzzing (hypothesis) ------------------------------------------------------

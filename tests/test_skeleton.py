@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
-import numpy as np
+import io
 
-from skeltext.data import Attribute, StopWordList, Table
+import numpy as np
+import pytest
+
+from skeltext.data import Attribute, Example, StopWordList, Table, write_corpus
 from skeltext.oracle import is_subsequence
-from skeltext.skeleton import annotate_skeleton
+from skeltext.skeleton import annotate_corpus, annotate_skeleton
 from skeltext.stopwords import default_stop_words
+from skeltext.synth import TemplateSpec, generate
 
 from helpers import random_table, random_tokens
 
@@ -96,3 +100,41 @@ def test_deterministic():
         table = random_table(rng)
         ref = random_tokens(rng, max_len=10)
         assert annotate_skeleton(table, ref, stop) == annotate_skeleton(table, ref, stop)
+
+
+# Mixed case, numeric tokens, and a stop list holding "2nd", a word with a digit.
+_HAND_MADE = [
+    Example(_table("Alda Fenwick", "2nd", "8 November 1908", "The Rovers"),
+            "Alda Fenwick finished 2nd on 8 November 1908 with The Rovers and the rovers .".split()),
+    Example(_table("Ode", "2nd 2ND"), ("The", "2nd", "ode", "Ode", "2ND")),
+    Example(_table("x"), ("y",)),
+]
+_HAND_MADE_STOP = StopWordList(["2nd", "the", "November", "on", "WITH"])
+
+
+def _lines(corpus) -> str:
+    buf = io.StringIO()
+    write_corpus(corpus, buf)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize(
+    "corpus,stop",
+    [*((generate(TemplateSpec(seed=s), 40), default_stop_words()) for s in range(3)),
+     (_HAND_MADE, _HAND_MADE_STOP)],
+    ids=["synth0", "synth1", "synth2", "hand_made"],
+)
+def test_an_annotated_copy_equals_the_example_its_constructor_builds(corpus, stop):
+    got = annotate_corpus(corpus, stop)
+    want = [Example(ex.table, ex.reference, annotate_skeleton(ex.table, ex.reference, stop))
+            for ex in corpus]
+    assert got == want
+    assert [hash(ex) for ex in got] == [hash(ex) for ex in want]
+    assert _lines(got) == _lines(want)
+    assert all(ex.skeleton is None for ex in corpus)  # a copy; the input keeps no skeleton
+
+
+def test_the_hand_made_skeletons():
+    skeletons = [ex.skeleton for ex in annotate_corpus(_HAND_MADE, _HAND_MADE_STOP)]
+    assert skeletons == [("Alda", "Fenwick", "2nd", "8", "1908", "Rovers"), ("2nd", "Ode", "2ND"),
+                         ()]

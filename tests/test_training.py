@@ -178,6 +178,38 @@ def test_checkpoint_with_optimizer_files_of_earlier_versions_loads(tmp_path, bui
 
 
 @pytest.mark.parametrize(
+    "build,load", [(tiny_pointer, load_pointer_dir), (tiny_editor, load_editor_dir)],
+    ids=["pointer", "editor"],
+)
+def test_a_loaded_model_draws_no_weights_and_holds_the_saved_float32_values(
+    tmp_path, monkeypatch, build, load
+):
+    model, cfg = build(seed=6)
+    save_model_dir(str(tmp_path), model, cfg)
+
+    def no_draws(*entropy):
+        raise AssertionError(f"loading drew from _rng{entropy}")
+
+    monkeypatch.setattr(training, "_rng", no_draws)
+    loaded, _ = load(str(tmp_path))
+    saved = np.fromfile(tmp_path / "params.bin", dtype="<f4").astype(np.float64)
+    values = np.concatenate([p.data.ravel() for p in loaded.parameters()])
+    assert values.dtype == np.float64
+    assert values.tobytes() == saved.tobytes()
+
+
+def test_a_truncated_params_file_is_a_value_error_naming_it(tmp_path, monkeypatch):
+    model, cfg = tiny_pointer(seed=7)
+    save_model_dir(str(tmp_path), model, cfg)
+    path = tmp_path / "params.bin"
+    path.write_bytes(path.read_bytes()[:-4])
+    monkeypatch.setattr(training, "_rng", None)  # loading builds the model without it
+    with pytest.raises(ValueError, match="float32 for the manifest") as info:
+        load_pointer_dir(str(tmp_path))
+    assert str(info.value).startswith(f"{path}: ")
+
+
+@pytest.mark.parametrize(
     "name,text,problem",
     [
         ("manifest.json", "[{", "not a JSON file"),
