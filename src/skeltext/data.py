@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
 from typing import IO, Callable, Iterable
 
 PAD_TOKEN = "<pad>"
@@ -206,9 +205,11 @@ def build_vocabulary(corpus: Corpus, cap: int = 50_000) -> Vocabulary:
     """
     if cap < len(RESERVED_TOKENS):
         raise ValueError(f"cap must be >= {len(RESERVED_TOKENS)}, got {cap}")
-    counts = Counter(chain.from_iterable(
-        tokens for ex in corpus
-        for tokens in (*(attr.value_tokens for attr in ex.table.attributes), ex.reference)))
+    counts: Counter[str] = Counter()
+    for ex in corpus:
+        for attr in ex.table.attributes:
+            counts.update(attr.value_tokens)
+        counts.update(ex.reference)
     for tok in RESERVED_TOKENS:
         counts.pop(tok, None)
     # A Counter keeps first-seen order, and a stable sort keeps it among ties.

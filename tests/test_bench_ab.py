@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import importlib.util
-import json
 import os
 
 import pytest
@@ -51,14 +50,6 @@ def test_summary_counts_wins_by_direction_and_ties_for_neither():
     assert rate["aa"]["pairs"] == 4
     setup = summary["train"]["metrics"]["setup_s"]  # lower is better
     assert (setup["change_wins"], setup["parent_wins"]) == (1, 1)
-    # Per pair of one seed: 105/100, 110/110, 119/120, 140/130, and 0.9, 1, 1, 1.1.
-    ratio = rate["pair_ratio"]
-    assert ratio["median"] == pytest.approx((1.0 + 1.05) / 2)
-    assert (ratio["q1"], ratio["q3"]) == pytest.approx(
-        (119 / 120 + 0.75 * (1 - 119 / 120), 1.05 + 0.25 * (14 / 13 - 1.05)))
-    assert (ratio["change_wins"], ratio["n"]) == (2, 4)
-    assert setup["pair_ratio"]["median"] == pytest.approx(1.0)
-    assert setup["pair_ratio"]["change_wins"] == 1  # 0.9 is the one ratio below 1
     assert summary["train"]["fingerprints_equal"] is True
     assert summary["train"]["failed_runs"] == 0
     assert summary["train"]["failed_ops"] == {"parent": 0, "change": 0}
@@ -77,47 +68,3 @@ def test_summary_reports_a_fingerprint_mismatch_and_a_failed_run_per_workload():
     assert summary["generate"]["fingerprints_equal"] is True
     assert "aa" not in summary["generate"]["metrics"]["ex_per_s"]  # no A/A set was run
     assert summary["generate"]["metrics"]["ex_per_s"]["parent"]["n"] == 1
-
-
-def test_a_pair_ratio_skips_a_pair_whose_parent_value_is_zero():
-    runs = [_run("ab", "parent", 0, 0.0, 1.0), _run("ab", "change", 0, 5.0, 0.5),
-            _run("ab", "parent", 1, 10.0, 2.0), _run("ab", "change", 1, 12.0, 2.0)]
-    metrics = bench_ab.summarize(runs, END_TO_END)["train"]["metrics"]
-    assert metrics["ex_per_s"]["pair_ratio"] == {
-        "median": 1.2, "q1": 1.2, "q3": 1.2, "n": 1, "change_wins": 1}
-    assert metrics["setup_s"]["pair_ratio"]["median"] == pytest.approx(0.75)
-
-
-def _main(monkeypatch, tmp_path, *args):
-    """main() on a stand-in benchmark: the workloads and seeds its runs were asked for."""
-    calls = []
-
-    def run_once(bench, tree, workload, seed, seconds):
-        calls.append((workload, seed))
-        return {"metrics": {m["name"]: 1.0 for m in bench["end_to_end"]}, "correct": True,
-                "attempted": 1, "failed": 0, "fingerprint": "f", "env": {"python": "3"}}
-
-    monkeypatch.setattr(bench_ab, "run_once", run_once)
-    monkeypatch.setattr(bench_ab, "_blas_fingerprint", lambda tree: "blas")
-    parent = tmp_path / "parent"
-    parent.mkdir(exist_ok=True)
-    out = tmp_path / "out.json"
-    bench_ab.main([str(parent), "--out", str(out), "--pairs", "2", *args])
-    return calls, json.loads(out.read_text())
-
-
-def test_workloads_default_to_every_benchmark_workload_and_can_be_chosen(monkeypatch, tmp_path):
-    calls, report = _main(monkeypatch, tmp_path)
-    every = ["train", "generate"]  # BENCHMARK.json's, in its order
-    assert list(dict.fromkeys(w for w, _ in calls)) == every
-    assert report["workloads"] == {w: report["workloads"][w] for w in every}
-    calls, report = _main(monkeypatch, tmp_path, "--workloads", "generate", "--seeds", "21")
-    assert calls == [("generate", 21)] * 8  # 2 pairs, each an A/B and an A/A pair of runs
-    assert list(report["workloads"]) == ["generate"]
-    assert report["workloads"]["generate"]["metrics"]["setup_s"]["pair_ratio"]["median"] == 1.0
-
-
-def test_an_unknown_workload_is_a_usage_error(monkeypatch, tmp_path, capsys):
-    with pytest.raises(SystemExit):
-        _main(monkeypatch, tmp_path, "--workloads", "generate", "decode")
-    assert "unknown workload(s) decode" in capsys.readouterr().err

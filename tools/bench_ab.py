@@ -1,11 +1,9 @@
 """Alternating pairs of benchmark runs: a parent checkout against this tree, plus an A/A set.
 
     python3 tools/bench_ab.py PARENT_DIR --out BENCH.json [--pairs 10] [--seeds 1 2 ...]
-                              [--workloads NAME ...]
 
-PARENT_DIR is a checkout of the parent commit. For each workload named by
-`--workloads` (by default every workload of this tree's BENCHMARK.json, in
-its order) and each pair i, the script runs the benchmark command
+PARENT_DIR is a checkout of the parent commit. For each workload of this
+tree's BENCHMARK.json and each pair i, the script runs the benchmark command
 with `--workload W --seed S --seconds N --trace 0` once in PARENT_DIR and
 once in this tree, with the same seed: the parent goes first in even pairs
 and this tree in odd ones. Seed S is the i-th of `--seeds` (by default 1 to
@@ -18,15 +16,12 @@ After each run the script reads the last line of standard output and the
 run's record under the tree's `.bench_build/perfbench/results/`. It writes
 one JSON file, `--out`. For each workload and end-to-end metric it holds
 both medians and quartiles, the change's wins (pairs where it is better;
-ties count for neither), the relative change of the median, the A/A gap
-between the medians, and the per-pair ratio change/parent of the same seed
-(its median, quartiles and the pairs where it says the change is better),
-which cancels the spread between seeds that the medians keep. For each
-workload it holds the runs that were not correct and each A/B side's
-failed operations, summed over its runs. It also holds whether every
-pair's output fingerprints were equal, both commits, the environment with
-the BLAS fingerprint of `tests/helpers.blas_fingerprint()`, and every
-run's values. Apart from that
+ties count for neither), the relative change of the median and the A/A gap
+between the medians. For each workload it holds the runs that were not
+correct and each A/B side's failed operations, summed over its runs. It
+also holds whether every pair's output fingerprints were equal, both
+commits, the environment with the BLAS fingerprint of
+`tests/helpers.blas_fingerprint()`, and every run's values. Apart from that
 file, the script writes nothing in this tree but what the benchmark itself
 writes. Each run takes a few seconds to a minute; the first `generate` run
 in a tree also builds that tree's checkpoints.
@@ -116,10 +111,6 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
             }
             entry["relative_change"] = _relative(entry["change"]["median"],
                                                  entry["parent"]["median"])
-            ratios = [b / a for a, b in zip(old, new) if a]
-            if ratios:
-                entry["pair_ratio"] = {**_spread(ratios),
-                                       "change_wins": sum(sign * (r - 1) > 0 for r in ratios)}
             if aa_pairs:
                 aa_old = statistics.median(aa_parent[p]["metrics"][name] for p in aa_pairs)
                 aa_new = statistics.median(aa_copy[p]["metrics"][name] for p in aa_pairs)
@@ -160,19 +151,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", required=True, help="JSON file to write")
     parser.add_argument("--pairs", type=int, default=10, help="A/B pairs per workload")
     parser.add_argument("--seeds", type=int, nargs="+", help="seeds of the pairs (default 1..N)")
-    parser.add_argument("--workloads", nargs="+", metavar="NAME",
-                        help="workloads to run (default: every one in BENCHMARK.json)")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         bench = json.load(fh)
-    known = [w["name"] for w in bench["workloads"]]
-    unknown = [name for name in args.workloads or () if name not in known]
-    if unknown:
-        parser.error(f"unknown workload(s) {', '.join(unknown)}; BENCHMARK.json has "
-                     f"{', '.join(known)}")
-    workloads = list(dict.fromkeys(args.workloads or known))
     parent = os.path.abspath(args.parent)
     seeds = args.seeds or list(range(1, args.pairs + 1))
     report = {  # the trees as they are when the runs start
@@ -180,15 +163,14 @@ def main(argv: list[str] | None = None) -> int:
         "change_commit": _git(ROOT, "rev-parse", "HEAD"),
         "change_uncommitted_files": _git(ROOT, "status", "--porcelain").splitlines(),
         "command": bench["command"], "seconds": bench["run_seconds"], "pairs": args.pairs,
-        "seeds": seeds, "workloads": workloads,
-        "order": "parent first in even pairs, the other side first in odd ones",
+        "seeds": seeds, "order": "parent first in even pairs, the other side first in odd ones",
     }
     runs: list[dict] = []
     scratch = tempfile.mkdtemp(prefix="bench_ab-")
     try:
         copy = os.path.join(scratch, "parent-copy")
         shutil.copytree(parent, copy, symlinks=True)
-        for workload in workloads:
+        for workload in (w["name"] for w in bench["workloads"]):
             for pair in range(args.pairs):
                 seed = seeds[pair % len(seeds)]
                 for kind, sides in (("ab", (("parent", parent), ("change", ROOT))),
