@@ -4,7 +4,6 @@ from .config import RunConfig
 from .data import (
     Attribute,
     Example,
-    StopWordList,
     Table,
     Vocabulary,
     build_vocabulary,
@@ -27,8 +26,7 @@ from .oracle import (
     oracle_insertion,
 )
 from .pointer import SkeletonPointer
-from .skeleton import annotate_corpus, annotate_skeleton
-from .stopwords import default_stop_words
+from .skeleton import StopWordList, annotate_corpus, annotate_skeleton, default_stop_words
 from .synth import TemplateSpec, generate
 from .training import train_editor, train_pointer
 

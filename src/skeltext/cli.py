@@ -11,19 +11,10 @@ import numpy as np
 from . import decoding, metrics
 from .autograd import NonFiniteError
 from .config import RunConfig, resolve_config
-from .data import (
-    Corpus,
-    Example,
-    StopWordList,
-    load_corpus,
-    read_json_lines,
-    save_corpus,
-    tokenize,
-)
+from .data import Corpus, Example, load_corpus, read_json_lines, save_corpus, tokenize
 from .gradcheck import TOLERANCE, run_gradcheck
 from .pointer import SkeletonPrediction, predict_skeletons
-from .skeleton import annotate_corpus
-from .stopwords import default_stop_words
+from .skeleton import StopWordList, annotate_corpus, default_stop_words
 from .synth import TemplateSpec, generate
 from .training import (
     load_editor_dir,

@@ -34,11 +34,6 @@ def tokenize(text: str) -> list[str]:
     return text.split()
 
 
-def is_numeric_token(token: str) -> bool:
-    """Tokens containing a digit count as numeric (dates, counts, years)."""
-    return any(ch.isdigit() for ch in token)
-
-
 def _check_tokens(field: str, tokens: tuple[str, ...]) -> None:
     """The corpus file's rule for every token: one non-empty run of non-whitespace, not reserved.
 
@@ -164,15 +159,8 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self.id_to_token)
 
-    def __contains__(self, token: str) -> bool:
-        return token in self.token_to_id
-
-    def id_of(self, token: str) -> int:
-        """Id of a token, falling back to UNK."""
-        return self.token_to_id.get(token, UNK_ID)
-
     def ids(self, tokens: Iterable[str]) -> list[int]:
-        """id_of of each token, looked up through one bound dict method."""
+        """The id of each token, UNK_ID for one out of the vocabulary."""
         get = self.token_to_id.get
         return [get(t, UNK_ID) for t in tokens]
 
@@ -220,23 +208,6 @@ def build_vocabulary(corpus: Corpus, cap: int = 50_000) -> Vocabulary:
 def build_key_vocabulary(corpus: Corpus) -> Vocabulary:
     """Vocabulary over attribute keys (EOS key included via reserved ids)."""
     return Vocabulary(attr.key for ex in corpus for attr in ex.table.attributes)
-
-
-# See stopwords.py for the shipped default list.
-class StopWordList:
-    """Case-insensitive stop-word membership; numeric tokens never match."""
-
-    def __init__(self, words: Iterable[str]):
-        self._words = frozenset(w.lower() for w in words)
-
-    def __contains__(self, token: str) -> bool:
-        # The lookup first: only a token it finds pays for the digit scan.
-        return token.lower() in self._words and not is_numeric_token(token)
-
-    @classmethod
-    def from_file(cls, path) -> "StopWordList":
-        with open(path, encoding="utf-8") as fh:
-            return cls(line.strip() for line in fh if line.strip())
 
 
 def _string(value, field: str) -> str:

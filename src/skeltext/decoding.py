@@ -78,29 +78,16 @@ def masked_delete(state: EditState, deletion_scores: np.ndarray) -> EditState:
     return EditState(tokens, protected)
 
 
-def _state_cap(model: EditRealizer, max_state_len: int | None) -> int:
-    """The stage-2 length cap: max_state_len, by default the editor's position cap, or less."""
-    cap = model.max_len if max_state_len is None else max_state_len
-    if cap > model.max_len:
-        raise ValueError(f"max_state_len {cap} exceeds the editor's {model.max_len}-position cap")
-    return cap
-
-
 def insert_and_fill(
-    state: EditState,
-    model: EditRealizer,
-    cache: DecoderCache,
-    hidden: np.ndarray,
-    max_state_len: int | None = None,
+    state: EditState, model: EditRealizer, cache: DecoderCache, hidden: np.ndarray, cap: int
 ) -> EditState:
     """Argmax placeholder insertion followed by argmax token filling.
 
     `hidden` is model.decode_hidden(state.tokens, cache). Inserted tokens
     enter unprotected; every other position keeps its mask. Growth beyond
-    max_state_len, by default the editor's position cap, aborts with
-    StateOverflowError rather than decode forever.
+    `cap`, iterate's state cap, aborts with StateOverflowError rather than
+    decode forever.
     """
-    cap = _state_cap(model, max_state_len)
     counts = np.argmax(model.placeholder_scores(hidden), axis=-1)
     if counts.sum() + len(state) > cap:
         raise StateOverflowError(
@@ -146,7 +133,9 @@ def iterate(
     past it. Such a state overflows before any decoding, with the trace
     [initial state]. A cap beyond the editor's is a ValueError.
     """
-    cap = _state_cap(model, max_state_len)
+    cap = model.max_len if max_state_len is None else max_state_len
+    if cap > model.max_len:
+        raise ValueError(f"max_state_len {cap} exceeds the editor's {model.max_len}-position cap")
     state = init_state(skeleton, protect_skeleton=hard_constraints)
     snapshots = [state]
     termination = MAX_ITERATIONS

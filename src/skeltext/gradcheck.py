@@ -24,7 +24,7 @@ from .pointer import backprop_pointer_batch
 from .training import RunConfig, build_editor, build_pointer
 
 TOLERANCE = 1e-4
-SAMPLES_PER_PARAM = 12  # coordinates run_gradcheck checks in each parameter
+SAMPLES_PER_PARAM = 12  # coordinates finite_difference_check samples in each parameter
 FD_STEP = 1e-5  # the central difference's step in each coordinate
 
 
@@ -33,7 +33,7 @@ def finite_difference_check(
     value: Callable[[], float],
     params: list[Parameter],
     rng: np.random.Generator,
-    samples_per_param: int = 16,
+    samples_per_param: int = SAMPLES_PER_PARAM,
 ) -> float:
     """Max relative error between analytic and central-difference gradients of one loss.
 
@@ -103,7 +103,7 @@ def run_gradcheck(seed: int = 0) -> list[tuple[str, float]]:
     results: list[tuple[str, float]] = []
 
     def check(name: str, backprop, value, params) -> None:
-        err = finite_difference_check(backprop, value, params, rng, SAMPLES_PER_PARAM)
+        err = finite_difference_check(backprop, value, params, rng)
         results.append((name, err))
 
     def check_loss(name: str, loss_fn: Callable[[], Tensor], params) -> None:

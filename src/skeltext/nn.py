@@ -509,8 +509,10 @@ def load_checkpoint(directory: str, model: Module) -> None:
         )
     raw = np.fromfile(path, dtype="<f4")
     ends = np.cumsum([p.data.size for _, p in named]).tolist()
-    for (name, p), end in zip(named, ends):
-        if not np.isfinite(raw[end - p.data.size : end]).all():
-            raise ValueError(f"{path}: parameter {name} holds a non-finite value")
+    # min and max build no array the size of the file; a NaN reaches both, an infinity one.
+    if raw.size and not np.isfinite((raw.min(), raw.max())).all():
+        first = int(np.argmin(np.isfinite(raw)))  # the first non-finite value
+        name = next(name for (name, _), end in zip(named, ends) if first < end)
+        raise ValueError(f"{path}: parameter {name} holds a non-finite value")
     for (_, p), end in zip(named, ends):
         p.data[...] = raw[end - p.data.size : end].reshape(p.shape)

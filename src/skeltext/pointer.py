@@ -164,6 +164,8 @@ class SkeletonPointer(TableToText):
         """
         if beam_width < 1:
             raise ValueError("beam width must be >= 1")
+        if max_len < 0:
+            raise ValueError(f"max_len must be >= 0, got {max_len}")
         if max_len > self.max_len - 1:
             raise ValueError(
                 f"max_len {max_len} exceeds {self.max_len - 1}: BOS plus max_len "

@@ -2,7 +2,49 @@
 
 from __future__ import annotations
 
-from .data import Corpus, StopWordList, Table
+from typing import Iterable
+
+from .data import Corpus, Table
+
+DEFAULT_STOP_WORDS = (
+    "a an the this that these those some any each every either neither "
+    "i you he she it we they me him her us them my your his its our their "
+    "mine yours hers ours theirs myself yourself himself herself itself "
+    "ourselves themselves who whom whose which what "
+    "is am are was were be been being do does did done doing have has had "
+    "having will would shall should can could may might must ought "
+    "not no nor never n't "
+    "and or but if then else when while because although though since so "
+    "than as unless until whether yet both also too very just only even "
+    "of in on at by for with about against between into through during "
+    "before after above below to from up down out off over under again "
+    "further here there where why how all more most other such own same "
+    "few once per via upon within without across along among around "
+    "behind beneath beside besides beyond despite except inside like near "
+    "onto outside toward towards underneath "
+    "'s 're 've 'll 'd 'm . , ; : ! ? ( ) \" ' - --"
+).split()
+
+
+class StopWordList:
+    """Case-insensitive stop-word membership; a token holding a digit (a date,
+    a count, a year) never matches."""
+
+    def __init__(self, words: Iterable[str]):
+        self._words = frozenset(w.lower() for w in words)
+
+    def __contains__(self, token: str) -> bool:
+        # The lookup first: only a token it finds pays for the digit scan.
+        return token.lower() in self._words and not any(ch.isdigit() for ch in token)
+
+    @classmethod
+    def from_file(cls, path) -> "StopWordList":
+        with open(path, encoding="utf-8") as fh:
+            return cls(line.strip() for line in fh if line.strip())
+
+
+def default_stop_words() -> StopWordList:
+    return StopWordList(DEFAULT_STOP_WORDS)
 
 
 def annotate_skeleton(

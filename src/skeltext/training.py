@@ -158,7 +158,6 @@ def train_editor(
 
 def save_model_dir(directory: str, model, cfg: RunConfig) -> None:
     """Checkpoint directory: manifest/params plus the vocabularies and config."""
-    os.makedirs(directory, exist_ok=True)
     save_checkpoint(directory, model)
     cfg.save(os.path.join(directory, CONFIG_FILE))
     for name, vocab in ((VOCAB_FILE, model.vocab), (KEY_VOCAB_FILE, model.encoder.key_vocab)):

@@ -21,7 +21,6 @@ from skeltext.data import (
     Attribute,
     EOS_TOKEN,
     BOS_TOKEN,
-    StopWordList,
     Table,
     load_corpus,
     tokenize,
@@ -37,7 +36,7 @@ from skeltext.oracle import (
     oracle_insertion,
     KEEP,
 )
-from skeltext.skeleton import annotate_skeleton
+from skeltext.skeleton import StopWordList, annotate_skeleton
 from skeltext.training import load_editor_dir
 
 from helpers import all_value_tokens, random_table, random_tokens, tiny_editor
@@ -459,7 +458,7 @@ def test_acceptance_5_annotator_conformance():
     for table, reference, stop_words in ANNOTATOR_FIXTURES:
         verify(table, tokenize(reference), stop_words)
 
-    from skeltext.stopwords import DEFAULT_STOP_WORDS
+    from skeltext.skeleton import DEFAULT_STOP_WORDS
     from skeltext.synth import TemplateSpec, generate
 
     corpus = generate(TemplateSpec(seed=0), 200)

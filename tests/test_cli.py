@@ -676,7 +676,7 @@ def _pointer_with_a_nan_token(tmp_path, corpus_path, monkeypatch):
 
     def load_with_a_nan(directory):
         model, loaded_cfg = load_pointer_dir(directory)
-        model.encoder.tok_emb.weight.data[model.vocab.id_of(token), 0] = np.nan
+        model.encoder.tok_emb.weight.data[model.vocab.token_to_id[token], 0] = np.nan
         return model, loaded_cfg
 
     monkeypatch.setattr(cli, "load_pointer_dir", load_with_a_nan)

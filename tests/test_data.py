@@ -17,7 +17,6 @@ from skeltext.data import (
     Attribute,
     CorpusError,
     Example,
-    StopWordList,
     Table,
     Vocabulary,
     build_vocabulary,
@@ -288,7 +287,7 @@ def test_vocabulary_reserved_ids_fixed():
     vocab = build_vocabulary([], cap=100)
     assert len(vocab) == 5
     for i, tok in enumerate(RESERVED_TOKENS):
-        assert vocab.id_of(tok) == i
+        assert vocab.token_to_id[tok] == i
         assert vocab.token_of(i) == tok
 
 
@@ -303,9 +302,9 @@ def test_vocabulary_tie_breaks_by_first_occurrence():
     table = Table((Attribute("K", ("a", "b")),))
     corpus = [Example(table, ("a", "b") * 4)]
     vocab = build_vocabulary(corpus, cap=6)
-    assert "a" in vocab
-    assert "b" not in vocab
-    assert vocab.id_of("b") == vocab.id_of("<unk>")
+    assert "a" in vocab.token_to_id
+    assert "b" not in vocab.token_to_id
+    assert vocab.ids(["b"]) == vocab.ids(["<unk>"])
 
 
 def test_build_vocabularies_pins_both_id_lists():
@@ -330,7 +329,7 @@ def test_build_vocabularies_pins_both_id_lists():
     vocab, key_vocab = build_vocabularies(corpus, RunConfig())
     assert vocab.to_json() == [*RESERVED_TOKENS, "x", "mid", "zeta", "alpha"]
     assert key_vocab.to_json() == [*RESERVED_TOKENS, "Name", "Job", "Born"]
-    assert [vocab.id_of(t) for t in ("x", "alpha", "<unk>")] == [5, 8, 1]
+    assert vocab.ids(("x", "alpha", "<unk>")) == [5, 8, 1]
 
 
 def test_vocabulary_default_cap_matches_published_setting():
@@ -352,12 +351,12 @@ def test_vocabulary_roundtrip_lookup():
     tokens = [f"w{i}" for i in range(50)]
     vocab = Vocabulary(tokens)
     for tok in tokens:
-        assert vocab.token_of(vocab.id_of(tok)) == tok
+        assert vocab.token_of(vocab.token_to_id[tok]) == tok
     again = Vocabulary.from_json(vocab.to_json())
     assert again.to_json() == vocab.to_json()
     for _ in range(100):
         idx = int(rng.integers(0, len(vocab)))
-        assert again.id_of(again.token_of(idx)) == idx
+        assert again.token_to_id[again.token_of(idx)] == idx
 
 
 @pytest.mark.parametrize(
@@ -424,35 +423,6 @@ def test_linearize_invariants_random_tables():
                 assert cell.fwd_pos + cell.bwd_pos == length + 1
                 assert cell.fwd_pos + cell.bwd_pos - 1 == length
                 i += 1
-
-
-def test_stop_word_list_case_insensitive():
-    sw = StopWordList(["The", "of"])
-    assert "the" in sw
-    assert "THE" in sw
-    assert "Of" in sw
-    assert "cat" not in sw
-
-
-def test_stop_word_list_numeric_tokens_never_match():
-    sw = StopWordList(["1908", "8", "the"])
-    assert "1908" not in sw
-    assert "8" not in sw
-    assert "the" in sw
-
-
-_STOP_CHARS = st.sampled_from("aAeEnNdDtT2819-İ")  # "İ".lower() is two characters
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.lists(st.text(_STOP_CHARS, min_size=1, max_size=4), max_size=6),
-       st.text(_STOP_CHARS, max_size=4))
-@example(["2nd", "the"], "2ND")
-@example(["the"], "The")
-def test_stop_word_membership_is_a_lowercase_match_of_a_token_without_a_digit(words, token):
-    expected = False if any(ch.isdigit() for ch in token) else token.lower() in {
-        w.lower() for w in words}
-    assert (token in StopWordList(words)) is expected
 
 
 # -- fuzzing (hypothesis) ------------------------------------------------------

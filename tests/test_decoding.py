@@ -128,11 +128,12 @@ def test_masked_delete_arity_checked():
         masked_delete(state, np.zeros((2, 2)))
 
 
-def _fill(stub, state, **kwargs):
-    """insert_and_fill of a stub's state, over the stub's own hidden states."""
+def _fill(stub, state, cap=None):
+    """insert_and_fill of a stub's state, over the stub's own hidden states; the cap is
+    by default the stub's position cap."""
     cache = DecoderCache(stub.decoder, stub.encoder.step(None))
     z = stub.decode_hidden(state.tokens, cache)
-    return insert_and_fill(state, stub, cache, z, **kwargs)
+    return insert_and_fill(state, stub, cache, z, stub.max_len if cap is None else cap)
 
 
 def test_insert_and_fill_noop_when_zero_slots():
@@ -186,7 +187,7 @@ def test_insert_and_fill_overflow_aborts():
     stub = StubEditor(insert_per_slot=8)
     state = init_state(["a", "b", "c"])
     with pytest.raises(StateOverflowError):
-        _fill(stub, state, max_state_len=12)
+        _fill(stub, state, cap=12)
 
 
 def test_iterate_keep_all_zero_insert_fixed_point_after_one():
@@ -242,7 +243,7 @@ def test_iterate_random_model_constraint_preservation():
             z = model.decode_hidden(state.tokens, cache)
             after = masked_delete(state, model.deletion_scores(z))
             z = model.decode_hidden(after.tokens, cache)
-            after = insert_and_fill(after, model, cache, z)
+            after = insert_and_fill(after, model, cache, z, model.max_len)
             assert after.tokens == state.tokens
 
 
@@ -260,7 +261,7 @@ def test_iterate_trained_stub_fixed_point_detection():
 
 def _decode_every_pass(model, tokens, memory):
     """decode_hidden without reuse: embed, then a full pass that projects the memory."""
-    ids = np.array([model.vocab.id_of(t) for t in tokens], dtype=np.int64)
+    ids = np.array(model.vocab.ids(tokens), dtype=np.int64)
     x = model.in_proj(model.encoder.tok_emb(ids)) + model.pos_emb(np.arange(len(tokens)))
     return model.decoder(x, memory, causal=False)
 
@@ -424,7 +425,7 @@ def test_a_nan_in_any_weight_iterate_reads_names_the_op_the_tape_names():
 
     model, _ = tiny_editor(seed=10, n_layers=2, k_max=3)
     cases = [(name, None) for name, _ in model.named_parameters()]
-    cases.append(("encoder.tok_emb.weight", model.vocab.id_of(BOS_TOKEN)))
+    cases.append(("encoder.tok_emb.weight", model.vocab.token_to_id[BOS_TOKEN]))
     ops = set()
     for name, row in cases:
         with pytest.raises(NonFiniteError) as tape:
@@ -529,10 +530,6 @@ def test_a_state_cap_beyond_the_editors_positions_is_rejected():
     message = "max_state_len 13 exceeds the editor's 12-position cap"
     with pytest.raises(ValueError, match=message):
         iterate(model, _TABLE, ["a"], max_state_len=13)
-    cache = table_cache(model, _TABLE)
-    state = init_state(["a"])
-    with pytest.raises(ValueError, match=message):
-        insert_and_fill(state, model, cache, model.decode_hidden(state.tokens, cache), 13)
 
 
 def test_realize_corpus_passes_a_stage1_error_through_as_its_outcome():

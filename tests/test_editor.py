@@ -114,7 +114,7 @@ def test_token_scores_rows_are_distributions():
 
 def test_one_hot_token_logits_fill_deterministically():
     model, memory, _ = _setup(seed=7)
-    target = model.vocab.id_of("Lunden")
+    target = model.vocab.token_to_id["Lunden"]
     model.w_tok.weight.data[...] = 0.0
     model.w_tok.weight.data[0, target] = 5.0
     z_rows = np.zeros((3, 16))

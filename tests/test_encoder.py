@@ -108,13 +108,13 @@ def test_gradients_reach_fusion_and_embeddings():
     (out.rows * out.rows).sum().backward()
     assert np.abs(enc.fuse.weight.grad).max() > 0
     assert np.abs(enc.fuse.bias.grad).max() > 0
-    tok_ids = [enc.vocab.id_of(t) for t in ("Alda", "sculptor", "<eos>")]
+    tok_ids = enc.vocab.ids(("Alda", "sculptor", "<eos>"))
     for tid in tok_ids:
         assert np.abs(enc.tok_emb.weight.grad[tid]).max() > 0
-    key_ids = [enc.key_vocab.id_of(k) for k in ("Name_ID", "Occupation", "<eos>")]
+    key_ids = enc.key_vocab.ids(("Name_ID", "Occupation", "<eos>"))
     for kid in key_ids:
         assert np.abs(enc.key_emb.weight.grad[kid]).max() > 0
-    unused = enc.vocab.id_of("Varano")
+    unused = enc.vocab.token_to_id["Varano"]
     assert np.abs(enc.tok_emb.weight.grad[unused]).max() == 0
 
 

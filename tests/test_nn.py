@@ -296,20 +296,28 @@ def test_checkpoint_name_mismatch_rejected(tmp_path):
         load_checkpoint(str(tmp_path / "ck"), other)
 
 
-@pytest.mark.parametrize("bad,row,col", [(np.nan, 4, 2), (np.inf, 0, 0)], ids=["nan", "inf_first"])
+@pytest.mark.parametrize("bad,named", [
+    ({"b.weight": [(4, 2, np.nan)]}, "b.weight"),
+    ({"b.weight": [(0, 0, np.inf)]}, "b.weight"),  # the first value after a.bias
+    ({"b.weight": [(-1, -1, -np.inf)]}, "b.weight"),  # the last value of params.bin
+    ({"a.bias": [(-1, -np.inf)], "b.weight": [(0, 0, np.nan), (3, 1, np.inf)]}, "a.bias"),
+], ids=["nan", "inf_first", "last_value", "two_parameters"])
 def test_a_non_finite_checkpoint_value_is_rejected_before_any_parameter_changes(
-    tmp_path, bad, row, col
+    tmp_path, bad, named
 ):
     rng = np.random.default_rng(14)
     model = Holder(a=Linear(rng, 6, 5), b=Embedding(rng, 7, 6))
-    model.b.weight.data[row, col] = bad  # [0, 0] is the first value after a.bias
+    params = dict(model.named_parameters())
+    for name, values in bad.items():
+        for *index, value in values:
+            params[name].data[tuple(index)] = value
     save_checkpoint(str(tmp_path / "ck"), model)
     other = Holder(a=Linear(rng, 6, 5), b=Embedding(rng, 7, 6))
     before = [p.data.copy() for p in other.parameters()]
     with pytest.raises(ValueError) as info:
         load_checkpoint(str(tmp_path / "ck"), other)
     path = tmp_path / "ck" / "params.bin"
-    assert str(info.value) == f"{path}: parameter b.weight holds a non-finite value"
+    assert str(info.value) == f"{path}: parameter {named} holds a non-finite value"
     assert all(np.array_equal(p.data, b) for p, b in zip(other.parameters(), before))
 
 

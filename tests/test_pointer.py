@@ -12,8 +12,7 @@ from skeltext.autograd import NonFiniteError, Tensor
 from skeltext.data import Attribute, BOS_TOKEN, EOS_TOKEN, Example, Table
 from skeltext.nn import DecoderCache
 from skeltext.pointer import DataIntegrityError, SkeletonPointer, SkeletonPrediction, copy_pool
-from skeltext.skeleton import annotate_skeleton
-from skeltext.stopwords import default_stop_words
+from skeltext.skeleton import annotate_skeleton, default_stop_words
 from skeltext.synth import TemplateSpec, generate
 from skeltext.training import train_pointer
 
@@ -470,7 +469,7 @@ def test_a_nan_in_any_weight_a_beam_step_reads_names_its_op():
         model, _ = tiny_pointer(seed=24, n_layers=2)
         param = dict(model.named_parameters())[name]
         if name == "encoder.tok_emb.weight":
-            param.data[model.vocab.id_of(BOS_TOKEN)] = np.nan
+            param.data[model.vocab.token_to_id[BOS_TOKEN]] = np.nan
         else:
             param.data[...] = np.nan
         search = model._start_search(table)
@@ -524,6 +523,15 @@ def test_beam_search_rejects_max_len_beyond_decoder_positions():
     with pytest.raises(ValueError, match=f"max_len {limit + 1} exceeds {limit}.*{limit + 1}"):
         model.beam_search(table, beam_width=2, max_len=limit + 1)
     assert len(model.beam_search(table, beam_width=2, max_len=limit).tokens) <= limit
+
+
+@pytest.mark.parametrize("max_len", [-1, -7])
+def test_beam_search_rejects_a_negative_max_len_naming_it(max_len):
+    model, _ = tiny_pointer(seed=12)
+    table = random_table(np.random.default_rng(12))
+    assert model.beam_search(table, beam_width=2, max_len=0).tokens == []
+    with pytest.raises(ValueError, match=f"^max_len must be >= 0, got {max_len}$"):
+        model.beam_search(table, beam_width=2, max_len=max_len)
 
 
 def test_teacher_forced_loss_decreases_monotonically_50_steps():

@@ -6,11 +6,12 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from skeltext.data import Attribute, Example, StopWordList, Table, write_corpus
+from skeltext.data import Attribute, Example, Table, write_corpus
 from skeltext.oracle import is_subsequence
-from skeltext.skeleton import annotate_corpus, annotate_skeleton
-from skeltext.stopwords import default_stop_words
+from skeltext.skeleton import StopWordList, annotate_corpus, annotate_skeleton, default_stop_words
 from skeltext.synth import TemplateSpec, generate
 
 from helpers import random_table, random_tokens
@@ -18,6 +19,35 @@ from helpers import random_table, random_tokens
 
 def _table(*values: str) -> Table:
     return Table(tuple(Attribute(f"K{i}", tuple(v.split())) for i, v in enumerate(values)))
+
+
+def test_stop_word_list_case_insensitive():
+    sw = StopWordList(["The", "of"])
+    assert "the" in sw
+    assert "THE" in sw
+    assert "Of" in sw
+    assert "cat" not in sw
+
+
+def test_stop_word_list_numeric_tokens_never_match():
+    sw = StopWordList(["1908", "8", "the"])
+    assert "1908" not in sw
+    assert "8" not in sw
+    assert "the" in sw
+
+
+_STOP_CHARS = st.sampled_from("aAeEnNdDtT2819-İ")  # "İ".lower() is two characters
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.text(_STOP_CHARS, min_size=1, max_size=4), max_size=6),
+       st.text(_STOP_CHARS, max_size=4))
+@example(["2nd", "the"], "2ND")
+@example(["the"], "The")
+def test_stop_word_membership_is_a_lowercase_match_of_a_token_without_a_digit(words, token):
+    expected = False if any(ch.isdigit() for ch in token) else token.lower() in {
+        w.lower() for w in words}
+    assert (token in StopWordList(words)) is expected
 
 
 def test_selects_table_tokens_and_skips_stop_words():

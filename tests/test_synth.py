@@ -7,8 +7,7 @@ import io
 import pytest
 
 from skeltext.data import write_corpus
-from skeltext.skeleton import annotate_skeleton
-from skeltext.stopwords import default_stop_words
+from skeltext.skeleton import annotate_skeleton, default_stop_words
 from skeltext.synth import FUNCTION_WORDS, TemplateSpec, generate, generate_example
 
 
