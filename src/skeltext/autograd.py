@@ -124,7 +124,10 @@ class Tensor:
                 if p._bw is not None and p not in seen:
                     stack.append(p)
         del seen, done  # only topo may keep the nodes alive
-        self.grad = np.array(grad, order="C") if self.grad is None else self.grad + grad
+        if self.grad is None:
+            self.grad = np.array(grad, dtype=np.float64, order="C")
+        else:
+            self.grad += grad
         while topo:
             node = topo.pop()
             if node.grad is not None:

@@ -59,9 +59,7 @@ class RunConfig:
             # bool is an int subtype, so only a bool field may hold a bool.
             if isinstance(value, bool) != (f.type == "bool") or not isinstance(value, types):
                 raise ValueError(f"config field {f.name} must be {f.type}, not {value!r}")
-        # An int field is positive (max_iter and seed may be 0), a float field non-negative.
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
+            # An int field is positive (max_iter and seed may be 0), a float field non-negative.
             if f.type == "int" and f.name not in ("max_iter", "seed") and value <= 0:
                 raise ValueError(f"config field {f.name} must be positive")
             if f.type != "bool" and f.name != "lambda_mix" and value < 0:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
-from typing import IO, Callable, Iterable
+from typing import IO, Callable, Iterable, NamedTuple
 
 PAD_TOKEN = "<pad>"
 UNK_TOKEN = "<unk>"
@@ -112,8 +112,7 @@ class Example:
 Corpus = list[Example]
 
 
-@dataclass(frozen=True)
-class LinearizedCell:
+class LinearizedCell(NamedTuple):
     """4-tuple view of one value token: (token, key, fwd position, bwd position).
 
     Positions count from 1 at each end of the owning value, so within an
@@ -125,10 +124,6 @@ class LinearizedCell:
     key: str
     fwd_pos: int
     bwd_pos: int
-
-    def __post_init__(self):
-        if self.fwd_pos < 1 or self.bwd_pos < 1:
-            raise ValueError(f"positions must be >= 1, got ({self.fwd_pos}, {self.bwd_pos})")
 
 
 EOS_CELL = LinearizedCell(EOS_TOKEN, EOS_TOKEN, 1, 1)

@@ -8,7 +8,7 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from . import autograd as ag
-from .data import BOS_TOKEN, EOS_TOKEN, Table, linearize_table
+from .data import BOS_TOKEN, EOS_TOKEN, Table, _check_tokens, linearize_table
 from .editor import EditRealizer, EditState
 from .nn import DecoderCache
 from .oracle import DELETE, apply_insertions, fill_positions, is_subsequence
@@ -53,7 +53,12 @@ class Realization(NamedTuple):
 
 
 def init_state(skeleton, protect_skeleton: bool = True) -> EditState:
-    """Wrap the skeleton in sentinels; under hard constraints everything is protected."""
+    """Wrap the skeleton in sentinels; under hard constraints everything is protected.
+
+    The skeleton's tokens follow the corpus file's token rule, `data._check_tokens`.
+    """
+    skeleton = tuple(skeleton)
+    _check_tokens("skeleton", skeleton)
     tokens = (BOS_TOKEN, *skeleton, EOS_TOKEN)
     protected = (True, *(protect_skeleton for _ in skeleton), True)
     return EditState(tokens, protected)
@@ -131,8 +136,11 @@ def iterate(
     every skeleton token, and it is within the length cap (max_state_len,
     by default the editor's position cap) unless the initial state alone is
     past it. Such a state overflows before any decoding, with the trace
-    [initial state]. A cap beyond the editor's is a ValueError.
+    [initial state]. A cap beyond the editor's, a negative max_iter and a
+    skeleton that breaks the corpus token rule are ValueErrors.
     """
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be >= 0, got {max_iter}")
     cap = model.max_len if max_state_len is None else max_state_len
     if cap > model.max_len:
         raise ValueError(f"max_state_len {cap} exceeds the editor's {model.max_len}-position cap")
@@ -173,8 +181,11 @@ def realize_corpus(
 
     States are capped at the editor's position cap. A stage-1 NonFiniteError
     in place of a skeleton gives an empty NON_FINITE outcome. An overflow or
-    non-finite abort keeps its trace's last state.
+    non-finite abort keeps its trace's last state. Unequal numbers of tables
+    and skeletons are a ValueError, raised before the first outcome.
     """
+    if len(tables) != len(skeletons):
+        raise ValueError(f"{len(tables)} tables for {len(skeletons)} skeletons")
     for table, skeleton in zip(tables, skeletons):
         if isinstance(skeleton, ag.NonFiniteError):
             yield Realization([], None, NON_FINITE, skeleton, None)

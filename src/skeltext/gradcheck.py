@@ -71,32 +71,6 @@ def finite_difference_check(
     return worst
 
 
-def _toy_vocabs() -> tuple[Vocabulary, Vocabulary]:
-    vocab = Vocabulary(["Alda", "Fenwick", "Lunden", "optics", "born", "in", "."])
-    key_vocab = Vocabulary(["Name_ID", "Place_of_birth", "Field_of_work"])
-    return vocab, key_vocab
-
-
-def _toy_example() -> Example:
-    table = Table(
-        (
-            Attribute("Name_ID", ("Alda", "Fenwick")),
-            Attribute("Place_of_birth", ("Lunden",)),
-            Attribute("Field_of_work", ("optics",)),
-        )
-    )
-    reference = ("Alda", "Fenwick", "born", "in", "Lunden", ".")
-    return Example(table, reference, ("Alda", "Fenwick", "Lunden"))
-
-
-def _toy_config() -> RunConfig:
-    return RunConfig(
-        d_model=8, d_hidden=12, n_heads=2, n_layers=2,
-        token_dim=6, key_dim=4, pos_dim=3, k_max=4,
-        pointer_epochs=1, editor_epochs=1, seed=7,
-    )
-
-
 def run_gradcheck(seed: int = 0) -> list[tuple[str, float]]:
     """Run the whole suite; returns (check name, max relative error) pairs."""
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -148,9 +122,22 @@ def run_gradcheck(seed: int = 0) -> list[tuple[str, float]]:
     sm_head = Linear(rng, 6, 6)
     weighted("softmax", lambda: ag.softmax(sm_head(sm_x), axis=-1), sm_head.parameters())
 
-    cfg = _toy_config()
-    vocab, key_vocab = _toy_vocabs()
-    example = _toy_example()
+    cfg = RunConfig(
+        d_model=8, d_hidden=12, n_heads=2, n_layers=2,
+        token_dim=6, key_dim=4, pos_dim=3, k_max=4,
+        pointer_epochs=1, editor_epochs=1, seed=7,
+    )
+    vocab = Vocabulary(["Alda", "Fenwick", "Lunden", "optics", "born", "in", "."])
+    key_vocab = Vocabulary(["Name_ID", "Place_of_birth", "Field_of_work"])
+    table = Table(
+        (
+            Attribute("Name_ID", ("Alda", "Fenwick")),
+            Attribute("Place_of_birth", ("Lunden",)),
+            Attribute("Field_of_work", ("optics",)),
+        )
+    )
+    reference = ("Alda", "Fenwick", "born", "in", "Lunden", ".")
+    example = Example(table, reference, ("Alda", "Fenwick", "Lunden"))
 
     pointer = build_pointer(cfg, vocab, key_vocab)
     table_enc = pointer.encoder

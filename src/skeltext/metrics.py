@@ -195,7 +195,7 @@ def evaluate_outputs(
     if not corpus:
         raise ValueError("evaluate_outputs needs at least one gold example, got an empty corpus")
     per_example = []
-    sums = [0.0] * 6
+    sums = [0.0] * 4
     bleu_stats = [0] * (2 + 2 * MAX_ORDER)
     for hyp, ex in zip(hypotheses, corpus):
         hyp_grams, ref_grams = _orders(hyp), _orders(ex.reference)  # for BLEU and PARENT alike
@@ -209,7 +209,7 @@ def evaluate_outputs(
                 "parent_t": {"precision": tp, "recall": tr, "f1": tf},
             }
         )
-        for i, v in enumerate((p, r, f, tp, tr, tf)):
+        for i, v in enumerate((p, r, tp, tr)):
             sums[i] += v
     n = len(corpus)
     means = [s / n for s in sums]
@@ -218,8 +218,8 @@ def evaluate_outputs(
         parent_precision=means[0],
         parent_recall=means[1],
         parent_f1=_f1(means[0], means[1]),
-        parent_t_precision=means[3],
-        parent_t_recall=means[4],
-        parent_t_f1=_f1(means[3], means[4]),
+        parent_t_precision=means[2],
+        parent_t_recall=means[3],
+        parent_t_f1=_f1(means[2], means[3]),
         per_example=per_example,
     )

@@ -426,7 +426,7 @@ class Adam:
     def step(self) -> float:
         """Apply one update, zero gradients, advance the step counter."""
         for p, view in zip(self._params, self._grads):
-            if p.grad is not view:  # rebound since, as by a backward() that starts at p
+            if p.grad is not view:  # rebound since, by code that assigns p.grad itself
                 view[...] = p.grad
                 p.grad = view
         self.step_count += 1

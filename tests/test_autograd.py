@@ -227,6 +227,16 @@ def test_backward_accumulates_into_retained_grads():
     assert np.allclose(x.grad, 4.0)
 
 
+def test_a_retained_root_accumulates_into_the_array_it_holds():
+    x = Tensor(np.arange(3.0), retain_grad=True)
+    x.backward(np.array([1, -2, 3]))  # an integer seed still gives a float64 gradient
+    before = x.grad
+    x.backward(np.array([0.5, 0.25, -0.5]))
+    assert x.grad is before
+    assert x.grad.dtype == np.float64
+    assert np.array_equal(x.grad, [1.5, -1.75, 2.5])
+
+
 def test_backward_requires_scalar():
     x = Tensor(np.ones((2, 2)), retain_grad=True)
     with pytest.raises(ShapeError):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from skeltext import autograd as ag
 from skeltext.autograd import NonFiniteError
-from skeltext.data import BOS_TOKEN, EOS_TOKEN, PLH_TOKEN, Attribute, Table
+from skeltext.data import BOS_TOKEN, EOS_TOKEN, PAD_TOKEN, PLH_TOKEN, Attribute, Table
 from skeltext.decoding import (
     FIXED_POINT,
     MAX_ITERATIONS,
@@ -90,6 +90,16 @@ def test_init_state_length():
 def test_init_state_ablation_unprotects_skeleton_only():
     state = init_state(["a", "b"], protect_skeleton=False)
     assert state.protected == (True, False, False, True)
+
+
+@pytest.mark.parametrize("token", [PAD_TOKEN, BOS_TOKEN, EOS_TOKEN, PLH_TOKEN])
+def test_a_skeleton_holding_a_reserved_token_is_rejected_naming_it(token):
+    message = f"^skeleton holds the reserved token '{token}'$"
+    for protect_skeleton in (True, False):
+        with pytest.raises(ValueError, match=message):
+            init_state(["a", token], protect_skeleton=protect_skeleton)
+    with pytest.raises(ValueError, match=message):
+        iterate(StubEditor(), _TABLE, ["a", token])
 
 
 def test_masked_delete_fully_protected_state_unchanged():
@@ -208,6 +218,12 @@ def test_iterate_max_iter_zero_returns_skeleton():
     assert trace.termination == MAX_ITERATIONS
     assert trace.iterations == 0
     assert len(trace.snapshots) == 1
+
+
+@pytest.mark.parametrize("max_iter", [-1, -7])
+def test_iterate_rejects_a_negative_max_iter_naming_it(max_iter):
+    with pytest.raises(ValueError, match=f"^max_iter must be >= 0, got {max_iter}$"):
+        iterate(StubEditor(), _TABLE, ["s1"], max_iter=max_iter)
 
 
 def test_iterate_hard_constraints_flag_changes_adversarial_output():
@@ -538,6 +554,13 @@ def test_realize_corpus_passes_a_stage1_error_through_as_its_outcome():
         Realization(["a"], iterate(StubEditor(), _TABLE, ["a"])[1], FIXED_POINT, None, True),
         Realization([], None, NON_FINITE, err, None),
     ]
+
+
+@pytest.mark.parametrize("n_tables, n_skeletons", [(3, 2), (1, 2), (1, 0)])
+def test_realize_corpus_refuses_unequal_lengths_before_any_outcome(n_tables, n_skeletons):
+    outcomes = realize_corpus(StubEditor(), [_TABLE] * n_tables, [["a"]] * n_skeletons, 10, True)
+    with pytest.raises(ValueError, match=f"^{n_tables} tables for {n_skeletons} skeletons$"):
+        next(outcomes)
 
 
 def test_realize_corpus_keeps_the_last_state_of_an_overflow():

@@ -200,6 +200,10 @@ def test_report_f1_is_harmonic_mean_of_corpus_means():
         want = 0.0 if p + r == 0 else 2 * p * r / (p + r)
         assert f == pytest.approx(want, abs=1e-12)
     assert len(report.per_example) == 10
+    for metric in ("parent", "parent_t"):
+        for part in ("precision", "recall"):
+            mean = sum(entry[metric][part] for entry in report.per_example) / 10
+            assert getattr(report, f"{metric}_{part}") == mean
     assert 0.0 <= report.bleu <= 100.0
     for entry in report.per_example:
         for block in (entry["parent"], entry["parent_t"]):
