@@ -7,11 +7,15 @@ test suite). Non-finite values anywhere are treated as an error state, not
 a warning. The tape is for training: the forward arithmetic of the
 whole-block ops lives in plain-array kernels (`_affine`, `_keys_values`,
 `_attention`, `_softmax`, `_layer_norm`, `_feed_forward`), which every
-inference pass runs off the tape, probing each result with `_checked`.
+inference pass runs off the tape, probing each result with `_checked`. The
+three hot inference passes run lean (`_lean_pass`): only the probes that
+guard where a non-finite value could vanish run, and an error re-runs the
+pass with every probe, so it names the op the tape would name.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Sequence
 
 import numpy as np
@@ -219,11 +223,59 @@ def _non_finite(op: str) -> NonFiniteError:
     return NonFiniteError(f"non-finite value entering the graph from {op}")
 
 
+# True while a lean pass runs (`_lean_pass`): `_checked` then probes nothing.
+_lean = False
+
+
 def _checked(arr: np.ndarray, op: str) -> np.ndarray:
-    """arr, after the probe a tensor made by op `op` passes: non-finite, it names that op."""
+    """arr, after the probe a tensor made by op `op` passes: non-finite, it names that op.
+
+    Inside a lean pass it probes nothing: the value reaches a `_guard` or a
+    kernel's probe within the pass.
+    """
+    if not _lean and not _all_finite(arr):
+        raise _non_finite(op)
+    return arr
+
+
+def _guard(arr: np.ndarray, op: str) -> np.ndarray:
+    """_checked that probes inside a lean pass too: a value a relu would hide, or that leaves its pass."""
     if not _all_finite(arr):
         raise _non_finite(op)
     return arr
+
+
+def _lean_pass(method):
+    """Run an inference pass lean; if it meets a non-finite value, once more with every probe.
+
+    A lean run skips the `_checked` probes. What it keeps are the probes on
+    every point where a non-finite value can vanish: the attention scores
+    before their softmax, the FFN hidden layer before its relu and the
+    LayerNorm variance (in the kernels), and each `_guard`. Every other value
+    reaches one of them within the pass, since inf or NaN times any weight,
+    zero included, is not finite. So the lean run raises NonFiniteError
+    exactly when the probed one does, but maybe at a later op; it then runs
+    again with every probe, which raises the probed error. A pass that
+    raises must leave its inputs as it found them, so that the second run
+    starts where the first did. The lean run ignores overflow and invalid-value warnings, which a
+    value flowing on to the next guard may raise; the second run, the one
+    that raises, gives the warnings of a probed pass.
+    """
+
+    @functools.wraps(method)
+    def run(*args):
+        global _lean
+        _lean = True
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                return method(*args)
+        except NonFiniteError:
+            pass
+        finally:
+            _lean = False
+        return method(*args)
+
+    return run
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:

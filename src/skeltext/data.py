@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
-from typing import IO, Callable, Iterable, NamedTuple
+from typing import IO, Callable, Iterable, NamedTuple, Sequence
 
 PAD_TOKEN = "<pad>"
 UNK_TOKEN = "<unk>"
@@ -34,17 +34,18 @@ def tokenize(text: str) -> list[str]:
     return text.split()
 
 
-def _check_tokens(field: str, tokens: tuple[str, ...]) -> None:
+def _check_tokens(field: str, tokens: Sequence[str]) -> None:
     """The corpus file's rule for every token: one non-empty run of non-whitespace, not reserved.
 
     Tokens that the file's text splits back into are what saves and loads back equal.
+    `tokens` may be any sequence: a list is held to the rule as its tuple is.
     """
     try:
         text = " ".join(tokens)
     except TypeError:  # str.join names neither the field nor the token
         token = next(t for t in tokens if not isinstance(t, str))
         raise TypeError(f"{field} holds {token!r}, which is not a string") from None
-    if tuple(tokenize(text)) != tokens or not _FORBIDDEN_TOKENS.isdisjoint(tokens):
+    if tuple(tokenize(text)) != tuple(tokens) or not _FORBIDDEN_TOKENS.isdisjoint(tokens):
         token = next(t for t in tokens if tokenize(t) != [t] or t in _FORBIDDEN_TOKENS)
         if token in _FORBIDDEN_TOKENS:
             raise ValueError(f"{field} holds the reserved token {token!r}")

@@ -61,14 +61,16 @@ class EditRealizer(TableToText):
         self.w_plh = Linear(rng, 2 * self.d_model, cfg.k_max + 1, bias=False)
         self.w_tok = Linear(rng, self.d_model, len(vocab), bias=False)
 
+    @ag._lean_pass
     def decode_hidden(self, tokens: Sequence[str], cache: DecoderCache) -> np.ndarray:
         """Decoder outputs z_0..z_n of one state against the cache's table, on arrays.
 
-        The state is decoded afresh, as one step of n + 1 positions from
-        length 0: the rows of the full pass, off the tape.
+        The state is decoded afresh, as one step of n + 1 positions: the rows
+        of the full pass, off the tape. A lean pass, whose rows are guarded
+        before they leave it for the heads.
         """
-        cache.length = 0
-        return self.decoder.step(self._embed_step(tokens, 0, len(tokens)), cache, [0])
+        z = self.decoder.step(self._embed_step(tokens, 0, len(tokens)), cache)
+        return ag._guard(z, "layer_norm")
 
     # -- classifier heads: on the tape for training, on arrays for stage 2 ---
     def deletion_logits(self, z: Tensor) -> Tensor:

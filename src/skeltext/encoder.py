@@ -92,13 +92,18 @@ class TableEncoder(Module):
         """Hidden vectors of one table's cells: encode_padded of that table alone."""
         return self.encode_padded([cells])
 
+    @ag._lean_pass
     def step(self, cells: LinearizedTable) -> np.ndarray:
-        """__call__'s forward on arrays, off the tape: (cells, d) rows, probed as its ops probe."""
+        """__call__'s forward on arrays, off the tape: (cells, d) rows; a non-finite value names its op.
+
+        A lean pass: the fuse projection is guarded before its relu, and the
+        rows before they leave the pass.
+        """
         tok, key, fwd, bwd = self._cell_ids(cells).tolist()
         fused = np.concatenate([self.tok_emb.step(tok), self.key_emb.step(key),
                                 self.fwd_emb.step(fwd), self.bwd_emb.step(bwd)], axis=1)
-        x = self.fuse.step(fused)
-        return self.encoder.step(np.where(x > 0, x, 0.0))
+        x = ag._guard(self.fuse.step(fused), "linear")
+        return ag._guard(self.encoder.step(np.where(x > 0, x, 0.0)), "layer_norm")
 
 
 class TableToText(Module):

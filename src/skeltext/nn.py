@@ -350,26 +350,31 @@ class TransformerDecoder(Module):
             x = layer(x, memory.rows, mask, memory_mask)
         return x
 
-    def step(self, x: np.ndarray, cache: DecoderCache, parents: Sequence[int]) -> np.ndarray:
+    def step(self, x: np.ndarray, cache: DecoderCache,
+             parents: Sequence[int] | None = None) -> np.ndarray:
         """Decode T new positions of each of B hypotheses, x (B·T, d), against the cache's table.
 
         Hypothesis i continues the positions in cache row parents[i], and the
-        cache grows by T; a cache of length 0 starts afresh, with one empty
-        row. A new position attends over every position of its hypothesis,
-        unmasked: the beam steps one position at a time, and a non-causal
-        pass over a whole state is one step from length 0. Inference-only:
-        the ops' forward kernels run on plain arrays, off the tape, and a
-        non-finite result names its op.
+        cache grows by T; a cache of length 0, or parents None, starts afresh
+        with one hypothesis of no positions. A new position attends over every
+        position of its hypothesis, unmasked: the beam steps one position at
+        a time, and a non-causal pass over a whole state is one step afresh.
+        Inference-only: the ops' forward kernels run on plain arrays, off the
+        tape, and a non-finite result names its op. The cache changes only
+        once the last layer has run, so a step that raises leaves it as it was.
         """
-        if not cache.length:  # one hypothesis with no positions yet
-            cache.self_kv = [
-                np.zeros((2, 1, layer.self_attn.n_heads, 0, layer.self_attn.d_head))
-                for layer in self.layers
-            ]
-        parents = np.asarray(parents, dtype=np.int64)
-        for i, layer in enumerate(self.layers):
-            x, cache.self_kv[i] = layer.step(x, cache.self_kv[i], parents, cache.memory_kv[i])
-        cache.length += x.shape[0] // len(parents)
+        if parents is None or not cache.length:
+            past = [np.zeros((2, 1, layer.self_attn.n_heads, 0, layer.self_attn.d_head))
+                    for layer in self.layers]
+            length = 0
+        else:
+            past, length = cache.self_kv, cache.length
+        parents = np.asarray([0] if parents is None else parents, dtype=np.int64)
+        self_kv = []
+        for layer, kv, memory_kv in zip(self.layers, past, cache.memory_kv):
+            x, kv = layer.step(x, kv, parents, memory_kv)
+            self_kv.append(kv)
+        cache.self_kv, cache.length = self_kv, length + x.shape[0] // len(parents)
         return x
 
 

@@ -99,8 +99,11 @@ class SkeletonPointer(TableToText):
         return ag.softmax(logits, axis=-1)
 
     def _step_attention(self, r: np.ndarray, keys_t: np.ndarray) -> np.ndarray:
-        """pointer_attention on arrays, off the tape, each result probed as its op probes it."""
-        logits = ag._checked(np.matmul(self.wq.step(r), keys_t), "matmul")
+        """pointer_attention on arrays, off the tape, each result probed as its op probes it.
+
+        In a lean pass only the logits are: the softmax would hide a -inf.
+        """
+        logits = ag._guard(np.matmul(self.wq.step(r), keys_t), "matmul")
         logits = ag._checked(logits * (1.0 / float(np.sqrt(self.d_model))), "mul_scalar")
         return ag._checked(ag._softmax(logits, -1, out=logits), "softmax")
 
@@ -130,17 +133,25 @@ class SkeletonPointer(TableToText):
         return _TableSearch(distinct, pool, self.wk.step(memory).T,
                             DecoderCache(self.decoder, memory))
 
+    @ag._lean_pass
     def _step_log_probs(
         self, search: _TableSearch, live: list[SkeletonPrediction], parents: list[int]
     ) -> tuple[np.ndarray, list[str]]:
         """Next-token log P_copy, (B, n_distinct), for the B live hypotheses.
 
         live[i] extends the hypothesis in cache row parents[i] by its last
-        token; one decoder pass decodes that token for every hypothesis.
+        token; one decoder pass decodes that token for every hypothesis. A
+        lean pass: a step that raises leaves the cache as it was.
         """
         tokens = [h.tokens[-1] if h.tokens else BOS_TOKEN for h in live]
-        attn = self._step_attention(self.decoder_states(tokens, search.cache, parents),
-                                    search.keys_t)
+        cache = search.cache
+        past = cache.self_kv, cache.length
+        try:
+            attn = self._step_attention(self.decoder_states(tokens, cache, parents),
+                                        search.keys_t)
+        except ag.NonFiniteError:
+            cache.self_kv, cache.length = past
+            raise
         # Tokens whose copy mass underflowed to zero score -inf and are simply
         # never selected. Rounding can pool a little more than all the mass
         # into one token; capped at 1, no score is above 0.

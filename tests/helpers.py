@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 
 import numpy as np
@@ -81,6 +82,29 @@ def tiny_editor(seed: int = 0, **config_overrides):
     cfg = tiny_config(seed=seed, **config_overrides)
     vocab, key_vocab = tiny_vocabs()
     return build_editor(cfg, vocab, key_vocab), cfg
+
+
+# The inference passes that run lean (autograd._lean_pass): (class, method name).
+def lean_passes() -> list[tuple[type, str]]:
+    from skeltext.editor import EditRealizer
+    from skeltext.encoder import TableEncoder
+    from skeltext.pointer import SkeletonPointer
+
+    return [(TableEncoder, "step"), (SkeletonPointer, "_step_log_probs"),
+            (EditRealizer, "decode_hidden")]
+
+
+@contextlib.contextmanager
+def every_probe():
+    """Run each lean pass as its undecorated method: every probe runs, and no pass runs twice."""
+    saved = [(cls, name, vars(cls)[name]) for cls, name in lean_passes()]
+    try:
+        for cls, name, method in saved:
+            setattr(cls, name, method.__wrapped__)
+        yield
+    finally:
+        for cls, name, method in saved:
+            setattr(cls, name, method)
 
 
 def decode_hidden(model, tokens, memory) -> Tensor:

@@ -68,3 +68,25 @@ def test_summary_reports_a_fingerprint_mismatch_and_a_failed_run_per_workload():
     assert summary["generate"]["fingerprints_equal"] is True
     assert "aa" not in summary["generate"]["metrics"]["ex_per_s"]  # no A/A set was run
     assert summary["generate"]["metrics"]["ex_per_s"]["parent"]["n"] == 1
+
+
+def test_summary_gives_each_pairs_ratio_as_a_median_and_quartiles():
+    # The pairs' seeds differ, so the medians spread; each pair's ratio does not.
+    summary = bench_ab.summarize(_runs(), END_TO_END)
+    rate = summary["train"]["metrics"]["ex_per_s"]
+    ratios = sorted([105.0 / 100.0, 110.0 / 110.0, 119.0 / 120.0, 140.0 / 130.0])
+    assert rate["ratio"]["n"] == 4
+    assert rate["ratio"]["median"] == pytest.approx((ratios[1] + ratios[2]) / 2)
+    assert rate["ratio"]["q1"] == pytest.approx(ratios[0] + (ratios[1] - ratios[0]) * 0.75)
+    assert rate["ratio"]["q3"] == pytest.approx(ratios[2] + (ratios[3] - ratios[2]) * 0.25)
+    assert rate["aa"]["ratio"] == pytest.approx({"median": 1.1, "q1": 1.1, "q3": 1.1, "n": 4})
+    setup = summary["train"]["metrics"]["setup_s"]
+    assert setup["ratio"]["median"] == pytest.approx(1.0)
+    assert setup["aa"]["ratio"]["median"] == 1.0
+
+
+def test_a_ratio_over_a_parent_value_of_zero_is_none():
+    runs = [_run("ab", "parent", 0, 0.0, 1.0), _run("ab", "change", 0, 1.0, 1.0)]
+    summary = bench_ab.summarize(runs, END_TO_END)
+    assert summary["train"]["metrics"]["ex_per_s"]["ratio"] is None
+    assert summary["train"]["metrics"]["setup_s"]["ratio"]["median"] == 1.0

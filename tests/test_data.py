@@ -255,6 +255,21 @@ def test_a_token_that_is_not_a_string_is_an_error_naming_the_field_and_the_token
         assert str(info.value) == message
 
 
+def test_the_token_rule_holds_a_list_as_it_holds_its_tuple():
+    # A list never equals the tuple its text splits back into: a valid list
+    # raised a bare StopIteration from the search for its bad token.
+    from skeltext.data import _check_tokens
+
+    _check_tokens("skeleton", ["a", "b"])
+    _check_tokens("skeleton", [])
+    for tokens, message in [(["a", "b c"], "skeleton holds 'b c', which is not one token"),
+                            (["a", ""], "skeleton holds '', which is not one token"),
+                            (["<eos>", "a"], "skeleton holds the reserved token '<eos>'")]:
+        with pytest.raises(ValueError) as info:
+            _check_tokens("skeleton", tokens)
+        assert str(info.value) == message
+
+
 @pytest.mark.parametrize("token", ["<pad>", "<bos>", "<eos>", "<plh>"])
 def test_an_attribute_rejects_a_reserved_token_naming_the_attribute(token):
     # A table holding <eos> as a value would let the pointer learn to copy it.

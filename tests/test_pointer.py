@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import math
 
 import numpy as np
@@ -16,7 +17,7 @@ from skeltext.skeleton import annotate_skeleton, default_stop_words
 from skeltext.synth import TemplateSpec, generate
 from skeltext.training import train_pointer
 
-from helpers import encode_cells, random_table, tiny_config, tiny_pointer
+from helpers import encode_cells, every_probe, random_table, tiny_config, tiny_pointer
 
 
 def test_pointer_attention_uniform_when_keys_identical():
@@ -475,6 +476,41 @@ def test_a_nan_in_any_weight_a_beam_step_reads_names_its_op():
         search = model._start_search(table)
         with pytest.raises(NonFiniteError, match=f"entering the graph from {op}$"):
             model._step_log_probs(search, [SkeletonPrediction([], 0.0, False)], [0])
+
+
+def _search_op(name: str) -> str:
+    """The op a NaN filling parameter `name` names in a beam search: the first op that reads it.
+
+    The pointer keys and the cross-attention keys and values are projected
+    from the table's encoding once, before the first step.
+    """
+    module = name.split(".")[:-1]
+    if module[-1].endswith("_emb"):
+        return "embedding_lookup"
+    if len(module) == 1 or module[-1] == "fuse":  # in_proj, wq, wk and the encoder's fuse
+        return "linear"
+    if module[-2].endswith("attn"):
+        return "keys_values" if module[-1] in ("wk", "wv") else "attention"
+    return "feed_forward" if module[-2] == "ff" else "layer_norm"
+
+
+@pytest.mark.parametrize("probed", [False, True], ids=["lean", "every_probe"])
+def test_a_nan_in_any_weight_beam_search_names_the_op_that_reads_it_first(probed):
+    # The public search, whose passes run lean, against the same search with
+    # every probe: each parameter, spoiled alone, names the op that reads it first.
+    table = random_table(np.random.default_rng(24))
+    names = [name for name, _ in tiny_pointer(seed=24, n_layers=2)[0].named_parameters()]
+    ops = set()
+    for name in names:
+        model, _ = tiny_pointer(seed=24, n_layers=2)
+        dict(model.named_parameters())[name].data[...] = np.nan
+        op = _search_op(name)
+        with every_probe() if probed else contextlib.nullcontext():
+            with pytest.raises(NonFiniteError, match=f"entering the graph from {op}$"):
+                model.beam_search(table, beam_width=3, max_len=8)
+        ops.add(op)
+    assert ops == {"embedding_lookup", "linear", "keys_values", "attention", "feed_forward",
+                   "layer_norm"}
 
 
 @pytest.mark.parametrize("width", [1, 2, 5])

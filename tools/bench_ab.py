@@ -16,8 +16,11 @@ After each run the script reads the last line of standard output and the
 run's record under the tree's `.bench_build/perfbench/results/`. It writes
 one JSON file, `--out`. For each workload and end-to-end metric it holds
 both medians and quartiles, the change's wins (pairs where it is better;
-ties count for neither), the relative change of the median and the A/A gap
-between the medians. For each workload it holds the runs that were not
+ties count for neither), the relative change of the median, the A/A gap
+between the medians, and the per-pair ratios as a median and quartiles:
+change/parent in the A/B set, copy/parent in the A/A set. Both sides of a
+pair run the same seed, so a ratio carries none of the spread between
+seeds. For each workload it holds the runs that were not
 correct and each A/B side's failed operations, summed over its runs. It
 also holds whether every pair's output fingerprints were equal, both
 commits, the environment with the BLAS fingerprint of
@@ -76,8 +79,15 @@ def _relative(new: float, old: float) -> float | None:
     return (new - old) / abs(old) if old else None
 
 
+def _ratios(old: list[float], new: list[float]) -> dict | None:
+    """The spread of new / old pair by pair; None when a pair's old value is 0."""
+    if not old or not all(old):
+        return None
+    return _spread([b / a for a, b in zip(old, new)])
+
+
 def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
-    """Per workload and metric: medians, quartiles, the change's wins and the A/A gap.
+    """Per workload and metric: medians, quartiles, the change's wins, the A/A gap and pair ratios.
 
     Per workload also: whether the fingerprints were equal, the runs that were
     not correct, and each A/B side's failed operations summed over its runs.
@@ -111,11 +121,14 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
             }
             entry["relative_change"] = _relative(entry["change"]["median"],
                                                  entry["parent"]["median"])
+            entry["ratio"] = _ratios(old, new)
             if aa_pairs:
-                aa_old = statistics.median(aa_parent[p]["metrics"][name] for p in aa_pairs)
-                aa_new = statistics.median(aa_copy[p]["metrics"][name] for p in aa_pairs)
-                entry["aa"] = {"parent_median": aa_old, "copy_median": aa_new,
-                               "gap": _relative(aa_new, aa_old), "pairs": len(aa_pairs)}
+                aa_old = [aa_parent[p]["metrics"][name] for p in aa_pairs]
+                aa_new = [aa_copy[p]["metrics"][name] for p in aa_pairs]
+                old_median, new_median = statistics.median(aa_old), statistics.median(aa_new)
+                entry["aa"] = {"parent_median": old_median, "copy_median": new_median,
+                               "gap": _relative(new_median, old_median), "pairs": len(aa_pairs),
+                               "ratio": _ratios(aa_old, aa_new)}
             metrics[name] = entry
         out[workload] = {
             "metrics": metrics,
