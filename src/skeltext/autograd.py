@@ -8,9 +8,10 @@ a warning. The tape is for training: the forward arithmetic of the
 whole-block ops lives in plain-array kernels (`_affine`, `_keys_values`,
 `_attention`, `_softmax`, `_layer_norm`, `_feed_forward`), which every
 inference pass runs off the tape, probing each result with `_checked`. The
-three hot inference passes run lean (`_lean_pass`): only the probes that
-guard where a non-finite value could vanish run, and an error re-runs the
-pass with every probe, so it names the op the tape would name.
+three hot inference passes run lean (`_lean_pass`): only the `_guard`
+probes run, on the points where a non-finite value could vanish, and an
+error re-runs the pass with every probe, so it names the op the tape would
+name.
 """
 
 from __future__ import annotations
@@ -162,12 +163,6 @@ class Tensor:
     def __neg__(self):
         return mul_scalar(self, -1.0)
 
-    def __sub__(self, other):
-        return add(self, -_wrap(other))
-
-    def __rsub__(self, other):
-        return add(_wrap(other), -self)
-
     def __mul__(self, other):
         if isinstance(other, (int, float)):
             return mul_scalar(self, float(other))
@@ -230,8 +225,8 @@ _lean = False
 def _checked(arr: np.ndarray, op: str) -> np.ndarray:
     """arr, after the probe a tensor made by op `op` passes: non-finite, it names that op.
 
-    Inside a lean pass it probes nothing: the value reaches a `_guard` or a
-    kernel's probe within the pass.
+    Inside a lean pass it probes nothing: the value reaches a `_guard`
+    within the pass.
     """
     if not _lean and not _all_finite(arr):
         raise _non_finite(op)
@@ -239,7 +234,11 @@ def _checked(arr: np.ndarray, op: str) -> np.ndarray:
 
 
 def _guard(arr: np.ndarray, op: str) -> np.ndarray:
-    """_checked that probes inside a lean pass too: a value a relu would hide, or that leaves its pass."""
+    """_checked that probes inside a lean pass too: a value a softmax, relu or LayerNorm would hide.
+
+    The kernels guard their attention scores, FFN hidden layer and LayerNorm
+    variance; a pass guards what a relu or an argmax reads, and what leaves it.
+    """
     if not _all_finite(arr):
         raise _non_finite(op)
     return arr
@@ -248,18 +247,21 @@ def _guard(arr: np.ndarray, op: str) -> np.ndarray:
 def _lean_pass(method):
     """Run an inference pass lean; if it meets a non-finite value, once more with every probe.
 
-    A lean run skips the `_checked` probes. What it keeps are the probes on
-    every point where a non-finite value can vanish: the attention scores
-    before their softmax, the FFN hidden layer before its relu and the
-    LayerNorm variance (in the kernels), and each `_guard`. Every other value
-    reaches one of them within the pass, since inf or NaN times any weight,
-    zero included, is not finite. So the lean run raises NonFiniteError
-    exactly when the probed one does, but maybe at a later op; it then runs
-    again with every probe, which raises the probed error. A pass that
-    raises must leave its inputs as it found them, so that the second run
-    starts where the first did. The lean run ignores overflow and invalid-value warnings, which a
-    value flowing on to the next guard may raise; the second run, the one
-    that raises, gives the warnings of a probed pass.
+    A lean run skips the `_checked` probes and keeps each `_guard`, the
+    probe on every point where a non-finite value can vanish: the attention
+    scores before their softmax, the FFN hidden layer before its relu and
+    the LayerNorm variance (in the kernels), what a pass's relu or argmax
+    reads, and what leaves the pass. Every other value reaches one of them
+    within the pass, since inf or NaN times any weight, zero included, is
+    not finite. So the lean run raises NonFiniteError exactly when the
+    probed one does, but maybe at a later op; it then runs again with every
+    probe, which raises the probed error. A pass that raises has changed
+    none of its inputs (the decoder step returns its new keys and values,
+    and the beam keeps them only once its step has run), so the second run
+    starts where the first did. The lean run ignores overflow and
+    invalid-value warnings, which a value flowing on to the next guard may
+    raise; the second run, the one that raises, gives the warnings of a
+    probed pass.
     """
 
     @functools.wraps(method)
@@ -428,8 +430,7 @@ def _attention(
     p *= 1.0 / float(np.sqrt(x.shape[1] // n_heads))
     if mask is not None:
         p += mask
-    if not _all_finite(p):
-        raise _non_finite("attention")
+    _guard(p, "attention")
     _softmax(p, -1, out=p)
     c = _merge_heads(np.matmul(p, vh))
     return qh, p, c, _affine(c, wo, bo)
@@ -476,8 +477,7 @@ def _feed_forward(x: np.ndarray, w1: np.ndarray, b1: np.ndarray, w2: np.ndarray,
                   b2: np.ndarray):
     """feed_forward()'s forward: the relu mask, the hidden layer (probed) and the output."""
     h = _affine(x, w1, b1)
-    if not _all_finite(h):
-        raise _non_finite("feed_forward")
+    _guard(h, "feed_forward")
     mask = h > 0
     r = np.where(mask, h, 0.0)
     return mask, r, _affine(r, w2, b2)
@@ -667,8 +667,7 @@ def _layer_norm(x: np.ndarray, residual: np.ndarray | None, gain: np.ndarray, bi
     xhat = np.multiply(xc, xc)
     var = xhat.sum(axis=-1, keepdims=True)
     var /= n
-    if not _all_finite(var):
-        raise _non_finite("layer_norm")
+    _guard(var, "layer_norm")
     var += _LN_EPS
     inv = np.sqrt(var, out=var)
     np.divide(1.0, inv, out=inv)

@@ -10,7 +10,6 @@ import numpy as np
 from . import autograd as ag
 from .data import BOS_TOKEN, EOS_TOKEN, Table, _check_tokens, linearize_table
 from .editor import EditRealizer, EditState
-from .nn import DecoderCache
 from .oracle import DELETE, apply_insertions, fill_positions, is_subsequence
 
 FIXED_POINT = "fixed_point"
@@ -84,11 +83,12 @@ def masked_delete(state: EditState, deletion_scores: np.ndarray) -> EditState:
 
 
 def insert_and_fill(
-    state: EditState, model: EditRealizer, cache: DecoderCache, hidden: np.ndarray, cap: int
+    state: EditState, model: EditRealizer, memory_kv: list[np.ndarray], hidden: np.ndarray,
+    cap: int,
 ) -> EditState:
     """Argmax placeholder insertion followed by argmax token filling.
 
-    `hidden` is model.decode_hidden(state.tokens, cache). Inserted tokens
+    `hidden` is model.decode_hidden(state.tokens, memory_kv). Inserted tokens
     enter unprotected; every other position keeps its mask. Growth beyond
     `cap`, iterate's state cap, aborts with StateOverflowError rather than
     decode forever.
@@ -106,7 +106,7 @@ def insert_and_fill(
     protected[moved] = state.protected
     plh_positions = fill_positions(body)
     if plh_positions:
-        z2 = model.decode_hidden(tokens, cache)
+        z2 = model.decode_hidden(tokens, memory_kv)
         for pos, tok in zip(plh_positions, model.argmax_fill(z2, plh_positions)):
             tokens[pos] = tok
     return EditState(tokens, protected.tolist())
@@ -150,16 +150,16 @@ def iterate(
     try:
         if len(state) > cap:
             raise StateOverflowError(f"initial state has {len(state)} tokens (cap {cap})")
-        cache = DecoderCache(model.decoder, model.encoder.step(linearize_table(table)))
+        memory_kv = model.decoder.memory_kv(model.encoder.step(linearize_table(table)))
         z = None  # hidden states of `state`, when already decoded
         for _ in range(max_iter):
             previous = state.tokens
             if z is None:
-                z = model.decode_hidden(state.tokens, cache)
+                z = model.decode_hidden(state.tokens, memory_kv)
             kept = masked_delete(state, model.deletion_scores(z))
             if kept.tokens != state.tokens:
-                z = model.decode_hidden(kept.tokens, cache)
-            state = insert_and_fill(kept, model, cache, z, cap)
+                z = model.decode_hidden(kept.tokens, memory_kv)
+            state = insert_and_fill(kept, model, memory_kv, z, cap)
             if state.tokens != kept.tokens:
                 z = None
             snapshots.append(state)

@@ -12,7 +12,7 @@ from .autograd import Tensor
 from .config import RunConfig
 from .data import BOS_TOKEN, EOS_TOKEN, PLH_TOKEN, RESERVED_TOKENS, Vocabulary
 from .encoder import TableToText
-from .nn import DecoderCache, Linear
+from .nn import Linear
 
 
 @dataclass(frozen=True)
@@ -62,14 +62,14 @@ class EditRealizer(TableToText):
         self.w_tok = Linear(rng, self.d_model, len(vocab), bias=False)
 
     @ag._lean_pass
-    def decode_hidden(self, tokens: Sequence[str], cache: DecoderCache) -> np.ndarray:
-        """Decoder outputs z_0..z_n of one state against the cache's table, on arrays.
+    def decode_hidden(self, tokens: Sequence[str], memory_kv: list[np.ndarray]) -> np.ndarray:
+        """Decoder outputs z_0..z_n of one state against a table's memory_kv, on arrays.
 
         The state is decoded afresh, as one step of n + 1 positions: the rows
         of the full pass, off the tape. A lean pass, whose rows are guarded
         before they leave it for the heads.
         """
-        z = self.decoder.step(self._embed_step(tokens, 0, len(tokens)), cache)
+        z, _ = self.decoder.step(self._embed_step(tokens, 0, len(tokens)), memory_kv)
         return ag._guard(z, "layer_norm")
 
     # -- classifier heads: on the tape for training, on arrays for stage 2 ---

@@ -277,21 +277,23 @@ class DecoderLayer(Module):
         x = self.ln2(x, self.cross_attn(x, memory, memory_mask))
         return self.ln3(x, self.ff(x))
 
-    def step(self, x: np.ndarray, past: np.ndarray, parents: np.ndarray,
-             memory_kv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def step(self, x: np.ndarray, memory_kv: np.ndarray, past: np.ndarray | None = None,
+             parents: Sequence[int] | None = None) -> tuple[np.ndarray, np.ndarray]:
         """T new positions of each of B hypotheses, x (B·T, d), through the layer on arrays.
 
-        past is the self-attention cache (2, B', h, t, d_head), memory_kv the
-        memory's (2, 1, h, t_k, d_head). Returns the layer's output and the
-        new cache: rows parents[i] of past with hypothesis i's keys and values
-        appended, (2, B, h, t+T, d_head). The cache rows were probed when
-        they were appended; only the new ones are.
+        memory_kv is the memory's cross-attention keys and values
+        (2, 1, h, t_k, d_head). With past None, x is one sequence decoded
+        afresh, which attends over its own keys and values. Otherwise past
+        holds the self-attention keys and values of t earlier positions,
+        (2, B', h, t, d_head), and hypothesis i continues row parents[i] of
+        it. Returns the layer's output and its new past, (2, B, h, t+T,
+        d_head); no input changes. Past rows were probed when they were
+        made; only the new ones are.
         """
         sa = self.self_attn
-        (_, _, h, t, dh), b = past.shape, len(parents)
-        kv = np.empty((2, b, h, t + x.shape[0] // b, dh))
-        kv[:, :, :, :t] = past[:, parents]
-        kv[:, :, :, t:] = sa.keys_values_step(x, b)
+        kv = sa.keys_values_step(x, 1 if past is None else len(parents))
+        if past is not None:
+            kv = np.concatenate((past[:, parents], kv), axis=3)
         x = self.ln1.step(x, sa.step(x, kv))
         x = self.ln2.step(x, self.cross_attn.step(x, memory_kv))
         return self.ln3.step(x, self.ff.step(x)), kv
@@ -314,22 +316,6 @@ class TransformerEncoder(Module):
         return x
 
 
-class DecoderCache:
-    """What TransformerDecoder.step reuses across passes over one table's memory, an array.
-
-    `memory_kv[l]` is layer l's cross-attention keys and values of the
-    memory's rows (t_k, d), split into heads, (2, 1, h, t_k, d_head):
-    computed once and read by every pass. `self_kv[l]` holds layer l's
-    self-attention keys and values of every position decoded so far for
-    the B live hypotheses, (2, B, h, t, d_head), with `length` = t.
-    """
-
-    def __init__(self, decoder: TransformerDecoder, memory: np.ndarray):
-        self.memory_kv = [layer.cross_attn.keys_values_step(memory) for layer in decoder.layers]
-        self.self_kv: list[np.ndarray] = []
-        self.length = 0
-
-
 class TransformerDecoder(Module):
     def __init__(self, rng, d_model: int, d_hidden: int, n_heads: int, n_layers: int):
         self.layers = [DecoderLayer(rng, d_model, d_hidden, n_heads) for _ in range(n_layers)]
@@ -350,32 +336,31 @@ class TransformerDecoder(Module):
             x = layer(x, memory.rows, mask, memory_mask)
         return x
 
-    def step(self, x: np.ndarray, cache: DecoderCache,
-             parents: Sequence[int] | None = None) -> np.ndarray:
-        """Decode T new positions of each of B hypotheses, x (B·T, d), against the cache's table.
+    def memory_kv(self, memory: np.ndarray) -> list[np.ndarray]:
+        """Each layer's cross-attention keys and values of memory (t_k, d), (2, 1, h, t_k, d_head)."""
+        return [layer.cross_attn.keys_values_step(memory) for layer in self.layers]
 
-        Hypothesis i continues the positions in cache row parents[i], and the
-        cache grows by T; a cache of length 0, or parents None, starts afresh
-        with one hypothesis of no positions. A new position attends over every
-        position of its hypothesis, unmasked: the beam steps one position at
-        a time, and a non-causal pass over a whole state is one step afresh.
-        Inference-only: the ops' forward kernels run on plain arrays, off the
-        tape, and a non-finite result names its op. The cache changes only
-        once the last layer has run, so a step that raises leaves it as it was.
+    def step(self, x: np.ndarray, memory_kv: list[np.ndarray],
+             past: list[np.ndarray] | None = None,
+             parents: Sequence[int] | None = None) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Decode T new positions of each of B hypotheses, x (B·T, d), against memory_kv's table.
+
+        memory_kv is the table's memory_kv(). past None starts afresh: x
+        is one sequence of T positions. Otherwise past is a step's returned
+        past, and hypothesis i continues its row parents[i]. A new position
+        attends over every position of its hypothesis, unmasked: the beam
+        steps one position at a time, and a non-causal pass over a whole
+        state is one step afresh. Returns the output rows and each layer's
+        new past, which grows by T positions; nothing is stored, and no
+        input changes. Inference-only: the ops' forward kernels run on
+        plain arrays, off the tape, and a non-finite result names its op.
         """
-        if parents is None or not cache.length:
-            past = [np.zeros((2, 1, layer.self_attn.n_heads, 0, layer.self_attn.d_head))
-                    for layer in self.layers]
-            length = 0
-        else:
-            past, length = cache.self_kv, cache.length
-        parents = np.asarray([0] if parents is None else parents, dtype=np.int64)
-        self_kv = []
-        for layer, kv, memory_kv in zip(self.layers, past, cache.memory_kv):
-            x, kv = layer.step(x, kv, parents, memory_kv)
-            self_kv.append(kv)
-        cache.self_kv, cache.length = self_kv, length + x.shape[0] // len(parents)
-        return x
+        new_past = []
+        for layer, kv, layer_past in zip(self.layers, memory_kv,
+                                         [None] * len(self.layers) if past is None else past):
+            x, layer_past = layer.step(x, kv, layer_past, parents)
+            new_past.append(layer_past)
+        return x, new_past
 
 
 def inverse_sqrt_lr(step: int, peak: float, warmup: int) -> float:

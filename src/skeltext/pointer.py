@@ -12,7 +12,7 @@ from .autograd import Tensor
 from .config import RunConfig
 from .data import BOS_TOKEN, EOS_TOKEN, Example, Table, Vocabulary, linearize_table
 from .encoder import TableToText
-from .nn import DecoderCache, Detached, Linear, Padded
+from .nn import Detached, Linear, Padded
 
 
 class DataIntegrityError(ValueError):
@@ -60,7 +60,8 @@ class _TableSearch:
     distinct: list[str]
     pool: np.ndarray  # cell -> distinct-token pooling matrix
     keys_t: np.ndarray  # (W_k h)^T, the pointer keys of the cells as columns
-    cache: DecoderCache
+    memory_kv: list[np.ndarray]  # TransformerDecoder.memory_kv of the cells
+    past: list[np.ndarray] | None = None  # the live hypotheses' self-attention keys and values
 
 
 class SkeletonPointer(TableToText):
@@ -73,22 +74,24 @@ class SkeletonPointer(TableToText):
         self.wk = Linear(rng, self.d_model, self.d_model, bias=False)
 
     def decoder_states(
-        self, tokens: list[str], memory: Padded | DecoderCache,
-        parents: Sequence[int] | None = None,
-    ) -> Tensor | np.ndarray:
+        self, tokens: list[str], memory: Padded | list[np.ndarray],
+        parents: Sequence[int] | None = None, past: list[np.ndarray] | None = None,
+    ) -> Tensor | tuple[np.ndarray, list[np.ndarray]]:
         """Causal decoder hidden states against one table's memory.
 
         Without parents, `tokens` is the whole selected-token prefix and the
-        result is r_0..r_{T-1}, (T, d). With parents, `memory` is a
-        DecoderCache and one position is decoded: `tokens` holds the newest
-        token of each of B live hypotheses, all at position cache.length,
-        and hypothesis i continues cache row parents[i]. The result is their
-        states, (B, d), a plain array off the tape (TransformerDecoder.step),
-        and the cache grows by one position.
+        result is r_0..r_{T-1}, (T, d). With parents, `memory` is the
+        decoder's memory_kv of the table and one position is decoded:
+        `tokens` holds the newest token of each of B live hypotheses, and
+        hypothesis i continues row parents[i] of `past`, the keys and values
+        of their earlier positions (None before the first). The result is
+        their states, (B, d), a plain array off the tape, and the new past
+        (TransformerDecoder.step).
         """
         if parents is None:
             return self.decode_batch([tokens], memory, True).rows
-        return self.decoder.step(self._embed_step(tokens, memory.length), memory, parents)
+        x = self._embed_step(tokens, 0 if past is None else past[0].shape[3])
+        return self.decoder.step(x, memory, past, parents)
 
     def pointer_attention(self, r: Tensor, keys_t: Tensor) -> Tensor:
         """Attention over cells: softmax of (W_q r) . k_i / sqrt(d_r), with keys k_i = W_k h_i.
@@ -130,8 +133,7 @@ class SkeletonPointer(TableToText):
         cells = linearize_table(table)
         memory = self.encoder.step(cells)
         distinct, pool = copy_pool([c.token for c in cells])
-        return _TableSearch(distinct, pool, self.wk.step(memory).T,
-                            DecoderCache(self.decoder, memory))
+        return _TableSearch(distinct, pool, self.wk.step(memory).T, self.decoder.memory_kv(memory))
 
     @ag._lean_pass
     def _step_log_probs(
@@ -139,19 +141,15 @@ class SkeletonPointer(TableToText):
     ) -> tuple[np.ndarray, list[str]]:
         """Next-token log P_copy, (B, n_distinct), for the B live hypotheses.
 
-        live[i] extends the hypothesis in cache row parents[i] by its last
-        token; one decoder pass decodes that token for every hypothesis. A
-        lean pass: a step that raises leaves the cache as it was.
+        live[i] extends the hypothesis in row parents[i] of search.past by its
+        last token; one decoder pass decodes that token for every hypothesis.
+        A lean pass: search.past is set only once the step has run, so a
+        step that raises leaves it as it was.
         """
         tokens = [h.tokens[-1] if h.tokens else BOS_TOKEN for h in live]
-        cache = search.cache
-        past = cache.self_kv, cache.length
-        try:
-            attn = self._step_attention(self.decoder_states(tokens, cache, parents),
-                                        search.keys_t)
-        except ag.NonFiniteError:
-            cache.self_kv, cache.length = past
-            raise
+        states, past = self.decoder_states(tokens, search.memory_kv, parents, search.past)
+        attn = self._step_attention(states, search.keys_t)
+        search.past = past
         # Tokens whose copy mass underflowed to zero score -inf and are simply
         # never selected. Rounding can pool a little more than all the mass
         # into one token; capped at 1, no score is above 0.
@@ -171,7 +169,8 @@ class SkeletonPointer(TableToText):
         Hypotheses end when they select EOS. If nothing finishes within
         max_len the best open prefix is returned with finished=False. The
         decoder runs incrementally: each step is one pass over the newest
-        token of every live hypothesis, against cached earlier positions.
+        token of every live hypothesis, against the keys and values of its
+        earlier positions.
         """
         if beam_width < 1:
             raise ValueError("beam width must be >= 1")

@@ -11,7 +11,7 @@ from skeltext import autograd as ag
 from skeltext.autograd import Tensor
 from skeltext.config import RunConfig
 from skeltext.data import Attribute, Example, Table, Vocabulary, linearize_table
-from skeltext.nn import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, DecoderCache, inverse_sqrt_lr
+from skeltext.nn import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, inverse_sqrt_lr
 from skeltext.oracle import edit_loss_example
 from skeltext.training import build_editor, build_pointer
 
@@ -115,9 +115,9 @@ def decode_hidden(model, tokens, memory) -> Tensor:
     return model.decode_batch([tokens], memory, False).rows
 
 
-def table_cache(model, table: Table) -> DecoderCache:
-    """The DecoderCache stage 1 and stage 2 build for a table: its array encoding, projected."""
-    return DecoderCache(model.decoder, model.encoder.step(linearize_table(table)))
+def table_memory_kv(model, table: Table) -> list[np.ndarray]:
+    """The memory_kv stage 1 and stage 2 build for a table: its array encoding, projected."""
+    return model.decoder.memory_kv(model.encoder.step(linearize_table(table)))
 
 
 def encode_cells(model, table: Table):
@@ -221,26 +221,27 @@ def composed_step(attn, x: Tensor, past_k: Tensor, past_v: Tensor):
     return out, k, v
 
 
-def tensor_step(decoder, x: Tensor, memory: Tensor, cache: DecoderCache, parents) -> Tensor:
+def tensor_step(decoder, x: Tensor, memory: Tensor, past, parents) -> tuple[Tensor, list]:
     """TransformerDecoder.step of one position on the tape ops: the reference of the array step.
 
-    Self-attention over the cache runs on the composed ops (composed_step),
-    every other sublayer on its module's fused op, cross-attention over
-    `memory`, the rows the cache was built from. The cache grows as the
-    step grows it: `self_kv[l]` becomes a (2, B, h, t+1, d_head) array.
+    Self-attention over past (None before the first position) runs on the
+    composed ops (composed_step), every other sublayer on its module's fused
+    op, cross-attention over `memory`, the rows memory_kv was projected
+    from. Returns the output and the new past, as the step does: one
+    (2, B, h, t+1, d_head) array per layer.
     """
-    if not cache.length:
-        cache.self_kv = [np.zeros((2, 1, layer.self_attn.n_heads, 0, layer.self_attn.d_head))
-                         for layer in decoder.layers]
-    for i, layer in enumerate(decoder.layers):
-        past = cache.self_kv[i][:, parents]
-        out, k, v = composed_step(layer.self_attn, x, Tensor(past[0]), Tensor(past[1]))
-        cache.self_kv[i] = np.stack([k.data, v.data])
+    if past is None:
+        past = [np.zeros((2, 1, layer.self_attn.n_heads, 0, layer.self_attn.d_head))
+                for layer in decoder.layers]
+    new_past = []
+    for layer, kv in zip(decoder.layers, past):
+        kv = kv[:, parents]
+        out, k, v = composed_step(layer.self_attn, x, Tensor(kv[0]), Tensor(kv[1]))
+        new_past.append(np.stack([k.data, v.data]))
         x = layer.ln1(x, out)
         x = layer.ln2(x, layer.cross_attn(x, memory))
         x = layer.ln3(x, layer.ff(x))
-    cache.length += 1
-    return x
+    return x, new_past
 
 
 def composed_layer_norm(ln, x: Tensor, residual: Tensor | None = None) -> Tensor:

@@ -481,11 +481,11 @@ class _DeleteEverythingStub:
 
     k_max = 2
     max_len = 512
-    decoder = TransformerDecoder(None, 2, 2, 1, 0)  # no layers: an empty cache
+    decoder = TransformerDecoder(None, 2, 2, 1, 0)  # no layers: an empty memory_kv
 
     encoder = _ZeroEncoder()
 
-    def decode_hidden(self, tokens, cache):
+    def decode_hidden(self, tokens, memory_kv):
         return np.zeros((len(tokens), 2))
 
     def deletion_scores(self, z):

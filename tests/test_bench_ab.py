@@ -90,3 +90,30 @@ def test_a_ratio_over_a_parent_value_of_zero_is_none():
     summary = bench_ab.summarize(runs, END_TO_END)
     assert summary["train"]["metrics"]["ex_per_s"]["ratio"] is None
     assert summary["train"]["metrics"]["setup_s"]["ratio"]["median"] == 1.0
+
+
+def test_summary_splits_each_pairs_ratio_by_the_side_that_ran_first():
+    # A host where whatever runs second reads 4% slower: the A/A split shows it,
+    # and the A/B split carries it on top of a change that moves nothing.
+    runs = []
+    for pair in range(4):
+        base = 100.0 + 10 * pair
+        first, second = base, base * 0.96
+        parent, other = (first, second) if pair % 2 == 0 else (second, first)
+        runs += [_run("ab", "parent", pair, parent, 1.0), _run("ab", "change", pair, other, 1.0),
+                 _run("aa", "parent", pair, parent, 1.0), _run("aa", "copy", pair, other, 1.0)]
+    metrics = bench_ab.summarize(runs, END_TO_END)["train"]["metrics"]
+    rate = metrics["ex_per_s"]
+    for split in (rate["ratio_by_first"], rate["aa"]["ratio_by_first"]):
+        assert split["parent"] == pytest.approx({"median": 0.96, "q1": 0.96, "q3": 0.96, "n": 2})
+    assert rate["ratio_by_first"]["change"] == pytest.approx(
+        {"median": 1 / 0.96, "q1": 1 / 0.96, "q3": 1 / 0.96, "n": 2})
+    assert rate["aa"]["ratio_by_first"]["copy"]["median"] == pytest.approx(1 / 0.96)
+    assert rate["ratio"]["n"] == 4
+    split = metrics["setup_s"]["ratio_by_first"]
+    assert (split["parent"]["median"], split["change"]["median"]) == (1.0, 1.0)
+    # One pair: the side that did not run first has no ratio.
+    one = bench_ab.summarize(runs[:4], END_TO_END)["train"]["metrics"]["ex_per_s"]
+    assert one["ratio_by_first"]["change"] is None
+    assert one["aa"]["ratio_by_first"] == {"parent": pytest.approx(
+        {"median": 0.96, "q1": 0.96, "q3": 0.96, "n": 1}), "copy": None}

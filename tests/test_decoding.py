@@ -24,10 +24,10 @@ from skeltext.decoding import (
     realize_corpus,
 )
 from skeltext.editor import EditState
-from skeltext.nn import DecoderCache, TransformerDecoder
+from skeltext.nn import TransformerDecoder
 from skeltext.oracle import is_subsequence
 
-from helpers import all_value_tokens, random_table, table_cache, tiny_editor
+from helpers import all_value_tokens, random_table, table_memory_kv, tiny_editor
 
 
 class _StubEncoder:
@@ -38,7 +38,7 @@ class _StubEncoder:
 class StubEditor:
     """Scriptable model: fixed deletion bias, fixed per-slot insertions, fixed fill."""
 
-    decoder = TransformerDecoder(None, 2, 2, 1, 0)  # no layers: an empty cache
+    decoder = TransformerDecoder(None, 2, 2, 1, 0)  # no layers: an empty memory_kv
     encoder = _StubEncoder()
 
     def __init__(
@@ -50,7 +50,7 @@ class StubEditor:
         self.k_max = k_max
         self.max_len = max_len
 
-    def decode_hidden(self, tokens, cache):
+    def decode_hidden(self, tokens, memory_kv):
         return np.zeros((len(tokens), 2))
 
     def deletion_scores(self, z):
@@ -141,9 +141,9 @@ def test_masked_delete_arity_checked():
 def _fill(stub, state, cap=None):
     """insert_and_fill of a stub's state, over the stub's own hidden states; the cap is
     by default the stub's position cap."""
-    cache = DecoderCache(stub.decoder, stub.encoder.step(None))
-    z = stub.decode_hidden(state.tokens, cache)
-    return insert_and_fill(state, stub, cache, z, stub.max_len if cap is None else cap)
+    memory_kv = stub.decoder.memory_kv(stub.encoder.step(None))
+    z = stub.decode_hidden(state.tokens, memory_kv)
+    return insert_and_fill(state, stub, memory_kv, z, stub.max_len if cap is None else cap)
 
 
 def test_insert_and_fill_noop_when_zero_slots():
@@ -254,12 +254,12 @@ def test_iterate_random_model_constraint_preservation():
         assert is_subsequence(skeleton, tokens)
         if trace.termination == FIXED_POINT:
             # one more edit round applied to the final state changes nothing
-            cache = table_cache(model, table)
+            memory_kv = table_memory_kv(model, table)
             state = trace.snapshots[-1]
-            z = model.decode_hidden(state.tokens, cache)
+            z = model.decode_hidden(state.tokens, memory_kv)
             after = masked_delete(state, model.deletion_scores(z))
-            z = model.decode_hidden(after.tokens, cache)
-            after = insert_and_fill(after, model, cache, z, model.max_len)
+            z = model.decode_hidden(after.tokens, memory_kv)
+            after = insert_and_fill(after, model, memory_kv, z, model.max_len)
             assert after.tokens == state.tokens
 
 
@@ -368,9 +368,9 @@ def test_iterate_never_decodes_the_same_tokens_twice_in_a_row():
         calls = []
         decode = model.decode_hidden
 
-        def counting(tokens, cache, decode=decode, calls=calls):
+        def counting(tokens, memory_kv, decode=decode, calls=calls):
             calls.append(tuple(tokens))
-            return decode(tokens, cache)
+            return decode(tokens, memory_kv)
 
         model.decode_hidden = counting
         table = random_table(rng)
@@ -386,9 +386,9 @@ def test_memoized_memory_projections_match_uncached_decoding():
     first = [BOS_TOKEN, *all_value_tokens(table), EOS_TOKEN]
     second = [BOS_TOKEN, "oov-token", *all_value_tokens(table)[:1], PLH_TOKEN, EOS_TOKEN]
     memory = model.encode(table)
-    cache = DecoderCache(model.decoder, memory.rows.data)
+    memory_kv = model.decoder.memory_kv(memory.rows.data)
     for tokens in (first, second, first):
-        cached = model.decode_hidden(tokens, cache)
+        cached = model.decode_hidden(tokens, memory_kv)
         uncached = _decode_every_pass(model, tokens, memory).data
         np.testing.assert_allclose(cached, uncached, rtol=0, atol=1e-12)
 
@@ -404,7 +404,7 @@ def test_iterate_projects_the_table_memory_once_per_layer():
         layer.cross_attn.keys_values_step = counting
     decodes = []
     decode = model.decode_hidden
-    model.decode_hidden = lambda tokens, cache: decodes.append(tokens) or decode(tokens, cache)
+    model.decode_hidden = lambda tokens, kv: decodes.append(tokens) or decode(tokens, kv)
     table = random_table(np.random.default_rng(4))
     iterate(model, table, all_value_tokens(table)[:2], max_iter=3)
     assert len(decodes) >= 3

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from skeltext.data import BOS_TOKEN, EOS_TOKEN, Attribute, LinearizedCell, Table, linearize_table
-from skeltext.nn import DecoderCache
 
-from helpers import random_table, table_cache, tiny_editor, tiny_pointer
+from helpers import random_table, table_memory_kv, tiny_editor, tiny_pointer
 
 
 def _encoder(seed: int = 0):
@@ -136,7 +135,7 @@ def test_a_padded_pass_names_its_empty_table():
     [
         (tiny_pointer, lambda model, tokens, memory: model.decoder_states(tokens, memory)),
         (tiny_editor, lambda model, tokens, memory: model.decode_hidden(
-            tokens, DecoderCache(model.decoder, memory.rows.data))),
+            tokens, model.decoder.memory_kv(memory.rows.data))),
     ],
     ids=["pointer", "editor"],
 )
@@ -151,8 +150,9 @@ def test_trunk_rejects_inputs_beyond_its_positions(build, decode):
 
 def test_cached_pointer_step_rejects_a_position_beyond_the_cap():
     model, _ = tiny_pointer(seed=6, max_skeleton_len=3)
-    cache = table_cache(model, random_table(np.random.default_rng(6)))
+    memory_kv = table_memory_kv(model, random_table(np.random.default_rng(6)))
+    past = None
     for _ in range(model.max_len):
-        model.decoder_states([BOS_TOKEN], cache, [0])
+        _, past = model.decoder_states([BOS_TOKEN], memory_kv, [0], past)
     with pytest.raises(ValueError, match="positions exceed"):
-        model.decoder_states([BOS_TOKEN], cache, [0])
+        model.decoder_states([BOS_TOKEN], memory_kv, [0], past)

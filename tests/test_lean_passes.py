@@ -178,23 +178,23 @@ def test_a_beam_step_that_raises_leaves_the_cache_as_it_was():
     for _ in range(2):
         model._step_log_probs(search, live, [0])
         live = [SkeletonPrediction(["Alda"], 0.0, False)]
-    kv, length = search.cache.self_kv, search.cache.length
+    past = search.past
     with pytest.raises(NonFiniteError, match="from embedding_lookup$"):
         model._step_log_probs(search, live, [0])
-    assert search.cache.self_kv is kv and search.cache.length == length == 2
-    # The pointer head reads the decoder's output after the cache has grown.
+    assert search.past is past and all(kv.shape[3] == 2 for kv in past)
+    # The pointer head reads the decoder's output after the decoder has run.
     model, _ = tiny_pointer(seed=3, n_layers=2)
     model.wq.weight.data[0, 0] = np.nan
     search = model._start_search(table)
     with pytest.raises(NonFiniteError, match="from linear$"):
         model._step_log_probs(search, [SkeletonPrediction([], 0.0, False)], [0])
-    assert (search.cache.self_kv, search.cache.length) == ([], 0)
-    assert model.decoder_states([BOS_TOKEN], search.cache, [0]).shape == (1, model.d_model)
-    # The decoder stores its cache only after its last layer, so a step that
-    # its second layer stops leaves the first layer's rows unstored.
+    assert search.past is None
+    states, _ = model.decoder_states([BOS_TOKEN], search.memory_kv, [0], search.past)
+    assert states.shape == (1, model.d_model)
+    # A step that the decoder's second layer stops stores nothing either.
     model, _ = tiny_pointer(seed=3, n_layers=2)
     model.decoder.layers[1].ff.lin1.bias.data[0] = np.nan
     search = model._start_search(table)
     with pytest.raises(NonFiniteError, match="from feed_forward$"):
-        model.decoder_states([BOS_TOKEN], search.cache, [0])
-    assert (search.cache.self_kv, search.cache.length) == ([], 0)
+        model._step_log_probs(search, [SkeletonPrediction([], 0.0, False)], [0])
+    assert search.past is None

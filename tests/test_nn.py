@@ -444,25 +444,49 @@ def test_a_decoder_layer_forward_pass_records_eight_tape_nodes():
 
 
 def test_a_decoder_step_with_gradients_on_stays_off_the_tape():
-    # A cached step is inference-only, even over tracked parameters: it runs
+    # A decoder step is inference-only, even over tracked parameters: it runs
     # on plain arrays and builds no tensor.
     from skeltext.autograd import NonFiniteError
-    from skeltext.nn import DecoderCache, TransformerDecoder
+    from skeltext.nn import TransformerDecoder
 
     rng = np.random.default_rng(20)
     decoder = TransformerDecoder(rng, 8, 12, 2, 2)
-    cache = DecoderCache(decoder, rng.normal(size=(4, 8)))
-    assert all(type(kv) is np.ndarray for kv in cache.memory_kv)
+    memory_kv = decoder.memory_kv(rng.normal(size=(4, 8)))
+    assert all(type(kv) is np.ndarray for kv in memory_kv)
+    past = None
     for parents in ([0], [0, 0, 0], [2, 0, 1]):
-        out = decoder.step(rng.normal(size=(len(parents), 8)), cache, parents)
+        out, past = decoder.step(rng.normal(size=(len(parents), 8)), memory_kv, past, parents)
         assert type(out) is np.ndarray and out.shape == (len(parents), 8)
-        assert all(type(kv) is np.ndarray for kv in cache.self_kv)
+        assert all(type(kv) is np.ndarray for kv in past)
     assert not any(p.grad.any() for p in decoder.parameters())
 
     # The forward still names the op a non-finite value came from.
     decoder.layers[1].self_attn.wk.weight.data[0, 0] = np.nan
     with pytest.raises(NonFiniteError, match="from keys_values$"):
-        decoder.step(out, cache, [0, 1, 2])
+        decoder.step(out, memory_kv, past, [0, 1, 2])
+
+
+def test_a_decoder_step_leaves_its_keys_and_values_as_they_were():
+    # The step is a function of (x, memory_kv, past): every past and
+    # memory_kv array it reads keeps its bytes, and what it returns shares
+    # no memory with them. The beam's steps reorder, duplicate and drop
+    # rows while the batch keeps its size; the last is stage 2's, afresh.
+    from skeltext.nn import TransformerDecoder
+
+    rng = np.random.default_rng(22)
+    decoder = TransformerDecoder(rng, 8, 12, 2, 2)
+    memory_kv = decoder.memory_kv(rng.normal(size=(4, 8)))
+    past = None
+    for parents, rows in [([0], 1), ([0, 0, 0], 3), ([2, 0, 1], 3), ([1, 1, 0], 3), (None, 5)]:
+        given = None if parents is None else past
+        read = memory_kv + ([] if given is None else given)
+        before = [kv.tobytes() for kv in read]
+        out, past = decoder.step(rng.normal(size=(rows, 8)), memory_kv, given, parents)
+        assert [kv.tobytes() for kv in read] == before
+        assert not any(np.shares_memory(kv, old) for kv in [out, *past] for old in read)
+        length = rows if given is None else length + 1
+        batch = 1 if given is None else len(parents)
+        assert [kv.shape for kv in past] == [(2, batch, 2, length, 4)] * 2
 
 
 # (layers, heads, the parents of each step after the first): rows reordered,
@@ -478,13 +502,13 @@ _STEP_CASES = [
 
 @pytest.mark.parametrize("n_layers,n_heads,steps", _STEP_CASES)
 def test_the_array_step_equals_the_tensor_step_to_the_byte(n_layers, n_heads, steps):
-    # The beam's steps: output rows and every layer's cache, after every
-    # step, against the tape-op reference over a cache of its own. Then the
+    # The beam's steps: output rows and every layer's past, after every
+    # step, against the tape-op reference over a past of its own. Then the
     # other array passes against their tape forms: a table's encoding, and
-    # stage 2's pass over a whole state, one step of n positions from an
-    # empty cache, against decode_batch of that state alone.
+    # stage 2's pass over a whole state, one step of n positions afresh,
+    # against decode_batch of that state alone.
     from skeltext.data import BOS_TOKEN, EOS_TOKEN, PLH_TOKEN, linearize_table
-    from skeltext.nn import DecoderCache, TransformerDecoder
+    from skeltext.nn import TransformerDecoder
 
     from helpers import WORDS, random_table, tensor_step, tiny_editor
 
@@ -493,14 +517,15 @@ def test_the_array_step_equals_the_tensor_step_to_the_byte(n_layers, n_heads, st
     for p in decoder.parameters():  # non-zero biases, gains off 1
         p.data[...] = rng.normal(size=p.shape)
     memory = rng.normal(size=(5, 8))
-    fast, reference = DecoderCache(decoder, memory), DecoderCache(decoder, memory)
+    memory_kv = decoder.memory_kv(memory)
+    fast = reference = None
     for parents in [[0], *steps]:
         x = rng.normal(size=(len(parents), 8))
-        out = decoder.step(x, fast, parents)
-        expected = tensor_step(decoder, Tensor(x), Tensor(memory), reference, parents)
+        out, fast = decoder.step(x, memory_kv, fast, parents)
+        expected, reference = tensor_step(decoder, Tensor(x), Tensor(memory), reference, parents)
         assert out.tobytes() == expected.data.tobytes()
-        assert fast.length == reference.length
-        for kv, ref in zip(fast.self_kv, reference.self_kv):
+        assert len(fast) == len(reference) == n_layers
+        for kv, ref in zip(fast, reference):
             assert kv.shape == ref.shape and kv.tobytes() == ref.tobytes()
 
     model, _ = tiny_editor(seed=n_layers, n_layers=n_layers, n_heads=n_heads)
@@ -511,12 +536,13 @@ def test_the_array_step_equals_the_tensor_step_to_the_byte(n_layers, n_heads, st
         memory = model.encoder(cells)
         rows = model.encoder.step(cells)
         assert type(rows) is np.ndarray and rows.tobytes() == memory.rows.data.tobytes()
-        cache = DecoderCache(model.decoder, rows)
+        memory_kv = model.decoder.memory_kv(rows)
         for n in (0, 1, 6):
             body = [WORDS[i] for i in rng.integers(0, len(WORDS), size=n)] + [PLH_TOKEN] * (n > 1)
             state = [BOS_TOKEN, *body, EOS_TOKEN]
-            z = model.decode_hidden(state, cache)
-            assert cache.length == len(state)
+            z = model.decode_hidden(state, memory_kv)
+            _, past = model.decoder.step(model._embed_step(state, 0, len(state)), memory_kv)
+            assert all(kv.shape[3] == len(state) for kv in past)
             assert z.tobytes() == model.decode_batch([state], memory, False).rows.data.tobytes()
 
 

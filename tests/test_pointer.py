@@ -11,7 +11,6 @@ import pytest
 from skeltext import autograd as ag
 from skeltext.autograd import NonFiniteError, Tensor
 from skeltext.data import Attribute, BOS_TOKEN, EOS_TOKEN, Example, Table
-from skeltext.nn import DecoderCache
 from skeltext.pointer import DataIntegrityError, SkeletonPointer, SkeletonPrediction, copy_pool
 from skeltext.skeleton import annotate_skeleton, default_stop_words
 from skeltext.synth import TemplateSpec, generate
@@ -391,22 +390,22 @@ def test_argmax_invariant_under_logit_shift():
 
 
 def test_cached_decoder_states_match_full_decoder_rows():
-    # Three hypotheses decoded one position per pass; between passes the cache
+    # Three hypotheses decoded one position per pass; between passes the past
     # rows are gathered by parent, reordering and duplicating hypotheses.
     rng = np.random.default_rng(21)
     model, _ = tiny_pointer(seed=21)
     memory, cell_tokens = encode_cells(model, random_table(rng))
-    cache = DecoderCache(model.decoder, memory.rows.data)
+    memory_kv = model.decoder.memory_kv(memory.rows.data)
     prefixes = [[BOS_TOKEN]]
-    states = model.decoder_states([BOS_TOKEN], cache, [0])
+    states, past = model.decoder_states([BOS_TOKEN], memory_kv, [0])
     for parents in ([0, 0, 0], [2, 0, 0], [1, 2, 2], [0, 1, 2]):
         for i, prefix in enumerate(prefixes):
             full = model.decoder_states(prefix, memory).data[-1]
             assert np.abs(states[i] - full).max() < 1e-12
         new = [str(rng.choice(cell_tokens)) for _ in parents]
         prefixes = [[*prefixes[p], tok] for p, tok in zip(parents, new)]
-        states = model.decoder_states(new, cache, parents)
-        assert cache.length == len(prefixes[0])
+        states, past = model.decoder_states(new, memory_kv, parents, past)
+        assert all(kv.shape[3] == len(prefixes[0]) for kv in past)
     for i, prefix in enumerate(prefixes):
         full = model.decoder_states(prefix, memory).data
         assert np.abs(states[i] - full[-1]).max() < 1e-12
@@ -437,7 +436,7 @@ def _step_weights(model) -> list[tuple[str, str]]:
     """(name, op) of every parameter a beam step reads, and the op a non-finite value there names.
 
     The cross-attention key and value weights are not read by a step: the
-    cache holds their projections of the memory.
+    search's memory_kv holds their projections of the memory.
     """
     ops = {"encoder.tok_emb": "embedding_lookup", "in_proj": "linear",
            "pos_emb": "embedding_lookup", "wq": "linear"}

@@ -18,9 +18,11 @@ one JSON file, `--out`. For each workload and end-to-end metric it holds
 both medians and quartiles, the change's wins (pairs where it is better;
 ties count for neither), the relative change of the median, the A/A gap
 between the medians, and the per-pair ratios as a median and quartiles:
-change/parent in the A/B set, copy/parent in the A/A set. Both sides of a
-pair run the same seed, so a ratio carries none of the spread between
-seeds. For each workload it holds the runs that were not
+change/parent in the A/B set, copy/parent in the A/A set, over every pair
+and split by the side that ran first. Both sides of a pair run the same
+seed, so a ratio carries none of the spread between seeds; a split whose
+halves differ in the A/A set reads an order effect, which a change's ratio
+carries as well. For each workload it holds the runs that were not
 correct and each A/B side's failed operations, summed over its runs. It
 also holds whether every pair's output fingerprints were equal, both
 commits, the environment with the BLAS fingerprint of
@@ -80,14 +82,31 @@ def _relative(new: float, old: float) -> float | None:
 
 
 def _ratios(old: list[float], new: list[float]) -> dict | None:
-    """The spread of new / old pair by pair; None when a pair's old value is 0."""
+    """The spread of new / old pair by pair; None without pairs, or when a pair's old value is 0."""
     if not old or not all(old):
         return None
     return _spread([b / a for a, b in zip(old, new)])
 
 
+def _parent_first(pair: int) -> bool:
+    """Whether the parent runs first in pair `pair`: in even pairs; the other side in odd ones."""
+    return pair % 2 == 0
+
+
+def _ratios_by_first(pairs: list[int], old: list[float], new: list[float], other: str) -> dict:
+    """_ratios of the pairs the parent ran first in, and of those `other` ran first in."""
+    split = {}
+    for side, parent_first in (("parent", True), (other, False)):
+        kept = [i for i, p in enumerate(pairs) if _parent_first(p) == parent_first]
+        split[side] = _ratios([old[i] for i in kept], [new[i] for i in kept])
+    return split
+
+
 def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
     """Per workload and metric: medians, quartiles, the change's wins, the A/A gap and pair ratios.
+
+    The pair ratios are given over every pair (`ratio`) and split by which
+    side ran first (`ratio_by_first`, keyed by that side), in both sets.
 
     Per workload also: whether the fingerprints were equal, the runs that were
     not correct, and each A/B side's failed operations summed over its runs.
@@ -122,13 +141,16 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
             entry["relative_change"] = _relative(entry["change"]["median"],
                                                  entry["parent"]["median"])
             entry["ratio"] = _ratios(old, new)
+            entry["ratio_by_first"] = _ratios_by_first(pairs, old, new, "change")
             if aa_pairs:
                 aa_old = [aa_parent[p]["metrics"][name] for p in aa_pairs]
                 aa_new = [aa_copy[p]["metrics"][name] for p in aa_pairs]
                 old_median, new_median = statistics.median(aa_old), statistics.median(aa_new)
                 entry["aa"] = {"parent_median": old_median, "copy_median": new_median,
                                "gap": _relative(new_median, old_median), "pairs": len(aa_pairs),
-                               "ratio": _ratios(aa_old, aa_new)}
+                               "ratio": _ratios(aa_old, aa_new),
+                               "ratio_by_first": _ratios_by_first(aa_pairs, aa_old, aa_new,
+                                                                  "copy")}
             metrics[name] = entry
         out[workload] = {
             "metrics": metrics,
@@ -188,7 +210,7 @@ def main(argv: list[str] | None = None) -> int:
                 seed = seeds[pair % len(seeds)]
                 for kind, sides in (("ab", (("parent", parent), ("change", ROOT))),
                                     ("aa", (("parent", parent), ("copy", copy)))):
-                    for side, tree in sides if pair % 2 == 0 else sides[::-1]:
+                    for side, tree in sides if _parent_first(pair) else sides[::-1]:
                         run = run_once(bench, tree, workload, seed, bench["run_seconds"])
                         runs.append({"set": kind, "workload": workload, "pair": pair,
                                      "seed": seed, "side": side, **run})
