@@ -17,6 +17,7 @@ name.
 from __future__ import annotations
 
 import functools
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -427,7 +428,7 @@ def _attention(
     """
     qh = _heads(_affine(x, wq, bq), n_heads, batch)
     p = np.matmul(qh, kh.swapaxes(-1, -2))
-    p *= 1.0 / float(np.sqrt(x.shape[1] // n_heads))
+    p *= 1.0 / math.sqrt(x.shape[1] // n_heads)
     if mask is not None:
         p += mask
     _guard(p, "attention")
@@ -461,7 +462,7 @@ def attention(
         gp = np.matmul(gc, np.swapaxes(vh, -1, -2))
         gv = np.matmul(np.swapaxes(p, -1, -2), gc)
         gp = (gp - (gp * p).sum(axis=-1, keepdims=True)) * p
-        gp *= 1.0 / float(np.sqrt(x.shape[1] // n_heads))
+        gp *= 1.0 / math.sqrt(x.shape[1] // n_heads)
         gq = np.matmul(gp, kh)
         gk = np.swapaxes(np.matmul(np.swapaxes(qh, -1, -2), gp), -1, -2)
         gkv = np.empty_like(kv.data)

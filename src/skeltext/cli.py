@@ -11,7 +11,7 @@ import numpy as np
 from . import decoding, metrics
 from .autograd import NonFiniteError
 from .config import RunConfig, resolve_config
-from .data import Corpus, Example, load_corpus, read_json_lines, save_corpus, tokenize
+from .data import Corpus, Example, load_corpus, open_text, read_json_lines, save_corpus, tokenize
 from .gradcheck import TOLERANCE, run_gradcheck
 from .pointer import SkeletonPrediction, predict_skeletons
 from .skeleton import StopWordList, annotate_corpus, default_stop_words
@@ -145,7 +145,7 @@ def _output_tokens(obj) -> list[str]:
 def _cmd_evaluate(args) -> int:
     lambda_mix = _flag_overrides(RunConfig(), lambda_mix=args.lambda_mix).lambda_mix
     gold = load_corpus(args.gold)
-    with open(args.system, encoding="utf-8") as fh:
+    with open_text(args.system) as fh:
         hypotheses = read_json_lines(fh, _output_tokens)
     report = metrics.evaluate_outputs(hypotheses, gold, lambda_mix)
     print(json.dumps(report.as_dict(), sort_keys=True))

@@ -34,10 +34,22 @@ def tokenize(text: str) -> list[str]:
     return text.split()
 
 
+def utf8_problem(text: str) -> str | None:
+    """None for UTF-8 text, else what is not: a lone surrogate, as open_text escapes a bad byte."""
+    if not text.isascii():
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError as err:
+            ch = text[err.start]
+            what = f"byte 0x{ord(ch) - 0xDC00:02x}" if "\udc80" <= ch <= "\udcff" else repr(ch)
+            return f"{what} at character {err.start + 1} is not UTF-8 text"
+    return None
+
+
 def _check_tokens(field: str, tokens: Sequence[str]) -> None:
     """The corpus file's rule for every token: one non-empty run of non-whitespace, not reserved.
 
-    Tokens that the file's text splits back into are what saves and loads back equal.
+    Tokens of UTF-8 text that the file's text splits back into are what saves and loads back equal.
     `tokens` may be any sequence: a list is held to the rule as its tuple is.
     """
     try:
@@ -50,6 +62,9 @@ def _check_tokens(field: str, tokens: Sequence[str]) -> None:
         if token in _FORBIDDEN_TOKENS:
             raise ValueError(f"{field} holds the reserved token {token!r}")
         raise ValueError(f"{field} holds {token!r}, which is not one token")
+    if not text.isascii() and utf8_problem(text):  # no corpus file could hold it
+        token = next(t for t in tokens if utf8_problem(t))
+        raise ValueError(f"{field} holds {token!r}, which is not UTF-8 text")
 
 
 @dataclass(frozen=True)
@@ -242,12 +257,18 @@ def _parse_line(obj) -> Example:
     return Example(Table(tuple(attrs)), tuple(text), skeleton)
 
 
+def open_text(path) -> IO[str]:
+    """A UTF-8 file, each bad byte escaped: a strict read decodes by chunk and names no line."""
+    return open(path, encoding="utf-8", errors="surrogateescape")
+
+
 def read_json_lines(stream: IO[str] | Iterable[str], parse: Callable[[object], object]) -> list:
     """parse() of each non-blank line's JSON value, in order.
 
     Every error is a CorpusError whose message starts "FILE line N: ", FILE
     being the stream's name (an open file's path), or "line N: " for a
-    stream without one; parse() reports a bad value with a ValueError.
+    stream without one; parse() reports a bad value with a ValueError. Open
+    a file with open_text, so that a byte that is not UTF-8 names its line.
     """
     name = getattr(stream, "name", None)
     where = "line" if name is None else f"{name} line"
@@ -255,6 +276,9 @@ def read_json_lines(stream: IO[str] | Iterable[str], parse: Callable[[object], o
     for line_no, line in enumerate(stream, start=1):
         if not line.strip():
             continue
+        problem = utf8_problem(line)
+        if problem:
+            raise CorpusError(f"{where} {line_no}: {problem}", line_no)
         try:
             obj = json.loads(line)
         except json.JSONDecodeError as err:
@@ -281,7 +305,7 @@ def parse_corpus(stream: IO[str] | Iterable[str]) -> Corpus:
 
 
 def load_corpus(path) -> Corpus:
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         return parse_corpus(fh)
 
 

@@ -9,7 +9,7 @@ import numpy as np
 from . import autograd as ag
 from .autograd import Tensor
 from .config import RunConfig
-from .data import PAD_ID, LinearizedTable, Table, Vocabulary, linearize_table
+from .data import PAD_ID, LinearizedTable, Vocabulary
 from .nn import (
     Embedding,
     Linear,
@@ -125,9 +125,6 @@ class TableToText(Module):
         self.in_proj = Linear(rng, cfg.token_dim, cfg.d_model)
         self.pos_emb = Embedding(rng, max_len, cfg.d_model)
         self.decoder = TransformerDecoder(rng, cfg.d_model, cfg.d_hidden, cfg.n_heads, cfg.n_layers)
-
-    def encode(self, table: Table) -> Padded:
-        return self.encoder(linearize_table(table))
 
     def _check_positions(self, last: int) -> None:
         if last >= self.max_len:

@@ -19,7 +19,7 @@ from .nn import (
     TransformerDecoder,
     TransformerEncoder,
 )
-from .oracle import _edit_losses, backprop_edit_batch, draft_supervision, edit_loss_from_supervision
+from .oracle import backprop_edit_batch, build_edit_supervision, edit_loss_from_supervision
 from .pointer import backprop_pointer_batch
 from .training import RunConfig, build_editor, build_pointer
 
@@ -150,16 +150,27 @@ def run_gradcheck(seed: int = 0) -> list[tuple[str, float]]:
     weighted("table_encoder", lambda: table_enc(cells).rows, table_enc.parameters())
 
     editor = build_editor(cfg, vocab, key_vocab)
-    # The first, analytic, loss completes each draft from the argmax fills.
-    sup = draft_supervision(
-        editor, example.skeleton, example.reference, np.random.Generator(np.random.PCG64(11))
-    )
-    check_loss(
-        "editor_model_loss",
-        lambda: edit_loss_from_supervision(editor, editor.encode(example.table), sup).total,
-        editor.parameters(),
-    )
 
+    def check_edit_batch(name: str, batch: list[Example], seed: int) -> None:
+        # Drafts, as in training: the analytic step, run once, completes each
+        # from the argmax fills; the finite differences evaluate the same
+        # padded losses without a backward.
+        sups = [
+            build_edit_supervision(
+                editor, ex.skeleton, ex.reference, np.random.Generator(np.random.PCG64(seed + i))
+            )
+            for i, ex in enumerate(batch)
+        ]
+        tables = [linearize_table(ex.table) for ex in batch]
+
+        def value() -> float:
+            memory = editor.encoder.encode_padded(tables)
+            parts = edit_loss_from_supervision(editor, memory, sups, 1.0, lambda name, loss: None)
+            return sum(p.total.item() for p in parts)
+
+        check(name, lambda: backprop_edit_batch(editor, batch, sups), value, editor.parameters())
+
+    check_edit_batch("editor_model_loss", [example], 11)
     check_loss("zero_parameter_fragment", lambda: Tensor(0.0), [])
 
     # Last, so that the checks above draw what they always drew from rng.
@@ -167,30 +178,11 @@ def run_gradcheck(seed: int = 0) -> list[tuple[str, float]]:
         Table((Attribute("Name_ID", ("Lunden",)),)), ("born", "in", "Lunden", "."), ("Lunden",)
     )
     batch = [example, short]
-    batch_sups = [
-        draft_supervision(
-            editor, ex.skeleton, ex.reference, np.random.Generator(np.random.PCG64(12 + i))
-        )
-        for i, ex in enumerate(batch)
-    ]
-
-    # Each padded check runs its training step once, for the analytic
-    # gradient; the finite differences evaluate the same losses without a backward.
-    tables = [linearize_table(ex.table) for ex in batch]
-
-    def editor_batch_loss() -> float:
-        memory = editor.encoder.encode_padded(tables)
-        parts = _edit_losses(editor, memory, batch_sups, 1.0, lambda name, loss: None)
-        return sum(p.total.item() for p in parts)
-
-    check(
-        "editor_padded_batch_loss",
-        lambda: backprop_edit_batch(editor, batch, batch_sups),
-        editor_batch_loss,
-        editor.parameters(),
-    )
+    check_edit_batch("editor_padded_batch_loss", batch, 12)
 
     # Also after the checks above: two tables of 5 and 2 cells, one padded pass.
+    tables = [linearize_table(ex.table) for ex in batch]
+
     def pointer_batch_loss() -> float:
         memory = pointer.encoder.encode_padded(tables)
         return sum(

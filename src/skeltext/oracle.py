@@ -220,29 +220,14 @@ class EditLossParts:
 
 
 def build_edit_supervision(
-    model: EditRealizer,
-    memory: Padded,
-    skeleton: Tokens,
-    y_star: Tokens,
-    rng: np.random.Generator,
-) -> EditSupervision:
-    """Construct Y'/Y''/Y''' and the oracle targets for one example.
-
-    Y' corrupts the reference around its skeleton match, the insertion
-    oracle yields placeholder counts and gold fills, and Y''' replaces the
-    placeholders with the model's current argmax choices (by an edit loss
-    that is then dropped, never backpropagated) so the deletion head sees
-    its own mistakes.
-    """
-    sup = draft_supervision(model, skeleton, y_star, rng)
-    edit_loss_from_supervision(model, memory, sup)
-    return sup
-
-
-def draft_supervision(
     model: EditRealizer, skeleton: Tokens, y_star: Tokens, rng: np.random.Generator
 ) -> EditSupervision:
-    """One example's supervision up to Y''; state3 and del_labels wait for the model's fills."""
+    """Y', Y'' and their oracle targets for one example: a draft.
+
+    Y' corrupts the reference around its skeleton match, and the insertion
+    oracle yields placeholder counts and gold fills. state3 and del_labels
+    wait for the model's fills: edit_loss_from_supervision completes the draft.
+    """
     y_prime = make_intermediate(y_star, skeleton, rng)
     counts, fills = oracle_insertion(y_prime, y_star)
     y_dprime = apply_insertions(y_prime, counts)
@@ -284,7 +269,7 @@ def _nll(
     return -picked.sum(), parts
 
 
-def _edit_losses(
+def edit_loss_from_supervision(
     model: EditRealizer,
     memory: Padded,
     sups: Sequence[EditSupervision],
@@ -294,11 +279,12 @@ def _edit_losses(
     """The three edit losses of sups[b] against table b of `memory`, one padded pass each.
 
     The token pass runs first: a draft takes the argmax fills of its state2
-    into its state3, and its deletion labels against its reference. The
-    placeholder and deletion passes follow. take(name, loss) receives each
-    pass's summed loss as soon as it is known, named "tok" (skipped when no
-    state2 has a placeholder), "plh" or "del". Returns each example's loss
-    parts, with constant totals.
+    into its state3, and its deletion labels against its reference, so the
+    deletion head sees the model's own mistakes. The placeholder and
+    deletion passes follow. take(name, loss) receives each pass's summed
+    loss as soon as it is known, named "tok" (skipped when no state2 has a
+    placeholder), "plh" or "del". Returns each example's loss parts, with
+    constant totals.
     """
     token_nll = [0.0] * len(sups)
     fills: list[list[str]] = [[] for _ in sups]
@@ -339,24 +325,6 @@ def _edit_losses(
     ]
 
 
-def edit_loss_from_supervision(
-    model: EditRealizer,
-    memory: Padded,
-    sup: EditSupervision,
-    lam: float = 1.0,
-) -> EditLossParts:
-    """L_ins + lam * L_del of one example: _edit_losses of a batch of one, total on the tape.
-
-    A draft is completed from the model's argmax fills of its state2, as in
-    backprop_edit_batch; state2 is decoded once, for both its fills and its
-    token loss.
-    """
-    losses = {"tok": Tensor(0.0)}
-    parts = _edit_losses(model, memory, [sup], lam, losses.__setitem__)[0]
-    parts.total = losses["plh"] + losses["tok"] + lam * losses["del"]
-    return parts
-
-
 def edit_loss_example(
     model: EditRealizer,
     memory: Padded,
@@ -365,9 +333,16 @@ def edit_loss_example(
     rng: np.random.Generator,
     lam: float = 1.0,
 ) -> EditLossParts:
-    """Imitation loss for one (table, skeleton, reference) triple: its draft's edit loss."""
-    sup = draft_supervision(model, skeleton, y_star, rng)
-    return edit_loss_from_supervision(model, memory, sup, lam)
+    """Imitation loss for one (table, skeleton, reference) triple, its total on the tape.
+
+    Its draft's edit_loss_from_supervision, as a batch of one: state2 is
+    decoded once, for both its fills and its token loss.
+    """
+    sup = build_edit_supervision(model, skeleton, y_star, rng)
+    losses = {"tok": Tensor(0.0)}
+    parts = edit_loss_from_supervision(model, memory, [sup], lam, losses.__setitem__)[0]
+    parts.total = losses["plh"] + losses["tok"] + lam * losses["del"]
+    return parts
 
 
 def backprop_edit_batch(
@@ -379,14 +354,14 @@ def backprop_edit_batch(
 ) -> list[EditLossParts]:
     """Add `scale` times the edit losses of a batch of examples into the gradients.
 
-    sups[i] supervises examples[i]. A draft (draft_supervision) is completed
-    from the model's argmax fills of its state2, as in
-    edit_loss_from_supervision; complete supervision stays as it is. The
-    tables are encoded as one padded pass, and each supervision state of
-    every example as one padded pass (_edit_losses). Each pass is
-    backpropagated as soon as its loss is known, into a retained copy of the
-    encoder output, whose gradient goes through the encoder once, at the
-    end; so the tape holds the encoder's pass and one decoder pass at most.
+    sups[i] supervises examples[i]. A draft (build_edit_supervision) is
+    completed from the model's argmax fills of its state2; complete
+    supervision stays as it is. The tables are encoded as one padded pass,
+    and each supervision state of every example as one padded pass
+    (edit_loss_from_supervision). Each pass is backpropagated as soon as its
+    loss is known, into a retained copy of the encoder output, whose
+    gradient goes through the encoder once, at the end; so the tape holds
+    the encoder's pass and one decoder pass at most.
     Returns each example's loss parts, with constant totals.
     """
     tables = [linearize_table(ex.table) for ex in examples]
@@ -395,6 +370,6 @@ def backprop_edit_batch(
     def backprop(name: str, loss: Tensor) -> None:
         (loss * (lam * scale if name == "del" else scale)).backward()
 
-    parts = _edit_losses(model, encoded.leaf, sups, lam, backprop)
+    parts = edit_loss_from_supervision(model, encoded.leaf, sups, lam, backprop)
     encoded.backward()
     return parts

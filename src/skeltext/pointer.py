@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -98,7 +99,7 @@ class SkeletonPointer(TableToText):
 
         `keys_t` holds the keys as columns: (W_k h)^T, the transposed view.
         """
-        logits = (self.wq(r) @ keys_t) / np.sqrt(self.d_model)
+        logits = (self.wq(r) @ keys_t) * (1.0 / math.sqrt(self.d_model))
         return ag.softmax(logits, axis=-1)
 
     def _step_attention(self, r: np.ndarray, keys_t: np.ndarray) -> np.ndarray:
@@ -107,7 +108,7 @@ class SkeletonPointer(TableToText):
         In a lean pass only the logits are: the softmax would hide a -inf.
         """
         logits = ag._guard(np.matmul(self.wq.step(r), keys_t), "matmul")
-        logits = ag._checked(logits * (1.0 / float(np.sqrt(self.d_model))), "mul_scalar")
+        logits = ag._checked(logits * (1.0 / math.sqrt(self.d_model)), "mul_scalar")
         return ag._checked(ag._softmax(logits, -1, out=logits), "softmax")
 
     def copy_log_probs(
@@ -147,7 +148,8 @@ class SkeletonPointer(TableToText):
         step that raises leaves it as it was.
         """
         tokens = [h.tokens[-1] if h.tokens else BOS_TOKEN for h in live]
-        states, past = self.decoder_states(tokens, search.memory_kv, parents, search.past)
+        # One index array for every decoder layer's gather of the past.
+        states, past = self.decoder_states(tokens, search.memory_kv, np.array(parents), search.past)
         attn = self._step_attention(states, search.keys_t)
         search.past = past
         # Tokens whose copy mass underflowed to zero score -inf and are simply

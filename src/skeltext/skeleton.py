@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .data import Corpus, Table
+from .data import Corpus, Table, open_text, utf8_problem
 
 DEFAULT_STOP_WORDS = (
     "a an the this that these those some any each every either neither "
@@ -39,8 +39,16 @@ class StopWordList:
 
     @classmethod
     def from_file(cls, path) -> "StopWordList":
-        with open(path, encoding="utf-8") as fh:
-            return cls(line.strip() for line in fh if line.strip())
+        """One word per non-blank line; a line that is not UTF-8 text is a ValueError naming it."""
+        words = []
+        with open_text(path) as fh:
+            for line_no, line in enumerate(fh, start=1):
+                problem = utf8_problem(line)
+                if problem:
+                    raise ValueError(f"{path} line {line_no}: {problem}")
+                if line.strip():
+                    words.append(line.strip())
+        return cls(words)
 
 
 def default_stop_words() -> StopWordList:

@@ -9,6 +9,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import oracle
 from .config import RunConfig, read_json
 from .data import (
     Corpus,
@@ -18,7 +19,6 @@ from .data import (
 )
 from .editor import EditRealizer
 from .nn import Adam, Module, load_checkpoint, save_checkpoint
-from .oracle import backprop_edit_batch, draft_supervision
 from .pointer import SkeletonPointer, backprop_pointer_batch, check_skeleton
 
 Logger = Callable[[dict], None]
@@ -140,11 +140,14 @@ def train_editor(
         for start in range(0, len(batch), EDITOR_MICRO_BATCH):
             indices = batch[start : start + EDITOR_MICRO_BATCH]
             chunk = [corpus[i] for i in indices]
+            # Through the module: the benchmark's tracer replaces oracle's attributes.
             sups = [
-                draft_supervision(model, ex.skeleton, ex.reference, _rng(cfg.seed, epoch, i))
+                oracle.build_edit_supervision(model, ex.skeleton, ex.reference,
+                                              _rng(cfg.seed, epoch, i))
                 for ex, i in zip(chunk, indices)
             ]
-            for parts in backprop_edit_batch(model, chunk, sups, cfg.lambda_del, 1.0 / len(batch)):
+            scale = 1.0 / len(batch)
+            for parts in oracle.backprop_edit_batch(model, chunk, sups, cfg.lambda_del, scale):
                 if parts.clamped_slots and not clamp_warned:
                     clamp_warned = True
                     log({"event": "warning",

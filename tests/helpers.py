@@ -147,7 +147,8 @@ def per_example_edit_step(model, examples, rngs, lam: float = 1.0) -> list[dict[
     """
     parts = []
     for ex, rng in zip(examples, rngs):
-        loss = edit_loss_example(model, model.encode(ex.table), ex.skeleton, ex.reference, rng, lam)
+        memory = model.encoder(linearize_table(ex.table))
+        loss = edit_loss_example(model, memory, ex.skeleton, ex.reference, rng, lam)
         (loss.total / len(examples)).backward()
         parts.append(loss.as_dict())
     return parts

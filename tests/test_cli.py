@@ -246,6 +246,35 @@ def test_a_malformed_line_ends_in_one_error_naming_its_file_and_line(
     assert events[0]["message"].startswith(f"{bad} line 2: ")
 
 
+@pytest.mark.parametrize("command", ["annotate", "annotate --stopwords", "evaluate --system"])
+def test_a_byte_that_is_not_utf8_ends_in_one_error_naming_its_file_and_line(
+    tmp_path, capsys, command
+):
+    # A strict read decodes a chunk at a time: the byte on line 2 raised a bare
+    # UnicodeDecodeError, naming no file or line, before line 1 was returned.
+    corpus, bad, out = (str(tmp_path / name) for name in ("corpus.jsonl", "bad", "out"))
+    line = json.dumps({"table": [{"key": "Name_ID", "value": "Alda"}], "text": "Alda ."})
+    with open(corpus, "w", encoding="utf-8") as fh:
+        fh.write(line + "\n")
+    first = {"annotate": line, "annotate --stopwords": "the",
+             "evaluate --system": '{"text": "Alda ."}'}[command]
+    with open(bad, "wb") as fh:
+        fh.write(first.encode() + b"\nAl\xffda\n")
+    args = {
+        "annotate": ["annotate", "--corpus", bad, "--out", out],
+        "annotate --stopwords": ["annotate", "--corpus", corpus, "--out", out, "--stopwords", bad],
+        "evaluate --system": ["evaluate", "--system", bad, "--gold", corpus],
+    }[command]
+    capsys.readouterr()
+    assert main(args) == 1
+    events = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+    assert [(e["event"], e["error"]) for e in events] == [
+        ("error", "ValueError" if command == "annotate --stopwords" else "CorpusError")
+    ]
+    assert events[0]["message"] == f"{bad} line 2: byte 0xff at character 3 is not UTF-8 text"
+    assert not os.path.exists(out)
+
+
 @pytest.mark.parametrize("command", ["train-pointer", "train-editor"])
 def test_save_optimizer_is_a_usage_error(tmp_path, capsys, command):
     with pytest.raises(SystemExit) as info:
@@ -321,8 +350,9 @@ def test_no_hard_constraints_flag_is_live_end_to_end(tmp_path):
 
 
 def test_gradcheck_command_exits_zero(capsys, monkeypatch):
-    # Each padded-batch check runs its training step once, for the analytic
-    # gradient; its finite differences evaluate the losses without one.
+    # Each edit-loss check and the padded pointer check run their training
+    # step once, for the analytic gradient; their finite differences
+    # evaluate the losses without one.
     from skeltext import gradcheck
 
     calls: list[str] = []
@@ -348,7 +378,7 @@ def test_gradcheck_command_exits_zero(capsys, monkeypatch):
         "editor_padded_batch_loss", "pointer_padded_batch_loss",
     ]
     assert all(e["event"] == "gradcheck" and e["pass"] for e in events)
-    assert calls == ["backprop_edit_batch", "backprop_pointer_batch"]
+    assert calls == ["backprop_edit_batch", "backprop_edit_batch", "backprop_pointer_batch"]
 
 
 # -- config resolution ----------------------------------------------------------

@@ -21,6 +21,7 @@ from skeltext.data import (
     Vocabulary,
     build_vocabulary,
     linearize_table,
+    load_corpus,
     parse_corpus,
     tokenize,
     write_corpus,
@@ -190,6 +191,7 @@ _SPACES = st.sampled_from([" ", "\t", "\x1c"])  # str.split() splits at each
 _ODD_TOKENS = st.one_of(
     st.sampled_from(_RESERVED),
     st.just(""),
+    st.just("Al\ud800da"),  # a lone surrogate: valid JSON, but no UTF-8 file holds it
     _SPACES,
     st.tuples(_WORDS, _SPACES, _WORDS).map("".join),
     st.tuples(_SPACES, _WORDS).map("".join),
@@ -199,7 +201,7 @@ _TOKENS = st.one_of(*[_WORDS] * 5, _ODD_TOKENS)  # about one token in six is odd
 
 
 def _not_a_corpus_token(token: str) -> bool:
-    return tokenize(token) != [token] or token in _RESERVED
+    return tokenize(token) != [token] or token in _RESERVED or "\ud800" in token
 
 
 @settings(max_examples=300, deadline=None)
@@ -212,6 +214,7 @@ def _not_a_corpus_token(token: str) -> bool:
 @example("Name", ["Alda"], ["Alda Fenwick"], None)
 @example("Name", ["Alda Fenwick"], ["Alda"], None)
 @example("Name", ["Alda"], [""], None)
+@example("Name", ["Alda"], ["Al\ud800da"], None)
 def test_an_example_either_names_its_bad_token_or_saves_and_loads_back_equal(
     key, value, reference, skeleton
 ):
@@ -226,7 +229,33 @@ def test_an_example_either_names_its_bad_token_or_saves_and_loads_back_equal(
         return
     buf = io.StringIO()
     write_corpus([ex], buf)
-    assert parse_corpus(io.StringIO(buf.getvalue())) == [ex]
+    text = buf.getvalue().encode("utf-8").decode("utf-8")  # as a corpus file holds it
+    assert parse_corpus(io.StringIO(text)) == [ex]
+
+
+def test_a_lone_surrogate_is_an_error_naming_line_field_and_token():
+    # Valid JSON that loaded, and then ended annotate in save_corpus with a
+    # UnicodeEncodeError and an empty output file.
+    line = (r'{"table": [{"key": "Name_ID", "value": "Al\ud800da"}], '
+            r'"text": "Al\ud800da was born ."}')
+    with pytest.raises(CorpusError) as info:
+        parse_corpus([line])
+    assert str(info.value) == (r"line 1: table entry 0: attribute 'Name_ID' value holds "
+                               r"'Al\ud800da', which is not UTF-8 text")
+    with pytest.raises(ValueError, match=r"^reference holds 'Al\\ud800da', which is not UTF-8 text$"):
+        Example(Table((Attribute("Name_ID", ("Alda",)),)), ("Al\ud800da", "was", "born"))
+
+
+def test_a_byte_that_is_not_utf8_is_a_corpus_error_naming_its_file_and_line(tmp_path):
+    # A strict read decodes a chunk at a time: on this file it raised a bare
+    # UnicodeDecodeError, naming no file or line, before returning line 1.
+    path = tmp_path / "corpus.jsonl"
+    path.write_bytes(json.dumps({"table": [_ALDA], "text": "Alda ."}).encode() + b"\n"
+                     + b'{"table": [{"key": "Name_ID", "value": "Al\xffda"}], "text": "."}\n')
+    with pytest.raises(CorpusError) as info:
+        load_corpus(str(path))
+    assert info.value.line == 2
+    assert str(info.value) == f"{path} line 2: byte 0xff at character 43 is not UTF-8 text"
 
 
 def test_attribute_invariants():

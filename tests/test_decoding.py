@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from skeltext import autograd as ag
 from skeltext.autograd import NonFiniteError
-from skeltext.data import BOS_TOKEN, EOS_TOKEN, PAD_TOKEN, PLH_TOKEN, Attribute, Table
+from skeltext.data import (
+    BOS_TOKEN, EOS_TOKEN, PAD_TOKEN, PLH_TOKEN, Attribute, Table, linearize_table,
+)
 from skeltext.decoding import (
     FIXED_POINT,
     MAX_ITERATIONS,
@@ -292,7 +294,7 @@ def _reference_iterate(model, table, skeleton, max_iter, hard_constraints, max_s
     """
     state = init_state(skeleton, protect_skeleton=hard_constraints)
     snapshots = [state]
-    memory = model.encode(table)
+    memory = model.encoder(linearize_table(table))
     for _ in range(max_iter):
         previous = state.tokens
         z = _decode_every_pass(model, state.tokens, memory)
@@ -385,7 +387,7 @@ def test_memoized_memory_projections_match_uncached_decoding():
     table = random_table(np.random.default_rng(3))
     first = [BOS_TOKEN, *all_value_tokens(table), EOS_TOKEN]
     second = [BOS_TOKEN, "oov-token", *all_value_tokens(table)[:1], PLH_TOKEN, EOS_TOKEN]
-    memory = model.encode(table)
+    memory = model.encoder(linearize_table(table))
     memory_kv = model.decoder.memory_kv(memory.rows.data)
     for tokens in (first, second, first):
         cached = model.decode_hidden(tokens, memory_kv)

@@ -25,7 +25,7 @@ from helpers import blas_fingerprint, decode_hidden, tiny_editor
 def _setup(seed=0):
     model, cfg = tiny_editor(seed=seed)
     table = Table((Attribute("Name_ID", ("Alda", "Fenwick")), Attribute("Occupation", ("sculptor",))))
-    return model, model.encode(table), cfg
+    return model, model.encoder(linearize_table(table)), cfg
 
 
 def test_edit_state_invariants():
@@ -164,7 +164,7 @@ def test_all_three_heads_receive_gradient():
 
 def test_state_cap_enforced():
     model, _ = tiny_editor(seed=11, max_state_len=4)
-    memory = model.encode(Table((Attribute("Name_ID", ("Alda",)),)))
+    memory = model.encoder(linearize_table(Table((Attribute("Name_ID", ("Alda",)),))))
     decode_hidden(model, [BOS_TOKEN, "a", "b", EOS_TOKEN], memory)
     with pytest.raises(ValueError, match="cap"):
         decode_hidden(model, [BOS_TOKEN, "a", "b", "c", EOS_TOKEN], memory)
@@ -176,7 +176,7 @@ def test_edit_loss_gradients_reach_every_cross_attention_projection():
     model, _ = tiny_editor(seed=11, n_layers=2)
     table = Table((Attribute("Name_ID", ("Alda", "Fenwick")), Attribute("Occupation", ("sculptor",))))
     parts = edit_loss_example(
-        model, model.encode(table), ["Alda", "sculptor"],
+        model, model.encoder(linearize_table(table)), ["Alda", "sculptor"],
         ["Alda", "Fenwick", "was", "a", "sculptor"], np.random.default_rng(4),
     )
     parts.total.backward()
@@ -226,7 +226,7 @@ def _pinned_edit_loss() -> tuple[dict, int, str]:
     )
     skeleton, reference = ["Alda", "sculptor"], ["Alda", "Fenwick", "was", "a", "sculptor", "."]
     parts = edit_loss_example(
-        model, model.encode(table), skeleton, reference, np.random.default_rng(3)
+        model, model.encoder(linearize_table(table)), skeleton, reference, np.random.default_rng(3)
     )
     parts.total.backward()
     digest = hashlib.sha256()
@@ -293,7 +293,7 @@ def test_a_padded_batch_encodes_and_decodes_each_example_as_alone():
     z = model.decode_batch(states, memory, causal=False)
     assert len({len(s) for s in states}) > 1 and len(set(memory.lengths)) > 1
     for b, (table, state) in enumerate(zip(tables, states)):
-        own = model.encode(table)
+        own = model.encoder(linearize_table(table))
         cells = memory.rows.data[b * memory.width : b * memory.width + own.lengths[0]]
         assert np.abs(cells - own.rows.data).max() < 1e-12
         rows = z.rows.data[b * z.width : b * z.width + len(state)]
@@ -301,5 +301,5 @@ def test_a_padded_batch_encodes_and_decodes_each_example_as_alone():
     # One example is the unbatched computation, to the bit.
     first = model.encoder.encode_padded([linearize_table(tables[0])])
     one = model.decode_batch(states[:1], first, causal=False)
-    alone = decode_hidden(model, states[0], model.encode(tables[0]))
+    alone = decode_hidden(model, states[0], model.encoder(linearize_table(tables[0])))
     assert one.rows.data.tobytes() == alone.data.tobytes()

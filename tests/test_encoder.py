@@ -141,7 +141,7 @@ def test_a_padded_pass_names_its_empty_table():
 )
 def test_trunk_rejects_inputs_beyond_its_positions(build, decode):
     model, _ = build(seed=5, max_skeleton_len=6, max_state_len=8)
-    memory = model.encode(random_table(np.random.default_rng(5)))
+    memory = model.encoder(linearize_table(random_table(np.random.default_rng(5))))
     tokens = [BOS_TOKEN, *["Alda"] * (model.max_len - 2), EOS_TOKEN]
     assert decode(model, tokens, memory).shape == (model.max_len, model.d_model)
     with pytest.raises(ValueError, match=f"{model.max_len + 1} positions exceed the {model.max_len}"):

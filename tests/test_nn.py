@@ -551,6 +551,7 @@ def test_fused_blocks_give_the_composed_models_gradients_to_the_bit(stage, monke
     # Whole models, so that the order in which backward() sums a tensor's
     # gradients (the encoder's output gets keys and values from every decoder
     # layer of every pass) is checked too.
+    from skeltext.data import linearize_table
     from skeltext.oracle import edit_loss_example
 
     from helpers import (
@@ -572,7 +573,8 @@ def test_fused_blocks_give_the_composed_models_gradients_to_the_bit(stage, monke
                 )
             else:
                 skeleton = all_value_tokens(ex.table)[:2]
-                loss = edit_loss_example(model, model.encode(ex.table), skeleton, ex.reference, rng).total
+                memory = model.encoder(linearize_table(ex.table))
+                loss = edit_loss_example(model, memory, skeleton, ex.reference, rng).total
             loss.backward()
             grads += [p.grad.tobytes() for p in model.parameters()]
         return grads

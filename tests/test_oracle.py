@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skeltext.data import PLH_TOKEN
+from skeltext.data import PLH_TOKEN, linearize_table
 from skeltext.oracle import (
     DELETE,
     KEEP,
@@ -356,8 +356,9 @@ def _loss_setup(seed=0):
 def test_edit_loss_lambda_zero_drops_deletion_term():
     model, table, skeleton, y_star = _loss_setup()
     rng1, rng2 = np.random.default_rng(9), np.random.default_rng(9)
-    with_del = edit_loss_example(model, model.encode(table), skeleton, y_star, rng1, lam=1.0)
-    without = edit_loss_example(model, model.encode(table), skeleton, y_star, rng2, lam=0.0)
+    memory = model.encoder(linearize_table(table))
+    with_del = edit_loss_example(model, memory, skeleton, y_star, rng1, lam=1.0)
+    without = edit_loss_example(model, memory, skeleton, y_star, rng2, lam=0.0)
     assert without.total.item() == pytest.approx(
         without.placeholder_nll + without.token_nll, abs=1e-12
     )
@@ -370,10 +371,8 @@ def test_edit_loss_default_lambda_is_one():
     import inspect
 
     from skeltext.config import RunConfig
-    from skeltext.oracle import edit_loss_from_supervision
 
     assert inspect.signature(edit_loss_example).parameters["lam"].default == 1.0
-    assert inspect.signature(edit_loss_from_supervision).parameters["lam"].default == 1.0
     assert RunConfig().lambda_del == 1.0
 
 
@@ -382,15 +381,15 @@ def test_edit_loss_overfits_single_example():
 
     model, table, skeleton, y_star = _loss_setup(seed=3)
     opt = Adam(model.parameters(), peak_lr=4e-3, warmup=25)
+    cells = linearize_table(table)
     for step in range(300):
         rng = np.random.default_rng(step % 4)  # recycle a few corruptions
-        parts = edit_loss_example(model, model.encode(table), skeleton, y_star, rng)
+        parts = edit_loss_example(model, model.encoder(cells), skeleton, y_star, rng)
         parts.total.backward()
         opt.step()
     for seed in range(4):
-        final = edit_loss_example(
-            model, model.encode(table), skeleton, y_star, np.random.default_rng(seed)
-        )
+        rng = np.random.default_rng(seed)
+        final = edit_loss_example(model, model.encoder(cells), skeleton, y_star, rng)
         assert final.placeholder_nll < 0.2
         assert final.token_nll < 0.2
         assert final.deletion_nll < 0.2
@@ -407,67 +406,56 @@ def _one_example_cases():
 
 
 def test_the_one_example_loss_is_the_batch_of_one():
-    from skeltext.oracle import backprop_edit_batch, build_edit_supervision, draft_supervision
+    from skeltext.oracle import backprop_edit_batch, build_edit_supervision
 
     with_placeholders = []
     for model, ex, seed in _one_example_cases():
-        memory = model.encode(ex.table)
+        memory = model.encoder(linearize_table(ex.table))
         rng = np.random.default_rng
         one = edit_loss_example(model, memory, ex.skeleton, ex.reference, rng(seed), lam=0.5)
-        built = build_edit_supervision(model, memory, ex.skeleton, ex.reference, rng(seed))
-        draft = draft_supervision(model, ex.skeleton, ex.reference, rng(seed))
-        assert draft.state3 is None
+        draft = build_edit_supervision(model, ex.skeleton, ex.reference, rng(seed))
+        assert draft.reference == list(ex.reference) and draft.state3 is None
         [batch] = backprop_edit_batch(model, [ex], [draft], lam=0.5)
         assert one.as_dict() == batch.as_dict()
         assert one.clamped_slots == batch.clamped_slots
         assert (one.placeholder_nll, one.token_nll, one.deletion_nll) == (
             batch.placeholder_nll, batch.token_nll, batch.deletion_nll
         )
-        assert built.state3 == draft.state3
-        assert built.del_labels.tobytes() == draft.del_labels.tobytes()
         with_placeholders.append(bool(draft.positions))
     assert with_placeholders == [True, False]
 
 
-def test_a_draft_given_to_edit_loss_from_supervision_is_edit_loss_example():
-    from skeltext.oracle import draft_supervision, edit_loss_from_supervision
+def test_a_completed_draft_scores_the_same_again():
+    from skeltext.oracle import backprop_edit_batch, build_edit_supervision
 
-    def parts_and_gradient_bytes(model, loss):
+    def parts_and_gradient_bytes(model, ex, sup):
         for p in model.parameters():
             p.grad[...] = 0.0
-        parts = loss()
-        parts.total.backward()
+        [parts] = backprop_edit_batch(model, [ex], [sup], lam=0.5)
         return parts.as_dict(), parts.clamped_slots, [p.grad.tobytes() for p in model.parameters()]
 
     for model, ex, seed in _one_example_cases():
-        rng = np.random.default_rng
-        want = parts_and_gradient_bytes(model, lambda: edit_loss_example(
-            model, model.encode(ex.table), ex.skeleton, ex.reference, rng(seed), lam=0.5))
-        draft = draft_supervision(model, ex.skeleton, ex.reference, rng(seed))
-        assert draft.reference == list(ex.reference) and draft.state3 is None
-        got = parts_and_gradient_bytes(model, lambda: edit_loss_from_supervision(
-            model, model.encode(ex.table), draft, lam=0.5))
-        assert got == want
+        draft = build_edit_supervision(model, ex.skeleton, ex.reference, np.random.default_rng(seed))
+        want = parts_and_gradient_bytes(model, ex, draft)
         # Now complete, the supervision is read as it is and gives the same again.
         assert draft.state3 is not None
-        again = parts_and_gradient_bytes(model, lambda: edit_loss_from_supervision(
-            model, model.encode(ex.table), draft, lam=0.5))
-        assert again == want
+        state3, labels = list(draft.state3), draft.del_labels.tobytes()
+        assert parts_and_gradient_bytes(model, ex, draft) == want
+        assert (draft.state3, draft.del_labels.tobytes()) == (state3, labels)
 
 
-def test_build_edit_supervision_completes_the_draft_from_the_argmax_fills():
+def test_the_edit_loss_completes_a_draft_from_the_argmax_fills():
     # The reference completion: the model's argmax fills of its own state2,
     # decoded on its own, written into the draft's placeholders.
-    from skeltext.oracle import build_edit_supervision, draft_supervision
+    from skeltext.oracle import build_edit_supervision, edit_loss_from_supervision
 
     from helpers import decode_hidden
 
     for model, ex, seed in _one_example_cases():
-        memory = model.encode(ex.table)
-        built = build_edit_supervision(
-            model, memory, ex.skeleton, ex.reference, np.random.default_rng(seed)
-        )
-        want = draft_supervision(model, ex.skeleton, ex.reference, np.random.default_rng(seed))
+        memory = model.encoder(linearize_table(ex.table))
+        built = build_edit_supervision(model, ex.skeleton, ex.reference, np.random.default_rng(seed))
+        edit_loss_from_supervision(model, memory, [built], 1.0, lambda name, loss: None)
+        want = build_edit_supervision(model, ex.skeleton, ex.reference, np.random.default_rng(seed))
         fills = model.argmax_fill(decode_hidden(model, want.state2, memory).data, want.positions)
         state3 = list(want.state2)
         for pos, tok in zip(want.positions, fills):
@@ -485,7 +473,7 @@ def test_consumed_graph_reuse_is_loud():
     # Caching a tracked forward across backward() calls must raise, not
     # silently train on stale values.
     model, table, skeleton, y_star = _loss_setup(seed=4)
-    memory = model.encode(table)
+    memory = model.encoder(linearize_table(table))
     parts = edit_loss_example(model, memory, skeleton, y_star, np.random.default_rng(0))
     parts.total.backward()
     with pytest.raises(RuntimeError, match="backward"):

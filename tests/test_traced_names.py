@@ -3,15 +3,15 @@
 perfbench/tracer.py replaces each `(owner, attr)` of `_traced_targets()` by
 `owner.__dict__[attr]`, so a function that moves or is renamed breaks the
 traced benchmark run. The first test reads the tracer's list without
-installing it; the second installs it on a tiny run of both stages.
+installing it; the second installs it on a tiny run of both stages. A
+module that binds a traced name at import holds the unwrapped function, so
+the second test also counts training's calls of the two oracle spans.
 """
 
 from __future__ import annotations
 
 import importlib.util
 import os
-
-import numpy as np
 
 TRACER = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                       "perfbench", "tracer.py")
@@ -37,7 +37,8 @@ def test_every_traced_target_is_defined_on_its_owner():
 
 def test_a_traced_tiny_run_counts_work_in_every_span_and_uninstall_restores(monkeypatch):
     from skeltext import annotate_corpus, autograd, decoding, default_stop_words, generate
-    from skeltext import metrics, nn, oracle, training
+    from skeltext import metrics, nn, training
+    from skeltext.data import linearize_table
     from skeltext.synth import TemplateSpec
 
     from helpers import tiny_config
@@ -65,10 +66,9 @@ def test_a_traced_tiny_run_counts_work_in_every_span_and_uninstall_restores(monk
         skeleton = pointer.beam_search(corpus[0].table, 2, 4).tokens
         tokens, _ = decoding.iterate(editor, corpus[0].table, skeleton, max_iter=2)
         metrics.evaluate_outputs([tokens], corpus[:1])
-        oracle.build_edit_supervision(
-            editor, editor.encode(corpus[1].table), corpus[1].skeleton, corpus[1].reference,
-            np.random.default_rng(0),
-        )
+        # No workload calls TableEncoder.__call__: training encodes padded
+        # batches, and inference encodes on arrays.
+        editor.encoder(linearize_table(corpus[1].table))
     finally:
         tracer.uninstall()
     not_restored = [
@@ -84,5 +84,10 @@ def test_a_traced_tiny_run_counts_work_in_every_span_and_uninstall_restores(monk
     assert idle == []
     assert totals["nn.cross_attention"]["calls"] == layer_calls["decoder"]
     assert totals["nn.self_attention"]["calls"] == sum(layer_calls.values())
+    # Training drafts each example once per epoch and takes each micro-batch's
+    # edit losses once: one epoch of 4 examples, in 2 batches of 2.
+    assert cfg.editor_epochs == 1 and training.EDITOR_MICRO_BATCH >= cfg.batch_size
+    assert totals["oracle.build_edit_supervision"]["calls"] == len(corpus) == 4
+    assert totals["oracle.edit_loss_from_supervision"]["calls"] == 2
     for counter in tracer_module._WORK.values():
         assert tracer.counts[counter[0]] > 0, counter[0]

@@ -13,7 +13,7 @@ import pytest
 from skeltext import annotate_corpus, default_stop_words, generate, nn, oracle, training
 from skeltext.data import EOS_TOKEN, PAD_ID, linearize_table
 from skeltext.encoder import TableEncoder
-from skeltext.oracle import backprop_edit_batch, draft_supervision
+from skeltext.oracle import backprop_edit_batch, build_edit_supervision
 from skeltext.pointer import DataIntegrityError, SkeletonPointer, backprop_pointer_batch
 from skeltext.synth import TemplateSpec
 from skeltext.training import (
@@ -247,7 +247,7 @@ def _seeds(n: int) -> list[np.random.Generator]:
 def _batched_step(model, examples, lam=0.7):
     for p in model.parameters():
         p.grad[...] = 0.0
-    sups = [draft_supervision(model, ex.skeleton, ex.reference, rng)
+    sups = [build_edit_supervision(model, ex.skeleton, ex.reference, rng)
             for ex, rng in zip(examples, _seeds(len(examples)))]
     parts = backprop_edit_batch(model, examples, sups, lam, 1.0 / len(examples))
     return sups, [p.as_dict() for p in parts], {n: p.grad.copy() for n, p in model.named_parameters()}
